@@ -9,16 +9,37 @@ or stochastic integration anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 
-def gauss_legendre_segment(a: float, b: float, nodes: int):
+@lru_cache(maxsize=None)
+def legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-1, 1], built once per node count (read-only)."""
     x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre_segment(a: float, b: float, nodes: int):
+    x, w = legendre_rule(nodes)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int):
+    """Composite Gauss-Legendre rule on [a, b]: (nodes*panels,) nodes/weights."""
+    x, w = legendre_rule(nodes)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wts = (half[:, None] * w[None, :]).ravel()
+    return pts, wts
 
 
 @dataclass(frozen=True)

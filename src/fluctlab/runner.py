@@ -110,6 +110,10 @@ def _oracle_check(model, window, cfg, orders, r_max, alpha):
     rows = []
     worst = 0.0
     for order in orders:
+        # computing the overlap is one matrix product per slice at any order;
+        # its nodes**(order-1) output is what limits the oracle: order 4 on
+        # the 600-node oracle rule already holds 600**3 doubles (1.7 GB), and
+        # the orders skipped here would hold 600**4 (1 TB)
         if (order - 1) * model.dim > 3:
             continue
         for radius in radii:

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .models import TruncatedHierarchy
-from .quadrature import Rule1D, symmetric_panel_rule
+from .quadrature import Rule1D, gauss_legendre_panels, symmetric_panel_rule
 from .window import WindowProfile, unit_sphere_area
 
 MAX_QUADRATURE_DIM = 4
@@ -340,41 +340,44 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
     T_i = z_i + ... + z_{l-1}; the scaled observable positions are
     x_i = R (w + T_i), so the windowed overlap of the correlator at
     difference variables y is exactly R * g_l(y / R).
+
+    With u = w + T_2 the integrand is f(|u + z_1|) f(|u|) times
+    prod_{j=2..l-1} f(|u - (z_2 + ... + z_j)|), which separates z_1 from the
+    other variables: g = (A * c) @ B.T with A[z_1, u] = f(|u + z_1|),
+    c[u] = f(|u|) wt(u) and B[(z_2, ...), u] the shifted product (a row of
+    ones for l = 2).  The factor f(|u|) confines the integrand to the
+    window's support, so one fixed u rule on [-s_max, s_max] serves every z
+    and no quadrature node depends on z.  Orders l >= 4 take one product per
+    z_2 slice, so no intermediate exceeds the n**(l-1) result.
     """
     key = (profile.cache_key, order, z_rule.key)
     if key in _OVERLAP_CACHE:
         return _OVERLAP_CACHE[key]
     s_max = profile.s_grid[-1]
-    wq, ww = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(-s_max, s_max, 33)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    wn = (mid[:, None] + half[:, None] * wq[None, :]).ravel()
-    wwt = (half[:, None] * ww[None, :]).ravel()
-
+    u, wt = gauss_legendre_panels(-s_max, s_max, 32, 12)
     z = z_rule.nodes
-    dim = order - 1
-    tails = []
-    acc = None
-    for i in range(dim - 1, -1, -1):
-        zi = z.reshape([1] * i + [-1] + [1] * (dim - 1 - i))
-        acc = zi if acc is None else acc + zi
-        tails.append(acc)
-    tails = tails[::-1]  # tails[i] = z_{i+1} + ... + z_{l-1} in 1-based terms
-
-    g = np.zeros((len(z),) * dim)
-    chunk = 48
-    for start in range(0, len(wn), chunk):
-        wc = wn[start : start + chunk]
-        wtc = wwt[start : start + chunk]
-        prod = None
-        for t in tails:
-            vals = profile.value(np.abs(t[..., None] + wc))
-            prod = vals if prod is None else prod * vals
-        prod = prod * profile.value(np.abs(wc))
-        g += np.sum(prod * wtc, axis=-1)
+    n = len(z)
+    ac = profile.value(u + z[:, None]) * (profile.value(u) * wt)
+    if order <= 3:
+        g = ac @ _shifted_rows(profile, u, [z] * (order - 2)).T
+    else:
+        g = np.empty((n, n, n ** (order - 3)))
+        for k in range(n):
+            g[:, k] = ac @ _shifted_rows(profile, u, [z[k:k + 1]] + [z] * (order - 3)).T
+    g = g.reshape((n,) * (order - 1))
     _OVERLAP_CACHE[key] = g
     return g
+
+
+def _shifted_rows(profile: WindowProfile, u: np.ndarray, levels) -> np.ndarray:
+    """Rows prod_j f(|u - (s_1 + ... + s_j)|), one per (s_1, s_2, ...) in the product of levels."""
+    rows = np.ones((1, len(u)))
+    sums = np.zeros(1)
+    for s in levels:
+        sums = np.add.outer(sums, s).ravel()
+        vals = profile.value(u - sums[:, None]).reshape(len(rows), len(s), len(u))
+        rows = (rows[:, None, :] * vals).reshape(-1, len(u))
+    return rows
 
 
 def oracle_z_rule(profile: WindowProfile, graded_levels: int = 6) -> Rule1D:
@@ -790,11 +793,17 @@ def _weighted_spectral(state, profile, cfg, order, gamma, radius) -> complex:
     return pref * integral
 
 
-def _weighted_position(state, profile, cfg, order, gamma, radius) -> complex:
-    # grading down to ~1e-4 of the box resolves correlator structure at
-    # scale 1/R through R ~ 2000; orders >= 3 use a leaner per-axis rule
+def weighted_z_rule(profile: WindowProfile, order: int) -> Rule1D:
+    """Difference-variable rule of the weighted position path.
+
+    Grading down to ~1e-4 of the box resolves correlator structure at scale
+    1/R through R ~ 2000; orders >= 3 use a leaner per-axis rule.
+    """
     if order == 2:
-        z_rule = symmetric_panel_rule(2.0 * profile.s_grid[-1], 24, 10, graded_levels=14)
-    else:
-        z_rule = symmetric_panel_rule(2.0 * profile.s_grid[-1], 14, 8, graded_levels=14)
-    return position_space_correlator(state, profile, cfg, order, radius, gamma, z_rule=z_rule)
+        return symmetric_panel_rule(2.0 * profile.s_grid[-1], 24, 10, graded_levels=14)
+    return symmetric_panel_rule(2.0 * profile.s_grid[-1], 14, 8, graded_levels=14)
+
+
+def _weighted_position(state, profile, cfg, order, gamma, radius) -> complex:
+    return position_space_correlator(state, profile, cfg, order, radius, gamma,
+                                     z_rule=weighted_z_rule(profile, order))

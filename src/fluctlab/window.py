@@ -22,6 +22,8 @@ constant, e.g. the 2-point limit is exactly  S(0) * integral fhat(k)fhat(-k).
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from math import gamma as _gamma_fn
 from math import pi, sqrt
@@ -32,6 +34,7 @@ from scipy.interpolate import InterpolatedUnivariateSpline
 from scipy.special import j0
 
 from .errors import InvalidArgumentError, NumericalAccuracyError
+from .quadrature import gauss_legendre_panels
 
 CACHE_FORMAT_VERSION = 1
 
@@ -51,17 +54,6 @@ GRID_MARGIN = 0.5
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n (2, 2*pi, 4*pi for n=1,2,3)."""
     return 2.0 * pi ** (n / 2.0) / _gamma_fn(n / 2.0)
-
-
-def _gauss_legendre_panels(a: float, b: float, panels: int, nodes: int):
-    """Composite Gauss-Legendre rule on [a, b]: (nodes*panels,) nodes/weights."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return pts, wts
 
 
 def _bump_cdf(halfwidth: float, samples: int = 40001):
@@ -103,7 +95,6 @@ class WindowProfile:
     k_grid: np.ndarray = field(repr=False)
     fhat_samples: np.ndarray = field(repr=False)
     k_max: float
-    _pos_spline: InterpolatedUnivariateSpline = field(repr=False, compare=False)
     _fhat_spline: InterpolatedUnivariateSpline = field(repr=False, compare=False)
     _tail_env: np.ndarray = field(repr=False, compare=False)
 
@@ -136,7 +127,7 @@ class WindowProfile:
 
     def volume_integral(self) -> float:
         """integral of f(|x|) over R^n."""
-        s, w = _gauss_legendre_panels(0.0, self.s_grid[-1], 64, 16)
+        s, w = gauss_legendre_panels(0.0, self.s_grid[-1], 64, 16)
         return unit_sphere_area(self.dim) * float(np.sum(w * self.value(s) * s ** (self.dim - 1)))
 
     # -- momentum space ----------------------------------------------------
@@ -185,13 +176,13 @@ class WindowProfile:
 
     def pair_overlap_integral(self) -> float:
         """integral over R^n of fhat(k) fhat(-k) = integral |fhat|^2 (real even fhat)."""
-        s, w = _gauss_legendre_panels(0.0, self.k_max, 512, 12)
+        s, w = gauss_legendre_panels(0.0, self.k_max, 512, 12)
         vals = self._fhat_spline(s) ** 2
         return unit_sphere_area(self.dim) * float(np.sum(w * vals * s ** (self.dim - 1)))
 
     def l2_position(self) -> float:
         """integral over R^n of f(|x|)^2."""
-        s, w = _gauss_legendre_panels(0.0, self.s_grid[-1], 64, 16)
+        s, w = gauss_legendre_panels(0.0, self.s_grid[-1], 64, 16)
         return unit_sphere_area(self.dim) * float(np.sum(w * self.value(s) ** 2 * s ** (self.dim - 1)))
 
     # -- serialization -----------------------------------------------------
@@ -210,7 +201,15 @@ class WindowProfile:
             "k_grid": self.k_grid.tolist(),
             "fhat_samples": self.fhat_samples.tolist(),
         }
-        path.write_text(json.dumps(payload))
+        # write beside the target and rename, so no reader sees a partial file
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(payload))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return path
 
     @staticmethod
@@ -234,7 +233,6 @@ class WindowProfile:
 
 
 def _assemble(kind, dim, resolution, smoothness, s_grid, f_samples, k_grid, fhat_samples, k_max):
-    pos_spline = InterpolatedUnivariateSpline(s_grid, f_samples, k=3)
     fhat_spline = InterpolatedUnivariateSpline(k_grid, fhat_samples, k=5)
     tail = np.maximum.accumulate(np.abs(fhat_samples)[::-1])[::-1]
     return WindowProfile(
@@ -247,7 +245,6 @@ def _assemble(kind, dim, resolution, smoothness, s_grid, f_samples, k_grid, fhat
         k_grid=k_grid,
         fhat_samples=fhat_samples,
         k_max=k_max,
-        _pos_spline=pos_spline,
         _fhat_spline=fhat_spline,
         _tail_env=tail,
     )
@@ -365,7 +362,7 @@ def make_profile(
     # quadrature nodes for the transform: >= ~6 GL nodes per oscillation cycle
     cycles = k_max * s_max / (2.0 * pi)
     panels = max(48, int(cycles / 1.5) + 1)
-    s_nodes, s_weights = _gauss_legendre_panels(0.0, s_max, panels, 16)
+    s_nodes, s_weights = gauss_legendre_panels(0.0, s_max, panels, 16)
     f_vals = exact(s_nodes)
 
     fhat = np.empty_like(k_grid)
@@ -377,18 +374,26 @@ def make_profile(
 
 
 def load_or_build(kind: str, dim: int, resolution: int = 4096, cache_dir: str | Path | None = None,
-                  **kwargs) -> WindowProfile:
-    """Fetch a profile from the cache directory, building and caching on miss."""
+                  *, smoothstep_order: int = 3, k_max: float = 640.0,
+                  k_resolution: int = 10240) -> WindowProfile:
+    """Fetch a profile from the cache directory, building and caching on miss.
+
+    The file name carries every argument that changes the profile, so
+    profiles built with different arguments never share a file.
+    """
+    kwargs = dict(smoothstep_order=smoothstep_order, k_max=k_max, k_resolution=k_resolution)
     if cache_dir is None:
         return make_profile(kind, dim, resolution, **kwargs)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    name = f"window_{kind}_n{dim}_r{resolution}.json"
+    name = (f"window_{kind}_n{dim}_r{resolution}_s{smoothstep_order}"
+            f"_k{float(k_max)!r}_m{k_resolution}.json")
     path = cache_dir / name
     if path.exists():
         try:
             prof = WindowProfile.from_cache_file(path)
-            if prof.cache_key[:3] == (kind, dim, resolution):
+            if (prof.cache_key[:4] == (kind, dim, resolution, float(k_max))
+                    and len(prof.k_grid) == k_resolution):
                 return prof
         except (ValueError, KeyError, InvalidArgumentError):
             pass

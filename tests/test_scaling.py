@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,13 @@ from fluctlab.scaling import (
     pair_tail_bound,
     position_space_correlator,
     qmode_correlator,
+    oracle_z_rule,
     weighted_correlator,
     weighted_gamma,
+    weighted_z_rule,
+    window_overlap_1d,
 )
+from fluctlab.quadrature import gauss_legendre_panels, legendre_rule, symmetric_panel_rule
 
 
 def bessel_factor(power, d):
@@ -117,6 +123,78 @@ class TestSpectralPath:
         rep = exponent_sweep(gaussian_state1, profile1, cfg, 2, alpha=0.0)
         assert rep.exponent == pytest.approx(1.0, abs=0.1)
         assert rep.verdict == "diverging"
+
+
+def _direct_overlap(profile, z_tuples, panels):
+    """Overlap from its defining w-integral, f(|w+T_1|)...f(|w+T_{l-1}|) f(|w|), at each z tuple."""
+    s_max = profile.s_grid[-1]
+    w, wt = gauss_legendre_panels(-s_max, s_max, panels, 12)
+    out = []
+    for zt in z_tuples:
+        prod = profile.value(w) * wt
+        for i in range(len(zt)):
+            prod = prod * profile.value(w + np.sum(zt[i:]))
+        out.append(np.sum(prod))
+    return np.array(out)
+
+
+_Z_RULES = {
+    "oracle": oracle_z_rule,
+    "weighted-order-2": lambda prof: weighted_z_rule(prof, 2),
+    "weighted-order-3": lambda prof: weighted_z_rule(prof, 3),
+}
+
+
+class TestPositionOverlap:
+    """The separated overlap equals the w-integral it replaces."""
+
+    @pytest.mark.parametrize("rule_name", sorted(_Z_RULES))
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_matches_direct_quadrature(self, profile1, rule_name, order):
+        z_rule = _Z_RULES[rule_name](profile1)
+        g = window_overlap_1d(profile1, order, z_rule)
+        rng = np.random.default_rng(order)
+        idx = rng.integers(0, len(z_rule.nodes), size=(400, order - 1))
+        got = g[tuple(idx.T)]
+        dense = _direct_overlap(profile1, z_rule.nodes[idx], panels=1024)
+        assert np.max(np.abs(got - dense)) <= 5e-7
+        if order == 2:
+            # u = w at order 2: same nodes as the direct 32-panel rule
+            same_rule = _direct_overlap(profile1, z_rule.nodes[idx], panels=32)
+            assert np.max(np.abs(got - same_rule)) <= 1e-14
+
+    def test_order4_slices_match_direct_quadrature(self, profile1):
+        z_rule = symmetric_panel_rule(5.0, 4, 4)
+        g = window_overlap_1d(profile1, 4, z_rule)
+        assert g.shape == (len(z_rule.nodes),) * 3
+        rng = np.random.default_rng(4)
+        idx = rng.integers(0, len(z_rule.nodes), size=(100, 3))
+        dense = _direct_overlap(profile1, z_rule.nodes[idx], panels=1024)
+        assert np.max(np.abs(g[tuple(idx.T)] - dense)) <= 5e-7
+
+
+class TestLegendreRuleCache:
+    def test_sweep_builds_each_node_count_once(self, product_state1, profile1, monkeypatch):
+        calls = Counter()
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(nodes):
+            calls[nodes] += 1
+            return leggauss(nodes)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        legendre_rule.cache_clear()
+        cfg = ScalingConfig()
+        for order in (2, 3):
+            exponent_sweep(product_state1, profile1, cfg, order)
+        assert calls and max(calls.values()) == 1
+
+    def test_cached_nodes_read_only(self):
+        x, w = legendre_rule(12)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class TestSweepMachinery:

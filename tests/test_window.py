@@ -196,8 +196,23 @@ class TestSerialization:
         one = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         files = list(tmp_path.glob("*.json"))
         assert len(files) == 1
-        two = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path)
+        two = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         assert np.array_equal(one.fhat_samples, two.fhat_samples)
+        assert list(tmp_path.glob("*.json")) == files
+
+    @pytest.mark.parametrize("changed", [{"smoothstep_order": 6}, {"k_max": 50.0}])
+    def test_load_or_build_rebuilds_on_other_arguments(self, tmp_path, changed):
+        from fluctlab.window import load_or_build
+
+        base = dict(k_max=40.0, k_resolution=1024, smoothstep_order=3)
+        one = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, **base)
+        two = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, **{**base, **changed})
+        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert not np.array_equal(one.fhat_samples, two.fhat_samples)
+        fresh = make_profile("smoothstep", 1, 1024, **{**base, **changed})
+        assert np.array_equal(two.fhat_samples, fresh.fhat_samples)
+        assert two.smoothness == fresh.smoothness
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSharpWindowOracle:
