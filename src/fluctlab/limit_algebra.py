@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidLimitStateError, OrderRangeError
 from .models import ObservablePair, TruncatedHierarchy, gaussian_state
-from .partitions import enumerate_pairings
+from .partitions import _pairing_blocks
 from .scaling import ScalingConfig, exponent_sweep
 from .window import WindowProfile
 
@@ -111,9 +111,9 @@ def wick_moment(state: LimitState, sequence: Sequence[str | int]) -> complex:
         return 0.0 + 0.0j
     total = 0.0 + 0.0j
     c = state.covariance
-    for pairing in enumerate_pairings(m):
+    for blocks in _pairing_blocks(m):
         prod = 1.0 + 0.0j
-        for a, b in pairing.blocks:
+        for a, b in blocks:
             prod *= c[idx[a - 1], idx[b - 1]]
         total += prod
     return total

@@ -1,8 +1,10 @@
 """Translation-invariant model states given by momentum-space truncated correlators.
 
-A state is a hierarchy of evaluators, one per correlator order l: the order-l
-evaluator maps the l-1 transfer momenta (q_1, ..., q_{l-1}) to the complex
-truncated-correlator density S_l.  The convention is the plain transform
+A state is a hierarchy of truncated-correlator densities, one per order l:
+S_l maps the l-1 transfer momenta (q_1, ..., q_{l-1}) to a complex value and
+is stored as one factor per difference variable, S_l = phi_1(q_1) ...
+phi_{l-1}(q_{l-1}), which lets the scaling engine contract the window chain
+one variable at a time.  The convention is the plain transform
 
     S_l(q_1,...,q_{l-1}) = integral( W_l(y_1,...,y_{l-1})
                                      * exp(+i sum q_i.y_i) prod dy_i )
@@ -11,7 +13,7 @@ in the difference variables y_i, with no normalization prefactor (see
 ``fluctlab.window`` for the convention summary).  Order 1 is identically
 zero: observables are centered.
 
-Evaluators are pure and vectorized; hierarchies are immutable after
+Factors are pure and vectorized; hierarchies are immutable after
 construction and safe for concurrent evaluation.
 """
 
@@ -27,10 +29,11 @@ from scipy.special import kv as _bessel_kv
 
 from .errors import ModelValidationError, OrderRangeError, UnsupportedModeError
 
-# An evaluator receives, per difference variable, a tuple of n broadcastable
-# component arrays, and returns the broadcast complex density.
+# Per difference variable, a tuple of n broadcastable component arrays.
 QVars = Sequence[Sequence[np.ndarray]]
-Evaluator = Callable[[QVars], np.ndarray]
+# A factor receives one difference variable's components and returns its
+# (real or complex) share of the density.
+Factor = Callable[[Sequence[np.ndarray]], np.ndarray]
 
 
 def radial_norm(components: Sequence[np.ndarray]) -> np.ndarray:
@@ -86,26 +89,33 @@ class TruncatedHierarchy:
 
     dim: int
     max_order: int
-    evaluators: Mapping[int, Evaluator] = field(repr=False)
+    factors: Mapping[int, tuple[Factor, ...]] = field(repr=False)
     tags: Mapping[int, DecayTag]
     position_forms: Mapping[int, Callable] = field(default_factory=dict, repr=False)
     weighted_orders: Mapping[int, WeightedCorrelator] = field(default_factory=dict, repr=False)
 
-    def evaluate(self, order: int, qvars: QVars) -> np.ndarray:
-        """S_l at transfer momenta given as per-variable component tuples."""
+    def order_factors(self, order: int) -> tuple[Factor, ...]:
+        """The l-1 per-variable factors of S_l; empty when S_l vanishes."""
         if order < 1 or order > self.max_order:
             raise OrderRangeError(f"order {order} outside 1..{self.max_order}")
-        if order == 1:
-            return np.asarray(0.0 + 0.0j)
         if order in self.weighted_orders:
             raise UnsupportedModeError(
                 f"order {order} is weighted; use the weighted correlator path"
             )
-        fn = self.evaluators.get(order)
-        if fn is None:
+        return self.factors.get(order, ())
+
+    def evaluate(self, order: int, qvars: QVars) -> np.ndarray:
+        """S_l at transfer momenta given as per-variable component tuples."""
+        fns = self.order_factors(order)
+        if order == 1:
+            return np.asarray(0.0 + 0.0j)
+        if not fns:
             shape = np.broadcast(*[c for comp in qvars for c in comp]).shape
             return np.zeros(shape, dtype=complex)
-        return np.asarray(fn(qvars), dtype=complex)
+        out = fns[0](qvars[0])
+        for fn, comps in zip(fns[1:], qvars[1:]):
+            out = out * fn(comps)
+        return np.asarray(out, dtype=complex)
 
     def two_point(self, k) -> np.ndarray:
         """Convenience: S_2 at momentum k (shape (...,) for n=1, (..., n) else)."""
@@ -134,32 +144,30 @@ class TruncatedHierarchy:
         Displacing slot i multiplies the order-l density by
         exp(+i a.(q_i - q_{i-1})) (q_0 = q_l = 0 edge cases included), which
         tends to 1 after the scaling substitution; used for the
-        translation-invariance check of the limit.
+        translation-invariance check of the limit.  The phase splits over the
+        variables: exp(+i a.q_i) joins the factor of q_i, exp(-i a.q_{i-1})
+        that of q_{i-1}.
         """
         a = np.atleast_1d(np.asarray(displacement, dtype=float))
-        base = self
 
-        def make(order, fn):
-            def shifted_fn(qvars):
-                phase_arg = 0.0
-                if 1 <= slot <= order - 1:
-                    for c, ai in zip(qvars[slot - 1], a):
-                        phase_arg = phase_arg + ai * c
-                if 2 <= slot <= order:
-                    for c, ai in zip(qvars[slot - 2], a):
-                        phase_arg = phase_arg - ai * c
-                return fn(qvars) * np.exp(1j * phase_arg)
+        def phased(fn, sign):
+            return lambda comps: fn(comps) * np.exp(sign * 1j * sum(ai * c for ai, c in zip(a, comps)))
 
-            return shifted_fn
-
-        new_evals = {o: make(o, fn) for o, fn in base.evaluators.items()}
+        new_factors = {}
+        for order, fns in self.factors.items():
+            fns = list(fns)
+            if 1 <= slot <= order - 1:
+                fns[slot - 1] = phased(fns[slot - 1], 1.0)
+            if 2 <= slot <= order:
+                fns[slot - 2] = phased(fns[slot - 2], -1.0)
+            new_factors[order] = tuple(fns)
         return TruncatedHierarchy(
-            dim=base.dim,
-            max_order=base.max_order,
-            evaluators=new_evals,
-            tags=dict(base.tags),
+            dim=self.dim,
+            max_order=self.max_order,
+            factors=new_factors,
+            tags=dict(self.tags),
             position_forms={},
-            weighted_orders=dict(base.weighted_orders),
+            weighted_orders=dict(self.weighted_orders),
         )
 
 
@@ -195,13 +203,12 @@ def check_autocorrelation(two_point: Callable, dim: int, rtol: float = 1e-9) -> 
             raise ModelValidationError("two-point autocorrelation violates positivity on the grid")
 
 
-def _wrap_two_point(two_point: Callable, dim: int) -> Evaluator:
-    def ev(qvars):
-        comps = qvars[0]
+def _two_point_factor(two_point: Callable, dim: int) -> Factor:
+    def factor(comps):
         k = comps[0] if dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
         return two_point(k)
 
-    return ev
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,7 @@ def gaussian_state(two_point: Callable, dim: int, *, position_two_point: Callabl
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        evaluators={2: _wrap_two_point(two_point, dim)},
+        factors={2: (_two_point_factor(two_point, dim),)},
         tags={2: DecayTag("l1")},
         position_forms=pos,
     )
@@ -256,15 +263,8 @@ def product_ansatz_state(profiles: Mapping[int, Sequence], dim: int, *,
             raise OrderRangeError(f"order {order} needs {order - 1} profiles, got {len(profs)}")
     max_order = max_order or max(profiles)
 
-    def make_eval(profs):
-        def ev(qvars):
-            out = None
-            for comp, prof in zip(qvars, profs):
-                term = prof.momentum(radial_norm(comp))
-                out = term if out is None else out * term
-            return out
-
-        return ev
+    def momentum_factor(prof):
+        return lambda comps: prof.momentum(radial_norm(comps))
 
     def make_pos(profs):
         def pos(yvars):
@@ -276,20 +276,20 @@ def product_ansatz_state(profiles: Mapping[int, Sequence], dim: int, *,
 
         return pos
 
-    evaluators = {o: make_eval(p) for o, p in profiles.items()}
+    factors = {o: tuple(momentum_factor(q) for q in p) for o, p in profiles.items()}
     position_forms = {o: make_pos(p) for o, p in profiles.items() if all(hasattr(q, "position") for q in p)}
     tags = {o: DecayTag("l1") for o in profiles}
     if 2 in profiles:
-        check_autocorrelation(_two_point_from(evaluators[2], dim), dim)
-    return TruncatedHierarchy(dim=dim, max_order=max_order, evaluators=evaluators,
+        check_autocorrelation(_two_point_from(factors[2][0], dim), dim)
+    return TruncatedHierarchy(dim=dim, max_order=max_order, factors=factors,
                               tags=tags, position_forms=position_forms)
 
 
-def _two_point_from(ev: Evaluator, dim: int) -> Callable:
+def _two_point_from(factor: Factor, dim: int) -> Callable:
     def two_point(k):
         k = np.asarray(k, dtype=float)
         comps = (k,) if dim == 1 else tuple(k[..., i] for i in range(dim))
-        return ev((comps,))
+        return factor(comps)
 
     return two_point
 
@@ -341,7 +341,7 @@ def powerlaw_state(beta: float, dim: int, *, max_order: int = 8) -> TruncatedHie
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        evaluators={2: _wrap_two_point(two_point, dim)},
+        factors={2: (_two_point_factor(two_point, dim),)},
         tags={2: tag},
         position_forms={2: position},
     )
@@ -351,8 +351,8 @@ def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
                    max_order: int | None = None) -> TruncatedHierarchy:
     """State with polynomially weighted orders W_l = (1 + sum y_i^2)^(alpha_l/2) F_l.
 
-    Evaluation goes through the scaling engine's weighted path; the plain
-    momentum evaluator is intentionally absent for weighted orders.
+    Evaluation goes through the scaling engine's weighted path; weighted
+    orders intentionally carry no momentum factors.
     """
     weighted = {}
     for wc in correlators:
@@ -369,7 +369,7 @@ def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
         weighted[wc.order] = wc
     max_order = max_order or max(weighted)
     tags = {o: DecayTag("weighted", param=wc.alpha) for o, wc in weighted.items()}
-    return TruncatedHierarchy(dim=dim, max_order=max_order, evaluators={},
+    return TruncatedHierarchy(dim=dim, max_order=max_order, factors={},
                               tags=tags, weighted_orders=weighted)
 
 
@@ -405,7 +405,7 @@ def goldstone_state(dim: int, singular_weight: float, infrared_exponent: float =
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        evaluators={2: _wrap_two_point(two_point, dim)},
+        factors={2: (_two_point_factor(two_point, dim),)},
         tags={2: DecayTag("goldstone", param=s)},
     )
 

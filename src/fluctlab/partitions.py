@@ -13,6 +13,7 @@ First moments vanish throughout: observables are centered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import factorial
 from typing import Iterator, Mapping
@@ -107,6 +108,12 @@ def enumerate_pairings(order: int) -> list[SetPartition]:
         raise InvalidArgumentError(f"pairings need an even order, got {order}")
     if not 2 <= order <= MAX_PAIRING_ORDER:
         raise OrderRangeError(f"order {order} outside 2..{MAX_PAIRING_ORDER}")
+    return [SetPartition(blocks, order) for blocks in _pairing_blocks(order)]
+
+
+@cache
+def _pairing_blocks(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Blocks of every perfect matching of {1..order} (even), built once per order."""
 
     def rec(remaining: tuple[int, ...]):
         if not remaining:
@@ -118,7 +125,7 @@ def enumerate_pairings(order: int) -> list[SetPartition]:
             for tail in rec(rest[:j] + rest[j + 1 :]):
                 yield (pair,) + tail
 
-    return [SetPartition(blocks, order) for blocks in rec(tuple(range(1, order + 1)))]
+    return tuple(rec(tuple(range(1, order + 1))))
 
 
 def _partitions_of_tuple(indices: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -267,9 +274,9 @@ def wick_moment_table(pair_values: Mapping[tuple[int, int], complex], order: int
             table[key] = 0.0
             continue
         total = 0.0 + 0.0j
-        for pairing in enumerate_pairings(size):
+        for blocks in _pairing_blocks(size):
             prod = 1.0 + 0.0j
-            for a, b in pairing.blocks:
+            for a, b in blocks:
                 prod *= pair_values[(key[a - 1], key[b - 1])]
             total += prod
         table[key] = total

@@ -1,9 +1,8 @@
-"""Deterministic tensor-product Gauss-Legendre rules.
+"""Deterministic Gauss-Legendre panel rules.
 
-One-dimensional panel rules (optionally geometrically graded toward the
-origin, for integrands with an integrable singularity at 0) are combined
-into tensor grids by broadcasting.  Everything is pure numpy; no adaptive
-or stochastic integration anywhere.
+One-dimensional panel rules, optionally geometrically graded toward the
+origin for integrands with an integrable singularity at 0.  Everything is
+pure numpy; no adaptive or stochastic integration anywhere.
 """
 
 from __future__ import annotations
@@ -97,19 +96,3 @@ def half_line_rule(p_max: float, panels: int, nodes_per_panel: int,
     half = len(full.nodes) // 2
     return Rule1D(nodes=full.nodes[half:], weights=full.weights[half:],
                   p_max=full.p_max, key=("half",) + full.key)
-
-
-def tensor_weights(rule: Rule1D, dim: int) -> np.ndarray:
-    """Full tensor weight array of shape (len(rule),) * dim."""
-    w = rule.weights
-    out = w
-    for _ in range(dim - 1):
-        out = np.multiply.outer(out, w)
-    return out
-
-
-def axis_nodes(rule: Rule1D, dim: int, axis: int) -> np.ndarray:
-    """Rule nodes broadcast along `axis` of a dim-dimensional tensor grid."""
-    shape = [1] * dim
-    shape[axis] = len(rule.nodes)
-    return rule.nodes.reshape(shape)

@@ -19,8 +19,8 @@ of the same correlator identically, which the oracle tests exercise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache, reduce
 from math import pi
-from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .errors import (
     OrderRangeError,
     UnsupportedModeError,
 )
-from .models import TruncatedHierarchy
+from .models import TruncatedHierarchy, radial_norm
 from .quadrature import Rule1D, gauss_legendre_panels, symmetric_panel_rule
-from .window import WindowProfile, unit_sphere_area
+from .window import WindowProfile
 
 MAX_QUADRATURE_DIM = 4
 
@@ -52,8 +52,13 @@ class QuadSpec:
     nodes: int
     graded_levels: int = 0
 
+    @cache
     def build(self) -> Rule1D:
-        return symmetric_panel_rule(self.p_max, self.panels, self.nodes, self.graded_levels)
+        """The rule, built once per spec; its nodes and weights are read-only."""
+        rule = symmetric_panel_rule(self.p_max, self.panels, self.nodes, self.graded_levels)
+        rule.nodes.flags.writeable = False
+        rule.weights.flags.writeable = False
+        return rule
 
 
 @dataclass(frozen=True)
@@ -137,80 +142,58 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# window-product tensor cache
+# node grid and window kernel of the chain contraction
 # ---------------------------------------------------------------------------
 
-_WPRODUCT_CACHE: dict = {}
+_CHAIN_CACHE: dict = {}
 
 
-def _axis_view(rule: Rule1D, dim: int, axis: int) -> np.ndarray:
-    shape = [1] * dim
-    shape[axis] = len(rule.nodes)
-    return rule.nodes.reshape(shape)
+def _node_grid(profile: WindowProfile, n: int, rule: Rule1D):
+    """The n-fold product of the rule's nodes: components, weights, fhat(|q|).
 
-
-def _variable_components(rule: Rule1D, order: int, n: int):
-    """Broadcast views of the (order-1) transfer-momentum variables' components."""
-    tensor_dim = (order - 1) * n
-    out = []
-    for i in range(order - 1):
-        out.append(tuple(_axis_view(rule, tensor_dim, i * n + c) for c in range(n)))
-    return out
-
-
-def _norm_of(components) -> np.ndarray:
-    if len(components) == 1:
-        return np.abs(components[0])
-    acc = components[0] ** 2
-    for c in components[1:]:
-        acc = acc + c ** 2
-    return np.sqrt(acc)
-
-
-def _diff_norm(a, b) -> np.ndarray:
-    acc = None
-    for ca, cb in zip(a, b):
-        d = ca - cb
-        acc = d ** 2 if acc is None else acc + d ** 2
-    return np.sqrt(acc)
-
-
-def _weight_tensor(rule: Rule1D, tensor_dim: int) -> np.ndarray:
-    out = rule.weights
-    for _ in range(tensor_dim - 1):
-        out = np.multiply.outer(out, rule.weights)
-    return out
-
-
-def window_product(profile: WindowProfile, order: int, n: int, rule: Rule1D,
-                   include_last: bool = True, weighted: bool = True) -> np.ndarray:
-    """Product of window transforms on the tensor grid, times tensor weights.
-
-    The last slot's factor fhat(-q'_{l-1}) is omitted when include_last is
-    False (nonzero-net-momentum q-mode path supplies a shifted factor per R).
-    Cached per (profile, order, n, rule, flags).
+    The components broadcast to the (N,) * n grid and the weights fill it;
+    fhat(|q|) is flattened in C order, the first component varying slowest,
+    which is the point order of every vector of the chain.  Cached per
+    (profile, n, rule).
     """
-    key = (profile.cache_key, order, n, rule.key, include_last, weighted)
-    if key in _WPRODUCT_CACHE:
-        return _WPRODUCT_CACHE[key]
-    tensor_dim = (order - 1) * n
-    npts = len(rule.nodes) ** tensor_dim
-    comps = _variable_components(rule, order, n)
-    w = profile.fourier_radial(_norm_of(comps[0]))
-    for i in range(1, order - 1):
-        w = w * profile.fourier_radial(_diff_norm(comps[i], comps[i - 1]))
-    if include_last:
-        w = w * profile.fourier_radial(_norm_of(comps[-1]))
-    w = np.broadcast_to(w, (len(rule.nodes),) * tensor_dim).copy()
-    if weighted:
-        w *= _weight_tensor(rule, tensor_dim)
-    if npts <= 80_000_000:
-        _WPRODUCT_CACHE[key] = w
-    return w
+    key = ("grid", profile.cache_key, n, rule.key)
+    if key not in _CHAIN_CACHE:
+        comps = tuple(np.meshgrid(*[rule.nodes] * n, indexing="ij", sparse=True))
+        wt = reduce(np.multiply.outer, [rule.weights] * n)
+        _CHAIN_CACHE[key] = comps, wt, profile.fourier_radial(radial_norm(comps)).ravel()
+    return _CHAIN_CACHE[key]
+
+
+def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
+    """Transfer kernel K[P, Q] = fhat(|P - Q|) on the n-fold node grid.
+
+    |P - Q| depends only on the per-axis distances |P_c - Q_c|, so fhat is
+    evaluated once per distinct tuple of them and gathered into the
+    (N**n, N**n) matrix; each entry equals fhat evaluated at |P - Q|
+    directly, bit for bit.  Cached per (profile, n, rule).
+    """
+    key = ("kernel", profile.cache_key, n, rule.key)
+    if key in _CHAIN_CACHE:
+        return _CHAIN_CACHE[key]
+    nodes = rule.nodes
+    m = len(nodes)
+    dist, inverse = np.unique(np.abs(nodes[:, None] - nodes[None, :]), return_inverse=True)
+    distinct = profile.fourier_radial(
+        radial_norm(np.meshgrid(*[dist] * n, indexing="ij", sparse=True))
+    )
+    # axis c of the gather runs over P_c, axis n + c over Q_c
+    index = []
+    for c in range(n):
+        shape = [1] * (2 * n)
+        shape[c] = shape[n + c] = m
+        index.append(inverse.reshape(shape))
+    kernel = distinct[tuple(index)].reshape(m ** n, m ** n)
+    _CHAIN_CACHE[key] = kernel
+    return kernel
 
 
 def clear_caches() -> None:
-    _WPRODUCT_CACHE.clear()
+    _CHAIN_CACHE.clear()
     _OVERLAP_CACHE.clear()
 
 
@@ -233,18 +216,17 @@ def _check_dims(state: TruncatedHierarchy, cfg: ScalingConfig, order: int) -> in
     return tensor_dim
 
 
-def _rule_for(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
-              profile: WindowProfile) -> Rule1D:
+def _spec_for(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
+              profile: WindowProfile) -> QuadSpec:
     tensor_dim = _check_dims(state, cfg, order)
     singular = state.tag(2).kind in ("l2", "goldstone")
     spec = cfg.quad_for(tensor_dim, singular=singular)
     cfg.validate_tail(profile, spec)
-    rule = spec.build()
-    if len(rule.nodes) ** tensor_dim > cfg.max_tensor_points:
-        raise NumericalAccuracyError(
-            f"tensor grid of {len(rule.nodes)}^{tensor_dim} points exceeds the budget"
-        )
-    return rule
+    # the largest array the chain allocates: the kernel for l >= 3, else one grid vector
+    points = len(spec.build()) ** (2 * state.dim if order >= 3 else state.dim)
+    if points > cfg.max_tensor_points:
+        raise NumericalAccuracyError(f"chain array of {points} points exceeds the budget")
+    return spec
 
 
 def fluctuation_correlator(state: TruncatedHierarchy, profile: WindowProfile,
@@ -266,7 +248,7 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
-    rule = _rule_for(state, cfg, order, profile)
+    rule = _spec_for(state, cfg, order, profile).build()
     return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule)
 
 
@@ -281,22 +263,30 @@ def correlator_with_error(state: TruncatedHierarchy, profile: WindowProfile,
     """
     n = state.dim
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
-    rule = _rule_for(state, cfg, order, profile)
-    value = _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule)
-    coarse = _coarse_rule(rule)
+    spec = _spec_for(state, cfg, order, profile)
+    value = _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build())
+    coarse = replace(spec, panels=max(2, spec.panels // 2)).build()
     value2 = _spectral_value(state, profile, cfg, order, offsets, radius, alpha, coarse)
     return value, abs(value - value2)
 
 
-def _coarse_rule(rule: Rule1D) -> Rule1D:
-    p_max, panels, nodes, graded, ratio = rule.key[-5:] if rule.key[0] == "half" else rule.key
-    return symmetric_panel_rule(p_max, max(2, panels // 2), nodes, graded, ratio)
+def _times_real(v: np.ndarray, real: np.ndarray):
+    """v @ real for complex v, as one real product of the stacked [Re; Im]."""
+    out = np.stack([v.real, v.imag]) @ real
+    return out[0] + 1j * out[1]
 
 
 def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) -> complex:
+    """The quadrature of the module formula, contracted one variable at a time.
+
+    With S_l = phi_1(q_1) ... phi_{l-1}(q_{l-1}) the window chain is a
+    product of matrices: v_1 = fhat(|q|) wt phi_1, v_i = (v_{i-1} @ K) wt
+    phi_i with K[P, Q] = fhat(|P - Q|), and the integral is v_{l-1}
+    against the last factor fhat(|q_{l-1}|) (shifted by R times the net
+    offset when that is nonzero).
+    """
     n = state.dim
-    tensor_dim = (order - 1) * n
-    comps = _variable_components(rule, order, n)
+    comps, wt, fhat_norm = _node_grid(profile, n, rule)
 
     if offsets is None:
         total = np.zeros(n)
@@ -310,18 +300,24 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
         cumshift = [csum[i] for i in range(order - 1)]
         total = csum[-1]
 
-    shifted_net = bool(np.any(np.abs(total) > 0))
-    w = window_product(profile, order, n, rule, include_last=not shifted_net)
-    if shifted_net:
-        last = tuple(comps[-1][c] + radius * total[c] for c in range(n))
-        w = w * profile.fourier_radial(_norm_of(last), strict=cfg.strict_tail)
+    if np.any(np.abs(total) > 0):
+        last = profile.fourier_radial(
+            radial_norm(tuple(comps[c] + radius * total[c] for c in range(n))),
+            strict=cfg.strict_tail,
+        ).ravel()
+    else:
+        last = fhat_norm
+    fns = state.order_factors(order)
+    if not fns:
+        return 0j
 
-    qvars = tuple(
-        tuple(comps[i][c] / radius + cumshift[i][c] for c in range(n))
-        for i in range(order - 1)
-    )
-    svals = state.evaluate(order, qvars)
-    integral = complex(np.sum(w * svals))
+    def factor(i):
+        return (wt * fns[i](tuple(comps[c] / radius + cumshift[i][c] for c in range(n)))).ravel()
+
+    v = fhat_norm * factor(0)
+    for i in range(1, order - 1):
+        v = _times_real(v, window_product(profile, n, rule)) * factor(i)
+    integral = complex(_times_real(v, last))
     pref = _convention_constant(order, n) * radius ** (order * (n - alpha) - (order - 1) * n)
     return pref * integral
 

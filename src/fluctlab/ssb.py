@@ -11,7 +11,7 @@ from one-dimensional quadrature sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ class RadialWeight:
             return np.where(kappa > 0, vals, np.inf if self.amplitude else 0.0)
         if self.exponent > 0:
             return np.where(kappa > 0, vals, 0.0)
-        return np.where(kappa >= 0, vals, vals)
+        return vals
 
 
 @dataclass(frozen=True)

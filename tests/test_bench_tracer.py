@@ -1,0 +1,57 @@
+"""The benchmark's span tracer (perfbench/spans.py) still finds every name it wraps.
+
+The tracer replaces package attributes by name, so renaming a traced function
+would break ``perfbench/run.py --trace 1`` without failing any other test.
+spans.py is loaded from its file and never modified.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fluctlab import scaling
+from fluctlab.scaling import QuadSpec
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(spans):
+    for name, owner, attr, _ in spans.TRACED:
+        module_name, _, class_name = owner.partition(":")
+        module = importlib.import_module(module_name)
+        if class_name:
+            assert attr in vars(getattr(module, class_name)), name
+        else:
+            assert callable(getattr(module, attr, None)), name
+
+
+def test_window_product_returns_an_array(profile1):
+    # the tracer reads .size and .nbytes of what window_product returns
+    kernel = scaling.window_product(profile1, 1, QuadSpec(10.0, 2, 4).build())
+    assert isinstance(kernel, np.ndarray)
+    assert kernel.size and kernel.nbytes
+
+
+def test_traced_order3_correlator_counts_the_kernel(spans, product_state1, profile1):
+    tracer = spans.Tracer()
+    cfg = scaling.ScalingConfig()
+    scaling.clear_caches()
+    with tracer.active():
+        scaling.qmode_correlator(product_state1, profile1, cfg, 3, None, 8.0)
+        scaling.qmode_correlator(product_state1, profile1, cfg, 3, None, 16.0)
+    layers = tracer.layer_metrics()
+    assert layers["scaling.qmode_correlator_calls"] == 2
+    assert layers["scaling.window_product_calls"] == 2
+    assert layers["scaling.window_product_hits"] == 1
+    assert layers["scaling.window_product_bytes"] > 0

@@ -1,7 +1,12 @@
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fluctlab import scaling
 
 from fluctlab.errors import (
     InvalidArgumentError,
@@ -16,9 +21,11 @@ from fluctlab.models import (
     powerlaw_state,
     powerlaw_two_point,
     product_ansatz_state,
+    radial_norm,
     weighted_state,
 )
 from fluctlab.scaling import (
+    QuadSpec,
     ScalingConfig,
     correlator_with_error,
     exponent_sweep,
@@ -35,6 +42,7 @@ from fluctlab.scaling import (
     weighted_gamma,
     weighted_z_rule,
     window_overlap_1d,
+    window_product,
 )
 from fluctlab.quadrature import gauss_legendre_panels, legendre_rule, symmetric_panel_rule
 
@@ -184,6 +192,7 @@ class TestLegendreRuleCache:
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         legendre_rule.cache_clear()
+        QuadSpec.build.cache_clear()
         cfg = ScalingConfig()
         for order in (2, 3):
             exponent_sweep(product_state1, profile1, cfg, order)
@@ -195,6 +204,96 @@ class TestLegendreRuleCache:
             x[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+def _tensor_sum(state, profile, order, offsets, radius, alpha, rule):
+    """The spectral quadrature as one explicit sum over the (l-1)*n-dimensional tensor grid."""
+    n = state.dim
+    dim = (order - 1) * n
+
+    def axis(k):
+        shape = [1] * dim
+        shape[k] = len(rule.nodes)
+        return rule.nodes.reshape(shape)
+
+    q = [tuple(axis(i * n + c) for c in range(n)) for i in range(order - 1)]
+    csum = np.cumsum(np.zeros((order, n)) if offsets is None else offsets, axis=0)
+    w = profile.fourier_radial(radial_norm(q[0]))
+    for i in range(1, order - 1):
+        w = w * profile.fourier_radial(radial_norm(tuple(a - b for a, b in zip(q[i], q[i - 1]))))
+    w = w * profile.fourier_radial(radial_norm(tuple(c + radius * t for c, t in zip(q[-1], csum[-1]))))
+    w = w * reduce(np.multiply.outer, [rule.weights] * dim)
+    qvars = tuple(tuple(q[i][c] / radius + csum[i][c] for c in range(n)) for i in range(order - 1))
+    terms = w * state.evaluate(order, qvars)
+    pref = (2.0 * np.pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
+    return pref * np.sum(terms), abs(pref) * np.sum(np.abs(terms))
+
+
+# small rules keep the reference tensor at <= 16**4 points; eps_vanish = 1
+# lets their short p_max pass the tail certificate
+_SMALL_RULES = ScalingConfig(eps_vanish=1.0, quad_overrides={
+    1: (20.0, 4, 6, 0), 2: (14.0, 3, 4, 0), 3: (10.0, 2, 4, 0), 4: (8.0, 2, 4, 0),
+})
+_gauss = st.builds(GaussianProfile, st.floats(0.2, 2.0), st.floats(0.4, 1.6))
+
+
+class TestChainContraction:
+    """The transfer-matrix chain equals the explicit tensor sum of the same quadrature."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), radius=st.floats(1.0, 600.0),
+           alpha=st.floats(0.0, 1.5), offset_kind=st.sampled_from(["zero", "symmetric", "net"]),
+           shift=st.none() | st.tuples(st.integers(1, 5), st.floats(-2.0, 2.0)))
+    def test_chain_equals_tensor_sum(self, profile1, profile2, data, dim, radius, alpha,
+                                     offset_kind, shift):
+        order = data.draw(st.integers(2, 5 if dim == 1 else 3), label="order")
+        profiles = data.draw(st.lists(_gauss, min_size=order - 1, max_size=order - 1), label="profiles")
+        profiles = [GaussianProfile(g.amplitude, g.width, dim) for g in profiles]
+        state = product_ansatz_state({order: profiles}, dim)
+        if shift is not None and shift[0] <= order:
+            state = state.shifted(shift[0], np.full(dim, shift[1]))
+        offsets = None
+        if offset_kind != "zero":
+            q = data.draw(st.floats(-1.0, 1.0), label="q")
+            offsets = np.zeros((order, dim))
+            offsets[0, 0], offsets[1, 0] = q, -q
+            if offset_kind == "net":
+                offsets += np.asarray(data.draw(
+                    st.lists(st.floats(-1.0, 1.0), min_size=order * dim, max_size=order * dim),
+                    label="net")).reshape(order, dim)
+        profile = profile1 if dim == 1 else profile2
+        chain = qmode_correlator(state, profile, _SMALL_RULES, order, offsets, radius, alpha)
+        rule = _SMALL_RULES.quad_for((order - 1) * dim).build()
+        reference, scale = _tensor_sum(state, profile, order, offsets, radius, alpha, rule)
+        assert abs(chain - reference) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim,spec", [(1, (120.0, 48, 10, 16)), (2, (16.0, 4, 4, 0))])
+    def test_kernel_equals_direct_evaluation(self, profile1, profile2, dim, spec):
+        profile = profile1 if dim == 1 else profile2
+        rule = QuadSpec(*spec).build()
+        grid = [c.ravel() for c in np.meshgrid(*[rule.nodes] * dim, indexing="ij")]
+        direct = profile.fourier_radial(radial_norm(tuple(c[:, None] - c[None, :] for c in grid)))
+        kernel = window_product(profile, dim, rule)
+        assert kernel.shape == direct.shape
+        assert np.array_equal(kernel, direct)
+
+    def test_rule_built_once_per_spec(self, gaussian_state1, profile1, monkeypatch):
+        rules = []
+        spectral_value = scaling._spectral_value
+
+        def recording(*args):
+            rules.append(args[-1])
+            return spectral_value(*args)
+
+        monkeypatch.setattr(scaling, "_spectral_value", recording)
+        cfg = ScalingConfig()
+        qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 8.0)
+        qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 64.0)
+        assert len(rules) == 2 and rules[0] is rules[1]
+        with pytest.raises(ValueError):
+            rules[0].nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rules[0].weights[0] = 0.0
 
 
 class TestSweepMachinery:
