@@ -60,7 +60,6 @@ from .scaling import (
     ScalingReport,
     exponent_sweep,
     find_critical_alpha,
-    fluctuation_correlator,
     l2_alpha_window,
     l2_vanishing_threshold,
     position_space_correlator,

@@ -3,7 +3,8 @@
 Subcommands: ``run <config>`` executes the configured analyses and writes
 reports, ``validate <config>`` only parses and checks, ``schema`` prints the
 accepted configuration outline.  Exit codes: 0 success, 2 configuration
-error, 3 numerical-accuracy failure, 4 model-validation failure.
+error, 3 numerical-accuracy failure (a failed certificate, or a float
+overflow in the numerics), 4 model-validation failure.
 
 The window-profile cache directory is taken from $FLUCTLAB_CACHE when set.
 """
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalAccuracyError as exc:
+    except (NumericalAccuracyError, OverflowError) as exc:
         print(f"numerical-accuracy error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except ModelValidationError as exc:

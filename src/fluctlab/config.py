@@ -1,23 +1,41 @@
 """Run configuration: parsing, defaults, validation, schema.
 
 Configs are JSON with four blocks (model, window, analyses, numeric) plus an
-optional output block.  Parsing is strict: duplicate keys and unknown keys
-are errors, and the requested analyses must be compatible with the model's
-clustering class.
+optional output block.  Every value goes through the typed fields of
+``fluctlab.fields``: duplicate keys, unknown keys, wrong types, non-finite
+numbers and out-of-range integers are errors.  Model classes are declared
+once, in MODELS; analysis kinds once, in ``runner.ANALYSES``.  Parsing
+builds the model and makes every check the analyses make short of
+quadrature, so a configuration that parses also runs, unless a
+window-transform tail certificate fails.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FluctlabError, ModelValidationError
+from .fields import (
+    DENSITY,
+    OPTIONAL,
+    REQUIRED,
+    Arr,
+    Int,
+    MapOf,
+    Num,
+    Obj,
+    Str,
+    check_keys,
+    density_from,
+)
+from .limit_algebra import ObservableFamily
 from .models import (
+    MAX_ORDER,
     GaussianProfile,
-    TruncatedHierarchy,
     WeightedCorrelator,
     gaussian_state,
     goldstone_state,
@@ -25,70 +43,31 @@ from .models import (
     powerlaw_two_point,
     product_ansatz_state,
     radial_norm,
+    sum_of_squares,
     weighted_state,
 )
-from .scaling import ScalingConfig, l2_alpha_window
-from .ssb import Dispersion, EnergySmoothing, GoldstoneModel, RadialWeight, SpectralVectorModel
+from .report import FORMATS
+from .runner import ANALYSES
+from .scaling import ALPHA_MODES, MAX_QUADRATURE_DIM, ScalingConfig
+from .ssb import Dispersion, GoldstoneModel, RadialWeight, SpectralVectorModel
+from .window import check_profile_args, load_or_build
 
 SCHEMA_ID = "fluctlab-config/1"
-REPORT_SCHEMA_ID = "fluctlab-report/1"
-
-MODEL_CLASSES = (
-    "gaussian",
-    "product-ansatz",
-    "powerlaw",
-    "weighted",
-    "goldstone-spectrum",
-    "goldstone-ssb",
-    "spectral-vector",
-    "pair-family",
-)
-ANALYSIS_KINDS = (
-    "scaling-sweep",
-    "qmode",
-    "cumulant-roundtrip",
-    "limit-state",
-    "ssb-bound",
-    "projector",
-    "gap-check",
-)
 
 _TOP_KEYS = {"schema", "model", "window", "analyses", "numeric", "output"}
-_WINDOW_KEYS = {"kind", "dim", "resolution", "smoothstep_order"}
-_NUMERIC_KEYS = {
-    "r_grid", "eps_vanish", "exponent_band", "alpha_mode", "alpha",
-    "quad", "min_decades",
-}
-_OUTPUT_KEYS = {"directory", "basename", "formats"}
-
-
-def _no_duplicates(pairs):
-    seen = set()
-    out = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r} in configuration")
-        seen.add(key)
-        out[key] = value
-    return out
-
-
-def _check_keys(block: dict, allowed: set, where: str):
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration."""
+    """Fully resolved run configuration, with its model built."""
 
-    model_block: dict
+    model_block: dict  # the model block as given, dim filled
     window_block: dict
-    analyses: tuple
+    analyses: tuple  # each analysis as given, declared defaults filled
     numeric_block: dict
     output_block: dict
-    raw: dict = field(repr=False)
+    model: Any = field(repr=False)
+    steps: tuple = field(repr=False)  # (kind, typed params, ScalingConfig) per analysis
 
     def resolved(self) -> dict:
         """Canonical echo of the configuration with all defaults filled."""
@@ -101,346 +80,277 @@ class RunConfig:
             "output": self.output_block,
         }
 
-    # -- factories ----------------------------------------------------------
-
-    def scaling_config(self, overrides: dict | None = None) -> ScalingConfig:
-        nb = dict(self.numeric_block)
-        if overrides:
-            nb.update(overrides)
-        grid = nb["r_grid"]
-        r = tuple(
-            float(x)
-            for x in np.geomspace(grid["start"], grid["stop"], grid["count"]).round(10)
-        )
-        return ScalingConfig(
-            r_values=r,
-            alpha_mode=nb["alpha_mode"],
-            alpha=nb["alpha"],
-            eps_vanish=nb["eps_vanish"],
-            exponent_band=nb["exponent_band"],
-            quad_overrides={int(k): tuple(v) for k, v in nb.get("quad", {}).items()},
-            min_decades=nb["min_decades"],
-        )
+    def scaling_config(self) -> ScalingConfig:
+        return _scaling_config(self.numeric_block)
 
     def build_window(self, cache_dir=None):
-        from .window import load_or_build
-
         wb = self.window_block
         return load_or_build(wb["kind"], wb["dim"], wb["resolution"], cache_dir=cache_dir,
                              smoothstep_order=wb["smoothstep_order"])
 
-    def build_model(self):
-        return build_model(self.model_block)
-
 
 # ---------------------------------------------------------------------------
-# density / profile little language
+# model classes
 # ---------------------------------------------------------------------------
 
-def _density_from(spec: dict, dim: int, where: str):
-    _check_keys(spec, {"form", "amplitude", "amplitude_im", "width", "power"}, where)
-    form = spec.get("form")
-    amp = complex(spec.get("amplitude", 1.0), spec.get("amplitude_im", 0.0))
-    width = float(spec.get("width", 1.0))
-    if form == "gaussian":
-        def density(k):
-            k = np.asarray(k, dtype=float)
-            r2 = k ** 2 if dim == 1 or k.ndim == 0 else np.sum(k ** 2, axis=-1)
-            return amp * np.exp(-(width ** 2) * r2 / 2.0)
-        return density
-    if form == "lorentzian":
-        def density(k):
-            k = np.asarray(k, dtype=float)
-            r2 = k ** 2 if dim == 1 or k.ndim == 0 else np.sum(k ** 2, axis=-1)
-            return amp / (1.0 + width ** 2 * r2)
-        return density
-    raise ConfigError(f"unknown density form {form!r} in {where} (use gaussian|lorentzian)")
+@dataclass(frozen=True)
+class ModelClass:
+    """One model class: its keys {key: (type, default)} and a builder of the typed block."""
+
+    keys: dict
+    build: Callable
 
 
-def _weighted_factor(spec: dict, order: int, dim: int, where: str):
-    _check_keys(spec, {"form", "power", "amplitude", "width"}, where)
-    form = spec.get("form")
+def _weighted_factor(spec: dict, order: int, dim: int):
     d = (order - 1) * dim
-    if form == "bessel-power":
-        power = float(spec["power"])
+    if spec["form"] == "bessel-power":
+        if "power" not in spec:
+            raise ConfigError(f"model.orders[{order}].factor: form 'bessel-power' needs power")
+        power = spec["power"]
         momentum = powerlaw_two_point(power, d)
 
         def f_position(yvars):
-            acc = 0.0
-            for comp in yvars:
-                for c in comp:
-                    acc = acc + np.asarray(c) ** 2
-            return (1.0 + acc) ** (-power / 2.0)
+            return (1.0 + sum_of_squares(yvars)) ** (-power / 2.0)
 
         def f_momentum(qvars):
-            flat = [c for comp in qvars for c in comp]
-            return momentum(radial_norm(flat))
+            return momentum(radial_norm([c for comp in qvars for c in comp]))
 
         return f_position, f_momentum
-    if form == "gaussian":
-        amp = float(spec.get("amplitude", 1.0))
-        width = float(spec.get("width", 1.0))
-        c_mom = amp * (2.0 * np.pi * width ** 2) ** (d / 2.0)
+    amp, width = spec["amplitude"], spec["width"]
+    c_mom = amp * (2.0 * np.pi * width ** 2) ** (d / 2.0)
 
-        def f_position(yvars):
-            acc = 0.0
-            for comp in yvars:
-                for c in comp:
-                    acc = acc + np.asarray(c) ** 2
-            return amp * np.exp(-acc / (2.0 * width ** 2))
+    def f_position(yvars):
+        return amp * np.exp(-sum_of_squares(yvars) / (2.0 * width ** 2))
 
-        def f_momentum(qvars):
-            acc = 0.0
-            for comp in qvars:
-                for c in comp:
-                    acc = acc + np.asarray(c) ** 2
-            return c_mom * np.exp(-(width ** 2) * acc / 2.0)
+    def f_momentum(qvars):
+        return c_mom * np.exp(-(width ** 2) * sum_of_squares(qvars) / 2.0)
 
-        return f_position, f_momentum
-    raise ConfigError(f"unknown factor form {form!r} in {where} (use bessel-power|gaussian)")
+    return f_position, f_momentum
 
 
-def build_model(block: dict):
-    cls = block["class"]
-    dim = int(block["dim"])
-    if cls == "gaussian":
-        return gaussian_state(_density_from(block["two_point"], dim, "model.two_point"), dim)
-    if cls == "product-ansatz":
-        profiles = {}
-        for order_str, plist in block["orders"].items():
-            order = int(order_str)
-            profs = []
-            for p in plist:
-                _check_keys(p, {"amplitude", "width"}, f"model.orders[{order}]")
-                profs.append(GaussianProfile(float(p.get("amplitude", 1.0)),
-                                             float(p.get("width", 1.0)), dim))
-            profiles[order] = profs
-        return product_ansatz_state(profiles, dim)
-    if cls == "powerlaw":
-        return powerlaw_state(float(block["beta"]), dim)
-    if cls == "weighted":
-        correlators = []
-        for spec in block["orders"]:
-            _check_keys(spec, {"order", "alpha", "factor"}, "model.orders[]")
-            order = int(spec["order"])
-            f_pos, f_mom = _weighted_factor(spec["factor"], order, dim,
-                                            f"model.orders[{order}].factor")
-            correlators.append(WeightedCorrelator(order=order, alpha=float(spec["alpha"]),
-                                                  f_position=f_pos, f_momentum=f_mom))
-        return weighted_state(correlators, dim)
-    if cls == "goldstone-spectrum":
-        return goldstone_state(dim, float(block["c"]), float(block.get("s", 2.0)),
-                               float(block.get("uv_cutoff", 4.0)))
-    if cls == "goldstone-ssb":
-        disp = block.get("dispersion", {})
-        qa = block.get("rho_qa", {})
-        return GoldstoneModel(
-            dim=dim,
-            dispersion=Dispersion(disp.get("kind", "linear"), float(disp.get("speed", 1.0))),
-            rho_a=RadialWeight(**block.get("rho_a", {"amplitude": 1.0, "exponent": -2.0})),
-            rho_q=RadialWeight(**block.get("rho_q", {"amplitude": 0.5, "exponent": 1.0})),
-            rho_qa_amplitude=complex(qa.get("re", 0.0), qa.get("im", 0.25)),
-            rho_qa_exponent=float(qa.get("exponent", 0.0)),
-            gap=float(block.get("gap", 0.0)),
-        )
-    if cls == "spectral-vector":
-        samples = tuple((float(e), float(p), complex(a)) for e, p, a in block["samples"])
-        return SpectralVectorModel(samples=samples,
-                                   invariant_amplitude=complex(block.get("invariant_amplitude", 1.0)))
-    if cls == "pair-family":
-        labels = tuple(block["labels"])
-        densities = {}
-        for key, spec in block["pairs"].items():
-            i, j = labels.index(key[0]), labels.index(key[1])
-            densities[(i, j)] = _density_from(spec, dim, f"model.pairs[{key}]")
-        from .limit_algebra import ObservableFamily
-
-        def pair_density(i, j):
-            try:
-                return densities[(i, j)]
-            except KeyError:
-                raise ConfigError(f"pair density {labels[i]}{labels[j]} missing") from None
-
-        return ObservableFamily(labels=labels, pair_density=pair_density, dim=dim)
-    raise ConfigError(f"unknown model class {cls!r}")
+def _product_ansatz(b):
+    profiles = {order: [GaussianProfile(p["amplitude"], p["width"], b["dim"]) for p in plist]
+                for order, plist in b["orders"].items()}
+    return product_ansatz_state(profiles, b["dim"])
 
 
-# ---------------------------------------------------------------------------
-# parsing and compatibility validation
-# ---------------------------------------------------------------------------
-
-def _resolve_numeric(block: dict) -> dict:
-    _check_keys(block, _NUMERIC_KEYS, "numeric")
-    grid = dict(block.get("r_grid", {}))
-    _check_keys(grid, {"start", "stop", "count"}, "numeric.r_grid")
-    grid = {"start": float(grid.get("start", 8.0)), "stop": float(grid.get("stop", 512.0)),
-            "count": int(grid.get("count", 8))}
-    return {
-        "r_grid": grid,
-        "eps_vanish": float(block.get("eps_vanish", 1e-8)),
-        "exponent_band": float(block.get("exponent_band", 0.1)),
-        "alpha_mode": block.get("alpha_mode", "canonical"),
-        "alpha": None if block.get("alpha") is None else float(block["alpha"]),
-        "quad": {str(k): list(map(float, v)) for k, v in block.get("quad", {}).items()},
-        "min_decades": float(block.get("min_decades", 1.75)),
-    }
+def _weighted(b):
+    return weighted_state([WeightedCorrelator(o["order"], o["alpha"],
+                                              *_weighted_factor(o["factor"], o["order"], b["dim"]))
+                           for o in b["orders"]], b["dim"])
 
 
-_ANALYSIS_KEYS = {
-    "scaling-sweep": {"kind", "orders", "oracle_check_r_max", "numeric", "bisect_bracket"},
-    "qmode": {"kind", "order", "q_values", "net_offsets", "numeric"},
-    "cumulant-roundtrip": {"kind", "order", "seed", "pairing_orders"},
-    "limit-state": {"kind", "weyl_truncation", "weyl_labels", "ccr_truncation",
-                    "commutator_pairs", "numeric"},
-    "ssb-bound": {"kind", "bogoliubov_radii", "numeric"},
-    "projector": {"kind", "numeric"},
-    "gap-check": {"kind", "smoothing_half_support", "shapes", "radius", "numeric"},
+def _goldstone_ssb(b):
+    qa = b["rho_qa"]
+    return GoldstoneModel(b["dim"], Dispersion(**b["dispersion"]), RadialWeight(**b["rho_a"]),
+                          RadialWeight(**b["rho_q"]), complex(qa["re"], qa["im"]), qa["exponent"],
+                          gap=b["gap"])
+
+
+def _pair_family(b):
+    labels = tuple(b["labels"])
+    densities = {}
+    for key, spec in b["pairs"].items():
+        if len(key) != 2 or key[0] not in labels or key[1] not in labels:
+            raise ConfigError(f"model.pairs key {key!r} must name two of the labels {list(labels)}")
+        densities[labels.index(key[0]), labels.index(key[1])] = density_from(spec, b["dim"])
+    return ObservableFamily(labels, lambda i, j: densities.get((i, j)), b["dim"])
+
+
+def _radial_weight(amplitude: float, exponent: float):
+    return Obj({"amplitude": (Num(), amplitude), "exponent": (Num(), exponent),
+                "k_cut": (Num(positive=True), 4.0)}), {}
+
+
+_ORDER = Int(2, MAX_ORDER)
+
+MODELS = {
+    "gaussian": ModelClass({"two_point": (DENSITY, REQUIRED)},
+                           lambda b: gaussian_state(density_from(b["two_point"], b["dim"]), b["dim"])),
+    "product-ansatz": ModelClass(
+        {"orders": (MapOf(_ORDER, Arr(Obj({"amplitude": (Num(), 1.0), "width": (Num(), 1.0)}))),
+                    REQUIRED)},
+        _product_ansatz),
+    "powerlaw": ModelClass({"beta": (Num(), REQUIRED)}, lambda b: powerlaw_state(b["beta"], b["dim"])),
+    "weighted": ModelClass(
+        {"orders": (Arr(Obj({"order": (_ORDER, REQUIRED), "alpha": (Num(), REQUIRED),
+                             "factor": (Obj({"form": (Str(("bessel-power", "gaussian")), REQUIRED),
+                                             "power": (Num(positive=True), OPTIONAL),
+                                             "amplitude": (Num(), 1.0), "width": (Num(), 1.0)}),
+                                        REQUIRED)})), REQUIRED)},
+        _weighted),
+    "goldstone-spectrum": ModelClass(
+        {"c": (Num(), REQUIRED), "s": (Num(), 2.0), "uv_cutoff": (Num(positive=True), 4.0)},
+        lambda b: goldstone_state(b["dim"], b["c"], b["s"], b["uv_cutoff"])),
+    "goldstone-ssb": ModelClass(
+        {"dispersion": (Obj({"kind": (Str(), "linear"), "speed": (Num(), 1.0)}), {}),
+         "rho_a": _radial_weight(1.0, -2.0), "rho_q": _radial_weight(0.5, 1.0),
+         "rho_qa": (Obj({"re": (Num(), 0.0), "im": (Num(), 0.25), "exponent": (Num(), 0.0)}), {}),
+         "gap": (Num(), 0.0)},
+        _goldstone_ssb),
+    "spectral-vector": ModelClass(
+        {"samples": (Arr(Arr((Num(), Num(), Num()))), REQUIRED), "invariant_amplitude": (Num(), 1.0)},
+        lambda b: SpectralVectorModel(tuple((e, p, complex(a)) for e, p, a in b["samples"]),
+                                      complex(b["invariant_amplitude"]))),
+    "pair-family": ModelClass(
+        {"labels": (Arr(Str()), REQUIRED), "pairs": (MapOf(Str(), DENSITY), REQUIRED)}, _pair_family),
 }
+_MODEL_COMMON = {"class": (Str(tuple(MODELS)), REQUIRED), "dim": (Int(1, 3), 1)}
+
+# ---------------------------------------------------------------------------
+# window, numeric and output blocks
+# ---------------------------------------------------------------------------
+
+WINDOW = Obj({"kind": (Str(), "mollified-step"), "dim": (Int(1, 3), OPTIONAL),  # default: the model's
+              "resolution": (Int(1, 1 << 20), 8192), "smoothstep_order": (Int(0, 16), 3)})
+NUMERIC = Obj({
+    "r_grid": (Obj({"start": (Num(positive=True), 8.0), "stop": (Num(positive=True), 512.0),
+                    "count": (Int(0, 4096), 8)}), {}),
+    "eps_vanish": (Num(positive=True), 1e-8),
+    "exponent_band": (Num(), 0.1),
+    "alpha_mode": (Str(ALPHA_MODES), "canonical"),
+    "alpha": (Num(nullable=True), None),
+    # per quadrature dimension: p_max, panels, nodes per panel, graded levels
+    "quad": (MapOf(Int(1, MAX_QUADRATURE_DIM),
+                   Arr((Num(positive=True), Int(1, 4096), Int(2, 64), Int(0, 64)))), {}),
+    "min_decades": (Num(), 1.75),
+})
+OUTPUT = Obj({"directory": (Str(), "fluctlab-out"), "basename": (Str(), "report"),
+              "formats": (Arr(Str(FORMATS)), ["json"])})
 
 
-def _resolve_analysis(spec: dict, idx: int) -> dict:
-    kind = spec.get("kind")
-    if kind not in ANALYSIS_KINDS:
-        raise ConfigError(f"analyses[{idx}]: unknown kind {kind!r} (expected one of {ANALYSIS_KINDS})")
-    _check_keys(spec, _ANALYSIS_KEYS[kind], f"analyses[{idx}]")
-    out = dict(spec)
-    if kind == "scaling-sweep":
-        out.setdefault("orders", [2])
-        out["orders"] = [int(o) for o in out["orders"]]
-    if kind == "qmode":
-        out.setdefault("order", 2)
-        out.setdefault("q_values", [0.0])
-        out.setdefault("net_offsets", [])
-    if kind == "cumulant-roundtrip":
-        out.setdefault("order", 6)
-        out.setdefault("seed", 1)
-        out.setdefault("pairing_orders", [2, 4, 6, 8, 10, 12])
-    if kind == "limit-state":
-        out.setdefault("weyl_truncation", 8)
-        out.setdefault("ccr_truncation", 5)
-        out.setdefault("commutator_pairs", [])
-    if kind == "ssb-bound":
-        out.setdefault("bogoliubov_radii", [8.0, 16.0, 64.0, 256.0])
-    if kind == "gap-check":
-        out.setdefault("smoothing_half_support", 0.4)
-        out.setdefault("shapes", ["plateau", "wide-plateau"])
-        out.setdefault("radius", 512.0)
+def _scaling_config(nb: dict) -> ScalingConfig:
+    grid = nb["r_grid"]
+    r = tuple(float(x) for x in np.geomspace(grid["start"], grid["stop"], grid["count"]).round(10))
+    return ScalingConfig(r_values=r, alpha_mode=nb["alpha_mode"], alpha=nb["alpha"],
+                         eps_vanish=nb["eps_vanish"], exponent_band=nb["exponent_band"],
+                         quad_overrides={k: tuple(v) for k, v in nb["quad"].items()},
+                         min_decades=nb["min_decades"])
+
+
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+
+def _no_duplicates(pairs):
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ConfigError(f"duplicate key {key!r} in configuration")
     return out
 
 
-_MODEL_ANALYSES = {
-    "gaussian": {"scaling-sweep", "qmode"},
-    "product-ansatz": {"scaling-sweep", "qmode"},
-    "powerlaw": {"scaling-sweep", "qmode"},
-    "weighted": {"scaling-sweep"},
-    "goldstone-spectrum": {"scaling-sweep", "qmode"},
-    "goldstone-ssb": {"ssb-bound", "gap-check"},
-    "spectral-vector": {"projector"},
-    "pair-family": {"limit-state"},
-}
+def _no_constant(name):
+    raise ConfigError(f"non-finite number {name} in configuration")
 
 
-def _validate_compatibility(model_block: dict, analyses: tuple, numeric: dict):
-    cls = model_block["class"]
-    for spec in analyses:
-        kind = spec["kind"]
-        if kind == "cumulant-roundtrip":
-            continue  # pure combinatorics, model-independent
-        if kind not in _MODEL_ANALYSES[cls]:
-            raise ConfigError(
-                f"analysis {kind!r} incompatible with model class {cls!r}"
-            )
-        merged = dict(numeric)
-        merged.update(spec.get("numeric", {}))
-        if cls == "powerlaw" and kind == "scaling-sweep":
-            mode = merged.get("alpha_mode", numeric["alpha_mode"])
-            alpha = merged.get("alpha", numeric["alpha"])
-            if mode == "explicit":
-                window = l2_alpha_window(int(model_block["dim"]))
-                if alpha is None or not window.contains(float(alpha)):
-                    raise ConfigError(
-                        f"alpha={alpha} outside the square-integrable window "
-                        f"({window.lo_open}, {window.hi_closed}] for this model"
-                    )
-        if cls == "weighted" and kind == "scaling-sweep":
-            if merged.get("alpha_mode") not in ("gamma",):
-                raise ConfigError("weighted models require alpha_mode 'gamma'")
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse, default-fill and validate a JSON run configuration."""
+    """Parse, default-fill and check a JSON run configuration; builds the model.
+
+    Raises ConfigError, or ModelValidationError for a model that fails its
+    own validation, and nothing else.
+    """
     try:
-        raw = json.loads(text, object_pairs_hook=_no_duplicates)
+        return _parse(text)
+    except (ConfigError, ModelValidationError):
+        raise
+    except FluctlabError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse(text: str) -> RunConfig:
+    try:
+        raw = json.loads(text, object_pairs_hook=_no_duplicates, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "configuration")
+    _object(raw, "configuration")
+    check_keys(raw, _TOP_KEYS, "configuration")
     if raw.get("schema", SCHEMA_ID) != SCHEMA_ID:
         raise ConfigError(f"unsupported schema {raw.get('schema')!r}")
 
-    model_block = dict(raw.get("model") or {})
-    if "class" not in model_block:
+    model_raw = _object(raw.get("model", {}), "model")
+    if "class" not in model_raw:
         raise ConfigError("model.class is required")
-    if model_block["class"] not in MODEL_CLASSES:
-        raise ConfigError(f"unknown model class {model_block['class']!r}")
-    model_block.setdefault("dim", 1)
+    cls = model_raw["class"]
+    if not isinstance(cls, str) or cls not in MODELS:
+        raise ConfigError(f"unknown model class {cls!r}")
+    model_spec = Obj({**_MODEL_COMMON, **MODELS[cls].keys})(model_raw, "model")
+    try:
+        model = MODELS[cls].build(model_spec)
+    except OverflowError as exc:  # finite parameters whose Python-float arithmetic overflows
+        raise ConfigError(f"model parameters out of range: {exc}") from exc
+    dim = model_spec["dim"]
 
-    window_block = dict(raw.get("window") or {})
-    _check_keys(window_block, _WINDOW_KEYS, "window")
-    window_block = {
-        "kind": window_block.get("kind", "mollified-step"),
-        "dim": int(window_block.get("dim", model_block["dim"])),
-        "resolution": int(window_block.get("resolution", 8192)),
-        "smoothstep_order": int(window_block.get("smoothstep_order", 3)),
-    }
+    window_block = WINDOW(raw.get("window", {}), "window")
+    window_block.setdefault("dim", dim)
     if window_block["kind"] == "sharp":
         raise ConfigError("sharp windows are oracle-only; scaling runs need a smooth window")
-    if window_block["dim"] != model_block["dim"]:
+    if window_block["dim"] != dim:
         raise ConfigError("window dimension must match the model dimension")
+    check_profile_args(window_block["kind"], window_block["dim"], window_block["resolution"])
 
-    numeric_block = _resolve_numeric(dict(raw.get("numeric") or {}))
-    analyses = tuple(_resolve_analysis(dict(a), i) for i, a in enumerate(raw.get("analyses") or []))
-    _validate_compatibility(model_block, analyses, numeric_block)
+    numeric_raw = _object(raw.get("numeric", {}), "numeric")
+    numeric_block = NUMERIC(numeric_raw, "numeric")
+    top = _scaling_config(numeric_block)
 
-    output_block = dict(raw.get("output") or {})
-    _check_keys(output_block, _OUTPUT_KEYS, "output")
-    output_block = {
-        "directory": output_block.get("directory", "fluctlab-out"),
-        "basename": output_block.get("basename", "report"),
-        "formats": list(output_block.get("formats", ["json"])),
-    }
-    for fmt in output_block["formats"]:
-        if fmt not in ("json", "csv", "plot-data"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+    analyses_raw = raw.get("analyses", [])
+    if not isinstance(analyses_raw, list):
+        raise ConfigError(f"analyses must be an array, got {analyses_raw!r}")
+    echoes, steps = [], []
+    for idx, spec in enumerate(analyses_raw):
+        where = f"analyses[{idx}]"
+        kind = _object(spec, where).get("kind")
+        entry = ANALYSES.get(kind) if isinstance(kind, str) else None
+        if entry is None:
+            raise ConfigError(f"{where}: unknown kind {kind!r} (expected one of {tuple(ANALYSES)})")
+        if entry.models and cls not in entry.models:
+            raise ConfigError(f"analysis {kind!r} incompatible with model class {cls!r}")
+        own = {k: v for k, v in spec.items() if k != "kind" and (k != "numeric" or not entry.numeric)}
+        params = Obj(entry.keys)(own, where)
+        override = _object(spec.get("numeric", {}), f"{where}.numeric")
+        cfg = top
+        if override:  # merged over the top-level block as given, then resolved once
+            cfg = _scaling_config(NUMERIC({**numeric_raw, **override}, f"{where}.numeric"))
+        if entry.numeric:
+            cfg.validate_r_grid()
+        if entry.check:
+            entry.check(params, cfg, model, cls)
+        steps.append((kind, params, cfg))
+        echoes.append({**{k: d for k, (_, d) in entry.keys.items()
+                          if d is not REQUIRED and d is not OPTIONAL}, **spec})
 
     return RunConfig(
-        model_block=model_block,
+        model_block={"dim": dim, **model_raw},
         window_block=window_block,
-        analyses=analyses,
+        analyses=tuple(echoes),
         numeric_block=numeric_block,
-        output_block=output_block,
-        raw=raw,
+        output_block=OUTPUT(raw.get("output", {}), "output"),
+        model=model,
+        steps=tuple(steps),
     )
 
 
 def config_schema() -> dict:
-    """Machine-readable outline of the accepted configuration."""
+    """Machine-readable outline of the accepted configuration, from the registries."""
+    def outline(keys):
+        return {"keys": Obj(keys).schema(), "defaults": Obj(keys).defaults()}
+
     return {
         "schema": SCHEMA_ID,
-        "model": {"class": list(MODEL_CLASSES), "dim": "int (1..3)",
-                  "...": "class-specific parameters"},
-        "window": {"kind": ["mollified-step", "smoothstep"], "dim": "int",
-                   "resolution": "int >= 1024", "smoothstep_order": "int"},
-        "analyses": [{"kind": list(ANALYSIS_KINDS), "...": "kind-specific parameters"}],
-        "numeric": {
-            "r_grid": {"start": 8.0, "stop": 512.0, "count": 8},
-            "eps_vanish": 1e-8,
-            "exponent_band": 0.1,
-            "alpha_mode": ["canonical", "explicit", "gamma", "bisect"],
-            "alpha": "float | null",
-            "quad": {"<tensor-dim>": ["p_max", "panels", "nodes", "graded_levels"]},
-        },
-        "output": {"directory": "path", "basename": "str",
-                   "formats": ["json", "csv", "plot-data"]},
+        "model": {"class": list(MODELS), "dim": _MODEL_COMMON["dim"][0].schema(),
+                  "classes": {name: outline(c.keys) for name, c in MODELS.items()}},
+        "window": WINDOW.schema(),
+        "analyses": [{"kind": list(ANALYSES), "kinds": {
+            name: {**outline(a.keys), "models": list(a.models), "numeric": a.numeric}
+            for name, a in ANALYSES.items()}}],
+        "numeric": NUMERIC.schema(),
+        "output": OUTPUT.schema(),
+        "defaults": {"window": WINDOW.defaults(), "numeric": NUMERIC.defaults(),
+                     "output": OUTPUT.defaults()},
     }

@@ -243,13 +243,19 @@ class ObservableFamily:
     """Finite family of observables with all mixed 2-point densities.
 
     ``pair_density(i, j)`` returns the plain spectral density of
-    <A_i(x) A_j>; hermiticity of the assembled covariance is validated by
-    the limit-state invariants.
+    <A_i(x) A_j>; every pair must have one.  Hermiticity of the assembled
+    covariance is validated by the limit-state invariants.
     """
 
     labels: tuple[str, ...]
     pair_density: Callable[[int, int], Callable]
     dim: int = 1
+
+    def __post_init__(self):
+        for i, a in enumerate(self.labels):
+            for j, b in enumerate(self.labels):
+                if not callable(self.pair_density(i, j)):
+                    raise InvalidArgumentError(f"pair density {a}{b} missing")
 
 
 def build_limit_state(family: ObservableFamily, profile: WindowProfile,

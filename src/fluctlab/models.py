@@ -29,6 +29,9 @@ from scipy.special import kv as _bessel_kv
 
 from .errors import ModelValidationError, OrderRangeError, UnsupportedModeError
 
+#: default highest order of a hierarchy, and the highest order a configuration names
+MAX_ORDER = 8
+
 # Per difference variable, a tuple of n broadcastable component arrays.
 QVars = Sequence[Sequence[np.ndarray]]
 # A factor receives one difference variable's components and returns its
@@ -44,6 +47,15 @@ def radial_norm(components: Sequence[np.ndarray]) -> np.ndarray:
     for c in components[1:]:
         acc = acc + c ** 2
     return np.sqrt(acc)
+
+
+def sum_of_squares(qvars: QVars):
+    """Sum of the squared components of every variable, in variable order."""
+    acc = 0.0
+    for comp in qvars:
+        for c in comp:
+            acc = acc + np.asarray(c) ** 2
+    return acc
 
 
 @dataclass(frozen=True)
@@ -73,11 +85,7 @@ class WeightedCorrelator:
     f_momentum: Callable | None = None
 
     def weight(self, yvars: QVars) -> np.ndarray:
-        acc = 0.0
-        for comp in yvars:
-            for c in comp:
-                acc = acc + np.asarray(c) ** 2
-        return (1.0 + acc) ** (self.alpha / 2.0)
+        return (1.0 + sum_of_squares(yvars)) ** (self.alpha / 2.0)
 
     def position_value(self, yvars: QVars) -> np.ndarray:
         return self.weight(yvars) * self.f_position(yvars)
@@ -215,22 +223,16 @@ def _two_point_factor(two_point: Callable, dim: int) -> Factor:
 # state constructors
 # ---------------------------------------------------------------------------
 
-def gaussian_state(two_point: Callable, dim: int, *, position_two_point: Callable | None = None,
-                   max_order: int = 8, validate: bool = True) -> TruncatedHierarchy:
+def gaussian_state(two_point: Callable, dim: int, *, max_order: int = MAX_ORDER,
+                   validate: bool = True) -> TruncatedHierarchy:
     """Quasi-free input state: all truncated correlators beyond order 2 vanish."""
     if validate:
         check_autocorrelation(two_point, dim)
-    pos = {}
-    if position_two_point is not None:
-        pos[2] = lambda yvars: position_two_point(
-            yvars[0][0] if dim == 1 else np.stack(np.broadcast_arrays(*yvars[0]), axis=-1)
-        )
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
         factors={2: (_two_point_factor(two_point, dim),)},
         tags={2: DecayTag("l1")},
-        position_forms=pos,
     )
 
 
@@ -261,7 +263,7 @@ def product_ansatz_state(profiles: Mapping[int, Sequence], dim: int, *,
     for order, profs in profiles.items():
         if len(profs) != order - 1:
             raise OrderRangeError(f"order {order} needs {order - 1} profiles, got {len(profs)}")
-    max_order = max_order or max(profiles)
+    max_order = max_order or max(profiles, default=1)
 
     def momentum_factor(prof):
         return lambda comps: prof.momentum(radial_norm(comps))
@@ -321,7 +323,7 @@ def powerlaw_two_point(beta: float, dim: int) -> Callable:
     return two_point
 
 
-def powerlaw_state(beta: float, dim: int, *, max_order: int = 8) -> TruncatedHierarchy:
+def powerlaw_state(beta: float, dim: int, *, max_order: int = MAX_ORDER) -> TruncatedHierarchy:
     """Two-point state with position decay |y|^(-beta): L2-class for n/2 < beta <= n."""
     if beta <= dim / 2.0:
         raise ModelValidationError(
@@ -367,7 +369,7 @@ def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
         if not np.all(np.isfinite(probe)):
             raise ModelValidationError(f"order-{wc.order} integrable factor is not finite on the grid")
         weighted[wc.order] = wc
-    max_order = max_order or max(weighted)
+    max_order = max_order or max(weighted, default=1)
     tags = {o: DecayTag("weighted", param=wc.alpha) for o, wc in weighted.items()}
     return TruncatedHierarchy(dim=dim, max_order=max_order, factors={},
                               tags=tags, weighted_orders=weighted)

@@ -48,10 +48,6 @@ class SetPartition:
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise InvalidArgumentError("blocks must be ordered by smallest element")
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
     def is_pairing(self) -> bool:
         return all(len(b) == 2 for b in self.blocks)
 
@@ -75,7 +71,6 @@ def pairing_count(order: int) -> int:
 
 def _restricted_growth_strings(order: int) -> Iterator[tuple[int, ...]]:
     rgs = [0] * order
-    maxes = [0] * order
 
     def rec(i: int, mx: int):
         if i == order:

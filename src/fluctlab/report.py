@@ -17,6 +17,8 @@ from pathlib import Path
 
 from .errors import FluctlabError, InvalidArgumentError
 
+REPORT_SCHEMA_ID = "fluctlab-report/1"
+FORMATS = ("json", "csv", "plot-data")
 CSV_COLUMNS = ("analysis", "label", "order", "r", "re", "im", "abs")
 PLOT_COLUMNS = ("analysis", "label", "log10_r", "log10_abs")
 
@@ -58,32 +60,27 @@ class RunReport:
         }
 
     def sweep_rows(self):
+        """One row per scale of every sweep: each dict holding r_values and values."""
         for idx, result in enumerate(self.results):
             name = f"{idx}:{result.get('kind', 'analysis')}"
-            for sweep in _iter_sweeps(result):
+            for sweep in _sweeps(result):
                 label = sweep.get("label", "correlator")
                 order = sweep.get("order", 0)
                 for r, v in zip(sweep["r_values"], sweep["values"]):
                     yield name, label, order, r, v["re"], v["im"], abs(complex(v["re"], v["im"]))
 
 
-def _iter_sweeps(result: dict):
-    kind = result.get("kind")
-    if kind == "scaling-sweep":
-        yield from result["sweeps"]
+def _sweeps(node):
+    """Sweep dicts below node, walking dicts and lists in insertion order."""
+    if isinstance(node, dict):
+        if "r_values" in node and "values" in node:
+            yield node
+            return
+        node = node.values()
+    elif not isinstance(node, (list, tuple)):
         return
-    if kind == "qmode":
-        yield from result["symmetric"]
-        yield from result["net_offset_sweeps"]
-        return
-    if kind == "ssb-bound":
-        yield result["autocorrelation_A"]
-        yield result["autocorrelation_Q"]
-        yield result["double_commutator"]
-        return
-    if kind == "projector":
-        yield result["residuals"]
-        return
+    for child in node:
+        yield from _sweeps(child)
 
 
 def emit(report: RunReport, directory, basename: str = "report",

@@ -1,65 +1,90 @@
-"""Dispatch of configured analyses into module computations."""
+"""The analysis kinds, each declared once in ANALYSES, and their dispatch.
+
+``config.parse_config`` resolves and checks every configured analysis
+through its entry; ``run`` calls the same entry's handler.
+"""
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .config import RunConfig, REPORT_SCHEMA_ID
 from .errors import ConfigError
+from .fields import DENSITY, OPTIONAL, REQUIRED, Arr, Int, Num, Obj, Str, density_from
 from .limit_algebra import (
-    ObservableFamily,
     build_limit_state,
     ccr_product_check,
     commutator_criterion,
     weyl_expectation,
 )
-from .models import ObservablePair
+from .models import MAX_ORDER, ObservablePair
 from .partitions import (
+    MAX_PAIRING_ORDER,
+    MAX_PARTITION_ORDER,
     CumulantTable,
+    _pairing_blocks,
     bell_number,
     cumulants_from_moments,
-    enumerate_pairings,
     enumerate_partitions,
     moments_from_cumulants,
     pairing_count,
     wick_moment_table,
 )
-from .report import RunReport
+from .report import REPORT_SCHEMA_ID, RunReport
 from .scaling import (
-    ScalingConfig,
+    check_order,
     exponent_sweep,
     find_critical_alpha,
+    l2_alpha_window,
     position_space_correlator,
     qmode_correlator,
     weighted_gamma,
 )
 from .ssb import (
     EnergySmoothing,
-    GoldstoneModel,
-    SpectralVectorModel,
     autocorrelation_growth,
     bogoliubov_check,
     canonical_pair_exponents,
+    check_smoothing,
     double_commutator_scaling,
     gap_conservation_check,
     mean_projector_convergence,
 )
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis kind.
+
+    ``handler(params, cfg, model, window)`` returns the result; ``params``
+    are the typed keys, defaults filled, and ``cfg`` the ScalingConfig.
+    ``check(params, cfg, model, model_class)``, when given, raises at parse
+    time on what the handler would reject, computing nothing.
+    """
+
+    keys: dict  # {key: (type, default)}; filled defaults are echoed in the report
+    models: tuple  # compatible model classes; empty for model-independent kinds
+    handler: Callable
+    check: Callable | None = None
+    numeric: bool = True  # reads a ScalingConfig, R grid checked, "numeric" override allowed
 
 
 def run(config: RunConfig, cache_dir=None) -> RunReport:
     """Execute every configured analysis; deterministic for a fixed config."""
     t_start = time.perf_counter()
     window = config.build_window(cache_dir=cache_dir)
-    model = config.build_model()
     results = []
     timings = {}
-    for idx, spec in enumerate(config.analyses):
+    for idx, (kind, params, cfg) in enumerate(config.steps):
         t0 = time.perf_counter()
-        handler = _HANDLERS[spec["kind"]]
-        results.append(handler(spec, model, window, config))
-        timings[f"analysis_{idx}_{spec['kind']}"] = time.perf_counter() - t0
+        results.append({"kind": kind, **ANALYSES[kind].handler(params, cfg, config.model, window)})
+        timings[f"analysis_{idx}_{kind}"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
     return RunReport(
         schema=REPORT_SCHEMA_ID,
@@ -69,38 +94,72 @@ def run(config: RunConfig, cache_dir=None) -> RunReport:
     )
 
 
-def _scaling_cfg(spec: dict, config: RunConfig) -> ScalingConfig:
-    return config.scaling_config(spec.get("numeric"))
+# ---------------------------------------------------------------------------
+# scaling sweeps and q-modes
+# ---------------------------------------------------------------------------
+
+def _oracle_orders(orders, dim):
+    # computing the overlap is one matrix product per slice at any order;
+    # its nodes**(order-1) output is what limits the oracle: order 4 on the
+    # 600-node oracle rule already holds 600**3 doubles (1.7 GB), and the
+    # orders skipped here would hold 600**4 (1 TB)
+    return [order for order in orders if (order - 1) * dim <= 3]
 
 
-def _run_scaling_sweep(spec, model, window, config):
-    cfg = _scaling_cfg(spec, config)
-    out = {"kind": "scaling-sweep", "sweeps": []}
+def _check_scaling_sweep(params, cfg, model, model_class):
+    weighted = getattr(model, "weighted_orders", {})
+    if model_class == "weighted" and cfg.alpha_mode != "gamma":
+        raise ConfigError("weighted models require alpha_mode 'gamma'")
+    if cfg.alpha_mode == "gamma" and 2 not in weighted:
+        raise ConfigError("alpha_mode 'gamma' needs a weighted model with an order-2 weight")
+    window = l2_alpha_window(model.dim)
+    if model_class == "powerlaw" and cfg.alpha_mode == "explicit" and (
+            cfg.alpha is None or not window.contains(cfg.alpha)):
+        raise ConfigError(f"alpha={cfg.alpha} outside the square-integrable window "
+                          f"({window.lo_open}, {window.hi_closed}] for this model")
+    if cfg.alpha_mode in ("canonical", "explicit"):
+        cfg.resolved_alpha(model.dim)
+    if cfg.alpha_mode == "bisect":
+        check_order(model, 2)
+    for order in params["orders"]:
+        if order not in weighted:
+            check_order(model, order)
+    if weighted and model.dim != 1:
+        raise ConfigError("weighted orders are computed for n = 1 only")
+    if "oracle_check_r_max" in params:
+        for order in _oracle_orders(params["orders"], model.dim):
+            if model.dim != 1:
+                raise ConfigError("the position-space oracle is implemented for n = 1 only")
+            model.order_factors(order)
+            model.position_form(order)
+
+
+def _run_scaling_sweep(params, cfg, model, window):
+    out = {"sweeps": []}
     alpha = None
 
     if cfg.alpha_mode == "bisect":
-        lo, hi = spec.get("bisect_bracket", [model.dim / 2.0 + 1e-3, 0.75 * model.dim])
-        alpha_star = find_critical_alpha(model, window, cfg, float(lo), float(hi))
-        out["alpha_bisection"] = {"alpha_star": alpha_star, "bracket": [float(lo), float(hi)]}
+        lo, hi = params.get("bisect_bracket", [model.dim / 2.0 + 1e-3, 0.75 * model.dim])
+        alpha_star = find_critical_alpha(model, window, cfg, lo, hi)
+        out["alpha_bisection"] = {"alpha_star": alpha_star, "bracket": [lo, hi]}
         alpha = alpha_star
 
     if cfg.alpha_mode == "gamma":
         gamma, bound = weighted_gamma(model.dim, model.weighted_orders[2].alpha)
         if cfg.alpha is not None:
-            gamma = float(cfg.alpha)
+            gamma = cfg.alpha
         alpha = gamma
         out["gamma"] = gamma
-        out["order_bounds"] = {str(o): bound.max_alpha(o) for o in spec["orders"]}
+        out["order_bounds"] = {str(o): bound.max_alpha(o) for o in params["orders"]}
 
-    for order in spec["orders"]:
+    for order in params["orders"]:
         rep = exponent_sweep(model, window, cfg, order, alpha=alpha,
                              label=f"order-{order}")
         out["sweeps"].append(rep.as_dict())
 
-    r_max = spec.get("oracle_check_r_max")
+    r_max = params.get("oracle_check_r_max")
     if r_max is not None:
-        out["oracle_check"] = _oracle_check(model, window, cfg, spec["orders"],
-                                            float(r_max), alpha)
+        out["oracle_check"] = _oracle_check(model, window, cfg, params["orders"], r_max, alpha)
     return out
 
 
@@ -109,13 +168,7 @@ def _oracle_check(model, window, cfg, orders, r_max, alpha):
     a = cfg.resolved_alpha(model.dim) if alpha is None else alpha
     rows = []
     worst = 0.0
-    for order in orders:
-        # computing the overlap is one matrix product per slice at any order;
-        # its nodes**(order-1) output is what limits the oracle: order 4 on
-        # the 600-node oracle rule already holds 600**3 doubles (1.7 GB), and
-        # the orders skipped here would hold 600**4 (1 TB)
-        if (order - 1) * model.dim > 3:
-            continue
+    for order in _oracle_orders(orders, model.dim):
         for radius in radii:
             spectral = qmode_correlator(model, window, cfg, order, None, radius, a)
             oracle = position_space_correlator(model, window, cfg, order, radius, a)
@@ -128,21 +181,25 @@ def _oracle_check(model, window, cfg, orders, r_max, alpha):
     return {"rows": rows, "max_rel_deviation": worst}
 
 
-def _run_qmode(spec, model, window, config):
-    cfg = _scaling_cfg(spec, config)
-    order = int(spec["order"])
-    out = {"kind": "qmode", "symmetric": [], "net_offset_sweeps": []}
-    for q in spec["q_values"]:
+def _check_qmode(params, cfg, model, model_class):
+    check_order(model, params["order"])
+    cfg.resolved_alpha(model.dim)
+
+
+def _run_qmode(params, cfg, model, window):
+    order = params["order"]
+    out = {"symmetric": [], "net_offset_sweeps": []}
+    for q in params["q_values"]:
         offsets = np.zeros((order, model.dim))
         offsets[0, 0] = q
         offsets[1, 0] = -q
         rep = exponent_sweep(model, window, cfg, order, offsets=offsets,
                              label=f"qmode-{q}")
         d = rep.as_dict()
-        d["q"] = float(q)
+        d["q"] = q
         d["two_point_at_q"] = _complex_dict(model.two_point(_embed_q(q, model.dim)))
         out["symmetric"].append(d)
-    for net in spec["net_offsets"]:
+    for net in params["net_offsets"]:
         offsets = np.zeros((order, model.dim))
         offsets[0, 0] = net[0]
         offsets[1, 0] = net[1]
@@ -166,9 +223,19 @@ def _complex_dict(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _run_cumulant_roundtrip(spec, model, window, config):
-    order = int(spec["order"])
-    seed = int(spec["seed"])
+# ---------------------------------------------------------------------------
+# combinatorics and the limit algebra
+# ---------------------------------------------------------------------------
+
+def _check_cumulant_roundtrip(params, cfg, model, model_class):
+    odd = [m for m in params["pairing_orders"] if m % 2]
+    if odd:
+        raise ConfigError(f"pairing_orders must be even, got {odd}")
+
+
+def _run_cumulant_roundtrip(params, cfg, model, window):
+    order = params["order"]
+    seed = params["seed"]
     rng = np.random.default_rng(seed)
     ct = CumulantTable(order)
     for key in ct.canonical_keys():
@@ -187,12 +254,12 @@ def _run_cumulant_roundtrip(spec, model, window, config):
     wick = wick_moment_table(pair_values, order)
     gauss_cml = cumulants_from_moments(wick, order)
     higher = [abs(gauss_cml[k]) for k in keys if len(k) >= 3]
-    counts = {str(m): {"pairings": len(enumerate_pairings(m)), "expected": pairing_count(m)}
-              for m in spec["pairing_orders"]}
+    # the pairing enumeration wick_moment and wick_moment_table iterate
+    counts = {str(m): {"pairings": len(_pairing_blocks(m)), "expected": pairing_count(m)}
+              for m in params["pairing_orders"]}
     bells = {str(l): {"partitions": len(enumerate_partitions(l)), "expected": bell_number(l)}
              for l in range(1, min(order, 8) + 1)}
     return {
-        "kind": "cumulant-roundtrip",
         "order": order,
         "seed": seed,
         "max_roundtrip_rel_error": roundtrip_err,
@@ -202,15 +269,18 @@ def _run_cumulant_roundtrip(spec, model, window, config):
     }
 
 
-def _run_limit_state(spec, model, window, config):
-    if not isinstance(model, ObservableFamily):
-        raise ConfigError("limit-state analysis needs a pair-family model")
-    cfg = _scaling_cfg(spec, config)
+def _check_limit_state(params, cfg, model, model_class):
+    unknown = sorted(set(params.get("weyl_labels", ())) - set(model.labels))
+    if unknown:
+        raise ConfigError(f"weyl_labels {unknown} are not labels of the model {list(model.labels)}")
+    cfg.resolved_alpha(model.dim)
+
+
+def _run_limit_state(params, cfg, model, window):
     state = build_limit_state(model, window, cfg)
-    out = {"kind": "limit-state", "state": state.as_dict(), "weyl": [], "ccr": [],
-           "commutators": []}
-    for label in spec.get("weyl_labels", list(state.labels)):
-        check = weyl_expectation(state, label, int(spec["weyl_truncation"]))
+    out = {"state": state.as_dict(), "weyl": [], "ccr": [], "commutators": []}
+    for label in params.get("weyl_labels", list(state.labels)):
+        check = weyl_expectation(state, label, params["weyl_truncation"])
         out["weyl"].append({
             "label": label,
             "partial_sum": _complex_dict(check.partial_sum),
@@ -220,7 +290,7 @@ def _run_limit_state(spec, model, window, config):
         })
     if len(state.labels) >= 2:
         check = ccr_product_check(state, state.labels[0], state.labels[1],
-                                  int(spec["ccr_truncation"]))
+                                  params["ccr_truncation"])
         out["ccr"].append({
             "labels": [state.labels[0], state.labels[1]],
             "series": _complex_dict(check.series),
@@ -229,14 +299,9 @@ def _run_limit_state(spec, model, window, config):
             "tail_bound": check.tail_bound,
             "consistent": check.consistent,
         })
-    for pair_spec in spec["commutator_pairs"]:
-        from .config import _density_from
-
-        pair = ObservablePair(
-            "A", "B",
-            _density_from(pair_spec["f"], model.dim, "commutator_pairs.f"),
-            _density_from(pair_spec["g"], model.dim, "commutator_pairs.g"),
-        )
+    for pair_spec in params["commutator_pairs"]:
+        pair = ObservablePair("A", "B", density_from(pair_spec["f"], model.dim),
+                              density_from(pair_spec["g"], model.dim))
         res = commutator_criterion(pair, window, cfg.eps_vanish)
         out["commutators"].append({
             "value": _complex_dict(res.value),
@@ -246,22 +311,22 @@ def _run_limit_state(spec, model, window, config):
     return out
 
 
-def _run_ssb_bound(spec, model, window, config):
-    if not isinstance(model, GoldstoneModel):
-        raise ConfigError("ssb-bound analysis needs a goldstone-ssb model")
-    cfg = _scaling_cfg(spec, config)
+# ---------------------------------------------------------------------------
+# symmetry-breaking regime
+# ---------------------------------------------------------------------------
+
+def _run_ssb_bound(params, cfg, model, window):
     rep_a = autocorrelation_growth(model, window, cfg, "A")
     rep_q = autocorrelation_growth(model, window, cfg, "Q")
     rep_dc = double_commutator_scaling(model, window, cfg)
     table = []
-    for radius in spec["bogoliubov_radii"]:
-        check = bogoliubov_check(model, window, float(radius))
+    for radius in params["bogoliubov_radii"]:
+        check = bogoliubov_check(model, window, radius)
         table.append({"radius": check.radius, "lhs": check.lhs, "rhs": check.rhs,
                       "holds": check.holds})
     q_growth = rep_q.exponent if rep_q.exponent is not None else 0.0
     pair = canonical_pair_exponents(model.dim, q_growth)
     return {
-        "kind": "ssb-bound",
         "autocorrelation_A": rep_a.as_dict(),
         "autocorrelation_Q": rep_q.as_dict(),
         "double_commutator": rep_dc.as_dict(),
@@ -271,10 +336,7 @@ def _run_ssb_bound(spec, model, window, config):
     }
 
 
-def _run_projector(spec, model, window, config):
-    if not isinstance(model, SpectralVectorModel):
-        raise ConfigError("projector analysis needs a spectral-vector model")
-    cfg = _scaling_cfg(spec, config)
+def _run_projector(params, cfg, model, window):
     rep = mean_projector_convergence(model, window, cfg)
     mags = [abs(v) for v in rep.values]
     monotone = all(mags[i + 1] <= mags[i] + 1e-300 for i in range(1, len(mags) - 1))
@@ -286,22 +348,23 @@ def _run_projector(spec, model, window, config):
         if abs(value) > env * norm * (1.0 + 1e-9):
             bound_ok = False
     return {
-        "kind": "projector",
         "residuals": rep.as_dict(),
         "monotone_after_first": monotone,
         "envelope_bound_holds": bound_ok,
     }
 
 
-def _run_gap_check(spec, model, window, config):
-    if not isinstance(model, GoldstoneModel):
-        raise ConfigError("gap-check analysis needs a goldstone-ssb model")
-    radius = float(spec["radius"])
-    half = float(spec["smoothing_half_support"])
-    out = {"kind": "gap-check", "radius": radius, "estimates": []}
-    for shape in spec["shapes"]:
-        smoothing = EnergySmoothing(half, shape)
-        res = gap_conservation_check(model, smoothing, window, radius)
+def _check_gap(params, cfg, model, model_class):
+    for shape in params["shapes"]:
+        check_smoothing(model, EnergySmoothing(params["smoothing_half_support"], shape))
+
+
+def _run_gap_check(params, cfg, model, window):
+    radius = params["radius"]
+    half = params["smoothing_half_support"]
+    out = {"radius": radius, "estimates": []}
+    for shape in params["shapes"]:
+        res = gap_conservation_check(model, EnergySmoothing(half, shape), window, radius)
         out["estimates"].append({
             "shape": shape,
             "half_support": half,
@@ -317,12 +380,33 @@ def _run_gap_check(spec, model, window, config):
     return out
 
 
-_HANDLERS = {
-    "scaling-sweep": _run_scaling_sweep,
-    "qmode": _run_qmode,
-    "cumulant-roundtrip": _run_cumulant_roundtrip,
-    "limit-state": _run_limit_state,
-    "ssb-bound": _run_ssb_bound,
-    "projector": _run_projector,
-    "gap-check": _run_gap_check,
+_SPECTRAL_MODELS = ("gaussian", "product-ansatz", "powerlaw", "goldstone-spectrum")
+_ORDER = Int(2, MAX_ORDER)
+
+ANALYSES = {
+    "scaling-sweep": Analysis(
+        {"orders": (Arr(_ORDER), [2]), "oracle_check_r_max": (Num(positive=True), OPTIONAL),
+         "bisect_bracket": (Arr((Num(), Num())), OPTIONAL)},
+        _SPECTRAL_MODELS + ("weighted",), _run_scaling_sweep, _check_scaling_sweep),
+    "qmode": Analysis(
+        {"order": (_ORDER, 2), "q_values": (Arr(Num()), [0.0]),
+         "net_offsets": (Arr(Arr((Num(), Num()))), [])},
+        _SPECTRAL_MODELS, _run_qmode, _check_qmode),
+    "cumulant-roundtrip": Analysis(
+        {"order": (Int(2, MAX_PARTITION_ORDER), 6), "seed": (Int(0, 2 ** 63 - 1), 1),
+         "pairing_orders": (Arr(Int(2, MAX_PAIRING_ORDER)), [2, 4, 6, 8, 10, 12])},
+        (), _run_cumulant_roundtrip, _check_cumulant_roundtrip, numeric=False),
+    "limit-state": Analysis(
+        {"weyl_truncation": (Int(0, 8), 8), "weyl_labels": (Arr(Str()), OPTIONAL),
+         "ccr_truncation": (Int(0, 6), 5),
+         "commutator_pairs": (Arr(Obj({"f": (DENSITY, REQUIRED), "g": (DENSITY, REQUIRED)})), [])},
+        ("pair-family",), _run_limit_state, _check_limit_state),
+    "ssb-bound": Analysis(
+        {"bogoliubov_radii": (Arr(Num(positive=True)), [8.0, 16.0, 64.0, 256.0])},
+        ("goldstone-ssb",), _run_ssb_bound),
+    "projector": Analysis({}, ("spectral-vector",), _run_projector),
+    "gap-check": Analysis(
+        {"smoothing_half_support": (Num(), 0.4), "shapes": (Arr(Str()), ["plateau", "wide-plateau"]),
+         "radius": (Num(positive=True), 512.0)},
+        ("goldstone-ssb",), _run_gap_check, _check_gap, numeric=False),
 }

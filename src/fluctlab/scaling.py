@@ -61,6 +61,9 @@ class QuadSpec:
         return rule
 
 
+ALPHA_MODES = ("canonical", "explicit", "gamma", "bisect")
+
+
 @dataclass(frozen=True)
 class ScalingConfig:
     """Numerical policy for scaling computations.
@@ -109,6 +112,8 @@ class ScalingConfig:
         r = np.asarray(self.r_values, dtype=float)
         if len(r) < self.min_r_points:
             raise InvalidArgumentError(f"need at least {self.min_r_points} R points, got {len(r)}")
+        if not np.all(np.isfinite(r) & (r > 0)):
+            raise InvalidArgumentError("R grid must be finite and positive")
         if np.any(np.diff(r) <= 0):
             raise InvalidArgumentError("R grid must be strictly increasing")
         decades = np.log10(r[-1] / r[0])
@@ -205,7 +210,8 @@ def _convention_constant(order: int, n: int) -> float:
     return (2.0 * pi) ** (n * (2 - order) / 2.0)
 
 
-def _check_dims(state: TruncatedHierarchy, cfg: ScalingConfig, order: int) -> int:
+def check_order(state: TruncatedHierarchy, order: int) -> int:
+    """The quadrature dimension (l-1) n of an order the spectral path can take."""
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
     tensor_dim = (order - 1) * state.dim
@@ -218,7 +224,7 @@ def _check_dims(state: TruncatedHierarchy, cfg: ScalingConfig, order: int) -> in
 
 def _spec_for(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
               profile: WindowProfile) -> QuadSpec:
-    tensor_dim = _check_dims(state, cfg, order)
+    tensor_dim = check_order(state, order)
     singular = state.tag(2).kind in ("l2", "goldstone")
     spec = cfg.quad_for(tensor_dim, singular=singular)
     cfg.validate_tail(profile, spec)
@@ -229,20 +235,14 @@ def _spec_for(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     return spec
 
 
-def fluctuation_correlator(state: TruncatedHierarchy, profile: WindowProfile,
-                           cfg: ScalingConfig, order: int, radius: float,
-                           alpha: float | None = None) -> complex:
-    """Order-l truncated correlator of scale-renormalized window averages."""
-    return qmode_correlator(state, profile, cfg, order, None, radius, alpha)
-
-
 def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
                      cfg: ScalingConfig, order: int, offsets,
                      radius: float, alpha: float | None = None) -> complex:
-    """Same correlator with a momentum offset per observable slot.
+    """Order-l truncated correlator of scale-renormalized window averages.
 
-    ``offsets`` is an (order, n) array (or None for all-zero).  Zero offsets
-    reproduce fluctuation_correlator through the identical code path.
+    ``offsets`` is an (order, n) array of momentum offsets, one per
+    observable slot, or None for all-zero; zero offsets take the identical
+    code path.
     """
     n = state.dim
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
@@ -653,34 +653,26 @@ def l2_vanishing_threshold(dim: int, alpha: float) -> L2VanishingThreshold:
 
 
 def find_critical_alpha(state: TruncatedHierarchy, profile: WindowProfile,
-                        cfg: ScalingConfig, lo: float, hi: float,
-                        tol: float = 5e-3) -> float:
-    """Bisect the 2-point sweep exponent to the alpha giving a finite limit.
+                        cfg: ScalingConfig, lo: float, hi: float) -> float:
+    """The alpha at which the fitted 2-point sweep exponent is zero.
 
-    The fitted exponent is exactly linear in alpha (the renormalization is a
-    pure prefactor), so sign bisection on it converges to the exponent-zero
-    crossing, which is the unique scale at which the sweep verdict is
-    finite-nonzero.
+    The renormalization is a pure prefactor R^(-2 alpha), and neither the
+    floor mask nor the transient test of the fit changes under it, so the
+    fitted exponent is exactly e(alpha) = e(lo) - 2 (alpha - lo): one sweep
+    at ``lo`` gives the zero crossing lo + e(lo)/2, the unique scale at
+    which the sweep verdict is finite-nonzero.  The bracket must contain
+    it: e(lo) >= 0 >= e(hi).
     """
-    def fitted_exponent(alpha: float) -> float:
-        rep = exponent_sweep(state, profile, cfg, 2, alpha=alpha)
-        if rep.exponent is None:
-            raise NumericalAccuracyError("sweep values below floor during bisection")
-        return rep.exponent
-
-    e_lo = fitted_exponent(lo)
-    e_hi = fitted_exponent(hi)
+    rep = exponent_sweep(state, profile, cfg, 2, alpha=lo)
+    if rep.exponent is None:
+        raise NumericalAccuracyError("sweep values below floor at the bracket's low end")
+    e_lo = rep.exponent
+    e_hi = e_lo - 2.0 * (hi - lo)
     if e_lo < 0 or e_hi > 0:
         raise InvalidArgumentError(
-            f"bisection bracket invalid: exponent({lo}) = {e_lo:.3f}, exponent({hi}) = {e_hi:.3f}"
+            f"alpha bracket invalid: exponent({lo}) = {e_lo:.3f}, exponent({hi}) = {e_hi:.3f}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fitted_exponent(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return lo + e_lo / 2.0
 
 
 # ---------------------------------------------------------------------------

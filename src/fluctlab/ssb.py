@@ -53,19 +53,17 @@ class Dispersion:
     kind: str = "linear"
     speed: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("linear", "quadratic", "zero"):
+            raise InvalidArgumentError(f"unknown dispersion kind {self.kind!r}")
+
     def __call__(self, kappa) -> np.ndarray:
         kappa = np.asarray(kappa, dtype=float)
         if self.kind == "linear":
             return self.speed * np.abs(kappa)
         if self.kind == "quadratic":
             return self.speed * kappa ** 2
-        if self.kind == "zero":
-            return np.zeros_like(kappa)
-        raise InvalidArgumentError(f"unknown dispersion kind {self.kind!r}")
-
-    @property
-    def zero_order(self) -> float:
-        return {"linear": 1.0, "quadratic": 2.0, "zero": np.inf}[self.kind]
+        return np.zeros_like(kappa)
 
 
 def default_goldstone_model(dim: int = 3) -> "GoldstoneModel":
@@ -316,15 +314,19 @@ class EnergySmoothing:
     half_support: float
     shape: str = "plateau"
 
+    def __post_init__(self):
+        if self.shape not in ("plateau", "wide-plateau"):
+            raise InvalidArgumentError(f"unknown smoothing shape {self.shape!r}")
+        if not self.half_support > 0:
+            raise InvalidArgumentError(f"smoothing half support {self.half_support} must be > 0")
+
     def __call__(self, energy) -> np.ndarray:
         e = np.abs(np.asarray(energy, dtype=float)) / self.half_support
         if self.shape == "plateau":
             return smooth_cutoff(2.0 * e)
-        if self.shape == "wide-plateau":
-            u = np.clip(4.0 * (e - 0.75), 0.0, 1.0)
-            step = u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
-            return 1.0 - step
-        raise InvalidArgumentError(f"unknown smoothing shape {self.shape!r}")
+        u = np.clip(4.0 * (e - 0.75), 0.0, 1.0)
+        step = u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
+        return 1.0 - step
 
 
 @dataclass(frozen=True)
@@ -338,6 +340,15 @@ class GapCheckResult:
         return abs(self.estimate)
 
 
+def check_smoothing(model: GoldstoneModel, smoothing: EnergySmoothing) -> None:
+    """A gapped check needs the smoothing support inside the gap."""
+    if model.gap > 0 and smoothing.half_support > model.gap:
+        raise InvalidTestConfigurationError(
+            f"smoothing support (-{smoothing.half_support}, {smoothing.half_support}) "
+            f"overlaps the excitation spectrum [gap={model.gap}, inf)"
+        )
+
+
 def gap_conservation_check(model: GoldstoneModel, smoothing: EnergySmoothing,
                            profile: WindowProfile, radius: float) -> GapCheckResult:
     """Time-smeared symmetry-breaking expectation.
@@ -348,10 +359,6 @@ def gap_conservation_check(model: GoldstoneModel, smoothing: EnergySmoothing,
     approaches the unsmoothed order parameter independently of the
     smoothing shape.
     """
-    if model.gap > 0 and smoothing.half_support > model.gap:
-        raise InvalidTestConfigurationError(
-            f"smoothing support (-{smoothing.half_support}, {smoothing.half_support}) "
-            f"overlaps the excitation spectrum [gap={model.gap}, inf)"
-        )
+    check_smoothing(model, smoothing)
     est = commutator_expectation(model, profile, radius, smoothing=smoothing)
     return GapCheckResult(estimate=est, radius=float(radius), smoothing=smoothing)

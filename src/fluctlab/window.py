@@ -119,12 +119,6 @@ class WindowProfile:
         out = np.interp(s, self.s_grid, self.f_samples, right=0.0)
         return np.clip(out, 0.0, 1.0)
 
-    def scaled_value(self, radius: float, x) -> np.ndarray:
-        """f_R at position(s) x: value(|x|/R)."""
-        x = np.asarray(x, dtype=float)
-        r = np.abs(x) if x.ndim == 0 or self.dim == 1 else np.linalg.norm(x, axis=-1)
-        return self.value(r / radius)
-
     def volume_integral(self) -> float:
         """integral of f(|x|) over R^n."""
         s, w = gauss_legendre_panels(0.0, self.s_grid[-1], 64, 16)
@@ -326,6 +320,16 @@ def _sharp_fhat(dim: int, kappa: np.ndarray) -> np.ndarray:
     return np.where(kappa > 1e-8, out, at0)
 
 
+def check_profile_args(kind: str, dim: int, resolution: int) -> None:
+    """The argument checks of make_profile, without building anything."""
+    if dim not in (1, 2, 3):
+        raise InvalidArgumentError(f"dimension {dim} not supported (use 1, 2 or 3)")
+    if resolution < 1024:
+        raise InvalidArgumentError("resolution must be at least 2**10 radial samples")
+    if kind not in KINDS:
+        raise InvalidArgumentError(f"unknown window kind {kind!r}; expected one of {KINDS}")
+
+
 def make_profile(
     kind: str,
     dim: int,
@@ -342,13 +346,7 @@ def make_profile(
     enough for the largest cached momentum, from the exact radial profile,
     and spline-interpolated between cache nodes.
     """
-    if dim not in (1, 2, 3):
-        raise InvalidArgumentError(f"dimension {dim} not supported (use 1, 2 or 3)")
-    if resolution < 1024:
-        raise InvalidArgumentError("resolution must be at least 2**10 radial samples")
-    if kind not in KINDS:
-        raise InvalidArgumentError(f"unknown window kind {kind!r}; expected one of {KINDS}")
-
+    check_profile_args(kind, dim, resolution)
     s_max = SUPPORT_RADIUS + GRID_MARGIN
     s_grid = np.linspace(0.0, s_max, resolution)
     exact, smoothness = _profile_evaluator(kind, smoothstep_order)

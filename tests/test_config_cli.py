@@ -1,15 +1,24 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluctlab.config import config_schema, parse_config
-from fluctlab.errors import ConfigError
+from fluctlab import cli
+from fluctlab.config import RunConfig, config_schema, parse_config
+from fluctlab.errors import ConfigError, ModelValidationError
 from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED_IN = sorted((ROOT / "configs").glob("*.json")) + [
+    ROOT / "perfbench" / "configs" / "bench_n2_product_ansatz.json"
+]
 
 MINIMAL = {
     "model": {"class": "gaussian", "dim": 1, "two_point": {"form": "gaussian"}},
@@ -94,6 +103,11 @@ class TestParsing:
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_config("{not json")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_rejected(self, literal):
+        with pytest.raises(ConfigError, match=f"non-finite number {literal}"):
+            parse_config('{"model": {"class": "powerlaw", "beta": %s}}' % literal)
 
     def test_schema_outline(self):
         schema = config_schema()
@@ -239,3 +253,139 @@ class TestCLI:
         proc = self.run_cli(["run", str(path)], cache_dir)
         assert proc.returncode == 4
         assert "model-validation" in proc.stderr
+
+
+GAUSS = {"class": "gaussian", "dim": 1, "two_point": {"form": "gaussian"}}
+SWEEP = [{"kind": "scaling-sweep", "orders": [2]}]
+SSB = {"class": "goldstone-ssb", "dim": 3}
+
+# name: (configuration, exit code of both validate and run)
+CONTRACT_CASES = {
+    "powerlaw without beta": ({"model": {"class": "powerlaw", "dim": 1}, "analyses": SWEEP}, 2),
+    "unknown rho_a key": ({"model": dict(SSB, rho_a={"amp": 1}), "analyses": [{"kind": "gap-check"}]}, 2),
+    "gamma mode without order 2": ({
+        "model": {"class": "weighted", "dim": 1, "orders": [
+            {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
+        "numeric": {"alpha_mode": "gamma"},
+        "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 2),
+    "gamma mode on a gaussian model": ({"model": GAUSS, "numeric": {"alpha_mode": "gamma"},
+                                        "analyses": SWEEP}, 2),
+    "spectral-vector without samples": ({"model": {"class": "spectral-vector"},
+                                         "analyses": [{"kind": "projector"}]}, 2),
+    "scalar q_values": ({"model": GAUSS, "analyses": [{"kind": "qmode", "q_values": 0.5}]}, 2),
+    "string eps_vanish in an analysis": ({"model": GAUSS, "analyses": [
+        {"kind": "qmode", "numeric": {"eps_vanish": "1e-3"}}]}, 2),
+    "string nan eps_vanish": ({"model": GAUSS, "numeric": {"eps_vanish": "nan"}, "analyses": SWEEP}, 2),
+    "NaN literal": ('{"model": {"class": "powerlaw", "beta": NaN}}', 2),
+    "overflowing powerlaw beta": ({"model": {"class": "powerlaw", "beta": 400.0}}, 2),
+    "misspelled analysis numeric key": ({"model": GAUSS, "analyses": [
+        {"kind": "qmode", "numeric": {"eps_vanihs": 1e-3}}]}, 2),
+    "dim 4": ({"model": dict(GAUSS, dim=4), "analyses": SWEEP}, 2),
+    "alpha_mode canon": ({"model": GAUSS, "numeric": {"alpha_mode": "canon"}, "analyses": SWEEP}, 2),
+    "order 6 at n = 1": ({"model": GAUSS, "analyses": [{"kind": "scaling-sweep", "orders": [6]}]}, 2),
+    "odd pairing order": ({"model": GAUSS, "analyses": [
+        {"kind": "cumulant-roundtrip", "pairing_orders": [3]}]}, 2),
+    "gap shape triangle": ({"model": SSB, "analyses": [{"kind": "gap-check", "shapes": ["triangle"]}]}, 2),
+    "r_grid beyond the float range": ({"model": GAUSS, "numeric": {"r_grid": {"stop": 1e300}},
+                                       "analyses": SWEEP}, 2),
+    "r_grid count 0": ({"model": GAUSS, "numeric": {"r_grid": {"count": 0}}, "analyses": SWEEP}, 2),
+    "too few radii in an analysis": ({"model": GAUSS, "analyses": [
+        {"kind": "qmode", "numeric": {"r_grid": {"count": 5}}}]}, 2),
+    "resolution 10": ({"model": GAUSS, "window": {"resolution": 10}, "analyses": SWEEP}, 2),
+    "unknown density form": ({"model": dict(GAUSS, two_point={"form": "cauchy"}), "analyses": SWEEP}, 2),
+    "missing pair density": ({"model": {
+        "class": "pair-family", "labels": ["A", "B"],
+        "pairs": {"AA": {"form": "gaussian"}, "BB": {"form": "gaussian"}, "AB": {"form": "gaussian"}}},
+        "analyses": [{"kind": "limit-state"}]}, 2),
+    "cross density beyond Cauchy-Schwarz": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 5.0}),
+                                             "analyses": [{"kind": "gap-check"}]}, 4),
+    # a valid override that used to replace the whole resolved r_grid and crash
+    "analysis r_grid override": ({"model": GAUSS, "analyses": [
+        {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
+}
+
+
+class TestValidateRunContract:
+    @pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
+    def test_validate_and_run_agree(self, name, tmp_path, cache_dir, monkeypatch, capsys):
+        config, expected = CONTRACT_CASES[name]
+        if not isinstance(config, str):
+            config = json.dumps(dict(config, output={"directory": str(tmp_path / "out")}))
+        path = tmp_path / "case.json"
+        path.write_text(config)
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["validate", str(path)]) == expected
+        assert cli.main(["run", str(path)]) == expected
+        if expected:
+            assert "error" in capsys.readouterr().err
+
+    def test_overflow_in_the_numerics_exits_3(self, tmp_path, cache_dir, monkeypatch, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(cfg_text({"model": {"class": "goldstone-ssb", "dim": 3},
+                                  "analyses": [{"kind": "ssb-bound", "bogoliubov_radii": [1e300]}],
+                                  "output": {"directory": str(tmp_path / "out")}}))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path)]) == 3
+        assert "numerical-accuracy error" in capsys.readouterr().err
+
+    def test_analysis_override_merges_over_the_top_level_block(self):
+        cfg = parse_config(cfg_text({
+            "model": GAUSS,
+            "numeric": {"eps_vanish": 1e-4, "r_grid": {"start": 4, "stop": 1024, "count": 9}},
+            "analyses": [{"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}, {"kind": "qmode"}],
+        }))
+        (_, _, own), (_, _, top) = cfg.steps
+        assert own.eps_vanish == top.eps_vanish == 1e-4
+        assert len(own.r_values) == 7 and own.r_values[0] == 8.0 and own.r_values[-1] == 512.0
+        assert len(top.r_values) == 9 and top.r_values[0] == 4.0
+
+    def test_schema_lists_every_kind_and_class(self):
+        schema = config_schema()
+        assert len(schema["analyses"][0]["kind"]) == 7
+        assert len(schema["model"]["class"]) == 8
+        json.dumps(schema)
+
+
+def _locations(node):
+    """Every (parent, key) below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _locations(child)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A checked-in configuration with one key dropped or one value replaced."""
+    config = json.loads(draw(st.sampled_from(CHECKED_IN)).read_text())
+    parent, key = draw(st.sampled_from(list(_locations(config))))
+    value = parent[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ops = ["wrong type"]
+    if isinstance(parent, dict):
+        ops.append("drop")
+    if number:
+        ops += ["non-finite", "huge"] + ["int out of range"] * isinstance(value, int)
+    op = draw(st.sampled_from(ops))
+    if op == "drop":
+        del parent[key]
+    elif op == "wrong type":
+        others = ["x", 1.5, [], {}, None, True, 3]
+        parent[key] = draw(st.sampled_from([v for v in others if type(v) is not type(value)]))
+    elif op == "non-finite":
+        parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, "nan"]))
+    elif op == "huge":
+        parent[key] = draw(st.sampled_from([1e300, -1e300, 1e-300]))
+    else:
+        parent[key] = draw(st.sampled_from([-1, 0, 10 ** 6, 2 ** 64, -10 ** 30, 10 ** 400]))
+    return json.dumps(config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_parse_raises_only_mapped_errors(text):
+    try:
+        assert isinstance(parse_config(text), RunConfig)
+    except (ConfigError, ModelValidationError):
+        pass

@@ -31,7 +31,6 @@ from fluctlab.scaling import (
     exponent_sweep,
     find_critical_alpha,
     fit_loglog,
-    fluctuation_correlator,
     l2_alpha_window,
     l2_vanishing_threshold,
     pair_tail_bound,
@@ -72,19 +71,19 @@ class TestSpectralPath:
         state = gaussian_state(lambda k: np.zeros_like(np.asarray(k, dtype=float)), 1)
         cfg = ScalingConfig()
         for radius in (4.0, 64.0):
-            assert fluctuation_correlator(state, profile1, cfg, 2, radius) == 0
+            assert qmode_correlator(state, profile1, cfg, 2, None, radius) == 0
 
     def test_oracle_equivalence_small_radius(self, product_state1, profile1):
         cfg = ScalingConfig()
         for order in (2, 3):
             for radius in (2.0, 8.0):
-                spectral = fluctuation_correlator(product_state1, profile1, cfg, order, radius, alpha=0.5)
+                spectral = qmode_correlator(product_state1, profile1, cfg, order, None, radius, alpha=0.5)
                 oracle = position_space_correlator(product_state1, profile1, cfg, order, radius, 0.5)
                 assert abs(spectral - oracle) <= 1e-6 * abs(oracle)
 
     def test_qmode_zero_offsets_bit_identical(self, gaussian_state1, profile1):
         cfg = ScalingConfig()
-        a = fluctuation_correlator(gaussian_state1, profile1, cfg, 2, 32.0)
+        a = qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 32.0)
         b = qmode_correlator(gaussian_state1, profile1, cfg, 2, np.zeros((2, 1)), 32.0)
         assert a == b
 
@@ -93,33 +92,33 @@ class TestSpectralPath:
         shifted = gaussian_state1.shifted(1, 0.9)
         diffs = []
         for radius in (8.0, 32.0, 128.0, 512.0):
-            v0 = fluctuation_correlator(gaussian_state1, profile1, cfg, 2, radius)
-            v1 = fluctuation_correlator(shifted, profile1, cfg, 2, radius)
+            v0 = qmode_correlator(gaussian_state1, profile1, cfg, 2, None, radius)
+            v1 = qmode_correlator(shifted, profile1, cfg, 2, None, radius)
             diffs.append(abs(v1 - v0))
         assert diffs[-1] < 1e-2 * diffs[0]
         assert diffs[-1] < 1e-4 * abs(
-            fluctuation_correlator(gaussian_state1, profile1, cfg, 2, 512.0)
+            qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 512.0)
         )
 
     def test_quadrature_convergence_estimate(self, gaussian_state1, profile1):
         cfg = ScalingConfig()
         value, estimate = correlator_with_error(gaussian_state1, profile1, cfg, 2, 16.0)
         fine_cfg = ScalingConfig(quad_overrides={1: (120.0, 96, 10, 0)})
-        refined = fluctuation_correlator(gaussian_state1, profile1, fine_cfg, 2, 16.0)
+        refined = qmode_correlator(gaussian_state1, profile1, fine_cfg, 2, None, 16.0)
         assert abs(refined - value) <= estimate + 1e-14
 
     def test_order_guards(self, gaussian_state1, profile1, profile2):
         cfg = ScalingConfig()
         with pytest.raises(OrderRangeError):
-            fluctuation_correlator(gaussian_state1, profile1, cfg, 9, 8.0)
+            qmode_correlator(gaussian_state1, profile1, cfg, 9, None, 8.0)
         state2 = gaussian_state(lambda k: np.exp(-np.sum(np.asarray(k) ** 2, axis=-1)), 2)
         with pytest.raises(OrderRangeError):
-            fluctuation_correlator(state2, profile2, cfg, 4, 8.0)  # (4-1)*2 = 6 > 4
+            qmode_correlator(state2, profile2, cfg, 4, None, 8.0)  # (4-1)*2 = 6 > 4
 
     def test_tail_certificate(self, gaussian_state1, profile1):
         cfg = ScalingConfig(quad_overrides={1: (6.0, 4, 8, 0)})
         with pytest.raises(NumericalAccuracyError) as err:
-            fluctuation_correlator(gaussian_state1, profile1, cfg, 2, 8.0)
+            qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 8.0)
         assert err.value.bound is not None
         assert err.value.bound > cfg.eps_vanish / 10.0
 
@@ -378,6 +377,15 @@ class TestCriticalAlpha:
         assert alpha_star == pytest.approx(1.0 - 0.75 / 2.0, abs=0.05)
         window = l2_alpha_window(1)
         assert window.lo_open < alpha_star <= window.hi_closed
+
+    def test_closed_form_zeroes_the_exponent(self, profile1):
+        state = powerlaw_state(0.75, 1)
+        r = tuple(float(x) for x in np.geomspace(64, 8192, 8).round(8))
+        cfg = ScalingConfig(r_values=r, alpha_mode="explicit", alpha=0.6)
+        alpha_star = find_critical_alpha(state, profile1, cfg, 0.505, 0.75)
+        rep = exponent_sweep(state, profile1, cfg, 2, alpha=alpha_star)
+        assert abs(rep.exponent) <= 1e-12
+        assert rep.verdict == "finite-nonzero"
 
     def test_bad_bracket_rejected(self, profile1):
         state = powerlaw_state(0.75, 1)
