@@ -40,9 +40,7 @@ from .models import (
     gaussian_state,
     goldstone_state,
     powerlaw_state,
-    powerlaw_two_point,
     product_ansatz_state,
-    radial_norm,
     sum_of_squares,
     weighted_state,
 )
@@ -101,31 +99,15 @@ class ModelClass:
     build: Callable
 
 
-def _weighted_factor(spec: dict, order: int, dim: int):
-    d = (order - 1) * dim
+def _weighted_factor(spec: dict, order: int):
+    """The integrable factor F of a weighted order, in position space."""
     if spec["form"] == "bessel-power":
         if "power" not in spec:
             raise ConfigError(f"model.orders[{order}].factor: form 'bessel-power' needs power")
         power = spec["power"]
-        momentum = powerlaw_two_point(power, d)
-
-        def f_position(yvars):
-            return (1.0 + sum_of_squares(yvars)) ** (-power / 2.0)
-
-        def f_momentum(qvars):
-            return momentum(radial_norm([c for comp in qvars for c in comp]))
-
-        return f_position, f_momentum
+        return lambda yvars: (1.0 + sum_of_squares(yvars)) ** (-power / 2.0)
     amp, width = spec["amplitude"], spec["width"]
-    c_mom = amp * (2.0 * np.pi * width ** 2) ** (d / 2.0)
-
-    def f_position(yvars):
-        return amp * np.exp(-sum_of_squares(yvars) / (2.0 * width ** 2))
-
-    def f_momentum(qvars):
-        return c_mom * np.exp(-(width ** 2) * sum_of_squares(qvars) / 2.0)
-
-    return f_position, f_momentum
+    return lambda yvars: amp * np.exp(-sum_of_squares(yvars) / (2.0 * width ** 2))
 
 
 def _product_ansatz(b):
@@ -136,7 +118,7 @@ def _product_ansatz(b):
 
 def _weighted(b):
     return weighted_state([WeightedCorrelator(o["order"], o["alpha"],
-                                              *_weighted_factor(o["factor"], o["order"], b["dim"]))
+                                              _weighted_factor(o["factor"], o["order"]))
                            for o in b["orders"]], b["dim"])
 
 

@@ -74,15 +74,12 @@ class DecayTag:
 class WeightedCorrelator:
     """Order-l correlator factored as W = (1 + sum |y_i|^2)^(alpha/2) * F.
 
-    ``f_position`` maps component tuples of the y variables to F values;
-    ``f_momentum`` (optional) is the plain transform of F, used on the
-    spectral path for even integer alpha.
+    ``f_position`` maps component tuples of the y variables to F values.
     """
 
     order: int
     alpha: float
     f_position: Callable
-    f_momentum: Callable | None = None
 
     def weight(self, yvars: QVars) -> np.ndarray:
         return (1.0 + sum_of_squares(yvars)) ** (self.alpha / 2.0)

@@ -85,6 +85,12 @@ def _restricted_growth_strings(order: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_partitions(order: int) -> list[SetPartition]:
     """All B_order canonical partitions of {1..order}, via growth strings."""
+    return [SetPartition(blocks, order) for blocks in _partition_blocks(order)]
+
+
+@cache
+def _partition_blocks(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Blocks of every canonical partition of {1..order}, built once per order."""
     if not 1 <= order <= MAX_PARTITION_ORDER:
         raise OrderRangeError(f"order {order} outside 1..{MAX_PARTITION_ORDER}")
     out = []
@@ -93,8 +99,8 @@ def enumerate_partitions(order: int) -> list[SetPartition]:
         blocks: list[list[int]] = [[] for _ in range(nblocks)]
         for idx, label in enumerate(rgs, start=1):
             blocks[label].append(idx)
-        out.append(SetPartition(tuple(tuple(b) for b in blocks), order))
-    return out
+        out.append(tuple(tuple(b) for b in blocks))
+    return tuple(out)
 
 
 def enumerate_pairings(order: int) -> list[SetPartition]:
@@ -125,8 +131,8 @@ def _pairing_blocks(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def _partitions_of_tuple(indices: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Partitions of an arbitrary ascending tuple, blocks in canonical form."""
-    for part in enumerate_partitions(len(indices)):
-        yield tuple(tuple(indices[i - 1] for i in block) for block in part.blocks)
+    for blocks in _partition_blocks(len(indices)):
+        yield tuple(tuple(indices[i - 1] for i in block) for block in blocks)
 
 
 class _Table:

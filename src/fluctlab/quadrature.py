@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+#: ratio of successive edges of the graded panels toward the origin
+GRADED_EDGE_RATIO = 2.0
+
 
 @lru_cache(maxsize=None)
 def legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,20 +62,19 @@ def symmetric_panel_rule(
     panels: int,
     nodes_per_panel: int,
     graded_levels: int = 0,
-    grading_ratio: float = 2.0,
 ) -> Rule1D:
     """Composite GL rule on [-p_max, p_max].
 
     With graded_levels > 0 the innermost panel on each side is subdivided
-    geometrically toward 0 (edges at p_max/panels * ratio**-j), which keeps
-    integrable power singularities at the origin accurate without touching
-    the outer panels.
+    geometrically toward 0 (edges at p_max/panels * GRADED_EDGE_RATIO**-j),
+    which keeps integrable power singularities at the origin accurate
+    without touching the outer panels.
     """
     if p_max <= 0 or panels < 1 or nodes_per_panel < 2:
         raise InvalidArgumentError("invalid quadrature rule parameters")
     base = np.linspace(0.0, p_max, panels + 1)
     if graded_levels > 0:
-        inner = base[1] * grading_ratio ** (-np.arange(1, graded_levels + 1, dtype=float))
+        inner = base[1] * GRADED_EDGE_RATIO ** (-np.arange(1, graded_levels + 1, dtype=float))
         edges = np.concatenate([[0.0], inner[::-1], base[1:]])
     else:
         edges = base
@@ -85,14 +87,14 @@ def symmetric_panel_rule(
     wpos = np.concatenate(wts)
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
-    key = (float(p_max), panels, nodes_per_panel, graded_levels, float(grading_ratio))
+    key = (float(p_max), panels, nodes_per_panel, graded_levels)
     return Rule1D(nodes=nodes, weights=weights, p_max=float(p_max), key=key)
 
 
 def half_line_rule(p_max: float, panels: int, nodes_per_panel: int,
-                   graded_levels: int = 0, grading_ratio: float = 2.0) -> Rule1D:
+                   graded_levels: int = 0) -> Rule1D:
     """Composite GL rule on [0, p_max], optionally graded toward 0."""
-    full = symmetric_panel_rule(p_max, panels, nodes_per_panel, graded_levels, grading_ratio)
+    full = symmetric_panel_rule(p_max, panels, nodes_per_panel, graded_levels)
     half = len(full.nodes) // 2
     return Rule1D(nodes=full.nodes[half:], weights=full.weights[half:],
                   p_max=full.p_max, key=("half",) + full.key)

@@ -35,10 +35,14 @@ from .partitions import (
 )
 from .report import REPORT_SCHEMA_ID, RunReport
 from .scaling import (
+    MAX_ARRAY_POINTS,
+    ORACLE_Z,
     check_order,
+    check_weighted_order,
     exponent_sweep,
     find_critical_alpha,
     l2_alpha_window,
+    position_points,
     position_space_correlator,
     qmode_correlator,
     weighted_gamma,
@@ -98,12 +102,10 @@ def run(config: RunConfig, cache_dir=None) -> RunReport:
 # scaling sweeps and q-modes
 # ---------------------------------------------------------------------------
 
-def _oracle_orders(orders, dim):
-    # computing the overlap is one matrix product per slice at any order;
-    # its nodes**(order-1) output is what limits the oracle: order 4 on the
-    # 600-node oracle rule already holds 600**3 doubles (1.7 GB), and the
-    # orders skipped here would hold 600**4 (1 TB)
-    return [order for order in orders if (order - 1) * dim <= 3]
+def _oracle_orders(orders):
+    # the overlap's nodes**(order-1) output is what limits the oracle: order 4
+    # on the 600-node oracle rule would hold 600**3 doubles (1.7 GB)
+    return [order for order in orders if position_points(ORACLE_Z, order) <= MAX_ARRAY_POINTS]
 
 
 def _check_scaling_sweep(params, cfg, model, model_class):
@@ -121,15 +123,17 @@ def _check_scaling_sweep(params, cfg, model, model_class):
         cfg.resolved_alpha(model.dim)
     if cfg.alpha_mode == "bisect":
         check_order(model, 2)
-    for order in params["orders"]:
-        if order not in weighted:
-            check_order(model, order)
     if weighted and model.dim != 1:
         raise ConfigError("weighted orders are computed for n = 1 only")
+    for order in params["orders"]:
+        if order in weighted:
+            check_weighted_order(order)
+        else:
+            check_order(model, order)
     if "oracle_check_r_max" in params:
-        for order in _oracle_orders(params["orders"], model.dim):
-            if model.dim != 1:
-                raise ConfigError("the position-space oracle is implemented for n = 1 only")
+        if model.dim != 1:
+            raise ConfigError("the position-space oracle is implemented for n = 1 only")
+        for order in _oracle_orders(params["orders"]):
             model.order_factors(order)
             model.position_form(order)
 
@@ -168,7 +172,7 @@ def _oracle_check(model, window, cfg, orders, r_max, alpha):
     a = cfg.resolved_alpha(model.dim) if alpha is None else alpha
     rows = []
     worst = 0.0
-    for order in _oracle_orders(orders, model.dim):
+    for order in _oracle_orders(orders):
         for radius in radii:
             spectral = qmode_correlator(model, window, cfg, order, None, radius, a)
             oracle = position_space_correlator(model, window, cfg, order, radius, a)

@@ -35,6 +35,10 @@ from .quadrature import Rule1D, gauss_legendre_panels, symmetric_panel_rule
 from .window import WindowProfile
 
 MAX_QUADRATURE_DIM = 4
+#: the most points one array of the chain or of the position path may hold
+MAX_ARRAY_POINTS = 60_000_000
+#: fewer radii than this cannot separate a power law from its transient
+MIN_RADII = 6
 
 #: per-tensor-dimension default quadrature geometry (p_max, panels, nodes/panel)
 DEFAULT_QUAD = {
@@ -79,11 +83,7 @@ class ScalingConfig:
     alpha: float | None = None
     eps_vanish: float = 1e-8
     exponent_band: float = 0.1
-    value_floor_rel: float = 1e-13
-    strict_tail: bool = False
-    max_tensor_points: int = 60_000_000
     quad_overrides: dict = field(default_factory=dict)
-    min_r_points: int = 6
     min_decades: float = 1.75
 
     def resolved_alpha(self, dim: int) -> float:
@@ -110,8 +110,8 @@ class ScalingConfig:
 
     def validate_r_grid(self) -> np.ndarray:
         r = np.asarray(self.r_values, dtype=float)
-        if len(r) < self.min_r_points:
-            raise InvalidArgumentError(f"need at least {self.min_r_points} R points, got {len(r)}")
+        if len(r) < MIN_RADII:
+            raise InvalidArgumentError(f"need at least {MIN_RADII} R points, got {len(r)}")
         if not np.all(np.isfinite(r) & (r > 0)):
             raise InvalidArgumentError("R grid must be finite and positive")
         if np.any(np.diff(r) <= 0):
@@ -230,9 +230,15 @@ def _spec_for(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     cfg.validate_tail(profile, spec)
     # the largest array the chain allocates: the kernel for l >= 3, else one grid vector
     points = len(spec.build()) ** (2 * state.dim if order >= 3 else state.dim)
-    if points > cfg.max_tensor_points:
-        raise NumericalAccuracyError(f"chain array of {points} points exceeds the budget")
+    _check_points(points, "chain array")
     return spec
+
+
+def _check_points(points: int, what: str) -> None:
+    """Raise when one array would hold more than MAX_ARRAY_POINTS points."""
+    if points > MAX_ARRAY_POINTS:
+        raise NumericalAccuracyError(
+            f"{what} of {points} points exceeds the budget of {MAX_ARRAY_POINTS}")
 
 
 def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
@@ -302,8 +308,7 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
 
     if np.any(np.abs(total) > 0):
         last = profile.fourier_radial(
-            radial_norm(tuple(comps[c] + radius * total[c] for c in range(n))),
-            strict=cfg.strict_tail,
+            radial_norm(tuple(comps[c] + radius * total[c] for c in range(n)))
         ).ravel()
     else:
         last = fhat_norm
@@ -323,8 +328,8 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
 
 
 # ---------------------------------------------------------------------------
-# position-space path (oracle for the spectral route; main path for
-# non-integer weighted exponents); one-dimensional states only
+# position-space path (oracle for the spectral route; the one path of the
+# weighted orders); one-dimensional states only
 # ---------------------------------------------------------------------------
 
 _OVERLAP_CACHE: dict = {}
@@ -376,14 +381,24 @@ def _shifted_rows(profile: WindowProfile, u: np.ndarray, levels) -> np.ndarray:
     return rows
 
 
-def oracle_z_rule(profile: WindowProfile, graded_levels: int = 6) -> Rule1D:
-    """Scaled-difference-variable rule shared by all radii of one oracle run.
+#: (panels, nodes per panel, graded levels) of the oracle's z rule; 6 graded
+#: levels resolve correlator structure at scale 1/R at the small radii the
+#: oracle comparisons use
+ORACLE_Z = (24, 10, 6)
 
-    The grading keeps correlator structure at scale 1/R resolved; 6 levels
-    cover the small radii the oracle comparisons use, 14 cover R <= 2048
-    for the weighted position path.
+
+def oracle_z_rule(profile: WindowProfile) -> Rule1D:
+    """Scaled-difference-variable rule shared by all radii of one oracle run."""
+    return symmetric_panel_rule(2.0 * profile.s_grid[-1], *ORACLE_Z)
+
+
+def position_points(z: tuple, order: int) -> int:
+    """Points of the position path's (N,) * (l-1) arrays on the z rule of geometry z.
+
+    z is (panels, nodes per panel, graded levels); the node count N does
+    not depend on the rule's extent, so no window is needed.
     """
-    return symmetric_panel_rule(2.0 * profile.s_grid[-1], 24, 10, graded_levels=graded_levels)
+    return len(symmetric_panel_rule(1.0, *z)) ** (order - 1)
 
 
 def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
@@ -401,6 +416,7 @@ def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
         raise OrderRangeError("order must be >= 2")
     if z_rule is None:
         z_rule = oracle_z_rule(profile)
+    _check_points(len(z_rule) ** (order - 1), "position-space array")
     g = window_overlap_1d(profile, order, z_rule)
     dim = order - 1
     z = z_rule.nodes
@@ -574,7 +590,7 @@ def _sweep_value(state, profile, cfg, order, offsets, radius, alpha) -> complex:
 
 
 def build_report(r, vals, order, alpha, offsets, cfg: ScalingConfig, label: str) -> ScalingReport:
-    exponent, rms, used, dropped = fit_loglog(r, vals, cfg.value_floor_rel)
+    exponent, rms, used, dropped = fit_loglog(r, vals)
     verdict, est = classify(exponent, r, vals, cfg.eps_vanish, cfg.exponent_band)
     return ScalingReport(
         order=order,
@@ -712,73 +728,18 @@ def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
                         radius: float) -> complex:
     """Correlator of an order with a polynomial weight, renormalized by R^-gamma.
 
-    Even integer weight exponents go through the spectral path, where the
-    weight acts as (R^-2 - sum Laplacians)^(alpha/2) applied to the window
-    product by repeated grid differentiation; any other exponent is routed
-    through the position-space path.
+    Every weight exponent takes one path: the position-space quadrature on
+    ``weighted_z_rule``, so weighted orders are computed for n = 1 only.
     """
-    wc = state.weighted_orders.get(order)
-    if wc is None:
+    if order not in state.weighted_orders:
         raise UnsupportedModeError(f"order {order} carries no weighted correlator")
-    alpha_l = wc.alpha
-    if float(alpha_l).is_integer() and int(alpha_l) % 2 == 0 and wc.f_momentum is not None:
-        if state.dim == 1 and order in (2, 3):
-            return _weighted_spectral(state, profile, cfg, order, gamma, radius)
-    if state.dim != 1:
-        raise UnsupportedModeError(
-            "non-integer weight exponents need the position-space path (n = 1 only)"
-        )
-    return _weighted_position(state, profile, cfg, order, gamma, radius)
+    return position_space_correlator(state, profile, cfg, order, radius, gamma,
+                                     z_rule=weighted_z_rule(profile, order))
 
 
-def _second_difference(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.zeros_like(arr)
-    sl = [slice(None)] * arr.ndim
-    core = [slice(None)] * arr.ndim
-    core[axis] = slice(1, -1)
-    lo = list(core)
-    lo[axis] = slice(0, -2)
-    hi = list(core)
-    hi[axis] = slice(2, None)
-    out[tuple(core)] = (arr[tuple(hi)] - 2.0 * arr[tuple(core)] + arr[tuple(lo)]) / h ** 2
-    return out
-
-
-def _weighted_spectral(state, profile, cfg, order, gamma, radius) -> complex:
-    wc = state.weighted_orders[order]
-    n = state.dim
-    half_steps = int(wc.alpha) // 2
-    dim = order - 1
-    p_max = min(cfg.quad_for(dim).p_max, 60.0)
-    npts = 4097 if dim == 1 else 1025
-    q = np.linspace(-p_max, p_max, npts)
-    h = q[1] - q[0]
-    if dim == 1:
-        w = profile.fourier_radial(np.abs(q)) ** 2
-    else:
-        w = (
-            profile.fourier_radial(np.abs(q))[:, None]
-            * profile.fourier_radial(np.abs(q[None, :] - q[:, None]))
-            * profile.fourier_radial(np.abs(q))[None, :]
-        )
-    op = w
-    for _ in range(half_steps):
-        lap = np.zeros_like(op)
-        for ax in range(dim):
-            lap += _second_difference(op, ax, h)
-        op = op / radius ** 2 - lap
-    if dim == 1:
-        fhat_vals = wc.f_momentum(((q / radius,),))
-        integral = complex(np.sum(fhat_vals * op) * h)
-    else:
-        qa = q[:, None] / radius
-        qb = q[None, :] / radius
-        fhat_vals = wc.f_momentum(((qa,), (qb,)))
-        integral = complex(np.sum(fhat_vals * op) * h ** 2)
-    pref = _convention_constant(order, n) * radius ** (
-        order * n - order * gamma - (order - 1) * n + wc.alpha
-    )
-    return pref * integral
+def _weighted_z(order: int) -> tuple:
+    """(panels, nodes per panel, graded levels) of the weighted path's z rule."""
+    return (24, 10, 14) if order == 2 else (14, 8, 14)
 
 
 def weighted_z_rule(profile: WindowProfile, order: int) -> Rule1D:
@@ -787,11 +748,9 @@ def weighted_z_rule(profile: WindowProfile, order: int) -> Rule1D:
     Grading down to ~1e-4 of the box resolves correlator structure at scale
     1/R through R ~ 2000; orders >= 3 use a leaner per-axis rule.
     """
-    if order == 2:
-        return symmetric_panel_rule(2.0 * profile.s_grid[-1], 24, 10, graded_levels=14)
-    return symmetric_panel_rule(2.0 * profile.s_grid[-1], 14, 8, graded_levels=14)
+    return symmetric_panel_rule(2.0 * profile.s_grid[-1], *_weighted_z(order))
 
 
-def _weighted_position(state, profile, cfg, order, gamma, radius) -> complex:
-    return position_space_correlator(state, profile, cfg, order, radius, gamma,
-                                     z_rule=weighted_z_rule(profile, order))
+def check_weighted_order(order: int) -> None:
+    """The point budget of the weighted path at an order, checked without a window."""
+    _check_points(position_points(_weighted_z(order), order), "position-space array")

@@ -21,9 +21,9 @@ constant, e.g. the 2-point limit is exactly  S(0) * integral fhat(k)fhat(-k).
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from math import gamma as _gamma_fn
 from math import pi, sqrt
@@ -36,7 +36,7 @@ from scipy.special import j0
 from .errors import InvalidArgumentError, NumericalAccuracyError
 from .quadrature import gauss_legendre_panels
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: kinds accepted by make_profile
 KINDS = ("mollified-step", "smoothstep", "sharp")
@@ -102,7 +102,8 @@ class WindowProfile:
 
     @property
     def cache_key(self) -> tuple:
-        return (self.kind, self.dim, self.resolution, float(self.k_max), self.smoothness)
+        return (self.kind, self.dim, self.resolution, float(self.k_max), self.smoothness,
+                len(self.k_grid))
 
     # -- position space ----------------------------------------------------
 
@@ -182,24 +183,16 @@ class WindowProfile:
     # -- serialization -----------------------------------------------------
 
     def to_cache_file(self, path: str | Path) -> Path:
+        """Write the profile as an .npz archive of its scalars and sample arrays."""
         path = Path(path)
-        payload = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "kind": self.kind,
-            "dim": self.dim,
-            "resolution": self.resolution,
-            "smoothness": self.smoothness,
-            "k_max": self.k_max,
-            "s_grid": self.s_grid.tolist(),
-            "f_samples": self.f_samples.tolist(),
-            "k_grid": self.k_grid.tolist(),
-            "fhat_samples": self.fhat_samples.tolist(),
-        }
         # write beside the target and rename, so no reader sees a partial file
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(payload))
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, format_version=CACHE_FORMAT_VERSION, kind=self.kind, dim=self.dim,
+                         resolution=self.resolution, smoothness=self.smoothness, k_max=self.k_max,
+                         s_grid=self.s_grid, f_samples=self.f_samples, k_grid=self.k_grid,
+                         fhat_samples=self.fhat_samples)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -208,22 +201,21 @@ class WindowProfile:
 
     @staticmethod
     def from_cache_file(path: str | Path) -> "WindowProfile":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format_version") != CACHE_FORMAT_VERSION:
-            raise InvalidArgumentError(
-                f"window cache format {payload.get('format_version')!r} not supported"
+        with np.load(path, allow_pickle=False) as data:
+            version = data["format_version"]
+            if version != CACHE_FORMAT_VERSION:
+                raise InvalidArgumentError(f"window cache format {version} not supported")
+            return _assemble(
+                str(data["kind"]),
+                int(data["dim"]),
+                int(data["resolution"]),
+                int(data["smoothness"]),
+                data["s_grid"],
+                data["f_samples"],
+                data["k_grid"],
+                data["fhat_samples"],
+                float(data["k_max"]),
             )
-        return _assemble(
-            payload["kind"],
-            payload["dim"],
-            payload["resolution"],
-            payload["smoothness"],
-            np.asarray(payload["s_grid"]),
-            np.asarray(payload["f_samples"]),
-            np.asarray(payload["k_grid"]),
-            np.asarray(payload["fhat_samples"]),
-            payload["k_max"],
-        )
 
 
 def _assemble(kind, dim, resolution, smoothness, s_grid, f_samples, k_grid, fhat_samples, k_max):
@@ -385,7 +377,7 @@ def load_or_build(kind: str, dim: int, resolution: int = 4096, cache_dir: str | 
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     name = (f"window_{kind}_n{dim}_r{resolution}_s{smoothstep_order}"
-            f"_k{float(k_max)!r}_m{k_resolution}.json")
+            f"_k{float(k_max)!r}_m{k_resolution}.npz")
     path = cache_dir / name
     if path.exists():
         try:
@@ -393,7 +385,7 @@ def load_or_build(kind: str, dim: int, resolution: int = 4096, cache_dir: str | 
             if (prof.cache_key[:4] == (kind, dim, resolution, float(k_max))
                     and len(prof.k_grid) == k_resolution):
                 return prof
-        except (ValueError, KeyError, InvalidArgumentError):
+        except (ValueError, KeyError, EOFError, zipfile.BadZipFile, InvalidArgumentError):
             pass
     prof = make_profile(kind, dim, resolution, **kwargs)
     prof.to_cache_file(path)

@@ -299,6 +299,12 @@ CONTRACT_CASES = {
         "analyses": [{"kind": "limit-state"}]}, 2),
     "cross density beyond Cauchy-Schwarz": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 5.0}),
                                              "analyses": [{"kind": "gap-check"}]}, 4),
+    # 448**3 points per position-space array at order 4, over the 60M budget
+    "weighted order 4": ({"model": {"class": "weighted", "dim": 1, "orders": [
+        {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
+        {"order": 4, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
+        "numeric": {"alpha_mode": "gamma"},
+        "analyses": [{"kind": "scaling-sweep", "orders": [4]}]}, 2),
     # a valid override that used to replace the whole resolved r_grid and crash
     "analysis r_grid override": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
@@ -318,6 +324,19 @@ class TestValidateRunContract:
         assert cli.main(["run", str(path)]) == expected
         if expected:
             assert "error" in capsys.readouterr().err
+
+    def test_even_weight_exponent_vanishes(self, tmp_path, cache_dir, monkeypatch):
+        config = json.loads((ROOT / "configs" / "criterion_09a_weighted_boundary.json").read_text())
+        config["model"]["orders"][0]["alpha"] = 2.0
+        config["model"]["orders"][1] = {"order": 3, "alpha": 2.0,
+                                        "factor": {"form": "bessel-power", "power": 3.0}}
+        config["output"] = {"directory": str(tmp_path / "out"), "basename": "even"}
+        path = tmp_path / "even.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["run", str(path)]) == 0
+        sweeps = json.loads((tmp_path / "out" / "even.json").read_text())["results"][0]["sweeps"]
+        assert sweeps[1]["order"] == 3 and sweeps[1]["verdict"] == "vanishing"
 
     def test_overflow_in_the_numerics_exits_3(self, tmp_path, cache_dir, monkeypatch, capsys):
         path = tmp_path / "huge.json"

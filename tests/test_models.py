@@ -125,9 +125,7 @@ class TestPowerlaw:
 
 class TestWeighted:
     @staticmethod
-    def _factor(power, d):
-        mom = powerlaw_two_point(power, d)
-
+    def _factor(power):
         def f_pos(yvars):
             acc = 0.0
             for comp in yvars:
@@ -135,18 +133,11 @@ class TestWeighted:
                     acc = acc + np.asarray(c) ** 2
             return (1.0 + acc) ** (-power / 2.0)
 
-        def f_mom(qvars):
-            flat = [np.abs(c) for comp in qvars for c in comp]
-            acc = 0.0
-            for c in flat:
-                acc = acc + c ** 2
-            return mom(np.sqrt(acc))
-
-        return f_pos, f_mom
+        return f_pos
 
     def test_zero_weight_reduces_to_plain_factor(self):
-        f_pos, f_mom = self._factor(2.0, 1)
-        wc = WeightedCorrelator(2, 0.0, f_pos, f_mom)
+        f_pos = self._factor(2.0)
+        wc = WeightedCorrelator(2, 0.0, f_pos)
         yv = ((np.array([0.0, 1.0, 2.0]),),)
         assert np.allclose(wc.position_value(yv), f_pos(yv))
 
@@ -161,13 +152,11 @@ class TestWeighted:
         assert np.allclose(got, (1 + y ** 2) ** 0.5 * np.exp(-y ** 2))
 
     def test_negative_alpha_rejected(self):
-        f_pos, f_mom = self._factor(2.0, 1)
         with pytest.raises(ModelValidationError):
-            weighted_state([WeightedCorrelator(2, -1.0, f_pos, f_mom)], 1)
+            weighted_state([WeightedCorrelator(2, -1.0, self._factor(2.0))], 1)
 
     def test_momentum_evaluator_absent_for_weighted_orders(self):
-        f_pos, f_mom = self._factor(1.0, 1)
-        state = weighted_state([WeightedCorrelator(2, 0.5, f_pos, f_mom)], 1)
+        state = weighted_state([WeightedCorrelator(2, 0.5, self._factor(1.0))], 1)
         with pytest.raises(UnsupportedModeError):
             state.evaluate(2, ((np.array([0.1]),),))
 
@@ -177,8 +166,7 @@ class TestWeighted:
         # position-space double-quadrature oracle at moderate radii
         from fluctlab.scaling import ScalingConfig, fit_loglog, position_space_correlator
 
-        f_pos, f_mom = self._factor(1.0, 1)
-        state = weighted_state([WeightedCorrelator(2, 0.5, f_pos, f_mom)], 1)
+        state = weighted_state([WeightedCorrelator(2, 0.5, self._factor(1.0))], 1)
         cfg = ScalingConfig()
         radii = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
         vals = [position_space_correlator(state, profile1, cfg, 2, r, alpha=0.0) for r in radii]

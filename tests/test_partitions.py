@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluctlab import partitions
 from fluctlab.errors import (
     IncompleteTableError,
     InvalidArgumentError,
@@ -161,6 +163,20 @@ class TestRoundTrip:
         for key in ct.canonical_keys():
             if len(key) >= 2:
                 assert abs(back[key] - ct[key]) < 1e-11 * max(1.0, abs(ct[key]))
+
+    def test_each_size_enumerated_once(self, monkeypatch):
+        calls = Counter()
+        growth_strings = partitions._restricted_growth_strings
+
+        def counting(order):
+            calls[order] += 1
+            return growth_strings(order)
+
+        monkeypatch.setattr(partitions, "_restricted_growth_strings", counting)
+        partitions._partition_blocks.cache_clear()
+        ct = random_cumulants(6, seed=6)
+        cumulants_from_moments(moments_from_cumulants(ct, 6), 6)
+        assert sorted(calls) == [2, 3, 4, 5, 6] and max(calls.values()) == 1
 
     def test_nonzero_first_moment_rejected(self):
         mt = MomentTable(2)

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from functools import reduce
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluctlab import scaling
+from fluctlab.config import parse_config
 
 from fluctlab.errors import (
     InvalidArgumentError,
@@ -19,7 +21,6 @@ from fluctlab.models import (
     WeightedCorrelator,
     gaussian_state,
     powerlaw_state,
-    powerlaw_two_point,
     product_ansatz_state,
     radial_norm,
     weighted_state,
@@ -44,11 +45,10 @@ from fluctlab.scaling import (
     window_product,
 )
 from fluctlab.quadrature import gauss_legendre_panels, legendre_rule, symmetric_panel_rule
+from fluctlab.window import make_profile
 
 
-def bessel_factor(power, d):
-    mom = powerlaw_two_point(power, d)
-
+def bessel_factor(power):
     def f_pos(yvars):
         acc = 0.0
         for comp in yvars:
@@ -56,14 +56,7 @@ def bessel_factor(power, d):
                 acc = acc + np.asarray(c) ** 2
         return (1.0 + acc) ** (-power / 2.0)
 
-    def f_mom(qvars):
-        acc = 0.0
-        for comp in qvars:
-            for c in comp:
-                acc = acc + np.asarray(c) ** 2
-        return mom(np.sqrt(acc))
-
-    return f_pos, f_mom
+    return f_pos
 
 
 class TestSpectralPath:
@@ -294,6 +287,16 @@ class TestChainContraction:
         with pytest.raises(ValueError):
             rules[0].weights[0] = 0.0
 
+    def test_kernel_not_shared_across_transform_grids(self, product_state1, profile1):
+        # same kind, resolution and k_max as profile1; only the transform grid differs
+        coarse = make_profile("mollified-step", 1, k_resolution=2048)
+        cfg = ScalingConfig()
+        scaling.clear_caches()
+        fresh = qmode_correlator(product_state1, coarse, cfg, 3, None, 64.0)
+        scaling.clear_caches()
+        qmode_correlator(product_state1, profile1, cfg, 3, None, 64.0)
+        assert qmode_correlator(product_state1, coarse, cfg, 3, None, 64.0) == fresh
+
 
 class TestSweepMachinery:
     def test_fit_recovers_pure_power(self):
@@ -412,25 +415,23 @@ class TestWeightedRegime:
         for order in (3, 4, 5):
             assert (order - 1) * 0.5 < bound.max_alpha(order)
 
-    def test_spectral_matches_position_for_even_alpha(self, profile1):
-        amp, width = 0.7, 1.1
-        c_mom = amp * (2 * np.pi * width ** 2) ** 0.5
-
-        def f_pos(yvars):
-            return amp * np.exp(-np.asarray(yvars[0][0]) ** 2 / (2 * width ** 2))
-
-        def f_mom(qvars):
-            return c_mom * np.exp(-(width ** 2) * np.asarray(qvars[0][0]) ** 2 / 2)
-
-        state = weighted_state([WeightedCorrelator(2, 2.0, f_pos, f_mom)], 1)
+    @pytest.mark.parametrize("order, alpha, panels", [(2, 2.0, 96), (3, 4.0, 48)])
+    def test_even_alpha_matches_refined_position_rule(self, profile1, order, alpha, panels):
+        # even weight exponents take the same position path as any other
+        factor = {"form": "gaussian", "amplitude": 0.7, "width": 1.1}
+        state = parse_config(json.dumps({
+            "model": {"class": "weighted", "dim": 1, "orders": [
+                {"order": 2, "alpha": 2.0, "factor": factor},
+                {"order": 3, "alpha": alpha, "factor": factor}]},
+            "numeric": {"alpha_mode": "gamma"}})).model
         gamma, _ = weighted_gamma(1, 2.0)
         cfg = ScalingConfig()
-        from fluctlab.scaling import _weighted_position
-
-        for radius in (4.0, 16.0, 64.0):
-            spectral = weighted_correlator(state, profile1, cfg, 2, gamma, radius)
-            oracle = _weighted_position(state, profile1, cfg, 2, gamma, radius)
-            assert abs(spectral - oracle) <= 1e-4 * abs(oracle)
+        refined = symmetric_panel_rule(2.0 * profile1.s_grid[-1], panels, 12, 20)
+        radius = 2048.0
+        value = weighted_correlator(state, profile1, cfg, order, gamma, radius)
+        reference = position_space_correlator(state, profile1, cfg, order, radius, gamma,
+                                              z_rule=refined)
+        assert abs(value - reference) <= 1e-6 * abs(reference)
 
     def test_weighted_requires_weighted_order(self, gaussian_state1, profile1):
         cfg = ScalingConfig()
@@ -438,8 +439,7 @@ class TestWeightedRegime:
             weighted_correlator(gaussian_state1, profile1, cfg, 2, 0.75, 8.0)
 
     def test_noninteger_alpha_uses_position_path_only_in_1d(self, profile2):
-        f_pos, f_mom = bessel_factor(2.0, 2)
-        state = weighted_state([WeightedCorrelator(2, 0.5, f_pos, f_mom)], 2)
+        state = weighted_state([WeightedCorrelator(2, 0.5, bessel_factor(2.0))], 2)
         cfg = ScalingConfig()
         with pytest.raises(UnsupportedModeError):
             weighted_correlator(state, profile2, cfg, 2, 1.25, 8.0)

@@ -174,19 +174,18 @@ def _bind_profile(profile1):
 
 class TestSerialization:
     def test_cache_round_trip(self, profile1, tmp_path):
-        path = profile1.to_cache_file(tmp_path / "prof.json")
+        path = profile1.to_cache_file(tmp_path / "prof.npz")
         loaded = WindowProfile.from_cache_file(path)
         assert loaded.cache_key == profile1.cache_key
         ks = np.linspace(0, 30, 301)
         assert np.allclose(loaded.fourier_radial(ks), profile1.fourier_radial(ks), rtol=0, atol=0)
 
     def test_version_check(self, profile1, tmp_path):
-        import json
-
-        path = profile1.to_cache_file(tmp_path / "prof.json")
-        payload = json.loads(path.read_text())
+        path = profile1.to_cache_file(tmp_path / "prof.npz")
+        with np.load(path) as data:
+            payload = dict(data)
         payload["format_version"] = 999
-        path.write_text(json.dumps(payload))
+        np.savez(path, **payload)
         with pytest.raises(InvalidArgumentError):
             WindowProfile.from_cache_file(path)
 
@@ -194,11 +193,11 @@ class TestSerialization:
         from fluctlab.window import load_or_build
 
         one = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
-        files = list(tmp_path.glob("*.json"))
+        files = list(tmp_path.glob("*.npz"))
         assert len(files) == 1
         two = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         assert np.array_equal(one.fhat_samples, two.fhat_samples)
-        assert list(tmp_path.glob("*.json")) == files
+        assert list(tmp_path.glob("*.npz")) == files
 
     @pytest.mark.parametrize("changed", [{"smoothstep_order": 6}, {"k_max": 50.0}])
     def test_load_or_build_rebuilds_on_other_arguments(self, tmp_path, changed):
@@ -207,7 +206,7 @@ class TestSerialization:
         base = dict(k_max=40.0, k_resolution=1024, smoothstep_order=3)
         one = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, **base)
         two = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, **{**base, **changed})
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert len(list(tmp_path.glob("*.npz"))) == 2
         assert not np.array_equal(one.fhat_samples, two.fhat_samples)
         fresh = make_profile("smoothstep", 1, 1024, **{**base, **changed})
         assert np.array_equal(two.fhat_samples, fresh.fhat_samples)
