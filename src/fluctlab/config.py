@@ -244,6 +244,8 @@ def parse_config(text: str) -> RunConfig:
         raise
     except FluctlabError as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError as exc:  # finite parameters whose Python-float arithmetic overflows
+        raise ConfigError(f"parameters out of range: {exc}") from exc
 
 
 def _parse(text: str) -> RunConfig:
@@ -263,10 +265,7 @@ def _parse(text: str) -> RunConfig:
     if not isinstance(cls, str) or cls not in MODELS:
         raise ConfigError(f"unknown model class {cls!r}")
     model_spec = Obj({**_MODEL_COMMON, **MODELS[cls].keys})(model_raw, "model")
-    try:
-        model = MODELS[cls].build(model_spec)
-    except OverflowError as exc:  # finite parameters whose Python-float arithmetic overflows
-        raise ConfigError(f"model parameters out of range: {exc}") from exc
+    model = MODELS[cls].build(model_spec)
     dim = model_spec["dim"]
 
     window_block = WINDOW(raw.get("window", {}), "window")

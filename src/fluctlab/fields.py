@@ -158,12 +158,12 @@ DENSITY = Obj({"form": (Str(("gaussian", "lorentzian")), REQUIRED), "amplitude":
 def density_from(spec: dict, dim: int):
     """The density callable of a resolved DENSITY block."""
     amp = complex(spec["amplitude"], spec["amplitude_im"])
-    width = spec["width"]
+    width2 = spec["width"] ** 2  # formed here, so a width whose square overflows fails at once
     gaussian = spec["form"] == "gaussian"
 
     def density(k):
         k = np.asarray(k, dtype=float)
         r2 = k ** 2 if dim == 1 or k.ndim == 0 else np.sum(k ** 2, axis=-1)
-        return amp * np.exp(-(width ** 2) * r2 / 2.0) if gaussian else amp / (1.0 + width ** 2 * r2)
+        return amp * np.exp(-width2 * r2 / 2.0) if gaussian else amp / (1.0 + width2 * r2)
 
     return density

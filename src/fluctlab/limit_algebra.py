@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidLimitStateError, OrderRangeError
-from .models import ObservablePair, TruncatedHierarchy, gaussian_state
+from .models import ObservablePair, gaussian_state
 from .partitions import _pairing_blocks
 from .scaling import ScalingConfig, exponent_sweep
 from .window import WindowProfile

@@ -12,13 +12,11 @@ First moments vanish throughout: observables are centered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import factorial
 from typing import Iterator, Mapping
-
-import numpy as np
 
 from .errors import (
     IncompleteTableError,

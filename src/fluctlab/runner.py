@@ -52,6 +52,7 @@ from .ssb import (
     autocorrelation_growth,
     bogoliubov_check,
     canonical_pair_exponents,
+    check_radius,
     check_smoothing,
     double_commutator_scaling,
     gap_conservation_check,
@@ -278,6 +279,9 @@ def _check_limit_state(params, cfg, model, model_class):
     if unknown:
         raise ConfigError(f"weyl_labels {unknown} are not labels of the model {list(model.labels)}")
     cfg.resolved_alpha(model.dim)
+    for pair_spec in params["commutator_pairs"]:
+        density_from(pair_spec["f"], model.dim)
+        density_from(pair_spec["g"], model.dim)
 
 
 def _run_limit_state(params, cfg, model, window):
@@ -319,6 +323,11 @@ def _run_limit_state(params, cfg, model, window):
 # symmetry-breaking regime
 # ---------------------------------------------------------------------------
 
+def _check_ssb_bound(params, cfg, model, model_class):
+    for radius in params["bogoliubov_radii"]:
+        check_radius(model.dim, radius)
+
+
 def _run_ssb_bound(params, cfg, model, window):
     rep_a = autocorrelation_growth(model, window, cfg, "A")
     rep_q = autocorrelation_growth(model, window, cfg, "Q")
@@ -359,6 +368,7 @@ def _run_projector(params, cfg, model, window):
 
 
 def _check_gap(params, cfg, model, model_class):
+    check_radius(model.dim, params["radius"])
     for shape in params["shapes"]:
         check_smoothing(model, EnergySmoothing(params["smoothing_half_support"], shape))
 
@@ -407,7 +417,7 @@ ANALYSES = {
         ("pair-family",), _run_limit_state, _check_limit_state),
     "ssb-bound": Analysis(
         {"bogoliubov_radii": (Arr(Num(positive=True)), [8.0, 16.0, 64.0, 256.0])},
-        ("goldstone-ssb",), _run_ssb_bound),
+        ("goldstone-ssb",), _run_ssb_bound, _check_ssb_bound),
     "projector": Analysis({}, ("spectral-vector",), _run_projector),
     "gap-check": Analysis(
         {"smoothing_half_support": (Num(), 0.4), "shapes": (Arr(Str()), ["plateau", "wide-plateau"]),

@@ -12,7 +12,7 @@ from one-dimensional quadrature sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
 from .models import smooth_cutoff
 from .quadrature import half_line_rule
 from .scaling import ScalingConfig, ScalingReport, build_report
-from .window import WindowProfile, unit_sphere_area
+from .window import SUPPORT_RADIUS, WindowProfile, unit_sphere_area
 
 
 @dataclass(frozen=True)
@@ -217,6 +217,16 @@ class BogoliubovCheck:
     @property
     def holds(self) -> bool:
         return self.lhs <= self.rhs * (1.0 + 1e-9) + 1e-300
+
+
+def check_radius(dim: int, radius: float) -> None:
+    """Reject a radius whose squared window volume (R^n c_f)^2, which
+    bogoliubov_check forms, overflows; c_f is below the support ball's volume."""
+    try:
+        (radius ** dim * unit_sphere_area(dim) * SUPPORT_RADIUS ** dim / dim) ** 2
+    except OverflowError:
+        raise InvalidArgumentError(f"radius {radius!r} out of range: its window volume "
+                                   "squared overflows") from None
 
 
 def bogoliubov_check(model: GoldstoneModel, profile: WindowProfile, radius: float) -> BogoliubovCheck:

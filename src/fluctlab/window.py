@@ -9,6 +9,11 @@ transform convention used for test functions,
 the scale family obeys the exact identity  fhat_R(k) = R**n * fhat(R*k),
 which is what every scaling computation in the package leans on.
 
+Each kind is exactly 1 on a ball of radius a and exactly 0 beyond b
+(``EDGES``), so its cached transform is the ball's closed form
+a^n ball_fhat(a k) plus a Gauss-Legendre quadrature over the edge [a, b]
+alone; the sharp kind, a = b = 1, is the closed form only.
+
 Convention summary (pinned once, here):
 
 * test functions / windows: symmetric convention above (real, even fhat);
@@ -26,20 +31,17 @@ import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from math import gamma as _gamma_fn
-from math import pi, sqrt
+from math import ceil, pi, sqrt
 from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import InterpolatedUnivariateSpline
-from scipy.special import j0
+from scipy.special import j0, j1, spherical_jn
 
-from .errors import InvalidArgumentError, NumericalAccuracyError
+from .errors import InvalidArgumentError
 from .quadrature import gauss_legendre_panels
 
-CACHE_FORMAT_VERSION = 2
-
-#: kinds accepted by make_profile
-KINDS = ("mollified-step", "smoothstep", "sharp")
+CACHE_FORMAT_VERSION = 3
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are
@@ -127,37 +129,31 @@ class WindowProfile:
 
     # -- momentum space ----------------------------------------------------
 
-    def fourier_radial(self, kappa, strict: bool = False) -> np.ndarray:
+    def fourier_radial(self, kappa) -> np.ndarray:
         """fhat at radial momentum |k| = kappa (real; even by construction).
 
-        Beyond the cached range the transform is below ``tail_bound(k_max)``;
-        non-strict mode extrapolates it as 0, strict mode raises.
+        Beyond the cached range the transform is below ``tail_bound(k_max)``
+        and is extrapolated as 0.
         """
         kappa = np.abs(np.asarray(kappa, dtype=float))
         beyond = kappa > self.k_max
-        if strict and np.any(beyond):
-            raise NumericalAccuracyError(
-                f"momentum {float(np.max(kappa)):.3g} beyond cached range {self.k_max:.3g}",
-                bound=self.tail_bound(self.k_max),
-            )
-        safe = np.minimum(kappa, self.k_max)
-        out = self._fhat_spline(safe)
+        out = self._fhat_spline(np.minimum(kappa, self.k_max))
         return np.where(beyond, 0.0, out)
 
-    def fourier(self, k, strict: bool = False) -> np.ndarray:
+    def fourier(self, k) -> np.ndarray:
         """fhat(k) for momentum vector(s) k; radial, so only |k| matters."""
         k = np.asarray(k, dtype=float)
         if self.dim == 1 or k.ndim == 0:
             kappa = np.abs(k)
         else:
             kappa = np.linalg.norm(k, axis=-1)
-        return self.fourier_radial(kappa, strict=strict)
+        return self.fourier_radial(kappa)
 
-    def scaled_fourier(self, radius: float, k, strict: bool = False) -> np.ndarray:
+    def scaled_fourier(self, radius: float, k) -> np.ndarray:
         """Transform of f_R: exactly R**n * fhat(R k), never re-quadratured."""
         if radius <= 0:
             raise InvalidArgumentError("scale radius must be positive")
-        return radius ** self.dim * self.fourier(radius * np.asarray(k, dtype=float), strict=strict)
+        return radius ** self.dim * self.fourier(radius * np.asarray(k, dtype=float))
 
     def fhat_zero(self) -> float:
         return float(self._fhat_spline(0.0))
@@ -236,36 +232,47 @@ def _assemble(kind, dim, resolution, smoothness, s_grid, f_samples, k_grid, fhat
     )
 
 
+#: (a, b) per kind accepted by make_profile: the profile is exactly 1 on
+#: [0, a] and exactly 0 from b on, so only the edge [a, b] needs a formula
+#: and a quadrature
+EDGES = {
+    "mollified-step": (STEP_EDGE - BUMP_HALFWIDTH, STEP_EDGE + BUMP_HALFWIDTH),
+    "smoothstep": (1.0, SUPPORT_RADIUS),
+    "sharp": (1.0, 1.0),
+}
+KINDS = tuple(EDGES)
+
+
 def _profile_evaluator(kind: str, smoothstep_order: int):
     """Exact radial evaluator (vectorized s >= 0 -> f(s)) plus smoothness order."""
+    a, b = EDGES[kind]
     if kind == "mollified-step":
         cdf = _bump_cdf(BUMP_HALFWIDTH)
 
-        def exact(s):
-            s = np.asarray(s, dtype=float)
+        def edge(s):
             lo = np.clip(s - STEP_EDGE, -BUMP_HALFWIDTH, BUMP_HALFWIDTH)
             hi = np.clip(s + STEP_EDGE, -BUMP_HALFWIDTH, BUMP_HALFWIDTH)
-            f = cdf(hi) - cdf(lo)
-            f = np.where(s <= STEP_EDGE - BUMP_HALFWIDTH, 1.0, f)
-            f = np.where(s >= STEP_EDGE + BUMP_HALFWIDTH, 0.0, f)
-            return np.clip(f, 0.0, 1.0)
+            return np.clip(cdf(hi) - cdf(lo), 0.0, 1.0)
 
-        return exact, 64  # effectively C^inf; certify plenty
-    if kind == "smoothstep":
+        smoothness = 64  # effectively C^inf; certify plenty
+    elif kind == "smoothstep":
         poly = _smoothstep_poly(smoothstep_order)
 
-        def exact(s):
-            s = np.asarray(s, dtype=float)
-            f = np.ones_like(s)
-            mid = (s > 1.0) & (s < 2.0)
-            f[mid] = 1.0 - poly(s[mid] - 1.0)
-            f[s >= 2.0] = 0.0
-            return f
+        def edge(s):
+            return 1.0 - poly(s - a)
 
-        return exact, smoothstep_order
-    if kind == "sharp":
-        return (lambda s: np.where(np.asarray(s) <= 1.0, 1.0, 0.0)), 0
-    raise InvalidArgumentError(f"unknown window kind {kind!r}; expected one of {KINDS}")
+        smoothness = smoothstep_order
+    else:  # sharp: a == b, no edge
+        edge, smoothness = np.zeros_like, 0
+
+    def exact(s):
+        s = np.asarray(s, dtype=float)
+        f = np.where(s <= a, 1.0, 0.0)
+        mid = (s > a) & (s < b)
+        f[mid] = edge(s[mid])
+        return f
+
+    return exact, smoothness
 
 
 def radial_fourier_direct(dim: int, s_nodes, s_weights, f_vals, kappa) -> np.ndarray:
@@ -295,21 +302,23 @@ def radial_fourier_direct(dim: int, s_nodes, s_weights, f_vals, kappa) -> np.nda
     return out
 
 
-def _sharp_fhat(dim: int, kappa: np.ndarray) -> np.ndarray:
-    """Closed-form transform of the unit-ball indicator (oracle window)."""
-    from scipy.special import j1
+def ball_fhat(dim: int, x) -> np.ndarray:
+    """Closed-form transform of the unit-ball indicator at radial momentum x.
 
-    k = np.where(kappa > 1e-8, kappa, 1.0)
+    x^(-n/2) J_{n/2}(x): sqrt(2/pi) sin(x)/x, J1(x)/x and sqrt(2/pi) j1(x)/x
+    for n = 1, 2, 3, with j1 the spherical Bessel function, which keeps full
+    precision at small x.  Below x = 1e-8 the x^2 term is under rounding, so
+    the value at 0 is exact there.  The ball of radius a has a^n ball_fhat(a k).
+    """
+    x = np.asarray(x, dtype=float)
+    safe = np.where(x > 1e-8, x, 1.0)
     if dim == 1:
-        out = sqrt(2.0 / pi) * np.sin(k) / k
-        at0 = sqrt(2.0 / pi)
+        out, at0 = sqrt(2.0 / pi) * np.sin(safe) / safe, sqrt(2.0 / pi)
     elif dim == 2:
-        out = j1(k) / k
-        at0 = 0.5
+        out, at0 = j1(safe) / safe, 0.5
     else:
-        out = sqrt(2.0 / pi) * (np.sin(k) - k * np.cos(k)) / k ** 3
-        at0 = sqrt(2.0 / pi) / 3.0
-    return np.where(kappa > 1e-8, out, at0)
+        out, at0 = sqrt(2.0 / pi) * spherical_jn(1, safe) / safe, sqrt(2.0 / pi) / 3.0
+    return np.where(x > 1e-8, out, at0)
 
 
 def check_profile_args(kind: str, dim: int, resolution: int) -> None:
@@ -333,10 +342,13 @@ def make_profile(
 ) -> WindowProfile:
     """Build a WindowProfile with a cached transform on [0, k_max].
 
-    resolution is the radial sample count on [0, 2.5] (must be >= 1024);
-    the transform is evaluated by composite Gauss-Legendre quadrature dense
-    enough for the largest cached momentum, from the exact radial profile,
-    and spline-interpolated between cache nodes.
+    resolution is the radial sample count on [0, 2.5] (must be >= 1024).
+    The profile is exactly 1 on the ball of radius a and exactly 0 beyond b,
+    (a, b) = EDGES[kind], so its transform is the ball's closed form
+    a^n ball_fhat(a k) plus the edge [a, b], which composite Gauss-Legendre
+    integrates from the exact radial profile, dense enough for the largest
+    cached momentum.  The sharp kind has no edge.  Between cache nodes the
+    transform is spline-interpolated.
     """
     check_profile_args(kind, dim, resolution)
     s_max = SUPPORT_RADIUS + GRID_MARGIN
@@ -345,20 +357,19 @@ def make_profile(
     f_samples = exact(s_grid)
     k_grid = np.linspace(0.0, k_max, k_resolution)
 
-    if kind == "sharp":
-        fhat = _sharp_fhat(dim, k_grid)
-        return _assemble(kind, dim, resolution, smoothness, s_grid, f_samples, k_grid, fhat, k_max)
-
-    # quadrature nodes for the transform: >= ~6 GL nodes per oscillation cycle
+    a, b = EDGES[kind]
+    fhat = a ** dim * ball_fhat(dim, a * k_grid)
+    # edge nodes at the panel width of a rule over all of [0, s_max] with
+    # >= ~6 GL nodes per oscillation cycle
     cycles = k_max * s_max / (2.0 * pi)
-    panels = max(48, int(cycles / 1.5) + 1)
-    s_nodes, s_weights = gauss_legendre_panels(0.0, s_max, panels, 16)
-    f_vals = exact(s_nodes)
-
-    fhat = np.empty_like(k_grid)
-    chunk = 512
-    for i in range(0, len(k_grid), chunk):
-        fhat[i : i + chunk] = radial_fourier_direct(dim, s_nodes, s_weights, f_vals, k_grid[i : i + chunk])
+    panels = ceil(max(48, int(cycles / 1.5) + 1) * (b - a) / s_max)
+    if panels:
+        s_nodes, s_weights = gauss_legendre_panels(a, b, panels, 16)
+        f_vals = exact(s_nodes)
+        chunk = 512
+        for i in range(0, len(k_grid), chunk):
+            fhat[i : i + chunk] += radial_fourier_direct(dim, s_nodes, s_weights, f_vals,
+                                                         k_grid[i : i + chunk])
 
     return _assemble(kind, dim, resolution, smoothness, s_grid, f_samples, k_grid, fhat, k_max)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab import cli
+from fluctlab import cli, runner
 from fluctlab.config import RunConfig, config_schema, parse_config
 from fluctlab.errors import ConfigError, ModelValidationError
 from fluctlab.report import canonical_json, emit
@@ -258,6 +258,9 @@ class TestCLI:
 GAUSS = {"class": "gaussian", "dim": 1, "two_point": {"form": "gaussian"}}
 SWEEP = [{"kind": "scaling-sweep", "orders": [2]}]
 SSB = {"class": "goldstone-ssb", "dim": 3}
+PAIRS = {"class": "pair-family", "dim": 1, "labels": ["A", "B"], "pairs": {
+    "AA": {"form": "gaussian"}, "BB": {"form": "gaussian"},
+    "AB": {"form": "gaussian", "amplitude": 0.1}, "BA": {"form": "gaussian", "amplitude": 0.1}}}
 
 # name: (configuration, exit code of both validate and run)
 CONTRACT_CASES = {
@@ -305,6 +308,16 @@ CONTRACT_CASES = {
         {"order": 4, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
         "numeric": {"alpha_mode": "gamma"},
         "analyses": [{"kind": "scaling-sweep", "orders": [4]}]}, 2),
+    # radii whose window volume, and widths whose square, overflow a float
+    "bogoliubov radius 1e300": ({"model": SSB, "analyses": [
+        {"kind": "ssb-bound", "bogoliubov_radii": [8.0, 1e300]}]}, 2),
+    "gap-check radius 1e300": ({"model": SSB, "analyses": [{"kind": "gap-check", "radius": 1e300}]}, 2),
+    "pair width 1e300": ({"model": dict(PAIRS, pairs=dict(PAIRS["pairs"], AA={
+        "form": "gaussian", "width": 1e300})), "analyses": [{"kind": "limit-state"}]}, 2),
+    "commutator width 1e300": ({"model": PAIRS, "analyses": [{"kind": "limit-state", "commutator_pairs": [
+        {"f": {"form": "lorentzian", "width": 1e300}, "g": {"form": "gaussian"}}]}]}, 2),
+    "profile width 1e300": ({"model": {"class": "product-ansatz", "dim": 1, "orders": {
+        "2": [{"width": 1e300}]}}, "analyses": SWEEP}, 2),
     # a valid override that used to replace the whole resolved r_grid and crash
     "analysis r_grid override": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
@@ -339,9 +352,15 @@ class TestValidateRunContract:
         assert sweeps[1]["order"] == 3 and sweeps[1]["verdict"] == "vanishing"
 
     def test_overflow_in_the_numerics_exits_3(self, tmp_path, cache_dir, monkeypatch, capsys):
+        # the radii and widths that overflowed at run are rejected at parse now,
+        # so the overflow is raised from inside the analysis
+        def overflow(*args):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(runner, "bogoliubov_check", overflow)
         path = tmp_path / "huge.json"
         path.write_text(cfg_text({"model": {"class": "goldstone-ssb", "dim": 3},
-                                  "analyses": [{"kind": "ssb-bound", "bogoliubov_radii": [1e300]}],
+                                  "analyses": [{"kind": "ssb-bound", "bogoliubov_radii": [8.0]}],
                                   "output": {"directory": str(tmp_path / "out")}}))
         monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
         assert cli.main(["validate", str(path)]) == 0

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab.errors import InvalidArgumentError, NumericalAccuracyError
+from fluctlab import window
+from fluctlab.errors import InvalidArgumentError
+from fluctlab.quadrature import gauss_legendre_panels
 from fluctlab.window import (
+    CACHE_FORMAT_VERSION,
     WindowProfile,
+    ball_fhat,
+    load_or_build,
     make_profile,
     radial_fourier_direct,
     unit_sphere_area,
@@ -135,8 +142,6 @@ class TestFourier:
     def test_tail_modes(self, profile1):
         beyond = profile1.k_max * 1.5
         assert profile1.fourier_radial(beyond) == 0.0
-        with pytest.raises(NumericalAccuracyError):
-            profile1.fourier_radial(beyond, strict=True)
 
     def test_tail_envelope_monotone(self, profile1):
         assert profile1.tail_bound(10.0) >= profile1.tail_bound(40.0) >= profile1.tail_bound(160.0)
@@ -190,8 +195,6 @@ class TestSerialization:
             WindowProfile.from_cache_file(path)
 
     def test_load_or_build_uses_cache(self, tmp_path):
-        from fluctlab.window import load_or_build
-
         one = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         files = list(tmp_path.glob("*.npz"))
         assert len(files) == 1
@@ -201,8 +204,6 @@ class TestSerialization:
 
     @pytest.mark.parametrize("changed", [{"smoothstep_order": 6}, {"k_max": 50.0}])
     def test_load_or_build_rebuilds_on_other_arguments(self, tmp_path, changed):
-        from fluctlab.window import load_or_build
-
         base = dict(k_max=40.0, k_resolution=1024, smoothstep_order=3)
         one = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, **base)
         two = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, **{**base, **changed})
@@ -212,6 +213,49 @@ class TestSerialization:
         assert np.array_equal(two.fhat_samples, fresh.fhat_samples)
         assert two.smoothness == fresh.smoothness
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestPlateauAndEdge:
+    """The closed-form plateau plus the edge quadrature equals the full radial rule."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    def test_equals_full_rule(self, kind, dim):
+        prof = make_profile(kind, dim, 1024)
+        # the rule that used to cover all of [0, 2.5], plateau included
+        panels = max(48, int(prof.k_max * 2.5 / (2.0 * np.pi) / 1.5) + 1)
+        s, w = gauss_legendre_panels(0.0, 2.5, panels, 16)
+        exact, _ = window._profile_evaluator(kind, 3)
+        direct = radial_fourier_direct(dim, s, w, exact(s), prof.k_grid)
+        assert np.max(np.abs(prof.fhat_samples - direct)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_ball_transform_small_argument(self, dim):
+        # x^(-n/2) J_{n/2}(x) = c_n (1 - x^2/(2(n+2)) + x^4/(8(n+2)(n+4)) - ...);
+        # for n = 3 that is (1/3)(1 - x^2/10 + x^4/280) up to sqrt(2/pi)
+        def series(x):
+            lead = 2.0 ** (-dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+            return lead * (1.0 - x ** 2 / (2 * (dim + 2)) + x ** 4 / (8 * (dim + 2) * (dim + 4)))
+
+        x = np.array([0.0, 1e-12, 1e-8, 1.25e-8, 3e-8, 1e-6, 1e-5, 1.25e-5, 1e-4, 1e-3, 1e-2])
+        assert np.allclose(ball_fhat(dim, x), series(x), rtol=1e-14, atol=0.0)
+        sharp = make_profile("sharp", dim, 1024, k_max=1e-2, k_resolution=1024)
+        assert np.allclose(sharp.fhat_samples, series(sharp.k_grid), rtol=1e-14, atol=0.0)
+
+    def test_old_cache_format_is_rebuilt(self, tmp_path):
+        args = dict(k_max=40.0, k_resolution=1024)
+        fresh = load_or_build("mollified-step", 1, 1024, cache_dir=tmp_path, **args)
+        (path,) = tmp_path.glob("*.npz")
+        # a file as the whole-rule build wrote it, under format 2
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["format_version"] = 2
+        payload["fhat_samples"] = payload["fhat_samples"] + 1e-15
+        np.savez(path, **payload)
+        again = load_or_build("mollified-step", 1, 1024, cache_dir=tmp_path, **args)
+        assert np.array_equal(again.fhat_samples, fresh.fhat_samples)
+        with np.load(path) as data:
+            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 3
 
 
 class TestSharpWindowOracle:
