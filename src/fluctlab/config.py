@@ -46,7 +46,7 @@ from .models import (
 )
 from .report import FORMATS
 from .runner import ANALYSES
-from .scaling import ALPHA_MODES, MAX_QUADRATURE_DIM, ScalingConfig
+from .scaling import ALPHA_MODES, ScalingConfig
 from .ssb import Dispersion, GoldstoneModel, RadialWeight, SpectralVectorModel
 from .window import check_profile_args, load_or_build
 
@@ -192,8 +192,8 @@ NUMERIC = Obj({
     "exponent_band": (Num(), 0.1),
     "alpha_mode": (Str(ALPHA_MODES), "canonical"),
     "alpha": (Num(nullable=True), None),
-    # per quadrature dimension: p_max, panels, nodes per panel, graded levels
-    "quad": (MapOf(Int(1, MAX_QUADRATURE_DIM),
+    # per dimension n: p_max, panels, nodes per panel, graded levels
+    "quad": (MapOf(Int(1, 3),
                    Arr((Num(positive=True), Int(1, 4096), Int(2, 64), Int(0, 64)))), {}),
     "min_decades": (Num(), 1.75),
 })

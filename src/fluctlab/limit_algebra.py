@@ -17,7 +17,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidLimitStateError, OrderRangeError
+from .errors import (
+    InvalidArgumentError,
+    InvalidLimitStateError,
+    NumericalAccuracyError,
+    OrderRangeError,
+)
 from .models import ObservablePair, gaussian_state
 from .partitions import _pairing_blocks
 from .scaling import ScalingConfig, exponent_sweep
@@ -243,8 +248,8 @@ class ObservableFamily:
     """Finite family of observables with all mixed 2-point densities.
 
     ``pair_density(i, j)`` returns the plain spectral density of
-    <A_i(x) A_j>; every pair must have one.  Hermiticity of the assembled
-    covariance is validated by the limit-state invariants.
+    <A_i(x) A_j>, a function of |k|; every pair must have one.  Hermiticity
+    of the assembled covariance is validated by the limit-state invariants.
     """
 
     labels: tuple[str, ...]
@@ -268,6 +273,9 @@ def build_limit_state(family: ObservableFamily, profile: WindowProfile,
             density = family.pair_density(i, j)
             pair_state = gaussian_state(density, family.dim, validate=False)
             rep = exponent_sweep(pair_state, profile, cfg, 2, label=f"C[{i},{j}]")
+            if rep.limit_extrapolated is None:
+                raise NumericalAccuracyError(f"pair correlator C[{i},{j}] diverges "
+                                             f"(exponent {rep.exponent:.3f}); it has no limit")
             c[i, j] = rep.limit_extrapolated
     state = LimitState(labels=tuple(family.labels), covariance=c)
     state.validate()

@@ -98,6 +98,9 @@ class TruncatedHierarchy:
     tags: Mapping[int, DecayTag]
     position_forms: Mapping[int, Callable] = field(default_factory=dict, repr=False)
     weighted_orders: Mapping[int, WeightedCorrelator] = field(default_factory=dict, repr=False)
+    #: every factor depends on |q| alone, so an order can run on the radial
+    #: chain; only ``shifted`` states are not
+    radial: bool = True
 
     def order_factors(self, order: int) -> tuple[Factor, ...]:
         """The l-1 per-variable factors of S_l; empty when S_l vanishes."""
@@ -173,6 +176,7 @@ class TruncatedHierarchy:
             tags=dict(self.tags),
             position_forms={},
             weighted_orders=dict(self.weighted_orders),
+            radial=False,
         )
 
 
@@ -222,7 +226,10 @@ def _two_point_factor(two_point: Callable, dim: int) -> Factor:
 
 def gaussian_state(two_point: Callable, dim: int, *, max_order: int = MAX_ORDER,
                    validate: bool = True) -> TruncatedHierarchy:
-    """Quasi-free input state: all truncated correlators beyond order 2 vanish."""
+    """Quasi-free input state: all truncated correlators beyond order 2 vanish.
+
+    ``two_point`` must depend on |k| alone.
+    """
     if validate:
         check_autocorrelation(two_point, dim)
     return TruncatedHierarchy(

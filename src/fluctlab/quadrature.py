@@ -46,7 +46,8 @@ def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int):
 
 @dataclass(frozen=True)
 class Rule1D:
-    """Nodes/weights on [-p_max, p_max], symmetric about 0 with 0 a panel edge."""
+    """Nodes/weights on [-p_max, p_max], symmetric about 0 with 0 a panel edge,
+    or on its half [0, p_max]."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -55,6 +56,11 @@ class Rule1D:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    @property
+    def half_line(self) -> bool:
+        """True for a rule on [0, p_max] (``half_line_rule``)."""
+        return self.key[0] == "half"
 
 
 def symmetric_panel_rule(

@@ -123,14 +123,14 @@ def _check_scaling_sweep(params, cfg, model, model_class):
     if cfg.alpha_mode in ("canonical", "explicit"):
         cfg.resolved_alpha(model.dim)
     if cfg.alpha_mode == "bisect":
-        check_order(model, 2)
+        check_order(model, cfg, 2)
     if weighted and model.dim != 1:
         raise ConfigError("weighted orders are computed for n = 1 only")
     for order in params["orders"]:
         if order in weighted:
             check_weighted_order(order)
         else:
-            check_order(model, order)
+            check_order(model, cfg, order)
     if "oracle_check_r_max" in params:
         if model.dim != 1:
             raise ConfigError("the position-space oracle is implemented for n = 1 only")
@@ -187,7 +187,7 @@ def _oracle_check(model, window, cfg, orders, r_max, alpha):
 
 
 def _check_qmode(params, cfg, model, model_class):
-    check_order(model, params["order"])
+    check_order(model, cfg, params["order"], qmode=True)
     cfg.resolved_alpha(model.dim)
 
 

@@ -23,6 +23,7 @@ from functools import cache, reduce
 from math import pi
 
 import numpy as np
+from scipy.special import j0
 
 from .errors import (
     InvalidArgumentError,
@@ -31,22 +32,13 @@ from .errors import (
     UnsupportedModeError,
 )
 from .models import TruncatedHierarchy, radial_norm
-from .quadrature import Rule1D, gauss_legendre_panels, symmetric_panel_rule
-from .window import WindowProfile
+from .quadrature import Rule1D, gauss_legendre_panels, half_line_rule, symmetric_panel_rule
+from .window import WindowProfile, support_rule, support_rule_size, unit_sphere_area
 
-MAX_QUADRATURE_DIM = 4
 #: the most points one array of the chain or of the position path may hold
 MAX_ARRAY_POINTS = 60_000_000
 #: fewer radii than this cannot separate a power law from its transient
 MIN_RADII = 6
-
-#: per-tensor-dimension default quadrature geometry (p_max, panels, nodes/panel)
-DEFAULT_QUAD = {
-    1: (120.0, 48, 10),
-    2: (120.0, 48, 10),
-    3: (36.0, 16, 9),
-    4: (16.0, 8, 4),
-}
 
 
 @dataclass(frozen=True)
@@ -57,12 +49,21 @@ class QuadSpec:
     graded_levels: int = 0
 
     @cache
-    def build(self) -> Rule1D:
-        """The rule, built once per spec; its nodes and weights are read-only."""
-        rule = symmetric_panel_rule(self.p_max, self.panels, self.nodes, self.graded_levels)
+    def build(self, half: bool = False) -> Rule1D:
+        """The rule on [-p_max, p_max], or on [0, p_max] when ``half``; built
+        once per spec, its nodes and weights are read-only."""
+        make = half_line_rule if half else symmetric_panel_rule
+        rule = make(self.p_max, self.panels, self.nodes, self.graded_levels)
         rule.nodes.flags.writeable = False
         rule.weights.flags.writeable = False
         return rule
+
+
+#: the quadrature geometry of every dimension n unless ``numeric.quad`` names n
+DEFAULT_SPEC = QuadSpec(120.0, 48, 10)
+#: the Cartesian chain's default at n = 3, where one vector on the n-fold
+#: product of DEFAULT_SPEC would hold 960**3 points, over MAX_ARRAY_POINTS
+CARTESIAN_N3_SPEC = QuadSpec(36.0, 16, 9)
 
 
 ALPHA_MODES = ("canonical", "explicit", "gamma", "bisect")
@@ -95,15 +96,13 @@ class ScalingConfig:
             return float(self.alpha)
         raise InvalidArgumentError(f"unknown alpha_mode {self.alpha_mode!r}")
 
-    def quad_for(self, tensor_dim: int, singular: bool = False) -> QuadSpec:
-        if tensor_dim in self.quad_overrides:
-            spec = self.quad_overrides[tensor_dim]
-            if not isinstance(spec, QuadSpec):
-                spec = QuadSpec(*spec)
-        else:
-            if tensor_dim not in DEFAULT_QUAD:
-                raise OrderRangeError(f"quadrature dimension {tensor_dim} exceeds {MAX_QUADRATURE_DIM}")
-            spec = QuadSpec(*DEFAULT_QUAD[tensor_dim])
+    def quad_for(self, dim: int, singular: bool = False, cartesian: bool = False) -> QuadSpec:
+        """The rule geometry of dimension n, graded toward 0 for a singular density;
+        ``cartesian`` names the chain on the n-fold product of the rule."""
+        default = CARTESIAN_N3_SPEC if cartesian and dim == 3 else DEFAULT_SPEC
+        spec = self.quad_overrides.get(dim, default)
+        if not isinstance(spec, QuadSpec):
+            spec = QuadSpec(*spec)
         if singular and spec.graded_levels == 0:
             spec = replace(spec, graded_levels=16)
         return spec
@@ -152,6 +151,9 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 
 _CHAIN_CACHE: dict = {}
 
+#: spherical mean of the plane wave exp(i x omega.e) over omega in S^(n-1)
+_PLANE_WAVE_MEAN = {2: j0, 3: lambda x: np.sinc(x / pi)}
+
 
 def _node_grid(profile: WindowProfile, n: int, rule: Rule1D):
     """The n-fold product of the rule's nodes: components, weights, fhat(|q|).
@@ -169,30 +171,54 @@ def _node_grid(profile: WindowProfile, n: int, rule: Rule1D):
     return _CHAIN_CACHE[key]
 
 
-def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
-    """Transfer kernel K[P, Q] = fhat(|P - Q|) on the n-fold node grid.
+def _radial_nodes(profile: WindowProfile, n: int, rule: Rule1D):
+    """fhat(r) and the radial measure w r^(n-1) at the nodes of a half-line rule (cached)."""
+    key = ("radial", profile.cache_key, n, rule.key)
+    if key not in _CHAIN_CACHE:
+        r = rule.nodes
+        _CHAIN_CACHE[key] = profile.fourier_radial(r), rule.weights * r ** (n - 1)
+    return _CHAIN_CACHE[key]
 
+
+def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
+    """Transfer kernel of the chain contraction, cached per (profile, n, rule).
+
+    On a symmetric rule, K[P, Q] = fhat(|P - Q|) on the n-fold node grid:
     |P - Q| depends only on the per-axis distances |P_c - Q_c|, so fhat is
     evaluated once per distinct tuple of them and gathered into the
     (N**n, N**n) matrix; each entry equals fhat evaluated at |P - Q|
-    directly, bit for bit.  Cached per (profile, n, rule).
+    directly, bit for bit.
+
+    On a half-line rule, the radial kernel of the same chain,
+    K[p, r] = integral over S^(n-1) of fhat(|p - r omega|) d omega, an
+    (N, N) matrix for every n.  The spherical mean of plane waves makes it
+    one product over the window's position profile:
+    K = (2 pi)^(-n/2) |S^(n-1)|^2 B diag(f(s) s^(n-1) w_s) B^T with
+    B[p, s] = Omega_n(p s), on a rule over the support that resolves the
+    frequency p + r <= 2 p_max.
     """
     key = ("kernel", profile.cache_key, n, rule.key)
     if key in _CHAIN_CACHE:
         return _CHAIN_CACHE[key]
     nodes = rule.nodes
-    m = len(nodes)
-    dist, inverse = np.unique(np.abs(nodes[:, None] - nodes[None, :]), return_inverse=True)
-    distinct = profile.fourier_radial(
-        radial_norm(np.meshgrid(*[dist] * n, indexing="ij", sparse=True))
-    )
-    # axis c of the gather runs over P_c, axis n + c over Q_c
-    index = []
-    for c in range(n):
-        shape = [1] * (2 * n)
-        shape[c] = shape[n + c] = m
-        index.append(inverse.reshape(shape))
-    kernel = distinct[tuple(index)].reshape(m ** n, m ** n)
+    if rule.half_line:
+        s, w, f = support_rule(profile.kind, profile.smoothness, 2.0 * rule.p_max)
+        b = _PLANE_WAVE_MEAN[n](np.multiply.outer(nodes, s))
+        const = (2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2
+        kernel = (b * (const * f * s ** (n - 1) * w)) @ b.T
+    else:
+        m = len(nodes)
+        dist, inverse = np.unique(np.abs(nodes[:, None] - nodes[None, :]), return_inverse=True)
+        distinct = profile.fourier_radial(
+            radial_norm(np.meshgrid(*[dist] * n, indexing="ij", sparse=True))
+        )
+        # axis c of the gather runs over P_c, axis n + c over Q_c
+        index = []
+        for c in range(n):
+            shape = [1] * (2 * n)
+            shape[c] = shape[n + c] = m
+            index.append(inverse.reshape(shape))
+        kernel = distinct[tuple(index)].reshape(m ** n, m ** n)
     _CHAIN_CACHE[key] = kernel
     return kernel
 
@@ -202,43 +228,82 @@ def clear_caches() -> None:
     _OVERLAP_CACHE.clear()
 
 
+def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: float) -> complex:
+    """The window chain of radial factors on a half-line rule.
+
+    integral over (R^n)^(l-1) of fhat(|q_1|) phi_1(|q_1|/R) fhat(|q_2 - q_1|)
+    phi_2(|q_2|/R) ... phi_{l-1}(|q_{l-1}|/R) fhat(|q_{l-1}|), with each
+    factor phi_i a function of the radius.  Every vector of the chain is then
+    radial: v_1 = fhat phi_1, v_i = ((v_{i-1} w r^(n-1)) @ K) phi_i with K the
+    radial kernel of ``window_product``, and the integral is
+    |S^(n-1)| sum v_{l-1} w r^(n-1) fhat.  Order 2 (one factor) needs no
+    kernel.
+    """
+    fhat, measure = _radial_nodes(profile, n, rule)
+    u = rule.nodes / radius
+    v = fhat * factors[0](u)
+    for phi in factors[1:]:
+        v = _times_real(v * measure, window_product(profile, n, rule)) * phi(u)
+    return unit_sphere_area(n) * complex(np.sum(v * measure * fhat))
+
+
 # ---------------------------------------------------------------------------
 # spectral-path correlators
 # ---------------------------------------------------------------------------
 
-def _convention_constant(order: int, n: int) -> float:
-    return (2.0 * pi) ** (n * (2 - order) / 2.0)
+def _prefactor(order: int, n: int, radius: float, alpha: float) -> float:
+    """C_l R**(l (n - alpha) - (l-1) n) of the module formula."""
+    return (2.0 * pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
 
 
-def check_order(state: TruncatedHierarchy, order: int) -> int:
-    """The quadrature dimension (l-1) n of an order the spectral path can take."""
+def takes_radial(state: TruncatedHierarchy, qmode: bool) -> bool:
+    """Whether the state's chain runs on the radial chain: n >= 2, a radial
+    state and no offsets (``qmode`` False).  Everything else takes the
+    Cartesian chain on the n-fold product of the symmetric rule."""
+    return state.dim >= 2 and state.radial and not qmode
+
+
+def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
+                qmode: bool = False) -> tuple[QuadSpec, bool]:
+    """The rule geometry of an order and whether it is radial, the largest
+    array of its chain checked against MAX_ARRAY_POINTS.
+
+    That array is the kernel for l >= 3 and one vector for l = 2: N**2 or N
+    points on the radial chain, N**(2n) or N**n on the Cartesian one.  The
+    radial kernel is built from an (N, M) array over the window support,
+    M nodes for the frequency 2 p_max (``support_rule_size``, the largest
+    of any window kind).  A ``qmode`` order carries offsets.  Computes no
+    quadrature, so parsing runs it.
+    """
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
-    tensor_dim = (order - 1) * state.dim
-    if tensor_dim > MAX_QUADRATURE_DIM:
-        raise OrderRangeError(
-            f"quadrature dimension {tensor_dim} exceeds the cap {MAX_QUADRATURE_DIM}"
-        )
-    return tensor_dim
+    n = state.dim
+    radial = takes_radial(state, qmode)
+    spec = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"), cartesian=not radial)
+    size = len(spec.build(radial))
+    if order < 3:
+        points = size if radial else size ** n
+    elif radial:
+        points = size * max(size, support_rule_size(2.0 * spec.p_max))
+    else:
+        points = size ** (2 * n)
+    _check_points(points, f"the order-{order} {'radial' if radial else 'Cartesian'} chain array",
+                  f"; set a smaller numeric.quad rule for dimension {n}")
+    return spec, radial
 
 
 def _spec_for(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
-              profile: WindowProfile) -> QuadSpec:
-    tensor_dim = check_order(state, order)
-    singular = state.tag(2).kind in ("l2", "goldstone")
-    spec = cfg.quad_for(tensor_dim, singular=singular)
+              profile: WindowProfile, offsets) -> tuple[QuadSpec, bool]:
+    spec, radial = check_order(state, cfg, order, qmode=offsets is not None)
     cfg.validate_tail(profile, spec)
-    # the largest array the chain allocates: the kernel for l >= 3, else one grid vector
-    points = len(spec.build()) ** (2 * state.dim if order >= 3 else state.dim)
-    _check_points(points, "chain array")
-    return spec
+    return spec, radial
 
 
-def _check_points(points: int, what: str) -> None:
+def _check_points(points: int, what: str, hint: str = "") -> None:
     """Raise when one array would hold more than MAX_ARRAY_POINTS points."""
     if points > MAX_ARRAY_POINTS:
         raise NumericalAccuracyError(
-            f"{what} of {points} points exceeds the budget of {MAX_ARRAY_POINTS}")
+            f"{what} of {points} points exceeds the budget of {MAX_ARRAY_POINTS}{hint}")
 
 
 def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
@@ -247,15 +312,16 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     """Order-l truncated correlator of scale-renormalized window averages.
 
     ``offsets`` is an (order, n) array of momentum offsets, one per
-    observable slot, or None for all-zero; zero offsets take the identical
-    code path.
+    observable slot, or None for all-zero.  At n = 1 zero offsets take the
+    identical code path; at n >= 2 None lets a radial state take the radial
+    chain (``takes_radial``).
     """
     n = state.dim
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
-    rule = _spec_for(state, cfg, order, profile).build()
-    return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule)
+    spec, radial = _spec_for(state, cfg, order, profile, offsets)
+    return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build(radial))
 
 
 def correlator_with_error(state: TruncatedHierarchy, profile: WindowProfile,
@@ -269,9 +335,9 @@ def correlator_with_error(state: TruncatedHierarchy, profile: WindowProfile,
     """
     n = state.dim
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
-    spec = _spec_for(state, cfg, order, profile)
-    value = _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build())
-    coarse = replace(spec, panels=max(2, spec.panels // 2)).build()
+    spec, radial = _spec_for(state, cfg, order, profile, offsets)
+    value = _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build(radial))
+    coarse = replace(spec, panels=max(2, spec.panels // 2)).build(radial)
     value2 = _spectral_value(state, profile, cfg, order, offsets, radius, alpha, coarse)
     return value, abs(value - value2)
 
@@ -289,9 +355,18 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
     product of matrices: v_1 = fhat(|q|) wt phi_1, v_i = (v_{i-1} @ K) wt
     phi_i with K[P, Q] = fhat(|P - Q|), and the integral is v_{l-1}
     against the last factor fhat(|q_{l-1}|) (shifted by R times the net
-    offset when that is nonzero).
+    offset when that is nonzero).  On a half-line rule the state is radial
+    and its factors, evaluated along the first axis, go to ``radial_chain``.
     """
     n = state.dim
+    fns = state.order_factors(order)
+    if rule.half_line:
+        if not fns:
+            return 0j
+        zeros = (np.zeros(len(rule)),) * (n - 1)
+        factors = [lambda u, fn=fn: fn((u,) + zeros) for fn in fns]
+        return _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, factors, radius)
+
     comps, wt, fhat_norm = _node_grid(profile, n, rule)
 
     if offsets is None:
@@ -312,7 +387,6 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
         ).ravel()
     else:
         last = fhat_norm
-    fns = state.order_factors(order)
     if not fns:
         return 0j
 
@@ -322,9 +396,7 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
     v = fhat_norm * factor(0)
     for i in range(1, order - 1):
         v = _times_real(v, window_product(profile, n, rule)) * factor(i)
-    integral = complex(_times_real(v, last))
-    pref = _convention_constant(order, n) * radius ** (order * (n - alpha) - (order - 1) * n)
-    return pref * integral
+    return _prefactor(order, n, radius, alpha) * complex(_times_real(v, last))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +523,7 @@ class ScalingReport:
     dropped_transient: bool
     verdict: str
     limit_value: complex
-    limit_extrapolated: complex
+    limit_extrapolated: complex | None  # None for a diverging sweep
     eps_vanish: float
     label: str = "correlator"
 
@@ -470,7 +542,7 @@ class ScalingReport:
             "dropped_transient": self.dropped_transient,
             "verdict": self.verdict,
             "limit_value": {"re": self.limit_value.real, "im": self.limit_value.imag},
-            "limit_extrapolated": {
+            "limit_extrapolated": None if self.limit_extrapolated is None else {
                 "re": self.limit_extrapolated.real,
                 "im": self.limit_extrapolated.imag,
             },
@@ -604,7 +676,8 @@ def build_report(r, vals, order, alpha, offsets, cfg: ScalingConfig, label: str)
         dropped_transient=dropped,
         verdict=verdict,
         limit_value=complex(vals[-1]),
-        limit_extrapolated=est,
+        # a diverging sweep has no limit; its estimate would be rounding noise
+        limit_extrapolated=None if verdict == "diverging" else est,
         eps_vanish=cfg.eps_vanish,
         label=label,
     )

@@ -12,7 +12,6 @@ from one-dimensional quadrature sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .errors import (
     ModelValidationError,
 )
 from .models import smooth_cutoff
-from .quadrature import half_line_rule
-from .scaling import ScalingConfig, ScalingReport, build_report
+from .scaling import QuadSpec, ScalingConfig, ScalingReport, build_report, radial_chain
 from .window import SUPPORT_RADIUS, WindowProfile, unit_sphere_area
 
 
@@ -137,19 +135,12 @@ class GoldstoneModel:
 # spectral integrals (scaled variable u = R kappa)
 # ---------------------------------------------------------------------------
 
-def _radial_rule(profile: WindowProfile):
-    u_max = min(profile.k_max, 160.0)
-    return half_line_rule(u_max, 64, 10, graded_levels=18)
-
-
 def _spectral_integral(model: GoldstoneModel, profile: WindowProfile, radius: float,
-                       weight_fn: Callable) -> complex:
-    """Omega_{n-1} * integral fhat(u)^2 weight(u/R) u^(n-1) du."""
-    rule = _radial_rule(profile)
-    u = rule.nodes
-    kern = profile.fourier_radial(u) ** 2 * u ** (model.dim - 1)
-    vals = weight_fn(u / radius)
-    return unit_sphere_area(model.dim) * complex(np.sum(rule.weights * kern * vals))
+                       weight) -> complex:
+    """Omega_{n-1} * integral fhat(u)^2 weight(u/R) u^(n-1) du: the order-2 radial
+    chain on a half-line rule graded toward u = 0."""
+    rule = QuadSpec(min(profile.k_max, 160.0), 64, 10, 18).build(True)
+    return radial_chain(profile, model.dim, rule, (weight,), radius)
 
 
 def autocorrelation(model: GoldstoneModel, profile: WindowProfile, radius: float,

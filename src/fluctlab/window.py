@@ -30,6 +30,7 @@ import os
 import tempfile
 import zipfile
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gamma as _gamma_fn
 from math import ceil, pi, sqrt
 from pathlib import Path
@@ -319,6 +320,46 @@ def ball_fhat(dim: int, x) -> np.ndarray:
     else:
         out, at0 = sqrt(2.0 / pi) * spherical_jn(1, safe) / safe, sqrt(2.0 / pi) / 3.0
     return np.where(x > 1e-8, out, at0)
+
+
+#: Gauss-Legendre nodes per panel of ``support_rule``
+SUPPORT_PANEL_NODES = 16
+
+
+def _support_panels(kind: str, frequency: float):
+    """(lo, hi, panels) of each piece of ``support_rule``."""
+    a, b = EDGES[kind]
+    return [(lo, hi, ceil(frequency * (hi - lo) / (2.0 * pi)))
+            for lo, hi in ((0.0, a), (a, b)) if hi > lo]
+
+
+def support_rule_size(frequency: float) -> int:
+    """The most nodes ``support_rule`` holds at this frequency for any window
+    kind, computed without building a rule."""
+    return max(SUPPORT_PANEL_NODES * sum(panels for *_, panels in _support_panels(kind, frequency))
+               for kind in KINDS)
+
+
+@lru_cache(maxsize=None)
+def support_rule(kind: str, smoothness: int, frequency: float):
+    """Gauss-Legendre nodes, weights and exact profile values over the support [0, b].
+
+    The rule is split at the edge a (``EDGES``), so f is smooth on each
+    piece, and each panel spans at most one cycle of
+    exp(i frequency s).  The values come from the exact evaluator the
+    transform was built from, not from the interpolated samples of
+    ``value``; ``smoothness`` is the profile's, which for a smoothstep
+    profile is its order.  Built once per argument tuple; the arrays are
+    read-only.
+    """
+    exact, _ = _profile_evaluator(kind, smoothness)
+    pieces = [gauss_legendre_panels(lo, hi, panels, SUPPORT_PANEL_NODES)
+              for lo, hi, panels in _support_panels(kind, frequency)]
+    s = np.concatenate([x for x, _ in pieces])
+    out = s, np.concatenate([w for _, w in pieces]), exact(s)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def check_profile_args(kind: str, dim: int, resolution: int) -> None:

@@ -181,6 +181,17 @@ class TestAcceptance:
         _announce("10", "anomalous growth R^(n+2), double commutator R^(n-2), "
                         "Bogoliubov bound holds, super-linear generator growth is classical")
 
+    def test_10_diverging_sweeps_report_no_limit(self, reports):
+        # a diverging sweep has no limit to extrapolate; a number there would
+        # be rounding noise of values ~1e14
+        res = reports["criterion_10_ssb"]["report"].results[0]
+        for key in ("autocorrelation_A", "autocorrelation_Q", "double_commutator"):
+            assert res[key]["verdict"] == "diverging", key
+            assert res[key]["limit_extrapolated"] is None, key
+        payload = json.loads(reports["criterion_10_ssb"]["payload"])
+        assert payload["results"][0]["autocorrelation_A"]["limit_extrapolated"] is None
+        _announce("10", "diverging sweeps report a null extrapolated limit")
+
     def test_11_projector_and_gap(self, reports):
         entry = reports["criterion_11a_projector"]
         res = entry["report"].results[0]
@@ -198,6 +209,18 @@ class TestAcceptance:
         assert gapless["shape_relative_variation"] < 0.01
         _announce("11", "translation-average residual monotone and < 1e-6 by R=256; "
                         "gap kills the order parameter, gapless value is shape-independent")
+
+    @pytest.mark.parametrize("name,dim,orders", [("criterion_12a_high_order_n2", 2, range(2, 9)),
+                                                  ("criterion_12b_high_order_n3", 3, range(2, 7))])
+    def test_12ab_high_order_exponents(self, reports, name, dim, orders):
+        entry = reports[name]
+        for order in orders:
+            sweep = _sweep(entry["report"], order)
+            target = (2 - order) * dim / 2
+            assert sweep["exponent"] == pytest.approx(target, abs=0.1), f"order {order}"
+            assert sweep["verdict"] == ("finite-nonzero" if order == 2 else "vanishing"), f"order {order}"
+        _announce(name.split("_")[1], f"n = {dim}: truncated correlators scale as R^((2-l)n/2) "
+                                   f"for l = 2..{max(orders)} on the radial chain")
 
     def test_12_determinism(self, reports, cache_dir):
         for name, entry in reports.items():

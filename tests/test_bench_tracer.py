@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fluctlab import scaling
+from fluctlab.models import GaussianProfile, product_ansatz_state
 from fluctlab.scaling import QuadSpec
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -55,3 +56,20 @@ def test_traced_order3_correlator_counts_the_kernel(spans, product_state1, profi
     assert layers["scaling.window_product_calls"] == 2
     assert layers["scaling.window_product_hits"] == 1
     assert layers["scaling.window_product_bytes"] > 0
+
+
+def test_traced_radial_chain_counts_the_kernel(spans, profile2):
+    # n = 2 order 3 takes the radial chain: one 480 x 480 kernel on the
+    # half-line default rule, built at the first radius and hit at the second
+    g = GaussianProfile(1.0, 1.0, 2)
+    state = product_ansatz_state({3: [g, GaussianProfile(0.8, 1.3, 2)]}, 2)
+    tracer = spans.Tracer()
+    cfg = scaling.ScalingConfig()
+    scaling.clear_caches()
+    with tracer.active():
+        scaling.qmode_correlator(state, profile2, cfg, 3, None, 8.0)
+        scaling.qmode_correlator(state, profile2, cfg, 3, None, 16.0)
+    layers = tracer.layer_metrics()
+    assert layers["scaling.window_product_calls"] == 2
+    assert layers["scaling.window_product_hits"] == 1
+    assert layers["scaling.window_product_bytes"] == 480 ** 2 * 8

@@ -258,6 +258,8 @@ class TestCLI:
 GAUSS = {"class": "gaussian", "dim": 1, "two_point": {"form": "gaussian"}}
 SWEEP = [{"kind": "scaling-sweep", "orders": [2]}]
 SSB = {"class": "goldstone-ssb", "dim": 3}
+PRODUCT_N2 = {"class": "product-ansatz", "dim": 2, "orders": {"3": [{}, {"width": 1.3}]}}
+QMODE3 = [{"kind": "qmode", "order": 3}]
 PAIRS = {"class": "pair-family", "dim": 1, "labels": ["A", "B"], "pairs": {
     "AA": {"form": "gaussian"}, "BB": {"form": "gaussian"},
     "AB": {"form": "gaussian", "amplitude": 0.1}, "BA": {"form": "gaussian", "amplitude": 0.1}}}
@@ -285,7 +287,8 @@ CONTRACT_CASES = {
         {"kind": "qmode", "numeric": {"eps_vanihs": 1e-3}}]}, 2),
     "dim 4": ({"model": dict(GAUSS, dim=4), "analyses": SWEEP}, 2),
     "alpha_mode canon": ({"model": GAUSS, "numeric": {"alpha_mode": "canon"}, "analyses": SWEEP}, 2),
-    "order 6 at n = 1": ({"model": GAUSS, "analyses": [{"kind": "scaling-sweep", "orders": [6]}]}, 2),
+    # the rule is keyed by n, so the n = 1 chain holds N**2 points at every order
+    "order 6 at n = 1": ({"model": GAUSS, "analyses": [{"kind": "scaling-sweep", "orders": [6]}]}, 0),
     "odd pairing order": ({"model": GAUSS, "analyses": [
         {"kind": "cumulant-roundtrip", "pairing_orders": [3]}]}, 2),
     "gap shape triangle": ({"model": SSB, "analyses": [{"kind": "gap-check", "shapes": ["triangle"]}]}, 2),
@@ -318,6 +321,18 @@ CONTRACT_CASES = {
         {"f": {"form": "lorentzian", "width": 1e300}, "g": {"form": "gaussian"}}]}]}, 2),
     "profile width 1e300": ({"model": {"class": "product-ansatz", "dim": 1, "orders": {
         "2": [{"width": 1e300}]}}, "analyses": SWEEP}, 2),
+    # numeric.quad is keyed by the dimension n = 1..3
+    "quad key 4": ({"model": GAUSS, "numeric": {"quad": {"4": [16.0, 8, 4, 0]}}, "analyses": SWEEP}, 2),
+    # q-mode offsets keep the Cartesian chain, whose order-3 kernel on the
+    # default n = 2 rule would hold 960**4 points; a small rule fits the budget
+    "n = 2 q-mode order 3": ({"model": PRODUCT_N2, "analyses": QMODE3}, 2),
+    "n = 2 q-mode order 3, small rule": ({"model": PRODUCT_N2, "analyses": QMODE3, "numeric": {
+        "eps_vanish": 1.0, "quad": {"2": [8.0, 2, 4, 0]}}}, 0),
+    # the radial kernel's support array grows with p_max: 32 x 10**7 points here
+    "n = 2 order 3, huge p_max": ({"model": PRODUCT_N2, "analyses": [
+        {"kind": "scaling-sweep", "orders": [3]}], "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, 2),
+    # the n = 3 Cartesian chain defaults to a 288-node rule: its order-3 kernel holds 288**6 points
+    "n = 3 q-mode order 3": ({"model": dict(PRODUCT_N2, dim=3), "analyses": QMODE3}, 2),
     # a valid override that used to replace the whole resolved r_grid and crash
     "analysis r_grid override": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
@@ -337,6 +352,16 @@ class TestValidateRunContract:
         assert cli.main(["run", str(path)]) == expected
         if expected:
             assert "error" in capsys.readouterr().err
+
+    def test_n3_qmode_order2_validates_on_the_default_rule(self, tmp_path, cache_dir, monkeypatch):
+        # on the 288-node n = 3 Cartesian default one vector holds 288**3 points;
+        # running it takes seconds and GBs, so only validate is checked here
+        path = tmp_path / "n3.json"
+        path.write_text(cfg_text({"model": dict(PRODUCT_N2, dim=3),
+                                  "analyses": [{"kind": "qmode", "order": 2}],
+                                  "output": {"directory": str(tmp_path / "out")}}))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["validate", str(path)]) == 0
 
     def test_even_weight_exponent_vanishes(self, tmp_path, cache_dir, monkeypatch):
         config = json.loads((ROOT / "configs" / "criterion_09a_weighted_boundary.json").read_text())

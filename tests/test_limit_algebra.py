@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab.errors import InvalidArgumentError, InvalidLimitStateError, OrderRangeError
+from fluctlab.errors import (
+    InvalidArgumentError,
+    InvalidLimitStateError,
+    NumericalAccuracyError,
+    OrderRangeError,
+)
 from fluctlab.limit_algebra import (
     CCRCheck,
     LimitState,
@@ -222,6 +227,14 @@ class TestBuildLimitState:
         target = 1.0 * profile1.pair_overlap_integral()
         assert state.covariance[0, 0].real == pytest.approx(target, rel=1e-3)
         assert state.symplectic_part[0, 0] == 0
+
+    def test_diverging_pair_sweep_has_no_limit(self, profile1):
+        # without the R^(-n/2) renormalization the pair sweep grows as R^1
+        fam = ObservableFamily(labels=("A",), dim=1,
+                               pair_density=lambda i, j: (lambda k: np.exp(-np.asarray(k) ** 2 / 2.0)))
+        cfg = ScalingConfig(alpha_mode="explicit", alpha=0.0)
+        with pytest.raises(NumericalAccuracyError, match="diverges"):
+            build_limit_state(fam, profile1, cfg)
 
     def test_two_observables_with_symplectic_part(self, profile1):
         densities = {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab import scaling
+from fluctlab import scaling, window
 from fluctlab.config import parse_config
 
 from fluctlab.errors import (
@@ -28,6 +28,7 @@ from fluctlab.models import (
 from fluctlab.scaling import (
     QuadSpec,
     ScalingConfig,
+    check_order,
     correlator_with_error,
     exponent_sweep,
     find_critical_alpha,
@@ -38,6 +39,7 @@ from fluctlab.scaling import (
     position_space_correlator,
     qmode_correlator,
     oracle_z_rule,
+    radial_chain,
     weighted_correlator,
     weighted_gamma,
     weighted_z_rule,
@@ -45,7 +47,7 @@ from fluctlab.scaling import (
     window_product,
 )
 from fluctlab.quadrature import gauss_legendre_panels, legendre_rule, symmetric_panel_rule
-from fluctlab.window import make_profile
+from fluctlab.window import make_profile, unit_sphere_area
 
 
 def bessel_factor(power):
@@ -104,9 +106,10 @@ class TestSpectralPath:
         cfg = ScalingConfig()
         with pytest.raises(OrderRangeError):
             qmode_correlator(gaussian_state1, profile1, cfg, 9, None, 8.0)
+        # offsets keep the Cartesian chain, whose order-4 kernel holds 960**4 points
         state2 = gaussian_state(lambda k: np.exp(-np.sum(np.asarray(k) ** 2, axis=-1)), 2)
-        with pytest.raises(OrderRangeError):
-            qmode_correlator(state2, profile2, cfg, 4, None, 8.0)  # (4-1)*2 = 6 > 4
+        with pytest.raises(NumericalAccuracyError, match="numeric.quad"):
+            qmode_correlator(state2, profile2, cfg, 4, np.zeros((4, 2)), 8.0)
 
     def test_tail_certificate(self, gaussian_state1, profile1):
         cfg = ScalingConfig(quad_overrides={1: (6.0, 4, 8, 0)})
@@ -221,11 +224,9 @@ def _tensor_sum(state, profile, order, offsets, radius, alpha, rule):
     return pref * np.sum(terms), abs(pref) * np.sum(np.abs(terms))
 
 
-# small rules keep the reference tensor at <= 16**4 points; eps_vanish = 1
+# small rules keep the reference tensor at <= 24**4 points; eps_vanish = 1
 # lets their short p_max pass the tail certificate
-_SMALL_RULES = ScalingConfig(eps_vanish=1.0, quad_overrides={
-    1: (20.0, 4, 6, 0), 2: (14.0, 3, 4, 0), 3: (10.0, 2, 4, 0), 4: (8.0, 2, 4, 0),
-})
+_SMALL_RULES = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (12.0, 3, 4, 0), 2: (14.0, 3, 4, 0)})
 _gauss = st.builds(GaussianProfile, st.floats(0.2, 2.0), st.floats(0.4, 1.6))
 
 
@@ -244,7 +245,8 @@ class TestChainContraction:
         state = product_ansatz_state({order: profiles}, dim)
         if shift is not None and shift[0] <= order:
             state = state.shifted(shift[0], np.full(dim, shift[1]))
-        offsets = None
+        # zero offsets given as an array keep the Cartesian chain at n = 2
+        offsets = None if dim == 1 else np.zeros((order, dim))
         if offset_kind != "zero":
             q = data.draw(st.floats(-1.0, 1.0), label="q")
             offsets = np.zeros((order, dim))
@@ -255,7 +257,7 @@ class TestChainContraction:
                     label="net")).reshape(order, dim)
         profile = profile1 if dim == 1 else profile2
         chain = qmode_correlator(state, profile, _SMALL_RULES, order, offsets, radius, alpha)
-        rule = _SMALL_RULES.quad_for((order - 1) * dim).build()
+        rule = _SMALL_RULES.quad_for(dim).build()
         reference, scale = _tensor_sum(state, profile, order, offsets, radius, alpha, rule)
         assert abs(chain - reference) <= 1e-12 * scale
 
@@ -460,3 +462,102 @@ class TestHigherDimension:
         cfg = ScalingConfig(eps_vanish=5e-3)
         rep = exponent_sweep(state, profile2, cfg, 3)
         assert rep.exponent == pytest.approx(-1.0, abs=0.1)
+
+
+def _product_state(dim, orders):
+    """Product-ansatz orders whose factors alternate between two Gaussians."""
+    pair = GaussianProfile(1.0, 1.0, dim), GaussianProfile(0.8, 1.3, dim)
+    return product_ansatz_state({l: [pair[i % 2] for i in range(l - 1)] for l in orders}, dim)
+
+
+def _relative_pair_tail(profile, dim, p_max):
+    """integral of fhat(|q|)^2 over |q| > p_max in R^n, relative to the whole."""
+    r, w = gauss_legendre_panels(p_max, profile.k_max, 4000, 8)
+    tail = unit_sphere_area(dim) * np.sum(w * profile.fourier_radial(r) ** 2 * r ** (dim - 1))
+    return tail / profile.pair_overlap_integral()
+
+
+class TestRadialChain:
+    """The radial chain of isotropic sweeps at n >= 2 against what it replaces."""
+
+    @pytest.mark.parametrize("dim,order", [(2, 3), (3, 2)])
+    def test_equals_cartesian_within_the_tail(self, profile2, profile3, dim, order):
+        # both rules end at p_max = 10: the Cartesian one on the cube, the
+        # radial one on the ball, so they differ by the window's pair tail
+        # beyond p_max in each of the l - 1 truncated variables
+        profile = profile2 if dim == 2 else profile3
+        state = _product_state(dim, [2, 3])
+        cfg = ScalingConfig(eps_vanish=1.0, quad_overrides={dim: (10.0, 4, 6, 0)})
+        fine = ScalingConfig(eps_vanish=1.0, quad_overrides={dim: (10.0, 16, 12, 0)})
+        tol = (order - 1) * _relative_pair_tail(profile, dim, 10.0)
+        for radius in (2.0, 8.0, 64.0, 512.0):
+            cartesian = qmode_correlator(state, profile, cfg, order, np.zeros((order, dim)), radius)
+            radial = qmode_correlator(state, profile, fine, order, None, radius)
+            assert abs(radial - cartesian) <= tol * abs(cartesian)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_kernel_equals_angular_quadrature(self, profile2, profile3, dim):
+        profile = profile2 if dim == 2 else profile3
+        rule = scaling.DEFAULT_SPEC.build(True)
+        kernel = window_product(profile, dim, rule)
+        assert kernel.shape == (len(rule), len(rule))
+        theta, wt = gauss_legendre_panels(0.0, np.pi, 64, 16)
+        # dimension 2: 2 int_0^pi d theta; dimension 3: 2 pi int_0^pi sin(theta) d theta
+        wt = 2.0 * wt if dim == 2 else 2.0 * np.pi * wt * np.sin(theta)
+        for i, j in [(0, 10), (3, 5), (100, 400), (250, 250), (479, 1)]:
+            p, r = rule.nodes[i], rule.nodes[j]
+            direct = np.sum(wt * profile.fourier_radial(np.sqrt(p * p + r * r - 2 * p * r * np.cos(theta))))
+            assert abs(kernel[i, j] - direct) <= 1e-10 * np.max(np.abs(kernel))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_closed_form_limit(self, profile2, profile3, dim):
+        # R^((l-2)n/2) value(R) -> S_l(0) int f(|x|)^l d^n x, from the position
+        # profile alone: the ball of radius a in closed form plus the edge
+        profile = profile2 if dim == 2 else profile3
+        state = _product_state(dim, range(2, 9))
+        exact = window._profile_evaluator(profile.kind, profile.smoothness)[0]
+        a, b = window.EDGES[profile.kind]
+        s, w = gauss_legendre_panels(a, b, 64, 16)
+        radius = 8192.0
+        for order in range(2, 9):
+            s_zero = np.prod([fn((np.zeros(1),) * dim)[0] for fn in state.order_factors(order)])
+            power = unit_sphere_area(dim) * (a ** dim / dim + np.sum(w * exact(s) ** order * s ** (dim - 1)))
+            value = radius ** ((order - 2) * dim / 2) * qmode_correlator(
+                state, profile, ScalingConfig(), order, None, radius)
+            assert abs(value - s_zero * power) <= 1e-6 * abs(s_zero * power), order
+
+    def test_order2_is_the_ssb_spectral_integral(self, profile3):
+        # one primitive: the ssb integrals are the order-2 radial chain
+        g = GaussianProfile(1.0, 1.0, 3)
+        rule = QuadSpec(160.0, 64, 10, 18).build(True)
+        for radius in (8.0, 512.0):
+            chain = radial_chain(profile3, 3, rule, (g.momentum,), radius)
+            u = rule.nodes
+            direct = unit_sphere_area(3) * np.sum(
+                rule.weights * profile3.fourier_radial(u) ** 2 * u ** 2 * g.momentum(u / radius))
+            assert abs(chain - direct) <= 1e-14 * abs(direct)
+
+    def test_budget_counts_the_support_array(self):
+        # the radial kernel is built from an N x M array over the window
+        # support, M growing with p_max although N does not
+        state = _product_state(2, [3])
+        check_order(state, ScalingConfig(quad_overrides={2: (1e3, 8, 4, 0)}), 3)
+        with pytest.raises(NumericalAccuracyError, match="radial chain array"):
+            check_order(state, ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)}), 3)
+        # order 2 builds no kernel
+        check_order(state, ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)}), 2)
+
+    def test_cartesian_default_at_n3(self):
+        # one vector on the 3-fold product of the default rule would hold
+        # 960**3 points; q-mode order 2 at n = 3 runs on the smaller rule
+        state = _product_state(3, [2, 3])
+        assert check_order(state, ScalingConfig(), 2, qmode=True) == (scaling.CARTESIAN_N3_SPEC, False)
+        assert check_order(state, ScalingConfig(), 3) == (scaling.DEFAULT_SPEC, True)
+
+    def test_radial_states_only(self, profile2):
+        # a shifted state is not radial and q-mode offsets keep the Cartesian chain
+        state = _product_state(2, [2])
+        assert scaling.takes_radial(state, qmode=False)
+        assert not scaling.takes_radial(state, qmode=True)
+        assert not scaling.takes_radial(state.shifted(1, np.array([0.5, 0.0])), qmode=False)
+        assert not scaling.takes_radial(_product_state(1, [2]), qmode=False)
