@@ -157,12 +157,6 @@ def weyl_expectation(state: LimitState, label: str | int, truncation: int) -> We
     return WeylCheck(complex(partial), complex(closed), tail * safety)
 
 
-def weyl_series_coefficient(s: float, m: int) -> float:
-    """m-th series term: pairing count (2m-1)!! over (2m)! times (-1)^m s^m."""
-    count = factorial(2 * m) // (2 ** m * factorial(m))
-    return (-1.0) ** m / factorial(2 * m) * count * s ** m
-
-
 @dataclass(frozen=True)
 class CCRCheck:
     series: complex

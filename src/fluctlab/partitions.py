@@ -46,9 +46,6 @@ class SetPartition:
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise InvalidArgumentError("blocks must be ordered by smallest element")
 
-    def is_pairing(self) -> bool:
-        return all(len(b) == 2 for b in self.blocks)
-
 
 def bell_number(order: int) -> int:
     """Bell number B_order by the triangle recurrence."""

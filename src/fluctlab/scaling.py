@@ -123,8 +123,14 @@ class ScalingConfig:
         return r
 
     def validate_tail(self, profile: WindowProfile, spec: QuadSpec) -> float:
-        """Quadrature-domain certificate: pair-integrand tail below eps_vanish/10."""
-        bound = pair_tail_bound(profile, spec.p_max)
+        """Quadrature-domain certificate: pair-integrand tail below eps_vanish/10.
+
+        The bound is computed once per (profile, p_max) and kept in the chain
+        cache, so a sweep pays for it once, not once per radius."""
+        key = ("tail", profile.cache_key, spec.p_max)
+        if key not in _CHAIN_CACHE:
+            _CHAIN_CACHE[key] = pair_tail_bound(profile, spec.p_max)
+        bound = _CHAIN_CACHE[key]
         if bound > self.eps_vanish / 10.0:
             raise NumericalAccuracyError(
                 f"window tail bound {bound:.3e} at p_max={spec.p_max} exceeds "
@@ -151,8 +157,9 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 
 _CHAIN_CACHE: dict = {}
 
-#: spherical mean of the plane wave exp(i x omega.e) over omega in S^(n-1)
-_PLANE_WAVE_MEAN = {2: j0, 3: lambda x: np.sinc(x / pi)}
+#: spherical mean of the plane wave exp(i x omega.e) over omega in S^(n-1);
+#: S^0 = {-1, 1}, so at n = 1 it is cos
+_PLANE_WAVE_MEAN = {1: np.cos, 2: j0, 3: lambda x: np.sinc(x / pi)}
 
 
 def _node_grid(profile: WindowProfile, n: int, rule: Rule1D):
@@ -195,7 +202,9 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     one product over the window's position profile:
     K = (2 pi)^(-n/2) |S^(n-1)|^2 B diag(f(s) s^(n-1) w_s) B^T with
     B[p, s] = Omega_n(p s), on a rule over the support that resolves the
-    frequency p + r <= 2 p_max.
+    frequency p + r <= 2 p_max.  Omega_n is cos, J_0 and sin(x)/x for
+    n = 1, 2, 3; at n = 1 the sphere S^0 is the two points +-1, so
+    K[p, r] = fhat(|p - r|) + fhat(p + r).
     """
     key = ("kernel", profile.cache_key, n, rule.key)
     if key in _CHAIN_CACHE:
@@ -236,8 +245,9 @@ def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: 
     factor phi_i a function of the radius.  Every vector of the chain is then
     radial: v_1 = fhat phi_1, v_i = ((v_{i-1} w r^(n-1)) @ K) phi_i with K the
     radial kernel of ``window_product``, and the integral is
-    |S^(n-1)| sum v_{l-1} w r^(n-1) fhat.  Order 2 (one factor) needs no
-    kernel.
+    |S^(n-1)| sum v_{l-1} w r^(n-1) fhat.  At n = 1 the factors are even,
+    |S^0| = 2 folds the line onto the half-line and the kernel is built
+    with Omega_1 = cos.  Order 2 (one factor) needs no kernel.
     """
     fhat, measure = _radial_nodes(profile, n, rule)
     u = rule.nodes / radius
@@ -257,10 +267,10 @@ def _prefactor(order: int, n: int, radius: float, alpha: float) -> float:
 
 
 def takes_radial(state: TruncatedHierarchy, qmode: bool) -> bool:
-    """Whether the state's chain runs on the radial chain: n >= 2, a radial
-    state and no offsets (``qmode`` False).  Everything else takes the
-    Cartesian chain on the n-fold product of the symmetric rule."""
-    return state.dim >= 2 and state.radial and not qmode
+    """Whether the state's chain runs on the radial chain: a radial state and
+    no offsets (``qmode`` False), at every n.  Offsets and shifted states take
+    the Cartesian chain on the n-fold product of the symmetric rule."""
+    return state.radial and not qmode
 
 
 def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
@@ -312,9 +322,9 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     """Order-l truncated correlator of scale-renormalized window averages.
 
     ``offsets`` is an (order, n) array of momentum offsets, one per
-    observable slot, or None for all-zero.  At n = 1 zero offsets take the
-    identical code path; at n >= 2 None lets a radial state take the radial
-    chain (``takes_radial``).
+    observable slot, or None for all-zero.  None lets a radial state take
+    the radial chain (``takes_radial``) at every n; an array, zero or not,
+    takes the Cartesian chain, so the two agree only to rounding.
     """
     n = state.dim
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
@@ -438,8 +448,20 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
         for k in range(n):
             g[:, k] = ac @ _shifted_rows(profile, u, [z[k:k + 1]] + [z] * (order - 3)).T
     g = g.reshape((n,) * (order - 1))
-    _OVERLAP_CACHE[key] = g
+    _keep_overlap(key, g)
     return g
+
+
+def _keep_overlap(key, g: np.ndarray) -> None:
+    """Cache g, evicting the oldest overlaps so the cache never holds more
+    than MAX_ARRAY_POINTS points; an overlap larger than that is not kept."""
+    held = sum(a.size for a in _OVERLAP_CACHE.values())
+    for old in list(_OVERLAP_CACHE):
+        if held + g.size <= MAX_ARRAY_POINTS:
+            break
+        held -= _OVERLAP_CACHE.pop(old).size
+    if held + g.size <= MAX_ARRAY_POINTS:
+        _OVERLAP_CACHE[key] = g
 
 
 def _shifted_rows(profile: WindowProfile, u: np.ndarray, levels) -> np.ndarray:
@@ -790,10 +812,6 @@ class WeightedBound:
 
     def max_alpha(self, order: int) -> float:
         return order * self.gamma - self.dim
-
-    def sufficient_vanishing(self, alpha_l: float, order: int) -> bool:
-        """alpha_l <= (l-1) alpha_2 (with alpha_2 < n) forces vanishing."""
-        return self.alpha2 < self.dim and alpha_l <= (order - 1) * self.alpha2
 
 
 def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,

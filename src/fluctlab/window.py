@@ -141,21 +141,6 @@ class WindowProfile:
         out = self._fhat_spline(np.minimum(kappa, self.k_max))
         return np.where(beyond, 0.0, out)
 
-    def fourier(self, k) -> np.ndarray:
-        """fhat(k) for momentum vector(s) k; radial, so only |k| matters."""
-        k = np.asarray(k, dtype=float)
-        if self.dim == 1 or k.ndim == 0:
-            kappa = np.abs(k)
-        else:
-            kappa = np.linalg.norm(k, axis=-1)
-        return self.fourier_radial(kappa)
-
-    def scaled_fourier(self, radius: float, k) -> np.ndarray:
-        """Transform of f_R: exactly R**n * fhat(R k), never re-quadratured."""
-        if radius <= 0:
-            raise InvalidArgumentError("scale radius must be positive")
-        return radius ** self.dim * self.fourier(radius * np.asarray(k, dtype=float))
-
     def fhat_zero(self) -> float:
         return float(self._fhat_spline(0.0))
 
@@ -171,11 +156,6 @@ class WindowProfile:
         s, w = gauss_legendre_panels(0.0, self.k_max, 512, 12)
         vals = self._fhat_spline(s) ** 2
         return unit_sphere_area(self.dim) * float(np.sum(w * vals * s ** (self.dim - 1)))
-
-    def l2_position(self) -> float:
-        """integral over R^n of f(|x|)^2."""
-        s, w = gauss_legendre_panels(0.0, self.s_grid[-1], 64, 16)
-        return unit_sphere_area(self.dim) * float(np.sum(w * self.value(s) ** 2 * s ** (self.dim - 1)))
 
     # -- serialization -----------------------------------------------------
 

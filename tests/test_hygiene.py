@@ -1,0 +1,34 @@
+"""Source hygiene checks that a linter would make, written as an AST scan."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fluctlab
+
+MODULES = sorted(p for p in Path(fluctlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_an_unused_import():
+    source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.sum, tau)\n"
+    assert unused_imports(source) == ["os", "pi"]

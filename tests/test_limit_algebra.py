@@ -19,7 +19,6 @@ from fluctlab.limit_algebra import (
     ccr_product_check,
     commutator_criterion,
     weyl_expectation,
-    weyl_series_coefficient,
     wick_moment,
 )
 from fluctlab.models import ObservablePair, gaussian_state
@@ -103,14 +102,6 @@ class TestWeyl:
         assert check.partial_sum.real == pytest.approx(direct, rel=1e-14)
         assert check.discrepancy == pytest.approx(1.45834e-6, rel=1e-3)
         assert check.discrepancy < check.tail_bound
-
-    def test_term_coefficients(self):
-        # the m-th term must reduce to (-s/2)^m / m!
-        for s in (0.3, 1.7):
-            for m in range(5):
-                assert weyl_series_coefficient(s, m) == pytest.approx(
-                    (-0.5 * s) ** m / factorial(m)
-                )
 
     def test_convergence_accelerates(self):
         state = LimitState(labels=("A",), covariance=np.array([[1.5]], dtype=complex))

@@ -73,10 +73,10 @@ class TestEnumeration:
     def test_pairing_counts(self, m, count):
         pairings = enumerate_pairings(m)
         assert len(pairings) == count == pairing_count(m)
-        assert all(p.is_pairing() for p in pairings)
+        assert all(len(b) == 2 for p in pairings for b in p.blocks)
 
     def test_pairings_match_partition_filter(self):
-        filtered = [p for p in enumerate_partitions(6) if p.is_pairing()]
+        filtered = [p for p in enumerate_partitions(6) if all(len(b) == 2 for b in p.blocks)]
         assert sorted(p.blocks for p in filtered) == sorted(p.blocks for p in enumerate_pairings(6))
 
     def test_odd_pairing_rejected(self):

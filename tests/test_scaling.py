@@ -76,11 +76,14 @@ class TestSpectralPath:
                 oracle = position_space_correlator(product_state1, profile1, cfg, order, radius, 0.5)
                 assert abs(spectral - oracle) <= 1e-6 * abs(oracle)
 
-    def test_qmode_zero_offsets_bit_identical(self, gaussian_state1, profile1):
+    def test_qmode_zero_offsets_match_radial_chain(self, gaussian_state1, profile1):
+        # None takes the radial chain on the half-line, zero offsets the
+        # Cartesian one on the whole line: the same sum up to rounding
         cfg = ScalingConfig()
-        a = qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 32.0)
-        b = qmode_correlator(gaussian_state1, profile1, cfg, 2, np.zeros((2, 1)), 32.0)
-        assert a == b
+        for radius in np.geomspace(1.0, 8192.0, 60):
+            a = qmode_correlator(gaussian_state1, profile1, cfg, 2, None, radius)
+            b = qmode_correlator(gaussian_state1, profile1, cfg, 2, np.zeros((2, 1)), radius)
+            assert abs(a - b) <= 4e-15 * abs(b), radius
 
     def test_translation_shift_leaves_limit(self, gaussian_state1, profile1):
         cfg = ScalingConfig()
@@ -120,6 +123,24 @@ class TestSpectralPath:
 
     def test_pair_tail_bound_decreases(self, profile1):
         assert pair_tail_bound(profile1, 30.0) > pair_tail_bound(profile1, 60.0) > pair_tail_bound(profile1, 120.0)
+
+    def test_tail_certificate_computed_once_per_sweep(self, product_state1, profile1, monkeypatch):
+        calls = []
+
+        def counting(profile, p_max):
+            calls.append(p_max)
+            return pair_tail_bound(profile, p_max)
+
+        monkeypatch.setattr(scaling, "pair_tail_bound", counting)
+        scaling.clear_caches()
+        cfg = ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 512.0, 7)))
+        exponent_sweep(product_state1, profile1, cfg, 3)
+        assert calls == [scaling.DEFAULT_SPEC.p_max]
+        assert cfg.validate_tail(profile1, scaling.DEFAULT_SPEC) == pair_tail_bound(
+            profile1, scaling.DEFAULT_SPEC.p_max)
+        scaling.clear_caches()
+        cfg.validate_tail(profile1, scaling.DEFAULT_SPEC)
+        assert len(calls) == 2
 
     def test_unnormalized_growth_exponent(self, gaussian_state1, profile1):
         cfg = ScalingConfig(exponent_band=0.1)
@@ -165,6 +186,26 @@ class TestPositionOverlap:
             # u = w at order 2: same nodes as the direct 32-panel rule
             same_rule = _direct_overlap(profile1, z_rule.nodes[idx], panels=32)
             assert np.max(np.abs(got - same_rule)) <= 1e-14
+
+    def test_cache_held_within_the_budget(self, profile1, monkeypatch):
+        # three order-3 overlaps of 24**2 points each under a budget of two:
+        # the oldest is evicted and recomputes to the same array
+        rules = [symmetric_panel_rule(5.0 + i, 4, 3) for i in range(3)]
+        size = len(rules[0]) ** 2
+        monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", 2 * size)
+        scaling.clear_caches()
+        first = window_overlap_1d(profile1, 3, rules[0])
+        for rule in rules[1:]:
+            window_overlap_1d(profile1, 3, rule)
+            assert sum(g.size for g in scaling._OVERLAP_CACHE.values()) <= 2 * size
+        assert len(scaling._OVERLAP_CACHE) == 2
+        again = window_overlap_1d(profile1, 3, rules[0])
+        assert again is not first and np.array_equal(again, first)
+        # an overlap larger than the whole budget is returned but not kept
+        monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", size - 1)
+        window_overlap_1d(profile1, 3, rules[1])
+        assert sum(g.size for g in scaling._OVERLAP_CACHE.values()) <= size - 1
+        scaling.clear_caches()
 
     def test_order4_slices_match_direct_quadrature(self, profile1):
         z_rule = symmetric_panel_rule(5.0, 4, 4)
@@ -245,11 +286,10 @@ class TestChainContraction:
         state = product_ansatz_state({order: profiles}, dim)
         if shift is not None and shift[0] <= order:
             state = state.shifted(shift[0], np.full(dim, shift[1]))
-        # zero offsets given as an array keep the Cartesian chain at n = 2
-        offsets = None if dim == 1 else np.zeros((order, dim))
+        # zero offsets given as an array keep the Cartesian chain
+        offsets = np.zeros((order, dim))
         if offset_kind != "zero":
             q = data.draw(st.floats(-1.0, 1.0), label="q")
-            offsets = np.zeros((order, dim))
             offsets[0, 0], offsets[1, 0] = q, -q
             if offset_kind == "net":
                 offsets += np.asarray(data.draw(
@@ -410,10 +450,9 @@ class TestWeightedRegime:
         assert bound.max_alpha(2) == pytest.approx(1.0)  # = alpha_2 itself
 
     def test_sufficient_vanishing_condition(self):
+        # the sufficient condition alpha_l <= (l-1) alpha_2 (alpha_2 < n)
+        # implies the general bound
         _, bound = weighted_gamma(1, 0.5)
-        assert bound.sufficient_vanishing(1.0, 3)  # alpha_3 <= 2 alpha_2 = 1
-        assert not bound.sufficient_vanishing(1.3, 3)
-        # the sufficient condition implies the general bound
         for order in (3, 4, 5):
             assert (order - 1) * 0.5 < bound.max_alpha(order)
 
@@ -478,7 +517,18 @@ def _relative_pair_tail(profile, dim, p_max):
 
 
 class TestRadialChain:
-    """The radial chain of isotropic sweeps at n >= 2 against what it replaces."""
+    """The radial chain of isotropic sweeps against the Cartesian chain it replaces."""
+
+    def test_equals_cartesian_at_n1(self, profile1):
+        # at n = 1 both chains run on the default rule's nodes, the radial one
+        # on its half: they agree to rounding, not only within the tail
+        state = _product_state(1, range(3, 9))
+        cfg = ScalingConfig()
+        for order in range(3, 9):
+            for radius in (2.0, 8.0, 64.0, 512.0):
+                radial = qmode_correlator(state, profile1, cfg, order, None, radius)
+                cartesian = qmode_correlator(state, profile1, cfg, order, np.zeros((order, 1)), radius)
+                assert abs(radial - cartesian) <= 1e-10 * abs(cartesian), (order, radius)
 
     @pytest.mark.parametrize("dim,order", [(2, 3), (3, 2)])
     def test_equals_cartesian_within_the_tail(self, profile2, profile3, dim, order):
@@ -495,6 +545,15 @@ class TestRadialChain:
             radial = qmode_correlator(state, profile, fine, order, None, radius)
             assert abs(radial - cartesian) <= tol * abs(cartesian)
 
+    def test_kernel_equals_two_point_sum_at_n1(self, profile1):
+        # S^0 is the two points +-1: K[p, r] = fhat(|p - r|) + fhat(p + r)
+        rule = scaling.DEFAULT_SPEC.build(True)
+        kernel = window_product(profile1, 1, rule)
+        p, r = rule.nodes[:, None], rule.nodes[None, :]
+        direct = profile1.fourier_radial(np.abs(p - r)) + profile1.fourier_radial(p + r)
+        assert kernel.shape == direct.shape == (len(rule), len(rule))
+        assert np.max(np.abs(kernel - direct)) <= 1e-10 * np.max(np.abs(kernel))
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_kernel_equals_angular_quadrature(self, profile2, profile3, dim):
         profile = profile2 if dim == 2 else profile3
@@ -509,11 +568,11 @@ class TestRadialChain:
             direct = np.sum(wt * profile.fourier_radial(np.sqrt(p * p + r * r - 2 * p * r * np.cos(theta))))
             assert abs(kernel[i, j] - direct) <= 1e-10 * np.max(np.abs(kernel))
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_closed_form_limit(self, profile2, profile3, dim):
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_closed_form_limit(self, profile1, profile2, profile3, dim):
         # R^((l-2)n/2) value(R) -> S_l(0) int f(|x|)^l d^n x, from the position
         # profile alone: the ball of radius a in closed form plus the edge
-        profile = profile2 if dim == 2 else profile3
+        profile = {1: profile1, 2: profile2, 3: profile3}[dim]
         state = _product_state(dim, range(2, 9))
         exact = window._profile_evaluator(profile.kind, profile.smoothness)[0]
         a, b = window.EDGES[profile.kind]
@@ -555,9 +614,13 @@ class TestRadialChain:
         assert check_order(state, ScalingConfig(), 3) == (scaling.DEFAULT_SPEC, True)
 
     def test_radial_states_only(self, profile2):
-        # a shifted state is not radial and q-mode offsets keep the Cartesian chain
+        # a shifted state is not radial and q-mode offsets keep the Cartesian
+        # chain; a radial state with no offsets takes the radial chain at every n
         state = _product_state(2, [2])
         assert scaling.takes_radial(state, qmode=False)
         assert not scaling.takes_radial(state, qmode=True)
         assert not scaling.takes_radial(state.shifted(1, np.array([0.5, 0.0])), qmode=False)
-        assert not scaling.takes_radial(_product_state(1, [2]), qmode=False)
+        state1 = _product_state(1, [2])
+        assert scaling.takes_radial(state1, qmode=False)
+        assert not scaling.takes_radial(state1, qmode=True)
+        assert not scaling.takes_radial(state1.shifted(1, 0.5), qmode=False)

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fluctlab import window
 from fluctlab.errors import InvalidArgumentError
@@ -94,7 +92,7 @@ class TestFourier:
 
     def test_evenness(self, profile1):
         ks = np.array([0.3, 1.7, 5.2, 11.0])
-        assert np.allclose(profile1.fourier(ks), profile1.fourier(-ks), rtol=0, atol=0)
+        assert np.array_equal(profile1.fourier_radial(ks), profile1.fourier_radial(-ks))
 
     def test_midgrid_matches_direct_quadrature(self, profile1):
         # independent oracle: trapezoidal oscillatory integral over the
@@ -119,8 +117,11 @@ class TestFourier:
         assert profile3.fourier_radial(kappa) == pytest.approx(direct3, rel=1e-7)
 
     def test_plancherel(self, profile1, profile2, profile3):
+        # integral of f(|x|)^2 over R^n against integral of fhat^2
         for prof in (profile1, profile2, profile3):
-            assert prof.l2_position() == pytest.approx(prof.pair_overlap_integral(), rel=1e-6)
+            s, w = gauss_legendre_panels(0.0, prof.s_grid[-1], 64, 16)
+            l2 = unit_sphere_area(prof.dim) * np.sum(w * prof.value(s) ** 2 * s ** (prof.dim - 1))
+            assert l2 == pytest.approx(prof.pair_overlap_integral(), rel=1e-6)
 
     def test_rapid_decrease_envelope(self, profile1):
         # |fhat| (1+k)^m bounded on the cached range for all m <= 8, with a
@@ -148,33 +149,12 @@ class TestFourier:
 
 
 class TestScalingLaw:
-    def test_radius_one_is_identity(self, profile1):
-        ks = np.linspace(-20, 20, 101)
-        assert np.array_equal(profile1.scaled_fourier(1.0, ks), profile1.fourier(ks))
-
-    def test_zero_momentum_scaling(self, profile1, profile2, profile3):
-        for prof in (profile1, profile2, profile3):
-            got = prof.scaled_fourier(2.0, np.zeros(prof.dim) if prof.dim > 1 else 0.0)
-            assert got == pytest.approx(2.0 ** prof.dim * prof.fhat_zero(), rel=1e-12)
-
-    @given(st.floats(min_value=0.1, max_value=50.0), st.floats(min_value=-8.0, max_value=8.0))
-    @settings(max_examples=50, deadline=None)
-    def test_scaling_identity_exact(self, radius, k):
-        prof = TestScalingLaw._prof
-        assert prof.scaled_fourier(radius, k) == radius * prof.fourier(radius * k)
-
     def test_large_radius_below_envelope(self, profile1):
-        val = profile1.scaled_fourier(10.0, 1.0)
-        assert abs(val) <= 10.0 * profile1.tail_bound(10.0) * (1 + 1e-9)
-
-    def test_negative_radius_rejected(self, profile1):
-        with pytest.raises(InvalidArgumentError):
-            profile1.scaled_fourier(-2.0, 1.0)
-
-
-@pytest.fixture(autouse=True)
-def _bind_profile(profile1):
-    TestScalingLaw._prof = profile1
+        # f(|x|/R) has the transform R^n fhat(R k): at R = 10, k = 1 it stays
+        # below R^n times the envelope at R k
+        radius = 10.0
+        val = radius * profile1.fourier_radial(radius * 1.0)
+        assert abs(val) <= radius * profile1.tail_bound(radius) * (1 + 1e-9)
 
 
 class TestSerialization:
