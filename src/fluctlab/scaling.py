@@ -23,7 +23,6 @@ from functools import cache, reduce
 from math import pi
 
 import numpy as np
-from scipy.special import j0
 
 from .errors import (
     InvalidArgumentError,
@@ -33,7 +32,13 @@ from .errors import (
 )
 from .models import TruncatedHierarchy, radial_norm
 from .quadrature import Rule1D, gauss_legendre_panels, half_line_rule, symmetric_panel_rule
-from .window import WindowProfile, support_rule, support_rule_size, unit_sphere_area
+from .window import (
+    PLANE_WAVE_MEAN,
+    WindowProfile,
+    support_rule,
+    support_rule_size,
+    unit_sphere_area,
+)
 
 #: the most points one array of the chain or of the position path may hold
 MAX_ARRAY_POINTS = 60_000_000
@@ -157,10 +162,6 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 
 _CHAIN_CACHE: dict = {}
 
-#: spherical mean of the plane wave exp(i x omega.e) over omega in S^(n-1);
-#: S^0 = {-1, 1}, so at n = 1 it is cos
-_PLANE_WAVE_MEAN = {1: np.cos, 2: j0, 3: lambda x: np.sinc(x / pi)}
-
 
 def _node_grid(profile: WindowProfile, n: int, rule: Rule1D):
     """The n-fold product of the rule's nodes: components, weights, fhat(|q|).
@@ -203,8 +204,10 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     K = (2 pi)^(-n/2) |S^(n-1)|^2 B diag(f(s) s^(n-1) w_s) B^T with
     B[p, s] = Omega_n(p s), on a rule over the support that resolves the
     frequency p + r <= 2 p_max.  Omega_n is cos, J_0 and sin(x)/x for
-    n = 1, 2, 3; at n = 1 the sphere S^0 is the two points +-1, so
-    K[p, r] = fhat(|p - r|) + fhat(p + r).
+    n = 1, 2, 3 (``window.PLANE_WAVE_MEAN``); at n = 1 the sphere S^0 is the
+    two points +-1, so K[p, r] = fhat(|p - r|) + fhat(p + r).  The weights
+    are >= 0, as every window profile is, so B is scaled in place by their
+    square root and K = B B^T.
     """
     key = ("kernel", profile.cache_key, n, rule.key)
     if key in _CHAIN_CACHE:
@@ -212,9 +215,10 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     nodes = rule.nodes
     if rule.half_line:
         s, w, f = support_rule(profile.kind, profile.smoothness, 2.0 * rule.p_max)
-        b = _PLANE_WAVE_MEAN[n](np.multiply.outer(nodes, s))
+        b = PLANE_WAVE_MEAN[n](np.multiply.outer(nodes, s))
         const = (2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2
-        kernel = (b * (const * f * s ** (n - 1) * w)) @ b.T
+        b *= np.sqrt(const * f * s ** (n - 1) * w)
+        kernel = b @ b.T
     else:
         m = len(nodes)
         dist, inverse = np.unique(np.abs(nodes[:, None] - nodes[None, :]), return_inverse=True)
@@ -545,7 +549,7 @@ class ScalingReport:
     dropped_transient: bool
     verdict: str
     limit_value: complex
-    limit_extrapolated: complex | None  # None for a diverging sweep
+    limit_extrapolated: complex | None  # None for a diverging sweep, 0 for a vanishing one
     eps_vanish: float
     label: str = "correlator"
 
@@ -698,8 +702,9 @@ def build_report(r, vals, order, alpha, offsets, cfg: ScalingConfig, label: str)
         dropped_transient=dropped,
         verdict=verdict,
         limit_value=complex(vals[-1]),
-        # a diverging sweep has no limit; its estimate would be rounding noise
-        limit_extrapolated=None if verdict == "diverging" else est,
+        # a diverging sweep has no limit and a vanishing one has limit 0; the
+        # estimate of either would be rounding noise
+        limit_extrapolated={"diverging": None, "vanishing": 0j}.get(verdict, est),
         eps_vanish=cfg.eps_vanish,
         label=label,
     )

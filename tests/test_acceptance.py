@@ -192,6 +192,17 @@ class TestAcceptance:
         assert payload["results"][0]["autocorrelation_A"]["limit_extrapolated"] is None
         _announce("10", "diverging sweeps report a null extrapolated limit")
 
+    @pytest.mark.parametrize("name", ["criterion_01_normal_scaling", "criterion_12a_high_order_n2"])
+    def test_vanishing_sweeps_report_zero_limit(self, reports, name):
+        # the Richardson residue of a vanishing sweep is cancellation noise
+        # whose sign follows rounding; the report prints the limit 0 instead
+        payload = json.loads(reports[name]["payload"])
+        sweeps = [sweep for res in payload["results"] if res["kind"] == "scaling-sweep"
+                  for sweep in res["sweeps"] if sweep["verdict"] == "vanishing"]
+        assert sweeps
+        for sweep in sweeps:
+            assert sweep["limit_extrapolated"] == {"re": 0.0, "im": 0.0}, sweep["order"]
+
     def test_11_projector_and_gap(self, reports):
         entry = reports["criterion_11a_projector"]
         res = entry["report"].results[0]

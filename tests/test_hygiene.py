@@ -1,6 +1,9 @@
 """Source hygiene checks that a linter would make, written as an AST scan."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,14 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.sum, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
+
+
+def test_cli_import_leaves_out_interpolate_and_optimize():
+    # scipy.interpolate, which pulls in scipy.optimize, costs about 0.35 s and
+    # 26 MB per process; the window transform interpolates with numpy alone
+    probe = ("import sys, fluctlab.cli; "
+             "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(fluctlab.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -569,6 +569,35 @@ class TestRadialChain:
             assert abs(kernel[i, j] - direct) <= 1e-10 * np.max(np.abs(kernel))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_smoothstep_kernel_is_finite(self, dim):
+        # the support rule's last nodes sit ~1e-3 before the edge's end, where
+        # an order-6 smoothstep is ~1e-19: the kernel takes the square root of
+        # f there, so f must be >= 0, not rounding noise of either sign
+        profile = make_profile("smoothstep", dim, 1024, smoothstep_order=6)
+        rule = QuadSpec(16.0, 8, 10).build(True)
+        kernel = window_product(profile, dim, rule)
+        assert np.all(np.isfinite(kernel))
+        p, r = rule.nodes[:, None], rule.nodes[None, :]
+        if dim == 1:
+            # the Cartesian chain's kernel on the same nodes
+            direct = profile.fourier_radial(np.abs(p - r)) + profile.fourier_radial(p + r)
+            assert np.max(np.abs(kernel - direct)) <= 1e-10 * np.max(np.abs(kernel))
+            state = _product_state(1, [3, 4])
+            cfg = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (16.0, 8, 10, 0)})
+            for order in (3, 4):
+                for radius in (2.0, 64.0):
+                    radial = qmode_correlator(state, profile, cfg, order, None, radius)
+                    cartesian = qmode_correlator(state, profile, cfg, order, np.zeros((order, 1)), radius)
+                    assert abs(radial - cartesian) <= 1e-10 * abs(cartesian), (order, radius)
+        else:
+            theta, wt = gauss_legendre_panels(0.0, np.pi, 64, 16)
+            wt = 2.0 * wt if dim == 2 else 2.0 * np.pi * wt * np.sin(theta)
+            for i, j in [(0, 10), (3, 5), (40, 70), (79, 79)]:
+                q = np.sqrt(p[i, 0] ** 2 + r[0, j] ** 2 - 2 * p[i, 0] * r[0, j] * np.cos(theta))
+                direct = np.sum(wt * profile.fourier_radial(q))
+                assert abs(kernel[i, j] - direct) <= 1e-10 * np.max(np.abs(kernel))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_closed_form_limit(self, profile1, profile2, profile3, dim):
         # R^((l-2)n/2) value(R) -> S_l(0) int f(|x|)^l d^n x, from the position
         # profile alone: the ball of radius a in closed form plus the edge

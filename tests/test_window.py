@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fluctlab.window import (
     CACHE_FORMAT_VERSION,
     WindowProfile,
     ball_fhat,
+    lagrange_uniform,
     load_or_build,
     make_profile,
     radial_fourier_direct,
@@ -67,6 +69,21 @@ class TestPositionProfile:
             far4 = one_sided(edge, into, 4, 16 * stride)
             near4 = one_sided(edge, into, 4, 8 * stride)
             assert abs(near4) > 0.5 * abs(far4)
+
+    @pytest.mark.parametrize("order", [3, 6, 16])
+    def test_smoothstep_edge_keeps_relative_precision(self, order):
+        # against exact rational arithmetic on S(t) = sum_m c_m t^(order+1+m):
+        # near t = 1 the edge is far below 1 and must not round to noise
+        def exact(t):
+            s = sum(Fraction(math.comb(order + m, m) * math.comb(2 * order + 1, order - m) * (-1) ** m)
+                    * t ** (order + 1 + m) for m in range(order + 1))
+            return float(1 - s)
+
+        t = np.concatenate([np.linspace(0.0, 1.0, 41), 1.0 - np.geomspace(1e-6, 1e-2, 9)])
+        reference = np.array([exact(Fraction(v)) for v in t])
+        edge = window._smoothstep_edge(order)(t)
+        assert np.all((edge >= 0.0) & (edge <= 1.0))
+        assert np.all(np.abs(edge - reference) <= 1e-14 * reference + 1e-300)
 
     def test_unsupported_dimension(self):
         with pytest.raises(InvalidArgumentError):
@@ -203,8 +220,7 @@ class TestPlateauAndEdge:
     def test_equals_full_rule(self, kind, dim):
         prof = make_profile(kind, dim, 1024)
         # the rule that used to cover all of [0, 2.5], plateau included
-        panels = max(48, int(prof.k_max * 2.5 / (2.0 * np.pi) / 1.5) + 1)
-        s, w = gauss_legendre_panels(0.0, 2.5, panels, 16)
+        s, w = window.transform_rule(prof.k_max, 0.0, 2.5)
         exact, _ = window._profile_evaluator(kind, 3)
         direct = radial_fourier_direct(dim, s, w, exact(s), prof.k_grid)
         assert np.max(np.abs(prof.fhat_samples - direct)) <= 1e-14
@@ -226,16 +242,94 @@ class TestPlateauAndEdge:
         args = dict(k_max=40.0, k_resolution=1024)
         fresh = load_or_build("mollified-step", 1, 1024, cache_dir=tmp_path, **args)
         (path,) = tmp_path.glob("*.npz")
-        # a file as the whole-rule build wrote it, under format 2
+        # a file as the spline-interpolated build wrote it, under format 3
         with np.load(path) as data:
             payload = dict(data)
-        payload["format_version"] = 2
+        payload["format_version"] = 3
         payload["fhat_samples"] = payload["fhat_samples"] + 1e-15
         np.savez(path, **payload)
         again = load_or_build("mollified-step", 1, 1024, cache_dir=tmp_path, **args)
         assert np.array_equal(again.fhat_samples, fresh.fhat_samples)
         with np.load(path) as data:
-            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 3
+            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 4
+
+
+def elementwise_transform(dim, s, w, f, kappa):
+    """The radial transform as an elementwise sum over an (M, N) kernel array."""
+    k, s = np.asarray(kappa)[:, None], s[None, :]
+    if dim == 1:
+        return np.sqrt(2.0 / np.pi) * np.sum(w * f * np.cos(k * s), axis=1)
+    if dim == 2:
+        from scipy.special import j0
+
+        return np.sum(w * f * s * j0(k * s), axis=1)
+    ks = k * s
+    kern = np.where(ks > 1e-12, np.sin(ks) / np.where(ks > 1e-12, ks, 1.0), 1.0)
+    return np.sqrt(2.0 / np.pi) * np.sum(w * f * s ** 2 * kern, axis=1)
+
+
+class TestInterpolant:
+    """The 10-point Lagrange interpolant of the cached transform and of the bump CDF."""
+
+    def test_reproduces_degree_nine_polynomials(self):
+        grid = np.linspace(-1.0, 3.0, 41)
+        poly = np.polynomial.Polynomial(np.random.default_rng(1).normal(size=10))
+        x = np.concatenate([np.random.default_rng(2).uniform(-1.0, 3.0, 500), [-0.99, 2.99]])
+        scale = np.max(np.abs(poly(grid)))
+        assert np.max(np.abs(lagrange_uniform(grid, poly(grid), x) - poly(x))) <= 1e-14 * scale
+
+    def test_stencil_is_the_ten_nearest_nodes(self):
+        # between nodes i and i + 1 the value reads nodes i - 4 ... i + 5 only
+        grid, x = np.linspace(0.0, 1.0, 101), 0.503
+        for node, reads in ((45, False), (46, True), (55, True), (56, False)):
+            table = np.zeros_like(grid)
+            table[node] = 1.0
+            assert (lagrange_uniform(grid, table, x) != 0.0) == reads, node
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep", "sharp"])
+    def test_fourier_radial_equals_direct_quadrature(self, kind, dim):
+        # the closed-form ball plus the edge rule, at momenta off the cache nodes
+        prof = make_profile(kind, dim, 1024)
+        kappa = np.random.default_rng(dim).uniform(0.0, prof.k_max, 2000)
+        a, _ = window.EDGES[kind]
+        direct = a ** dim * ball_fhat(dim, a * kappa)
+        if kind != "sharp":
+            s, w = window.transform_rule(prof.k_max, *window.EDGES[kind])
+            exact, _ = window._profile_evaluator(kind, 3)
+            direct += radial_fourier_direct(dim, s, w, exact(s), kappa)
+        assert np.max(np.abs(prof.fourier_radial(kappa) - direct)) <= 1e-12 * prof.fhat_zero()
+
+    def test_exact_at_the_nodes(self, profile1, profile2, profile3):
+        for prof in (profile1, profile2, profile3):
+            assert np.array_equal(prof.fourier_radial(prof.k_grid), prof.fhat_samples)
+            assert prof.fhat_zero() == prof.fhat_samples[0]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gemv_equals_elementwise_sum(self, profile1, profile2, profile3, dim):
+        prof = (profile1, profile2, profile3)[dim - 1]
+        s, w = window.transform_rule(prof.k_max, *window.EDGES["mollified-step"])
+        f = window._profile_evaluator("mollified-step", 3)[0](s)
+        fast = radial_fourier_direct(dim, s, w, f, prof.k_grid)
+        slow = elementwise_transform(dim, s, w, f, prof.k_grid)
+        assert np.max(np.abs(fast - slow)) <= 1e-13 * prof.fhat_zero()
+
+    def test_bump_cdf(self):
+        h = window.BUMP_HALFWIDTH
+        cdf = window._bump_cdf(h)
+        assert cdf(-h) == 0.0 and cdf(h) == 1.0
+        # monotone up to one rounding step of values near 1
+        assert np.all(np.diff(cdf(np.linspace(-h, h, 100001))) >= -np.spacing(1.0))
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+
+        def mass(hi):
+            u = -h + (hi + h) * (nodes + 1.0) / 2.0
+            t2 = np.minimum((u / h) ** 2, 1.0 - 1e-16)
+            return (hi + h) / 2.0 * np.sum(weights * np.exp(-1.0 / (1.0 - t2)))
+
+        x = np.linspace(-h, h, 400)
+        reference = np.array([mass(v) for v in x]) / mass(h)
+        assert np.max(np.abs(cdf(x) - reference)) <= 5e-10
 
 
 class TestSharpWindowOracle:
