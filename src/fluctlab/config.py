@@ -83,7 +83,7 @@ class RunConfig:
 
     def build_window(self, cache_dir=None):
         wb = self.window_block
-        return load_or_build(wb["kind"], wb["dim"], wb["resolution"], cache_dir=cache_dir,
+        return load_or_build(wb["kind"], wb["dim"], cache_dir=cache_dir,
                              smoothstep_order=wb["smoothstep_order"])
 
 
@@ -184,7 +184,7 @@ _MODEL_COMMON = {"class": (Str(tuple(MODELS)), REQUIRED), "dim": (Int(1, 3), 1)}
 # ---------------------------------------------------------------------------
 
 WINDOW = Obj({"kind": (Str(), "mollified-step"), "dim": (Int(1, 3), OPTIONAL),  # default: the model's
-              "resolution": (Int(1, 1 << 20), 8192), "smoothstep_order": (Int(0, 16), 3)})
+              "smoothstep_order": (Int(0, 16), 3)})
 NUMERIC = Obj({
     "r_grid": (Obj({"start": (Num(positive=True), 8.0), "stop": (Num(positive=True), 512.0),
                     "count": (Int(0, 4096), 8)}), {}),
@@ -274,7 +274,7 @@ def _parse(text: str) -> RunConfig:
         raise ConfigError("sharp windows are oracle-only; scaling runs need a smooth window")
     if window_block["dim"] != dim:
         raise ConfigError("window dimension must match the model dimension")
-    check_profile_args(window_block["kind"], window_block["dim"], window_block["resolution"])
+    check_profile_args(window_block["kind"], window_block["dim"])
 
     numeric_raw = _object(raw.get("numeric", {}), "numeric")
     numeric_block = NUMERIC(numeric_raw, "numeric")

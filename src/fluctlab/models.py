@@ -28,6 +28,7 @@ import numpy as np
 from scipy.special import kv as _bessel_kv
 
 from .errors import ModelValidationError, OrderRangeError, UnsupportedModeError
+from .window import smoothstep_edge
 
 #: default highest order of a hierarchy, and the highest order a configuration names
 MAX_ORDER = 8
@@ -380,11 +381,9 @@ def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
 
 
 def smooth_cutoff(t) -> np.ndarray:
-    """C^4 radial cutoff: 1 for t <= 1, 0 for t >= 2 (quintic-smoothstep edge)."""
+    """C^4 radial cutoff in [0, 1]: 1 for t <= 1, 0 for t >= 2 (order-4 smoothstep edge)."""
     t = np.abs(np.asarray(t, dtype=float))
-    u = np.clip(t - 1.0, 0.0, 1.0)
-    step = u ** 5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + 70.0 * u))))
-    return 1.0 - step
+    return smoothstep_edge(np.clip(t - 1.0, 0.0, 1.0), 4)
 
 
 def goldstone_state(dim: int, singular_weight: float, infrared_exponent: float = 2.0,

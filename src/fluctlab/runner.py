@@ -356,8 +356,9 @@ def _run_projector(params, cfg, model, window):
     bound_ok = True
     f0 = window.fhat_zero()
     norm = model.noninvariant_norm()
+    momenta = np.array([p for _, p, _ in model.samples])
     for radius, value in zip(rep.r_values, rep.values):
-        env = max(abs(window.fourier_radial(radius * p)) / f0 for _, p, _ in model.samples)
+        env = np.max(np.abs(window.fourier_radial(radius * momenta)) / f0)
         if abs(value) > env * norm * (1.0 + 1e-9):
             bound_ok = False
     return {

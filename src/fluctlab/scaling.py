@@ -33,6 +33,7 @@ from .errors import (
 from .models import TruncatedHierarchy, radial_norm
 from .quadrature import Rule1D, gauss_legendre_panels, half_line_rule, symmetric_panel_rule
 from .window import (
+    GRID_EXTENT,
     PLANE_WAVE_MEAN,
     WindowProfile,
     support_rule,
@@ -433,15 +434,15 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
     other variables: g = (A * c) @ B.T with A[z_1, u] = f(|u + z_1|),
     c[u] = f(|u|) wt(u) and B[(z_2, ...), u] the shifted product (a row of
     ones for l = 2).  The factor f(|u|) confines the integrand to the
-    window's support, so one fixed u rule on [-s_max, s_max] serves every z
-    and no quadrature node depends on z.  Orders l >= 4 take one product per
-    z_2 slice, so no intermediate exceeds the n**(l-1) result.
+    window's support, so one fixed u rule on [-GRID_EXTENT, GRID_EXTENT]
+    serves every z and no quadrature node depends on z.  Orders l >= 4 take
+    one product per z_2 slice, so no intermediate exceeds the n**(l-1)
+    result.
     """
     key = (profile.cache_key, order, z_rule.key)
     if key in _OVERLAP_CACHE:
         return _OVERLAP_CACHE[key]
-    s_max = profile.s_grid[-1]
-    u, wt = gauss_legendre_panels(-s_max, s_max, 32, 12)
+    u, wt = gauss_legendre_panels(-GRID_EXTENT, GRID_EXTENT, 32, 12)
     z = z_rule.nodes
     n = len(z)
     ac = profile.value(u + z[:, None]) * (profile.value(u) * wt)
@@ -485,9 +486,9 @@ def _shifted_rows(profile: WindowProfile, u: np.ndarray, levels) -> np.ndarray:
 ORACLE_Z = (24, 10, 6)
 
 
-def oracle_z_rule(profile: WindowProfile) -> Rule1D:
+def oracle_z_rule() -> Rule1D:
     """Scaled-difference-variable rule shared by all radii of one oracle run."""
-    return symmetric_panel_rule(2.0 * profile.s_grid[-1], *ORACLE_Z)
+    return symmetric_panel_rule(2.0 * GRID_EXTENT, *ORACLE_Z)
 
 
 def position_points(z: tuple, order: int) -> int:
@@ -513,7 +514,7 @@ def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     if order < 2:
         raise OrderRangeError("order must be >= 2")
     if z_rule is None:
-        z_rule = oracle_z_rule(profile)
+        z_rule = oracle_z_rule()
     _check_points(len(z_rule) ** (order - 1), "position-space array")
     g = window_overlap_1d(profile, order, z_rule)
     dim = order - 1
@@ -830,7 +831,7 @@ def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     if order not in state.weighted_orders:
         raise UnsupportedModeError(f"order {order} carries no weighted correlator")
     return position_space_correlator(state, profile, cfg, order, radius, gamma,
-                                     z_rule=weighted_z_rule(profile, order))
+                                     z_rule=weighted_z_rule(order))
 
 
 def _weighted_z(order: int) -> tuple:
@@ -838,13 +839,13 @@ def _weighted_z(order: int) -> tuple:
     return (24, 10, 14) if order == 2 else (14, 8, 14)
 
 
-def weighted_z_rule(profile: WindowProfile, order: int) -> Rule1D:
+def weighted_z_rule(order: int) -> Rule1D:
     """Difference-variable rule of the weighted position path.
 
     Grading down to ~1e-4 of the box resolves correlator structure at scale
     1/R through R ~ 2000; orders >= 3 use a leaner per-axis rule.
     """
-    return symmetric_panel_rule(2.0 * profile.s_grid[-1], *_weighted_z(order))
+    return symmetric_panel_rule(2.0 * GRID_EXTENT, *_weighted_z(order))
 
 
 def check_weighted_order(order: int) -> None:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .models import smooth_cutoff
 from .scaling import QuadSpec, ScalingConfig, ScalingReport, build_report, radial_chain
-from .window import SUPPORT_RADIUS, WindowProfile, unit_sphere_area
+from .window import SUPPORT_RADIUS, WindowProfile, smoothstep_edge, unit_sphere_area
 
 
 @dataclass(frozen=True)
@@ -290,9 +290,10 @@ def mean_projector_residual(vec: SpectralVectorModel, profile: WindowProfile,
     invariant component: the invariant term is reproduced exactly, every
     momentum-p sample is damped by fhat(R p)/fhat(0)."""
     f0 = profile.fhat_zero()
+    damped = profile.fourier_radial(radius * np.array([p for _, p, _ in vec.samples]))
     acc = 0.0
-    for _, p, a in vec.samples:
-        acc += abs(profile.fourier_radial(radius * p) / f0) ** 2 * abs(a) ** 2
+    for fhat, (_, _, a) in zip(damped, vec.samples):
+        acc += abs(fhat / f0) ** 2 * abs(a) ** 2
     return float(np.sqrt(acc))
 
 
@@ -307,9 +308,9 @@ def mean_projector_convergence(vec: SpectralVectorModel, profile: WindowProfile,
 class EnergySmoothing:
     """Time-smearing transform ghat: 1 at E = 0, supported in (-a, a).
 
-    shape "plateau" keeps ghat = 1 up to a/2 (quintic edge); "wide-plateau"
-    up to 3a/4 with a steeper edge; both satisfy ghat(0) = 1 exactly, so
-    admissible smoothings differ only away from E = 0.
+    shape "plateau" keeps ghat = 1 up to a/2 (order-4 smoothstep edge);
+    "wide-plateau" up to 3a/4 with a steeper order-2 edge; both satisfy
+    ghat(0) = 1 exactly, so admissible smoothings differ only away from E = 0.
     """
 
     half_support: float
@@ -325,9 +326,7 @@ class EnergySmoothing:
         e = np.abs(np.asarray(energy, dtype=float)) / self.half_support
         if self.shape == "plateau":
             return smooth_cutoff(2.0 * e)
-        u = np.clip(4.0 * (e - 0.75), 0.0, 1.0)
-        step = u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
-        return 1.0 - step
+        return smoothstep_edge(np.clip(4.0 * (e - 0.75), 0.0, 1.0), 2)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ the scale family obeys the exact identity  fhat_R(k) = R**n * fhat(R*k),
 which is what every scaling computation in the package leans on.
 
 Each kind is exactly 1 on a ball of radius a and exactly 0 beyond b
-(``EDGES``), so its cached transform is the ball's closed form
-a^n ball_fhat(a k) plus a Gauss-Legendre quadrature over the edge [a, b]
-alone; the sharp kind, a = b = 1, is the closed form only.  Between the
-cached momenta the transform is read by the 10-point Lagrange interpolant
-``lagrange_uniform``, which is exact at the nodes and elsewhere misses the
-direct quadrature by at most 1e-14 of fhat(0).
+(``EDGES``).  The profile has one position-space form, the exact evaluator
+``_profile_evaluator``: ``WindowProfile.value`` reads it, and so do the
+transform build and ``support_rule``.  The cached transform is the ball's
+closed form a^n ball_fhat(a k) plus a Gauss-Legendre quadrature over the
+edge [a, b] alone; the sharp kind, a = b = 1, is the closed form only.
+Between the cached momenta the transform is read by the 10-point Lagrange
+interpolant ``lagrange_uniform``, which is exact at the nodes and elsewhere
+misses the direct quadrature by at most 1e-14 of fhat(0).
 
 Convention summary (pinned once, here):
 
@@ -44,7 +46,7 @@ from scipy.special import j0, j1, spherical_jn
 from .errors import InvalidArgumentError
 from .quadrature import gauss_legendre_panels
 
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are
@@ -53,7 +55,9 @@ CACHE_FORMAT_VERSION = 4
 STEP_EDGE = 1.5
 BUMP_HALFWIDTH = 0.25
 SUPPORT_RADIUS = 2.0
-GRID_MARGIN = 0.5
+#: radial extent of the transform rule and of the position-space rules:
+#: the support plus a margin of 0.5
+GRID_EXTENT = 2.5
 
 
 def unit_sphere_area(n: int) -> float:
@@ -99,23 +103,22 @@ def _lagrange_block(grid, table, x):
     return np.where((t == nearest) | (x == grid[nearest]), base, out)
 
 
-def _bump_cdf(halfwidth: float, samples: int = 40001):
+def _bump_cdf(halfwidth: float, samples: int = 2001):
     """CDF of the normalized C-infinity bump exp(-1/(1-(u/h)^2)) on [-h, h].
 
-    A trapezoid table on ``samples`` uniform points, interpolated by
+    A table on ``samples`` uniform points whose every interval is integrated
+    by 16-node Gauss-Legendre, so it is exact to rounding; read by
     ``lagrange_uniform``.
     """
     u = np.linspace(-halfwidth, halfwidth, samples)
-    t = u / halfwidth
-    vals = np.zeros_like(u)
-    interior = np.abs(t) < 1.0
-    vals[interior] = np.exp(-1.0 / (1.0 - t[interior] ** 2))
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(u))])
+    x, w = gauss_legendre_panels(-halfwidth, halfwidth, samples - 1, 16)
+    mass = (w * np.exp(-1.0 / (1.0 - (x / halfwidth) ** 2))).reshape(samples - 1, 16).sum(axis=1)
+    cdf = np.concatenate([[0.0], np.cumsum(mass)])
     cdf /= cdf[-1]
-    return lambda x: lagrange_uniform(u, cdf, x)
+    return lambda v: lagrange_uniform(u, cdf, v)
 
 
-def _smoothstep_edge(order: int):
+def smoothstep_edge(t, order: int) -> np.ndarray:
     """1 - S(t) for t in [0, 1], with S(0) = 0, S(1) = 1 and `order` flat
     derivatives at both ends.
 
@@ -126,16 +129,12 @@ def _smoothstep_edge(order: int):
     above 1, so it is capped there.
     """
     m = 2 * order + 1
-
-    def edge(t):
-        t = np.asarray(t, dtype=float)
-        u = 1.0 - t
-        out = np.zeros_like(t)
-        for j in range(order + 1):
-            out += comb(m, j) * t ** j * u ** (m - j)
-        return np.minimum(out, 1.0, out=out)
-
-    return edge
+    t = np.asarray(t, dtype=float)
+    u = 1.0 - t
+    out = np.zeros_like(t)
+    for j in range(order + 1):
+        out += comb(m, j) * t ** j * u ** (m - j)
+    return np.minimum(out, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -148,10 +147,7 @@ class WindowProfile:
 
     kind: str
     dim: int
-    resolution: int
     smoothness: int  # number of continuous derivatives certified at the edges
-    s_grid: np.ndarray = field(repr=False)
-    f_samples: np.ndarray = field(repr=False)
     k_grid: np.ndarray = field(repr=False)
     fhat_samples: np.ndarray = field(repr=False)
     k_max: float
@@ -161,28 +157,20 @@ class WindowProfile:
 
     @property
     def cache_key(self) -> tuple:
-        return (self.kind, self.dim, self.resolution, float(self.k_max), self.smoothness,
-                len(self.k_grid))
+        return (self.kind, self.dim, float(self.k_max), self.smoothness, len(self.k_grid))
 
     # -- position space ----------------------------------------------------
 
     def value(self, s) -> np.ndarray:
-        """Radial profile f(s) (exactly 0 outside the cached support).
+        """Radial profile f(|s|), in [0, 1] and exactly 0 beyond the support.
 
-        Samples live on a uniform grid, so linear interpolation is accurate
-        to ~|f''| (ds)^2/8 and much cheaper than a higher-order interpolant
-        on the large position grids the overlap integrals use.
+        Read from the exact evaluator the cached transform is built from.
         """
-        s = np.abs(np.asarray(s, dtype=float))
-        if self.kind == "sharp":
-            return np.where(s <= 1.0, 1.0, 0.0)
-        out = np.interp(s, self.s_grid, self.f_samples, right=0.0)
-        return np.clip(out, 0.0, 1.0)
+        return _profile_evaluator(self.kind, self.smoothness)(np.abs(np.asarray(s, dtype=float)))
 
     def volume_integral(self) -> float:
-        """integral of f(|x|) over R^n."""
-        s, w = gauss_legendre_panels(0.0, self.s_grid[-1], 64, 16)
-        return unit_sphere_area(self.dim) * float(np.sum(w * self.value(s) * s ** (self.dim - 1)))
+        """integral of f(|x|) over R^n, which is (2 pi)^(n/2) fhat(0)."""
+        return (2.0 * pi) ** (self.dim / 2.0) * self.fhat_zero()
 
     # -- momentum space ----------------------------------------------------
 
@@ -215,15 +203,14 @@ class WindowProfile:
     # -- serialization -----------------------------------------------------
 
     def to_cache_file(self, path: str | Path) -> Path:
-        """Write the profile as an .npz archive of its scalars and sample arrays."""
+        """Write the profile as an .npz archive of its scalars and transform samples."""
         path = Path(path)
         # write beside the target and rename, so no reader sees a partial file
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 np.savez(fh, format_version=CACHE_FORMAT_VERSION, kind=self.kind, dim=self.dim,
-                         resolution=self.resolution, smoothness=self.smoothness, k_max=self.k_max,
-                         s_grid=self.s_grid, f_samples=self.f_samples, k_grid=self.k_grid,
+                         smoothness=self.smoothness, k_max=self.k_max,
                          fhat_samples=self.fhat_samples)
             os.replace(tmp, path)
         except BaseException:
@@ -237,28 +224,23 @@ class WindowProfile:
             version = data["format_version"]
             if version != CACHE_FORMAT_VERSION:
                 raise InvalidArgumentError(f"window cache format {version} not supported")
+            fhat_samples, k_max = data["fhat_samples"], float(data["k_max"])
             return _assemble(
                 str(data["kind"]),
                 int(data["dim"]),
-                int(data["resolution"]),
                 int(data["smoothness"]),
-                data["s_grid"],
-                data["f_samples"],
-                data["k_grid"],
-                data["fhat_samples"],
-                float(data["k_max"]),
+                np.linspace(0.0, k_max, len(fhat_samples)),
+                fhat_samples,
+                k_max,
             )
 
 
-def _assemble(kind, dim, resolution, smoothness, s_grid, f_samples, k_grid, fhat_samples, k_max):
+def _assemble(kind, dim, smoothness, k_grid, fhat_samples, k_max):
     tail = np.maximum.accumulate(np.abs(fhat_samples)[::-1])[::-1]
     return WindowProfile(
         kind=kind,
         dim=dim,
-        resolution=resolution,
         smoothness=smoothness,
-        s_grid=s_grid,
-        f_samples=f_samples,
         k_grid=k_grid,
         fhat_samples=fhat_samples,
         k_max=k_max,
@@ -277,8 +259,10 @@ EDGES = {
 KINDS = tuple(EDGES)
 
 
-def _profile_evaluator(kind: str, smoothstep_order: int):
-    """Exact radial evaluator (vectorized s >= 0 -> f(s)) plus smoothness order.
+@lru_cache(maxsize=None)
+def _profile_evaluator(kind: str, smoothness: int):
+    """The exact radial evaluator, vectorized s >= 0 -> f(s), of a profile
+    with this smoothness (``make_profile``); built once per argument pair.
 
     Every edge lies in [0, 1]: ``scaling.window_product`` takes square roots
     of f on the support.
@@ -287,21 +271,14 @@ def _profile_evaluator(kind: str, smoothstep_order: int):
     if kind == "mollified-step":
         cdf = _bump_cdf(BUMP_HALFWIDTH)
 
+        # on the edge s + STEP_EDGE lies above the bump, where the CDF is 1
         def edge(s):
-            lo = np.clip(s - STEP_EDGE, -BUMP_HALFWIDTH, BUMP_HALFWIDTH)
-            hi = np.clip(s + STEP_EDGE, -BUMP_HALFWIDTH, BUMP_HALFWIDTH)
-            return np.clip(cdf(hi) - cdf(lo), 0.0, 1.0)
-
-        smoothness = 64  # effectively C^inf; certify plenty
+            return np.clip(1.0 - cdf(s - STEP_EDGE), 0.0, 1.0)
     elif kind == "smoothstep":
-        bernstein = _smoothstep_edge(smoothstep_order)
-
         def edge(s):
-            return bernstein(s - a)
-
-        smoothness = smoothstep_order
+            return smoothstep_edge(s - a, smoothness)
     else:  # sharp: a == b, no edge
-        edge, smoothness = np.zeros_like, 0
+        edge = np.zeros_like
 
     def exact(s):
         s = np.asarray(s, dtype=float)
@@ -310,7 +287,7 @@ def _profile_evaluator(kind: str, smoothstep_order: int):
         f[mid] = edge(s[mid])
         return f
 
-    return exact, smoothness
+    return exact
 
 
 def _sin_over_x(x, out=None):
@@ -395,13 +372,12 @@ def support_rule(kind: str, smoothness: int, frequency: float):
 
     The rule is split at the edge a (``EDGES``), so f is smooth on each
     piece, and each panel spans at most one cycle of
-    exp(i frequency s).  The values come from the exact evaluator the
-    transform was built from, not from the interpolated samples of
-    ``value``; ``smoothness`` is the profile's, which for a smoothstep
-    profile is its order.  Built once per argument tuple; the arrays are
-    read-only.
+    exp(i frequency s).  The values come from the exact evaluator that the
+    transform and ``value`` read; ``smoothness`` is the profile's, which for
+    a smoothstep profile is its order.  Built once per argument tuple; the
+    arrays are read-only.
     """
-    exact, _ = _profile_evaluator(kind, smoothness)
+    exact = _profile_evaluator(kind, smoothness)
     pieces = [gauss_legendre_panels(lo, hi, panels, SUPPORT_PANEL_NODES)
               for lo, hi, panels in _support_panels(kind, frequency)]
     s = np.concatenate([x for x, _ in pieces])
@@ -414,19 +390,16 @@ def support_rule(kind: str, smoothness: int, frequency: float):
 def transform_rule(k_max: float, lo: float, hi: float):
     """Composite Gauss-Legendre nodes and weights over [lo, hi] at the panel
     width ``make_profile`` integrates the edge with: that of a rule over all
-    of [0, s_max] with >= ~6 nodes per cycle of exp(i k_max s)."""
-    s_max = SUPPORT_RADIUS + GRID_MARGIN
-    cycles = k_max * s_max / (2.0 * pi)
-    panels = ceil(max(48, int(cycles / 1.5) + 1) * (hi - lo) / s_max)
+    of [0, GRID_EXTENT] with >= ~6 nodes per cycle of exp(i k_max s)."""
+    cycles = k_max * GRID_EXTENT / (2.0 * pi)
+    panels = ceil(max(48, int(cycles / 1.5) + 1) * (hi - lo) / GRID_EXTENT)
     return gauss_legendre_panels(lo, hi, panels, 16)
 
 
-def check_profile_args(kind: str, dim: int, resolution: int) -> None:
+def check_profile_args(kind: str, dim: int) -> None:
     """The argument checks of make_profile, without building anything."""
     if dim not in (1, 2, 3):
         raise InvalidArgumentError(f"dimension {dim} not supported (use 1, 2 or 3)")
-    if resolution < 1024:
-        raise InvalidArgumentError("resolution must be at least 2**10 radial samples")
     if kind not in KINDS:
         raise InvalidArgumentError(f"unknown window kind {kind!r}; expected one of {KINDS}")
 
@@ -434,7 +407,6 @@ def check_profile_args(kind: str, dim: int, resolution: int) -> None:
 def make_profile(
     kind: str,
     dim: int,
-    resolution: int = 16384,
     *,
     smoothstep_order: int = 3,
     k_max: float = 640.0,
@@ -442,22 +414,22 @@ def make_profile(
 ) -> WindowProfile:
     """Build a WindowProfile with a cached transform on [0, k_max].
 
-    resolution is the radial sample count on [0, 2.5] (must be >= 1024).
     The profile is exactly 1 on the ball of radius a and exactly 0 beyond b,
     (a, b) = EDGES[kind], so its transform is the ball's closed form
     a^n ball_fhat(a k) plus the edge [a, b], which composite Gauss-Legendre
     integrates from the exact radial profile, dense enough for the largest
     cached momentum, as one matrix-vector product per chunk of momenta
-    (``radial_fourier_direct``).  The sharp kind has no edge.  Between cache
-    nodes the transform is read by the 10-point Lagrange interpolant
-    ``lagrange_uniform``: at 2,000 random momenta it misses the direct
-    quadrature by at most 2.2e-15 of fhat(0) for every kind and n = 1, 2, 3.
+    (``radial_fourier_direct``).  The sharp kind has no edge.  The profile
+    keeps no position samples: ``value`` reads the same exact evaluator.
+    Between cache nodes the transform is read by the 10-point Lagrange
+    interpolant ``lagrange_uniform``: at 2,000 random momenta it misses the
+    direct quadrature by at most 2.2e-15 of fhat(0) for every kind and
+    n = 1, 2, 3.
     """
-    check_profile_args(kind, dim, resolution)
-    s_max = SUPPORT_RADIUS + GRID_MARGIN
-    s_grid = np.linspace(0.0, s_max, resolution)
-    exact, smoothness = _profile_evaluator(kind, smoothstep_order)
-    f_samples = exact(s_grid)
+    check_profile_args(kind, dim)
+    # the mollified step is C-infinity, so it certifies plenty
+    smoothness = {"mollified-step": 64, "smoothstep": smoothstep_order, "sharp": 0}[kind]
+    exact = _profile_evaluator(kind, smoothness)
     k_grid = np.linspace(0.0, k_max, k_resolution)
 
     a, b = EDGES[kind]
@@ -466,10 +438,10 @@ def make_profile(
     if len(s_nodes):
         fhat += radial_fourier_direct(dim, s_nodes, s_weights, exact(s_nodes), k_grid)
 
-    return _assemble(kind, dim, resolution, smoothness, s_grid, f_samples, k_grid, fhat, k_max)
+    return _assemble(kind, dim, smoothness, k_grid, fhat, k_max)
 
 
-def load_or_build(kind: str, dim: int, resolution: int = 4096, cache_dir: str | Path | None = None,
+def load_or_build(kind: str, dim: int, cache_dir: str | Path | None = None,
                   *, smoothstep_order: int = 3, k_max: float = 640.0,
                   k_resolution: int = 10240) -> WindowProfile:
     """Fetch a profile from the cache directory, building and caching on miss.
@@ -479,20 +451,20 @@ def load_or_build(kind: str, dim: int, resolution: int = 4096, cache_dir: str | 
     """
     kwargs = dict(smoothstep_order=smoothstep_order, k_max=k_max, k_resolution=k_resolution)
     if cache_dir is None:
-        return make_profile(kind, dim, resolution, **kwargs)
+        return make_profile(kind, dim, **kwargs)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    name = (f"window_{kind}_n{dim}_r{resolution}_s{smoothstep_order}"
+    name = (f"window_{kind}_n{dim}_s{smoothstep_order}"
             f"_k{float(k_max)!r}_m{k_resolution}.npz")
     path = cache_dir / name
     if path.exists():
         try:
             prof = WindowProfile.from_cache_file(path)
-            if (prof.cache_key[:4] == (kind, dim, resolution, float(k_max))
+            if (prof.cache_key[:3] == (kind, dim, float(k_max))
                     and len(prof.k_grid) == k_resolution):
                 return prof
         except (ValueError, KeyError, EOFError, zipfile.BadZipFile, InvalidArgumentError):
             pass
-    prof = make_profile(kind, dim, resolution, **kwargs)
+    prof = make_profile(kind, dim, **kwargs)
     prof.to_cache_file(path)
     return prof

@@ -297,6 +297,7 @@ CONTRACT_CASES = {
     "r_grid count 0": ({"model": GAUSS, "numeric": {"r_grid": {"count": 0}}, "analyses": SWEEP}, 2),
     "too few radii in an analysis": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"r_grid": {"count": 5}}}]}, 2),
+    # the window has no resolution key: an unknown key is rejected
     "resolution 10": ({"model": GAUSS, "window": {"resolution": 10}, "analyses": SWEEP}, 2),
     "unknown density form": ({"model": dict(GAUSS, two_point={"form": "cauchy"}), "analyses": SWEEP}, 2),
     "missing pair density": ({"model": {

@@ -204,3 +204,6 @@ class TestGoldstoneSpectrum:
         assert smooth_cutoff(2.5) == 0.0
         mid = smooth_cutoff(1.5)
         assert 0.0 < mid < 1.0
+        # the edge stays >= 0 where it is far below 1, near t = 2
+        t = np.concatenate([np.linspace(0.0, 3.0, 3001), 2.0 - np.geomspace(1e-9, 1e-1, 400)])
+        assert np.all(smooth_cutoff(t) >= 0.0)

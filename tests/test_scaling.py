@@ -151,8 +151,7 @@ class TestSpectralPath:
 
 def _direct_overlap(profile, z_tuples, panels):
     """Overlap from its defining w-integral, f(|w+T_1|)...f(|w+T_{l-1}|) f(|w|), at each z tuple."""
-    s_max = profile.s_grid[-1]
-    w, wt = gauss_legendre_panels(-s_max, s_max, panels, 12)
+    w, wt = gauss_legendre_panels(-window.GRID_EXTENT, window.GRID_EXTENT, panels, 12)
     out = []
     for zt in z_tuples:
         prod = profile.value(w) * wt
@@ -164,8 +163,8 @@ def _direct_overlap(profile, z_tuples, panels):
 
 _Z_RULES = {
     "oracle": oracle_z_rule,
-    "weighted-order-2": lambda prof: weighted_z_rule(prof, 2),
-    "weighted-order-3": lambda prof: weighted_z_rule(prof, 3),
+    "weighted-order-2": lambda: weighted_z_rule(2),
+    "weighted-order-3": lambda: weighted_z_rule(3),
 }
 
 
@@ -175,7 +174,7 @@ class TestPositionOverlap:
     @pytest.mark.parametrize("rule_name", sorted(_Z_RULES))
     @pytest.mark.parametrize("order", [2, 3])
     def test_matches_direct_quadrature(self, profile1, rule_name, order):
-        z_rule = _Z_RULES[rule_name](profile1)
+        z_rule = _Z_RULES[rule_name]()
         g = window_overlap_1d(profile1, order, z_rule)
         rng = np.random.default_rng(order)
         idx = rng.integers(0, len(z_rule.nodes), size=(400, order - 1))
@@ -330,7 +329,7 @@ class TestChainContraction:
             rules[0].weights[0] = 0.0
 
     def test_kernel_not_shared_across_transform_grids(self, product_state1, profile1):
-        # same kind, resolution and k_max as profile1; only the transform grid differs
+        # same kind and k_max as profile1; only the transform grid differs
         coarse = make_profile("mollified-step", 1, k_resolution=2048)
         cfg = ScalingConfig()
         scaling.clear_caches()
@@ -467,7 +466,7 @@ class TestWeightedRegime:
             "numeric": {"alpha_mode": "gamma"}})).model
         gamma, _ = weighted_gamma(1, 2.0)
         cfg = ScalingConfig()
-        refined = symmetric_panel_rule(2.0 * profile1.s_grid[-1], panels, 12, 20)
+        refined = symmetric_panel_rule(2.0 * window.GRID_EXTENT, panels, 12, 20)
         radius = 2048.0
         value = weighted_correlator(state, profile1, cfg, order, gamma, radius)
         reference = position_space_correlator(state, profile1, cfg, order, radius, gamma,
@@ -573,7 +572,7 @@ class TestRadialChain:
         # the support rule's last nodes sit ~1e-3 before the edge's end, where
         # an order-6 smoothstep is ~1e-19: the kernel takes the square root of
         # f there, so f must be >= 0, not rounding noise of either sign
-        profile = make_profile("smoothstep", dim, 1024, smoothstep_order=6)
+        profile = make_profile("smoothstep", dim, smoothstep_order=6)
         rule = QuadSpec(16.0, 8, 10).build(True)
         kernel = window_product(profile, dim, rule)
         assert np.all(np.isfinite(kernel))
@@ -603,7 +602,7 @@ class TestRadialChain:
         # profile alone: the ball of radius a in closed form plus the edge
         profile = {1: profile1, 2: profile2, 3: profile3}[dim]
         state = _product_state(dim, range(2, 9))
-        exact = window._profile_evaluator(profile.kind, profile.smoothness)[0]
+        exact = window._profile_evaluator(profile.kind, profile.smoothness)
         a, b = window.EDGES[profile.kind]
         s, w = gauss_legendre_panels(a, b, 64, 16)
         radius = 8192.0

@@ -42,8 +42,8 @@ class TestPositionProfile:
         # the one-sided finite-difference derivative just inside the
         # transition must approach the plateau value 0 as the distance
         # halves; the 4th derivative jumps and must not
-        s = smoothstep1.s_grid
-        f = smoothstep1.f_samples
+        s = np.linspace(0.0, window.GRID_EXTENT, 16384)
+        f = smoothstep1.value(s)
         ds = s[1] - s[0]
         stride = 8
         h = stride * ds
@@ -70,7 +70,7 @@ class TestPositionProfile:
             near4 = one_sided(edge, into, 4, 8 * stride)
             assert abs(near4) > 0.5 * abs(far4)
 
-    @pytest.mark.parametrize("order", [3, 6, 16])
+    @pytest.mark.parametrize("order", [2, 3, 4, 6, 16])
     def test_smoothstep_edge_keeps_relative_precision(self, order):
         # against exact rational arithmetic on S(t) = sum_m c_m t^(order+1+m):
         # near t = 1 the edge is far below 1 and must not round to noise
@@ -81,17 +81,33 @@ class TestPositionProfile:
 
         t = np.concatenate([np.linspace(0.0, 1.0, 41), 1.0 - np.geomspace(1e-6, 1e-2, 9)])
         reference = np.array([exact(Fraction(v)) for v in t])
-        edge = window._smoothstep_edge(order)(t)
+        edge = window.smoothstep_edge(t, order)
         assert np.all((edge >= 0.0) & (edge <= 1.0))
         assert np.all(np.abs(edge - reference) <= 1e-14 * reference + 1e-300)
+
+    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep", "sharp"])
+    def test_value_is_the_exact_evaluator(self, kind):
+        # value, the transform and the radial kernel read one profile: at the
+        # nodes of support_rule, value returns its f bitwise
+        prof = make_profile(kind, 1, k_max=40.0, k_resolution=1024)
+        s, _, f = window.support_rule(kind, prof.smoothness, 32.0)
+        assert np.array_equal(prof.value(s), f)
+        assert np.array_equal(prof.value(-s), f)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    def test_volume_integral_is_the_position_quadrature(self, kind, dim):
+        # (2 pi)^(n/2) fhat(0) against Gauss-Legendre over the plateau and the edge
+        prof = make_profile(kind, dim, k_max=40.0, k_resolution=1024)
+        a, b = window.EDGES[kind]
+        s, w = (np.concatenate(parts) for parts in
+                zip(gauss_legendre_panels(0.0, a, 16, 16), gauss_legendre_panels(a, b, 64, 16)))
+        direct = unit_sphere_area(dim) * np.sum(w * prof.value(s) * s ** (dim - 1))
+        assert prof.volume_integral() == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_unsupported_dimension(self):
         with pytest.raises(InvalidArgumentError):
             make_profile("mollified-step", 4)
-
-    def test_resolution_floor(self):
-        with pytest.raises(InvalidArgumentError):
-            make_profile("mollified-step", 1, resolution=512)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidArgumentError):
@@ -114,8 +130,8 @@ class TestFourier:
     def test_midgrid_matches_direct_quadrature(self, profile1):
         # independent oracle: trapezoidal oscillatory integral over the
         # exact profile samples (different rule than the cache build)
-        s = profile1.s_grid
-        f = profile1.f_samples
+        s = np.linspace(0.0, window.GRID_EXTENT, 16384)
+        f = profile1.value(s)
         for kappa in (0.77, 1.618, 3.33):
             direct = np.sqrt(2 / np.pi) * np.trapezoid(np.cos(kappa * s) * f, s)
             assert profile1.fourier_radial(kappa) == pytest.approx(direct, rel=1e-8)
@@ -136,7 +152,7 @@ class TestFourier:
     def test_plancherel(self, profile1, profile2, profile3):
         # integral of f(|x|)^2 over R^n against integral of fhat^2
         for prof in (profile1, profile2, profile3):
-            s, w = gauss_legendre_panels(0.0, prof.s_grid[-1], 64, 16)
+            s, w = gauss_legendre_panels(0.0, window.GRID_EXTENT, 64, 16)
             l2 = unit_sphere_area(prof.dim) * np.sum(w * prof.value(s) ** 2 * s ** (prof.dim - 1))
             assert l2 == pytest.approx(prof.pair_overlap_integral(), rel=1e-6)
 
@@ -192,21 +208,21 @@ class TestSerialization:
             WindowProfile.from_cache_file(path)
 
     def test_load_or_build_uses_cache(self, tmp_path):
-        one = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
+        one = load_or_build("smoothstep", 1, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         files = list(tmp_path.glob("*.npz"))
         assert len(files) == 1
-        two = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
+        two = load_or_build("smoothstep", 1, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         assert np.array_equal(one.fhat_samples, two.fhat_samples)
         assert list(tmp_path.glob("*.npz")) == files
 
     @pytest.mark.parametrize("changed", [{"smoothstep_order": 6}, {"k_max": 50.0}])
     def test_load_or_build_rebuilds_on_other_arguments(self, tmp_path, changed):
         base = dict(k_max=40.0, k_resolution=1024, smoothstep_order=3)
-        one = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, **base)
-        two = load_or_build("smoothstep", 1, 1024, cache_dir=tmp_path, **{**base, **changed})
+        one = load_or_build("smoothstep", 1, cache_dir=tmp_path, **base)
+        two = load_or_build("smoothstep", 1, cache_dir=tmp_path, **{**base, **changed})
         assert len(list(tmp_path.glob("*.npz"))) == 2
         assert not np.array_equal(one.fhat_samples, two.fhat_samples)
-        fresh = make_profile("smoothstep", 1, 1024, **{**base, **changed})
+        fresh = make_profile("smoothstep", 1, **{**base, **changed})
         assert np.array_equal(two.fhat_samples, fresh.fhat_samples)
         assert two.smoothness == fresh.smoothness
         assert not list(tmp_path.glob("*.tmp"))
@@ -218,10 +234,10 @@ class TestPlateauAndEdge:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
     def test_equals_full_rule(self, kind, dim):
-        prof = make_profile(kind, dim, 1024)
+        prof = make_profile(kind, dim)
         # the rule that used to cover all of [0, 2.5], plateau included
         s, w = window.transform_rule(prof.k_max, 0.0, 2.5)
-        exact, _ = window._profile_evaluator(kind, 3)
+        exact = window._profile_evaluator(kind, prof.smoothness)
         direct = radial_fourier_direct(dim, s, w, exact(s), prof.k_grid)
         assert np.max(np.abs(prof.fhat_samples - direct)) <= 1e-14
 
@@ -235,23 +251,23 @@ class TestPlateauAndEdge:
 
         x = np.array([0.0, 1e-12, 1e-8, 1.25e-8, 3e-8, 1e-6, 1e-5, 1.25e-5, 1e-4, 1e-3, 1e-2])
         assert np.allclose(ball_fhat(dim, x), series(x), rtol=1e-14, atol=0.0)
-        sharp = make_profile("sharp", dim, 1024, k_max=1e-2, k_resolution=1024)
+        sharp = make_profile("sharp", dim, k_max=1e-2, k_resolution=1024)
         assert np.allclose(sharp.fhat_samples, series(sharp.k_grid), rtol=1e-14, atol=0.0)
 
     def test_old_cache_format_is_rebuilt(self, tmp_path):
         args = dict(k_max=40.0, k_resolution=1024)
-        fresh = load_or_build("mollified-step", 1, 1024, cache_dir=tmp_path, **args)
+        fresh = load_or_build("mollified-step", 1, cache_dir=tmp_path, **args)
         (path,) = tmp_path.glob("*.npz")
-        # a file as the spline-interpolated build wrote it, under format 3
+        # a file as the trapezoid bump table's build wrote it, under format 4
         with np.load(path) as data:
             payload = dict(data)
-        payload["format_version"] = 3
+        payload["format_version"] = 4
         payload["fhat_samples"] = payload["fhat_samples"] + 1e-15
         np.savez(path, **payload)
-        again = load_or_build("mollified-step", 1, 1024, cache_dir=tmp_path, **args)
+        again = load_or_build("mollified-step", 1, cache_dir=tmp_path, **args)
         assert np.array_equal(again.fhat_samples, fresh.fhat_samples)
         with np.load(path) as data:
-            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 4
+            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 5
 
 
 def elementwise_transform(dim, s, w, f, kappa):
@@ -290,13 +306,13 @@ class TestInterpolant:
     @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep", "sharp"])
     def test_fourier_radial_equals_direct_quadrature(self, kind, dim):
         # the closed-form ball plus the edge rule, at momenta off the cache nodes
-        prof = make_profile(kind, dim, 1024)
+        prof = make_profile(kind, dim)
         kappa = np.random.default_rng(dim).uniform(0.0, prof.k_max, 2000)
         a, _ = window.EDGES[kind]
         direct = a ** dim * ball_fhat(dim, a * kappa)
         if kind != "sharp":
             s, w = window.transform_rule(prof.k_max, *window.EDGES[kind])
-            exact, _ = window._profile_evaluator(kind, 3)
+            exact = window._profile_evaluator(kind, prof.smoothness)
             direct += radial_fourier_direct(dim, s, w, exact(s), kappa)
         assert np.max(np.abs(prof.fourier_radial(kappa) - direct)) <= 1e-12 * prof.fhat_zero()
 
@@ -309,7 +325,7 @@ class TestInterpolant:
     def test_gemv_equals_elementwise_sum(self, profile1, profile2, profile3, dim):
         prof = (profile1, profile2, profile3)[dim - 1]
         s, w = window.transform_rule(prof.k_max, *window.EDGES["mollified-step"])
-        f = window._profile_evaluator("mollified-step", 3)[0](s)
+        f = prof.value(s)
         fast = radial_fourier_direct(dim, s, w, f, prof.k_grid)
         slow = elementwise_transform(dim, s, w, f, prof.k_grid)
         assert np.max(np.abs(fast - slow)) <= 1e-13 * prof.fhat_zero()
@@ -320,16 +336,21 @@ class TestInterpolant:
         assert cdf(-h) == 0.0 and cdf(h) == 1.0
         # monotone up to one rounding step of values near 1
         assert np.all(np.diff(cdf(np.linspace(-h, h, 100001))) >= -np.spacing(1.0))
-        nodes, weights = np.polynomial.legendre.leggauss(64)
 
         def mass(hi):
-            u = -h + (hi + h) * (nodes + 1.0) / 2.0
-            t2 = np.minimum((u / h) ** 2, 1.0 - 1e-16)
-            return (hi + h) / 2.0 * np.sum(weights * np.exp(-1.0 / (1.0 - t2)))
+            # composite Gauss-Legendre, 200 panels x 30 nodes, exact to rounding
+            u, w = gauss_legendre_panels(-h, hi, 200, 30)
+            return np.sum(w * np.exp(-1.0 / (1.0 - (u / h) ** 2)))
 
-        x = np.linspace(-h, h, 400)
+        x = np.linspace(-h, h, 400)[1:]
         reference = np.array([mass(v) for v in x]) / mass(h)
-        assert np.max(np.abs(cdf(x) - reference)) <= 5e-10
+        assert np.max(np.abs(cdf(x) - reference)) <= 1e-14
+
+    def test_array_equals_one_point_calls(self, profile1):
+        # the projector evaluates all of its sample momenta in one call
+        kappa = np.random.default_rng(5).uniform(0.0, profile1.k_max, 1000)
+        one_by_one = np.array([profile1.fourier_radial(k) for k in kappa])
+        assert np.array_equal(profile1.fourier_radial(kappa), one_by_one)
 
 
 class TestSharpWindowOracle:
