@@ -25,7 +25,6 @@ from math import pi
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import kv as _bessel_kv
 
 from .errors import ModelValidationError, OrderRangeError, UnsupportedModeError
 from .window import smoothstep_edge
@@ -307,6 +306,8 @@ def powerlaw_two_point(beta: float, dim: int) -> Callable:
     Behaves like |k|^(beta - n) near k = 0 when beta < n (singular,
     discontinuous at the origin) and is finite there for beta > n.
     """
+    from scipy.special import kv
+
     nu = (dim - beta) / 2.0
     const = (2.0 * pi) ** (dim / 2.0) * 2.0 ** (1.0 - beta / 2.0) / _gamma_fn(beta / 2.0)
     finite_zero = None
@@ -318,7 +319,7 @@ def powerlaw_two_point(beta: float, dim: int) -> Callable:
         r = np.abs(k) if dim == 1 or k.ndim == 0 else np.linalg.norm(k, axis=-1)
         r = np.atleast_1d(r)
         safe = np.where(r > 0, r, 1.0)
-        vals = const * safe ** ((beta - dim) / 2.0) * _bessel_kv(nu, safe)
+        vals = const * safe ** ((beta - dim) / 2.0) * kv(nu, safe)
         if finite_zero is not None:
             vals = np.where(r > 0, vals, finite_zero)
         else:

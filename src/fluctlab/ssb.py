@@ -118,8 +118,17 @@ class GoldstoneModel:
 
     def _validate_cross_density(self):
         grid = np.geomspace(1e-6, 2.0 * self.k_cut, 513)
-        lhs = np.abs(self.rho_qa(grid)) ** 2
-        rhs = self.rho_a(grid) * self.rho_q(grid)
+        # a huge exponent overflows to inf, and inf times the cutoff's 0 is
+        # NaN, which no comparison below would catch
+        with np.errstate(over="ignore", invalid="ignore"):
+            densities = {"rho_qa": self.rho_qa(grid), "rho_a": self.rho_a(grid),
+                         "rho_q": self.rho_q(grid)}
+        for name, vals in densities.items():
+            if not np.all(np.isfinite(vals)):
+                k_bad = grid[~np.isfinite(vals)][0]
+                raise ModelValidationError(f"{name} is not finite at |k|={k_bad:.3g}")
+        lhs = np.abs(densities["rho_qa"]) ** 2
+        rhs = densities["rho_a"] * densities["rho_q"]
         bad = lhs > rhs * (1.0 + 1e-9) + 1e-300
         if np.any(bad):
             k_bad = grid[bad][0]

@@ -306,6 +306,12 @@ CONTRACT_CASES = {
         "analyses": [{"kind": "limit-state"}]}, 2),
     "cross density beyond Cauchy-Schwarz": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 5.0}),
                                              "analyses": [{"kind": "gap-check"}]}, 4),
+    # the cross density overflows to inf below |k| = 1 (or above it), and
+    # inf times the cutoff's 0 beyond 2 k_cut is NaN
+    "cross density exponent 1e300": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 0.25, "exponent": 1e300}),
+                                      "analyses": [{"kind": "ssb-bound"}]}, 4),
+    "cross density exponent -1e300": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 0.25, "exponent": -1e300}),
+                                       "analyses": [{"kind": "ssb-bound"}]}, 4),
     # 448**3 points per position-space array at order 4, over the 60M budget
     "weighted order 4": ({"model": {"class": "weighted", "dim": 1, "orders": [
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},

@@ -19,6 +19,9 @@ from fluctlab.window import (
 )
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+#: marks tests whose reference is summed in np.longdouble
+EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                              reason="np.longdouble has no extended precision here")
 
 
 class TestPositionProfile:
@@ -254,20 +257,29 @@ class TestPlateauAndEdge:
         sharp = make_profile("sharp", dim, k_max=1e-2, k_resolution=1024)
         assert np.allclose(sharp.fhat_samples, series(sharp.k_grid), rtol=1e-14, atol=0.0)
 
+    @EXTENDED
+    def test_ball_transform_n3_is_the_spherical_bessel_function(self):
+        # the Taylor series below x = 1 and (sin x - x cos x)/x^3 above it,
+        # against the closed form in extended precision
+        x = np.concatenate([np.geomspace(0.05, 6.0, 3001), np.linspace(6.0, 1300.0, 3000)])
+        xl = x.astype(np.longdouble)
+        reference = np.sqrt(2.0 / np.pi) * (np.sin(xl) - xl * np.cos(xl)) / xl ** 3
+        assert np.max(np.abs(ball_fhat(3, x) - reference)) <= 1e-15 * ball_fhat(3, 0.0)
+
     def test_old_cache_format_is_rebuilt(self, tmp_path):
         args = dict(k_max=40.0, k_resolution=1024)
         fresh = load_or_build("mollified-step", 1, cache_dir=tmp_path, **args)
         (path,) = tmp_path.glob("*.npz")
-        # a file as the trapezoid bump table's build wrote it, under format 4
+        # a file as the matrix-vector edge transform wrote it, under format 5
         with np.load(path) as data:
             payload = dict(data)
-        payload["format_version"] = 4
+        payload["format_version"] = 5
         payload["fhat_samples"] = payload["fhat_samples"] + 1e-15
         np.savez(path, **payload)
         again = load_or_build("mollified-step", 1, cache_dir=tmp_path, **args)
         assert np.array_equal(again.fhat_samples, fresh.fhat_samples)
         with np.load(path) as data:
-            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 5
+            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 6
 
 
 def elementwise_transform(dim, s, w, f, kappa):
@@ -282,6 +294,66 @@ def elementwise_transform(dim, s, w, f, kappa):
     ks = k * s
     kern = np.where(ks > 1e-12, np.sin(ks) / np.where(ks > 1e-12, ks, 1.0), 1.0)
     return np.sqrt(2.0 / np.pi) * np.sum(w * f * s ** 2 * kern, axis=1)
+
+
+#: (k_max, k_resolution): the default grid, and one whose size is not a
+#: multiple of window.PHASE_BLOCK
+UNIFORM_GRIDS = {"default": (640.0, 10240), "off-block": (40.0, 1000)}
+
+
+def edge_rule(kind, k_max):
+    """The edge nodes, weights and exact profile values make_profile transforms."""
+    smoothness = {"mollified-step": 64, "smoothstep": 3}[kind]
+    s, w = window.transform_rule(k_max, *window.EDGES[kind])
+    return s, w, window._profile_evaluator(kind, smoothness)(s)
+
+
+class TestUniformEdgeTransform:
+    """The block-and-offset matrix product of make_profile against the direct sum it replaced."""
+
+    @pytest.mark.parametrize("grid", sorted(UNIFORM_GRIDS))
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    def test_equals_direct_sum(self, kind, dim, grid):
+        k_max, size = UNIFORM_GRIDS[grid]
+        s, w, f = edge_rule(kind, k_max)
+        k_grid = np.linspace(0.0, k_max, size)
+        fast = window.uniform_edge_transform(dim, s, w, f, k_grid)
+        direct = radial_fourier_direct(dim, s, w, f, k_grid)
+        fhat_zero = window.EDGES[kind][0] ** dim * ball_fhat(dim, 0.0) + direct[0]
+        assert np.max(np.abs(fast - direct)) <= 1e-14 * fhat_zero
+        # at k = 0 both cos and sin(x)/x are 1: the sum of the coefficients
+        assert fast[0] == pytest.approx(math.fsum(window._radial_coefficients(dim, s, w, f)),
+                                        rel=1e-15, abs=0.0)
+
+    @EXTENDED
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    def test_against_extended_precision(self, kind, dim):
+        k_max, size = UNIFORM_GRIDS["default"]
+        s, w, f = edge_rule(kind, k_max)
+        k_grid = np.linspace(0.0, k_max, size)
+        # the first two blocks, where the n = 3 sum is largest, and a spread
+        # up to k_max, where the phases k s are
+        picks = np.r_[: 2 * window.PHASE_BLOCK, 2 * window.PHASE_BLOCK : size : 37, size - 1]
+        # the sum at the grid's momenta j k_max/(K - 1), in extended precision
+        k = picks.astype(np.longdouble) * (np.longdouble(k_max) / (size - 1))
+        ks = np.multiply.outer(k, s.astype(np.longdouble))
+        if dim == 1:
+            omega = np.cos(ks)
+        else:
+            omega = np.where(ks > 0, np.sin(ks) / np.where(ks > 0, ks, 1.0), 1.0)
+        reference = omega @ window._radial_coefficients(dim, s, w, f).astype(np.longdouble)
+        fast = window.uniform_edge_transform(dim, s, w, f, k_grid)[picks]
+        direct = radial_fourier_direct(dim, s, w, f, k_grid)[picks]
+        fast_error = float(np.max(np.abs(fast - reference)))
+        direct_error = float(np.max(np.abs(direct - reference)))
+        fhat_zero = window.EDGES[kind][0] ** dim * ball_fhat(dim, 0.0) + float(reference[0])
+        assert fast_error <= 2.5e-15 * fhat_zero
+        # at n = 3 the product is the one further off, on the first block:
+        # 6.5e-16 of fhat(0) where the direct sum is 2.8e-16 (mollified step)
+        if dim == 1:
+            assert fast_error <= direct_error
 
 
 class TestInterpolant:
