@@ -35,12 +35,19 @@ def gauss_legendre_segment(a: float, b: float, nodes: int):
 
 def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int):
     """Composite Gauss-Legendre rule on [a, b]: (nodes*panels,) nodes/weights."""
+    return gauss_legendre_edges(np.linspace(a, b, panels + 1), nodes)
+
+
+def gauss_legendre_edges(edges, nodes: int):
+    """Composite Gauss-Legendre rule with `nodes` nodes on each panel between
+    consecutive ``edges`` along the last axis: edges (..., panels + 1) give
+    (..., nodes * panels) nodes/weights, one rule per leading index."""
     x, w = legendre_rule(nodes)
-    edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    shape = np.shape(edges)[:-1] + (-1,)
+    pts = (mid[..., None] + half[..., None] * x).reshape(shape)
+    wts = (half[..., None] * w).reshape(shape)
     return pts, wts
 
 

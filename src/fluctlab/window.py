@@ -17,8 +17,11 @@ closed form a^n ball_fhat(a k) plus a Gauss-Legendre quadrature over the
 edge [a, b] alone; the sharp kind, a = b = 1, is the closed form only.  At
 n = 1 and 3 the edge sum over the uniform momentum grid splits exp(i k s)
 into block and offset phases and is one matrix product of sines and
-cosines (``uniform_edge_transform``); J_0 has no such addition formula, so
-n = 2 sums Omega_2(k s) directly (``radial_fourier_direct``).
+cosines (``uniform_edge_transform``).  At n = 2 the projection-slice
+theorem turns the transform into one of a line: fhat_2(k) is (2 pi)^(-1/2)
+times the n = 1 transform of the projection P(x) = int f(sqrt(x^2 + t^2)) dt
+(``line_projection``), which is the same matrix product over a rule on
+[0, b], so no Bessel function is evaluated.
 Between the cached momenta the transform is read by the 10-point Lagrange
 interpolant ``lagrange_uniform``, which is exact at the nodes and elsewhere
 misses the direct quadrature by at most 1e-14 of fhat(0).
@@ -47,9 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .quadrature import gauss_legendre_panels
+from .quadrature import GRADED_EDGE_RATIO, gauss_legendre_edges, gauss_legendre_panels
 
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are
@@ -302,7 +305,8 @@ def _sin_over_x(x, out=None):
 
 def _bessel_j0(x, out=None):
     """J_0, imported on first use: scipy.special is the largest piece of the
-    package's import, and only n = 2 reads it."""
+    package's import, and only the n = 2 radial kernel of
+    ``scaling.window_product`` reads it."""
     from scipy.special import j0
 
     return j0(x, out=out)
@@ -321,64 +325,58 @@ def _radial_coefficients(dim, s_nodes, s_weights, f_vals):
     return prefactor * s_weights * f_vals * s_nodes ** (dim - 1)
 
 
-def radial_fourier_direct(dim: int, s_nodes, s_weights, f_vals, kappa) -> np.ndarray:
-    """Direct radial transform of sampled f at momenta kappa (quadrature, no cache).
-
-    Implements (2*pi)^(-n/2) * int exp(-ik.x) f(|x|) d^n x reduced to one
-    radial integral, (2*pi)^(-n/2) |S^(n-1)| sum_s Omega_n(k s) f s^(n-1) w:
-    one matrix-vector product per chunk of momenta, through two buffers
-    reused across chunks.  It takes any momenta and any n; ``make_profile``
-    uses it at n = 2, where J_0 has no addition formula, and the tests use
-    it as the reference of ``uniform_edge_transform``.
-    """
-    if dim not in PLANE_WAVE_MEAN:
-        raise InvalidArgumentError(f"dimension {dim} not supported (use 1, 2 or 3)")
-    kappa = np.abs(np.atleast_1d(np.asarray(kappa, dtype=float)))
-    c = _radial_coefficients(dim, s_nodes, s_weights, f_vals)
-    chunk = 256  # two (chunk, len(s_nodes)) buffers, 1-2 MB each at the default k_max
-    out = np.empty(len(kappa))
-    x_buf = np.empty((min(chunk, len(kappa)), len(s_nodes)))
-    omega_buf = np.empty_like(x_buf)
-    for i in range(0, len(kappa), chunk):
-        k = kappa[i : i + chunk]
-        x, omega = x_buf[: len(k)], omega_buf[: len(k)]
-        np.multiply.outer(k, s_nodes, out=x)
-        PLANE_WAVE_MEAN[dim](x, out=omega)
-        np.matmul(omega, c, out=out[i : i + len(k)])
-    return out
-
-
 #: offsets r per block of ``uniform_edge_transform``: momentum index j = q B + r
 PHASE_BLOCK = 128
+#: most nodes ``uniform_edge_transform`` multiplies at once: the edge rule
+#: of the default mollified step, so its (blocks, 2 S) and (2 S, B) phase
+#: matrices stay near 1 MB on the longer rules of n = 2
+EDGE_CHUNK = 544
 
 
 def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid) -> np.ndarray:
-    """``radial_fourier_direct`` at n = 1 or 3 on the uniform grid k_j = j dk
-    from 0 (``k_grid``, at least two points).
+    """The radial transform sum_s c_s Omega_n(k s) at n = 1 or 3
+    (``_radial_coefficients``) on the uniform grid k_j = j dk from 0
+    (``k_grid``, at least two points).
 
     With j = q B + r (B = PHASE_BLOCK) the plane wave splits into a block and
     an offset phase, exp(i k_j s) = exp(i q B dk s) exp(i r dk s), so the
     table is one product of a (blocks, 2 S) matrix [cos, sin](q B dk s) by a
-    (2 S, B) matrix of offset cosines and sines: its real part is
-    sum_s c_s cos(k s) (n = 1), and the imaginary part of
-    sum_s (c_s / s) exp(i k s), divided by k, is sum_s c_s sin(k s)/(k s)
-    (n = 3).  At k = 0 the table is sum_s c_s at both n.  About
-    (blocks + B) 2 S sines and cosines replace the K S of the direct sum.
-    On the default rule of ``make_profile`` the table is within 4.1e-15 of
-    fhat(0) of the direct sum.  Against a long-double sum it is 1.1e-15 to
-    1.7e-15 of fhat(0) off at n = 1, where the direct sum is 1.8e-15 to
-    3.6e-15 off, and 4.2e-16 to 6.5e-16 off at n = 3, where the direct sum
-    is 2.8e-16 to 3.4e-16 off.
+    (2 S, B) matrix of offset cosines and sines, summed over chunks of at
+    most EDGE_CHUNK nodes: its real part is sum_s c_s cos(k s) (n = 1), and
+    the imaginary part of sum_s (c_s / s) exp(i k s), divided by k, is
+    sum_s c_s sin(k s)/(k s) (n = 3).  At k = 0 the table is sum_s c_s at
+    both n.  About (blocks + B) 2 S sines and cosines replace the K S of the
+    direct sum.  n = 2 reaches it through the line projection
+    (``make_profile``).  On the default rule of ``make_profile`` the table
+    is within 4.1e-15 of fhat(0) of the direct sum.  Against a long-double
+    sum it is 1.1e-15 to 1.7e-15 of fhat(0) off at n = 1, where the direct
+    sum is 1.8e-15 to 3.6e-15 off, and 4.2e-16 to 6.5e-16 off at n = 3,
+    where the direct sum is 2.8e-16 to 3.4e-16 off.
     """
     c = _radial_coefficients(dim, s_nodes, s_weights, f_vals)
-    nodes, size = len(s_nodes), len(k_grid)
+    size = len(k_grid)
     dk = k_grid[-1] / (size - 1)
     blocks = -(-size // PHASE_BLOCK)
+    table = np.zeros((blocks, PHASE_BLOCK))
+    parts = -(-len(s_nodes) // EDGE_CHUNK)
+    for s, cs in zip(np.array_split(s_nodes, parts), np.array_split(c, parts)):
+        table += _phase_product(dim, s, cs if dim == 1 else cs / s, dk, blocks)
+    table = table.ravel()[:size]
+    if dim == 3:
+        table[1:] /= k_grid[1:]
+    table[0] = np.sum(c)
+    return table
+
+
+def _phase_product(dim, s_nodes, weights, dk, blocks):
+    """One chunk of ``uniform_edge_transform``: the (blocks, B) product of the
+    weighted block phases by the offset phases."""
+    nodes = len(s_nodes)
     starts = np.empty((blocks, 2, nodes))
     phase = np.multiply.outer(PHASE_BLOCK * dk * np.arange(blocks), s_nodes, out=starts[:, 1])
     np.cos(phase, out=starts[:, 0])
     np.sin(phase, out=phase)
-    starts *= c if dim == 1 else c / s_nodes
+    starts *= weights
     # Re (cos Q + i sin Q)(cos r + i sin r) = cos Q cos r - sin Q sin r and
     # Im = cos Q sin r + sin Q cos r
     offsets = np.empty((2, nodes, PHASE_BLOCK))
@@ -389,12 +387,7 @@ def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid) -> np.n
     else:
         np.sin(phase, out=offsets[0])
         np.cos(phase, out=phase)
-    table = starts.reshape(blocks, 2 * nodes) @ offsets.reshape(2 * nodes, PHASE_BLOCK)
-    table = table.ravel()[:size]
-    if dim == 3:
-        table[1:] /= k_grid[1:]
-    table[0] = np.sum(c)
-    return table
+    return starts.reshape(blocks, 2 * nodes) @ offsets.reshape(2 * nodes, PHASE_BLOCK)
 
 
 #: Taylor coefficients in x^2 of j_1(x)/x = (sin x - x cos x)/x^3,
@@ -472,9 +465,104 @@ def transform_rule(k_max: float, lo: float, hi: float):
     """Composite Gauss-Legendre nodes and weights over [lo, hi] at the panel
     width ``make_profile`` integrates the edge with: that of a rule over all
     of [0, GRID_EXTENT] with >= ~6 nodes per cycle of exp(i k_max s)."""
+    return gauss_legendre_panels(lo, hi, _transform_panels(k_max, lo, hi), 16)
+
+
+def _transform_panels(k_max, lo, hi):
+    """The panel count of ``transform_rule`` over [lo, hi]."""
     cycles = k_max * GRID_EXTENT / (2.0 * pi)
-    panels = ceil(max(48, int(cycles / 1.5) + 1) * (hi - lo) / GRID_EXTENT)
-    return gauss_legendre_panels(lo, hi, panels, 16)
+    return ceil(max(48, int(cycles / 1.5) + 1) * (hi - lo) / GRID_EXTENT)
+
+
+#: times ``projection_rule`` halves the panels next to a and b toward them
+PROJECTION_LEVELS = 8
+#: fewest panels of the edge rule of ``line_projection``: at k_max 40
+#: ``transform_rule`` gives the mollified step's edge 10 panels, on which P
+#: is 1e-11 off
+PROJECTION_MIN_PANELS = 32
+#: kernel entries ``line_projection`` holds at once
+_PROJECTION_BLOCK = 16384
+
+
+def projection_rule(k_max: float, a: float, b: float):
+    """Gauss-Legendre nodes and weights over [0, b] for the line projection
+    of a profile with edge [a, b] (``line_projection``), 16 per panel.
+
+    The panels are those of ``transform_rule`` on [0, a] and on [a, b], with
+    the panels next to a (on both sides) and next to b split geometrically
+    toward them, PROJECTION_LEVELS times at ratio 2: for a smoothstep of
+    order m the projection has terms in |x - a|^(m + 3/2) and
+    (b - x)^(m + 3/2), which the plain panels miss by up to 2e-12 of fhat(0)
+    at m = 0.
+    """
+    inner, outer = _transform_panels(k_max, 0.0, a), _transform_panels(k_max, a, b)
+    fine = GRADED_EDGE_RATIO ** -np.arange(1.0, PROJECTION_LEVELS + 1)
+    edges = np.concatenate([np.linspace(0.0, a, inner + 1), np.linspace(a, b, outer + 1),
+                            a - a / inner * fine, a + (b - a) / outer * fine,
+                            b - (b - a) / outer * fine])
+    return gauss_legendre_edges(np.unique(edges), 16)
+
+
+def line_projection(kind: str, smoothness: int, x, k_max: float = 640.0) -> np.ndarray:
+    """P(x) = integral of f(sqrt(x^2 + t^2)) over t in R, for 0 <= x <= b:
+    the profile of ``make_profile(kind, ...)`` integrated along a line at
+    distance x from the centre.
+
+    f is 1 below a, so with r = sqrt(x^2 + t^2)
+
+        P(x) = 2 sqrt(b^2 - x^2) - 2 int_{max(a, x)}^b (1 - f(r)) r / sqrt(r^2 - x^2) dr,
+
+    the chord of the ball of radius b less the deficit of the edge.  The
+    deficit is read on the panels of ``transform_rule(k_max, a, b)``, at
+    least PROJECTION_MIN_PANELS of them, with the exact f.  The panels that
+    start at least one panel width h above x hold no singularity, and their
+    16-node Gauss-Legendre sum reads the same f values for every x.  Up to
+    there, from max(a, x), t = sqrt(r^2 - x^2) removes the inverse square
+    root: 16-node Gauss-Legendre in t on two panels of width at most h in
+    r, with f evaluated afresh.  For x <= a - h the shared panels are the
+    whole edge.
+    """
+    a, b = EDGES[kind]
+    exact = _profile_evaluator(kind, smoothness)
+    x = np.asarray(x, dtype=float)
+    panels = max(_transform_panels(k_max, a, b), PROJECTION_MIN_PANELS)
+    s, w = gauss_legendre_panels(a, b, panels, 16)
+    r_edges = np.linspace(a, b, panels + 1)
+    h = (b - a) / panels
+    lo = np.maximum(a, x)
+    # the first panel edge at least h above x, and the start of the shared panels
+    top = r_edges[np.clip(np.ceil((x + h - a) / h), 0, panels).astype(int)]
+    deficit = _deficit_on_rule(x, top, s, (1.0 - exact(s)) * s * w)
+    near = top > lo
+    deficit[near] += _deficit_substituted(x[near], lo[near], top[near], exact)
+    return 2.0 * np.sqrt(b * b - x * x) - 2.0 * deficit
+
+
+def _deficit_on_rule(x, top, s, g):
+    """sum of g_s / sqrt(s^2 - x^2) over the nodes s >= top, for each x, in row chunks."""
+    out = np.empty(len(x))
+    rows = max(1, _PROJECTION_BLOCK // len(s))
+    for i in range(0, len(x), rows):
+        block = x[i : i + rows]
+        kernel = np.subtract(s * s, (block * block)[:, None])
+        kernel[s < top[i : i + rows, None]] = np.inf
+        np.divide(1.0, np.sqrt(kernel, out=kernel), out=kernel)
+        np.matmul(kernel, g, out=out[i : i + rows])
+    return out
+
+
+def _deficit_substituted(x, lo, hi, exact):
+    """int (1 - f(sqrt(x^2 + t^2))) dt over [sqrt(lo^2 - x^2), sqrt(hi^2 - x^2)]
+    on two panels equally spaced in r (x <= lo < hi), in row chunks."""
+    out = np.empty(len(x))
+    rows = _PROJECTION_BLOCK // 32
+    for i in range(0, len(x), rows):
+        part = slice(i, i + rows)
+        x2 = (x[part] * x[part])[:, None]
+        r = lo[part, None] + (hi - lo)[part, None] * np.array([0.0, 0.5, 1.0])
+        t, wt = gauss_legendre_edges(np.sqrt(r * r - x2), 16)
+        out[part] = np.sum((1.0 - exact(np.sqrt(x2 + t * t))) * wt, axis=1)
+    return out
 
 
 def check_profile_args(kind: str, dim: int) -> None:
@@ -496,16 +584,19 @@ def make_profile(
     """Build a WindowProfile with a cached transform on [0, k_max].
 
     The profile is exactly 1 on the ball of radius a and exactly 0 beyond b,
-    (a, b) = EDGES[kind], so its transform is the ball's closed form
-    a^n ball_fhat(a k) plus the edge [a, b], which composite Gauss-Legendre
-    integrates from the exact radial profile, dense enough for the largest
-    cached momentum.  At n = 1 and 3 the edge sum over the uniform momentum
+    (a, b) = EDGES[kind].  At n = 1 and 3 its transform is the ball's closed
+    form a^n ball_fhat(a k) plus the edge [a, b], which composite
+    Gauss-Legendre integrates from the exact radial profile, dense enough
+    for the largest cached momentum; the edge sum over the uniform momentum
     grid is one matrix product of block and offset phases
     (``uniform_edge_transform``), within 4.1e-15 of fhat(0) of the direct
-    sum; n = 2 has no such split of J_0 and keeps one matrix-vector product
-    per chunk of momenta (``radial_fourier_direct``).  The sharp kind has no
-    edge.  The profile keeps no position samples: ``value`` reads the same
-    exact evaluator.
+    sum.  At n = 2 a radial f has fhat_2(k) = (2 pi)^(-1/2) times the n = 1
+    transform of its line projection P (projection-slice theorem), so the
+    table is that same product over ``projection_rule`` on [0, b] with
+    P from ``line_projection``: within 2.2e-15 of fhat(0) of the ball's
+    closed form plus the edge sum of J_0.  The sharp kind has no edge and is
+    the closed form at every n.  The profile keeps no position samples:
+    ``value`` reads the same exact evaluator.
     Between cache nodes the transform is read by the 10-point Lagrange
     interpolant ``lagrange_uniform``: at 2,000 random momenta it misses the
     direct quadrature by at most 2.2e-15 of fhat(0) for every kind and
@@ -518,11 +609,16 @@ def make_profile(
     k_grid = np.linspace(0.0, k_max, k_resolution)
 
     a, b = EDGES[kind]
-    fhat = a ** dim * ball_fhat(dim, a * k_grid)
-    s_nodes, s_weights = transform_rule(k_max, a, b)
-    if len(s_nodes):
-        edge = radial_fourier_direct if dim == 2 else uniform_edge_transform
-        fhat += edge(dim, s_nodes, s_weights, exact(s_nodes), k_grid)
+    if a == b:
+        fhat = a ** dim * ball_fhat(dim, a * k_grid)
+    elif dim == 2:
+        x, w = projection_rule(k_max, a, b)
+        p = line_projection(kind, smoothness, x, k_max)
+        fhat = uniform_edge_transform(1, x, w, p, k_grid) / sqrt(2.0 * pi)
+    else:
+        fhat = a ** dim * ball_fhat(dim, a * k_grid)
+        s_nodes, s_weights = transform_rule(k_max, a, b)
+        fhat += uniform_edge_transform(dim, s_nodes, s_weights, exact(s_nodes), k_grid)
 
     return _assemble(kind, dim, smoothness, k_grid, fhat, k_max)
 

@@ -45,3 +45,17 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind, scipy_read", [("mollified-step", False), ("smoothstep", False),
+                                              ("sharp", True)])
+def test_n2_window_build_loads_scipy_only_for_the_sharp_kind(kind, scipy_read):
+    # n = 2 goes through the line projection and the cosine product; only the
+    # sharp kind's closed form, J_1(k)/k, still reads scipy.special
+    probe = ("import sys; from fluctlab.window import make_profile; "
+             f"make_profile({kind!r}, 2, k_max=40.0, k_resolution=1000); "
+             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    src = str(Path(fluctlab.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == str(scipy_read)

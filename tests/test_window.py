@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from fluctlab.window import (
     lagrange_uniform,
     load_or_build,
     make_profile,
-    radial_fourier_direct,
     unit_sphere_area,
 )
 
@@ -268,18 +268,41 @@ class TestPlateauAndEdge:
 
     def test_old_cache_format_is_rebuilt(self, tmp_path):
         args = dict(k_max=40.0, k_resolution=1024)
-        fresh = load_or_build("mollified-step", 1, cache_dir=tmp_path, **args)
+        fresh = load_or_build("mollified-step", 2, cache_dir=tmp_path, **args)
         (path,) = tmp_path.glob("*.npz")
-        # a file as the matrix-vector edge transform wrote it, under format 5
+        # a file as the J_0 edge sum wrote it, under format 6
         with np.load(path) as data:
             payload = dict(data)
-        payload["format_version"] = 5
+        payload["format_version"] = 6
         payload["fhat_samples"] = payload["fhat_samples"] + 1e-15
         np.savez(path, **payload)
-        again = load_or_build("mollified-step", 1, cache_dir=tmp_path, **args)
+        again = load_or_build("mollified-step", 2, cache_dir=tmp_path, **args)
         assert np.array_equal(again.fhat_samples, fresh.fhat_samples)
         with np.load(path) as data:
-            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 6
+            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 7
+
+
+def radial_fourier_direct(dim, s_nodes, s_weights, f_vals, kappa):
+    """Direct radial transform of sampled f at any momenta kappa, the
+    reference of the matrix products of make_profile.
+
+    (2 pi)^(-n/2) |S^(n-1)| sum_s Omega_n(k s) f s^(n-1) w: one
+    matrix-vector product per chunk of momenta, through two buffers reused
+    across chunks.
+    """
+    kappa = np.abs(np.atleast_1d(np.asarray(kappa, dtype=float)))
+    c = window._radial_coefficients(dim, s_nodes, s_weights, f_vals)
+    chunk = 256  # two (chunk, len(s_nodes)) buffers, 1-2 MB each at the default k_max
+    out = np.empty(len(kappa))
+    x_buf = np.empty((min(chunk, len(kappa)), len(s_nodes)))
+    omega_buf = np.empty_like(x_buf)
+    for i in range(0, len(kappa), chunk):
+        k = kappa[i : i + chunk]
+        x, omega = x_buf[: len(k)], omega_buf[: len(k)]
+        np.multiply.outer(k, s_nodes, out=x)
+        window.PLANE_WAVE_MEAN[dim](x, out=omega)
+        np.matmul(omega, c, out=out[i : i + len(k)])
+    return out
 
 
 def elementwise_transform(dim, s, w, f, kappa):
@@ -354,6 +377,73 @@ class TestUniformEdgeTransform:
         # 6.5e-16 of fhat(0) where the direct sum is 2.8e-16 (mollified step)
         if dim == 1:
             assert fast_error <= direct_error
+
+
+#: (kind, smoothstep order) of the n = 2 projection tests: every kind with
+#: an edge, and smoothstep orders from a kink (0) to near-flat ends (16)
+PROJECTED = [("mollified-step", 3), ("smoothstep", 0), ("smoothstep", 1), ("smoothstep", 3),
+             ("smoothstep", 16)]
+
+
+class TestLineProjection:
+    """n = 2 through the projection-slice theorem against the J_0 edge sum it replaced."""
+
+    @pytest.mark.parametrize("grid", sorted(UNIFORM_GRIDS))
+    @pytest.mark.parametrize("kind, order", PROJECTED)
+    def test_equals_ball_plus_edge_sum(self, kind, order, grid):
+        k_max, size = UNIFORM_GRIDS[grid]
+        prof = make_profile(kind, 2, smoothstep_order=order, k_max=k_max, k_resolution=size)
+        a, b = window.EDGES[kind]
+        # the edge rule of the default grid: at k_max 40 the 48-panel floor
+        # of transform_rule leaves the mollified step's own sum 9e-15 off
+        s, w = window.transform_rule(640.0, a, b)
+        f = window._profile_evaluator(kind, prof.smoothness)(s)
+        direct = a ** 2 * ball_fhat(2, a * prof.k_grid) + radial_fourier_direct(2, s, w, f, prof.k_grid)
+        assert np.max(np.abs(prof.fhat_samples - direct)) <= 1e-14 * direct[0]
+
+    @pytest.mark.parametrize("kind, order", PROJECTED)
+    def test_zero_momentum_is_the_radial_integral(self, kind, order):
+        # fhat(0) = integral of f(s) s ds over [0, b]: the plateau a^2 / 2 plus the edge
+        prof = make_profile(kind, 2, smoothstep_order=order)
+        a, b = window.EDGES[kind]
+        s, w = gauss_legendre_panels(a, b, 256, 16)
+        exact = window._profile_evaluator(kind, prof.smoothness)
+        radial = math.fsum([a * a / 2.0, *(w * exact(s) * s)])
+        assert prof.fhat_zero() == pytest.approx(radial, rel=1e-15, abs=0.0)
+        if (kind, order) == ("smoothstep", 3):
+            # 1/2 + integral of (1 - S(t)) (1 + t) over [0, 1] = 1/2 + 1/2 + 5/36
+            assert prof.fhat_zero() == pytest.approx(41.0 / 36.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("kind, order", PROJECTED)
+    def test_projection_equals_fine_quadrature(self, kind, order):
+        # P(x) = 2 integral of f(sqrt(x^2 + t^2)) over t in [0, sqrt(b^2 - x^2)],
+        # with f = 1 up to t1 = sqrt(a^2 - x^2) and 200 x 30 Gauss-Legendre
+        # from there: neither the deficit form nor the rules of line_projection
+        smoothness = 64 if kind == "mollified-step" else order
+        exact = window._profile_evaluator(kind, smoothness)
+        a, b = window.EDGES[kind]
+        x = np.concatenate([[0.0, a - 1e-3, a, a + 1e-3, 0.5 * (a + b), b - 1e-3],
+                            np.linspace(a - 0.05, b - 1e-3, 48)])
+        reference = []
+        for v in x:
+            t1, t2 = math.sqrt(max(a * a - v * v, 0.0)), math.sqrt(b * b - v * v)
+            t, wt = gauss_legendre_panels(t1, t2, 200, 30)
+            reference.append(2.0 * t1 + 2.0 * math.fsum(wt * exact(np.sqrt(v * v + t * t))))
+        projection = window.line_projection(kind, smoothness, x)
+        assert np.max(np.abs(projection - reference)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    def test_peak_memory(self, kind):
+        # the phase matrices of the GEMM are summed over chunks of EDGE_CHUNK
+        # nodes and the projection kernels over blocks of rows
+        make_profile(kind, 2, k_max=40.0, k_resolution=1000)  # lru-cached evaluators
+        tracemalloc.start()
+        try:
+            make_profile(kind, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 class TestInterpolant:
