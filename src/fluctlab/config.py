@@ -135,7 +135,7 @@ def _pair_family(b):
     for key, spec in b["pairs"].items():
         if len(key) != 2 or key[0] not in labels or key[1] not in labels:
             raise ConfigError(f"model.pairs key {key!r} must name two of the labels {list(labels)}")
-        densities[labels.index(key[0]), labels.index(key[1])] = density_from(spec, b["dim"])
+        densities[labels.index(key[0]), labels.index(key[1])] = density_from(spec)
     return ObservableFamily(labels, lambda i, j: densities.get((i, j)), b["dim"])
 
 
@@ -148,7 +148,7 @@ _ORDER = Int(2, MAX_ORDER)
 
 MODELS = {
     "gaussian": ModelClass({"two_point": (DENSITY, REQUIRED)},
-                           lambda b: gaussian_state(density_from(b["two_point"], b["dim"]), b["dim"])),
+                           lambda b: gaussian_state(density_from(b["two_point"]), b["dim"])),
     "product-ansatz": ModelClass(
         {"orders": (MapOf(_ORDER, Arr(Obj({"amplitude": (Num(), 1.0), "width": (Num(), 1.0)}))),
                     REQUIRED)},
@@ -270,8 +270,6 @@ def _parse(text: str) -> RunConfig:
 
     window_block = WINDOW(raw.get("window", {}), "window")
     window_block.setdefault("dim", dim)
-    if window_block["kind"] == "sharp":
-        raise ConfigError("sharp windows are oracle-only; scaling runs need a smooth window")
     if window_block["dim"] != dim:
         raise ConfigError("window dimension must match the model dimension")
     check_profile_args(window_block["kind"], window_block["dim"])

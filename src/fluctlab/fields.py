@@ -5,6 +5,10 @@ numbers and out-of-range integers, raises ConfigError naming the path, and
 describes itself for the schema.  A block declares {key: (type, default)};
 a default is a raw JSON value resolved through the same type, or REQUIRED,
 or OPTIONAL (an absent key stays absent).
+
+A DENSITY block resolves to a spectral density of the radius |k|
+(``density_from``), the form every momentum density of ``fluctlab.models``
+takes at every dimension.
 """
 
 from __future__ import annotations
@@ -155,15 +159,14 @@ DENSITY = Obj({"form": (Str(("gaussian", "lorentzian")), REQUIRED), "amplitude":
                "amplitude_im": (Num(), 0.0), "width": (Num(), 1.0)})
 
 
-def density_from(spec: dict, dim: int):
-    """The density callable of a resolved DENSITY block."""
+def density_from(spec: dict):
+    """The density callable of a resolved DENSITY block, a function of the radius |k|."""
     amp = complex(spec["amplitude"], spec["amplitude_im"])
     width2 = spec["width"] ** 2  # formed here, so a width whose square overflows fails at once
     gaussian = spec["form"] == "gaussian"
 
-    def density(k):
-        k = np.asarray(k, dtype=float)
-        r2 = k ** 2 if dim == 1 or k.ndim == 0 else np.sum(k ** 2, axis=-1)
+    def density(r):
+        r2 = np.asarray(r, dtype=float) ** 2
         return amp * np.exp(-width2 * r2 / 2.0) if gaussian else amp / (1.0 + width2 * r2)
 
     return density

@@ -229,10 +229,7 @@ def commutator_criterion(pair: ObservablePair, profile: WindowProfile,
             "commutator criterion needs integrable-class mixed densities"
         )
     k0 = profile.pair_overlap_integral()
-    diff = complex(pair.f_hat(np.zeros(1))[0] - pair.g_hat(np.zeros(1))[0]) if profile.dim == 1 else complex(
-        pair.f_hat(np.zeros((1, profile.dim)))[0] - pair.g_hat(np.zeros((1, profile.dim)))[0]
-    )
-    value = diff * k0
+    value = complex(pair.f_hat(0.0) - pair.g_hat(0.0)) * k0
     return CommutatorResult(value=value, is_trivial=abs(value) < eps_vanish,
                             plancherel_constant=k0)
 

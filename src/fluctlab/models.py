@@ -2,9 +2,12 @@
 
 A state is a hierarchy of truncated-correlator densities, one per order l:
 S_l maps the l-1 transfer momenta (q_1, ..., q_{l-1}) to a complex value and
-is stored as one factor per difference variable, S_l = phi_1(q_1) ...
-phi_{l-1}(q_{l-1}), which lets the scaling engine contract the window chain
-one variable at a time.  The convention is the plain transform
+is stored as one factor per difference variable, S_l = phi_1(|q_1|) ...
+phi_{l-1}(|q_{l-1}|), which lets the scaling engine contract the window chain
+one variable at a time.  Every state is also rotation invariant, so each
+factor, and every two-point and pair density, is a function of the radius
+|q| alone: it takes an array of radii.  ``radial_norm`` is the one place
+where component tuples become radii.  The convention is the plain transform
 
     S_l(q_1,...,q_{l-1}) = integral( W_l(y_1,...,y_{l-1})
                                      * exp(+i sum q_i.y_i) prod dy_i )
@@ -34,9 +37,9 @@ MAX_ORDER = 8
 
 # Per difference variable, a tuple of n broadcastable component arrays.
 QVars = Sequence[Sequence[np.ndarray]]
-# A factor receives one difference variable's components and returns its
-# (real or complex) share of the density.
-Factor = Callable[[Sequence[np.ndarray]], np.ndarray]
+# A factor maps the radii |q| of one difference variable to its (real or
+# complex) share of the density.
+Factor = Callable[[np.ndarray], np.ndarray]
 
 
 def radial_norm(components: Sequence[np.ndarray]) -> np.ndarray:
@@ -98,9 +101,6 @@ class TruncatedHierarchy:
     tags: Mapping[int, DecayTag]
     position_forms: Mapping[int, Callable] = field(default_factory=dict, repr=False)
     weighted_orders: Mapping[int, WeightedCorrelator] = field(default_factory=dict, repr=False)
-    #: every factor depends on |q| alone, so an order can run on the radial
-    #: chain; only ``shifted`` states are not
-    radial: bool = True
 
     def order_factors(self, order: int) -> tuple[Factor, ...]:
         """The l-1 per-variable factors of S_l; empty when S_l vanishes."""
@@ -113,26 +113,22 @@ class TruncatedHierarchy:
         return self.factors.get(order, ())
 
     def evaluate(self, order: int, qvars: QVars) -> np.ndarray:
-        """S_l at transfer momenta given as per-variable component tuples."""
+        """S_l at transfer momenta given as per-variable component tuples; each
+        factor reads the radius of its variable."""
         fns = self.order_factors(order)
         if order == 1:
             return np.asarray(0.0 + 0.0j)
         if not fns:
             shape = np.broadcast(*[c for comp in qvars for c in comp]).shape
             return np.zeros(shape, dtype=complex)
-        out = fns[0](qvars[0])
+        out = fns[0](radial_norm(qvars[0]))
         for fn, comps in zip(fns[1:], qvars[1:]):
-            out = out * fn(comps)
+            out = out * fn(radial_norm(comps))
         return np.asarray(out, dtype=complex)
 
-    def two_point(self, k) -> np.ndarray:
-        """Convenience: S_2 at momentum k (shape (...,) for n=1, (..., n) else)."""
-        k = np.asarray(k, dtype=float)
-        if self.dim == 1:
-            comps = (k,)
-        else:
-            comps = tuple(k[..., i] for i in range(self.dim))
-        return self.evaluate(2, (comps,))
+    def two_point(self, kappa) -> np.ndarray:
+        """S_2 at the radii |k| = kappa."""
+        return self.evaluate(2, ((np.asarray(kappa, dtype=float),),))
 
     def tag(self, order: int) -> DecayTag:
         return self.tags.get(order, DecayTag("l1"))
@@ -146,78 +142,23 @@ class TruncatedHierarchy:
             raise UnsupportedModeError(f"no position-space form available for order {order}")
         return fn
 
-    def shifted(self, slot: int, displacement) -> "TruncatedHierarchy":
-        """State with one observable slot displaced by a fixed vector.
-
-        Displacing slot i multiplies the order-l density by
-        exp(+i a.(q_i - q_{i-1})) (q_0 = q_l = 0 edge cases included), which
-        tends to 1 after the scaling substitution; used for the
-        translation-invariance check of the limit.  The phase splits over the
-        variables: exp(+i a.q_i) joins the factor of q_i, exp(-i a.q_{i-1})
-        that of q_{i-1}.
-        """
-        a = np.atleast_1d(np.asarray(displacement, dtype=float))
-
-        def phased(fn, sign):
-            return lambda comps: fn(comps) * np.exp(sign * 1j * sum(ai * c for ai, c in zip(a, comps)))
-
-        new_factors = {}
-        for order, fns in self.factors.items():
-            fns = list(fns)
-            if 1 <= slot <= order - 1:
-                fns[slot - 1] = phased(fns[slot - 1], 1.0)
-            if 2 <= slot <= order:
-                fns[slot - 2] = phased(fns[slot - 2], -1.0)
-            new_factors[order] = tuple(fns)
-        return TruncatedHierarchy(
-            dim=self.dim,
-            max_order=self.max_order,
-            factors=new_factors,
-            tags=dict(self.tags),
-            position_forms={},
-            weighted_orders=dict(self.weighted_orders),
-            radial=False,
-        )
-
 
 # ---------------------------------------------------------------------------
 # validation helpers
 # ---------------------------------------------------------------------------
 
-def _validation_grid(dim: int, k_lo: float = 1e-3, k_hi: float = 20.0, count: int = 257):
-    """Signed sample momenta along a few directions, avoiding exactly 0."""
-    r = np.geomspace(k_lo, k_hi, count)
-    r = np.concatenate([-r[::-1], r])
-    if dim == 1:
-        return [(r,)]
-    dirs = np.eye(dim).tolist() + [np.full(dim, 1.0 / np.sqrt(dim)).tolist()]
-    grids = []
-    for d in dirs:
-        grids.append(tuple(r * di for di in d))
-    return grids
-
-
-def check_autocorrelation(two_point: Callable, dim: int, rtol: float = 1e-9) -> None:
-    """Hermiticity S(-k) = conj(S(k)) and positivity S >= 0 on a sample grid."""
-    for comps in _validation_grid(dim):
-        k = comps[0] if dim == 1 else np.stack(comps, axis=-1)
-        vals = np.asarray(two_point(k), dtype=complex)
-        flipped = np.asarray(two_point(-k), dtype=complex)
-        scale = float(np.max(np.abs(vals))) or 1.0
-        if not np.all(np.isfinite(vals)):
-            raise ModelValidationError("two-point evaluator not finite on the sample grid")
-        if np.max(np.abs(flipped - np.conj(vals))) > rtol * scale:
-            raise ModelValidationError("two-point evaluator violates hermiticity S(-k) = conj S(k)")
-        if np.min(vals.real) < -rtol * scale or np.max(np.abs(vals.imag)) > rtol * scale:
-            raise ModelValidationError("two-point autocorrelation violates positivity on the grid")
-
-
-def _two_point_factor(two_point: Callable, dim: int) -> Factor:
-    def factor(comps):
-        k = comps[0] if dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
-        return two_point(k)
-
-    return factor
+def check_autocorrelation(two_point: Callable, rtol: float = 1e-9) -> None:
+    """A two-point density of |k| must be finite, real and >= 0 on a sample
+    grid of radii: for a function of |k|, real is the same as hermitian,
+    S(-k) = conj S(k)."""
+    vals = np.asarray(two_point(np.geomspace(1e-3, 20.0, 257)), dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise ModelValidationError("two-point density not finite on the sample grid")
+    scale = float(np.max(np.abs(vals))) or 1.0
+    if np.max(np.abs(vals.imag)) > rtol * scale:
+        raise ModelValidationError("two-point density not real: violates hermiticity S(-k) = conj S(k)")
+    if np.min(vals.real) < -rtol * scale:
+        raise ModelValidationError("two-point autocorrelation violates positivity on the grid")
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +169,14 @@ def gaussian_state(two_point: Callable, dim: int, *, max_order: int = MAX_ORDER,
                    validate: bool = True) -> TruncatedHierarchy:
     """Quasi-free input state: all truncated correlators beyond order 2 vanish.
 
-    ``two_point`` must depend on |k| alone.
+    ``two_point`` maps radii |k| to the density.
     """
     if validate:
-        check_autocorrelation(two_point, dim)
+        check_autocorrelation(two_point)
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        factors={2: (_two_point_factor(two_point, dim),)},
+        factors={2: (two_point,)},
         tags={2: DecayTag("l1")},
     )
 
@@ -269,9 +210,6 @@ def product_ansatz_state(profiles: Mapping[int, Sequence], dim: int, *,
             raise OrderRangeError(f"order {order} needs {order - 1} profiles, got {len(profs)}")
     max_order = max_order or max(profiles, default=1)
 
-    def momentum_factor(prof):
-        return lambda comps: prof.momentum(radial_norm(comps))
-
     def make_pos(profs):
         def pos(yvars):
             out = None
@@ -282,26 +220,18 @@ def product_ansatz_state(profiles: Mapping[int, Sequence], dim: int, *,
 
         return pos
 
-    factors = {o: tuple(momentum_factor(q) for q in p) for o, p in profiles.items()}
+    factors = {o: tuple(q.momentum for q in p) for o, p in profiles.items()}
     position_forms = {o: make_pos(p) for o, p in profiles.items() if all(hasattr(q, "position") for q in p)}
     tags = {o: DecayTag("l1") for o in profiles}
     if 2 in profiles:
-        check_autocorrelation(_two_point_from(factors[2][0], dim), dim)
+        check_autocorrelation(factors[2][0])
     return TruncatedHierarchy(dim=dim, max_order=max_order, factors=factors,
                               tags=tags, position_forms=position_forms)
 
 
-def _two_point_from(factor: Factor, dim: int) -> Callable:
-    def two_point(k):
-        k = np.asarray(k, dtype=float)
-        comps = (k,) if dim == 1 else tuple(k[..., i] for i in range(dim))
-        return factor(comps)
-
-    return two_point
-
-
 def powerlaw_two_point(beta: float, dim: int) -> Callable:
-    """Plain transform of (1 + |y|^2)^(-beta/2) on R^n (Bessel-K closed form).
+    """Plain transform of (1 + |y|^2)^(-beta/2) on R^n (Bessel-K closed form),
+    as a function of the radius |k|.
 
     Behaves like |k|^(beta - n) near k = 0 when beta < n (singular,
     discontinuous at the origin) and is finite there for beta > n.
@@ -310,21 +240,14 @@ def powerlaw_two_point(beta: float, dim: int) -> Callable:
 
     nu = (dim - beta) / 2.0
     const = (2.0 * pi) ** (dim / 2.0) * 2.0 ** (1.0 - beta / 2.0) / _gamma_fn(beta / 2.0)
-    finite_zero = None
+    at_zero = np.inf
     if beta > dim:
-        finite_zero = pi ** (dim / 2.0) * _gamma_fn((beta - dim) / 2.0) / _gamma_fn(beta / 2.0)
+        at_zero = pi ** (dim / 2.0) * _gamma_fn((beta - dim) / 2.0) / _gamma_fn(beta / 2.0)
 
-    def two_point(k):
-        k = np.asarray(k, dtype=float)
-        r = np.abs(k) if dim == 1 or k.ndim == 0 else np.linalg.norm(k, axis=-1)
-        r = np.atleast_1d(r)
+    def two_point(r):
+        r = np.asarray(r, dtype=float)
         safe = np.where(r > 0, r, 1.0)
-        vals = const * safe ** ((beta - dim) / 2.0) * kv(nu, safe)
-        if finite_zero is not None:
-            vals = np.where(r > 0, vals, finite_zero)
-        else:
-            vals = np.where(r > 0, vals, np.inf)
-        return vals.reshape(np.shape(r)) if np.ndim(k) else vals[0]
+        return np.where(r > 0, const * safe ** ((beta - dim) / 2.0) * kv(nu, safe), at_zero)
 
     return two_point
 
@@ -336,7 +259,6 @@ def powerlaw_state(beta: float, dim: int, *, max_order: int = MAX_ORDER) -> Trun
             f"beta = {beta} <= n/2: not square-integrable clustering; "
             "use goldstone_state or the weighted machinery"
         )
-    two_point = powerlaw_two_point(beta, dim)
     if beta > dim:
         tag = DecayTag("l1", param=beta)
     else:
@@ -349,7 +271,7 @@ def powerlaw_state(beta: float, dim: int, *, max_order: int = MAX_ORDER) -> Trun
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        factors={2: (_two_point_factor(two_point, dim),)},
+        factors={2: (powerlaw_two_point(beta, dim),)},
         tags={2: tag},
         position_forms={2: position},
     )
@@ -400,10 +322,8 @@ def goldstone_state(dim: int, singular_weight: float, infrared_exponent: float =
             f"infrared exponent s = {s} >= n = {dim}: spectral density not integrable"
         )
 
-    def two_point(k):
-        k = np.asarray(k, dtype=float)
-        r = np.abs(k) if dim == 1 or k.ndim == 0 else np.linalg.norm(k, axis=-1)
-        r = np.asarray(r)
+    def two_point(r):
+        r = np.asarray(r, dtype=float)
         safe = np.where(r > 0, r, 1.0)
         vals = singular_weight * safe ** (-s) * smooth_cutoff(r / uv_cutoff)
         return np.where(r > 0, vals, np.inf if singular_weight != 0 else 0.0)
@@ -411,7 +331,7 @@ def goldstone_state(dim: int, singular_weight: float, infrared_exponent: float =
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        factors={2: (_two_point_factor(two_point, dim),)},
+        factors={2: (two_point,)},
         tags={2: DecayTag("goldstone", param=s)},
     )
 
@@ -421,7 +341,7 @@ class ObservablePair:
     """Two observables with both mixed two-point densities.
 
     ``f_hat`` is the plain spectral density of <A(x) B>, ``g_hat`` the one
-    of <B A(x)>; both must be of integrable (L1) clustering class when fed
+    of <B A(x)>, each a function of the radius |k|; both must be of integrable (L1) clustering class when fed
     to the commutator criterion.
     """
 

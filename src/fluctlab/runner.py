@@ -202,7 +202,7 @@ def _run_qmode(params, cfg, model, window):
                              label=f"qmode-{q}")
         d = rep.as_dict()
         d["q"] = q
-        d["two_point_at_q"] = _complex_dict(model.two_point(_embed_q(q, model.dim)))
+        d["two_point_at_q"] = _complex_dict(model.two_point(abs(q)))
         out["symmetric"].append(d)
     for net in params["net_offsets"]:
         offsets = np.zeros((order, model.dim))
@@ -213,14 +213,6 @@ def _run_qmode(params, cfg, model, window):
         out["net_offset_sweeps"].append(rep.as_dict())
     out["pair_overlap_integral"] = window.pair_overlap_integral()
     return out
-
-
-def _embed_q(q, dim):
-    if dim == 1:
-        return np.asarray([q])
-    v = np.zeros((1, dim))
-    v[0, 0] = q
-    return v
 
 
 def _complex_dict(z) -> dict:
@@ -280,8 +272,8 @@ def _check_limit_state(params, cfg, model, model_class):
         raise ConfigError(f"weyl_labels {unknown} are not labels of the model {list(model.labels)}")
     cfg.resolved_alpha(model.dim)
     for pair_spec in params["commutator_pairs"]:
-        density_from(pair_spec["f"], model.dim)
-        density_from(pair_spec["g"], model.dim)
+        density_from(pair_spec["f"])
+        density_from(pair_spec["g"])
 
 
 def _run_limit_state(params, cfg, model, window):
@@ -308,8 +300,7 @@ def _run_limit_state(params, cfg, model, window):
             "consistent": check.consistent,
         })
     for pair_spec in params["commutator_pairs"]:
-        pair = ObservablePair("A", "B", density_from(pair_spec["f"], model.dim),
-                              density_from(pair_spec["g"], model.dim))
+        pair = ObservablePair("A", "B", density_from(pair_spec["f"]), density_from(pair_spec["g"]))
         res = commutator_criterion(pair, window, cfg.eps_vanish)
         out["commutators"].append({
             "value": _complex_dict(res.value),

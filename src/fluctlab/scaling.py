@@ -14,6 +14,12 @@ with C_l = (2*pi)**(n*(2-l)/2) under the package conventions (symmetric
 transform for windows, plain transform for correlator densities).  With
 that constant the spectral value equals the position-space multi-quadrature
 of the same correlator identically, which the oracle tests exercise.
+
+S_l is a product of one factor per difference variable, each a function of
+|q_i| (``fluctlab.models``).  So with no momentum offsets every order runs on
+the radial chain, one vector of radii per variable, at every n; offsets
+take the Cartesian chain on the n-fold product of a symmetric rule, where
+each factor reads ``radial_norm`` of its shifted variable.
 """
 
 from __future__ import annotations
@@ -271,29 +277,24 @@ def _prefactor(order: int, n: int, radius: float, alpha: float) -> float:
     return (2.0 * pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
 
 
-def takes_radial(state: TruncatedHierarchy, qmode: bool) -> bool:
-    """Whether the state's chain runs on the radial chain: a radial state and
-    no offsets (``qmode`` False), at every n.  Offsets and shifted states take
-    the Cartesian chain on the n-fold product of the symmetric rule."""
-    return state.radial and not qmode
-
-
 def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
                 qmode: bool = False) -> tuple[QuadSpec, bool]:
     """The rule geometry of an order and whether it is radial, the largest
     array of its chain checked against MAX_ARRAY_POINTS.
 
-    That array is the kernel for l >= 3 and one vector for l = 2: N**2 or N
-    points on the radial chain, N**(2n) or N**n on the Cartesian one.  The
-    radial kernel is built from an (N, M) array over the window support,
+    Every factor is a function of |q|, so an order with no offsets runs on
+    the radial chain at every n; a ``qmode`` order carries offsets and takes
+    the Cartesian chain on the n-fold product of the symmetric rule.  The
+    largest array is the kernel for l >= 3 and one vector for l = 2: N**2
+    or N points on the radial chain, N**(2n) or N**n on the Cartesian one.
+    The radial kernel is built from an (N, M) array over the window support,
     M nodes for the frequency 2 p_max (``support_rule_size``, the largest
-    of any window kind).  A ``qmode`` order carries offsets.  Computes no
-    quadrature, so parsing runs it.
+    of any window kind).  Computes no quadrature, so parsing runs it.
     """
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
     n = state.dim
-    radial = takes_radial(state, qmode)
+    radial = not qmode
     spec = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"), cartesian=not radial)
     size = len(spec.build(radial))
     if order < 3:
@@ -327,9 +328,9 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     """Order-l truncated correlator of scale-renormalized window averages.
 
     ``offsets`` is an (order, n) array of momentum offsets, one per
-    observable slot, or None for all-zero.  None lets a radial state take
-    the radial chain (``takes_radial``) at every n; an array, zero or not,
-    takes the Cartesian chain, so the two agree only to rounding.
+    observable slot, or None for all-zero.  None takes the radial chain at
+    every n; an array, zero or not, takes the Cartesian chain, so the two
+    agree only to rounding.
     """
     n = state.dim
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
@@ -366,36 +367,28 @@ def _times_real(v: np.ndarray, real: np.ndarray):
 def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) -> complex:
     """The quadrature of the module formula, contracted one variable at a time.
 
-    With S_l = phi_1(q_1) ... phi_{l-1}(q_{l-1}) the window chain is a
-    product of matrices: v_1 = fhat(|q|) wt phi_1, v_i = (v_{i-1} @ K) wt
-    phi_i with K[P, Q] = fhat(|P - Q|), and the integral is v_{l-1}
+    With S_l = phi_1(|q_1|) ... phi_{l-1}(|q_{l-1}|) the window chain is a
+    product of matrices.  With no offsets the rule is a half-line one and
+    the factors go to ``radial_chain`` as they are.  With offsets, on the
+    n-fold product of a symmetric rule, v_1 = fhat(|q|) wt phi_1,
+    v_i = (v_{i-1} @ K) wt phi_i with K[P, Q] = fhat(|P - Q|), each phi_i
+    reading the radius of its shifted variable, and the integral is v_{l-1}
     against the last factor fhat(|q_{l-1}|) (shifted by R times the net
-    offset when that is nonzero).  On a half-line rule the state is radial
-    and its factors, evaluated along the first axis, go to ``radial_chain``.
+    offset when that is nonzero).
     """
     n = state.dim
     fns = state.order_factors(order)
     if rule.half_line:
         if not fns:
             return 0j
-        zeros = (np.zeros(len(rule)),) * (n - 1)
-        factors = [lambda u, fn=fn: fn((u,) + zeros) for fn in fns]
-        return _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, factors, radius)
+        return _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, fns, radius)
 
     comps, wt, fhat_norm = _node_grid(profile, n, rule)
-
-    if offsets is None:
-        total = np.zeros(n)
-        cumshift = [np.zeros(n)] * (order - 1)
-    else:
-        offs = np.asarray(offsets, dtype=float)
-        if offs.size != order * n:
-            raise InvalidArgumentError(f"offsets must have shape ({order}, {n})")
-        offs = offs.reshape(order, n)
-        csum = np.cumsum(offs, axis=0)
-        cumshift = [csum[i] for i in range(order - 1)]
-        total = csum[-1]
-
+    offs = np.asarray(offsets, dtype=float)
+    if offs.size != order * n:
+        raise InvalidArgumentError(f"offsets must have shape ({order}, {n})")
+    csum = np.cumsum(offs.reshape(order, n), axis=0)
+    total = csum[-1]
     if np.any(np.abs(total) > 0):
         last = profile.fourier_radial(
             radial_norm(tuple(comps[c] + radius * total[c] for c in range(n)))
@@ -406,7 +399,8 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
         return 0j
 
     def factor(i):
-        return (wt * fns[i](tuple(comps[c] / radius + cumshift[i][c] for c in range(n)))).ravel()
+        q = radial_norm(tuple(comps[c] / radius + csum[i][c] for c in range(n)))
+        return (wt * fns[i](q)).ravel()
 
     v = fhat_norm * factor(0)
     for i in range(1, order - 1):

@@ -14,14 +14,14 @@ Each kind is exactly 1 on a ball of radius a and exactly 0 beyond b
 ``_profile_evaluator``: ``WindowProfile.value`` reads it, and so do the
 transform build and ``support_rule``.  The cached transform is the ball's
 closed form a^n ball_fhat(a k) plus a Gauss-Legendre quadrature over the
-edge [a, b] alone; the sharp kind, a = b = 1, is the closed form only.  At
-n = 1 and 3 the edge sum over the uniform momentum grid splits exp(i k s)
-into block and offset phases and is one matrix product of sines and
-cosines (``uniform_edge_transform``).  At n = 2 the projection-slice
-theorem turns the transform into one of a line: fhat_2(k) is (2 pi)^(-1/2)
-times the n = 1 transform of the projection P(x) = int f(sqrt(x^2 + t^2)) dt
-(``line_projection``), which is the same matrix product over a rule on
-[0, b], so no Bessel function is evaluated.
+edge [a, b] alone.  At n = 1 and 3 the edge sum over the uniform momentum
+grid splits exp(i k s) into block and offset phases and is one matrix
+product of sines and cosines (``uniform_edge_transform``).  At n = 2 the
+projection-slice theorem turns the transform into one of a line: fhat_2(k)
+is (2 pi)^(-1/2) times the n = 1 transform of the projection
+P(x) = int f(sqrt(x^2 + t^2)) dt (``line_projection``), which is the same
+matrix product over a rule on [0, b], so no Bessel function is evaluated.
+Every piece of these rules has at least MIN_TRANSFORM_PANELS panels.
 Between the cached momenta the transform is read by the 10-point Lagrange
 interpolant ``lagrange_uniform``, which is exact at the nodes and elsewhere
 misses the direct quadrature by at most 1e-14 of fhat(0).
@@ -52,7 +52,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .quadrature import GRADED_EDGE_RATIO, gauss_legendre_edges, gauss_legendre_panels
 
-CACHE_FORMAT_VERSION = 7
+CACHE_FORMAT_VERSION = 8
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are
@@ -260,7 +260,6 @@ def _assemble(kind, dim, smoothness, k_grid, fhat_samples, k_max):
 EDGES = {
     "mollified-step": (STEP_EDGE - BUMP_HALFWIDTH, STEP_EDGE + BUMP_HALFWIDTH),
     "smoothstep": (1.0, SUPPORT_RADIUS),
-    "sharp": (1.0, 1.0),
 }
 KINDS = tuple(EDGES)
 
@@ -280,11 +279,9 @@ def _profile_evaluator(kind: str, smoothness: int):
         # on the edge s + STEP_EDGE lies above the bump, where the CDF is 1
         def edge(s):
             return np.clip(1.0 - cdf(s - STEP_EDGE), 0.0, 1.0)
-    elif kind == "smoothstep":
+    else:
         def edge(s):
             return smoothstep_edge(s - a, smoothness)
-    else:  # sharp: a == b, no edge
-        edge = np.zeros_like
 
     def exact(s):
         s = np.asarray(s, dtype=float)
@@ -398,12 +395,13 @@ _BALL3_SERIES = np.array([(-1) ** m * (2 * m + 2) / factorial(2 * m + 3) for m i
 def ball_fhat(dim: int, x) -> np.ndarray:
     """Closed-form transform of the unit-ball indicator at radial momentum x.
 
-    x^(-n/2) J_{n/2}(x): sqrt(2/pi) sin(x)/x, J1(x)/x and sqrt(2/pi) j1(x)/x
-    for n = 1, 2, 3, with j1(x)/x = (sin x - x cos x)/x^3 the spherical
-    Bessel function, summed as its Taylor series below x = 1, where the
-    closed form cancels: within 6e-16 relative there.  At n = 1 and 2 the x^2
-    term is under rounding below x = 1e-8, so the value at 0 is used there.
-    The ball of radius a has a^n ball_fhat(a k).
+    x^(-n/2) J_{n/2}(x): sqrt(2/pi) sin(x)/x and sqrt(2/pi) j1(x)/x for
+    n = 1 and 3, the dimensions whose transform ``make_profile`` builds on
+    the ball.  j1(x)/x = (sin x - x cos x)/x^3 is the spherical Bessel
+    function, summed as its Taylor series below x = 1, where the closed form
+    cancels: within 6e-16 relative there.  At n = 1 the x^2 term is under
+    rounding below x = 1e-8, so the value at 0 is used there.  The ball of
+    radius a has a^n ball_fhat(a k).
     """
     x = np.asarray(x, dtype=float)
     if dim == 3:
@@ -413,13 +411,7 @@ def ball_fhat(dim: int, x) -> np.ndarray:
         series = np.polynomial.polynomial.polyval(x * x, _BALL3_SERIES)
         return sqrt(2.0 / pi) * np.where(small, series, closed)
     safe = np.where(x > 1e-8, x, 1.0)
-    if dim == 1:
-        out, at0 = sqrt(2.0 / pi) * np.sin(safe) / safe, sqrt(2.0 / pi)
-    else:
-        from scipy.special import j1
-
-        out, at0 = j1(safe) / safe, 0.5
-    return np.where(x > 1e-8, out, at0)
+    return np.where(x > 1e-8, sqrt(2.0 / pi) * np.sin(safe) / safe, sqrt(2.0 / pi))
 
 
 #: Gauss-Legendre nodes per panel of ``support_rule``
@@ -429,8 +421,7 @@ SUPPORT_PANEL_NODES = 16
 def _support_panels(kind: str, frequency: float):
     """(lo, hi, panels) of each piece of ``support_rule``."""
     a, b = EDGES[kind]
-    return [(lo, hi, ceil(frequency * (hi - lo) / (2.0 * pi)))
-            for lo, hi in ((0.0, a), (a, b)) if hi > lo]
+    return [(lo, hi, ceil(frequency * (hi - lo) / (2.0 * pi))) for lo, hi in ((0.0, a), (a, b))]
 
 
 def support_rule_size(frequency: float) -> int:
@@ -464,22 +455,27 @@ def support_rule(kind: str, smoothness: int, frequency: float):
 def transform_rule(k_max: float, lo: float, hi: float):
     """Composite Gauss-Legendre nodes and weights over [lo, hi] at the panel
     width ``make_profile`` integrates the edge with: that of a rule over all
-    of [0, GRID_EXTENT] with >= ~6 nodes per cycle of exp(i k_max s)."""
+    of [0, GRID_EXTENT] with >= ~6 nodes per cycle of exp(i k_max s), and at
+    least MIN_TRANSFORM_PANELS panels."""
     return gauss_legendre_panels(lo, hi, _transform_panels(k_max, lo, hi), 16)
+
+
+#: fewest panels of any piece of a transform rule: at k_max 40 the cycle
+#: count alone gives the mollified step's edge 10 panels, which leave the
+#: n = 3 fhat(0) 1.7e-14 low and the line projection P 1e-11 off; on 32 every
+#: kind is within 2e-16 of fhat(0) at n = 1, 2, 3.  The default k_max gives
+#: the edges 34 and 68 panels, so their tables do not depend on it
+MIN_TRANSFORM_PANELS = 32
 
 
 def _transform_panels(k_max, lo, hi):
     """The panel count of ``transform_rule`` over [lo, hi]."""
     cycles = k_max * GRID_EXTENT / (2.0 * pi)
-    return ceil(max(48, int(cycles / 1.5) + 1) * (hi - lo) / GRID_EXTENT)
+    return max(ceil(max(48, int(cycles / 1.5) + 1) * (hi - lo) / GRID_EXTENT), MIN_TRANSFORM_PANELS)
 
 
 #: times ``projection_rule`` halves the panels next to a and b toward them
 PROJECTION_LEVELS = 8
-#: fewest panels of the edge rule of ``line_projection``: at k_max 40
-#: ``transform_rule`` gives the mollified step's edge 10 panels, on which P
-#: is 1e-11 off
-PROJECTION_MIN_PANELS = 32
 #: kernel entries ``line_projection`` holds at once
 _PROJECTION_BLOCK = 16384
 
@@ -513,10 +509,10 @@ def line_projection(kind: str, smoothness: int, x, k_max: float = 640.0) -> np.n
         P(x) = 2 sqrt(b^2 - x^2) - 2 int_{max(a, x)}^b (1 - f(r)) r / sqrt(r^2 - x^2) dr,
 
     the chord of the ball of radius b less the deficit of the edge.  The
-    deficit is read on the panels of ``transform_rule(k_max, a, b)``, at
-    least PROJECTION_MIN_PANELS of them, with the exact f.  The panels that
-    start at least one panel width h above x hold no singularity, and their
-    16-node Gauss-Legendre sum reads the same f values for every x.  Up to
+    deficit is read on the panels of ``transform_rule(k_max, a, b)``, with
+    the exact f.  The panels that start at least one panel width h above x
+    hold no singularity, and their 16-node Gauss-Legendre sum reads the
+    same f values for every x.  Up to
     there, from max(a, x), t = sqrt(r^2 - x^2) removes the inverse square
     root: 16-node Gauss-Legendre in t on two panels of width at most h in
     r, with f evaluated afresh.  For x <= a - h the shared panels are the
@@ -525,7 +521,7 @@ def line_projection(kind: str, smoothness: int, x, k_max: float = 640.0) -> np.n
     a, b = EDGES[kind]
     exact = _profile_evaluator(kind, smoothness)
     x = np.asarray(x, dtype=float)
-    panels = max(_transform_panels(k_max, a, b), PROJECTION_MIN_PANELS)
+    panels = _transform_panels(k_max, a, b)
     s, w = gauss_legendre_panels(a, b, panels, 16)
     r_edges = np.linspace(a, b, panels + 1)
     h = (b - a) / panels
@@ -594,9 +590,8 @@ def make_profile(
     transform of its line projection P (projection-slice theorem), so the
     table is that same product over ``projection_rule`` on [0, b] with
     P from ``line_projection``: within 2.2e-15 of fhat(0) of the ball's
-    closed form plus the edge sum of J_0.  The sharp kind has no edge and is
-    the closed form at every n.  The profile keeps no position samples:
-    ``value`` reads the same exact evaluator.
+    closed form plus the edge sum of J_0.  The profile keeps no position
+    samples: ``value`` reads the same exact evaluator.
     Between cache nodes the transform is read by the 10-point Lagrange
     interpolant ``lagrange_uniform``: at 2,000 random momenta it misses the
     direct quadrature by at most 2.2e-15 of fhat(0) for every kind and
@@ -604,14 +599,12 @@ def make_profile(
     """
     check_profile_args(kind, dim)
     # the mollified step is C-infinity, so it certifies plenty
-    smoothness = {"mollified-step": 64, "smoothstep": smoothstep_order, "sharp": 0}[kind]
+    smoothness = {"mollified-step": 64, "smoothstep": smoothstep_order}[kind]
     exact = _profile_evaluator(kind, smoothness)
     k_grid = np.linspace(0.0, k_max, k_resolution)
 
     a, b = EDGES[kind]
-    if a == b:
-        fhat = a ** dim * ball_fhat(dim, a * k_grid)
-    elif dim == 2:
+    if dim == 2:
         x, w = projection_rule(k_max, a, b)
         p = line_projection(kind, smoothness, x, k_max)
         fhat = uniform_edge_transform(1, x, w, p, k_grid) / sqrt(2.0 * pi)

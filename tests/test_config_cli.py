@@ -95,9 +95,10 @@ class TestParsing:
             parse_config(cfg_text(bad))
 
     def test_sharp_window_rejected(self):
+        # the indicator window is no kind: its transform decays too slowly for the chain
         bad = dict(MINIMAL)
         bad["window"] = {"kind": "sharp", "dim": 1}
-        with pytest.raises(ConfigError, match="sharp"):
+        with pytest.raises(ConfigError, match="unknown window kind 'sharp'"):
             parse_config(cfg_text(bad))
 
     def test_malformed_json(self):

@@ -38,8 +38,8 @@ def test_scan_finds_an_unused_import():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.special alone is most of the package's import time; J_0, J_1 and
-    # K_nu import it where they are read, and nothing else needs scipy
+    # scipy.special alone is most of the package's import time; J_0 and K_nu
+    # import it where they are read, and nothing else needs scipy
     probe = "import sys, fluctlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(fluctlab.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
@@ -47,15 +47,14 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("kind, scipy_read", [("mollified-step", False), ("smoothstep", False),
-                                              ("sharp", True)])
-def test_n2_window_build_loads_scipy_only_for_the_sharp_kind(kind, scipy_read):
-    # n = 2 goes through the line projection and the cosine product; only the
-    # sharp kind's closed form, J_1(k)/k, still reads scipy.special
-    probe = ("import sys; from fluctlab.window import make_profile; "
-             f"make_profile({kind!r}, 2, k_max=40.0, k_resolution=1000); "
-             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_window_build_loads_no_scipy(dim):
+    # no window build reads a Bessel function: n = 1 and 3 sum cosines and
+    # sines, n = 2 goes through the line projection and the cosine product
+    probe = ("import sys; from fluctlab.window import KINDS, make_profile; "
+             f"[make_profile(kind, {dim}, k_max=40.0, k_resolution=1000) for kind in KINDS]; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(fluctlab.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == str(scipy_read)
+    assert out.stdout.strip() == "[]"

@@ -54,9 +54,15 @@ class TestGaussianState:
         with pytest.raises(ModelValidationError):
             gaussian_state(lambda k: np.cos(3.0 * np.asarray(k)), 1)
 
-    def test_hermiticity_violation_rejected(self):
-        with pytest.raises(ModelValidationError):
-            check_autocorrelation(lambda k: np.asarray(k) + 1.0, 1)
+    @pytest.mark.parametrize("density, message", [
+        (lambda r: np.where(r < 1.0, np.inf, 1.0), "not finite"),
+        (lambda r: np.exp(-r * r) - 0.5, "positivity"),
+        # a density of |k| is hermitian exactly when it is real
+        (lambda r: (1.0 + 0.5j) * np.exp(-r * r), "hermiticity"),
+    ], ids=["non-finite", "negative", "complex"])
+    def test_invalid_density_rejected(self, density, message):
+        with pytest.raises(ModelValidationError, match=message):
+            check_autocorrelation(density)
 
 
 class TestProductAnsatz:
@@ -178,22 +184,18 @@ class TestGoldstoneSpectrum:
     def test_valid_model(self):
         state = goldstone_state(3, 1.0, 2.0)
         assert state.tag(2).kind == "goldstone"
-        k = np.array([[0.1, 0.0, 0.0], [0.5, 0.0, 0.0]])
-        vals = state.two_point(k)
+        vals = state.two_point(np.array([0.1, 0.5]))
         assert vals[0].real == pytest.approx(100.0, rel=1e-9)  # |k|^-2 at 0.1
 
     def test_small_k_exponent(self):
         state = goldstone_state(3, 1.0, 2.0)
         ks = np.geomspace(1e-3, 1e-1, 24)
-        vecs = np.zeros((len(ks), 3))
-        vecs[:, 0] = ks
-        slope = np.polyfit(np.log(ks), np.log(state.two_point(vecs).real), 1)[0]
+        slope = np.polyfit(np.log(ks), np.log(state.two_point(ks).real), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.05)
 
     def test_zero_weight_trivial(self):
         state = goldstone_state(3, 0.0, 2.0)
-        k = np.array([[0.3, 0.0, 0.0]])
-        assert state.two_point(k)[0] == 0
+        assert state.two_point(np.array([0.3]))[0] == 0
 
     def test_integrability_precondition(self):
         with pytest.raises(ModelValidationError):

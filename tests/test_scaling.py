@@ -18,6 +18,7 @@ from fluctlab.errors import (
 )
 from fluctlab.models import (
     GaussianProfile,
+    TruncatedHierarchy,
     WeightedCorrelator,
     gaussian_state,
     powerlaw_state,
@@ -85,19 +86,6 @@ class TestSpectralPath:
             b = qmode_correlator(gaussian_state1, profile1, cfg, 2, np.zeros((2, 1)), radius)
             assert abs(a - b) <= 4e-15 * abs(b), radius
 
-    def test_translation_shift_leaves_limit(self, gaussian_state1, profile1):
-        cfg = ScalingConfig()
-        shifted = gaussian_state1.shifted(1, 0.9)
-        diffs = []
-        for radius in (8.0, 32.0, 128.0, 512.0):
-            v0 = qmode_correlator(gaussian_state1, profile1, cfg, 2, None, radius)
-            v1 = qmode_correlator(shifted, profile1, cfg, 2, None, radius)
-            diffs.append(abs(v1 - v0))
-        assert diffs[-1] < 1e-2 * diffs[0]
-        assert diffs[-1] < 1e-4 * abs(
-            qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 512.0)
-        )
-
     def test_quadrature_convergence_estimate(self, gaussian_state1, profile1):
         cfg = ScalingConfig()
         value, estimate = correlator_with_error(gaussian_state1, profile1, cfg, 2, 16.0)
@@ -110,7 +98,7 @@ class TestSpectralPath:
         with pytest.raises(OrderRangeError):
             qmode_correlator(gaussian_state1, profile1, cfg, 9, None, 8.0)
         # offsets keep the Cartesian chain, whose order-4 kernel holds 960**4 points
-        state2 = gaussian_state(lambda k: np.exp(-np.sum(np.asarray(k) ** 2, axis=-1)), 2)
+        state2 = gaussian_state(lambda r: np.exp(-np.asarray(r) ** 2), 2)
         with pytest.raises(NumericalAccuracyError, match="numeric.quad"):
             qmode_correlator(state2, profile2, cfg, 4, np.zeros((4, 2)), 8.0)
 
@@ -242,7 +230,7 @@ class TestLegendreRuleCache:
 
 
 def _tensor_sum(state, profile, order, offsets, radius, alpha, rule):
-    """The spectral quadrature as one explicit sum over the (l-1)*n-dimensional tensor grid."""
+    """The Cartesian chain's quadrature as one explicit sum over the (l-1)*n-dimensional tensor grid."""
     n = state.dim
     dim = (order - 1) * n
 
@@ -252,7 +240,7 @@ def _tensor_sum(state, profile, order, offsets, radius, alpha, rule):
         return rule.nodes.reshape(shape)
 
     q = [tuple(axis(i * n + c) for c in range(n)) for i in range(order - 1)]
-    csum = np.cumsum(np.zeros((order, n)) if offsets is None else offsets, axis=0)
+    csum = np.cumsum(offsets, axis=0)
     w = profile.fourier_radial(radial_norm(q[0]))
     for i in range(1, order - 1):
         w = w * profile.fourier_radial(radial_norm(tuple(a - b for a, b in zip(q[i], q[i - 1]))))
@@ -264,6 +252,33 @@ def _tensor_sum(state, profile, order, offsets, radius, alpha, rule):
     return pref * np.sum(terms), abs(pref) * np.sum(np.abs(terms))
 
 
+def _radial_tensor_sum(state, profile, order, radius, alpha, rule):
+    """The radial chain's quadrature as one explicit sum over the (l-1)-dimensional grid of radii.
+
+    |S^(n-1)| sum of fhat(r_1) m(r_1) K(r_1, r_2) m(r_2) ... m(r_{l-1}) fhat(r_{l-1})
+    S_l(r_1/R, ..., r_{l-1}/R) with m = w r^(n-1) and K the radial kernel of
+    ``window_product``, which ``TestRadialChain`` pins on its own.
+    """
+    n, dim = state.dim, order - 1
+    fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (n - 1)
+    kernel = window_product(profile, n, rule)
+
+    def axis(values, k):
+        shape = [1] * dim
+        shape[k] = len(values)
+        return values.reshape(shape)
+
+    terms = axis(fhat, 0) * axis(fhat, dim - 1) * reduce(np.multiply.outer, [measure] * dim)
+    for i in range(dim - 1):
+        shape = [1] * dim
+        shape[i:i + 2] = kernel.shape
+        terms = terms * kernel.reshape(shape)
+    terms = terms * state.evaluate(order, tuple((axis(rule.nodes / radius, i),) for i in range(dim)))
+    pref = (2.0 * np.pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
+    scale = pref * unit_sphere_area(n)
+    return scale * np.sum(terms), abs(scale) * np.sum(np.abs(terms))
+
+
 # small rules keep the reference tensor at <= 24**4 points; eps_vanish = 1
 # lets their short p_max pass the tail certificate
 _SMALL_RULES = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (12.0, 3, 4, 0), 2: (14.0, 3, 4, 0)})
@@ -271,21 +286,28 @@ _gauss = st.builds(GaussianProfile, st.floats(0.2, 2.0), st.floats(0.4, 1.6))
 
 
 class TestChainContraction:
-    """The transfer-matrix chain equals the explicit tensor sum of the same quadrature."""
+    """The transfer-matrix chains equal the explicit tensor sums of the same quadratures."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2]), radius=st.floats(1.0, 600.0),
-           alpha=st.floats(0.0, 1.5), offset_kind=st.sampled_from(["zero", "symmetric", "net"]),
-           shift=st.none() | st.tuples(st.integers(1, 5), st.floats(-2.0, 2.0)))
-    def test_chain_equals_tensor_sum(self, profile1, profile2, data, dim, radius, alpha,
-                                     offset_kind, shift):
+           alpha=st.floats(0.0, 1.5), offset_kind=st.sampled_from(["zero", "symmetric", "net"]))
+    def test_chain_equals_tensor_sum(self, profile1, profile2, data, dim, radius, alpha, offset_kind):
         order = data.draw(st.integers(2, 5 if dim == 1 else 3), label="order")
         profiles = data.draw(st.lists(_gauss, min_size=order - 1, max_size=order - 1), label="profiles")
+        # a unit phase per factor makes every vector of both chains complex,
+        # so the [Re; Im] product of ``_times_real`` carries both halves
+        phases = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=order - 1, max_size=order - 1),
+                           label="phases")
         profiles = [GaussianProfile(g.amplitude, g.width, dim) for g in profiles]
-        state = product_ansatz_state({order: profiles}, dim)
-        if shift is not None and shift[0] <= order:
-            state = state.shifted(shift[0], np.full(dim, shift[1]))
-        # zero offsets given as an array keep the Cartesian chain
+        factors = tuple(lambda r, g=g, t=t: g.momentum(r) * np.exp(1j * t) for g, t in zip(profiles, phases))
+        state = TruncatedHierarchy(dim=dim, max_order=order, factors={order: factors}, tags={})
+        profile = profile1 if dim == 1 else profile2
+        # no offsets take the radial chain on the half-line rule
+        chain = qmode_correlator(state, profile, _SMALL_RULES, order, None, radius, alpha)
+        rule = _SMALL_RULES.quad_for(dim).build(half=True)
+        reference, scale = _radial_tensor_sum(state, profile, order, radius, alpha, rule)
+        assert abs(chain - reference) <= 1e-12 * scale
+        # offsets, zero ones given as an array too, take the Cartesian chain
         offsets = np.zeros((order, dim))
         if offset_kind != "zero":
             q = data.draw(st.floats(-1.0, 1.0), label="q")
@@ -294,7 +316,6 @@ class TestChainContraction:
                 offsets += np.asarray(data.draw(
                     st.lists(st.floats(-1.0, 1.0), min_size=order * dim, max_size=order * dim),
                     label="net")).reshape(order, dim)
-        profile = profile1 if dim == 1 else profile2
         chain = qmode_correlator(state, profile, _SMALL_RULES, order, offsets, radius, alpha)
         rule = _SMALL_RULES.quad_for(dim).build()
         reference, scale = _tensor_sum(state, profile, order, offsets, radius, alpha, rule)
@@ -487,7 +508,7 @@ class TestWeightedRegime:
 
 class TestHigherDimension:
     def test_two_point_limit_n2(self, profile2):
-        state = gaussian_state(lambda k: np.exp(-np.sum(np.asarray(k) ** 2, axis=-1) / 2.0), 2)
+        state = gaussian_state(lambda r: np.exp(-np.asarray(r) ** 2 / 2.0), 2)
         cfg = ScalingConfig(eps_vanish=5e-3)
         rep = exponent_sweep(state, profile2, cfg, 2)
         assert rep.exponent == pytest.approx(0.0, abs=0.05)
@@ -640,15 +661,3 @@ class TestRadialChain:
         state = _product_state(3, [2, 3])
         assert check_order(state, ScalingConfig(), 2, qmode=True) == (scaling.CARTESIAN_N3_SPEC, False)
         assert check_order(state, ScalingConfig(), 3) == (scaling.DEFAULT_SPEC, True)
-
-    def test_radial_states_only(self, profile2):
-        # a shifted state is not radial and q-mode offsets keep the Cartesian
-        # chain; a radial state with no offsets takes the radial chain at every n
-        state = _product_state(2, [2])
-        assert scaling.takes_radial(state, qmode=False)
-        assert not scaling.takes_radial(state, qmode=True)
-        assert not scaling.takes_radial(state.shifted(1, np.array([0.5, 0.0])), qmode=False)
-        state1 = _product_state(1, [2])
-        assert scaling.takes_radial(state1, qmode=False)
-        assert not scaling.takes_radial(state1, qmode=True)
-        assert not scaling.takes_radial(state1.shifted(1, 0.5), qmode=False)
