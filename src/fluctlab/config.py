@@ -203,7 +203,10 @@ OUTPUT = Obj({"directory": (Str(), "fluctlab-out"), "basename": (Str(), "report"
 
 def _scaling_config(nb: dict) -> ScalingConfig:
     grid = nb["r_grid"]
-    r = tuple(float(x) for x in np.geomspace(grid["start"], grid["stop"], grid["count"]).round(10))
+    # rounding scales by 1e10 first: a radius beyond 1.8e298 becomes inf,
+    # which ScalingConfig.validate_r_grid rejects
+    with np.errstate(over="ignore"):
+        r = tuple(float(x) for x in np.geomspace(grid["start"], grid["stop"], grid["count"]).round(10))
     return ScalingConfig(r_values=r, alpha_mode=nb["alpha_mode"], alpha=nb["alpha"],
                          eps_vanish=nb["eps_vanish"], exponent_band=nb["exponent_band"],
                          quad_overrides={k: tuple(v) for k, v in nb["quad"].items()},

@@ -4,9 +4,11 @@ The limit of the scaling hierarchy retains only 2-point data: a complex
 covariance C_ij whose real part is the symmetric form s and whose imaginary
 part is half the symplectic form sigma (C = s + i/2 sigma).  All higher
 limit moments are pairing sums over C, so exponentiated observables obey
-the Weyl relation with variance s and commutator phase sigma.  Everything
-here works at the level of moment series with explicit tail bounds; no
-Hilbert-space operators are constructed.
+the Weyl relation with variance s and commutator phase sigma.  A pairing sum
+is the memoised first-slot recursion of `partitions.pairing_sum` on the
+labels of the sequence; no pairing is enumerated.  Everything here works at
+the level of moment series with explicit tail bounds; no Hilbert-space
+operators are constructed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     OrderRangeError,
 )
 from .models import ObservablePair, gaussian_state
-from .partitions import _pairing_blocks
+from .partitions import pairing_sum
 from .scaling import ScalingConfig, exponent_sweep
 from .window import WindowProfile
 
@@ -97,6 +99,19 @@ class LimitState:
         }
 
 
+def _label_indices(state: LimitState, sequence: Sequence[str | int]) -> tuple[int, ...]:
+    idx = tuple(int(s) if isinstance(s, (int, np.integer)) else state.index(s) for s in sequence)
+    for i in idx:
+        if not 0 <= i < len(state.labels):
+            raise InvalidArgumentError(f"observable index {i} out of range")
+    return idx
+
+
+def _covariance_pairs(state: LimitState) -> dict[tuple[int, int], complex]:
+    c = state.covariance.tolist()
+    return {(a, b): complex(v) for a, row in enumerate(c) for b, v in enumerate(row)}
+
+
 def wick_moment(state: LimitState, sequence: Sequence[str | int]) -> complex:
     """Limit moment of an ordered product: sum over pairings of C products.
 
@@ -105,23 +120,8 @@ def wick_moment(state: LimitState, sequence: Sequence[str | int]) -> complex:
     """
     if len(sequence) > 16:
         raise OrderRangeError("sequences longer than 16 are not supported")
-    idx = [s if isinstance(s, (int, np.integer)) else state.index(s) for s in sequence]
-    for i in idx:
-        if not 0 <= i < len(state.labels):
-            raise InvalidArgumentError(f"observable index {i} out of range")
-    m = len(idx)
-    if m == 0:
-        return 1.0 + 0.0j
-    if m % 2 == 1:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    c = state.covariance
-    for blocks in _pairing_blocks(m):
-        prod = 1.0 + 0.0j
-        for a, b in blocks:
-            prod *= c[idx[a - 1], idx[b - 1]]
-        total += prod
-    return total
+    idx = _label_indices(state, sequence)
+    return pairing_sum(idx, _covariance_pairs(state), {})
 
 
 @dataclass(frozen=True)
@@ -183,14 +183,15 @@ def ccr_product_check(state: LimitState, label_a: str | int, label_b: str | int,
     """
     if truncation > 6:
         raise OrderRangeError("series truncation capped at N = 6")
-    ia = label_a if isinstance(label_a, (int, np.integer)) else state.index(label_a)
-    ib = label_b if isinstance(label_b, (int, np.integer)) else state.index(label_b)
+    ia, ib = _label_indices(state, (label_a, label_b))
+    pairs = _covariance_pairs(state)
+    memo: dict = {}  # the moments of A^j B^k share the states A^a B^b
     series = 0.0 + 0.0j
     for j in range(2 * truncation + 1):
         for k in range(2 * truncation + 1 - j):
             if (j + k) % 2 == 1:
                 continue
-            moment = wick_moment(state, [ia] * j + [ib] * k)
+            moment = pairing_sum((ia,) * j + (ib,) * k, pairs, memo)
             series += (1j) ** (j + k) / (factorial(j) * factorial(k)) * moment
 
     s = state.symmetric_part

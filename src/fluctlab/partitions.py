@@ -2,9 +2,14 @@
 
 Index tuples are ordered sequences of slots 1..l (the underlying observables
 need not commute); every block of a partition keeps the ascending order of
-its slots, and blocks are listed by their smallest element.  Partitions are
-enumerated through restricted-growth strings, which produces exactly that
-canonical form deterministically.
+its slots, and blocks are listed by their smallest element.
+
+Sums over partitions are recursions on the block that holds the first slot,
+memoised on what remains: a pairing sum costs one term per remaining slot
+and state, a partition sum 2^(|S|-1) terms per tuple, and neither walks the
+(m-1)!! pairings or B_m partitions.  Partitions and pairings are enumerated
+(through restricted-growth strings, which give the canonical form
+deterministically) only to count and to list them.
 
 Tables map ascending slot tuples (subsets of {1..l}) to complex values.
 First moments vanish throughout: observables are centered.
@@ -124,10 +129,63 @@ def _pairing_blocks(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rec(tuple(range(1, order + 1))))
 
 
-def _partitions_of_tuple(indices: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Partitions of an arbitrary ascending tuple, blocks in canonical form."""
-    for blocks in _partition_blocks(len(indices)):
-        yield tuple(tuple(indices[i - 1] for i in block) for block in blocks)
+def pairing_sum(seq: tuple, pair: Mapping[tuple, complex], memo: dict) -> complex:
+    """Sum over the perfect matchings of seq of the ordered pair products.
+
+    First-slot recursion: W(s_1..s_m) = sum_{j>1} pair[(s_1, s_j)] W(seq
+    without slots 1 and j), W(()) = 1, memoised in ``memo`` on the tuple that
+    remains.  Removing any slot of a run of equal keys leaves the same
+    remainder, so a run contributes one term times its length.
+    """
+    if len(seq) % 2:
+        return 0j
+    if not seq:
+        return 1 + 0j
+    hit = memo.get(seq)
+    if hit is not None:
+        return hit
+    first = seq[0]
+    total = 0j
+    j = 1
+    while j < len(seq):
+        end = j + 1
+        while end < len(seq) and seq[end] == seq[j]:
+            end += 1
+        rest = pairing_sum(seq[1:j] + seq[j + 1:], pair, memo)
+        total += (end - j) * (pair[(first, seq[j])] * rest)
+        j = end
+    memo[seq] = total
+    return total
+
+
+def _mask(key: tuple[int, ...]) -> int:
+    return sum(1 << (i - 1) for i in key)
+
+
+def _first_block_sum(s: int, kappa: Mapping[int, complex], w: Mapping[int, complex]) -> complex:
+    """Sum of kappa(B) W(S minus B) over the blocks B of S that hold min S.
+
+    S and every key are bitmasks of slots; ``w`` holds W of each proper
+    subset of S (1 for the empty set).  B is min S plus each subset of the
+    other slots in ascending order, so B = S comes last; a block missing from
+    ``kappa`` (a singleton, or S itself while its cumulant is unknown) or with
+    a zero cumulant adds nothing.
+    """
+    low = s & -s
+    rest = s ^ low
+    total = 0j
+    sub = 0
+    while sub != rest:
+        sub = (sub - rest) & rest
+        k = kappa.get(low | sub)
+        if k:
+            total += k * w[rest ^ sub]
+    return total
+
+
+def _check_partition_order(size: int) -> None:
+    if size > MAX_PARTITION_ORDER:
+        raise OrderRangeError(f"order {size} outside 1..{MAX_PARTITION_ORDER}")
 
 
 class _Table:
@@ -199,35 +257,34 @@ def moments_from_cumulants(cumulants: CumulantTable, order: int) -> MomentTable:
     """Moments as partition sums of cumulant block products.
 
     W(S) = sum over partitions of S of the product over blocks of W^T(block),
-    applied to every ascending tuple through the requested order.
+    applied to every ascending tuple through the requested order by the
+    first-block recursion W(S) = sum_{B holds min S} W^T(B) W(S minus B).
     """
     if order > cumulants.order:
         raise OrderRangeError(f"table holds order {cumulants.order}, requested {order}")
     if not cumulants.populated_through(order):
         missing = [k for k in cumulants.canonical_keys(order) if k not in cumulants]
         raise IncompleteTableError(f"cumulant table missing entries, e.g. {missing[0]}")
+    keys = cumulants.canonical_keys(order)
+    if keys:
+        _check_partition_order(len(keys[-1]))
+    kappa = {_mask(k): v for k, v in cumulants.as_dict().items() if len(k) > 1}
+    w = {0: 1 + 0j}
+    w.update((1 << i, 0j) for i in range(cumulants.order))
     moments = MomentTable(cumulants.order)
-    for key in cumulants.canonical_keys(order):
-        if len(key) == 1:
-            continue
-        total = 0.0 + 0.0j
-        for blocks in _partitions_of_tuple(key):
-            prod = 1.0 + 0.0j
-            for b in blocks:
-                prod *= cumulants[b]
-                if prod == 0:
-                    break
-            total += prod
-        moments[key] = total
+    for key in keys:
+        if len(key) > 1:
+            s = _mask(key)
+            w[s] = _first_block_sum(s, kappa, w)
+            moments[key] = w[s]
     return moments
 
 
 def cumulants_from_moments(moments: MomentTable, order: int) -> CumulantTable:
     """Unique cumulant table inverting the partition-sum recursion.
 
-    Solved order by order: the full partition sum is the moment, so the
-    cumulant of a tuple is its moment minus every partition with more than
-    one block (whose cumulants are already known).
+    Solved order by order: kappa(S) = W(S) - sum_{B holds min S, B != S}
+    kappa(B) W(S minus B), whose cumulants are already known.
     """
     if order > moments.order:
         raise OrderRangeError(f"table holds order {moments.order}, requested {order}")
@@ -237,20 +294,17 @@ def cumulants_from_moments(moments: MomentTable, order: int) -> CumulantTable:
     if not moments.populated_through(order):
         missing = [k for k in moments.canonical_keys(order) if k not in moments]
         raise IncompleteTableError(f"moment table missing entries, e.g. {missing[0]}")
+    _check_partition_order(order)
+    w = {_mask(k): v for k, v in moments.as_dict().items()}
+    w[0] = 1 + 0j
+    kappa: dict[int, complex] = {}
     cumulants = CumulantTable(moments.order)
     for size in range(2, order + 1):
         for key in combinations(range(1, moments.order + 1), size):
-            rest = 0.0 + 0.0j
-            for blocks in _partitions_of_tuple(key):
-                if len(blocks) == 1:
-                    continue
-                prod = 1.0 + 0.0j
-                for b in blocks:
-                    prod *= cumulants[b]
-                    if prod == 0:
-                        break
-                rest += prod
-            cumulants[key] = moments[key] - rest
+            s = _mask(key)
+            # kappa(S) is not in kappa yet, so the block B = S drops out
+            kappa[s] = moments[key] - _first_block_sum(s, kappa, w)
+            cumulants[key] = kappa[s]
     return cumulants
 
 
@@ -259,21 +313,11 @@ def wick_moment_table(pair_values: Mapping[tuple[int, int], complex], order: int
 
     pair_values maps ascending index pairs (i, j), i < j, to the 2-point
     value; odd tuples get zero, even tuples the sum over pairings of the
-    ordered pair products.
+    ordered pair products (`pairing_sum` with slots as keys).
     """
     table = MomentTable(order)
+    memo: dict = {}
     for key in table.canonical_keys(order):
-        size = len(key)
-        if size == 1:
-            continue
-        if size % 2 == 1:
-            table[key] = 0.0
-            continue
-        total = 0.0 + 0.0j
-        for blocks in _pairing_blocks(size):
-            prod = 1.0 + 0.0j
-            for a, b in blocks:
-                prod *= pair_values[(key[a - 1], key[b - 1])]
-            total += prod
-        table[key] = total
+        if len(key) > 1:
+            table[key] = pairing_sum(key, pair_values, memo)
     return table

@@ -251,7 +251,7 @@ def _run_cumulant_roundtrip(params, cfg, model, window):
     wick = wick_moment_table(pair_values, order)
     gauss_cml = cumulants_from_moments(wick, order)
     higher = [abs(gauss_cml[k]) for k in keys if len(k) >= 3]
-    # the pairing enumeration wick_moment and wick_moment_table iterate
+    # pairings and partitions are enumerated here only to be counted
     counts = {str(m): {"pairings": len(_pairing_blocks(m)), "expected": pairing_count(m)}
               for m in params["pairing_orders"]}
     bells = {str(l): {"partitions": len(enumerate_partitions(l)), "expected": bell_number(l)}

@@ -127,9 +127,13 @@ class GoldstoneModel:
             if not np.all(np.isfinite(vals)):
                 k_bad = grid[~np.isfinite(vals)][0]
                 raise ModelValidationError(f"{name} is not finite at |k|={k_bad:.3g}")
-        lhs = np.abs(densities["rho_qa"]) ** 2
-        rhs = densities["rho_a"] * densities["rho_q"]
-        bad = lhs > rhs * (1.0 + 1e-9) + 1e-300
+        # |rho_qa|^2 <= rho_a rho_q (1 + 1e-9) + 1e-300, taken under the square
+        # root so that a huge but finite density cannot overflow
+        rho_a, rho_q = densities["rho_a"], densities["rho_q"]
+        negative = (rho_a < 0) | (rho_q < 0)
+        root = np.sqrt(np.where(negative, 0.0, rho_a)) * np.sqrt(np.where(negative, 0.0, rho_q))
+        magnitude = np.abs(densities["rho_qa"]) / np.sqrt(1.0 + 1e-9)
+        bad = negative | (magnitude > np.hypot(root, 1e-150))
         if np.any(bad):
             k_bad = grid[bad][0]
             raise ModelValidationError(

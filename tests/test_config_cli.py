@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,19 @@ class TestValidateRunContract:
         assert len(schema["analyses"][0]["kind"]) == 7
         assert len(schema["model"]["class"]) == 8
         json.dumps(schema)
+
+
+def test_r_grid_beyond_float_range_leaks_no_warning(tmp_path, cache_dir, monkeypatch):
+    # rounding the radii scales them by 1e10: the grid turns inf, and
+    # validate_r_grid rejects it without a RuntimeWarning
+    config, expected = CONTRACT_CASES["r_grid beyond the float range"]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(dict(config, output={"directory": str(tmp_path / "out")})))
+    monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["validate", str(path)]) == expected == 2
+        assert cli.main(["run", str(path)]) == 2
 
 
 def _locations(node):

@@ -1,12 +1,12 @@
 import itertools
-from collections import Counter
+from math import fsum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab import partitions
+from fluctlab import limit_algebra, partitions
 from fluctlab.errors import (
     IncompleteTableError,
     InvalidArgumentError,
@@ -39,6 +39,35 @@ def brute_force_partition_count(order):
         canon = tuple(sorted((tuple(b) for b in blocks.values()), key=lambda b: b[0]))
         seen.add(canon)
     return len(seen)
+
+
+def brute_force_set_partitions(items):
+    """Every partition of the item list: the first item joins each block of a
+    partition of the rest, or stands alone; blocks stay ascending."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in brute_force_set_partitions(rest):
+        yield [(first,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(first,) + block] + part[i + 1:]
+
+
+def block_products(key, table, skip_whole=False):
+    """The cumulant block product of every partition of key (the one-block
+    partition left out with skip_whole)."""
+    for part in brute_force_set_partitions(list(key)):
+        if skip_whole and len(part) == 1:
+            continue
+        prod = 1.0 + 0j
+        for block in part:
+            prod *= table[block]
+        yield prod
+
+
+def exact_sum(terms):
+    return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
 
 
 def random_cumulants(order, seed):
@@ -164,25 +193,72 @@ class TestRoundTrip:
             if len(key) >= 2:
                 assert abs(back[key] - ct[key]) < 1e-11 * max(1.0, abs(ct[key]))
 
-    def test_each_size_enumerated_once(self, monkeypatch):
-        calls = Counter()
-        growth_strings = partitions._restricted_growth_strings
+    def test_sums_enumerate_nothing(self, monkeypatch):
+        # moments, cumulants and Wick sums are recursions: enumerating
+        # partitions or pairings is left to counting them
+        def enumerated(order):
+            raise AssertionError(f"enumerated order {order}")
 
-        def counting(order):
-            calls[order] += 1
-            return growth_strings(order)
-
-        monkeypatch.setattr(partitions, "_restricted_growth_strings", counting)
-        partitions._partition_blocks.cache_clear()
+        for name in ("_restricted_growth_strings", "_partition_blocks", "_pairing_blocks"):
+            monkeypatch.setattr(partitions, name, enumerated)
+        # an import by name would hold the unpatched function
+        monkeypatch.setattr(limit_algebra, "_pairing_blocks", enumerated, raising=False)
         ct = random_cumulants(6, seed=6)
         cumulants_from_moments(moments_from_cumulants(ct, 6), 6)
-        assert sorted(calls) == [2, 3, 4, 5, 6] and max(calls.values()) == 1
+        c = np.array([[1.0, 0.5 + 0.4j], [0.5 - 0.4j, 1.0]]) * 0.3
+        limit_algebra.ccr_product_check(limit_algebra.LimitState(("A", "B"), c), "A", "B", 6)
 
     def test_nonzero_first_moment_rejected(self):
         mt = MomentTable(2)
         mt._values[(1,)] = 0.5  # bypass the setter to simulate bad input
         with pytest.raises(NormalizationError):
             cumulants_from_moments(mt, 2)
+
+
+class TestRecursionEqualsPartitionSums:
+    """The first-block recursions against the Bell-partition sums they replace."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_moments_from_cumulants(self, order):
+        ct = random_cumulants(order, seed=10 + order)
+        mt = moments_from_cumulants(ct, order)
+        for key in ct.canonical_keys():
+            terms = list(block_products(key, ct))
+            assert len(terms) == bell_number(len(key))
+            assert abs(mt[key] - exact_sum(terms)) <= 1e-13 * fsum(abs(t) for t in terms)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_cumulants_from_moments(self, order):
+        rng = np.random.default_rng(20 + order)
+        mt = MomentTable(order)
+        for key in mt.canonical_keys():
+            if len(key) >= 2:
+                mt[key] = complex(rng.standard_normal(), rng.standard_normal())
+        ct = cumulants_from_moments(mt, order)
+        reference = {(i,): 0j for i in range(1, order + 1)}
+        for key in mt.canonical_keys():
+            if len(key) >= 2:
+                terms = list(block_products(key, reference, skip_whole=True))
+                reference[key] = mt[key] - exact_sum(terms)
+                scale = abs(mt[key]) + fsum(abs(t) for t in terms)
+                assert abs(ct[key] - reference[key]) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("order", [2, 5, 8])
+    def test_wick_table_equals_pair_only_cumulants(self, order):
+        rng = np.random.default_rng(30 + order)
+        ct = CumulantTable(order)
+        pair = {}
+        for key in ct.canonical_keys():
+            if len(key) == 2:
+                pair[key] = ct[key] = complex(rng.standard_normal(), rng.standard_normal())
+            elif len(key) > 2:
+                ct[key] = 0.0
+        mt = wick_moment_table(pair, order)
+        ref = moments_from_cumulants(ct, order)
+        # the pairing sum over |pair| is the sum of the terms' moduli
+        scale = wick_moment_table({k: abs(v) for k, v in pair.items()}, order)
+        for key in ct.canonical_keys():
+            assert abs(mt[key] - ref[key]) <= 1e-13 * abs(scale[key])
 
 
 class TestGaussianCharacterization:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -111,6 +113,26 @@ class TestBogoliubov:
                 rho_q=RadialWeight(0.5, 1.0),
                 rho_qa_amplitude=3.0j,
             )
+
+    def test_huge_finite_densities_compared_without_overflow(self):
+        # |rho_qa|^2 and rho_a rho_q both pass 1e398 here; the check keeps
+        # its verdicts without forming them
+        huge = dict(dim=3, dispersion=Dispersion("linear", 1.0),
+                    rho_a=RadialWeight(1e200, -2.0), rho_q=RadialWeight(1e200, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            GoldstoneModel(**huge, rho_qa_amplitude=1e199j)
+            with pytest.raises(ModelValidationError, match="Cauchy-Schwarz"):
+                GoldstoneModel(**huge, rho_qa_amplitude=1e201j)
+
+    def test_negative_density_rejected(self):
+        class NegatedWeight(RadialWeight):
+            def __call__(self, kappa):
+                return -super().__call__(kappa)
+
+        with pytest.raises(ModelValidationError, match="Cauchy-Schwarz"):
+            replace(default_goldstone_model(3), rho_qa_amplitude=0j,
+                    rho_q=NegatedWeight(0.5, 1.0))
 
     def test_nonintegrable_weight_rejected(self):
         with pytest.raises(ModelValidationError):
