@@ -64,11 +64,6 @@ class Rule1D:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
-    def half_line(self) -> bool:
-        """True for a rule on [0, p_max] (``half_line_rule``)."""
-        return self.key[0] == "half"
-
 
 def symmetric_panel_rule(
     p_max: float,
@@ -103,11 +98,3 @@ def symmetric_panel_rule(
     key = (float(p_max), panels, nodes_per_panel, graded_levels)
     return Rule1D(nodes=nodes, weights=weights, p_max=float(p_max), key=key)
 
-
-def half_line_rule(p_max: float, panels: int, nodes_per_panel: int,
-                   graded_levels: int = 0) -> Rule1D:
-    """Composite GL rule on [0, p_max], optionally graded toward 0."""
-    full = symmetric_panel_rule(p_max, panels, nodes_per_panel, graded_levels)
-    half = len(full.nodes) // 2
-    return Rule1D(nodes=full.nodes[half:], weights=full.weights[half:],
-                  p_max=full.p_max, key=("half",) + full.key)

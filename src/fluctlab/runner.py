@@ -26,9 +26,9 @@ from .partitions import (
     MAX_PARTITION_ORDER,
     CumulantTable,
     _pairing_blocks,
+    _partition_blocks,
     bell_number,
     cumulants_from_moments,
-    enumerate_partitions,
     moments_from_cumulants,
     pairing_count,
     wick_moment_table,
@@ -254,7 +254,7 @@ def _run_cumulant_roundtrip(params, cfg, model, window):
     # pairings and partitions are enumerated here only to be counted
     counts = {str(m): {"pairings": len(_pairing_blocks(m)), "expected": pairing_count(m)}
               for m in params["pairing_orders"]}
-    bells = {str(l): {"partitions": len(enumerate_partitions(l)), "expected": bell_number(l)}
+    bells = {str(l): {"partitions": len(_partition_blocks(l)), "expected": bell_number(l)}
              for l in range(1, min(order, 8) + 1)}
     return {
         "order": order,

@@ -16,17 +16,16 @@ that constant the spectral value equals the position-space multi-quadrature
 of the same correlator identically, which the oracle tests exercise.
 
 S_l is a product of one factor per difference variable, each a function of
-|q_i| (``fluctlab.models``).  So with no momentum offsets every order runs on
-the radial chain, one vector of radii per variable, at every n; offsets
-take the Cartesian chain on the n-fold product of a symmetric rule, where
-each factor reads ``radial_norm`` of its shifted variable.
+|q_i| (``fluctlab.models``), so every order runs on one radial chain, one
+vector of radii per variable, at every n; momentum offsets a e and b e on
+the first two observables become its first vector (``_offset_vector``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, reduce
-from math import pi
+from functools import cache
+from math import ceil, pi
 
 import numpy as np
 
@@ -36,11 +35,13 @@ from .errors import (
     OrderRangeError,
     UnsupportedModeError,
 )
-from .models import TruncatedHierarchy, radial_norm
-from .quadrature import Rule1D, gauss_legendre_panels, half_line_rule, symmetric_panel_rule
+from .models import TruncatedHierarchy
+from .quadrature import Rule1D, gauss_legendre_panels, symmetric_panel_rule
 from .window import (
     GRID_EXTENT,
     PLANE_WAVE_MEAN,
+    SUPPORT_PANEL_NODES,
+    SUPPORT_RADIUS,
     WindowProfile,
     support_rule,
     support_rule_size,
@@ -61,11 +62,12 @@ class QuadSpec:
     graded_levels: int = 0
 
     @cache
-    def build(self, half: bool = False) -> Rule1D:
-        """The rule on [-p_max, p_max], or on [0, p_max] when ``half``; built
-        once per spec, its nodes and weights are read-only."""
-        make = half_line_rule if half else symmetric_panel_rule
-        rule = make(self.p_max, self.panels, self.nodes, self.graded_levels)
+    def build(self) -> Rule1D:
+        """The half [0, p_max] of the symmetric rule, on which the chain runs;
+        built once per spec, its nodes and weights are read-only."""
+        full = symmetric_panel_rule(self.p_max, self.panels, self.nodes, self.graded_levels)
+        half = len(full) // 2
+        rule = Rule1D(full.nodes[half:], full.weights[half:], full.p_max, ("half",) + full.key)
         rule.nodes.flags.writeable = False
         rule.weights.flags.writeable = False
         return rule
@@ -73,9 +75,6 @@ class QuadSpec:
 
 #: the quadrature geometry of every dimension n unless ``numeric.quad`` names n
 DEFAULT_SPEC = QuadSpec(120.0, 48, 10)
-#: the Cartesian chain's default at n = 3, where one vector on the n-fold
-#: product of DEFAULT_SPEC would hold 960**3 points, over MAX_ARRAY_POINTS
-CARTESIAN_N3_SPEC = QuadSpec(36.0, 16, 9)
 
 
 ALPHA_MODES = ("canonical", "explicit", "gamma", "bisect")
@@ -108,11 +107,9 @@ class ScalingConfig:
             return float(self.alpha)
         raise InvalidArgumentError(f"unknown alpha_mode {self.alpha_mode!r}")
 
-    def quad_for(self, dim: int, singular: bool = False, cartesian: bool = False) -> QuadSpec:
-        """The rule geometry of dimension n, graded toward 0 for a singular density;
-        ``cartesian`` names the chain on the n-fold product of the rule."""
-        default = CARTESIAN_N3_SPEC if cartesian and dim == 3 else DEFAULT_SPEC
-        spec = self.quad_overrides.get(dim, default)
+    def quad_for(self, dim: int, singular: bool = False) -> QuadSpec:
+        """The rule geometry of dimension n, graded toward 0 for a singular density."""
+        spec = self.quad_overrides.get(dim, DEFAULT_SPEC)
         if not isinstance(spec, QuadSpec):
             spec = QuadSpec(*spec)
         if singular and spec.graded_levels == 0:
@@ -164,26 +161,10 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# node grid and window kernel of the chain contraction
+# the radial chain: window kernel, first vector of an offset, contraction
 # ---------------------------------------------------------------------------
 
 _CHAIN_CACHE: dict = {}
-
-
-def _node_grid(profile: WindowProfile, n: int, rule: Rule1D):
-    """The n-fold product of the rule's nodes: components, weights, fhat(|q|).
-
-    The components broadcast to the (N,) * n grid and the weights fill it;
-    fhat(|q|) is flattened in C order, the first component varying slowest,
-    which is the point order of every vector of the chain.  Cached per
-    (profile, n, rule).
-    """
-    key = ("grid", profile.cache_key, n, rule.key)
-    if key not in _CHAIN_CACHE:
-        comps = tuple(np.meshgrid(*[rule.nodes] * n, indexing="ij", sparse=True))
-        wt = reduce(np.multiply.outer, [rule.weights] * n)
-        _CHAIN_CACHE[key] = comps, wt, profile.fourier_radial(radial_norm(comps)).ravel()
-    return _CHAIN_CACHE[key]
 
 
 def _radial_nodes(profile: WindowProfile, n: int, rule: Rule1D):
@@ -196,19 +177,12 @@ def _radial_nodes(profile: WindowProfile, n: int, rule: Rule1D):
 
 
 def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
-    """Transfer kernel of the chain contraction, cached per (profile, n, rule).
+    """Radial kernel of the one chain, offsets or not, cached per (profile, n, rule).
 
-    On a symmetric rule, K[P, Q] = fhat(|P - Q|) on the n-fold node grid:
-    |P - Q| depends only on the per-axis distances |P_c - Q_c|, so fhat is
-    evaluated once per distinct tuple of them and gathered into the
-    (N**n, N**n) matrix; each entry equals fhat evaluated at |P - Q|
-    directly, bit for bit.
-
-    On a half-line rule, the radial kernel of the same chain,
-    K[p, r] = integral over S^(n-1) of fhat(|p - r omega|) d omega, an
-    (N, N) matrix for every n.  The spherical mean of plane waves makes it
-    one product over the window's position profile:
-    K = (2 pi)^(-n/2) |S^(n-1)|^2 B diag(f(s) s^(n-1) w_s) B^T with
+    K[p, r] = integral over S^(n-1) of fhat(|p - r omega|) d omega on the
+    radii of a half-line rule, an (N, N) matrix for every n.  The spherical
+    mean of plane waves makes it one product over the window's position
+    profile: K = (2 pi)^(-n/2) |S^(n-1)|^2 B diag(f(s) s^(n-1) w_s) B^T with
     B[p, s] = Omega_n(p s), on a rule over the support that resolves the
     frequency p + r <= 2 p_max.  Omega_n is cos, J_0 and sin(x)/x for
     n = 1, 2, 3 (``window.PLANE_WAVE_MEAN``); at n = 1 the sphere S^0 is the
@@ -217,30 +191,50 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     square root and K = B B^T.
     """
     key = ("kernel", profile.cache_key, n, rule.key)
-    if key in _CHAIN_CACHE:
-        return _CHAIN_CACHE[key]
-    nodes = rule.nodes
-    if rule.half_line:
+    if key not in _CHAIN_CACHE:
         s, w, f = support_rule(profile.kind, profile.smoothness, 2.0 * rule.p_max)
-        b = PLANE_WAVE_MEAN[n](np.multiply.outer(nodes, s))
-        const = (2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2
-        b *= np.sqrt(const * f * s ** (n - 1) * w)
-        kernel = b @ b.T
-    else:
-        m = len(nodes)
-        dist, inverse = np.unique(np.abs(nodes[:, None] - nodes[None, :]), return_inverse=True)
-        distinct = profile.fourier_radial(
-            radial_norm(np.meshgrid(*[dist] * n, indexing="ij", sparse=True))
-        )
-        # axis c of the gather runs over P_c, axis n + c over Q_c
-        index = []
-        for c in range(n):
-            shape = [1] * (2 * n)
-            shape[c] = shape[n + c] = m
-            index.append(inverse.reshape(shape))
-        kernel = distinct[tuple(index)].reshape(m ** n, m ** n)
-    _CHAIN_CACHE[key] = kernel
-    return kernel
+        b = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s))
+        b *= np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
+        _CHAIN_CACHE[key] = b @ b.T
+    return _CHAIN_CACHE[key]
+
+
+def _angle_panels(p_max: float) -> int:
+    """Angle panels at radii up to p_max: one per cycle of fhat(|p - c e|), whose
+    phase |p - c e| s moves by at most p_max SUPPORT_RADIUS per radian."""
+    return ceil(p_max * SUPPORT_RADIUS / 2.0)
+
+
+@cache
+def _angle_rule(n: int, panels: int):
+    """cos(theta), sin(theta) and weights of the mean over S^(n-1) of a
+    function of the angle theta to a fixed axis: S^0 is the two points +-1;
+    at n = 2, 3 the mean is |S^(n-2)|/|S^(n-1)| times the integral over
+    [0, pi] of sin^(n-2) theta, on Gauss-Legendre panels."""
+    if n == 1:
+        return np.array([1.0, -1.0]), np.zeros(2), np.full(2, 0.5)
+    theta, w = gauss_legendre_panels(0.0, pi, panels, SUPPORT_PANEL_NODES)
+    sin = np.sin(theta)
+    return np.cos(theta), sin, w * sin ** (n - 2) * unit_sphere_area(n - 1) / unit_sphere_area(n)
+
+
+def _offset_vector(profile: WindowProfile, n: int, rule: Rule1D, phi, radius: float,
+                  a: float, b: float) -> np.ndarray:
+    """The first vector of the chain of offsets a e and b e on the first two
+    observables, at the radii of the rule.
+
+    Shifted by the net offset, p_i = q_i + c e with c = R (a + b), every
+    window kernel, every later factor and the closing fhat are radial; only
+    the first variable keeps E(p) = fhat(|p - c e|) phi(|p/R - b e|), which
+    enters as its mean over the sphere.  With c = 0, fhat leaves the mean.
+    """
+    cos, sin, wt = _angle_rule(n, _angle_panels(rule.p_max))
+    r = rule.nodes[:, None]
+    e = phi(np.hypot(r * cos / radius - b, r * sin / radius))
+    c = radius * (a + b)
+    if c == 0:
+        return _radial_nodes(profile, n, rule)[0] * (e @ wt)
+    return (e * profile.fourier_radial(np.hypot(r * cos - c, r * sin))) @ wt
 
 
 def clear_caches() -> None:
@@ -248,7 +242,8 @@ def clear_caches() -> None:
     _OVERLAP_CACHE.clear()
 
 
-def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: float) -> complex:
+def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: float,
+                 first=None) -> complex:
     """The window chain of radial factors on a half-line rule.
 
     integral over (R^n)^(l-1) of fhat(|q_1|) phi_1(|q_1|/R) fhat(|q_2 - q_1|)
@@ -259,10 +254,13 @@ def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: 
     |S^(n-1)| sum v_{l-1} w r^(n-1) fhat.  At n = 1 the factors are even,
     |S^0| = 2 folds the line onto the half-line and the kernel is built
     with Omega_1 = cos.  Order 2 (one factor) needs no kernel.
+
+    ``first`` replaces v_1 by the spherical mean of a first factor that is
+    not radial (``_offset_vector``): the rest is radial in q_1.
     """
     fhat, measure = _radial_nodes(profile, n, rule)
     u = rule.nodes / radius
-    v = fhat * factors[0](u)
+    v = fhat * factors[0](u) if first is None else first
     for phi in factors[1:]:
         v = _times_real(v * measure, window_product(profile, n, rule)) * phi(u)
     return unit_sphere_area(n) * complex(np.sum(v * measure * fhat))
@@ -278,41 +276,27 @@ def _prefactor(order: int, n: int, radius: float, alpha: float) -> float:
 
 
 def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
-                qmode: bool = False) -> tuple[QuadSpec, bool]:
-    """The rule geometry of an order and whether it is radial, the largest
-    array of its chain checked against MAX_ARRAY_POINTS.
+                qmode: bool = False) -> QuadSpec:
+    """The rule geometry of an order, the largest array of its chain checked
+    against MAX_ARRAY_POINTS.
 
-    Every factor is a function of |q|, so an order with no offsets runs on
-    the radial chain at every n; a ``qmode`` order carries offsets and takes
-    the Cartesian chain on the n-fold product of the symmetric rule.  The
-    largest array is the kernel for l >= 3 and one vector for l = 2: N**2
-    or N points on the radial chain, N**(2n) or N**n on the Cartesian one.
-    The radial kernel is built from an (N, M) array over the window support,
-    M nodes for the frequency 2 p_max (``support_rule_size``, the largest
-    of any window kind).  Computes no quadrature, so parsing runs it.
+    The largest array of the chain of N radii is the vector at l = 2 and,
+    from l = 3, the N x N kernel or the N x M array over the window support
+    that builds it (M nodes for the frequency 2 p_max, ``support_rule_size``);
+    a ``qmode`` first vector is an N x angles array.  Computes no
+    quadrature, so parsing runs it.
     """
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
     n = state.dim
-    radial = not qmode
-    spec = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"), cartesian=not radial)
-    size = len(spec.build(radial))
-    if order < 3:
-        points = size if radial else size ** n
-    elif radial:
-        points = size * max(size, support_rule_size(2.0 * spec.p_max))
-    else:
-        points = size ** (2 * n)
-    _check_points(points, f"the order-{order} {'radial' if radial else 'Cartesian'} chain array",
+    spec = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"))
+    size = len(spec.build())
+    widths = [1] + ([size, support_rule_size(2.0 * spec.p_max)] if order > 2 else [])
+    if qmode:
+        widths.append(2 if n == 1 else SUPPORT_PANEL_NODES * _angle_panels(spec.p_max))
+    _check_points(size * max(widths), f"the order-{order} radial chain array",
                   f"; set a smaller numeric.quad rule for dimension {n}")
-    return spec, radial
-
-
-def _spec_for(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
-              profile: WindowProfile, offsets) -> tuple[QuadSpec, bool]:
-    spec, radial = check_order(state, cfg, order, qmode=offsets is not None)
-    cfg.validate_tail(profile, spec)
-    return spec, radial
+    return spec
 
 
 def _check_points(points: int, what: str, hint: str = "") -> None:
@@ -328,16 +312,18 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     """Order-l truncated correlator of scale-renormalized window averages.
 
     ``offsets`` is an (order, n) array of momentum offsets, one per
-    observable slot, or None for all-zero.  None takes the radial chain at
-    every n; an array, zero or not, takes the Cartesian chain, so the two
-    agree only to rounding.
+    observable slot, or None for all-zero.  Only a = offsets[0, 0] and
+    b = offsets[1, 0] may be nonzero, which the ``qmode`` analysis sets:
+    they become the first vector of the radial chain (``_offset_vector``),
+    and zero ones give the None value to rounding.
     """
     n = state.dim
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
-    spec, radial = _spec_for(state, cfg, order, profile, offsets)
-    return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build(radial))
+    spec = check_order(state, cfg, order, qmode=offsets is not None)
+    cfg.validate_tail(profile, spec)
+    return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build())
 
 
 def correlator_with_error(state: TruncatedHierarchy, profile: WindowProfile,
@@ -349,13 +335,11 @@ def correlator_with_error(state: TruncatedHierarchy, profile: WindowProfile,
     resolution must move the value by less than it (quadrature convergence
     invariant).
     """
-    n = state.dim
-    alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
-    spec, radial = _spec_for(state, cfg, order, profile, offsets)
-    value = _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build(radial))
-    coarse = replace(spec, panels=max(2, spec.panels // 2)).build(radial)
-    value2 = _spectral_value(state, profile, cfg, order, offsets, radius, alpha, coarse)
-    return value, abs(value - value2)
+    value = qmode_correlator(state, profile, cfg, order, offsets, radius, alpha)
+    spec = check_order(state, cfg, order, qmode=offsets is not None)
+    coarse = replace(spec, panels=max(2, spec.panels // 2)).build()
+    alpha = cfg.resolved_alpha(state.dim) if alpha is None else float(alpha)
+    return value, abs(value - _spectral_value(state, profile, cfg, order, offsets, radius, alpha, coarse))
 
 
 def _times_real(v: np.ndarray, real: np.ndarray):
@@ -364,48 +348,30 @@ def _times_real(v: np.ndarray, real: np.ndarray):
     return out[0] + 1j * out[1]
 
 
-def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) -> complex:
-    """The quadrature of the module formula, contracted one variable at a time.
-
-    With S_l = phi_1(|q_1|) ... phi_{l-1}(|q_{l-1}|) the window chain is a
-    product of matrices.  With no offsets the rule is a half-line one and
-    the factors go to ``radial_chain`` as they are.  With offsets, on the
-    n-fold product of a symmetric rule, v_1 = fhat(|q|) wt phi_1,
-    v_i = (v_{i-1} @ K) wt phi_i with K[P, Q] = fhat(|P - Q|), each phi_i
-    reading the radius of its shifted variable, and the integral is v_{l-1}
-    against the last factor fhat(|q_{l-1}|) (shifted by R times the net
-    offset when that is nonzero).
-    """
-    n = state.dim
-    fns = state.order_factors(order)
-    if rule.half_line:
-        if not fns:
-            return 0j
-        return _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, fns, radius)
-
-    comps, wt, fhat_norm = _node_grid(profile, n, rule)
-    offs = np.asarray(offsets, dtype=float)
+def _offset_pair(offsets, order: int, n: int) -> tuple[float, float]:
+    """(a, b) = (offsets[0, 0], offsets[1, 0]), the only entries a caller sets."""
+    offs = np.array(offsets, dtype=float)
     if offs.size != order * n:
         raise InvalidArgumentError(f"offsets must have shape ({order}, {n})")
-    csum = np.cumsum(offs.reshape(order, n), axis=0)
-    total = csum[-1]
-    if np.any(np.abs(total) > 0):
-        last = profile.fourier_radial(
-            radial_norm(tuple(comps[c] + radius * total[c] for c in range(n)))
-        ).ravel()
-    else:
-        last = fhat_norm
+    offs = offs.reshape(order, n)
+    a, b = offs[0, 0], offs[1, 0]
+    offs[0, 0] = offs[1, 0] = 0.0
+    if np.any(offs):
+        raise InvalidArgumentError("only offsets[0, 0] and offsets[1, 0] may be nonzero")
+    return float(a), float(b)
+
+
+def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) -> complex:
+    """The quadrature of the module formula: with S_l = phi_1(|q_1|) ...
+    phi_{l-1}(|q_{l-1}|) the window chain is a product of matrices on the
+    radii of the rule (``radial_chain``), offsets its first vector."""
+    n = state.dim
+    pair = None if offsets is None else _offset_pair(offsets, order, n)
+    fns = state.order_factors(order)
     if not fns:
         return 0j
-
-    def factor(i):
-        q = radial_norm(tuple(comps[c] / radius + csum[i][c] for c in range(n)))
-        return (wt * fns[i](q)).ravel()
-
-    v = fhat_norm * factor(0)
-    for i in range(1, order - 1):
-        v = _times_real(v, window_product(profile, n, rule)) * factor(i)
-    return _prefactor(order, n, radius, alpha) * complex(_times_real(v, last))
+    first = None if pair is None else _offset_vector(profile, n, rule, fns[0], radius, *pair)
+    return _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, fns, radius, first)
 
 
 # ---------------------------------------------------------------------------

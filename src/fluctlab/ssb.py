@@ -152,7 +152,7 @@ def _spectral_integral(model: GoldstoneModel, profile: WindowProfile, radius: fl
                        weight) -> complex:
     """Omega_{n-1} * integral fhat(u)^2 weight(u/R) u^(n-1) du: the order-2 radial
     chain on a half-line rule graded toward u = 0."""
-    rule = QuadSpec(min(profile.k_max, 160.0), 64, 10, 18).build(True)
+    rule = QuadSpec(min(profile.k_max, 160.0), 64, 10, 18).build()
     return radial_chain(profile, model.dim, rule, (weight,), radius)
 
 

@@ -42,7 +42,7 @@ import os
 import tempfile
 import zipfile
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gamma as _gamma_fn
 from math import ceil, comb, factorial, pi, sqrt
 from pathlib import Path
@@ -201,7 +201,12 @@ class WindowProfile:
         return float(self._tail_env[idx])
 
     def pair_overlap_integral(self) -> float:
-        """integral over R^n of fhat(k) fhat(-k) = integral |fhat|^2 (real even fhat)."""
+        """integral over R^n of fhat(k) fhat(-k) = integral |fhat|^2 (real even fhat),
+        read from the transform table once per profile."""
+        return self._pair_overlap
+
+    @cached_property
+    def _pair_overlap(self) -> float:
         s, w = gauss_legendre_panels(0.0, self.k_max, 512, 12)
         vals = lagrange_uniform(self.k_grid, self.fhat_samples, s) ** 2
         return unit_sphere_area(self.dim) * float(np.sum(w * vals * s ** (self.dim - 1)))

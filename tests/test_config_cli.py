@@ -332,16 +332,17 @@ CONTRACT_CASES = {
         "2": [{"width": 1e300}]}}, "analyses": SWEEP}, 2),
     # numeric.quad is keyed by the dimension n = 1..3
     "quad key 4": ({"model": GAUSS, "numeric": {"quad": {"4": [16.0, 8, 4, 0]}}, "analyses": SWEEP}, 2),
-    # q-mode offsets keep the Cartesian chain, whose order-3 kernel on the
-    # default n = 2 rule would hold 960**4 points; a small rule fits the budget
-    "n = 2 q-mode order 3": ({"model": PRODUCT_N2, "analyses": QMODE3}, 2),
+    # q-mode offsets run on the radial chain at every n and order
+    "n = 2 q-mode order 3": ({"model": PRODUCT_N2, "analyses": QMODE3}, 0),
     "n = 2 q-mode order 3, small rule": ({"model": PRODUCT_N2, "analyses": QMODE3, "numeric": {
         "eps_vanish": 1.0, "quad": {"2": [8.0, 2, 4, 0]}}}, 0),
+    # the angle rule of the offsets' first vector grows with p_max: 32 x 1.6 10**7 points here
+    "n = 2 q-mode, huge p_max": ({"model": PRODUCT_N2, "analyses": [{"kind": "qmode"}],
+                                 "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, 2),
     # the radial kernel's support array grows with p_max: 32 x 10**7 points here
     "n = 2 order 3, huge p_max": ({"model": PRODUCT_N2, "analyses": [
         {"kind": "scaling-sweep", "orders": [3]}], "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, 2),
-    # the n = 3 Cartesian chain defaults to a 288-node rule: its order-3 kernel holds 288**6 points
-    "n = 3 q-mode order 3": ({"model": dict(PRODUCT_N2, dim=3), "analyses": QMODE3}, 2),
+    "n = 3 q-mode order 3": ({"model": dict(PRODUCT_N2, dim=3), "analyses": QMODE3}, 0),
     # a valid override that used to replace the whole resolved r_grid and crash
     "analysis r_grid override": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
@@ -363,14 +364,18 @@ class TestValidateRunContract:
             assert "error" in capsys.readouterr().err
 
     def test_n3_qmode_order2_validates_on_the_default_rule(self, tmp_path, cache_dir, monkeypatch):
-        # on the 288-node n = 3 Cartesian default one vector holds 288**3 points;
-        # running it takes seconds and GBs, so only validate is checked here
+        # the offsets' first vector is a 480-radius x 1,920-angle array on the default rule
         path = tmp_path / "n3.json"
-        path.write_text(cfg_text({"model": dict(PRODUCT_N2, dim=3),
-                                  "analyses": [{"kind": "qmode", "order": 2}],
+        path.write_text(cfg_text({"model": dict(PRODUCT_N2, dim=3, orders={"2": [{}]}),
+                                  "analyses": [{"kind": "qmode", "order": 2, "q_values": [0.0, 0.5],
+                                                "net_offsets": [[0.7, 0.4]]}],
                                   "output": {"directory": str(tmp_path / "out")}}))
         monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
         assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path)]) == 0
+        result = json.loads((tmp_path / "out" / "report.json").read_text())["results"][0]
+        assert [s["verdict"] for s in result["symmetric"]] == ["finite-nonzero"] * 2
+        assert result["net_offset_sweeps"][0]["verdict"] == "vanishing"
 
     def test_even_weight_exponent_vanishes(self, tmp_path, cache_dir, monkeypatch):
         config = json.loads((ROOT / "configs" / "criterion_09a_weighted_boundary.json").read_text())

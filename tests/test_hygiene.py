@@ -37,6 +37,40 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(source) == ["os", "pi"]
 
 
+def unread_private_names(sources: dict) -> list[str]:
+    """Module-level names with one leading underscore that no module of ``sources``
+    (name: source text) reads, as "module:name" in definition order."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{name}" for module, name in defined if name not in read]
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in Path(fluctlab.__file__).parent.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_scan_finds_an_unread_private_name():
+    sources = {"a.py": "_CACHE: dict = {}\n_LIMIT = 3\ndef _grid():\n    return _CACHE\n",
+               "b.py": "from .a import _LIMIT\nclass _Unused:\n    pass\nprint(_LIMIT)\n"}
+    assert unread_private_names(sources) == ["a.py:_grid", "b.py:_Unused"]
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.special alone is most of the package's import time; J_0 and K_nu
     # import it where they are read, and nothing else needs scipy

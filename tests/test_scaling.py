@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import astuple
 from functools import reduce
 
 import numpy as np
@@ -78,13 +79,24 @@ class TestSpectralPath:
                 assert abs(spectral - oracle) <= 1e-6 * abs(oracle)
 
     def test_qmode_zero_offsets_match_radial_chain(self, gaussian_state1, profile1):
-        # None takes the radial chain on the half-line, zero offsets the
-        # Cartesian one on the whole line: the same sum up to rounding
+        # zero offsets replace fhat phi_1 by its mean over S^0, the two points +-1
         cfg = ScalingConfig()
         for radius in np.geomspace(1.0, 8192.0, 60):
             a = qmode_correlator(gaussian_state1, profile1, cfg, 2, None, radius)
             b = qmode_correlator(gaussian_state1, profile1, cfg, 2, np.zeros((2, 1)), radius)
-            assert abs(a - b) <= 4e-15 * abs(b), radius
+            assert abs(a - b) <= 1e-15 * abs(b), radius
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_qmode_zero_offsets_match_radial_chain_on_the_angle_rule(self, profile2, profile3, dim):
+        # at n = 2, 3 the mean runs over the angle rule, whose weights sum to
+        # 1 and whose points lie at radius r to rounding
+        state = gaussian_state(lambda r: np.exp(-np.asarray(r) ** 2 / 2.0), dim)
+        profile = profile2 if dim == 2 else profile3
+        cfg = ScalingConfig(eps_vanish=1e-3)
+        for radius in np.geomspace(1.0, 8192.0, 8):
+            a = qmode_correlator(state, profile, cfg, 2, None, radius)
+            b = qmode_correlator(state, profile, cfg, 2, np.zeros((2, dim)), radius)
+            assert abs(a - b) <= 1e-14 * abs(b), radius
 
     def test_quadrature_convergence_estimate(self, gaussian_state1, profile1):
         cfg = ScalingConfig()
@@ -97,10 +109,26 @@ class TestSpectralPath:
         cfg = ScalingConfig()
         with pytest.raises(OrderRangeError):
             qmode_correlator(gaussian_state1, profile1, cfg, 9, None, 8.0)
-        # offsets keep the Cartesian chain, whose order-4 kernel holds 960**4 points
+        # offsets build the first vector from an N x angles array, whose angle
+        # rule grows with p_max: 32 radii x 16 * 10**6 angles here
         state2 = gaussian_state(lambda r: np.exp(-np.asarray(r) ** 2), 2)
+        huge = ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)})
+        check_order(state2, huge, 2)
         with pytest.raises(NumericalAccuracyError, match="numeric.quad"):
-            qmode_correlator(state2, profile2, cfg, 4, np.zeros((4, 2)), 8.0)
+            qmode_correlator(state2, profile2, huge, 2, np.zeros((2, 2)), 8.0)
+
+    @pytest.mark.parametrize("slot", [(0, 1), (1, 1), (2, 0), (3, 1)])
+    def test_offsets_outside_the_first_axis_pair_raise(self, profile2, slot):
+        # the chain moves a e and b e on the first two observables into its
+        # first vector; no caller sets any other offset
+        state = _product_state(2, [4])
+        offsets = np.zeros((4, 2))
+        offsets[0, 0], offsets[1, 0] = 0.5, -0.5
+        offsets[slot] = 0.1
+        with pytest.raises(InvalidArgumentError, match="offsets"):
+            qmode_correlator(state, profile2, ScalingConfig(), 4, offsets, 8.0)
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            qmode_correlator(state, profile2, ScalingConfig(), 4, np.zeros((3, 2)), 8.0)
 
     def test_tail_certificate(self, gaussian_state1, profile1):
         cfg = ScalingConfig(quad_overrides={1: (6.0, 4, 8, 0)})
@@ -229,35 +257,27 @@ class TestLegendreRuleCache:
             w[0] = 0.0
 
 
-def _tensor_sum(state, profile, order, offsets, radius, alpha, rule):
-    """The Cartesian chain's quadrature as one explicit sum over the (l-1)*n-dimensional tensor grid."""
-    n = state.dim
-    dim = (order - 1) * n
-
-    def axis(k):
-        shape = [1] * dim
-        shape[k] = len(rule.nodes)
-        return rule.nodes.reshape(shape)
-
-    q = [tuple(axis(i * n + c) for c in range(n)) for i in range(order - 1)]
-    csum = np.cumsum(offsets, axis=0)
-    w = profile.fourier_radial(radial_norm(q[0]))
-    for i in range(1, order - 1):
-        w = w * profile.fourier_radial(radial_norm(tuple(a - b for a, b in zip(q[i], q[i - 1]))))
-    w = w * profile.fourier_radial(radial_norm(tuple(c + radius * t for c, t in zip(q[-1], csum[-1]))))
-    w = w * reduce(np.multiply.outer, [rule.weights] * dim)
-    qvars = tuple(tuple(q[i][c] / radius + csum[i][c] for c in range(n)) for i in range(order - 1))
-    terms = w * state.evaluate(order, qvars)
-    pref = (2.0 * np.pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
-    return pref * np.sum(terms), abs(pref) * np.sum(np.abs(terms))
+def _sphere_mean(profile, phi, radii, radius, a, b, n):
+    """The mean over S^(n-1) of fhat(|p - c e|) phi(|p/R - b e|), c = R (a + b), at |p| = radii:
+    the two points +-1 at n = 1, 1,024 Gauss-Legendre nodes in the angle at n = 2."""
+    if n == 1:
+        cos, sin, wt = np.array([1.0, -1.0]), np.zeros(2), np.full(2, 0.5)
+    else:
+        theta, wt = gauss_legendre_panels(0.0, np.pi, 64, 16)
+        cos, sin, wt = np.cos(theta), np.sin(theta), wt / np.pi
+    x, y = radii[:, None] * cos, radii[:, None] * sin
+    c = radius * (a + b)
+    e = profile.fourier_radial(np.sqrt((x - c) ** 2 + y ** 2))
+    return (e * phi(np.sqrt((x / radius - b) ** 2 + (y / radius) ** 2))) @ wt
 
 
-def _radial_tensor_sum(state, profile, order, radius, alpha, rule):
+def _radial_tensor_sum(state, profile, order, radius, alpha, rule, a=0.0, b=0.0):
     """The radial chain's quadrature as one explicit sum over the (l-1)-dimensional grid of radii.
 
-    |S^(n-1)| sum of fhat(r_1) m(r_1) K(r_1, r_2) m(r_2) ... m(r_{l-1}) fhat(r_{l-1})
-    S_l(r_1/R, ..., r_{l-1}/R) with m = w r^(n-1) and K the radial kernel of
-    ``window_product``, which ``TestRadialChain`` pins on its own.
+    |S^(n-1)| sum of E(r_1) m(r_1) K(r_1, r_2) phi_2(r_2/R) m(r_2) ... m(r_{l-1}) fhat(r_{l-1})
+    with m = w r^(n-1), K the radial kernel of ``window_product``, which
+    ``TestRadialChain`` pins on its own, and E the sphere mean of the first
+    factor under offsets a e and b e (fhat phi_1 without).
     """
     n, dim = state.dim, order - 1
     fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (n - 1)
@@ -268,16 +288,19 @@ def _radial_tensor_sum(state, profile, order, radius, alpha, rule):
         shape[k] = len(values)
         return values.reshape(shape)
 
-    terms = axis(fhat, 0) * axis(fhat, dim - 1) * reduce(np.multiply.outer, [measure] * dim)
+    fns = state.order_factors(order)
+    first = _sphere_mean(profile, fns[0], rule.nodes, radius, a, b, n)
+    terms = axis(first, 0) * axis(fhat, dim - 1) * reduce(np.multiply.outer, [measure] * dim)
     for i in range(dim - 1):
         shape = [1] * dim
         shape[i:i + 2] = kernel.shape
         terms = terms * kernel.reshape(shape)
-    terms = terms * state.evaluate(order, tuple((axis(rule.nodes / radius, i),) for i in range(dim)))
+    for i in range(1, dim):
+        terms = terms * axis(fns[i](rule.nodes / radius), i)
     pref = (2.0 * np.pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
     scale = pref * unit_sphere_area(n)
     return scale * np.sum(terms), abs(scale) * np.sum(np.abs(terms))
-
+# small rules keep the reference tensor at <= 12**4 radii; eps_vanish = 1
 
 # small rules keep the reference tensor at <= 24**4 points; eps_vanish = 1
 # lets their short p_max pass the tail certificate
@@ -290,46 +313,32 @@ class TestChainContraction:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2]), radius=st.floats(1.0, 600.0),
-           alpha=st.floats(0.0, 1.5), offset_kind=st.sampled_from(["zero", "symmetric", "net"]))
-    def test_chain_equals_tensor_sum(self, profile1, profile2, data, dim, radius, alpha, offset_kind):
+           alpha=st.floats(0.0, 1.5))
+    def test_chain_equals_tensor_sum(self, profile1, profile2, data, dim, radius, alpha):
         order = data.draw(st.integers(2, 5 if dim == 1 else 3), label="order")
         profiles = data.draw(st.lists(_gauss, min_size=order - 1, max_size=order - 1), label="profiles")
-        # a unit phase per factor makes every vector of both chains complex,
-        # so the [Re; Im] product of ``_times_real`` carries both halves
+        # a unit phase per factor makes every vector of the chain complex, so
+        # the [Re; Im] product of ``_times_real`` carries both halves
         phases = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=order - 1, max_size=order - 1),
                            label="phases")
         profiles = [GaussianProfile(g.amplitude, g.width, dim) for g in profiles]
         factors = tuple(lambda r, g=g, t=t: g.momentum(r) * np.exp(1j * t) for g, t in zip(profiles, phases))
         state = TruncatedHierarchy(dim=dim, max_order=order, factors={order: factors}, tags={})
         profile = profile1 if dim == 1 else profile2
-        # no offsets take the radial chain on the half-line rule
         chain = qmode_correlator(state, profile, _SMALL_RULES, order, None, radius, alpha)
-        rule = _SMALL_RULES.quad_for(dim).build(half=True)
+        rule = _SMALL_RULES.quad_for(dim).build()
         reference, scale = _radial_tensor_sum(state, profile, order, radius, alpha, rule)
         assert abs(chain - reference) <= 1e-12 * scale
-        # offsets, zero ones given as an array too, take the Cartesian chain
+        # offsets a e and b e on the first two observables, the net shift
+        # R (a + b) within a quarter of the rule: the sum takes the sphere mean
+        # of the first factor from its own angle rule
+        b, net = data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), label="offsets")
+        a = net * rule.p_max / (4.0 * radius) - b
         offsets = np.zeros((order, dim))
-        if offset_kind != "zero":
-            q = data.draw(st.floats(-1.0, 1.0), label="q")
-            offsets[0, 0], offsets[1, 0] = q, -q
-            if offset_kind == "net":
-                offsets += np.asarray(data.draw(
-                    st.lists(st.floats(-1.0, 1.0), min_size=order * dim, max_size=order * dim),
-                    label="net")).reshape(order, dim)
+        offsets[0, 0], offsets[1, 0] = a, b
         chain = qmode_correlator(state, profile, _SMALL_RULES, order, offsets, radius, alpha)
-        rule = _SMALL_RULES.quad_for(dim).build()
-        reference, scale = _tensor_sum(state, profile, order, offsets, radius, alpha, rule)
+        reference, scale = _radial_tensor_sum(state, profile, order, radius, alpha, rule, a, b)
         assert abs(chain - reference) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("dim,spec", [(1, (120.0, 48, 10, 16)), (2, (16.0, 4, 4, 0))])
-    def test_kernel_equals_direct_evaluation(self, profile1, profile2, dim, spec):
-        profile = profile1 if dim == 1 else profile2
-        rule = QuadSpec(*spec).build()
-        grid = [c.ravel() for c in np.meshgrid(*[rule.nodes] * dim, indexing="ij")]
-        direct = profile.fourier_radial(radial_norm(tuple(c[:, None] - c[None, :] for c in grid)))
-        kernel = window_product(profile, dim, rule)
-        assert kernel.shape == direct.shape
-        assert np.array_equal(kernel, direct)
 
     def test_rule_built_once_per_spec(self, gaussian_state1, profile1, monkeypatch):
         rules = []
@@ -536,38 +545,120 @@ def _relative_pair_tail(profile, dim, p_max):
     return tail / profile.pair_overlap_integral()
 
 
+_CARTESIAN_KERNELS: dict = {}
+
+
+def _cartesian_chain(state, profile, order, offsets, radius, alpha, rule):
+    """The chain on the n-fold product of a symmetric rule, each offset read in its own slot.
+
+    v_1 = fhat(|q|) wt phi_1(|q/R + s_1|), v_i = (v_{i-1} @ K) wt phi_i(|q/R + s_i|)
+    with K[P, Q] = fhat(|P - Q|) evaluated directly and s_i the running sums
+    of the offsets, closed by fhat(|q + R s_l|): the Cartesian chain the
+    radial one replaced, kept as its reference.
+    """
+    n = state.dim
+    comps = [c.ravel() for c in np.meshgrid(*[rule.nodes] * n, indexing="ij")]
+    wt = reduce(np.multiply.outer, [rule.weights] * n).ravel()
+    key = (profile.cache_key, n, rule.key)
+    if order > 2 and key not in _CARTESIAN_KERNELS:
+        _CARTESIAN_KERNELS[key] = profile.fourier_radial(
+            radial_norm(tuple(c[:, None] - c[None, :] for c in comps)))
+    csum = np.cumsum(np.reshape(offsets, (order, n)), axis=0)
+    fns = state.order_factors(order)
+
+    def factor(i):
+        return wt * fns[i](radial_norm(tuple(c / radius + t for c, t in zip(comps, csum[i]))))
+
+    v = profile.fourier_radial(radial_norm(comps)) * factor(0)
+    for i in range(1, order - 1):
+        v = (v @ _CARTESIAN_KERNELS[key]) * factor(i)
+    last = profile.fourier_radial(radial_norm(tuple(c + radius * t for c, t in zip(comps, csum[-1]))))
+    pref = (2.0 * np.pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
+    return pref * complex(v @ last)
+
+
+def _qmode_offsets(order, dim, a, b):
+    offsets = np.zeros((order, dim))
+    offsets[0, 0], offsets[1, 0] = a, b
+    return offsets
+
+
 class TestRadialChain:
-    """The radial chain of isotropic sweeps against the Cartesian chain it replaces."""
+    """The one radial chain, offsets as its first vector, against the Cartesian chain it replaced."""
 
     def test_equals_cartesian_at_n1(self, profile1):
         # at n = 1 both chains run on the default rule's nodes, the radial one
-        # on its half: they agree to rounding, not only within the tail
-        state = _product_state(1, range(3, 9))
+        # on its half: with no net offset they agree to rounding, and the
+        # kernel read off the support rule instead of fhat agrees to 1e-10
+        state = _product_state(1, range(2, 9))
         cfg = ScalingConfig()
-        for order in range(3, 9):
+        rule = symmetric_panel_rule(*astuple(scaling.DEFAULT_SPEC))
+        for order in range(2, 9):
             for radius in (2.0, 8.0, 64.0, 512.0):
+                cartesian = _cartesian_chain(state, profile1, order, np.zeros((order, 1)), radius, 0.5, rule)
                 radial = qmode_correlator(state, profile1, cfg, order, None, radius)
-                cartesian = qmode_correlator(state, profile1, cfg, order, np.zeros((order, 1)), radius)
                 assert abs(radial - cartesian) <= 1e-10 * abs(cartesian), (order, radius)
+                for q in (0.5, 0.25, -0.5):
+                    offsets = _qmode_offsets(order, 1, q, -q)
+                    cartesian = _cartesian_chain(state, profile1, order, offsets, radius, 0.5, rule)
+                    chain = qmode_correlator(state, profile1, cfg, order, offsets, radius)
+                    assert abs(chain - cartesian) <= 1e-13 * abs(cartesian), (order, radius, q)
+
+    def test_net_offsets_equal_cartesian_at_n1(self, profile1):
+        # a net offset shifts the radial chain's domain by c = R |a + b|: the
+        # two chains truncate the window tail at p_max and at p_max - c, so
+        # they agree only while c stays well inside the rule, here c <= p_max/4
+        # and phi_1 small beyond it (a larger b at R = 64 reads 1e-9 off)
+        state = _product_state(1, range(2, 9))
+        cfg = ScalingConfig()
+        rule = symmetric_panel_rule(*astuple(scaling.DEFAULT_SPEC))
+        for a, b in ((0.7, 0.4), (-0.2, -0.3)):
+            for order in range(2, 9):
+                for radius in (2.0, 8.0, 16.0):
+                    assert radius * abs(a + b) <= scaling.DEFAULT_SPEC.p_max / 4
+                    offsets = _qmode_offsets(order, 1, a, b)
+                    cartesian = _cartesian_chain(state, profile1, order, offsets, radius, 0.5, rule)
+                    chain = qmode_correlator(state, profile1, cfg, order, offsets, radius)
+                    assert abs(chain - cartesian) <= 1e-9 * abs(cartesian), (a, b, order, radius)
 
     @pytest.mark.parametrize("dim,order", [(2, 3), (3, 2)])
     def test_equals_cartesian_within_the_tail(self, profile2, profile3, dim, order):
         # both rules end at p_max = 10: the Cartesian one on the cube, the
         # radial one on the ball, so they differ by the window's pair tail
-        # beyond p_max in each of the l - 1 truncated variables
+        # beyond p_max - c in each of the l - 1 truncated variables
         profile = profile2 if dim == 2 else profile3
         state = _product_state(dim, [2, 3])
-        cfg = ScalingConfig(eps_vanish=1.0, quad_overrides={dim: (10.0, 4, 6, 0)})
+        rule = symmetric_panel_rule(10.0, 4, 6)
         fine = ScalingConfig(eps_vanish=1.0, quad_overrides={dim: (10.0, 16, 12, 0)})
-        tol = (order - 1) * _relative_pair_tail(profile, dim, 10.0)
-        for radius in (2.0, 8.0, 64.0, 512.0):
-            cartesian = qmode_correlator(state, profile, cfg, order, np.zeros((order, dim)), radius)
-            radial = qmode_correlator(state, profile, fine, order, None, radius)
-            assert abs(radial - cartesian) <= tol * abs(cartesian)
+        for a, b, radii in ((0.0, 0.0, (2.0, 8.0, 64.0, 512.0)), (0.5, -0.5, (2.0, 8.0, 64.0, 512.0)),
+                            (0.7, 0.4, (2.0,)), (-0.2, -0.3, (2.0,))):
+            tol = (order - 1) * _relative_pair_tail(profile, dim, 10.0 - radii[-1] * abs(a + b))
+            for radius in radii:
+                offsets = _qmode_offsets(order, dim, a, b)
+                cartesian = _cartesian_chain(state, profile, order, offsets, radius, dim / 2, rule)
+                radial = qmode_correlator(state, profile, fine, order, offsets, radius)
+                assert abs(radial - cartesian) <= tol * abs(cartesian), (a, b, radius)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_angle_rule_converged(self, profile2, profile3, dim, monkeypatch):
+        # halving the angle panels of a net offset's first vector moves the
+        # default rule's values by rounding only; at R = 24, c = R |a + b| is
+        # near p_max / 4, where a rule of 1/16 the panels moves them by 1e-7
+        profile = profile2 if dim == 2 else profile3
+        state = _product_state(dim, [2, 3])
+        cfg = ScalingConfig()
+        cases = [(order, radius) for order in (2, 3) for radius in (8.0, 24.0)]
+        offsets = {order: _qmode_offsets(order, dim, 0.7, 0.4) for order in (2, 3)}
+        full = [qmode_correlator(state, profile, cfg, o, offsets[o], r) for o, r in cases]
+        panels = scaling._angle_panels
+        monkeypatch.setattr(scaling, "_angle_panels", lambda p_max: panels(p_max) // 2)
+        for (order, radius), value in zip(cases, full):
+            half = qmode_correlator(state, profile, cfg, order, offsets[order], radius)
+            assert abs(half - value) <= 1e-10 * abs(value), (order, radius)
 
     def test_kernel_equals_two_point_sum_at_n1(self, profile1):
         # S^0 is the two points +-1: K[p, r] = fhat(|p - r|) + fhat(p + r)
-        rule = scaling.DEFAULT_SPEC.build(True)
+        rule = scaling.DEFAULT_SPEC.build()
         kernel = window_product(profile1, 1, rule)
         p, r = rule.nodes[:, None], rule.nodes[None, :]
         direct = profile1.fourier_radial(np.abs(p - r)) + profile1.fourier_radial(p + r)
@@ -577,7 +668,7 @@ class TestRadialChain:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_kernel_equals_angular_quadrature(self, profile2, profile3, dim):
         profile = profile2 if dim == 2 else profile3
-        rule = scaling.DEFAULT_SPEC.build(True)
+        rule = scaling.DEFAULT_SPEC.build()
         kernel = window_product(profile, dim, rule)
         assert kernel.shape == (len(rule), len(rule))
         theta, wt = gauss_legendre_panels(0.0, np.pi, 64, 16)
@@ -594,20 +685,21 @@ class TestRadialChain:
         # an order-6 smoothstep is ~1e-19: the kernel takes the square root of
         # f there, so f must be >= 0, not rounding noise of either sign
         profile = make_profile("smoothstep", dim, smoothstep_order=6)
-        rule = QuadSpec(16.0, 8, 10).build(True)
+        rule = QuadSpec(16.0, 8, 10).build()
         kernel = window_product(profile, dim, rule)
         assert np.all(np.isfinite(kernel))
         p, r = rule.nodes[:, None], rule.nodes[None, :]
         if dim == 1:
-            # the Cartesian chain's kernel on the same nodes
             direct = profile.fourier_radial(np.abs(p - r)) + profile.fourier_radial(p + r)
             assert np.max(np.abs(kernel - direct)) <= 1e-10 * np.max(np.abs(kernel))
             state = _product_state(1, [3, 4])
             cfg = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (16.0, 8, 10, 0)})
+            symmetric = symmetric_panel_rule(16.0, 8, 10)
             for order in (3, 4):
                 for radius in (2.0, 64.0):
                     radial = qmode_correlator(state, profile, cfg, order, None, radius)
-                    cartesian = qmode_correlator(state, profile, cfg, order, np.zeros((order, 1)), radius)
+                    cartesian = _cartesian_chain(state, profile, order, np.zeros((order, 1)), radius, 0.5,
+                                                 symmetric)
                     assert abs(radial - cartesian) <= 1e-10 * abs(cartesian), (order, radius)
         else:
             theta, wt = gauss_legendre_panels(0.0, np.pi, 64, 16)
@@ -637,7 +729,7 @@ class TestRadialChain:
     def test_order2_is_the_ssb_spectral_integral(self, profile3):
         # one primitive: the ssb integrals are the order-2 radial chain
         g = GaussianProfile(1.0, 1.0, 3)
-        rule = QuadSpec(160.0, 64, 10, 18).build(True)
+        rule = QuadSpec(160.0, 64, 10, 18).build()
         for radius in (8.0, 512.0):
             chain = radial_chain(profile3, 3, rule, (g.momentum,), radius)
             u = rule.nodes
@@ -654,10 +746,7 @@ class TestRadialChain:
             check_order(state, ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)}), 3)
         # order 2 builds no kernel
         check_order(state, ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)}), 2)
-
-    def test_cartesian_default_at_n3(self):
-        # one vector on the 3-fold product of the default rule would hold
-        # 960**3 points; q-mode order 2 at n = 3 runs on the smaller rule
-        state = _product_state(3, [2, 3])
-        assert check_order(state, ScalingConfig(), 2, qmode=True) == (scaling.CARTESIAN_N3_SPEC, False)
-        assert check_order(state, ScalingConfig(), 3) == (scaling.DEFAULT_SPEC, True)
+        # every order and every n, offsets or not, runs on the one default rule
+        for dim in (1, 2, 3):
+            for qmode in (False, True):
+                assert check_order(_product_state(dim, [2, 3]), ScalingConfig(), 3, qmode) == scaling.DEFAULT_SPEC

@@ -162,6 +162,17 @@ class TestFourier:
             l2 = unit_sphere_area(prof.dim) * np.sum(w * prof.value(s) ** 2 * s ** (prof.dim - 1))
             assert l2 == pytest.approx(prof.pair_overlap_integral(), rel=1e-6)
 
+    def test_pair_overlap_read_once_per_profile(self, monkeypatch):
+        # the q-mode report and the commutator criterion each ask for it; the
+        # second call returns the first value without reading the table
+        prof = make_profile("mollified-step", 2, k_max=40.0, k_resolution=1000)
+        first = prof.pair_overlap_integral()
+        reads = []
+        interpolate = window.lagrange_uniform
+        monkeypatch.setattr(window, "lagrange_uniform", lambda *args: reads.append(1) or interpolate(*args))
+        assert prof.pair_overlap_integral() == first
+        assert reads == []
+
     def test_rapid_decrease_envelope(self, profile1):
         # |fhat| (1+k)^m bounded on the cached range for all m <= 8, with a
         # genuine interior turnover for m <= 6 (the m = 7, 8 turnover scale
