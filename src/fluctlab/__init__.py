@@ -34,6 +34,7 @@ from .models import (
     DecayTag,
     GaussianProfile,
     ObservablePair,
+    RadialWeight,
     TruncatedHierarchy,
     WeightedCorrelator,
     gaussian_state,
@@ -46,11 +47,9 @@ from .models import (
 from .partitions import (
     CumulantTable,
     MomentTable,
-    SetPartition,
     bell_number,
     cumulants_from_moments,
     enumerate_pairings,
-    enumerate_partitions,
     moments_from_cumulants,
     pairing_count,
     wick_moment_table,
@@ -71,7 +70,6 @@ from .ssb import (
     Dispersion,
     EnergySmoothing,
     GoldstoneModel,
-    RadialWeight,
     SpectralVectorModel,
     autocorrelation_growth,
     bogoliubov_check,

@@ -36,6 +36,7 @@ from .limit_algebra import ObservableFamily
 from .models import (
     MAX_ORDER,
     GaussianProfile,
+    RadialWeight,
     WeightedCorrelator,
     gaussian_state,
     goldstone_state,
@@ -47,7 +48,7 @@ from .models import (
 from .report import FORMATS
 from .runner import ANALYSES
 from .scaling import ALPHA_MODES, ScalingConfig
-from .ssb import Dispersion, GoldstoneModel, RadialWeight, SpectralVectorModel
+from .ssb import Dispersion, GoldstoneModel, SpectralVectorModel
 from .window import check_profile_args, load_or_build
 
 SCHEMA_ID = "fluctlab-config/1"

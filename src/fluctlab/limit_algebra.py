@@ -26,7 +26,7 @@ from .errors import (
     OrderRangeError,
 )
 from .models import ObservablePair, gaussian_state
-from .partitions import pairing_sum
+from .partitions import MAX_PAIRING_ORDER, pairing_sum
 from .scaling import ScalingConfig, exponent_sweep
 from .window import WindowProfile
 
@@ -118,8 +118,8 @@ def wick_moment(state: LimitState, sequence: Sequence[str | int]) -> complex:
     Each pair {a < b} of slot positions contributes C[label_a, label_b] in
     that order; odd-length sequences vanish identically.
     """
-    if len(sequence) > 16:
-        raise OrderRangeError("sequences longer than 16 are not supported")
+    if len(sequence) > MAX_PAIRING_ORDER:
+        raise OrderRangeError(f"sequences longer than {MAX_PAIRING_ORDER} are not supported")
     idx = _label_indices(state, sequence)
     return pairing_sum(idx, _covariance_pairs(state), {})
 

@@ -309,6 +309,28 @@ def smooth_cutoff(t) -> np.ndarray:
     return smoothstep_edge(np.clip(t - 1.0, 0.0, 1.0), 4)
 
 
+@dataclass(frozen=True)
+class RadialWeight:
+    """Spectral density c |k|^exponent chi(|k|/k_cut) with a smooth UV cutoff.
+
+    At k = 0 it is c for exponent 0, 0 above and inf below (0 if c = 0).
+    """
+
+    amplitude: float | complex
+    exponent: float
+    k_cut: float = 4.0
+
+    def __call__(self, kappa) -> np.ndarray:
+        kappa = np.asarray(kappa, dtype=float)
+        safe = np.where(kappa > 0, kappa, 1.0)
+        vals = self.amplitude * safe ** self.exponent * smooth_cutoff(kappa / self.k_cut)
+        if self.exponent < 0:
+            return np.where(kappa > 0, vals, np.inf if self.amplitude else 0.0)
+        if self.exponent > 0:
+            return np.where(kappa > 0, vals, 0.0)
+        return vals
+
+
 def goldstone_state(dim: int, singular_weight: float, infrared_exponent: float = 2.0,
                     uv_cutoff: float = 4.0, *, max_order: int = 2) -> TruncatedHierarchy:
     """Two-point state with an infrared |k|^(-s) spectral singularity.
@@ -322,16 +344,10 @@ def goldstone_state(dim: int, singular_weight: float, infrared_exponent: float =
             f"infrared exponent s = {s} >= n = {dim}: spectral density not integrable"
         )
 
-    def two_point(r):
-        r = np.asarray(r, dtype=float)
-        safe = np.where(r > 0, r, 1.0)
-        vals = singular_weight * safe ** (-s) * smooth_cutoff(r / uv_cutoff)
-        return np.where(r > 0, vals, np.inf if singular_weight != 0 else 0.0)
-
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        factors={2: (two_point,)},
+        factors={2: (RadialWeight(singular_weight, -s, uv_cutoff),)},
         tags={2: DecayTag("goldstone", param=s)},
     )
 

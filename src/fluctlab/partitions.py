@@ -7,9 +7,9 @@ its slots, and blocks are listed by their smallest element.
 Sums over partitions are recursions on the block that holds the first slot,
 memoised on what remains: a pairing sum costs one term per remaining slot
 and state, a partition sum 2^(|S|-1) terms per tuple, and neither walks the
-(m-1)!! pairings or B_m partitions.  Partitions and pairings are enumerated
-(through restricted-growth strings, which give the canonical form
-deterministically) only to count and to list them.
+(m-1)!! pairings or B_m partitions.  The same recursions with unit weights
+count the pairings and partitions; `enumerate_pairings` lists the pairings
+for reference sums.
 
 Tables map ascending slot tuples (subsets of {1..l}) to complex values.
 First moments vanish throughout: observables are centered.
@@ -17,11 +17,9 @@ First moments vanish throughout: observables are centered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import (
     IncompleteTableError,
@@ -32,24 +30,6 @@ from .errors import (
 
 MAX_PARTITION_ORDER = 12
 MAX_PAIRING_ORDER = 16
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """Canonical partition of {1..order} into ascending, min-ordered blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    order: int
-
-    def __post_init__(self):
-        seen = [i for b in self.blocks for i in b]
-        if sorted(seen) != list(range(1, self.order + 1)):
-            raise InvalidArgumentError("blocks must partition {1..order}")
-        for b in self.blocks:
-            if list(b) != sorted(b):
-                raise InvalidArgumentError("block indices must be ascending")
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
-            raise InvalidArgumentError("blocks must be ordered by smallest element")
 
 
 def bell_number(order: int) -> int:
@@ -69,64 +49,32 @@ def pairing_count(order: int) -> int:
     return factorial(order) // (2 ** half * factorial(half))
 
 
-def _restricted_growth_strings(order: int) -> Iterator[tuple[int, ...]]:
-    rgs = [0] * order
-
-    def rec(i: int, mx: int):
-        if i == order:
-            yield tuple(rgs)
-            return
-        for v in range(mx + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(1, 0) if order > 1 else iter([(0,) * order])
-
-
-def enumerate_partitions(order: int) -> list[SetPartition]:
-    """All B_order canonical partitions of {1..order}, via growth strings."""
-    return [SetPartition(blocks, order) for blocks in _partition_blocks(order)]
-
-
-@cache
-def _partition_blocks(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Blocks of every canonical partition of {1..order}, built once per order."""
-    if not 1 <= order <= MAX_PARTITION_ORDER:
-        raise OrderRangeError(f"order {order} outside 1..{MAX_PARTITION_ORDER}")
-    out = []
-    for rgs in _restricted_growth_strings(order):
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for idx, label in enumerate(rgs, start=1):
-            blocks[label].append(idx)
-        out.append(tuple(tuple(b) for b in blocks))
-    return tuple(out)
-
-
-def enumerate_pairings(order: int) -> list[SetPartition]:
-    """All perfect matchings of {1..order} as canonical 2-block partitions."""
+def _check_pairing_order(order: int) -> None:
     if order % 2 != 0:
         raise InvalidArgumentError(f"pairings need an even order, got {order}")
     if not 2 <= order <= MAX_PAIRING_ORDER:
         raise OrderRangeError(f"order {order} outside 2..{MAX_PAIRING_ORDER}")
-    return [SetPartition(blocks, order) for blocks in _pairing_blocks(order)]
 
 
-@cache
-def _pairing_blocks(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Blocks of every perfect matching of {1..order} (even), built once per order."""
+def enumerate_pairings(order: int) -> list[tuple[tuple[int, int], ...]]:
+    """All perfect matchings of {1..order}, each as its min-ordered pairs."""
+    _check_pairing_order(order)
 
-    def rec(remaining: tuple[int, ...]):
-        if not remaining:
+    def rec(slots: tuple[int, ...]):
+        if not slots:
             yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        for j, partner in enumerate(rest):
-            pair = (first, partner)
-            for tail in rec(rest[:j] + rest[j + 1 :]):
-                yield (pair,) + tail
+        for j in range(1, len(slots)):
+            for tail in rec(slots[1:j] + slots[j + 1:]):
+                yield ((slots[0], slots[j]),) + tail
 
-    return tuple(rec(tuple(range(1, order + 1))))
+    return list(rec(tuple(range(1, order + 1))))
+
+
+def count_pairings(order: int) -> int:
+    """(order-1)!! as `pairing_sum` counts it: distinct slots, unit pair values."""
+    _check_pairing_order(order)
+    slots = tuple(range(1, order + 1))
+    return int(pairing_sum(slots, dict.fromkeys(combinations(slots, 2), 1.0), {}).real)
 
 
 def pairing_sum(seq: tuple, pair: Mapping[tuple, complex], memo: dict) -> complex:
@@ -188,6 +136,21 @@ def _check_partition_order(size: int) -> None:
         raise OrderRangeError(f"order {size} outside 1..{MAX_PARTITION_ORDER}")
 
 
+def count_partitions(order: int) -> int:
+    """B_order as the first-block recursion counts it: every block weighs 1.
+
+    `_first_block_sum` leaves out the singleton block {min S}, which here
+    adds W(S minus min S); W is kept for every subset of {1..order}.
+    """
+    _check_partition_order(order)
+    full = (1 << order) - 1
+    ones = dict.fromkeys(range(1, full + 1), 1)
+    w = {0: 1 + 0j}
+    for s in range(1, full + 1):
+        w[s] = w[s ^ (s & -s)] + _first_block_sum(s, ones, w)
+    return int(w[full].real)
+
+
 class _Table:
     """Complex values on the ascending index tuples of {1..order}.
 
@@ -238,8 +201,10 @@ class _Table:
             keys.extend(combinations(range(1, self.order + 1), size))
         return keys
 
-    def populated_through(self, order: int) -> bool:
-        return all(k in self._values for k in self.canonical_keys(order))
+    def check_populated(self, order: int) -> None:
+        missing = [k for k in self.canonical_keys(order) if k not in self._values]
+        if missing:
+            raise IncompleteTableError(f"{self.kind} table missing entries, e.g. {missing[0]}")
 
     def as_dict(self) -> dict[tuple[int, ...], complex]:
         return dict(self._values)
@@ -262,9 +227,7 @@ def moments_from_cumulants(cumulants: CumulantTable, order: int) -> MomentTable:
     """
     if order > cumulants.order:
         raise OrderRangeError(f"table holds order {cumulants.order}, requested {order}")
-    if not cumulants.populated_through(order):
-        missing = [k for k in cumulants.canonical_keys(order) if k not in cumulants]
-        raise IncompleteTableError(f"cumulant table missing entries, e.g. {missing[0]}")
+    cumulants.check_populated(order)
     keys = cumulants.canonical_keys(order)
     if keys:
         _check_partition_order(len(keys[-1]))
@@ -291,9 +254,7 @@ def cumulants_from_moments(moments: MomentTable, order: int) -> CumulantTable:
     for i in range(1, moments.order + 1):
         if moments[(i,)] != 0:
             raise NormalizationError("first moments must vanish (centered observables)")
-    if not moments.populated_through(order):
-        missing = [k for k in moments.canonical_keys(order) if k not in moments]
-        raise IncompleteTableError(f"moment table missing entries, e.g. {missing[0]}")
+    moments.check_populated(order)
     _check_partition_order(order)
     w = {_mask(k): v for k, v in moments.as_dict().items()}
     w[0] = 1 + 0j

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -25,9 +26,9 @@ from .partitions import (
     MAX_PAIRING_ORDER,
     MAX_PARTITION_ORDER,
     CumulantTable,
-    _pairing_blocks,
-    _partition_blocks,
     bell_number,
+    count_pairings,
+    count_partitions,
     cumulants_from_moments,
     moments_from_cumulants,
     pairing_count,
@@ -196,20 +197,16 @@ def _run_qmode(params, cfg, model, window):
     out = {"symmetric": [], "net_offset_sweeps": []}
     for q in params["q_values"]:
         offsets = np.zeros((order, model.dim))
-        offsets[0, 0] = q
-        offsets[1, 0] = -q
-        rep = exponent_sweep(model, window, cfg, order, offsets=offsets,
-                             label=f"qmode-{q}")
+        offsets[:2, 0] = q, -q
+        rep = exponent_sweep(model, window, cfg, order, offsets=offsets, label=f"qmode-{q}")
         d = rep.as_dict()
         d["q"] = q
         d["two_point_at_q"] = _complex_dict(model.two_point(abs(q)))
         out["symmetric"].append(d)
-    for net in params["net_offsets"]:
+    for a, b in params["net_offsets"]:
         offsets = np.zeros((order, model.dim))
-        offsets[0, 0] = net[0]
-        offsets[1, 0] = net[1]
-        rep = exponent_sweep(model, window, cfg, order, offsets=offsets,
-                             label=f"net-{net[0]}+{net[1]}")
+        offsets[:2, 0] = a, b
+        rep = exponent_sweep(model, window, cfg, order, offsets=offsets, label=f"net-{a}+{b}")
         out["net_offset_sweeps"].append(rep.as_dict())
     out["pair_overlap_integral"] = window.pair_overlap_integral()
     return out
@@ -234,27 +231,18 @@ def _run_cumulant_roundtrip(params, cfg, model, window):
     order = params["order"]
     seed = params["seed"]
     rng = np.random.default_rng(seed)
-    ct = CumulantTable(order)
-    for key in ct.canonical_keys():
-        if len(key) >= 2:
-            ct[key] = complex(rng.standard_normal(), rng.standard_normal())
-    mt = moments_from_cumulants(ct, order)
-    back = cumulants_from_moments(mt, order)
-    keys = [k for k in ct.canonical_keys() if len(k) >= 2]
-    roundtrip_err = max(
-        abs(back[k] - ct[k]) / max(abs(ct[k]), 1.0) for k in keys
-    )
-    pair_values = {}
-    for i in range(1, order + 1):
-        for j in range(i + 1, order + 1):
-            pair_values[(i, j)] = complex(rng.standard_normal(), rng.standard_normal())
-    wick = wick_moment_table(pair_values, order)
-    gauss_cml = cumulants_from_moments(wick, order)
+    draw = lambda: complex(rng.standard_normal(), rng.standard_normal())
+    keys = [k for k in CumulantTable(order).canonical_keys() if len(k) >= 2]
+    ct = CumulantTable(order, {k: draw() for k in keys})
+    back = cumulants_from_moments(moments_from_cumulants(ct, order), order)
+    roundtrip_err = max(abs(back[k] - ct[k]) / max(abs(ct[k]), 1.0) for k in keys)
+    pair_values = {k: draw() for k in combinations(range(1, order + 1), 2)}
+    gauss_cml = cumulants_from_moments(wick_moment_table(pair_values, order), order)
     higher = [abs(gauss_cml[k]) for k in keys if len(k) >= 3]
-    # pairings and partitions are enumerated here only to be counted
-    counts = {str(m): {"pairings": len(_pairing_blocks(m)), "expected": pairing_count(m)}
+    # the recursions the sums run, counted against the closed forms
+    counts = {str(m): {"pairings": count_pairings(m), "expected": pairing_count(m)}
               for m in params["pairing_orders"]}
-    bells = {str(l): {"partitions": len(_partition_blocks(l)), "expected": bell_number(l)}
+    bells = {str(l): {"partitions": count_partitions(l), "expected": bell_number(l)}
              for l in range(1, min(order, 8) + 1)}
     return {
         "order": order,

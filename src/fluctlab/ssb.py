@@ -20,28 +20,9 @@ from .errors import (
     InvalidTestConfigurationError,
     ModelValidationError,
 )
-from .models import smooth_cutoff
+from .models import RadialWeight, smooth_cutoff
 from .scaling import QuadSpec, ScalingConfig, ScalingReport, build_report, radial_chain
 from .window import SUPPORT_RADIUS, WindowProfile, smoothstep_edge, unit_sphere_area
-
-
-@dataclass(frozen=True)
-class RadialWeight:
-    """Spectral density c |k|^exponent chi(|k|/k_cut) with a smooth UV cutoff."""
-
-    amplitude: float
-    exponent: float
-    k_cut: float = 4.0
-
-    def __call__(self, kappa) -> np.ndarray:
-        kappa = np.asarray(kappa, dtype=float)
-        safe = np.where(kappa > 0, kappa, 1.0)
-        vals = self.amplitude * safe ** self.exponent * smooth_cutoff(kappa / self.k_cut)
-        if self.exponent < 0:
-            return np.where(kappa > 0, vals, np.inf if self.amplitude else 0.0)
-        if self.exponent > 0:
-            return np.where(kappa > 0, vals, 0.0)
-        return vals
 
 
 @dataclass(frozen=True)
@@ -109,12 +90,7 @@ class GoldstoneModel:
         self._validate_cross_density()
 
     def rho_qa(self, kappa) -> np.ndarray:
-        kappa = np.asarray(kappa, dtype=float)
-        safe = np.where(kappa > 0, kappa, 1.0)
-        vals = self.rho_qa_amplitude * safe ** self.rho_qa_exponent * smooth_cutoff(kappa / self.k_cut)
-        if self.rho_qa_exponent > 0:
-            return np.where(kappa > 0, vals, 0.0)
-        return vals
+        return RadialWeight(self.rho_qa_amplitude, self.rho_qa_exponent, self.k_cut)(kappa)
 
     def _validate_cross_density(self):
         grid = np.geomspace(1e-6, 2.0 * self.k_cut, 513)

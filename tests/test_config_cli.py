@@ -2,6 +2,8 @@ import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -405,6 +407,34 @@ class TestValidateRunContract:
         assert cli.main(["validate", str(path)]) == 0
         assert cli.main(["run", str(path)]) == 3
         assert "numerical-accuracy error" in capsys.readouterr().err
+
+    def test_goldstone_spectrum_at_zero_momentum(self, tmp_path, cache_dir, monkeypatch):
+        # c |k|^(-s) at q = 0 is c for s = 0, not inf
+        path = tmp_path / "s0.json"
+        path.write_text(cfg_text({"model": {"class": "goldstone-spectrum", "dim": 1, "c": 1.5, "s": 0},
+                                  "analyses": [{"kind": "qmode", "q_values": [0]}],
+                                  "output": {"directory": str(tmp_path / "out")}}))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["run", str(path)]) == 0
+        result = json.loads((tmp_path / "out" / "report.json").read_text())["results"][0]
+        assert result["symmetric"][0]["two_point_at_q"] == {"re": 1.5, "im": 0.0}
+
+    def test_pairing_order_16_counts_in_bounded_time_and_memory(self, cache_dir):
+        # the count is the pairing recursion over 16 slots, not a list of 16!! pairings
+        cfg = parse_config(cfg_text({"model": GAUSS, "analyses": [
+            {"kind": "cumulant-roundtrip", "pairing_orders": [16]}]}))
+        cfg.build_window(cache_dir=cache_dir)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            rep = run(cfg, cache_dir=cache_dir)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.results[0]["pairing_counts"] == {"16": {"pairings": 2027025, "expected": 2027025}}
+        assert elapsed < 1.0
+        assert peak < 100e6
 
     def test_analysis_override_merges_over_the_top_level_block(self):
         cfg = parse_config(cfg_text({

@@ -84,7 +84,7 @@ class TestWickMoment:
         brute = 0j
         for pairing in enumerate_pairings(6):
             prod = 1.0 + 0j
-            for a, b in pairing.blocks:
+            for a, b in pairing:
                 prod *= c[idx[a - 1], idx[b - 1]]
             brute += prod
         labels = ["A" if i == 0 else "B" for i in idx]

@@ -197,6 +197,13 @@ class TestGoldstoneSpectrum:
         state = goldstone_state(3, 0.0, 2.0)
         assert state.two_point(np.array([0.3]))[0] == 0
 
+    def test_value_at_zero(self):
+        # c |k|^(-s) chi at k = 0: c for s = 0, 0 for s < 0, divergent for s > 0
+        at_zero = lambda s: goldstone_state(1, 2.0, s).two_point(np.array([0.0, 1.0]))
+        assert at_zero(0.0).tolist() == [2.0, 2.0]
+        assert at_zero(-1.0).tolist() == [0.0, 2.0]
+        assert np.isinf(at_zero(0.5)[0])
+
     def test_integrability_precondition(self):
         with pytest.raises(ModelValidationError):
             goldstone_state(1, 1.0, 2.0)

@@ -14,19 +14,22 @@ from fluctlab.errors import (
     OrderRangeError,
 )
 from fluctlab.partitions import (
+    MAX_PAIRING_ORDER,
     CumulantTable,
     MomentTable,
-    SetPartition,
     bell_number,
+    count_pairings,
+    count_partitions,
     cumulants_from_moments,
     enumerate_pairings,
-    enumerate_partitions,
     moments_from_cumulants,
     pairing_count,
     wick_moment_table,
 )
 
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140,
+        9: 21147, 10: 115975, 11: 678570, 12: 4213597}
+PAIRINGS = {2: 1, 4: 3, 6: 15, 8: 105, 10: 945, 12: 10395, 14: 135135, 16: 2027025}
 
 
 def brute_force_partition_count(order):
@@ -80,46 +83,60 @@ def random_cumulants(order, seed):
 
 
 class TestEnumeration:
+    """The recursions' counts against closed forms and test-local enumerations."""
+
     @pytest.mark.parametrize("order,count", sorted(BELL.items()))
     def test_bell_counts(self, order, count):
-        parts = enumerate_partitions(order)
-        assert len(parts) == count == bell_number(order)
-        assert len(set(p.blocks for p in parts)) == count
+        assert count_partitions(order) == count == bell_number(order)
+        if order <= 8:
+            assert len(list(brute_force_set_partitions(list(range(1, order + 1))))) == count
 
     def test_order_one(self):
-        assert enumerate_partitions(1) == [SetPartition(((1,),), 1)]
+        # one block, and at order 0 the empty partition: the recursion's W(empty) = 1
+        assert count_partitions(1) == len(list(brute_force_set_partitions([1]))) == 1
+        assert count_partitions(0) == bell_number(0) == 1
 
     def test_order_four_against_brute_force(self):
-        assert len(enumerate_partitions(4)) == brute_force_partition_count(4) == 15
+        assert count_partitions(4) == brute_force_partition_count(4) == 15
 
     def test_order_bounds(self):
         with pytest.raises(OrderRangeError):
-            enumerate_partitions(0)
-        with pytest.raises(OrderRangeError):
-            enumerate_partitions(13)
+            count_partitions(13)
+        for order in (0, MAX_PAIRING_ORDER + 2):
+            with pytest.raises(OrderRangeError):
+                enumerate_pairings(order)
+            with pytest.raises(OrderRangeError):
+                count_pairings(order)
 
-    @pytest.mark.parametrize("m,count", [(2, 1), (4, 3), (6, 15), (8, 105), (10, 945), (12, 10395)])
+    @pytest.mark.parametrize("m,count", sorted(PAIRINGS.items()))
     def test_pairing_counts(self, m, count):
-        pairings = enumerate_pairings(m)
-        assert len(pairings) == count == pairing_count(m)
-        assert all(len(b) == 2 for p in pairings for b in p.blocks)
+        assert count_pairings(m) == count == pairing_count(m)
+        if m <= 12:
+            pairings = enumerate_pairings(m)
+            assert len(pairings) == len(set(pairings)) == count
+            assert all(len(b) == 2 for p in pairings for b in p)
 
     def test_pairings_match_partition_filter(self):
-        filtered = [p for p in enumerate_partitions(6) if all(len(b) == 2 for b in p.blocks)]
-        assert sorted(p.blocks for p in filtered) == sorted(p.blocks for p in enumerate_pairings(6))
+        filtered = [tuple(sorted(p)) for p in brute_force_set_partitions(list(range(1, 9)))
+                    if all(len(b) == 2 for b in p)]
+        assert sorted(filtered) == sorted(enumerate_pairings(8))
+        assert count_pairings(8) == len(filtered)
 
     def test_odd_pairing_rejected(self):
         with pytest.raises(InvalidArgumentError):
             enumerate_pairings(5)
+        with pytest.raises(InvalidArgumentError):
+            count_pairings(5)
 
-    @given(st.integers(min_value=1, max_value=7))
-    @settings(max_examples=7, deadline=None)
-    def test_partitions_are_canonical(self, order):
-        for part in enumerate_partitions(order):
-            flat = sorted(i for b in part.blocks for i in b)
-            assert flat == list(range(1, order + 1))
-            assert all(list(b) == sorted(b) for b in part.blocks)
-            assert [b[0] for b in part.blocks] == sorted(b[0] for b in part.blocks)
+    @given(st.integers(min_value=1, max_value=5))
+    @settings(max_examples=5, deadline=None)
+    def test_partitions_are_canonical(self, half):
+        # every pairing is a canonical partition: ascending pairs listed by their first slot
+        for pairing in enumerate_pairings(2 * half):
+            flat = sorted(i for b in pairing for i in b)
+            assert flat == list(range(1, 2 * half + 1))
+            assert all(a < b for a, b in pairing)
+            assert [b[0] for b in pairing] == sorted(b[0] for b in pairing)
 
 
 class TestTables:
@@ -194,19 +211,19 @@ class TestRoundTrip:
                 assert abs(back[key] - ct[key]) < 1e-11 * max(1.0, abs(ct[key]))
 
     def test_sums_enumerate_nothing(self, monkeypatch):
-        # moments, cumulants and Wick sums are recursions: enumerating
-        # partitions or pairings is left to counting them
+        # moments, cumulants, Wick sums and the counts are recursions:
+        # enumerating pairings is left to the reference sums of the tests
         def enumerated(order):
             raise AssertionError(f"enumerated order {order}")
 
-        for name in ("_restricted_growth_strings", "_partition_blocks", "_pairing_blocks"):
-            monkeypatch.setattr(partitions, name, enumerated)
+        monkeypatch.setattr(partitions, "enumerate_pairings", enumerated)
         # an import by name would hold the unpatched function
-        monkeypatch.setattr(limit_algebra, "_pairing_blocks", enumerated, raising=False)
+        monkeypatch.setattr(limit_algebra, "enumerate_pairings", enumerated, raising=False)
         ct = random_cumulants(6, seed=6)
         cumulants_from_moments(moments_from_cumulants(ct, 6), 6)
         c = np.array([[1.0, 0.5 + 0.4j], [0.5 - 0.4j, 1.0]]) * 0.3
         limit_algebra.ccr_product_check(limit_algebra.LimitState(("A", "B"), c), "A", "B", 6)
+        assert count_pairings(12) == PAIRINGS[12] and count_partitions(8) == BELL[8]
 
     def test_nonzero_first_moment_rejected(self):
         mt = MomentTable(2)

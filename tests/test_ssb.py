@@ -125,6 +125,18 @@ class TestBogoliubov:
             with pytest.raises(ModelValidationError, match="Cauchy-Schwarz"):
                 GoldstoneModel(**huge, rho_qa_amplitude=1e201j)
 
+    def test_cross_density_at_zero(self):
+        # rho_qa is the RadialWeight of its amplitude and exponent: at k = 0 the
+        # amplitude for exponent 0, 0 above, and divergent below
+        model = default_goldstone_model(3)
+        assert model.rho_qa(np.array([0.0]))[0] == 0.25j
+        conserved = replace(model, rho_qa_amplitude=0.03j, rho_qa_exponent=1.0)
+        assert conserved.rho_qa(np.array([0.0]))[0] == 0
+        singular = replace(model, rho_qa_amplitude=0.01j, rho_qa_exponent=-0.25)
+        assert np.isinf(singular.rho_qa(np.array([0.0]))[0])
+        k = np.array([0.3, 1.0])
+        assert singular.rho_qa(k).tolist() == RadialWeight(0.01j, -0.25)(k).tolist()
+
     def test_negative_density_rejected(self):
         class NegatedWeight(RadialWeight):
             def __call__(self, kappa):
