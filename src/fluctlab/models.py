@@ -93,7 +93,15 @@ class WeightedCorrelator:
 
 @dataclass(frozen=True)
 class TruncatedHierarchy:
-    """Momentum-space truncated correlator hierarchy of a model state."""
+    """Momentum-space truncated correlator hierarchy of a model state.
+
+    ``position_forms`` and the weighted orders give W_l in position space.
+    Like the factors, every position form is invariant under rotations, so
+    at n = 1 it is even in each difference variable: it reads |y_i| or
+    y_i^2, and W(..., -y_i, ...) equals W(..., y_i, ...) bit for bit.  The
+    position-space path (``scaling.position_space_correlator``) relies on
+    that to run on the positive half of its z rule.
+    """
 
     dim: int
     max_order: int

@@ -195,7 +195,7 @@ class _Table:
         return tuple(key) in self._values
 
     def canonical_keys(self, through_order: int | None = None) -> list[tuple[int, ...]]:
-        top = through_order or self.order
+        top = self.order if through_order is None else through_order
         keys = []
         for size in range(1, top + 1):
             keys.extend(combinations(range(1, self.order + 1), size))

@@ -71,7 +71,9 @@ def symmetric_panel_rule(
     nodes_per_panel: int,
     graded_levels: int = 0,
 ) -> Rule1D:
-    """Composite GL rule on [-p_max, p_max].
+    """Composite GL rule on [-p_max, p_max], symmetric about 0 to the bit:
+    nodes == -nodes[::-1] and weights == weights[::-1]; both arrays are
+    read-only.
 
     With graded_levels > 0 the innermost panel on each side is subdivided
     geometrically toward 0 (edges at p_max/panels * GRADED_EDGE_RATIO**-j),
@@ -95,6 +97,8 @@ def symmetric_panel_rule(
     wpos = np.concatenate(wts)
     nodes = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([wpos[::-1], wpos])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     key = (float(p_max), panels, nodes_per_panel, graded_levels)
     return Rule1D(nodes=nodes, weights=weights, p_max=float(p_max), key=key)
 

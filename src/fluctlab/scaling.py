@@ -67,10 +67,7 @@ class QuadSpec:
         built once per spec, its nodes and weights are read-only."""
         full = symmetric_panel_rule(self.p_max, self.panels, self.nodes, self.graded_levels)
         half = len(full) // 2
-        rule = Rule1D(full.nodes[half:], full.weights[half:], full.p_max, ("half",) + full.key)
-        rule.nodes.flags.writeable = False
-        rule.weights.flags.writeable = False
-        return rule
+        return Rule1D(full.nodes[half:], full.weights[half:], full.p_max, ("half",) + full.key)
 
 
 #: the quadrature geometry of every dimension n unless ``numeric.quad`` names n
@@ -382,44 +379,115 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
 _OVERLAP_CACHE: dict = {}
 
 
-def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
-    """g_l(z) = integral over w of f(|w + T_1|)...f(|w + T_{l-1}|) f(|w|) dw, n = 1.
+@cache
+def _u_rule() -> Rule1D:
+    """The overlap's rule on [-GRID_EXTENT, GRID_EXTENT], built once; read-only
+    and symmetric about 0 to the bit, like every z rule."""
+    u, wt = gauss_legendre_panels(-GRID_EXTENT, GRID_EXTENT, 32, 12)
+    u.flags.writeable = False
+    wt.flags.writeable = False
+    rule = Rule1D(u, wt, GRID_EXTENT, ("u", 32, 12))
+    _check_symmetric(rule)
+    return rule
 
-    T_i = z_i + ... + z_{l-1}; the scaled observable positions are
+
+def _check_symmetric(rule: Rule1D) -> None:
+    """The fold pairs node i with node N-1-i, which needs an even node count,
+    nodes antisymmetric and weights symmetric to the bit."""
+    nodes, weights = rule.nodes, rule.weights
+    if len(nodes) % 2 or not (np.array_equal(nodes, -nodes[::-1])
+                              and np.array_equal(weights, weights[::-1])):
+        raise InvalidArgumentError(
+            f"the position path needs a rule symmetric about 0 to the bit; rule {rule.key} is not")
+
+
+def _folded_rows(profile: WindowProfile, z_rule: Rule1D) -> np.ndarray:
+    """S[k, i] = f(|u_i + z_k|) + f(|u_i - z_k|) at the positive nodes z_k of a
+    symmetric z rule, cached per (profile, rule) and shared by every order.
+
+    Only the rows of z_k > 0 are evaluated: the u rule is symmetric to the
+    bit, so the row of -z_k is row k reversed, bit for bit.
+    """
+    key = ("rows", profile.cache_key, z_rule.key)
+    rows = _OVERLAP_CACHE.get(key)
+    if rows is None:
+        _check_symmetric(z_rule)
+        u = _u_rule().nodes
+        a = profile.value(u + z_rule.nodes[len(z_rule) // 2:, None])
+        rows = a + a[:, ::-1]
+        rows.flags.writeable = False
+        _keep_overlap(key, rows)
+    return rows
+
+
+def _fold(x: np.ndarray, axes: int) -> np.ndarray:
+    """x summed over the sign flip of each of its first ``axes`` axes, each
+    indexed by the nodes of a symmetric rule: index h + k, the k-th positive
+    node, plus its mirror h - 1 - k."""
+    for axis in range(axes):
+        h = x.shape[axis] // 2
+        x = x.take(range(h, 2 * h), axis) + x.take(range(h - 1, -1, -1), axis)
+    return x
+
+
+def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
+    """The folded window overlap on the positive half of a symmetric z rule, n = 1.
+
+    g_l(z) = integral over w of f(|w + T_1|)...f(|w + T_{l-1}|) f(|w|) dw
+    with T_i = z_i + ... + z_{l-1}; the scaled observable positions are
     x_i = R (w + T_i), so the windowed overlap of the correlator at
-    difference variables y is exactly R * g_l(y / R).
+    difference variables y is exactly R * g_l(y / R).  Every position form
+    is even in each variable, so the position path needs g only through
+    G(z) = wt(z_1)...wt(z_{l-1}) times the sum of g over the 2^(l-1) sign
+    flips of z, at positive nodes: an (N/2,) * (l-1) array, cached per
+    (profile, order, rule) within MAX_ARRAY_POINTS (``_keep_overlap``).  A
+    rule that is not symmetric to the bit raises InvalidArgumentError.
 
     With u = w + T_2 the integrand is f(|u + z_1|) f(|u|) times
     prod_{j=2..l-1} f(|u - (z_2 + ... + z_j)|), which separates z_1 from the
     other variables: g = (A * c) @ B.T with A[z_1, u] = f(|u + z_1|),
     c[u] = f(|u|) wt(u) and B[(z_2, ...), u] the shifted product (a row of
-    ones for l = 2).  The factor f(|u|) confines the integrand to the
-    window's support, so one fixed u rule on [-GRID_EXTENT, GRID_EXTENT]
-    serves every z and no quadrature node depends on z.  Orders l >= 4 take
-    one product per z_2 slice, so no intermediate exceeds the n**(l-1)
-    result.
+    ones for l = 2).  Summed over the sign of z_1 the rows of A are the
+    folded rows S (``_folded_rows``); at l = 3 the row B[z_2] = f(|u - z_2|)
+    is the row of -z_2 in A, so summed over the sign of z_2 it is S too and
+    G = wt(z_1) wt(z_2) (S * c) @ S.T.  The factor f(|u|) confines the
+    integrand to the window's support, so one fixed u rule on
+    [-GRID_EXTENT, GRID_EXTENT] serves every z and no quadrature node
+    depends on z.  Orders l >= 4 fold B over the signs of z_2, z_3, ... one
+    z_2 slice at a time, so no intermediate exceeds the (N/2)^(l-1) result.
     """
     key = (profile.cache_key, order, z_rule.key)
     if key in _OVERLAP_CACHE:
         return _OVERLAP_CACHE[key]
-    u, wt = gauss_legendre_panels(-GRID_EXTENT, GRID_EXTENT, 32, 12)
-    z = z_rule.nodes
-    n = len(z)
-    ac = profile.value(u + z[:, None]) * (profile.value(u) * wt)
-    if order <= 3:
-        g = ac @ _shifted_rows(profile, u, [z] * (order - 2)).T
+    rows = _folded_rows(profile, z_rule)
+    u_rule = _u_rule()
+    u = u_rule.nodes
+    sc = rows * (profile.value(u) * u_rule.weights)
+    h = len(z_rule) // 2
+    if order == 2:
+        g = sc.sum(axis=1)
+    elif order == 3:
+        g = sc @ rows.T
     else:
-        g = np.empty((n, n, n ** (order - 3)))
-        for k in range(n):
-            g[:, k] = ac @ _shifted_rows(profile, u, [z[k:k + 1]] + [z] * (order - 3)).T
-    g = g.reshape((n,) * (order - 1))
+        z = z_rule.nodes
+        g = np.empty((h, h, h ** (order - 3)))
+        for k in range(h):
+            pair = z[[h - 1 - k, h + k]]
+            shifted = _shifted_rows(profile, u, [pair] + [z] * (order - 3))
+            folded = _fold(shifted.reshape((2,) + (2 * h,) * (order - 3) + (len(u),)), order - 2)
+            g[:, k] = sc @ folded.reshape(-1, len(u)).T
+    g = g.reshape((h,) * (order - 1))
+    for i in range(order - 1):
+        g *= z_rule.weights[h:].reshape([1] * i + [-1] + [1] * (order - 2 - i))
+    g.flags.writeable = False
     _keep_overlap(key, g)
     return g
 
 
 def _keep_overlap(key, g: np.ndarray) -> None:
-    """Cache g, evicting the oldest overlaps so the cache never holds more
-    than MAX_ARRAY_POINTS points; an overlap larger than that is not kept."""
+    """Cache an overlap or its rows, evicting the oldest entries so the cache
+    never holds more than MAX_ARRAY_POINTS points; an array larger than that
+    is not kept."""
     held = sum(a.size for a in _OVERLAP_CACHE.values())
     for old in list(_OVERLAP_CACHE):
         if held + g.size <= MAX_ARRAY_POINTS:
@@ -446,13 +514,17 @@ def _shifted_rows(profile: WindowProfile, u: np.ndarray, levels) -> np.ndarray:
 ORACLE_Z = (24, 10, 6)
 
 
+@cache
 def oracle_z_rule() -> Rule1D:
-    """Scaled-difference-variable rule shared by all radii of one oracle run."""
+    """Scaled-difference-variable rule shared by all radii of one oracle run;
+    built once, read-only."""
     return symmetric_panel_rule(2.0 * GRID_EXTENT, *ORACLE_Z)
 
 
 def position_points(z: tuple, order: int) -> int:
-    """Points of the position path's (N,) * (l-1) arrays on the z rule of geometry z.
+    """Points N^(l-1) of the full grid of the position path on the z rule of
+    geometry z, which its point budget bounds; the folded arrays it holds
+    have (N/2)^(l-1).
 
     z is (panels, nodes per panel, graded levels); the node count N does
     not depend on the rule's extent, so no window is needed.
@@ -467,7 +539,10 @@ def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
 
     Independent of the spectral route: works from the position-space
     correlator form and the window's position profile only.  The value is
-    R^(l(n-alpha)) * integral( W_l(R z) g_l(z) dz ) with n = 1.
+    R^(l(n-alpha)) * integral( W_l(R z) g_l(z) dz ) with n = 1.  W_l is even
+    in each variable (``TruncatedHierarchy``), so the sum runs over the
+    positive half of the symmetric z rule against the folded overlap of
+    ``window_overlap_1d``.
     """
     if state.dim != 1:
         raise UnsupportedModeError("position-space path implemented for n = 1 only")
@@ -478,16 +553,9 @@ def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     _check_points(len(z_rule) ** (order - 1), "position-space array")
     g = window_overlap_1d(profile, order, z_rule)
     dim = order - 1
-    z = z_rule.nodes
-    wt = z_rule.weights
-    for _ in range(dim - 1):
-        wt = np.multiply.outer(wt, z_rule.weights)
-    yvars = tuple(
-        (radius * z.reshape([1] * i + [-1] + [1] * (dim - 1 - i)),)
-        for i in range(dim)
-    )
-    wvals = np.asarray(state.position_form(order)(yvars), dtype=complex)
-    integral = complex(np.sum(wt * g * wvals))
+    y = radius * z_rule.nodes[len(z_rule) // 2:]
+    yvars = tuple((y.reshape([1] * i + [-1] + [1] * (dim - 1 - i)),) for i in range(dim))
+    integral = complex(np.sum(g * state.position_form(order)(yvars)))
     return radius ** (order * (1.0 - alpha)) * integral
 
 
@@ -799,8 +867,10 @@ def _weighted_z(order: int) -> tuple:
     return (24, 10, 14) if order == 2 else (14, 8, 14)
 
 
+@cache
 def weighted_z_rule(order: int) -> Rule1D:
-    """Difference-variable rule of the weighted position path.
+    """Difference-variable rule of the weighted position path, built once per
+    order; read-only.
 
     Grading down to ~1e-4 of the box resolves correlator structure at scale
     1/R through R ~ 2000; orders >= 3 use a leaner per-axis rule.

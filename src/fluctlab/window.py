@@ -39,8 +39,8 @@ constant, e.g. the 2-point limit is exactly  S(0) * integral fhat(k)fhat(-k).
 from __future__ import annotations
 
 import os
+import re
 import tempfile
-import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gamma as _gamma_fn
@@ -52,7 +52,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .quadrature import GRADED_EDGE_RATIO, gauss_legendre_edges, gauss_legendre_panels
 
-CACHE_FORMAT_VERSION = 8
+CACHE_FORMAT_VERSION = 9
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are
@@ -213,16 +213,16 @@ class WindowProfile:
 
     # -- serialization -----------------------------------------------------
 
-    def to_cache_file(self, path: str | Path) -> Path:
-        """Write the profile as an .npz archive of its scalars and transform samples."""
-        path = Path(path)
+    def to_cache_file(self, cache_dir: str | Path) -> Path:
+        """Write the transform samples as a bare .npy table into cache_dir,
+        under the name ``_cache_file_name`` gives the profile's scalars."""
+        path = Path(cache_dir) / _cache_file_name(self.kind, self.dim, self.smoothness,
+                                                  self.k_max, len(self.k_grid))
         # write beside the target and rename, so no reader sees a partial file
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, format_version=CACHE_FORMAT_VERSION, kind=self.kind, dim=self.dim,
-                         smoothness=self.smoothness, k_max=self.k_max,
-                         fhat_samples=self.fhat_samples)
+                np.save(fh, self.fhat_samples)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -231,19 +231,37 @@ class WindowProfile:
 
     @staticmethod
     def from_cache_file(path: str | Path) -> "WindowProfile":
-        with np.load(path, allow_pickle=False) as data:
-            version = data["format_version"]
-            if version != CACHE_FORMAT_VERSION:
-                raise InvalidArgumentError(f"window cache format {version} not supported")
-            fhat_samples, k_max = data["fhat_samples"], float(data["k_max"])
-            return _assemble(
-                str(data["kind"]),
-                int(data["dim"]),
-                int(data["smoothness"]),
-                np.linspace(0.0, k_max, len(fhat_samples)),
-                fhat_samples,
-                k_max,
-            )
+        """Read a profile that ``to_cache_file`` wrote: the scalars from the
+        file name, the transform samples from the file.  A name of another
+        format version, or a table of another length or type than the name
+        states, raises InvalidArgumentError; a file that is no .npy table
+        raises ValueError."""
+        path = Path(path)
+        match = _CACHE_NAME.fullmatch(path.name)
+        if match is None:
+            raise InvalidArgumentError(f"{path.name!r} is not a window cache file name")
+        kind, dim, smoothness, k_max, size, version = match.groups()
+        check_profile_args(kind, int(dim))
+        if int(version) != CACHE_FORMAT_VERSION:
+            raise InvalidArgumentError(f"window cache format {version} not supported")
+        with open(path, "rb") as fh:
+            fhat_samples = np.lib.format.read_array(fh, allow_pickle=False)
+        if fhat_samples.dtype != np.float64 or fhat_samples.shape != (int(size),):
+            raise InvalidArgumentError(
+                f"window cache file {path.name} holds {fhat_samples.shape} {fhat_samples.dtype}, "
+                f"not {size} float64 samples")
+        k_max = float(k_max)
+        return _assemble(kind, int(dim), int(smoothness), np.linspace(0.0, k_max, int(size)),
+                         fhat_samples, k_max)
+
+
+def _cache_file_name(kind: str, dim: int, smoothness: int, k_max: float, k_resolution: int) -> str:
+    """The cache file of a profile: its scalars and the format version name it."""
+    return (f"window_{kind}_n{dim}_s{smoothness}_k{float(k_max)!r}_m{k_resolution}"
+            f"_v{CACHE_FORMAT_VERSION}.npy")
+
+
+_CACHE_NAME = re.compile(r"window_([a-z-]+)_n(\d+)_s(\d+)_k([^_]+)_m(\d+)_v(\d+)\.npy")
 
 
 def _assemble(kind, dim, smoothness, k_grid, fhat_samples, k_max):
@@ -603,8 +621,7 @@ def make_profile(
     n = 1, 2, 3.
     """
     check_profile_args(kind, dim)
-    # the mollified step is C-infinity, so it certifies plenty
-    smoothness = {"mollified-step": 64, "smoothstep": smoothstep_order}[kind]
+    smoothness = _smoothness(kind, smoothstep_order)
     exact = _profile_evaluator(kind, smoothness)
     k_grid = np.linspace(0.0, k_max, k_resolution)
 
@@ -621,30 +638,33 @@ def make_profile(
     return _assemble(kind, dim, smoothness, k_grid, fhat, k_max)
 
 
+def _smoothness(kind: str, smoothstep_order: int) -> int:
+    """The continuous derivatives a profile certifies: a smoothstep's order;
+    the mollified step is C-infinity, so it certifies plenty."""
+    return 64 if kind == "mollified-step" else smoothstep_order
+
+
 def load_or_build(kind: str, dim: int, cache_dir: str | Path | None = None,
                   *, smoothstep_order: int = 3, k_max: float = 640.0,
                   k_resolution: int = 10240) -> WindowProfile:
     """Fetch a profile from the cache directory, building and caching on miss.
 
     The file name carries every argument that changes the profile, so
-    profiles built with different arguments never share a file.
+    profiles built with different arguments never share a file; a file
+    that cannot be read back whole is rebuilt.
     """
     kwargs = dict(smoothstep_order=smoothstep_order, k_max=k_max, k_resolution=k_resolution)
     if cache_dir is None:
         return make_profile(kind, dim, **kwargs)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    name = (f"window_{kind}_n{dim}_s{smoothstep_order}"
-            f"_k{float(k_max)!r}_m{k_resolution}.npz")
-    path = cache_dir / name
+    path = cache_dir / _cache_file_name(kind, dim, _smoothness(kind, smoothstep_order),
+                                       k_max, k_resolution)
     if path.exists():
         try:
-            prof = WindowProfile.from_cache_file(path)
-            if (prof.cache_key[:3] == (kind, dim, float(k_max))
-                    and len(prof.k_grid) == k_resolution):
-                return prof
-        except (ValueError, KeyError, EOFError, zipfile.BadZipFile, InvalidArgumentError):
+            return WindowProfile.from_cache_file(path)
+        except (ValueError, InvalidArgumentError):
             pass
     prof = make_profile(kind, dim, **kwargs)
-    prof.to_cache_file(path)
+    prof.to_cache_file(cache_dir)
     return prof

@@ -73,3 +73,19 @@ def test_traced_radial_chain_counts_the_kernel(spans, profile2):
     assert layers["scaling.window_product_calls"] == 2
     assert layers["scaling.window_product_hits"] == 1
     assert layers["scaling.window_product_bytes"] == 480 ** 2 * 8
+
+
+def test_traced_order3_oracle_evaluates_half_the_rows(spans, product_state1, profile1):
+    # the window is evaluated on the rows of the positive z nodes, 300 of the
+    # oracle rule's 600, times the 384 u nodes, plus the row f(|u|); the
+    # second radius reads the cached overlap and evaluates no window
+    tracer = spans.Tracer()
+    cfg = scaling.ScalingConfig()
+    scaling.clear_caches()
+    with tracer.active():
+        scaling.position_space_correlator(product_state1, profile1, cfg, 3, 8.0, 0.5)
+        scaling.position_space_correlator(product_state1, profile1, cfg, 3, 16.0, 0.5)
+    layers = tracer.layer_metrics()
+    assert layers["window.value_points"] == 300 * 384 + 384
+    assert layers["scaling.window_overlap_1d_calls"] == 2
+    assert layers["scaling.window_overlap_1d_hits"] == 1

@@ -210,6 +210,18 @@ class TestRoundTrip:
             if len(key) >= 2:
                 assert abs(back[key] - ct[key]) < 1e-11 * max(1.0, abs(ct[key]))
 
+    def test_order_zero_fills_nothing(self):
+        # order 0 asks for no tuple, in both directions: each table holds
+        # only the centered first entries a new table starts with
+        ct = CumulantTable(4)
+        for key in ct.canonical_keys():
+            ct[key] = 0.0 if len(key) == 1 else 1.0
+        assert ct.canonical_keys(0) == []
+        assert moments_from_cumulants(ct, 0).as_dict() == MomentTable(4).as_dict()
+        mt = moments_from_cumulants(ct, 4)
+        assert mt[(1, 2, 3, 4)] == 4
+        assert cumulants_from_moments(mt, 0).as_dict() == CumulantTable(4).as_dict()
+
     def test_sums_enumerate_nothing(self, monkeypatch):
         # moments, cumulants, Wick sums and the counts are recursions:
         # enumerating pairings is left to the reference sums of the tests

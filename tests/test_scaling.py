@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from dataclasses import astuple
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -177,6 +178,44 @@ def _direct_overlap(profile, z_tuples, panels):
     return np.array(out)
 
 
+def _folded_direct(profile, z_rule, idx, panels):
+    """The folded overlap at half-rule indices idx, divided by its z weights:
+    the direct overlap summed over the sign flips of every variable."""
+    z = z_rule.nodes[len(z_rule) // 2:][idx]
+    signs = product((1.0, -1.0), repeat=idx.shape[1])
+    return sum(_direct_overlap(profile, z * np.array(s), panels) for s in signs)
+
+
+def _half_weights(z_rule, idx):
+    return np.prod(z_rule.weights[len(z_rule) // 2:][idx], axis=1)
+
+
+def _full_overlap(profile, order, z_rule):
+    """The unfolded overlap g_l on the whole z rule, each row evaluated."""
+    u, wt = gauss_legendre_panels(-window.GRID_EXTENT, window.GRID_EXTENT, 32, 12)
+    z = z_rule.nodes
+    n = len(z)
+    ac = profile.value(u + z[:, None]) * (profile.value(u) * wt)
+    if order <= 3:
+        g = ac @ scaling._shifted_rows(profile, u, [z] * (order - 2)).T
+    else:
+        g = np.empty((n, n, n ** (order - 3)))
+        for k in range(n):
+            g[:, k] = ac @ scaling._shifted_rows(profile, u, [z[k:k + 1]] + [z] * (order - 3)).T
+    return g.reshape((n,) * (order - 1))
+
+
+def _full_grid_correlator(state, profile, order, radius, alpha, z_rule):
+    """The position-space value as a sum over the whole z grid, W complex."""
+    g = _full_overlap(profile, order, z_rule)
+    dim = order - 1
+    z = z_rule.nodes
+    wt = reduce(np.multiply.outer, [z_rule.weights] * dim)
+    yvars = tuple((radius * z.reshape([1] * i + [-1] + [1] * (dim - 1 - i)),) for i in range(dim))
+    wvals = np.asarray(state.position_form(order)(yvars), dtype=complex)
+    return radius ** (order * (1.0 - alpha)) * complex(np.sum(wt * g * wvals))
+
+
 _Z_RULES = {
     "oracle": oracle_z_rule,
     "weighted-order-2": lambda: weighted_z_rule(2),
@@ -184,52 +223,161 @@ _Z_RULES = {
 }
 
 
+def _weighted_state(form):
+    factor = {"form": "bessel-power", "power": 2.0} if form == "bessel-power" else \
+        {"form": "gaussian", "amplitude": 0.7, "width": 1.1}
+    return parse_config(json.dumps({
+        "model": {"class": "weighted", "dim": 1, "orders": [
+            {"order": 2, "alpha": 0.5, "factor": factor},
+            {"order": 3, "alpha": 1.25, "factor": factor}]},
+        "numeric": {"alpha_mode": "gamma"}})).model
+
+
 class TestPositionOverlap:
-    """The separated overlap equals the w-integral it replaces."""
+    """The separated, folded overlap equals the w-integral it replaces."""
 
     @pytest.mark.parametrize("rule_name", sorted(_Z_RULES))
     @pytest.mark.parametrize("order", [2, 3])
     def test_matches_direct_quadrature(self, profile1, rule_name, order):
         z_rule = _Z_RULES[rule_name]()
         g = window_overlap_1d(profile1, order, z_rule)
+        half = len(z_rule) // 2
+        assert g.shape == (half,) * (order - 1)
         rng = np.random.default_rng(order)
-        idx = rng.integers(0, len(z_rule.nodes), size=(400, order - 1))
-        got = g[tuple(idx.T)]
-        dense = _direct_overlap(profile1, z_rule.nodes[idx], panels=1024)
-        assert np.max(np.abs(got - dense)) <= 5e-7
+        # 400 direct overlaps: each sample sums 2**(order - 1) of them
+        idx = rng.integers(0, half, size=(400 // 2 ** (order - 1), order - 1))
+        got = g[tuple(idx.T)] / _half_weights(z_rule, idx)
+        dense = _folded_direct(profile1, z_rule, idx, panels=1024)
+        assert np.max(np.abs(got - dense)) <= 2 ** (order - 1) * 5e-7
         if order == 2:
             # u = w at order 2: same nodes as the direct 32-panel rule
-            same_rule = _direct_overlap(profile1, z_rule.nodes[idx], panels=32)
+            same_rule = _folded_direct(profile1, z_rule, idx, panels=32)
             assert np.max(np.abs(got - same_rule)) <= 1e-14
 
     def test_cache_held_within_the_budget(self, profile1, monkeypatch):
-        # three order-3 overlaps of 24**2 points each under a budget of two:
-        # the oldest is evicted and recomputes to the same array
+        # three order-3 overlaps of 12**2 points, each with its 12 x 384
+        # folded rows, under a budget of two: the oldest entries are evicted
+        # and recompute to the same arrays
         rules = [symmetric_panel_rule(5.0 + i, 4, 3) for i in range(3)]
-        size = len(rules[0]) ** 2
+        half = len(rules[0]) // 2
+        size = half ** 2 + half * len(scaling._u_rule())
         monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", 2 * size)
         scaling.clear_caches()
         first = window_overlap_1d(profile1, 3, rules[0])
+        assert first.shape == (half, half)
         for rule in rules[1:]:
             window_overlap_1d(profile1, 3, rule)
             assert sum(g.size for g in scaling._OVERLAP_CACHE.values()) <= 2 * size
-        assert len(scaling._OVERLAP_CACHE) == 2
+        assert len(scaling._OVERLAP_CACHE) == 4
+        assert all(key[-1] != rules[0].key for key in scaling._OVERLAP_CACHE)
         again = window_overlap_1d(profile1, 3, rules[0])
         assert again is not first and np.array_equal(again, first)
-        # an overlap larger than the whole budget is returned but not kept
-        monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", size - 1)
-        window_overlap_1d(profile1, 3, rules[1])
-        assert sum(g.size for g in scaling._OVERLAP_CACHE.values()) <= size - 1
+        # arrays larger than the whole budget are returned but not kept
+        monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", half ** 2 - 1)
+        scaling.clear_caches()
+        assert np.array_equal(window_overlap_1d(profile1, 3, rules[0]), first)
+        assert not scaling._OVERLAP_CACHE
         scaling.clear_caches()
 
     def test_order4_slices_match_direct_quadrature(self, profile1):
         z_rule = symmetric_panel_rule(5.0, 4, 4)
         g = window_overlap_1d(profile1, 4, z_rule)
-        assert g.shape == (len(z_rule.nodes),) * 3
+        half = len(z_rule) // 2
+        assert g.shape == (half,) * 3
         rng = np.random.default_rng(4)
-        idx = rng.integers(0, len(z_rule.nodes), size=(100, 3))
-        dense = _direct_overlap(profile1, z_rule.nodes[idx], panels=1024)
-        assert np.max(np.abs(g[tuple(idx.T)] - dense)) <= 5e-7
+        idx = rng.integers(0, half, size=(16, 3))
+        dense = _folded_direct(profile1, z_rule, idx, panels=1024)
+        assert np.max(np.abs(g[tuple(idx.T)] / _half_weights(z_rule, idx) - dense)) <= 8 * 5e-7
+
+
+class TestPositionFold:
+    """The half-rule position path against the full-grid sum it replaces."""
+
+    @pytest.mark.parametrize("rule_name", sorted(_Z_RULES))
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("model", ["product-ansatz", "gaussian", "bessel-power"])
+    def test_folded_equals_full_grid_sum(self, profile1, product_state1, rule_name, order, model):
+        state = product_state1 if model == "product-ansatz" else _weighted_state(model)
+        z_rule = _Z_RULES[rule_name]()
+        cfg = ScalingConfig()
+        for radius in (2.0, 64.0, 2048.0):
+            folded = position_space_correlator(state, profile1, cfg, order, radius, 0.5, z_rule=z_rule)
+            full = _full_grid_correlator(state, profile1, order, radius, 0.5, z_rule)
+            assert abs(folded - full) <= 1e-14 * abs(full), radius
+
+    def test_order4_folded_equals_full_grid_sum(self, profile1, product_state1):
+        z_rule = symmetric_panel_rule(5.0, 4, 4, 2)
+        cfg = ScalingConfig()
+        for radius in (2.0, 8.0, 32.0):
+            folded = position_space_correlator(product_state1, profile1, cfg, 4, radius, 0.5, z_rule=z_rule)
+            full = _full_grid_correlator(product_state1, profile1, 4, radius, 0.5, z_rule)
+            assert abs(folded - full) <= 1e-14 * abs(full), radius
+
+    @pytest.mark.parametrize("rule_name", sorted(_Z_RULES))
+    def test_row_identities_are_bitwise(self, profile1, rule_name):
+        # the u rule and every z rule are symmetric to the bit, so the row of
+        # -z is the row of z reversed, and so are the order-3 shifted rows
+        z_rule = _Z_RULES[rule_name]()
+        u = scaling._u_rule().nodes
+        a = profile1.value(u + z_rule.nodes[:, None])
+        assert np.array_equal(a[::-1], a[:, ::-1])
+        assert np.array_equal(scaling._shifted_rows(profile1, u, [z_rule.nodes]), a[:, ::-1])
+        half = len(z_rule) // 2
+        assert np.array_equal(scaling._folded_rows(profile1, z_rule), a[half:] + a[half - 1::-1])
+
+    def test_rules_are_built_once_and_read_only(self):
+        for make in _Z_RULES.values():
+            rule = make()
+            assert make() is rule
+            assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        u_rule = scaling._u_rule()
+        assert not u_rule.nodes.flags.writeable and not u_rule.weights.flags.writeable
+
+    def test_unsymmetric_rule_raises(self, profile1, product_state1):
+        cfg = ScalingConfig()
+        full = symmetric_panel_rule(5.0, 4, 4)
+        nodes, weights = full.nodes.copy(), full.weights.copy()
+        nodes[0] = np.nextafter(nodes[0], 0.0)
+        weights[-1] *= 1.0 + 2.0 ** -52
+        rules = [QuadSpec(5.0, 4, 4).build(),
+                 scaling.Rule1D(nodes, full.weights, 5.0, ("shifted",)),
+                 scaling.Rule1D(full.nodes, weights, 5.0, ("reweighted",)),
+                 scaling.Rule1D(np.array([-1.0, 0.0, 1.0]), np.ones(3), 1.0, ("odd",))]
+        scaling.clear_caches()
+        for rule in rules:
+            for order in (2, 3):
+                with pytest.raises(InvalidArgumentError, match="symmetric"):
+                    position_space_correlator(product_state1, profile1, cfg, order, 8.0, 0.5, z_rule=rule)
+                with pytest.raises(InvalidArgumentError, match="symmetric"):
+                    window_overlap_1d(profile1, order, rule)
+        assert not scaling._OVERLAP_CACHE
+
+    @pytest.mark.parametrize("model", [
+        {"class": "product-ansatz", "orders": {"2": [{"amplitude": 1.0, "width": 1.0}],
+                                               "3": [{"amplitude": 1.0, "width": 1.0},
+                                                     {"amplitude": 0.8, "width": 1.3}]}},
+        {"class": "powerlaw", "beta": 0.75},
+        {"class": "weighted", "orders": [
+            {"order": 2, "alpha": 0.5, "factor": {"form": "gaussian", "amplitude": 0.7, "width": 1.1}},
+            {"order": 3, "alpha": 1.25, "factor": {"form": "gaussian"}}]},
+        {"class": "weighted", "orders": [
+            {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
+            {"order": 3, "alpha": 1.25, "factor": {"form": "bessel-power", "power": 2.0}}]},
+    ], ids=["product-ansatz", "powerlaw", "weighted-gaussian", "weighted-bessel-power"])
+    def test_position_forms_are_even_in_each_variable(self, model):
+        # the fold rests on W(..., -y_i, ...) == W(..., y_i, ...) bit for bit
+        state = parse_config(json.dumps({"model": {**model, "dim": 1}})).model
+        orders = sorted(set(state.position_forms) | set(state.weighted_orders))
+        assert orders
+        rng = np.random.default_rng(7)
+        for order in orders:
+            y = rng.standard_normal((256, order - 1)) * np.geomspace(1e-3, 1e3, 256)[:, None]
+            form = state.position_form(order)
+            base = form(tuple((y[:, i],) for i in range(order - 1)))
+            for i in range(order - 1):
+                flipped = y.copy()
+                flipped[:, i] = -flipped[:, i]
+                assert np.array_equal(form(tuple((flipped[:, j],) for j in range(order - 1))), base)
 
 
 class TestLegendreRuleCache:

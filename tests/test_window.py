@@ -209,35 +209,38 @@ class TestScalingLaw:
 
 class TestSerialization:
     def test_cache_round_trip(self, profile1, tmp_path):
-        path = profile1.to_cache_file(tmp_path / "prof.npz")
+        path = profile1.to_cache_file(tmp_path)
+        assert path.name == f"window_mollified-step_n1_s64_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"
+        # a bare table: the scalars live in the name
+        assert np.array_equal(np.load(path), profile1.fhat_samples)
         loaded = WindowProfile.from_cache_file(path)
         assert loaded.cache_key == profile1.cache_key
+        assert loaded.smoothness == profile1.smoothness
         ks = np.linspace(0, 30, 301)
         assert np.allclose(loaded.fourier_radial(ks), profile1.fourier_radial(ks), rtol=0, atol=0)
 
     def test_version_check(self, profile1, tmp_path):
-        path = profile1.to_cache_file(tmp_path / "prof.npz")
-        with np.load(path) as data:
-            payload = dict(data)
-        payload["format_version"] = 999
-        np.savez(path, **payload)
-        with pytest.raises(InvalidArgumentError):
-            WindowProfile.from_cache_file(path)
+        path = profile1.to_cache_file(tmp_path)
+        other = path.rename(path.with_name(path.name.replace(f"_v{CACHE_FORMAT_VERSION}.", "_v999.")))
+        with pytest.raises(InvalidArgumentError, match="format 999"):
+            WindowProfile.from_cache_file(other)
+        with pytest.raises(InvalidArgumentError, match="cache file name"):
+            WindowProfile.from_cache_file(path.with_name("prof.npy"))
 
     def test_load_or_build_uses_cache(self, tmp_path):
         one = load_or_build("smoothstep", 1, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
-        files = list(tmp_path.glob("*.npz"))
+        files = list(tmp_path.glob("*.npy"))
         assert len(files) == 1
         two = load_or_build("smoothstep", 1, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         assert np.array_equal(one.fhat_samples, two.fhat_samples)
-        assert list(tmp_path.glob("*.npz")) == files
+        assert list(tmp_path.glob("*.npy")) == files
 
     @pytest.mark.parametrize("changed", [{"smoothstep_order": 6}, {"k_max": 50.0}])
     def test_load_or_build_rebuilds_on_other_arguments(self, tmp_path, changed):
         base = dict(k_max=40.0, k_resolution=1024, smoothstep_order=3)
         one = load_or_build("smoothstep", 1, cache_dir=tmp_path, **base)
         two = load_or_build("smoothstep", 1, cache_dir=tmp_path, **{**base, **changed})
-        assert len(list(tmp_path.glob("*.npz"))) == 2
+        assert len(list(tmp_path.glob("*.npy"))) == 2
         assert not np.array_equal(one.fhat_samples, two.fhat_samples)
         fresh = make_profile("smoothstep", 1, **{**base, **changed})
         assert np.array_equal(two.fhat_samples, fresh.fhat_samples)
@@ -279,19 +282,34 @@ class TestPlateauAndEdge:
         assert np.max(np.abs(ball_fhat(3, x) - reference)) <= 1e-15 * ball_fhat(3, 0.0)
 
     def test_old_cache_format_is_rebuilt(self, tmp_path):
+        # the format version is part of the name, so a file of an older
+        # format is never read; a damaged table of this one is rebuilt
         args = dict(k_max=40.0, k_resolution=1024)
         fresh = load_or_build("mollified-step", 2, cache_dir=tmp_path, **args)
-        (path,) = tmp_path.glob("*.npz")
-        # a file as format 7 wrote it, before transform rules had a panel floor
-        with np.load(path) as data:
-            payload = dict(data)
-        payload["format_version"] = 7
-        payload["fhat_samples"] = payload["fhat_samples"] + 1e-15
-        np.savez(path, **payload)
-        again = load_or_build("mollified-step", 2, cache_dir=tmp_path, **args)
-        assert np.array_equal(again.fhat_samples, fresh.fhat_samples)
-        with np.load(path) as data:
-            assert int(data["format_version"]) == CACHE_FORMAT_VERSION == 8
+        (path,) = tmp_path.glob("*.npy")
+        assert path.name.endswith(f"_v{CACHE_FORMAT_VERSION}.npy") and CACHE_FORMAT_VERSION == 9
+        table = path.read_bytes()
+        damage = {
+            "truncated": lambda: path.write_bytes(table[:-8]),
+            "short": lambda: np.save(path, fresh.fhat_samples[:1000]),
+            "float32": lambda: np.save(path, fresh.fhat_samples.astype(np.float32)),
+            "empty": lambda: path.write_bytes(b""),
+            "zip": lambda: path.write_bytes(b"PK\x03\x04"),
+        }
+        for name, write in damage.items():
+            write()
+            again = load_or_build("mollified-step", 2, cache_dir=tmp_path, **args)
+            assert np.array_equal(again.fhat_samples, fresh.fhat_samples), name
+            assert path.read_bytes() == table, name
+
+    def test_smoothstep_order_names_no_mollified_step_file(self, tmp_path):
+        # the mollified step's smoothness is 64 whatever smoothstep_order says,
+        # so both arguments name one file
+        args = dict(k_max=40.0, k_resolution=1024)
+        one = load_or_build("mollified-step", 1, cache_dir=tmp_path, smoothstep_order=3, **args)
+        two = load_or_build("mollified-step", 1, cache_dir=tmp_path, smoothstep_order=6, **args)
+        assert len(list(tmp_path.glob("*.npy"))) == 1
+        assert np.array_equal(one.fhat_samples, two.fhat_samples)
 
 
 def ball_transform(dim, x):
