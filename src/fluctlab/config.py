@@ -42,7 +42,6 @@ from .models import (
     goldstone_state,
     powerlaw_state,
     product_ansatz_state,
-    sum_of_squares,
     weighted_state,
 )
 from .report import FORMATS
@@ -101,14 +100,14 @@ class ModelClass:
 
 
 def _weighted_factor(spec: dict, order: int):
-    """The integrable factor F of a weighted order, in position space."""
+    """The integrable factor F of a weighted order, a function of the radii |y_i|."""
     if spec["form"] == "bessel-power":
         if "power" not in spec:
             raise ConfigError(f"model.orders[{order}].factor: form 'bessel-power' needs power")
         power = spec["power"]
-        return lambda yvars: (1.0 + sum_of_squares(yvars)) ** (-power / 2.0)
+        return lambda radii: (1.0 + sum(np.square(r) for r in radii)) ** (-power / 2.0)
     amp, width = spec["amplitude"], spec["width"]
-    return lambda yvars: amp * np.exp(-sum_of_squares(yvars) / (2.0 * width ** 2))
+    return lambda radii: amp * np.exp(-sum(np.square(r) for r in radii) / (2.0 * width ** 2))
 
 
 def _product_ansatz(b):

@@ -5,9 +5,9 @@ S_l maps the l-1 transfer momenta (q_1, ..., q_{l-1}) to a complex value and
 is stored as one factor per difference variable, S_l = phi_1(|q_1|) ...
 phi_{l-1}(|q_{l-1}|), which lets the scaling engine contract the window chain
 one variable at a time.  Every state is also rotation invariant, so each
-factor, and every two-point and pair density, is a function of the radius
-|q| alone: it takes an array of radii.  ``radial_norm`` is the one place
-where component tuples become radii.  The convention is the plain transform
+factor, every two-point and pair density and every position form is a
+function of radii alone: it takes one array of radii per variable.  The
+convention is the plain transform
 
     S_l(q_1,...,q_{l-1}) = integral( W_l(y_1,...,y_{l-1})
                                      * exp(+i sum q_i.y_i) prod dy_i )
@@ -23,6 +23,7 @@ construction and safe for concurrent evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gamma as _gamma_fn
 from math import pi
 from typing import Callable, Mapping, Sequence
@@ -35,30 +36,9 @@ from .window import smoothstep_edge
 #: default highest order of a hierarchy, and the highest order a configuration names
 MAX_ORDER = 8
 
-# Per difference variable, a tuple of n broadcastable component arrays.
-QVars = Sequence[Sequence[np.ndarray]]
 # A factor maps the radii |q| of one difference variable to its (real or
 # complex) share of the density.
 Factor = Callable[[np.ndarray], np.ndarray]
-
-
-def radial_norm(components: Sequence[np.ndarray]) -> np.ndarray:
-    """|q| from broadcastable component arrays without stacking."""
-    if len(components) == 1:
-        return np.abs(components[0])
-    acc = components[0] ** 2
-    for c in components[1:]:
-        acc = acc + c ** 2
-    return np.sqrt(acc)
-
-
-def sum_of_squares(qvars: QVars):
-    """Sum of the squared components of every variable, in variable order."""
-    acc = 0.0
-    for comp in qvars:
-        for c in comp:
-            acc = acc + np.asarray(c) ** 2
-    return acc
 
 
 @dataclass(frozen=True)
@@ -77,18 +57,18 @@ class DecayTag:
 class WeightedCorrelator:
     """Order-l correlator factored as W = (1 + sum |y_i|^2)^(alpha/2) * F.
 
-    ``f_position`` maps component tuples of the y variables to F values.
+    ``f_position`` maps the radii |y_i|, one array per variable, to F values.
     """
 
     order: int
     alpha: float
     f_position: Callable
 
-    def weight(self, yvars: QVars) -> np.ndarray:
-        return (1.0 + sum_of_squares(yvars)) ** (self.alpha / 2.0)
+    def weight(self, radii) -> np.ndarray:
+        return (1.0 + sum(np.square(r) for r in radii)) ** (self.alpha / 2.0)
 
-    def position_value(self, yvars: QVars) -> np.ndarray:
-        return self.weight(yvars) * self.f_position(yvars)
+    def position_value(self, radii) -> np.ndarray:
+        return self.weight(radii) * self.f_position(radii)
 
 
 @dataclass(frozen=True)
@@ -96,11 +76,10 @@ class TruncatedHierarchy:
     """Momentum-space truncated correlator hierarchy of a model state.
 
     ``position_forms`` and the weighted orders give W_l in position space.
-    Like the factors, every position form is invariant under rotations, so
-    at n = 1 it is even in each difference variable: it reads |y_i| or
-    y_i^2, and W(..., -y_i, ...) equals W(..., y_i, ...) bit for bit.  The
+    Like the factors, every position form takes the radii |y_i|, one array
+    per difference variable, so at n = 1 it is even in each variable.  The
     position-space path (``scaling.position_space_correlator``) relies on
-    that to run on the positive half of its z rule.
+    that to run on a half-line z rule.
     """
 
     dim: int
@@ -120,23 +99,22 @@ class TruncatedHierarchy:
             )
         return self.factors.get(order, ())
 
-    def evaluate(self, order: int, qvars: QVars) -> np.ndarray:
-        """S_l at transfer momenta given as per-variable component tuples; each
-        factor reads the radius of its variable."""
+    def evaluate(self, order: int, radii) -> np.ndarray:
+        """S_l at the radii |q_i| of the transfer momenta, one broadcastable
+        array per variable."""
         fns = self.order_factors(order)
         if order == 1:
             return np.asarray(0.0 + 0.0j)
         if not fns:
-            shape = np.broadcast(*[c for comp in qvars for c in comp]).shape
-            return np.zeros(shape, dtype=complex)
-        out = fns[0](radial_norm(qvars[0]))
-        for fn, comps in zip(fns[1:], qvars[1:]):
-            out = out * fn(radial_norm(comps))
+            return np.zeros(np.broadcast(*radii).shape, dtype=complex)
+        out = fns[0](radii[0])
+        for fn, r in zip(fns[1:], radii[1:]):
+            out = out * fn(r)
         return np.asarray(out, dtype=complex)
 
     def two_point(self, kappa) -> np.ndarray:
-        """S_2 at the radii |k| = kappa."""
-        return self.evaluate(2, ((np.asarray(kappa, dtype=float),),))
+        """S_2 at the radii |kappa|."""
+        return self.evaluate(2, (np.abs(np.asarray(kappa, dtype=float)),))
 
     def tag(self, order: int) -> DecayTag:
         return self.tags.get(order, DecayTag("l1"))
@@ -219,14 +197,7 @@ def product_ansatz_state(profiles: Mapping[int, Sequence], dim: int, *,
     max_order = max_order or max(profiles, default=1)
 
     def make_pos(profs):
-        def pos(yvars):
-            out = None
-            for comp, prof in zip(yvars, profs):
-                term = prof.position(radial_norm(comp))
-                out = term if out is None else out * term
-            return out
-
-        return pos
+        return lambda radii: reduce(np.multiply, [q.position(r) for q, r in zip(profs, radii)])
 
     factors = {o: tuple(q.momentum for q in p) for o, p in profiles.items()}
     position_forms = {o: make_pos(p) for o, p in profiles.items() if all(hasattr(q, "position") for q in p)}
@@ -272,9 +243,8 @@ def powerlaw_state(beta: float, dim: int, *, max_order: int = MAX_ORDER) -> Trun
     else:
         tag = DecayTag("l2", param=beta, boundary=(beta == dim))
 
-    def position(yvars):
-        r = radial_norm(yvars[0])
-        return (1.0 + r ** 2) ** (-beta / 2.0)
+    def position(radii):
+        return (1.0 + radii[0] ** 2) ** (-beta / 2.0)
 
     return TruncatedHierarchy(
         dim=dim,
@@ -296,10 +266,9 @@ def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
     for wc in correlators:
         if wc.alpha < 0:
             raise ModelValidationError(f"weight exponent alpha_{wc.order} = {wc.alpha} must be >= 0")
-        grid = np.linspace(-40.0, 40.0, 801)
-        yvars = tuple((grid,) + (np.zeros(1),) * (dim - 1) for _ in range(wc.order - 1))
+        radii = (np.linspace(0.0, 40.0, 401),) * (wc.order - 1)
         try:
-            probe = np.asarray(wc.f_position(yvars))
+            probe = np.asarray(wc.f_position(radii))
         except Exception as exc:  # pragma: no cover - defensive
             raise ModelValidationError(f"order-{wc.order} factor not evaluable: {exc}") from exc
         if not np.all(np.isfinite(probe)):

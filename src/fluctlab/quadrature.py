@@ -53,8 +53,7 @@ def gauss_legendre_edges(edges, nodes: int):
 
 @dataclass(frozen=True)
 class Rule1D:
-    """Nodes/weights on [-p_max, p_max], symmetric about 0 with 0 a panel edge,
-    or on its half [0, p_max]."""
+    """Nodes/weights on the half-line [0, p_max], with 0 a panel edge."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -65,20 +64,19 @@ class Rule1D:
         return len(self.nodes)
 
 
-def symmetric_panel_rule(
+def half_panel_rule(
     p_max: float,
     panels: int,
     nodes_per_panel: int,
     graded_levels: int = 0,
 ) -> Rule1D:
-    """Composite GL rule on [-p_max, p_max], symmetric about 0 to the bit:
-    nodes == -nodes[::-1] and weights == weights[::-1]; both arrays are
+    """Composite GL rule on [0, p_max] with uniform panels; both arrays are
     read-only.
 
-    With graded_levels > 0 the innermost panel on each side is subdivided
-    geometrically toward 0 (edges at p_max/panels * GRADED_EDGE_RATIO**-j),
-    which keeps integrable power singularities at the origin accurate
-    without touching the outer panels.
+    With graded_levels > 0 the innermost panel is subdivided geometrically
+    toward 0 (edges at p_max/panels * GRADED_EDGE_RATIO**-j), which keeps
+    integrable power singularities at the origin accurate without touching
+    the outer panels.
     """
     if p_max <= 0 or panels < 1 or nodes_per_panel < 2:
         raise InvalidArgumentError("invalid quadrature rule parameters")
@@ -93,12 +91,9 @@ def symmetric_panel_rule(
         x, w = gauss_legendre_segment(a, b, nodes_per_panel)
         pts.append(x)
         wts.append(w)
-    pos = np.concatenate(pts)
-    wpos = np.concatenate(wts)
-    nodes = np.concatenate([-pos[::-1], pos])
-    weights = np.concatenate([wpos[::-1], wpos])
+    nodes = np.concatenate(pts)
+    weights = np.concatenate(wts)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     key = (float(p_max), panels, nodes_per_panel, graded_levels)
     return Rule1D(nodes=nodes, weights=weights, p_max=float(p_max), key=key)
-

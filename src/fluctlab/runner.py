@@ -36,14 +36,11 @@ from .partitions import (
 )
 from .report import REPORT_SCHEMA_ID, RunReport
 from .scaling import (
-    MAX_ARRAY_POINTS,
-    ORACLE_Z,
+    MAX_POSITION_ORDER,
     check_order,
-    check_weighted_order,
     exponent_sweep,
     find_critical_alpha,
     l2_alpha_window,
-    position_points,
     position_space_correlator,
     qmode_correlator,
     weighted_gamma,
@@ -105,9 +102,8 @@ def run(config: RunConfig, cache_dir=None) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def _oracle_orders(orders):
-    # the overlap's nodes**(order-1) output is what limits the oracle: order 4
-    # on the 600-node oracle rule would hold 600**3 doubles (1.7 GB)
-    return [order for order in orders if position_points(ORACLE_Z, order) <= MAX_ARRAY_POINTS]
+    # higher orders are swept without an oracle
+    return [order for order in orders if order <= MAX_POSITION_ORDER]
 
 
 def _check_scaling_sweep(params, cfg, model, model_class):
@@ -128,10 +124,11 @@ def _check_scaling_sweep(params, cfg, model, model_class):
     if weighted and model.dim != 1:
         raise ConfigError("weighted orders are computed for n = 1 only")
     for order in params["orders"]:
-        if order in weighted:
-            check_weighted_order(order)
-        else:
+        if order not in weighted:
             check_order(model, cfg, order)
+        elif order > MAX_POSITION_ORDER:
+            raise ConfigError(f"weighted order {order}: weighted orders run on the position path, "
+                              f"which runs orders 2..{MAX_POSITION_ORDER}")
     if "oracle_check_r_max" in params:
         if model.dim != 1:
             raise ConfigError("the position-space oracle is implemented for n = 1 only")

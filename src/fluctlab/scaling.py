@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .models import TruncatedHierarchy
-from .quadrature import Rule1D, gauss_legendre_panels, symmetric_panel_rule
+from .quadrature import Rule1D, gauss_legendre_panels, half_panel_rule
 from .window import (
     GRID_EXTENT,
     PLANE_WAVE_MEAN,
@@ -52,6 +52,9 @@ from .window import (
 MAX_ARRAY_POINTS = 60_000_000
 #: fewer radii than this cannot separate a power law from its transient
 MIN_RADII = 6
+#: the highest order of the position path, whose overlap separates into
+#: products of one array of window rows up to order 3 (``window_overlap_1d``)
+MAX_POSITION_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,9 @@ class QuadSpec:
 
     @cache
     def build(self) -> Rule1D:
-        """The half [0, p_max] of the symmetric rule, on which the chain runs;
-        built once per spec, its nodes and weights are read-only."""
-        full = symmetric_panel_rule(self.p_max, self.panels, self.nodes, self.graded_levels)
-        half = len(full) // 2
-        return Rule1D(full.nodes[half:], full.weights[half:], full.p_max, ("half",) + full.key)
+        """The half-line rule on which the chain runs; built once per spec,
+        its nodes and weights are read-only."""
+        return half_panel_rule(self.p_max, self.panels, self.nodes, self.graded_levels)
 
 
 #: the quadrature geometry of every dimension n unless ``numeric.quad`` names n
@@ -380,105 +381,74 @@ _OVERLAP_CACHE: dict = {}
 
 
 @cache
-def _u_rule() -> Rule1D:
-    """The overlap's rule on [-GRID_EXTENT, GRID_EXTENT], built once; read-only
-    and symmetric about 0 to the bit, like every z rule."""
-    u, wt = gauss_legendre_panels(-GRID_EXTENT, GRID_EXTENT, 32, 12)
+def _u_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The overlap's 32-panel rule on [-GRID_EXTENT, GRID_EXTENT], built once
+    as the mirror of its positive half, so node N-1-i is -node i to the bit;
+    nodes and weights are read-only."""
+    pos, wpos = gauss_legendre_panels(0.0, GRID_EXTENT, 16, 12)
+    u = np.concatenate([-pos[::-1], pos])
+    wt = np.concatenate([wpos[::-1], wpos])
     u.flags.writeable = False
     wt.flags.writeable = False
-    rule = Rule1D(u, wt, GRID_EXTENT, ("u", 32, 12))
-    _check_symmetric(rule)
-    return rule
+    return u, wt
 
 
-def _check_symmetric(rule: Rule1D) -> None:
-    """The fold pairs node i with node N-1-i, which needs an even node count,
-    nodes antisymmetric and weights symmetric to the bit."""
-    nodes, weights = rule.nodes, rule.weights
-    if len(nodes) % 2 or not (np.array_equal(nodes, -nodes[::-1])
-                              and np.array_equal(weights, weights[::-1])):
-        raise InvalidArgumentError(
-            f"the position path needs a rule symmetric about 0 to the bit; rule {rule.key} is not")
+def _check_position_order(order: int) -> None:
+    """Raise OrderRangeError for an order the position path does not run."""
+    if not 2 <= order <= MAX_POSITION_ORDER:
+        raise OrderRangeError(f"the position path runs orders 2..{MAX_POSITION_ORDER}, not {order}")
 
 
 def _folded_rows(profile: WindowProfile, z_rule: Rule1D) -> np.ndarray:
-    """S[k, i] = f(|u_i + z_k|) + f(|u_i - z_k|) at the positive nodes z_k of a
-    symmetric z rule, cached per (profile, rule) and shared by every order.
+    """S[k, i] = f(|u_i + z_k|) + f(|u_i - z_k|) at the nodes z_k of a
+    half-line z rule, cached per (profile, rule) and shared by both orders.
 
-    Only the rows of z_k > 0 are evaluated: the u rule is symmetric to the
-    bit, so the row of -z_k is row k reversed, bit for bit.
+    Only the rows of z_k are evaluated: the u rule is mirrored to the bit,
+    so the row of -z_k is row k reversed, bit for bit.
     """
     key = ("rows", profile.cache_key, z_rule.key)
     rows = _OVERLAP_CACHE.get(key)
     if rows is None:
-        _check_symmetric(z_rule)
-        u = _u_rule().nodes
-        a = profile.value(u + z_rule.nodes[len(z_rule) // 2:, None])
+        a = profile.value(_u_rule()[0] + z_rule.nodes[:, None])
         rows = a + a[:, ::-1]
         rows.flags.writeable = False
         _keep_overlap(key, rows)
     return rows
 
 
-def _fold(x: np.ndarray, axes: int) -> np.ndarray:
-    """x summed over the sign flip of each of its first ``axes`` axes, each
-    indexed by the nodes of a symmetric rule: index h + k, the k-th positive
-    node, plus its mirror h - 1 - k."""
-    for axis in range(axes):
-        h = x.shape[axis] // 2
-        x = x.take(range(h, 2 * h), axis) + x.take(range(h - 1, -1, -1), axis)
-    return x
-
-
 def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
-    """The folded window overlap on the positive half of a symmetric z rule, n = 1.
+    """The folded window overlap on a half-line z rule, n = 1, orders 2 and 3.
 
     g_l(z) = integral over w of f(|w + T_1|)...f(|w + T_{l-1}|) f(|w|) dw
     with T_i = z_i + ... + z_{l-1}; the scaled observable positions are
     x_i = R (w + T_i), so the windowed overlap of the correlator at
     difference variables y is exactly R * g_l(y / R).  Every position form
-    is even in each variable, so the position path needs g only through
+    reads the radii |y_i|, so the position path needs g only through
     G(z) = wt(z_1)...wt(z_{l-1}) times the sum of g over the 2^(l-1) sign
-    flips of z, at positive nodes: an (N/2,) * (l-1) array, cached per
-    (profile, order, rule) within MAX_ARRAY_POINTS (``_keep_overlap``).  A
-    rule that is not symmetric to the bit raises InvalidArgumentError.
+    flips of z, at the rule's nodes: an (N,) * (l-1) array, cached per
+    (profile, order, rule) within MAX_ARRAY_POINTS (``_keep_overlap``).
 
-    With u = w + T_2 the integrand is f(|u + z_1|) f(|u|) times
-    prod_{j=2..l-1} f(|u - (z_2 + ... + z_j)|), which separates z_1 from the
-    other variables: g = (A * c) @ B.T with A[z_1, u] = f(|u + z_1|),
-    c[u] = f(|u|) wt(u) and B[(z_2, ...), u] the shifted product (a row of
-    ones for l = 2).  Summed over the sign of z_1 the rows of A are the
-    folded rows S (``_folded_rows``); at l = 3 the row B[z_2] = f(|u - z_2|)
-    is the row of -z_2 in A, so summed over the sign of z_2 it is S too and
-    G = wt(z_1) wt(z_2) (S * c) @ S.T.  The factor f(|u|) confines the
-    integrand to the window's support, so one fixed u rule on
-    [-GRID_EXTENT, GRID_EXTENT] serves every z and no quadrature node
-    depends on z.  Orders l >= 4 fold B over the signs of z_2, z_3, ... one
-    z_2 slice at a time, so no intermediate exceeds the (N/2)^(l-1) result.
+    With u = w + T_2 the integrand is f(|u + z_1|) f(|u|), times
+    f(|u - z_2|) at l = 3, which separates z_1 from z_2:
+    g = (A * c) @ B.T with A[z_1, u] = f(|u + z_1|), c[u] = f(|u|) wt(u)
+    and B a row of ones (l = 2) or B[z_2, u] = f(|u - z_2|) (l = 3).  Summed
+    over the sign of z_1 the rows of A are the folded rows S
+    (``_folded_rows``); the row of z_2 in B is the row of -z_2 in A, so
+    summed over the sign of z_2 it is S too and G = wt(z_1) wt(z_2)
+    (S * c) @ S.T.  The factor f(|u|) confines the integrand to the window's
+    support, so one fixed u rule on [-GRID_EXTENT, GRID_EXTENT] serves every
+    z and no quadrature node depends on z.
     """
+    _check_position_order(order)
     key = (profile.cache_key, order, z_rule.key)
     if key in _OVERLAP_CACHE:
         return _OVERLAP_CACHE[key]
     rows = _folded_rows(profile, z_rule)
-    u_rule = _u_rule()
-    u = u_rule.nodes
-    sc = rows * (profile.value(u) * u_rule.weights)
-    h = len(z_rule) // 2
-    if order == 2:
-        g = sc.sum(axis=1)
-    elif order == 3:
-        g = sc @ rows.T
-    else:
-        z = z_rule.nodes
-        g = np.empty((h, h, h ** (order - 3)))
-        for k in range(h):
-            pair = z[[h - 1 - k, h + k]]
-            shifted = _shifted_rows(profile, u, [pair] + [z] * (order - 3))
-            folded = _fold(shifted.reshape((2,) + (2 * h,) * (order - 3) + (len(u),)), order - 2)
-            g[:, k] = sc @ folded.reshape(-1, len(u)).T
-    g = g.reshape((h,) * (order - 1))
-    for i in range(order - 1):
-        g *= z_rule.weights[h:].reshape([1] * i + [-1] + [1] * (order - 2 - i))
+    u, wt = _u_rule()
+    sc = rows * (profile.value(u) * wt)
+    # the z weights multiply one axis at a time: outer(wt, wt) * g rounds differently
+    g = sc.sum(axis=1) if order == 2 else sc @ rows.T * z_rule.weights[:, None]
+    g *= z_rule.weights
     g.flags.writeable = False
     _keep_overlap(key, g)
     return g
@@ -497,39 +467,12 @@ def _keep_overlap(key, g: np.ndarray) -> None:
         _OVERLAP_CACHE[key] = g
 
 
-def _shifted_rows(profile: WindowProfile, u: np.ndarray, levels) -> np.ndarray:
-    """Rows prod_j f(|u - (s_1 + ... + s_j)|), one per (s_1, s_2, ...) in the product of levels."""
-    rows = np.ones((1, len(u)))
-    sums = np.zeros(1)
-    for s in levels:
-        sums = np.add.outer(sums, s).ravel()
-        vals = profile.value(u - sums[:, None]).reshape(len(rows), len(s), len(u))
-        rows = (rows[:, None, :] * vals).reshape(-1, len(u))
-    return rows
-
-
-#: (panels, nodes per panel, graded levels) of the oracle's z rule; 6 graded
-#: levels resolve correlator structure at scale 1/R at the small radii the
-#: oracle comparisons use
-ORACLE_Z = (24, 10, 6)
-
-
 @cache
 def oracle_z_rule() -> Rule1D:
     """Scaled-difference-variable rule shared by all radii of one oracle run;
-    built once, read-only."""
-    return symmetric_panel_rule(2.0 * GRID_EXTENT, *ORACLE_Z)
-
-
-def position_points(z: tuple, order: int) -> int:
-    """Points N^(l-1) of the full grid of the position path on the z rule of
-    geometry z, which its point budget bounds; the folded arrays it holds
-    have (N/2)^(l-1).
-
-    z is (panels, nodes per panel, graded levels); the node count N does
-    not depend on the rule's extent, so no window is needed.
-    """
-    return len(symmetric_panel_rule(1.0, *z)) ** (order - 1)
+    built once, read-only.  Its 6 graded levels resolve correlator structure
+    at scale 1/R at the small radii the oracle comparisons use."""
+    return half_panel_rule(2.0 * GRID_EXTENT, 24, 10, 6)
 
 
 def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
@@ -539,23 +482,21 @@ def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
 
     Independent of the spectral route: works from the position-space
     correlator form and the window's position profile only.  The value is
-    R^(l(n-alpha)) * integral( W_l(R z) g_l(z) dz ) with n = 1.  W_l is even
-    in each variable (``TruncatedHierarchy``), so the sum runs over the
-    positive half of the symmetric z rule against the folded overlap of
+    R^(l(n-alpha)) * integral( W_l(R z) g_l(z) dz ) with n = 1 and l = 2
+    or 3.  W_l reads the radii |y_i| (``TruncatedHierarchy``), so the sum
+    runs over the half-line z rule against the folded overlap of
     ``window_overlap_1d``.
     """
     if state.dim != 1:
         raise UnsupportedModeError("position-space path implemented for n = 1 only")
-    if order < 2:
-        raise OrderRangeError("order must be >= 2")
+    _check_position_order(order)
     if z_rule is None:
         z_rule = oracle_z_rule()
     _check_points(len(z_rule) ** (order - 1), "position-space array")
     g = window_overlap_1d(profile, order, z_rule)
-    dim = order - 1
-    y = radius * z_rule.nodes[len(z_rule) // 2:]
-    yvars = tuple((y.reshape([1] * i + [-1] + [1] * (dim - 1 - i)),) for i in range(dim))
-    integral = complex(np.sum(g * state.position_form(order)(yvars)))
+    y = radius * z_rule.nodes
+    radii = (y,) if order == 2 else (y[:, None], y)
+    integral = complex(np.sum(g * state.position_form(order)(radii)))
     return radius ** (order * (1.0 - alpha)) * integral
 
 
@@ -862,22 +803,12 @@ def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
                                      z_rule=weighted_z_rule(order))
 
 
-def _weighted_z(order: int) -> tuple:
-    """(panels, nodes per panel, graded levels) of the weighted path's z rule."""
-    return (24, 10, 14) if order == 2 else (14, 8, 14)
-
-
 @cache
 def weighted_z_rule(order: int) -> Rule1D:
     """Difference-variable rule of the weighted position path, built once per
     order; read-only.
 
     Grading down to ~1e-4 of the box resolves correlator structure at scale
-    1/R through R ~ 2000; orders >= 3 use a leaner per-axis rule.
+    1/R through R ~ 2000; order 3 uses a leaner per-axis rule.
     """
-    return symmetric_panel_rule(2.0 * GRID_EXTENT, *_weighted_z(order))
-
-
-def check_weighted_order(order: int) -> None:
-    """The point budget of the weighted path at an order, checked without a window."""
-    _check_points(position_points(_weighted_z(order), order), "position-space array")
+    return half_panel_rule(2.0 * GRID_EXTENT, *((24, 10, 14) if order == 2 else (14, 8, 14)))

@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import FluctlabError, InvalidArgumentError
 from .quadrature import GRADED_EDGE_RATIO, gauss_legendre_edges, gauss_legendre_panels
 
 CACHE_FORMAT_VERSION = 9
@@ -651,20 +651,27 @@ def load_or_build(kind: str, dim: int, cache_dir: str | Path | None = None,
 
     The file name carries every argument that changes the profile, so
     profiles built with different arguments never share a file; a file
-    that cannot be read back whole is rebuilt.
+    that cannot be read back whole is rebuilt.  A cache directory that
+    cannot be made, or a file that cannot be written, raises FluctlabError.
     """
     kwargs = dict(smoothstep_order=smoothstep_order, k_max=k_max, k_resolution=k_resolution)
     if cache_dir is None:
         return make_profile(kind, dim, **kwargs)
     cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FluctlabError(f"cannot create window cache directory {cache_dir}: {exc}") from exc
     path = cache_dir / _cache_file_name(kind, dim, _smoothness(kind, smoothstep_order),
                                        k_max, k_resolution)
     if path.exists():
         try:
             return WindowProfile.from_cache_file(path)
-        except (ValueError, InvalidArgumentError):
+        except (OSError, ValueError):  # a miss, InvalidArgumentError included
             pass
     prof = make_profile(kind, dim, **kwargs)
-    prof.to_cache_file(cache_dir)
+    try:
+        prof.to_cache_file(cache_dir)
+    except OSError as exc:
+        raise FluctlabError(f"cannot write window cache file {path}: {exc}") from exc
     return prof

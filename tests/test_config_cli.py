@@ -316,7 +316,7 @@ CONTRACT_CASES = {
                                       "analyses": [{"kind": "ssb-bound"}]}, 4),
     "cross density exponent -1e300": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 0.25, "exponent": -1e300}),
                                        "analyses": [{"kind": "ssb-bound"}]}, 4),
-    # 448**3 points per position-space array at order 4, over the 60M budget
+    # weighted orders run on the position path, which runs orders 2 and 3
     "weighted order 4": ({"model": {"class": "weighted", "dim": 1, "orders": [
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
         {"order": 4, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
@@ -349,6 +349,8 @@ CONTRACT_CASES = {
     "analysis r_grid override": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
 }
+# name: what the error message of a case must say
+CONTRACT_MESSAGES = {"weighted order 4": "orders 2..3"}
 
 
 class TestValidateRunContract:
@@ -363,7 +365,9 @@ class TestValidateRunContract:
         assert cli.main(["validate", str(path)]) == expected
         assert cli.main(["run", str(path)]) == expected
         if expected:
-            assert "error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "error" in err
+            assert err.count(CONTRACT_MESSAGES.get(name, "error")) >= 2
 
     def test_n3_qmode_order2_validates_on_the_default_rule(self, tmp_path, cache_dir, monkeypatch):
         # the offsets' first vector is a 480-radius x 1,920-angle array on the default rule
@@ -407,6 +411,45 @@ class TestValidateRunContract:
         assert cli.main(["validate", str(path)]) == 0
         assert cli.main(["run", str(path)]) == 3
         assert "numerical-accuracy error" in capsys.readouterr().err
+
+    def test_oracle_skips_orders_beyond_the_position_path(self, tmp_path, cache_dir, monkeypatch):
+        # orders 2..4 are swept; the oracle checks orders 2 and 3, the ones the position path runs
+        g = {"amplitude": 1.0, "width": 1.0}
+        path = tmp_path / "oracle.json"
+        path.write_text(cfg_text({
+            "model": {"class": "product-ansatz", "dim": 1, "orders": {"2": [g], "3": [g, g], "4": [g, g, g]}},
+            "analyses": [{"kind": "scaling-sweep", "orders": [2, 3, 4], "oracle_check_r_max": 8}],
+            "output": {"directory": str(tmp_path / "out")}}))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path)]) == 0
+        result = json.loads((tmp_path / "out" / "report.json").read_text())["results"][0]
+        assert [s["order"] for s in result["sweeps"]] == [2, 3, 4]
+        assert [row["order"] for row in result["oracle_check"]["rows"]] == [2, 3]
+        assert result["oracle_check"]["max_rel_deviation"] <= 1e-6
+
+    def test_cache_beneath_a_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the cache directory cannot be made: an error naming it, not a traceback
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "case.json"
+        path.write_text(cfg_text({"model": GAUSS, "output": {"directory": str(tmp_path / "out")}}))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(tmp_path / "file" / "cache"))
+        assert cli.main(["run", str(path)]) == 2
+        assert f"cannot create window cache directory {tmp_path / 'file' / 'cache'}" in capsys.readouterr().err
+
+    def test_directory_at_the_cache_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the read of a directory is a miss; the write that follows cannot replace it
+        path = tmp_path / "case.json"
+        path.write_text(cfg_text({"model": GAUSS, "output": {"directory": str(tmp_path / "out")}}))
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache))
+        assert cli.main(["run", str(path)]) == 0
+        [table] = cache.glob("*.npy")
+        table.unlink()
+        table.mkdir()
+        assert cli.main(["run", str(path)]) == 2
+        assert f"cannot write window cache file {table}" in capsys.readouterr().err
+        assert [p.name for p in cache.iterdir()] == [table.name]
 
     def test_goldstone_spectrum_at_zero_momentum(self, tmp_path, cache_dir, monkeypatch):
         # c |k|^(-s) at q = 0 is c for s = 0, not inf

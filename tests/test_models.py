@@ -27,9 +27,9 @@ def inverse_transform_oracle(two_point, y, k_max=60.0, n_k=200001):
 
 class TestGaussianState:
     def test_hierarchy_truncates_at_two(self, gaussian_state1):
-        qv = ((np.array([0.3]),), (np.array([0.1]),))
-        assert np.all(gaussian_state1.evaluate(3, qv) == 0)
-        assert np.all(gaussian_state1.evaluate(4, qv + ((np.array([0.2]),),)) == 0)
+        radii = (np.array([0.3]), np.array([0.1]))
+        assert np.all(gaussian_state1.evaluate(3, radii) == 0)
+        assert np.all(gaussian_state1.evaluate(4, radii + (np.array([0.2]),)) == 0)
 
     def test_gaussian_position_decay(self, gaussian_state1):
         # S(k) = exp(-k^2/2) has position form exp(-y^2/2)/sqrt(2 pi)
@@ -71,15 +71,14 @@ class TestProductAnsatz:
         g2 = GaussianProfile(0.7, 1.4, 1)
         state = product_ansatz_state({2: [g1], 3: [g1, g2]}, 1)
         q1, q2 = 0.37, -0.82
-        got = state.evaluate(3, ((np.array([q1]),), (np.array([q2]),)))[0]
+        got = state.evaluate(3, (np.array([abs(q1)]), np.array([abs(q2)])))[0]
         expected = g1.momentum(abs(q1)) * g2.momentum(abs(q2))
         assert abs(got - expected) <= 1e-10 * abs(expected)
 
     def test_missing_orders_are_zero(self):
         g = GaussianProfile(1.0, 1.0, 1)
         state = product_ansatz_state({2: [g]}, 1, max_order=5)
-        qv = tuple((np.array([0.1]),) for _ in range(3))
-        assert np.all(state.evaluate(4, qv) == 0)
+        assert np.all(state.evaluate(4, (np.array([0.1]),) * 3) == 0)
 
     def test_profile_count_validated(self):
         g = GaussianProfile(1.0, 1.0, 1)
@@ -93,7 +92,7 @@ class TestProductAnsatz:
         y = np.linspace(-12, 12, 2001)
         pos = np.exp(-y ** 2 / 2.0)
         expected = np.trapezoid(pos, y) ** 2  # separable double integral
-        got = state.evaluate(3, ((np.array([0.0]),), (np.array([0.0]),)))[0]
+        got = state.evaluate(3, (np.array([0.0]), np.array([0.0])))[0]
         assert got.real == pytest.approx(expected, rel=1e-8)
 
 
@@ -132,11 +131,10 @@ class TestPowerlaw:
 class TestWeighted:
     @staticmethod
     def _factor(power):
-        def f_pos(yvars):
+        def f_pos(radii):
             acc = 0.0
-            for comp in yvars:
-                for c in comp:
-                    acc = acc + np.asarray(c) ** 2
+            for r in radii:
+                acc = acc + np.asarray(r) ** 2
             return (1.0 + acc) ** (-power / 2.0)
 
         return f_pos
@@ -144,17 +142,17 @@ class TestWeighted:
     def test_zero_weight_reduces_to_plain_factor(self):
         f_pos = self._factor(2.0)
         wc = WeightedCorrelator(2, 0.0, f_pos)
-        yv = ((np.array([0.0, 1.0, 2.0]),),)
+        yv = (np.array([0.0, 1.0, 2.0]),)
         assert np.allclose(wc.position_value(yv), f_pos(yv))
 
     def test_assembled_position_form(self):
         # W(y) = (1 + y^2)^(1/2) exp(-y^2) by definition
-        def f_pos(yvars):
-            return np.exp(-np.asarray(yvars[0][0]) ** 2)
+        def f_pos(radii):
+            return np.exp(-np.asarray(radii[0]) ** 2)
 
         wc = WeightedCorrelator(2, 1.0, f_pos)
         y = np.array([0.0, 0.7, 1.3])
-        got = wc.position_value(((y,),))
+        got = wc.position_value((y,))
         assert np.allclose(got, (1 + y ** 2) ** 0.5 * np.exp(-y ** 2))
 
     def test_negative_alpha_rejected(self):
@@ -164,7 +162,7 @@ class TestWeighted:
     def test_momentum_evaluator_absent_for_weighted_orders(self):
         state = weighted_state([WeightedCorrelator(2, 0.5, self._factor(1.0))], 1)
         with pytest.raises(UnsupportedModeError):
-            state.evaluate(2, ((np.array([0.1]),),))
+            state.evaluate(2, (np.array([0.1]),))
 
     def test_growth_exponent_matches_weight(self, profile1):
         # saturating construction: alpha_2 = n - beta, so the unnormalized

@@ -25,11 +25,11 @@ from fluctlab.models import (
     gaussian_state,
     powerlaw_state,
     product_ansatz_state,
-    radial_norm,
     weighted_state,
 )
 from fluctlab.scaling import (
     QuadSpec,
+    Rule1D,
     ScalingConfig,
     check_order,
     correlator_with_error,
@@ -49,19 +49,30 @@ from fluctlab.scaling import (
     window_overlap_1d,
     window_product,
 )
-from fluctlab.quadrature import gauss_legendre_panels, legendre_rule, symmetric_panel_rule
+from fluctlab.quadrature import gauss_legendre_panels, half_panel_rule, legendre_rule
 from fluctlab.window import make_profile, unit_sphere_area
 
 
 def bessel_factor(power):
-    def f_pos(yvars):
+    def f_pos(radii):
         acc = 0.0
-        for comp in yvars:
-            for c in comp:
-                acc = acc + np.asarray(c) ** 2
+        for r in radii:
+            acc = acc + np.asarray(r) ** 2
         return (1.0 + acc) ** (-power / 2.0)
 
     return f_pos
+
+
+def _mirrored(rule):
+    """Nodes and weights of the rule on [-p_max, p_max] whose positive half is the half-line rule."""
+    return (np.concatenate([-rule.nodes[::-1], rule.nodes]),
+            np.concatenate([rule.weights[::-1], rule.weights]))
+
+
+def _symmetric_rule(p_max, panels, nodes, graded_levels=0):
+    """The mirrored half-line rule as a Rule1D on [-p_max, p_max]."""
+    half = half_panel_rule(p_max, panels, nodes, graded_levels)
+    return Rule1D(*_mirrored(half), half.p_max, ("mirrored",) + half.key)
 
 
 class TestSpectralPath:
@@ -179,40 +190,34 @@ def _direct_overlap(profile, z_tuples, panels):
 
 
 def _folded_direct(profile, z_rule, idx, panels):
-    """The folded overlap at half-rule indices idx, divided by its z weights:
+    """The folded overlap at rule indices idx, divided by its z weights:
     the direct overlap summed over the sign flips of every variable."""
-    z = z_rule.nodes[len(z_rule) // 2:][idx]
+    z = z_rule.nodes[idx]
     signs = product((1.0, -1.0), repeat=idx.shape[1])
     return sum(_direct_overlap(profile, z * np.array(s), panels) for s in signs)
 
 
-def _half_weights(z_rule, idx):
-    return np.prod(z_rule.weights[len(z_rule) // 2:][idx], axis=1)
+def _rule_weights(z_rule, idx):
+    return np.prod(z_rule.weights[idx], axis=1)
 
 
 def _full_overlap(profile, order, z_rule):
-    """The unfolded overlap g_l on the whole z rule, each row evaluated."""
+    """The unfolded overlap g_l on the mirrored z rule, each row evaluated:
+    the integral over u of f(|u + z_1|) f(|u|), times f(|u - z_2|) at l = 3."""
     u, wt = gauss_legendre_panels(-window.GRID_EXTENT, window.GRID_EXTENT, 32, 12)
-    z = z_rule.nodes
-    n = len(z)
+    z, _ = _mirrored(z_rule)
     ac = profile.value(u + z[:, None]) * (profile.value(u) * wt)
-    if order <= 3:
-        g = ac @ scaling._shifted_rows(profile, u, [z] * (order - 2)).T
-    else:
-        g = np.empty((n, n, n ** (order - 3)))
-        for k in range(n):
-            g[:, k] = ac @ scaling._shifted_rows(profile, u, [z[k:k + 1]] + [z] * (order - 3)).T
-    return g.reshape((n,) * (order - 1))
+    return ac.sum(axis=1) if order == 2 else ac @ profile.value(u - z[:, None]).T
 
 
 def _full_grid_correlator(state, profile, order, radius, alpha, z_rule):
-    """The position-space value as a sum over the whole z grid, W complex."""
+    """The position-space value as a sum over the whole mirrored z grid, W complex."""
     g = _full_overlap(profile, order, z_rule)
-    dim = order - 1
-    z = z_rule.nodes
-    wt = reduce(np.multiply.outer, [z_rule.weights] * dim)
-    yvars = tuple((radius * z.reshape([1] * i + [-1] + [1] * (dim - 1 - i)),) for i in range(dim))
-    wvals = np.asarray(state.position_form(order)(yvars), dtype=complex)
+    z, w = _mirrored(z_rule)
+    wt = reduce(np.multiply.outer, [w] * (order - 1))
+    y = radius * np.abs(z)
+    radii = (y,) if order == 2 else (y[:, None], y)
+    wvals = np.asarray(state.position_form(order)(radii), dtype=complex)
     return radius ** (order * (1.0 - alpha)) * complex(np.sum(wt * g * wvals))
 
 
@@ -241,12 +246,12 @@ class TestPositionOverlap:
     def test_matches_direct_quadrature(self, profile1, rule_name, order):
         z_rule = _Z_RULES[rule_name]()
         g = window_overlap_1d(profile1, order, z_rule)
-        half = len(z_rule) // 2
-        assert g.shape == (half,) * (order - 1)
+        size = len(z_rule)
+        assert g.shape == (size,) * (order - 1)
         rng = np.random.default_rng(order)
         # 400 direct overlaps: each sample sums 2**(order - 1) of them
-        idx = rng.integers(0, half, size=(400 // 2 ** (order - 1), order - 1))
-        got = g[tuple(idx.T)] / _half_weights(z_rule, idx)
+        idx = rng.integers(0, size, size=(400 // 2 ** (order - 1), order - 1))
+        got = g[tuple(idx.T)] / _rule_weights(z_rule, idx)
         dense = _folded_direct(profile1, z_rule, idx, panels=1024)
         assert np.max(np.abs(got - dense)) <= 2 ** (order - 1) * 5e-7
         if order == 2:
@@ -258,9 +263,9 @@ class TestPositionOverlap:
         # three order-3 overlaps of 12**2 points, each with its 12 x 384
         # folded rows, under a budget of two: the oldest entries are evicted
         # and recompute to the same arrays
-        rules = [symmetric_panel_rule(5.0 + i, 4, 3) for i in range(3)]
-        half = len(rules[0]) // 2
-        size = half ** 2 + half * len(scaling._u_rule())
+        rules = [half_panel_rule(5.0 + i, 4, 3) for i in range(3)]
+        half = len(rules[0])
+        size = half ** 2 + half * len(scaling._u_rule()[0])
         monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", 2 * size)
         scaling.clear_caches()
         first = window_overlap_1d(profile1, 3, rules[0])
@@ -279,15 +284,17 @@ class TestPositionOverlap:
         assert not scaling._OVERLAP_CACHE
         scaling.clear_caches()
 
-    def test_order4_slices_match_direct_quadrature(self, profile1):
-        z_rule = symmetric_panel_rule(5.0, 4, 4)
-        g = window_overlap_1d(profile1, 4, z_rule)
-        half = len(z_rule) // 2
-        assert g.shape == (half,) * 3
-        rng = np.random.default_rng(4)
-        idx = rng.integers(0, half, size=(16, 3))
-        dense = _folded_direct(profile1, z_rule, idx, panels=1024)
-        assert np.max(np.abs(g[tuple(idx.T)] / _half_weights(z_rule, idx) - dense)) <= 8 * 5e-7
+    def test_orders_beyond_three_raise(self, profile1, product_state1):
+        # the position path runs orders 2 and 3; the oracle and the weighted
+        # orders never reach order 4
+        cfg = ScalingConfig()
+        scaling.clear_caches()
+        for order in (1, 4, 5):
+            with pytest.raises(OrderRangeError, match="2..3"):
+                window_overlap_1d(profile1, order, oracle_z_rule())
+            with pytest.raises(OrderRangeError, match="2..3"):
+                position_space_correlator(product_state1, profile1, cfg, order, 8.0, 0.5)
+        assert not scaling._OVERLAP_CACHE
 
 
 class TestPositionFold:
@@ -305,52 +312,41 @@ class TestPositionFold:
             full = _full_grid_correlator(state, profile1, order, radius, 0.5, z_rule)
             assert abs(folded - full) <= 1e-14 * abs(full), radius
 
-    def test_order4_folded_equals_full_grid_sum(self, profile1, product_state1):
-        z_rule = symmetric_panel_rule(5.0, 4, 4, 2)
-        cfg = ScalingConfig()
-        for radius in (2.0, 8.0, 32.0):
-            folded = position_space_correlator(product_state1, profile1, cfg, 4, radius, 0.5, z_rule=z_rule)
-            full = _full_grid_correlator(product_state1, profile1, 4, radius, 0.5, z_rule)
-            assert abs(folded - full) <= 1e-14 * abs(full), radius
-
     @pytest.mark.parametrize("rule_name", sorted(_Z_RULES))
     def test_row_identities_are_bitwise(self, profile1, rule_name):
-        # the u rule and every z rule are symmetric to the bit, so the row of
-        # -z is the row of z reversed, and so are the order-3 shifted rows
+        # the u rule is mirrored to the bit, so on the mirrored z rule the row
+        # of -z is the row of z reversed, and so are the order-3 rows f(|u - z|)
         z_rule = _Z_RULES[rule_name]()
-        u = scaling._u_rule().nodes
-        a = profile1.value(u + z_rule.nodes[:, None])
+        u, _ = scaling._u_rule()
+        z, _ = _mirrored(z_rule)
+        a = profile1.value(u + z[:, None])
         assert np.array_equal(a[::-1], a[:, ::-1])
-        assert np.array_equal(scaling._shifted_rows(profile1, u, [z_rule.nodes]), a[:, ::-1])
-        half = len(z_rule) // 2
-        assert np.array_equal(scaling._folded_rows(profile1, z_rule), a[half:] + a[half - 1::-1])
+        assert np.array_equal(profile1.value(u - z[:, None]), a[:, ::-1])
+        size = len(z_rule)
+        assert np.array_equal(scaling._folded_rows(profile1, z_rule), a[size:] + a[size - 1::-1])
+
+    def test_u_rule_is_the_box_rule(self):
+        # built as the mirror of its positive half, it equals the 32-panel rule bit for bit
+        u, wt = scaling._u_rule()
+        box, box_wt = gauss_legendre_panels(-window.GRID_EXTENT, window.GRID_EXTENT, 32, 12)
+        assert np.array_equal(u, box) and np.array_equal(wt, box_wt)
 
     def test_rules_are_built_once_and_read_only(self):
         for make in _Z_RULES.values():
             rule = make()
             assert make() is rule
             assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
-        u_rule = scaling._u_rule()
-        assert not u_rule.nodes.flags.writeable and not u_rule.weights.flags.writeable
+        u, wt = scaling._u_rule()
+        assert scaling._u_rule()[0] is u
+        assert not u.flags.writeable and not wt.flags.writeable
 
-    def test_unsymmetric_rule_raises(self, profile1, product_state1):
-        cfg = ScalingConfig()
-        full = symmetric_panel_rule(5.0, 4, 4)
-        nodes, weights = full.nodes.copy(), full.weights.copy()
-        nodes[0] = np.nextafter(nodes[0], 0.0)
-        weights[-1] *= 1.0 + 2.0 ** -52
-        rules = [QuadSpec(5.0, 4, 4).build(),
-                 scaling.Rule1D(nodes, full.weights, 5.0, ("shifted",)),
-                 scaling.Rule1D(full.nodes, weights, 5.0, ("reweighted",)),
-                 scaling.Rule1D(np.array([-1.0, 0.0, 1.0]), np.ones(3), 1.0, ("odd",))]
-        scaling.clear_caches()
-        for rule in rules:
-            for order in (2, 3):
-                with pytest.raises(InvalidArgumentError, match="symmetric"):
-                    position_space_correlator(product_state1, profile1, cfg, order, 8.0, 0.5, z_rule=rule)
-                with pytest.raises(InvalidArgumentError, match="symmetric"):
-                    window_overlap_1d(profile1, order, rule)
-        assert not scaling._OVERLAP_CACHE
+    @pytest.mark.parametrize("make", [*_Z_RULES.values(), scaling.DEFAULT_SPEC.build,
+                                      QuadSpec(120.0, 48, 10, 16).build],
+                             ids=[*_Z_RULES, "default", "graded"])
+    def test_rules_lie_on_the_half_line(self, make):
+        rule = make()
+        assert np.all((rule.nodes > 0) & (rule.nodes < rule.p_max)) and np.all(np.diff(rule.nodes) > 0)
+        assert np.sum(rule.weights) == pytest.approx(rule.p_max, rel=1e-14)
 
     @pytest.mark.parametrize("model", [
         {"class": "product-ansatz", "orders": {"2": [{"amplitude": 1.0, "width": 1.0}],
@@ -365,19 +361,41 @@ class TestPositionFold:
             {"order": 3, "alpha": 1.25, "factor": {"form": "bessel-power", "power": 2.0}}]},
     ], ids=["product-ansatz", "powerlaw", "weighted-gaussian", "weighted-bessel-power"])
     def test_position_forms_are_even_in_each_variable(self, model):
-        # the fold rests on W(..., -y_i, ...) == W(..., y_i, ...) bit for bit
+        # the fold rests on W(..., -y_i, ...) == W(..., y_i, ...): every form
+        # reads the radii |y_i|, and there it equals W written in the signed
+        # variables, at y and with any one sign flipped, bit for bit
         state = parse_config(json.dumps({"model": {**model, "dim": 1}})).model
         orders = sorted(set(state.position_forms) | set(state.weighted_orders))
         assert orders
         rng = np.random.default_rng(7)
         for order in orders:
             y = rng.standard_normal((256, order - 1)) * np.geomspace(1e-3, 1e3, 256)[:, None]
-            form = state.position_form(order)
-            base = form(tuple((y[:, i],) for i in range(order - 1)))
-            for i in range(order - 1):
+            form = state.position_form(order)(tuple(np.abs(y).T))
+            for i in range(-1, order - 1):
                 flipped = y.copy()
-                flipped[:, i] = -flipped[:, i]
-                assert np.array_equal(form(tuple((flipped[:, j],) for j in range(order - 1))), base)
+                if i >= 0:
+                    flipped[:, i] = -flipped[:, i]
+                assert np.array_equal(form, _signed_form(model, order, flipped.T)), (order, i)
+
+
+def _signed_form(model, order, ys):
+    """W_l of a configured model at signed difference variables ys, one array per variable."""
+    if model["class"] == "product-ansatz":
+        profs = [{"amplitude": 1.0, "width": 1.0, **p} for p in model["orders"][str(order)]]
+        return reduce(np.multiply, [p["amplitude"] * np.exp(-y ** 2 / (2.0 * p["width"] ** 2))
+                                    for p, y in zip(profs, ys)])
+    if model["class"] == "powerlaw":
+        return (1.0 + ys[0] ** 2) ** (-model["beta"] / 2.0)
+    spec = next(o for o in model["orders"] if o["order"] == order)
+    squares = 0.0
+    for y in ys:
+        squares = squares + y ** 2
+    factor = {"amplitude": 1.0, "width": 1.0, **spec["factor"]}
+    if factor["form"] == "bessel-power":
+        f = (1.0 + squares) ** (-factor["power"] / 2.0)
+    else:
+        f = factor["amplitude"] * np.exp(-squares / (2.0 * factor["width"] ** 2))
+    return (1.0 + squares) ** (spec["alpha"] / 2.0) * f
 
 
 class TestLegendreRuleCache:
@@ -644,7 +662,7 @@ class TestWeightedRegime:
             "numeric": {"alpha_mode": "gamma"}})).model
         gamma, _ = weighted_gamma(1, 2.0)
         cfg = ScalingConfig()
-        refined = symmetric_panel_rule(2.0 * window.GRID_EXTENT, panels, 12, 20)
+        refined = half_panel_rule(2.0 * window.GRID_EXTENT, panels, 12, 20)
         radius = 2048.0
         value = weighted_correlator(state, profile1, cfg, order, gamma, radius)
         reference = position_space_correlator(state, profile1, cfg, order, radius, gamma,
@@ -696,6 +714,16 @@ def _relative_pair_tail(profile, dim, p_max):
 _CARTESIAN_KERNELS: dict = {}
 
 
+def _norm(components):
+    """|q| from broadcastable component arrays without stacking."""
+    if len(components) == 1:
+        return np.abs(components[0])
+    acc = components[0] ** 2
+    for c in components[1:]:
+        acc = acc + c ** 2
+    return np.sqrt(acc)
+
+
 def _cartesian_chain(state, profile, order, offsets, radius, alpha, rule):
     """The chain on the n-fold product of a symmetric rule, each offset read in its own slot.
 
@@ -710,17 +738,17 @@ def _cartesian_chain(state, profile, order, offsets, radius, alpha, rule):
     key = (profile.cache_key, n, rule.key)
     if order > 2 and key not in _CARTESIAN_KERNELS:
         _CARTESIAN_KERNELS[key] = profile.fourier_radial(
-            radial_norm(tuple(c[:, None] - c[None, :] for c in comps)))
+            _norm(tuple(c[:, None] - c[None, :] for c in comps)))
     csum = np.cumsum(np.reshape(offsets, (order, n)), axis=0)
     fns = state.order_factors(order)
 
     def factor(i):
-        return wt * fns[i](radial_norm(tuple(c / radius + t for c, t in zip(comps, csum[i]))))
+        return wt * fns[i](_norm(tuple(c / radius + t for c, t in zip(comps, csum[i]))))
 
-    v = profile.fourier_radial(radial_norm(comps)) * factor(0)
+    v = profile.fourier_radial(_norm(comps)) * factor(0)
     for i in range(1, order - 1):
         v = (v @ _CARTESIAN_KERNELS[key]) * factor(i)
-    last = profile.fourier_radial(radial_norm(tuple(c + radius * t for c, t in zip(comps, csum[-1]))))
+    last = profile.fourier_radial(_norm(tuple(c + radius * t for c, t in zip(comps, csum[-1]))))
     pref = (2.0 * np.pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
     return pref * complex(v @ last)
 
@@ -740,7 +768,7 @@ class TestRadialChain:
         # kernel read off the support rule instead of fhat agrees to 1e-10
         state = _product_state(1, range(2, 9))
         cfg = ScalingConfig()
-        rule = symmetric_panel_rule(*astuple(scaling.DEFAULT_SPEC))
+        rule = _symmetric_rule(*astuple(scaling.DEFAULT_SPEC))
         for order in range(2, 9):
             for radius in (2.0, 8.0, 64.0, 512.0):
                 cartesian = _cartesian_chain(state, profile1, order, np.zeros((order, 1)), radius, 0.5, rule)
@@ -759,7 +787,7 @@ class TestRadialChain:
         # and phi_1 small beyond it (a larger b at R = 64 reads 1e-9 off)
         state = _product_state(1, range(2, 9))
         cfg = ScalingConfig()
-        rule = symmetric_panel_rule(*astuple(scaling.DEFAULT_SPEC))
+        rule = _symmetric_rule(*astuple(scaling.DEFAULT_SPEC))
         for a, b in ((0.7, 0.4), (-0.2, -0.3)):
             for order in range(2, 9):
                 for radius in (2.0, 8.0, 16.0):
@@ -776,7 +804,7 @@ class TestRadialChain:
         # beyond p_max - c in each of the l - 1 truncated variables
         profile = profile2 if dim == 2 else profile3
         state = _product_state(dim, [2, 3])
-        rule = symmetric_panel_rule(10.0, 4, 6)
+        rule = _symmetric_rule(10.0, 4, 6)
         fine = ScalingConfig(eps_vanish=1.0, quad_overrides={dim: (10.0, 16, 12, 0)})
         for a, b, radii in ((0.0, 0.0, (2.0, 8.0, 64.0, 512.0)), (0.5, -0.5, (2.0, 8.0, 64.0, 512.0)),
                             (0.7, 0.4, (2.0,)), (-0.2, -0.3, (2.0,))):
@@ -842,7 +870,7 @@ class TestRadialChain:
             assert np.max(np.abs(kernel - direct)) <= 1e-10 * np.max(np.abs(kernel))
             state = _product_state(1, [3, 4])
             cfg = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (16.0, 8, 10, 0)})
-            symmetric = symmetric_panel_rule(16.0, 8, 10)
+            symmetric = _symmetric_rule(16.0, 8, 10)
             for order in (3, 4):
                 for radius in (2.0, 64.0):
                     radial = qmode_correlator(state, profile, cfg, order, None, radius)
