@@ -48,7 +48,7 @@ from .report import FORMATS
 from .runner import ANALYSES
 from .scaling import ALPHA_MODES, ScalingConfig
 from .ssb import Dispersion, GoldstoneModel, SpectralVectorModel
-from .window import check_profile_args, load_or_build
+from .window import load_or_build
 
 SCHEMA_ID = "fluctlab-config/1"
 
@@ -82,9 +82,7 @@ class RunConfig:
         return _scaling_config(self.numeric_block)
 
     def build_window(self, cache_dir=None):
-        wb = self.window_block
-        return load_or_build(wb["kind"], wb["dim"], cache_dir=cache_dir,
-                             smoothstep_order=wb["smoothstep_order"])
+        return load_or_build(self.window_block["dim"], cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +181,9 @@ _MODEL_COMMON = {"class": (Str(tuple(MODELS)), REQUIRED), "dim": (Int(1, 3), 1)}
 # window, numeric and output blocks
 # ---------------------------------------------------------------------------
 
-WINDOW = Obj({"kind": (Str(), "mollified-step"), "dim": (Int(1, 3), OPTIONAL),  # default: the model's
-              "smoothstep_order": (Int(0, 16), 3)})
+# the mollified step is the one window kind
+WINDOW = Obj({"kind": (Str(("mollified-step",)), "mollified-step"),
+              "dim": (Int(1, 3), OPTIONAL)})  # default: the model's
 NUMERIC = Obj({
     "r_grid": (Obj({"start": (Num(positive=True), 8.0), "stop": (Num(positive=True), 512.0),
                     "count": (Int(0, 4096), 8)}), {}),
@@ -275,7 +274,6 @@ def _parse(text: str) -> RunConfig:
     window_block.setdefault("dim", dim)
     if window_block["dim"] != dim:
         raise ConfigError("window dimension must match the model dimension")
-    check_profile_args(window_block["kind"], window_block["dim"])
 
     numeric_raw = _object(raw.get("numeric", {}), "numeric")
     numeric_block = NUMERIC(numeric_raw, "numeric")

@@ -148,14 +148,16 @@ class ScalingConfig:
 
 
 def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
-    """integral of fhat(k)^2 over |k| > p_max along one axis (cache + envelope)."""
+    """integral of fhat(k)^2 over |k| > p_max along one axis: the trapezoid
+    sum of the cached table over p_max < |k| <= k_max, plus fhat(k_max)^2 per
+    side for the momenta beyond the table (one squared sample, not a bound
+    on that tail)."""
     ks = profile.k_grid
     f2 = profile.fhat_samples ** 2
     mask = ks > p_max
     if not np.any(mask):
-        return profile.tail_bound(profile.k_max) ** 2
-    inner = 2.0 * np.trapezoid(f2[mask], ks[mask])
-    return inner + 2.0 * profile.tail_bound(profile.k_max) ** 2
+        return f2[-1]
+    return 2.0 * np.trapezoid(f2[mask], ks[mask]) + 2.0 * f2[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     """
     key = ("kernel", profile.cache_key, n, rule.key)
     if key not in _CHAIN_CACHE:
-        s, w, f = support_rule(profile.kind, profile.smoothness, 2.0 * rule.p_max)
+        s, w, f = support_rule(2.0 * rule.p_max)
         b = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s))
         b *= np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
         _CHAIN_CACHE[key] = b @ b.T
@@ -322,22 +324,6 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     spec = check_order(state, cfg, order, qmode=offsets is not None)
     cfg.validate_tail(profile, spec)
     return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build())
-
-
-def correlator_with_error(state: TruncatedHierarchy, profile: WindowProfile,
-                          cfg: ScalingConfig, order: int, radius: float,
-                          alpha: float | None = None, offsets=None) -> tuple[complex, float]:
-    """Correlator plus an a-posteriori accuracy estimate.
-
-    The estimate is the change under halving the panel count; doubling the
-    resolution must move the value by less than it (quadrature convergence
-    invariant).
-    """
-    value = qmode_correlator(state, profile, cfg, order, offsets, radius, alpha)
-    spec = check_order(state, cfg, order, qmode=offsets is not None)
-    coarse = replace(spec, panels=max(2, spec.panels // 2)).build()
-    alpha = cfg.resolved_alpha(state.dim) if alpha is None else float(alpha)
-    return value, abs(value - _spectral_value(state, profile, cfg, order, offsets, radius, alpha, coarse))
 
 
 def _times_real(v: np.ndarray, real: np.ndarray):

@@ -20,9 +20,9 @@ from .errors import (
     InvalidTestConfigurationError,
     ModelValidationError,
 )
-from .models import RadialWeight, smooth_cutoff
+from .models import RadialWeight, smooth_cutoff, smoothstep_edge
 from .scaling import QuadSpec, ScalingConfig, ScalingReport, build_report, radial_chain
-from .window import SUPPORT_RADIUS, WindowProfile, smoothstep_edge, unit_sphere_area
+from .window import SUPPORT_RADIUS, WindowProfile, unit_sphere_area
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ transform convention used for test functions,
 the scale family obeys the exact identity  fhat_R(k) = R**n * fhat(R*k),
 which is what every scaling computation in the package leans on.
 
-Each kind is exactly 1 on a ball of radius a and exactly 0 beyond b
-(``EDGES``).  The profile has one position-space form, the exact evaluator
-``_profile_evaluator``: ``WindowProfile.value`` reads it, and so do the
-transform build and ``support_rule``.  The cached transform is the ball's
+The one window is the mollified step: the indicator of the ball of radius
+STEP_EDGE convolved with a C-infinity bump, exactly 1 on the ball of radius a
+and exactly 0 beyond b (``EDGE``).  It has one position-space form, the exact
+evaluator ``_profile_evaluator``: ``WindowProfile.value`` reads it, and so do
+the transform build and ``support_rule``.  The cached transform is the ball's
 closed form a^n ball_fhat(a k) plus a Gauss-Legendre quadrature over the
 edge [a, b] alone.  At n = 1 and 3 the edge sum over the uniform momentum
 grid splits exp(i k s) into block and offset phases and is one matrix
@@ -50,9 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FluctlabError, InvalidArgumentError
-from .quadrature import GRADED_EDGE_RATIO, gauss_legendre_edges, gauss_legendre_panels
+from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
-CACHE_FORMAT_VERSION = 9
+CACHE_FORMAT_VERSION = 10
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are
@@ -60,6 +61,8 @@ CACHE_FORMAT_VERSION = 9
 # STEP_EDGE + BUMP_HALFWIDTH.
 STEP_EDGE = 1.5
 BUMP_HALFWIDTH = 0.25
+#: (a, b): only the edge between the two plateaus needs a formula and a quadrature
+EDGE = (STEP_EDGE - BUMP_HALFWIDTH, STEP_EDGE + BUMP_HALFWIDTH)
 SUPPORT_RADIUS = 2.0
 #: radial extent of the transform rule and of the position-space rules:
 #: the support plus a margin of 0.5
@@ -124,25 +127,6 @@ def _bump_cdf(halfwidth: float, samples: int = 2001):
     return lambda v: lagrange_uniform(u, cdf, v)
 
 
-def smoothstep_edge(t, order: int) -> np.ndarray:
-    """1 - S(t) for t in [0, 1], with S(0) = 0, S(1) = 1 and `order` flat
-    derivatives at both ends.
-
-    In Bernstein form, sum_{j <= order} C(2 order + 1, j) t^j (1 - t)^(2 order + 1 - j):
-    every term is >= 0, so the edge is >= 0 and keeps its relative precision
-    near t = 1, where the monomial form of S cancels to rounding noise of
-    either sign (-7e-4 at order 16).  Near t = 0 the sum rounds a few ulps
-    above 1, so it is capped there.
-    """
-    m = 2 * order + 1
-    t = np.asarray(t, dtype=float)
-    u = 1.0 - t
-    out = np.zeros_like(t)
-    for j in range(order + 1):
-        out += comb(m, j) * t ** j * u ** (m - j)
-    return np.minimum(out, 1.0, out=out)
-
-
 @dataclass(frozen=True)
 class WindowProfile:
     """Radial cutoff profile with cached radial Fourier transform.
@@ -151,19 +135,16 @@ class WindowProfile:
     reads are safe.
     """
 
-    kind: str
     dim: int
-    smoothness: int  # number of continuous derivatives certified at the edges
     k_grid: np.ndarray = field(repr=False)
     fhat_samples: np.ndarray = field(repr=False)
     k_max: float
-    _tail_env: np.ndarray = field(repr=False, compare=False)
 
     # -- identity ----------------------------------------------------------
 
     @property
     def cache_key(self) -> tuple:
-        return (self.kind, self.dim, float(self.k_max), self.smoothness, len(self.k_grid))
+        return (self.dim, float(self.k_max), len(self.k_grid))
 
     # -- position space ----------------------------------------------------
 
@@ -172,7 +153,7 @@ class WindowProfile:
 
         Read from the exact evaluator the cached transform is built from.
         """
-        return _profile_evaluator(self.kind, self.smoothness)(np.abs(np.asarray(s, dtype=float)))
+        return _profile_evaluator()(np.abs(np.asarray(s, dtype=float)))
 
     def volume_integral(self) -> float:
         """integral of f(|x|) over R^n, which is (2 pi)^(n/2) fhat(0)."""
@@ -183,8 +164,7 @@ class WindowProfile:
     def fourier_radial(self, kappa) -> np.ndarray:
         """fhat at radial momentum |k| = kappa (real; even by construction).
 
-        Beyond the cached range the transform is below ``tail_bound(k_max)``
-        and is extrapolated as 0.
+        Beyond the cached range it is extrapolated as 0.
         """
         kappa = np.abs(np.asarray(kappa, dtype=float))
         out = lagrange_uniform(self.k_grid, self.fhat_samples, np.minimum(kappa, self.k_max))
@@ -192,13 +172,6 @@ class WindowProfile:
 
     def fhat_zero(self) -> float:
         return float(self.fhat_samples[0])
-
-    def tail_bound(self, kappa: float) -> float:
-        """Monotone envelope sup_{|k'| >= kappa} |fhat(k')| on the cached range."""
-        idx = np.searchsorted(self.k_grid, kappa)
-        if idx >= len(self._tail_env):
-            return float(self._tail_env[-1])
-        return float(self._tail_env[idx])
 
     def pair_overlap_integral(self) -> float:
         """integral over R^n of fhat(k) fhat(-k) = integral |fhat|^2 (real even fhat),
@@ -216,8 +189,7 @@ class WindowProfile:
     def to_cache_file(self, cache_dir: str | Path) -> Path:
         """Write the transform samples as a bare .npy table into cache_dir,
         under the name ``_cache_file_name`` gives the profile's scalars."""
-        path = Path(cache_dir) / _cache_file_name(self.kind, self.dim, self.smoothness,
-                                                  self.k_max, len(self.k_grid))
+        path = Path(cache_dir) / _cache_file_name(self.dim, self.k_max, len(self.k_grid))
         # write beside the target and rename, so no reader sees a partial file
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
@@ -240,8 +212,8 @@ class WindowProfile:
         match = _CACHE_NAME.fullmatch(path.name)
         if match is None:
             raise InvalidArgumentError(f"{path.name!r} is not a window cache file name")
-        kind, dim, smoothness, k_max, size, version = match.groups()
-        check_profile_args(kind, int(dim))
+        dim, k_max, size, version = match.groups()
+        check_dim(int(dim))
         if int(version) != CACHE_FORMAT_VERSION:
             raise InvalidArgumentError(f"window cache format {version} not supported")
         with open(path, "rb") as fh:
@@ -251,66 +223,33 @@ class WindowProfile:
                 f"window cache file {path.name} holds {fhat_samples.shape} {fhat_samples.dtype}, "
                 f"not {size} float64 samples")
         k_max = float(k_max)
-        return _assemble(kind, int(dim), int(smoothness), np.linspace(0.0, k_max, int(size)),
-                         fhat_samples, k_max)
+        return WindowProfile(int(dim), np.linspace(0.0, k_max, int(size)), fhat_samples, k_max)
 
 
-def _cache_file_name(kind: str, dim: int, smoothness: int, k_max: float, k_resolution: int) -> str:
+def _cache_file_name(dim: int, k_max: float, k_resolution: int) -> str:
     """The cache file of a profile: its scalars and the format version name it."""
-    return (f"window_{kind}_n{dim}_s{smoothness}_k{float(k_max)!r}_m{k_resolution}"
-            f"_v{CACHE_FORMAT_VERSION}.npy")
+    return f"window_n{dim}_k{float(k_max)!r}_m{k_resolution}_v{CACHE_FORMAT_VERSION}.npy"
 
 
-_CACHE_NAME = re.compile(r"window_([a-z-]+)_n(\d+)_s(\d+)_k([^_]+)_m(\d+)_v(\d+)\.npy")
-
-
-def _assemble(kind, dim, smoothness, k_grid, fhat_samples, k_max):
-    tail = np.maximum.accumulate(np.abs(fhat_samples)[::-1])[::-1]
-    return WindowProfile(
-        kind=kind,
-        dim=dim,
-        smoothness=smoothness,
-        k_grid=k_grid,
-        fhat_samples=fhat_samples,
-        k_max=k_max,
-        _tail_env=tail,
-    )
-
-
-#: (a, b) per kind accepted by make_profile: the profile is exactly 1 on
-#: [0, a] and exactly 0 from b on, so only the edge [a, b] needs a formula
-#: and a quadrature
-EDGES = {
-    "mollified-step": (STEP_EDGE - BUMP_HALFWIDTH, STEP_EDGE + BUMP_HALFWIDTH),
-    "smoothstep": (1.0, SUPPORT_RADIUS),
-}
-KINDS = tuple(EDGES)
+_CACHE_NAME = re.compile(r"window_n(\d+)_k([^_]+)_m(\d+)_v(\d+)\.npy")
 
 
 @lru_cache(maxsize=None)
-def _profile_evaluator(kind: str, smoothness: int):
-    """The exact radial evaluator, vectorized s >= 0 -> f(s), of a profile
-    with this smoothness (``make_profile``); built once per argument pair.
+def _profile_evaluator():
+    """The exact radial evaluator, vectorized s >= 0 -> f(s), built once:
+    1 on [0, a], one minus the bump CDF at s - STEP_EDGE on the edge, 0 from b on.
 
-    Every edge lies in [0, 1]: ``scaling.window_product`` takes square roots
-    of f on the support.
+    The edge is clipped to [0, 1]: ``scaling.window_product`` takes square
+    roots of f on the support.
     """
-    a, b = EDGES[kind]
-    if kind == "mollified-step":
-        cdf = _bump_cdf(BUMP_HALFWIDTH)
-
-        # on the edge s + STEP_EDGE lies above the bump, where the CDF is 1
-        def edge(s):
-            return np.clip(1.0 - cdf(s - STEP_EDGE), 0.0, 1.0)
-    else:
-        def edge(s):
-            return smoothstep_edge(s - a, smoothness)
+    a, b = EDGE
+    cdf = _bump_cdf(BUMP_HALFWIDTH)
 
     def exact(s):
         s = np.asarray(s, dtype=float)
         f = np.where(s <= a, 1.0, 0.0)
         mid = (s > a) & (s < b)
-        f[mid] = edge(s[mid])
+        f[mid] = np.clip(1.0 - cdf(s[mid] - STEP_EDGE), 0.0, 1.0)
         return f
 
     return exact
@@ -441,35 +380,32 @@ def ball_fhat(dim: int, x) -> np.ndarray:
 SUPPORT_PANEL_NODES = 16
 
 
-def _support_panels(kind: str, frequency: float):
+def _support_panels(frequency: float):
     """(lo, hi, panels) of each piece of ``support_rule``."""
-    a, b = EDGES[kind]
+    a, b = EDGE
     return [(lo, hi, ceil(frequency * (hi - lo) / (2.0 * pi))) for lo, hi in ((0.0, a), (a, b))]
 
 
 def support_rule_size(frequency: float) -> int:
-    """The most nodes ``support_rule`` holds at this frequency for any window
-    kind, computed without building a rule."""
-    return max(SUPPORT_PANEL_NODES * sum(panels for *_, panels in _support_panels(kind, frequency))
-               for kind in KINDS)
+    """The nodes ``support_rule`` holds at this frequency, computed without
+    building the rule."""
+    return SUPPORT_PANEL_NODES * sum(panels for *_, panels in _support_panels(frequency))
 
 
 @lru_cache(maxsize=None)
-def support_rule(kind: str, smoothness: int, frequency: float):
+def support_rule(frequency: float):
     """Gauss-Legendre nodes, weights and exact profile values over the support [0, b].
 
-    The rule is split at the edge a (``EDGES``), so f is smooth on each
+    The rule is split at the edge a (``EDGE``), so f is smooth on each
     piece, and each panel spans at most one cycle of
     exp(i frequency s).  The values come from the exact evaluator that the
-    transform and ``value`` read; ``smoothness`` is the profile's, which for
-    a smoothstep profile is its order.  Built once per argument tuple; the
-    arrays are read-only.
+    transform and ``value`` read.  Built once per frequency; the arrays are
+    read-only.
     """
-    exact = _profile_evaluator(kind, smoothness)
     pieces = [gauss_legendre_panels(lo, hi, panels, SUPPORT_PANEL_NODES)
-              for lo, hi, panels in _support_panels(kind, frequency)]
+              for lo, hi, panels in _support_panels(frequency)]
     s = np.concatenate([x for x, _ in pieces])
-    out = s, np.concatenate([w for _, w in pieces]), exact(s)
+    out = s, np.concatenate([w for _, w in pieces]), _profile_evaluator()(s)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -484,10 +420,10 @@ def transform_rule(k_max: float, lo: float, hi: float):
 
 
 #: fewest panels of any piece of a transform rule: at k_max 40 the cycle
-#: count alone gives the mollified step's edge 10 panels, which leave the
-#: n = 3 fhat(0) 1.7e-14 low and the line projection P 1e-11 off; on 32 every
-#: kind is within 2e-16 of fhat(0) at n = 1, 2, 3.  The default k_max gives
-#: the edges 34 and 68 panels, so their tables do not depend on it
+#: count alone gives the edge 10 panels, which leave the n = 3 fhat(0)
+#: 1.7e-14 low and the line projection P 1e-11 off; on 32 fhat(0) is within
+#: 2e-16 at n = 1, 2, 3.  The default k_max gives the edge 34 panels and
+#: [0, a] 85, so its tables do not depend on it
 MIN_TRANSFORM_PANELS = 32
 
 
@@ -497,35 +433,13 @@ def _transform_panels(k_max, lo, hi):
     return max(ceil(max(48, int(cycles / 1.5) + 1) * (hi - lo) / GRID_EXTENT), MIN_TRANSFORM_PANELS)
 
 
-#: times ``projection_rule`` halves the panels next to a and b toward them
-PROJECTION_LEVELS = 8
 #: kernel entries ``line_projection`` holds at once
 _PROJECTION_BLOCK = 16384
 
 
-def projection_rule(k_max: float, a: float, b: float):
-    """Gauss-Legendre nodes and weights over [0, b] for the line projection
-    of a profile with edge [a, b] (``line_projection``), 16 per panel.
-
-    The panels are those of ``transform_rule`` on [0, a] and on [a, b], with
-    the panels next to a (on both sides) and next to b split geometrically
-    toward them, PROJECTION_LEVELS times at ratio 2: for a smoothstep of
-    order m the projection has terms in |x - a|^(m + 3/2) and
-    (b - x)^(m + 3/2), which the plain panels miss by up to 2e-12 of fhat(0)
-    at m = 0.
-    """
-    inner, outer = _transform_panels(k_max, 0.0, a), _transform_panels(k_max, a, b)
-    fine = GRADED_EDGE_RATIO ** -np.arange(1.0, PROJECTION_LEVELS + 1)
-    edges = np.concatenate([np.linspace(0.0, a, inner + 1), np.linspace(a, b, outer + 1),
-                            a - a / inner * fine, a + (b - a) / outer * fine,
-                            b - (b - a) / outer * fine])
-    return gauss_legendre_edges(np.unique(edges), 16)
-
-
-def line_projection(kind: str, smoothness: int, x, k_max: float = 640.0) -> np.ndarray:
+def line_projection(x, k_max: float) -> np.ndarray:
     """P(x) = integral of f(sqrt(x^2 + t^2)) over t in R, for 0 <= x <= b:
-    the profile of ``make_profile(kind, ...)`` integrated along a line at
-    distance x from the centre.
+    the window profile integrated along a line at distance x from the centre.
 
     f is 1 below a, so with r = sqrt(x^2 + t^2)
 
@@ -541,8 +455,8 @@ def line_projection(kind: str, smoothness: int, x, k_max: float = 640.0) -> np.n
     r, with f evaluated afresh.  For x <= a - h the shared panels are the
     whole edge.
     """
-    a, b = EDGES[kind]
-    exact = _profile_evaluator(kind, smoothness)
+    a, b = EDGE
+    exact = _profile_evaluator()
     x = np.asarray(x, dtype=float)
     panels = _transform_panels(k_max, a, b)
     s, w = gauss_legendre_panels(a, b, panels, 16)
@@ -584,26 +498,17 @@ def _deficit_substituted(x, lo, hi, exact):
     return out
 
 
-def check_profile_args(kind: str, dim: int) -> None:
-    """The argument checks of make_profile, without building anything."""
+def check_dim(dim: int) -> None:
+    """The argument check of make_profile, without building anything."""
     if dim not in (1, 2, 3):
         raise InvalidArgumentError(f"dimension {dim} not supported (use 1, 2 or 3)")
-    if kind not in KINDS:
-        raise InvalidArgumentError(f"unknown window kind {kind!r}; expected one of {KINDS}")
 
 
-def make_profile(
-    kind: str,
-    dim: int,
-    *,
-    smoothstep_order: int = 3,
-    k_max: float = 640.0,
-    k_resolution: int = 10240,
-) -> WindowProfile:
+def make_profile(dim: int, *, k_max: float = 640.0, k_resolution: int = 10240) -> WindowProfile:
     """Build a WindowProfile with a cached transform on [0, k_max].
 
     The profile is exactly 1 on the ball of radius a and exactly 0 beyond b,
-    (a, b) = EDGES[kind].  At n = 1 and 3 its transform is the ball's closed
+    (a, b) = EDGE.  At n = 1 and 3 its transform is the ball's closed
     form a^n ball_fhat(a k) plus the edge [a, b], which composite
     Gauss-Legendre integrates from the exact radial profile, dense enough
     for the largest cached momentum; the edge sum over the uniform momentum
@@ -611,42 +516,31 @@ def make_profile(
     (``uniform_edge_transform``), within 4.1e-15 of fhat(0) of the direct
     sum.  At n = 2 a radial f has fhat_2(k) = (2 pi)^(-1/2) times the n = 1
     transform of its line projection P (projection-slice theorem), so the
-    table is that same product over ``projection_rule`` on [0, b] with
-    P from ``line_projection``: within 2.2e-15 of fhat(0) of the ball's
-    closed form plus the edge sum of J_0.  The profile keeps no position
-    samples: ``value`` reads the same exact evaluator.
+    table is that same product over the panels of ``transform_rule`` on
+    [0, a] and on [a, b], with P from ``line_projection``: within 2.2e-15 of
+    fhat(0) of the ball's closed form plus the edge sum of J_0.  The profile
+    keeps no position samples: ``value`` reads the same exact evaluator.
     Between cache nodes the transform is read by the 10-point Lagrange
     interpolant ``lagrange_uniform``: at 2,000 random momenta it misses the
-    direct quadrature by at most 2.2e-15 of fhat(0) for every kind and
-    n = 1, 2, 3.
+    direct quadrature by at most 2.2e-15 of fhat(0) at n = 1, 2, 3.
     """
-    check_profile_args(kind, dim)
-    smoothness = _smoothness(kind, smoothstep_order)
-    exact = _profile_evaluator(kind, smoothness)
+    check_dim(dim)
     k_grid = np.linspace(0.0, k_max, k_resolution)
 
-    a, b = EDGES[kind]
+    a, b = EDGE
     if dim == 2:
-        x, w = projection_rule(k_max, a, b)
-        p = line_projection(kind, smoothness, x, k_max)
-        fhat = uniform_edge_transform(1, x, w, p, k_grid) / sqrt(2.0 * pi)
+        x, w = map(np.concatenate, zip(transform_rule(k_max, 0.0, a), transform_rule(k_max, a, b)))
+        fhat = uniform_edge_transform(1, x, w, line_projection(x, k_max), k_grid) / sqrt(2.0 * pi)
     else:
         fhat = a ** dim * ball_fhat(dim, a * k_grid)
         s_nodes, s_weights = transform_rule(k_max, a, b)
-        fhat += uniform_edge_transform(dim, s_nodes, s_weights, exact(s_nodes), k_grid)
+        fhat += uniform_edge_transform(dim, s_nodes, s_weights, _profile_evaluator()(s_nodes), k_grid)
 
-    return _assemble(kind, dim, smoothness, k_grid, fhat, k_max)
-
-
-def _smoothness(kind: str, smoothstep_order: int) -> int:
-    """The continuous derivatives a profile certifies: a smoothstep's order;
-    the mollified step is C-infinity, so it certifies plenty."""
-    return 64 if kind == "mollified-step" else smoothstep_order
+    return WindowProfile(dim, k_grid, fhat, k_max)
 
 
-def load_or_build(kind: str, dim: int, cache_dir: str | Path | None = None,
-                  *, smoothstep_order: int = 3, k_max: float = 640.0,
-                  k_resolution: int = 10240) -> WindowProfile:
+def load_or_build(dim: int, cache_dir: str | Path | None = None,
+                  *, k_max: float = 640.0, k_resolution: int = 10240) -> WindowProfile:
     """Fetch a profile from the cache directory, building and caching on miss.
 
     The file name carries every argument that changes the profile, so
@@ -654,22 +548,20 @@ def load_or_build(kind: str, dim: int, cache_dir: str | Path | None = None,
     that cannot be read back whole is rebuilt.  A cache directory that
     cannot be made, or a file that cannot be written, raises FluctlabError.
     """
-    kwargs = dict(smoothstep_order=smoothstep_order, k_max=k_max, k_resolution=k_resolution)
     if cache_dir is None:
-        return make_profile(kind, dim, **kwargs)
+        return make_profile(dim, k_max=k_max, k_resolution=k_resolution)
     cache_dir = Path(cache_dir)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise FluctlabError(f"cannot create window cache directory {cache_dir}: {exc}") from exc
-    path = cache_dir / _cache_file_name(kind, dim, _smoothness(kind, smoothstep_order),
-                                       k_max, k_resolution)
+    path = cache_dir / _cache_file_name(dim, k_max, k_resolution)
     if path.exists():
         try:
             return WindowProfile.from_cache_file(path)
         except (OSError, ValueError):  # a miss, InvalidArgumentError included
             pass
-    prof = make_profile(kind, dim, **kwargs)
+    prof = make_profile(dim, k_max=k_max, k_resolution=k_resolution)
     try:
         prof.to_cache_file(cache_dir)
     except OSError as exc:

@@ -7,22 +7,17 @@ from fluctlab.window import make_profile
 
 @pytest.fixture(scope="session")
 def profile1():
-    return make_profile("mollified-step", 1)
+    return make_profile(1)
 
 
 @pytest.fixture(scope="session")
 def profile2():
-    return make_profile("mollified-step", 2)
+    return make_profile(2)
 
 
 @pytest.fixture(scope="session")
 def profile3():
-    return make_profile("mollified-step", 3)
-
-
-@pytest.fixture(scope="session")
-def smoothstep1():
-    return make_profile("smoothstep", 1, smoothstep_order=3)
+    return make_profile(3)
 
 
 @pytest.fixture(scope="session")

@@ -97,12 +97,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="incompatible"):
             parse_config(cfg_text(bad))
 
-    def test_sharp_window_rejected(self):
-        # the indicator window is no kind: its transform decays too slowly for the chain
-        bad = dict(MINIMAL)
-        bad["window"] = {"kind": "sharp", "dim": 1}
-        with pytest.raises(ConfigError, match="unknown window kind 'sharp'"):
-            parse_config(cfg_text(bad))
+    @pytest.mark.parametrize("window, named", [
+        # the indicator's transform decays too slowly for the chain
+        ({"kind": "sharp"}, "window.kind must be one of ['mollified-step'], got 'sharp'"),
+        # the mollified step is the one window, so a smoothstep is no kind and
+        # its order no key
+        ({"kind": "smoothstep"}, "window.kind must be one of ['mollified-step'], got 'smoothstep'"),
+        ({"smoothstep_order": 3}, "unknown keys in window: smoothstep_order"),
+    ], ids=["sharp", "smoothstep", "smoothstep_order"])
+    def test_sharp_window_rejected(self, window, named, tmp_path, capsys):
+        path = tmp_path / "case.json"
+        path.write_text(cfg_text(dict(MINIMAL, window=window)))
+        assert cli.main(["validate", str(path)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="malformed"):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from fluctlab.models import (
     powerlaw_two_point,
     product_ansatz_state,
     smooth_cutoff,
+    smoothstep_edge,
     weighted_state,
 )
 
@@ -214,3 +218,22 @@ class TestGoldstoneSpectrum:
         # the edge stays >= 0 where it is far below 1, near t = 2
         t = np.concatenate([np.linspace(0.0, 3.0, 3001), 2.0 - np.geomspace(1e-9, 1e-1, 400)])
         assert np.all(smooth_cutoff(t) >= 0.0)
+
+
+class TestSmoothstepEdge:
+    """The Bernstein-form edge of ``smooth_cutoff`` and of the ssb energy smoothing."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 6, 16])
+    def test_smoothstep_edge_keeps_relative_precision(self, order):
+        # against exact rational arithmetic on S(t) = sum_m c_m t^(order+1+m):
+        # near t = 1 the edge is far below 1 and must not round to noise
+        def exact(t):
+            s = sum(Fraction(math.comb(order + m, m) * math.comb(2 * order + 1, order - m) * (-1) ** m)
+                    * t ** (order + 1 + m) for m in range(order + 1))
+            return float(1 - s)
+
+        t = np.concatenate([np.linspace(0.0, 1.0, 41), 1.0 - np.geomspace(1e-6, 1e-2, 9)])
+        reference = np.array([exact(Fraction(v)) for v in t])
+        edge = smoothstep_edge(t, order)
+        assert np.all((edge >= 0.0) & (edge <= 1.0))
+        assert np.all(np.abs(edge - reference) <= 1e-14 * reference + 1e-300)

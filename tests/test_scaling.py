@@ -32,7 +32,6 @@ from fluctlab.scaling import (
     Rule1D,
     ScalingConfig,
     check_order,
-    correlator_with_error,
     exponent_sweep,
     find_critical_alpha,
     fit_loglog,
@@ -111,11 +110,11 @@ class TestSpectralPath:
             assert abs(a - b) <= 1e-14 * abs(b), radius
 
     def test_quadrature_convergence_estimate(self, gaussian_state1, profile1):
-        cfg = ScalingConfig()
-        value, estimate = correlator_with_error(gaussian_state1, profile1, cfg, 2, 16.0)
-        fine_cfg = ScalingConfig(quad_overrides={1: (120.0, 96, 10, 0)})
-        refined = qmode_correlator(gaussian_state1, profile1, fine_cfg, 2, None, 16.0)
-        assert abs(refined - value) <= estimate + 1e-14
+        # doubling the panels moves the value by less than the doubling before
+        values = [qmode_correlator(gaussian_state1, profile1,
+                                   ScalingConfig(quad_overrides={1: (120.0, panels, 10, 0)}), 2, None, 16.0)
+                  for panels in (24, 48, 96)]
+        assert abs(values[2] - values[1]) <= abs(values[1] - values[0]) + 1e-14
 
     def test_order_guards(self, gaussian_state1, profile1, profile2):
         cfg = ScalingConfig()
@@ -525,8 +524,8 @@ class TestChainContraction:
             rules[0].weights[0] = 0.0
 
     def test_kernel_not_shared_across_transform_grids(self, product_state1, profile1):
-        # same kind and k_max as profile1; only the transform grid differs
-        coarse = make_profile("mollified-step", 1, k_resolution=2048)
+        # same k_max as profile1; only the transform grid differs
+        coarse = make_profile(1, k_resolution=2048)
         cfg = ScalingConfig()
         scaling.clear_caches()
         fresh = qmode_correlator(product_state1, coarse, cfg, 3, None, 64.0)
@@ -856,12 +855,15 @@ class TestRadialChain:
             assert abs(kernel[i, j] - direct) <= 1e-10 * np.max(np.abs(kernel))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_smoothstep_kernel_is_finite(self, dim):
-        # the support rule's last nodes sit ~1e-3 before the edge's end, where
-        # an order-6 smoothstep is ~1e-19: the kernel takes the square root of
-        # f there, so f must be >= 0, not rounding noise of either sign
-        profile = make_profile("smoothstep", dim, smoothstep_order=6)
-        rule = QuadSpec(16.0, 8, 10).build()
+    def test_smoothstep_kernel_is_finite(self, profile1, profile2, profile3, dim):
+        # at the frequency 2 p_max = 240 the support rule's last 4 nodes lie
+        # within 0.0031 of the edge's end, where 1 minus the bump CDF is zero
+        # to rounding: the kernel takes the square root of f there, so f must
+        # be exact zeros (the evaluator clips it), not noise of either sign
+        profile = (profile1, profile2, profile3)[dim - 1]
+        rule = QuadSpec(120.0, 8, 10).build()
+        f = window.support_rule(2.0 * rule.p_max)[2]
+        assert np.all(f[-4:] == 0.0) and np.all(f[:-4] > 0.0)
         kernel = window_product(profile, dim, rule)
         assert np.all(np.isfinite(kernel))
         p, r = rule.nodes[:, None], rule.nodes[None, :]
@@ -869,8 +871,8 @@ class TestRadialChain:
             direct = profile.fourier_radial(np.abs(p - r)) + profile.fourier_radial(p + r)
             assert np.max(np.abs(kernel - direct)) <= 1e-10 * np.max(np.abs(kernel))
             state = _product_state(1, [3, 4])
-            cfg = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (16.0, 8, 10, 0)})
-            symmetric = _symmetric_rule(16.0, 8, 10)
+            cfg = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (120.0, 8, 10, 0)})
+            symmetric = _symmetric_rule(120.0, 8, 10)
             for order in (3, 4):
                 for radius in (2.0, 64.0):
                     radial = qmode_correlator(state, profile, cfg, order, None, radius)
@@ -891,8 +893,8 @@ class TestRadialChain:
         # profile alone: the ball of radius a in closed form plus the edge
         profile = {1: profile1, 2: profile2, 3: profile3}[dim]
         state = _product_state(dim, range(2, 9))
-        exact = window._profile_evaluator(profile.kind, profile.smoothness)
-        a, b = window.EDGES[profile.kind]
+        exact = window._profile_evaluator()
+        a, b = window.EDGE
         s, w = gauss_legendre_panels(a, b, 64, 16)
         radius = 8192.0
         for order in range(2, 9):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 #: marks tests whose reference is summed in np.longdouble
 EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                               reason="np.longdouble has no extended precision here")
+#: the one window kind, named in the ids of the tests of its transform
+KIND = pytest.mark.parametrize("kind", ["mollified-step"])
 
 
 class TestPositionProfile:
@@ -36,75 +37,23 @@ class TestPositionProfile:
         vals = profile1.value(s)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
-    def test_smoothstep_plateaus(self, smoothstep1):
-        assert smoothstep1.value(0.99) == 1.0
-        assert smoothstep1.value(2.01) == 0.0
-
-    def test_smoothstep_derivative_continuity(self, smoothstep1):
-        # derivatives up to order 3 are continuous at the transition edges:
-        # the one-sided finite-difference derivative just inside the
-        # transition must approach the plateau value 0 as the distance
-        # halves; the 4th derivative jumps and must not
-        s = np.linspace(0.0, window.GRID_EXTENT, 16384)
-        f = smoothstep1.value(s)
-        ds = s[1] - s[0]
-        stride = 8
-        h = stride * ds
-        stencils = {
-            1: np.array([-0.5, 0.0, 0.5]),
-            2: np.array([1.0, -2.0, 1.0]),
-            3: np.array([-0.5, 1.0, 0.0, -1.0, 0.5]),
-            4: np.array([1.0, -4.0, 6.0, -4.0, 1.0]),
-        }
-
-        def one_sided(edge, into, order, delta_steps):
-            coeffs = stencils[order]
-            reach = (len(coeffs) - 1) // 2
-            i0 = int(round(edge / ds)) + into * (delta_steps + reach * stride)
-            idx = np.arange(-reach, reach + 1) * stride
-            return np.sum(coeffs * f[i0 + idx]) / h ** order
-
-        for edge, into in ((1.0, +1), (2.0, -1)):
-            for order in (1, 2, 3):
-                far = one_sided(edge, into, order, 16 * stride)
-                near = one_sided(edge, into, order, 8 * stride)
-                assert abs(near) <= 0.65 * abs(far) + 1e-9
-            far4 = one_sided(edge, into, 4, 16 * stride)
-            near4 = one_sided(edge, into, 4, 8 * stride)
-            assert abs(near4) > 0.5 * abs(far4)
-
-    @pytest.mark.parametrize("order", [2, 3, 4, 6, 16])
-    def test_smoothstep_edge_keeps_relative_precision(self, order):
-        # against exact rational arithmetic on S(t) = sum_m c_m t^(order+1+m):
-        # near t = 1 the edge is far below 1 and must not round to noise
-        def exact(t):
-            s = sum(Fraction(math.comb(order + m, m) * math.comb(2 * order + 1, order - m) * (-1) ** m)
-                    * t ** (order + 1 + m) for m in range(order + 1))
-            return float(1 - s)
-
-        t = np.concatenate([np.linspace(0.0, 1.0, 41), 1.0 - np.geomspace(1e-6, 1e-2, 9)])
-        reference = np.array([exact(Fraction(v)) for v in t])
-        edge = window.smoothstep_edge(t, order)
-        assert np.all((edge >= 0.0) & (edge <= 1.0))
-        assert np.all(np.abs(edge - reference) <= 1e-14 * reference + 1e-300)
-
-    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    @KIND
     def test_value_is_the_exact_evaluator(self, kind):
         # value, the transform and the radial kernel read one profile: at the
         # nodes of support_rule, value returns its f bitwise
-        prof = make_profile(kind, 1, k_max=40.0, k_resolution=1024)
-        s, _, f = window.support_rule(kind, prof.smoothness, 32.0)
+        prof = make_profile(1, k_max=40.0, k_resolution=1024)
+        s, _, f = window.support_rule(32.0)
         assert np.array_equal(prof.value(s), f)
         assert np.array_equal(prof.value(-s), f)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    @KIND
     def test_volume_integral_is_the_position_quadrature(self, kind, dim):
         # (2 pi)^(n/2) fhat(0) against the plateau a^n / n plus 400 x 30
         # Gauss-Legendre over the edge: at k_max 40 the cycle count alone
         # would give the mollified step's edge 10 panels, 1.7e-14 low at n = 3
-        prof = make_profile(kind, dim, k_max=40.0, k_resolution=1000)
-        a, b = window.EDGES[kind]
+        prof = make_profile(dim, k_max=40.0, k_resolution=1000)
+        a, b = window.EDGE
         s, w = gauss_legendre_panels(a, b, 400, 30)
         volume = unit_sphere_area(dim) * math.fsum([a ** dim / dim, *(w * prof.value(s) * s ** (dim - 1))])
         assert prof.volume_integral() == pytest.approx(volume, rel=5e-16, abs=0.0)
@@ -113,11 +62,16 @@ class TestPositionProfile:
 
     def test_unsupported_dimension(self):
         with pytest.raises(InvalidArgumentError):
-            make_profile("mollified-step", 4)
+            make_profile(4)
 
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidArgumentError):
-            make_profile("boxcar", 1)
+    def test_unknown_kind(self, profile1, tmp_path):
+        # the one window has no kind in its cache file name, so a name that
+        # states a kind is no cache file name
+        path = profile1.to_cache_file(tmp_path)
+        for kind in ("smoothstep", "mollified-step"):
+            path = path.rename(path.with_name(f"window_{kind}_n1_s3_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"))
+            with pytest.raises(InvalidArgumentError, match="cache file name"):
+                WindowProfile.from_cache_file(path)
 
 
 class TestFourier:
@@ -165,7 +119,7 @@ class TestFourier:
     def test_pair_overlap_read_once_per_profile(self, monkeypatch):
         # the q-mode report and the commutator criterion each ask for it; the
         # second call returns the first value without reading the table
-        prof = make_profile("mollified-step", 2, k_max=40.0, k_resolution=1000)
+        prof = make_profile(2, k_max=40.0, k_resolution=1000)
         first = prof.pair_overlap_integral()
         reads = []
         interpolate = window.lagrange_uniform
@@ -194,28 +148,25 @@ class TestFourier:
         beyond = profile1.k_max * 1.5
         assert profile1.fourier_radial(beyond) == 0.0
 
-    def test_tail_envelope_monotone(self, profile1):
-        assert profile1.tail_bound(10.0) >= profile1.tail_bound(40.0) >= profile1.tail_bound(160.0)
-
 
 class TestScalingLaw:
     def test_large_radius_below_envelope(self, profile1):
         # f(|x|/R) has the transform R^n fhat(R k): at R = 10, k = 1 it stays
-        # below R^n times the envelope at R k
+        # below R^n times the envelope sup_{k' >= R k} |fhat(k')| of the table
         radius = 10.0
         val = radius * profile1.fourier_radial(radius * 1.0)
-        assert abs(val) <= radius * profile1.tail_bound(radius) * (1 + 1e-9)
+        envelope = np.max(np.abs(profile1.fhat_samples[profile1.k_grid >= radius]))
+        assert abs(val) <= radius * envelope * (1 + 1e-9)
 
 
 class TestSerialization:
     def test_cache_round_trip(self, profile1, tmp_path):
         path = profile1.to_cache_file(tmp_path)
-        assert path.name == f"window_mollified-step_n1_s64_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"
+        assert path.name == f"window_n1_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"
         # a bare table: the scalars live in the name
         assert np.array_equal(np.load(path), profile1.fhat_samples)
         loaded = WindowProfile.from_cache_file(path)
         assert loaded.cache_key == profile1.cache_key
-        assert loaded.smoothness == profile1.smoothness
         ks = np.linspace(0, 30, 301)
         assert np.allclose(loaded.fourier_radial(ks), profile1.fourier_radial(ks), rtol=0, atol=0)
 
@@ -228,23 +179,22 @@ class TestSerialization:
             WindowProfile.from_cache_file(path.with_name("prof.npy"))
 
     def test_load_or_build_uses_cache(self, tmp_path):
-        one = load_or_build("smoothstep", 1, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
+        one = load_or_build(1, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         files = list(tmp_path.glob("*.npy"))
         assert len(files) == 1
-        two = load_or_build("smoothstep", 1, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
+        two = load_or_build(1, cache_dir=tmp_path, k_max=40.0, k_resolution=1024)
         assert np.array_equal(one.fhat_samples, two.fhat_samples)
         assert list(tmp_path.glob("*.npy")) == files
 
-    @pytest.mark.parametrize("changed", [{"smoothstep_order": 6}, {"k_max": 50.0}])
+    @pytest.mark.parametrize("changed", [{"k_resolution": 1000}, {"k_max": 50.0}])
     def test_load_or_build_rebuilds_on_other_arguments(self, tmp_path, changed):
-        base = dict(k_max=40.0, k_resolution=1024, smoothstep_order=3)
-        one = load_or_build("smoothstep", 1, cache_dir=tmp_path, **base)
-        two = load_or_build("smoothstep", 1, cache_dir=tmp_path, **{**base, **changed})
+        base = dict(k_max=40.0, k_resolution=1024)
+        one = load_or_build(1, cache_dir=tmp_path, **base)
+        two = load_or_build(1, cache_dir=tmp_path, **{**base, **changed})
         assert len(list(tmp_path.glob("*.npy"))) == 2
         assert not np.array_equal(one.fhat_samples, two.fhat_samples)
-        fresh = make_profile("smoothstep", 1, **{**base, **changed})
+        fresh = make_profile(1, **{**base, **changed})
         assert np.array_equal(two.fhat_samples, fresh.fhat_samples)
-        assert two.smoothness == fresh.smoothness
         assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -252,12 +202,12 @@ class TestPlateauAndEdge:
     """The closed-form plateau plus the edge quadrature equals the full radial rule."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    @KIND
     def test_equals_full_rule(self, kind, dim):
-        prof = make_profile(kind, dim)
+        prof = make_profile(dim)
         # the rule that used to cover all of [0, 2.5], plateau included
         s, w = window.transform_rule(prof.k_max, 0.0, 2.5)
-        exact = window._profile_evaluator(kind, prof.smoothness)
+        exact = window._profile_evaluator()
         direct = radial_fourier_direct(dim, s, w, exact(s), prof.k_grid)
         assert np.max(np.abs(prof.fhat_samples - direct)) <= 1e-14
 
@@ -285,9 +235,9 @@ class TestPlateauAndEdge:
         # the format version is part of the name, so a file of an older
         # format is never read; a damaged table of this one is rebuilt
         args = dict(k_max=40.0, k_resolution=1024)
-        fresh = load_or_build("mollified-step", 2, cache_dir=tmp_path, **args)
+        fresh = load_or_build(2, cache_dir=tmp_path, **args)
         (path,) = tmp_path.glob("*.npy")
-        assert path.name.endswith(f"_v{CACHE_FORMAT_VERSION}.npy") and CACHE_FORMAT_VERSION == 9
+        assert path.name.endswith(f"_v{CACHE_FORMAT_VERSION}.npy") and CACHE_FORMAT_VERSION == 10
         table = path.read_bytes()
         damage = {
             "truncated": lambda: path.write_bytes(table[:-8]),
@@ -298,18 +248,9 @@ class TestPlateauAndEdge:
         }
         for name, write in damage.items():
             write()
-            again = load_or_build("mollified-step", 2, cache_dir=tmp_path, **args)
+            again = load_or_build(2, cache_dir=tmp_path, **args)
             assert np.array_equal(again.fhat_samples, fresh.fhat_samples), name
             assert path.read_bytes() == table, name
-
-    def test_smoothstep_order_names_no_mollified_step_file(self, tmp_path):
-        # the mollified step's smoothness is 64 whatever smoothstep_order says,
-        # so both arguments name one file
-        args = dict(k_max=40.0, k_resolution=1024)
-        one = load_or_build("mollified-step", 1, cache_dir=tmp_path, smoothstep_order=3, **args)
-        two = load_or_build("mollified-step", 1, cache_dir=tmp_path, smoothstep_order=6, **args)
-        assert len(list(tmp_path.glob("*.npy"))) == 1
-        assert np.array_equal(one.fhat_samples, two.fhat_samples)
 
 
 def ball_transform(dim, x):
@@ -366,11 +307,10 @@ def elementwise_transform(dim, s, w, f, kappa):
 UNIFORM_GRIDS = {"default": (640.0, 10240), "off-block": (40.0, 1000)}
 
 
-def edge_rule(kind, k_max):
+def edge_rule(k_max):
     """The edge nodes, weights and exact profile values make_profile transforms."""
-    smoothness = {"mollified-step": 64, "smoothstep": 3}[kind]
-    s, w = window.transform_rule(k_max, *window.EDGES[kind])
-    return s, w, window._profile_evaluator(kind, smoothness)(s)
+    s, w = window.transform_rule(k_max, *window.EDGE)
+    return s, w, window._profile_evaluator()(s)
 
 
 class TestUniformEdgeTransform:
@@ -378,14 +318,14 @@ class TestUniformEdgeTransform:
 
     @pytest.mark.parametrize("grid", sorted(UNIFORM_GRIDS))
     @pytest.mark.parametrize("dim", [1, 3])
-    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    @KIND
     def test_equals_direct_sum(self, kind, dim, grid):
         k_max, size = UNIFORM_GRIDS[grid]
-        s, w, f = edge_rule(kind, k_max)
+        s, w, f = edge_rule(k_max)
         k_grid = np.linspace(0.0, k_max, size)
         fast = window.uniform_edge_transform(dim, s, w, f, k_grid)
         direct = radial_fourier_direct(dim, s, w, f, k_grid)
-        fhat_zero = window.EDGES[kind][0] ** dim * ball_fhat(dim, 0.0) + direct[0]
+        fhat_zero = window.EDGE[0] ** dim * ball_fhat(dim, 0.0) + direct[0]
         assert np.max(np.abs(fast - direct)) <= 1e-14 * fhat_zero
         # at k = 0 both cos and sin(x)/x are 1: the sum of the coefficients
         assert fast[0] == pytest.approx(math.fsum(window._radial_coefficients(dim, s, w, f)),
@@ -393,10 +333,10 @@ class TestUniformEdgeTransform:
 
     @EXTENDED
     @pytest.mark.parametrize("dim", [1, 3])
-    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    @KIND
     def test_against_extended_precision(self, kind, dim):
         k_max, size = UNIFORM_GRIDS["default"]
-        s, w, f = edge_rule(kind, k_max)
+        s, w, f = edge_rule(k_max)
         k_grid = np.linspace(0.0, k_max, size)
         # the first two blocks, where the n = 3 sum is largest, and a spread
         # up to k_max, where the phases k s are
@@ -413,7 +353,7 @@ class TestUniformEdgeTransform:
         direct = radial_fourier_direct(dim, s, w, f, k_grid)[picks]
         fast_error = float(np.max(np.abs(fast - reference)))
         direct_error = float(np.max(np.abs(direct - reference)))
-        fhat_zero = window.EDGES[kind][0] ** dim * ball_fhat(dim, 0.0) + float(reference[0])
+        fhat_zero = window.EDGE[0] ** dim * ball_fhat(dim, 0.0) + float(reference[0])
         assert fast_error <= 2.5e-15 * fhat_zero
         # at n = 3 the product is the one further off, on the first block:
         # 6.5e-16 of fhat(0) where the direct sum is 2.8e-16 (mollified step)
@@ -421,48 +361,36 @@ class TestUniformEdgeTransform:
             assert fast_error <= direct_error
 
 
-#: (kind, smoothstep order) of the n = 2 projection tests: every kind with
-#: an edge, and smoothstep orders from a kink (0) to near-flat ends (16)
-PROJECTED = [("mollified-step", 3), ("smoothstep", 0), ("smoothstep", 1), ("smoothstep", 3),
-             ("smoothstep", 16)]
-
-
 class TestLineProjection:
     """n = 2 through the projection-slice theorem against the J_0 edge sum it replaced."""
 
     @pytest.mark.parametrize("grid", sorted(UNIFORM_GRIDS))
-    @pytest.mark.parametrize("kind, order", PROJECTED)
-    def test_equals_ball_plus_edge_sum(self, kind, order, grid):
+    @KIND
+    def test_equals_ball_plus_edge_sum(self, kind, grid):
         k_max, size = UNIFORM_GRIDS[grid]
-        prof = make_profile(kind, 2, smoothstep_order=order, k_max=k_max, k_resolution=size)
-        a, b = window.EDGES[kind]
+        prof = make_profile(2, k_max=k_max, k_resolution=size)
+        a, _ = window.EDGE
         # the edge rule of the default grid, which resolves both grids
-        s, w = window.transform_rule(640.0, a, b)
-        f = window._profile_evaluator(kind, prof.smoothness)(s)
+        s, w, f = edge_rule(640.0)
         direct = a ** 2 * ball_transform(2, a * prof.k_grid) + radial_fourier_direct(2, s, w, f, prof.k_grid)
         assert np.max(np.abs(prof.fhat_samples - direct)) <= 1e-14 * direct[0]
 
-    @pytest.mark.parametrize("kind, order", PROJECTED)
-    def test_zero_momentum_is_the_radial_integral(self, kind, order):
+    @KIND
+    def test_zero_momentum_is_the_radial_integral(self, kind):
         # fhat(0) = integral of f(s) s ds over [0, b]: the plateau a^2 / 2 plus the edge
-        prof = make_profile(kind, 2, smoothstep_order=order)
-        a, b = window.EDGES[kind]
+        prof = make_profile(2)
+        a, b = window.EDGE
         s, w = gauss_legendre_panels(a, b, 256, 16)
-        exact = window._profile_evaluator(kind, prof.smoothness)
-        radial = math.fsum([a * a / 2.0, *(w * exact(s) * s)])
+        radial = math.fsum([a * a / 2.0, *(w * prof.value(s) * s)])
         assert prof.fhat_zero() == pytest.approx(radial, rel=1e-15, abs=0.0)
-        if (kind, order) == ("smoothstep", 3):
-            # 1/2 + integral of (1 - S(t)) (1 + t) over [0, 1] = 1/2 + 1/2 + 5/36
-            assert prof.fhat_zero() == pytest.approx(41.0 / 36.0, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("kind, order", PROJECTED)
-    def test_projection_equals_fine_quadrature(self, kind, order):
+    @KIND
+    def test_projection_equals_fine_quadrature(self, kind):
         # P(x) = 2 integral of f(sqrt(x^2 + t^2)) over t in [0, sqrt(b^2 - x^2)],
         # with f = 1 up to t1 = sqrt(a^2 - x^2) and 200 x 30 Gauss-Legendre
         # from there: neither the deficit form nor the rules of line_projection
-        smoothness = 64 if kind == "mollified-step" else order
-        exact = window._profile_evaluator(kind, smoothness)
-        a, b = window.EDGES[kind]
+        exact = window._profile_evaluator()
+        a, b = window.EDGE
         x = np.concatenate([[0.0, a - 1e-3, a, a + 1e-3, 0.5 * (a + b), b - 1e-3],
                             np.linspace(a - 0.05, b - 1e-3, 48)])
         reference = []
@@ -470,17 +398,17 @@ class TestLineProjection:
             t1, t2 = math.sqrt(max(a * a - v * v, 0.0)), math.sqrt(b * b - v * v)
             t, wt = gauss_legendre_panels(t1, t2, 200, 30)
             reference.append(2.0 * t1 + 2.0 * math.fsum(wt * exact(np.sqrt(v * v + t * t))))
-        projection = window.line_projection(kind, smoothness, x)
+        projection = window.line_projection(x, 640.0)
         assert np.max(np.abs(projection - reference)) <= 1e-14
 
-    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    @KIND
     def test_peak_memory(self, kind):
         # the phase matrices of the GEMM are summed over chunks of EDGE_CHUNK
         # nodes and the projection kernels over blocks of rows
-        make_profile(kind, 2, k_max=40.0, k_resolution=1000)  # lru-cached evaluators
+        make_profile(2, k_max=40.0, k_resolution=1000)  # lru-cached evaluator
         tracemalloc.start()
         try:
-            make_profile(kind, 2)
+            make_profile(2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,15 +434,14 @@ class TestInterpolant:
             assert (lagrange_uniform(grid, table, x) != 0.0) == reads, node
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("kind", ["mollified-step", "smoothstep"])
+    @KIND
     def test_fourier_radial_equals_direct_quadrature(self, kind, dim):
         # the closed-form ball plus the edge rule, at momenta off the cache nodes
-        prof = make_profile(kind, dim)
+        prof = make_profile(dim)
         kappa = np.random.default_rng(dim).uniform(0.0, prof.k_max, 2000)
-        a, _ = window.EDGES[kind]
-        s, w = window.transform_rule(prof.k_max, *window.EDGES[kind])
-        exact = window._profile_evaluator(kind, prof.smoothness)
-        direct = a ** dim * ball_transform(dim, a * kappa) + radial_fourier_direct(dim, s, w, exact(s), kappa)
+        a, _ = window.EDGE
+        s, w, f = edge_rule(prof.k_max)
+        direct = a ** dim * ball_transform(dim, a * kappa) + radial_fourier_direct(dim, s, w, f, kappa)
         assert np.max(np.abs(prof.fourier_radial(kappa) - direct)) <= 1e-12 * prof.fhat_zero()
 
     def test_exact_at_the_nodes(self, profile1, profile2, profile3):
@@ -525,7 +452,7 @@ class TestInterpolant:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_gemv_equals_elementwise_sum(self, profile1, profile2, profile3, dim):
         prof = (profile1, profile2, profile3)[dim - 1]
-        s, w = window.transform_rule(prof.k_max, *window.EDGES["mollified-step"])
+        s, w = window.transform_rule(prof.k_max, *window.EDGE)
         f = prof.value(s)
         fast = radial_fourier_direct(dim, s, w, f, prof.k_grid)
         slow = elementwise_transform(dim, s, w, f, prof.k_grid)
