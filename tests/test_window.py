@@ -252,6 +252,19 @@ class TestPlateauAndEdge:
             assert np.array_equal(again.fhat_samples, fresh.fhat_samples), name
             assert path.read_bytes() == table, name
 
+    def test_smoothstep_order_names_no_mollified_step_file(self, tmp_path):
+        # no smoothness term names the file any more: a table of the same
+        # arguments under a name that states the kind and a smoothness is
+        # neither read nor touched, and the profile is built beside it
+        args = dict(k_max=40.0, k_resolution=1024)
+        stale = tmp_path / "window_mollified-step_n1_s64_k40.0_m1024_v9.npy"
+        np.save(stale, np.zeros(1024))
+        prof = load_or_build(1, cache_dir=tmp_path, **args)
+        assert np.array_equal(prof.fhat_samples, make_profile(1, **args).fhat_samples)
+        assert {p.name for p in tmp_path.glob("*.npy")} == {
+            f"window_n1_k40.0_m1024_v{CACHE_FORMAT_VERSION}.npy", stale.name}
+        assert not np.any(np.load(stale))
+
 
 def ball_transform(dim, x):
     """The unit ball's transform at every n: ``ball_fhat`` at n = 1 and 3,
