@@ -6,7 +6,8 @@ accepted configuration outline.  Exit codes: 0 success, 2 configuration
 error, 3 numerical-accuracy failure (a failed certificate, or a float
 overflow in the numerics), 4 model-validation failure.
 
-The window-profile cache directory is taken from $FLUCTLAB_CACHE when set.
+The window cache directory is taken from $FLUCTLAB_CACHE when set: it
+holds the window profile tables and the radial chain kernels built on them.
 """
 
 from __future__ import annotations

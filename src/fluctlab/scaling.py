@@ -38,11 +38,14 @@ from .errors import (
 from .models import TruncatedHierarchy
 from .quadrature import Rule1D, gauss_legendre_panels, half_panel_rule
 from .window import (
+    CACHE_FORMAT_VERSION,
     GRID_EXTENT,
     PLANE_WAVE_MEAN,
     SUPPORT_PANEL_NODES,
     SUPPORT_RADIUS,
     WindowProfile,
+    load_cache_array,
+    save_cache_array,
     support_rule,
     support_rule_size,
     unit_sphere_area,
@@ -151,12 +154,10 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
     """integral of fhat(k)^2 over |k| > p_max along one axis: the trapezoid
     sum of the cached table over p_max < |k| <= k_max, plus fhat(k_max)^2 per
     side for the momenta beyond the table (one squared sample, not a bound
-    on that tail)."""
+    on that tail), also when p_max >= k_max leaves no sum."""
     ks = profile.k_grid
     f2 = profile.fhat_samples ** 2
     mask = ks > p_max
-    if not np.any(mask):
-        return f2[-1]
     return 2.0 * np.trapezoid(f2[mask], ks[mask]) + 2.0 * f2[-1]
 
 
@@ -177,7 +178,8 @@ def _radial_nodes(profile: WindowProfile, n: int, rule: Rule1D):
 
 
 def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
-    """Radial kernel of the one chain, offsets or not, cached per (profile, n, rule).
+    """Radial kernel of the one chain, offsets or not: read-only, kept in
+    memory per (profile, n, rule) and on disk in the profile's window cache.
 
     K[p, r] = integral over S^(n-1) of fhat(|p - r omega|) d omega on the
     radii of a half-line rule, an (N, N) matrix for every n.  The spherical
@@ -189,14 +191,40 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     two points +-1, so K[p, r] = fhat(|p - r|) + fhat(p + r).  The weights
     are >= 0, as every window profile is, so B is scaled in place by their
     square root and K = B B^T.
+
+    K depends on n and the rule alone, since there is one window.  A profile
+    with a ``cache_dir`` (``window.load_or_build``) keeps K there as
+    ``_kernel_file_name`` names it: a file that reads back whole as an (N, N)
+    float64 array is used, else K is built and written.
     """
     key = ("kernel", profile.cache_key, n, rule.key)
     if key not in _CHAIN_CACHE:
-        s, w, f = support_rule(2.0 * rule.p_max)
-        b = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s))
-        b *= np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
-        _CHAIN_CACHE[key] = b @ b.T
+        if profile.cache_dir is None:
+            kernel = _radial_kernel(n, rule)
+        else:
+            path = profile.cache_dir / _kernel_file_name(n, rule)
+            try:
+                kernel = load_cache_array(path, (len(rule), len(rule)))
+            except (OSError, ValueError):  # a miss, InvalidArgumentError included
+                kernel = _radial_kernel(n, rule)
+                save_cache_array(path, kernel)
+        kernel.flags.writeable = False
+        _CHAIN_CACHE[key] = kernel
     return _CHAIN_CACHE[key]
+
+
+def _radial_kernel(n: int, rule: Rule1D) -> np.ndarray:
+    """K = B B^T of ``window_product``, built."""
+    s, w, f = support_rule(2.0 * rule.p_max)
+    b = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s))
+    b *= np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
+    return b @ b.T
+
+
+def _kernel_file_name(n: int, rule: Rule1D) -> str:
+    """The window-cache file of a kernel: n, the rule's whole key and the
+    format version, which covers the window and the support rule."""
+    return f"chain_n{n}_p{'_'.join(map(str, rule.key))}_v{CACHE_FORMAT_VERSION}.npy"
 
 
 def _angle_panels(p_max: float) -> int:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from math import gamma as _gamma_fn
 from math import ceil, comb, factorial, pi, sqrt
@@ -53,6 +53,12 @@ import numpy as np
 from .errors import FluctlabError, InvalidArgumentError
 from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
+#: the format version in the name of every file of the window cache: the
+#: profile tables of ``load_or_build`` and the chain kernels of
+#: ``scaling.window_product``.  Any change to the window's shape
+#: (``_profile_evaluator``), to ``make_profile``'s table, to ``support_rule``
+#: or to the kernel formula must bump it, so that no file of the old content
+#: is read
 CACHE_FORMAT_VERSION = 10
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
@@ -139,6 +145,10 @@ class WindowProfile:
     k_grid: np.ndarray = field(repr=False)
     fhat_samples: np.ndarray = field(repr=False)
     k_max: float
+    #: the window cache directory the table was read from or written to
+    #: (``load_or_build``), where ``scaling.window_product`` keeps its
+    #: kernels; None for a profile of ``make_profile``
+    cache_dir: Path | None = field(default=None, compare=False, repr=False)
 
     # -- identity ----------------------------------------------------------
 
@@ -188,26 +198,19 @@ class WindowProfile:
 
     def to_cache_file(self, cache_dir: str | Path) -> Path:
         """Write the transform samples as a bare .npy table into cache_dir,
-        under the name ``_cache_file_name`` gives the profile's scalars."""
+        under the name ``_cache_file_name`` gives the profile's scalars
+        (``save_cache_array``)."""
         path = Path(cache_dir) / _cache_file_name(self.dim, self.k_max, len(self.k_grid))
-        # write beside the target and rename, so no reader sees a partial file
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, self.fhat_samples)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        save_cache_array(path, self.fhat_samples)
         return path
 
     @staticmethod
     def from_cache_file(path: str | Path) -> "WindowProfile":
         """Read a profile that ``to_cache_file`` wrote: the scalars from the
-        file name, the transform samples from the file.  A name of another
-        format version, or a table of another length or type than the name
-        states, raises InvalidArgumentError; a file that is no .npy table
-        raises ValueError."""
+        file name, the transform samples from the file, and its directory as
+        the profile's ``cache_dir``.  A name of another format version, or a
+        table of another length or type than the name states, raises
+        InvalidArgumentError; a file that is no .npy table raises ValueError."""
         path = Path(path)
         match = _CACHE_NAME.fullmatch(path.name)
         if match is None:
@@ -216,14 +219,42 @@ class WindowProfile:
         check_dim(int(dim))
         if int(version) != CACHE_FORMAT_VERSION:
             raise InvalidArgumentError(f"window cache format {version} not supported")
-        with open(path, "rb") as fh:
-            fhat_samples = np.lib.format.read_array(fh, allow_pickle=False)
-        if fhat_samples.dtype != np.float64 or fhat_samples.shape != (int(size),):
-            raise InvalidArgumentError(
-                f"window cache file {path.name} holds {fhat_samples.shape} {fhat_samples.dtype}, "
-                f"not {size} float64 samples")
+        fhat_samples = load_cache_array(path, (int(size),))
         k_max = float(k_max)
-        return WindowProfile(int(dim), np.linspace(0.0, k_max, int(size)), fhat_samples, k_max)
+        return WindowProfile(int(dim), np.linspace(0.0, k_max, int(size)), fhat_samples, k_max,
+                             path.parent)
+
+
+def save_cache_array(path: Path, array: np.ndarray) -> None:
+    """Write ``array`` as a bare .npy file at path, beside it first and then
+    renamed over it, so no reader sees a partial file.  A file that cannot
+    be written raises FluctlabError naming the path."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, array)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FluctlabError(f"cannot write window cache file {path}: {exc}") from exc
+
+
+def load_cache_array(path: Path, shape: tuple) -> np.ndarray:
+    """The float64 array of ``shape`` that ``save_cache_array`` wrote at path.
+
+    An array of another shape or type raises InvalidArgumentError, a file
+    that is no whole .npy array ValueError and one that cannot be opened
+    OSError: to a cache, each of them is a miss.
+    """
+    with open(path, "rb") as fh:
+        array = np.lib.format.read_array(fh, allow_pickle=False)
+    if array.dtype != np.float64 or array.shape != shape:
+        raise InvalidArgumentError(
+            f"window cache file {path.name} holds {array.shape} {array.dtype}, not {shape} float64")
+    return array
 
 
 def _cache_file_name(dim: int, k_max: float, k_resolution: int) -> str:
@@ -378,12 +409,21 @@ def ball_fhat(dim: int, x) -> np.ndarray:
 
 #: Gauss-Legendre nodes per panel of ``support_rule``
 SUPPORT_PANEL_NODES = 16
+#: fewest panels of the edge [a, b] of ``support_rule``, which the
+#: variation of f needs at any frequency: at frequency 16 the cycles alone
+#: give the edge 2 panels, and sum w f s^(n-1) misses its value by 1.5e-10
+#: (n = 2) and 4.5e-10 (n = 3) relative; with 20 it is within one unit in
+#: the last place from frequency 8 to 240.  The default frequency 240 gives
+#: the edge 20 panels by cycles, so its kernels do not depend on this floor
+SUPPORT_EDGE_PANELS = 20
 
 
 def _support_panels(frequency: float):
-    """(lo, hi, panels) of each piece of ``support_rule``."""
+    """(lo, hi, panels) of each piece of ``support_rule``: one panel per
+    cycle of exp(i frequency s), and at least SUPPORT_EDGE_PANELS on the edge."""
     a, b = EDGE
-    return [(lo, hi, ceil(frequency * (hi - lo) / (2.0 * pi))) for lo, hi in ((0.0, a), (a, b))]
+    cycles = [ceil(frequency * (hi - lo) / (2.0 * pi)) for lo, hi in ((0.0, a), (a, b))]
+    return [(0.0, a, cycles[0]), (a, b, max(cycles[1], SUPPORT_EDGE_PANELS))]
 
 
 def support_rule_size(frequency: float) -> int:
@@ -397,10 +437,10 @@ def support_rule(frequency: float):
     """Gauss-Legendre nodes, weights and exact profile values over the support [0, b].
 
     The rule is split at the edge a (``EDGE``), so f is smooth on each
-    piece, and each panel spans at most one cycle of
-    exp(i frequency s).  The values come from the exact evaluator that the
-    transform and ``value`` read.  Built once per frequency; the arrays are
-    read-only.
+    piece, each panel spans at most one cycle of exp(i frequency s), and
+    the edge has at least SUPPORT_EDGE_PANELS panels.  The values come from
+    the exact evaluator that the transform and ``value`` read.  Built once
+    per frequency; the arrays are read-only.
     """
     pieces = [gauss_legendre_panels(lo, hi, panels, SUPPORT_PANEL_NODES)
               for lo, hi, panels in _support_panels(frequency)]
@@ -547,6 +587,7 @@ def load_or_build(dim: int, cache_dir: str | Path | None = None,
     profiles built with different arguments never share a file; a file
     that cannot be read back whole is rebuilt.  A cache directory that
     cannot be made, or a file that cannot be written, raises FluctlabError.
+    The profile's ``cache_dir`` is the directory, read or written.
     """
     if cache_dir is None:
         return make_profile(dim, k_max=k_max, k_resolution=k_resolution)
@@ -561,9 +602,6 @@ def load_or_build(dim: int, cache_dir: str | Path | None = None,
             return WindowProfile.from_cache_file(path)
         except (OSError, ValueError):  # a miss, InvalidArgumentError included
             pass
-    prof = make_profile(dim, k_max=k_max, k_resolution=k_resolution)
-    try:
-        prof.to_cache_file(cache_dir)
-    except OSError as exc:
-        raise FluctlabError(f"cannot write window cache file {path}: {exc}") from exc
+    prof = replace(make_profile(dim, k_max=k_max, k_resolution=k_resolution), cache_dir=cache_dir)
+    prof.to_cache_file(cache_dir)
     return prof

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab import cli, runner
+from fluctlab import cli, runner, scaling
 from fluctlab.config import RunConfig, config_schema, parse_config
 from fluctlab.errors import ConfigError, ModelValidationError
 from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
+from fluctlab.window import CACHE_FORMAT_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED_IN = sorted((ROOT / "configs").glob("*.json")) + [
@@ -362,6 +363,39 @@ CONTRACT_CASES = {
 CONTRACT_MESSAGES = {"weighted order 4": "orders 2..3"}
 
 
+#: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3
+KERNEL_CONFIGS = ("criterion_01_normal_scaling", "criterion_04_oracle", "criterion_12a_high_order_n2",
+                  "criterion_12b_high_order_n3")
+
+
+def _no_kernel_build(frequency):
+    raise AssertionError("a chain kernel was built where the window cache holds it")
+
+
+def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch):
+    # the kernels a cold run writes into the window cache are the ones the
+    # warm run reads instead of building them, to the report byte
+    def run_all(name):
+        for stem in KERNEL_CONFIGS:
+            scaling.clear_caches()
+            assert cli.main(["run", str(ROOT / "configs" / f"{stem}.json"), "--out-dir", str(tmp_path / name)]) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.json")
+                if not p.name.endswith("-timings.json")}
+
+    monkeypatch.delenv("FLUCTLAB_CACHE", raising=False)
+    uncached = run_all("none")
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FLUCTLAB_CACHE", str(cache))
+    cold = run_all("cold")
+    assert sorted(p.name for p in cache.glob("chain_*.npy")) == [
+        f"chain_n{n}_p120.0_48_10_0_v{CACHE_FORMAT_VERSION}.npy" for n in (1, 2, 3)]
+    monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
+    warm = run_all("warm")
+    assert len(uncached) == len(KERNEL_CONFIGS)
+    assert cold == uncached and warm == uncached
+    scaling.clear_caches()
+
+
 class TestValidateRunContract:
     @pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
     def test_validate_and_run_agree(self, name, tmp_path, cache_dir, monkeypatch, capsys):
@@ -459,6 +493,24 @@ class TestValidateRunContract:
         assert cli.main(["run", str(path)]) == 2
         assert f"cannot write window cache file {table}" in capsys.readouterr().err
         assert [p.name for p in cache.iterdir()] == [table.name]
+
+    def test_directory_at_a_kernel_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the same for the chain kernel the window cache holds beside the table
+        path = tmp_path / "case.json"
+        path.write_text(cfg_text({"model": PRODUCT_N2, "analyses": [{"kind": "scaling-sweep", "orders": [3]}],
+                                  "output": {"directory": str(tmp_path / "out")}}))
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache))
+        scaling.clear_caches()
+        assert cli.main(["run", str(path)]) == 0
+        [kernel] = cache.glob("chain_*.npy")
+        kernel.unlink()
+        kernel.mkdir()
+        scaling.clear_caches()
+        assert cli.main(["run", str(path)]) == 2
+        assert f"cannot write window cache file {kernel}" in capsys.readouterr().err
+        assert sorted(p.name for p in cache.iterdir()) == [kernel.name, f"window_n2_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"]
+        scaling.clear_caches()
 
     def test_goldstone_spectrum_at_zero_momentum(self, tmp_path, cache_dir, monkeypatch):
         # c |k|^(-s) at q = 0 is c for s = 0, not inf

@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import reduce
 from itertools import product
 
@@ -150,6 +150,13 @@ class TestSpectralPath:
 
     def test_pair_tail_bound_decreases(self, profile1):
         assert pair_tail_bound(profile1, 30.0) > pair_tail_bound(profile1, 60.0) > pair_tail_bound(profile1, 120.0)
+
+    def test_pair_tail_bound_counts_the_term_beyond_the_table_per_side(self, profile1):
+        # fhat(k_max)^2 enters once per side whether or not p_max leaves a
+        # trapezoid sum, so the bound does not grow as p_max crosses k_max
+        bounds = [pair_tail_bound(profile1, p_max) for p_max in (639.99, 640.0, 700.0)]
+        assert bounds[0] >= bounds[1] >= bounds[2] > 0.0
+        assert bounds[1] == bounds[2] == 2.0 * profile1.fhat_samples[-1] ** 2
 
     def test_tail_certificate_computed_once_per_sweep(self, product_state1, profile1, monkeypatch):
         calls = []
@@ -420,6 +427,105 @@ class TestLegendreRuleCache:
             x[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+#: the rules of the chain kernels on disk: the default one (480 nodes) and
+#: its graded form (640 nodes), which singular densities run on
+KERNEL_RULES = {"default": scaling.DEFAULT_SPEC, "graded": replace(scaling.DEFAULT_SPEC, graded_levels=16)}
+
+
+def _refined_kernel(n, rule):
+    """K = B diag(f s^(n-1) w) B^T on a support rule of 40 panels on [0, a]
+    and 200 on the edge, far finer than ``window.support_rule``'s."""
+    a, b = window.EDGE
+    s, w = map(np.concatenate, zip(gauss_legendre_panels(0.0, a, 40, 16), gauss_legendre_panels(a, b, 200, 16)))
+    f = window._profile_evaluator()(s)
+    omega = window.PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s))
+    return (2.0 * np.pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * (omega * (f * s ** (n - 1) * w)) @ omega.T
+
+
+def _no_kernel_build(frequency):
+    raise AssertionError("a chain kernel was built where the window cache holds it")
+
+
+class TestKernelCache:
+    """The chain kernel kept in the window cache equals the kernel built in memory."""
+
+    @pytest.mark.parametrize("rule_name", sorted(KERNEL_RULES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_disk_kernel_equals_fresh_build(self, profile1, profile2, profile3, dim, rule_name,
+                                            tmp_path, monkeypatch):
+        profile = (profile1, profile2, profile3)[dim - 1]
+        rule = KERNEL_RULES[rule_name].build()
+        scaling.clear_caches()
+        fresh = window_product(profile, dim, rule)
+        assert not list(tmp_path.iterdir())
+        scaling.clear_caches()
+        cold = window_product(replace(profile, cache_dir=tmp_path), dim, rule)
+        [path] = tmp_path.iterdir()
+        key = "_".join(map(str, astuple(KERNEL_RULES[rule_name])))
+        assert path.name == f"chain_n{dim}_p{key}_v{window.CACHE_FORMAT_VERSION}.npy"
+        assert path.stat().st_size == 128 + 8 * len(rule) ** 2
+        scaling.clear_caches()
+        monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
+        warm = window_product(replace(profile, cache_dir=tmp_path), dim, rule)
+        assert warm.shape == (len(rule), len(rule))
+        assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
+        scaling.clear_caches()
+
+    def test_kernels_are_read_only(self, profile2, tmp_path):
+        rule = scaling.DEFAULT_SPEC.build()
+        for profile in (profile2, replace(profile2, cache_dir=tmp_path), replace(profile2, cache_dir=tmp_path)):
+            scaling.clear_caches()  # built, built and written, read
+            kernel = window_product(profile, 2, rule)
+            with pytest.raises(ValueError):
+                kernel[0, 0] = 0.0
+        scaling.clear_caches()
+
+    def test_damaged_kernel_file_is_rebuilt(self, profile1, tmp_path):
+        rule = QuadSpec(16.0, 8, 10).build()
+        profile = replace(profile1, cache_dir=tmp_path)
+        scaling.clear_caches()
+        fresh = window_product(profile, 1, rule)
+        [path] = tmp_path.iterdir()
+        table = path.read_bytes()
+        damage = {
+            "truncated": lambda: path.write_bytes(table[:-8]),
+            "shape": lambda: np.save(path, fresh[:-1]),
+            "dtype": lambda: np.save(path, fresh.astype(np.float32)),
+        }
+        for name, write in damage.items():
+            write()
+            scaling.clear_caches()
+            again = window_product(profile, 1, rule)
+            assert np.array_equal(again, fresh), name
+            assert path.read_bytes() == table, name
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        scaling.clear_caches()
+
+
+class TestSupportRule:
+    """The support rule of the chain kernel resolves the window's edge at every frequency."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("frequency", [8.0, 16.0, 32.0, 60.0, 120.0, 240.0])
+    def test_radial_volume_within_one_ulp(self, dim, frequency):
+        # sum w f s^(n-1) against a^n/n plus the edge on 200 panels
+        a, b = window.EDGE
+        s, w = gauss_legendre_panels(a, b, 200, 16)
+        reference = a ** dim / dim + np.sum(w * window._profile_evaluator()(s) * s ** (dim - 1))
+        s, w, f = window.support_rule(frequency)
+        assert len(s) == window.support_rule_size(frequency)
+        assert abs(np.sum(w * f * s ** (dim - 1)) - reference) <= np.spacing(reference)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_kernel_at_small_p_max_equals_refined_rule(self, dim):
+        # at frequency 32 the cycles alone would give the edge 3 panels and
+        # the kernel 6e-11 of max|K| off
+        rule = QuadSpec(16.0, 8, 10).build()
+        kernel = scaling._radial_kernel(dim, rule)
+        refined = _refined_kernel(dim, rule)
+        assert np.max(np.abs(kernel - refined)) <= 1e-14 * np.max(np.abs(refined))
 
 
 def _sphere_mean(profile, phi, radii, radius, a, b, n):
