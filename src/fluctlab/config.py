@@ -78,9 +78,6 @@ class RunConfig:
             "output": self.output_block,
         }
 
-    def scaling_config(self) -> ScalingConfig:
-        return _scaling_config(self.numeric_block)
-
     def build_window(self, cache_dir=None):
         return load_or_build(self.window_block["dim"], cache_dir=cache_dir)
 
@@ -97,17 +94,6 @@ class ModelClass:
     build: Callable
 
 
-def _weighted_factor(spec: dict, order: int):
-    """The integrable factor F of a weighted order, a function of the radii |y_i|."""
-    if spec["form"] == "bessel-power":
-        if "power" not in spec:
-            raise ConfigError(f"model.orders[{order}].factor: form 'bessel-power' needs power")
-        power = spec["power"]
-        return lambda radii: (1.0 + sum(np.square(r) for r in radii)) ** (-power / 2.0)
-    amp, width = spec["amplitude"], spec["width"]
-    return lambda radii: amp * np.exp(-sum(np.square(r) for r in radii) / (2.0 * width ** 2))
-
-
 def _product_ansatz(b):
     profiles = {order: [GaussianProfile(p["amplitude"], p["width"], b["dim"]) for p in plist]
                 for order, plist in b["orders"].items()}
@@ -115,8 +101,7 @@ def _product_ansatz(b):
 
 
 def _weighted(b):
-    return weighted_state([WeightedCorrelator(o["order"], o["alpha"],
-                                              _weighted_factor(o["factor"], o["order"]))
+    return weighted_state([WeightedCorrelator(o["order"], o["alpha"], o["factor"]["power"])
                            for o in b["orders"]], b["dim"])
 
 
@@ -154,9 +139,9 @@ MODELS = {
     "powerlaw": ModelClass({"beta": (Num(), REQUIRED)}, lambda b: powerlaw_state(b["beta"], b["dim"])),
     "weighted": ModelClass(
         {"orders": (Arr(Obj({"order": (_ORDER, REQUIRED), "alpha": (Num(), REQUIRED),
-                             "factor": (Obj({"form": (Str(("bessel-power", "gaussian")), REQUIRED),
-                                             "power": (Num(positive=True), OPTIONAL),
-                                             "amplitude": (Num(), 1.0), "width": (Num(), 1.0)}),
+                             # the joint power (1 + sum |y_i|^2)^(-power/2) is the one factor form
+                             "factor": (Obj({"form": (Str(("bessel-power",)), REQUIRED),
+                                             "power": (Num(positive=True), REQUIRED)}),
                                         REQUIRED)})), REQUIRED)},
         _weighted),
     "goldstone-spectrum": ModelClass(

@@ -54,20 +54,17 @@ class DecayTag:
 
 @dataclass(frozen=True)
 class WeightedCorrelator:
-    """Order-l correlator factored as W = (1 + sum |y_i|^2)^(alpha/2) * F.
-
-    ``f_position`` maps the radii |y_i|, one array per variable, to F values.
-    """
+    """Order-l joint power W = (1 + s)^(alpha/2) * (1 + s)^(-power/2), s = sum |y_i|^2:
+    the polynomial weight times the integrable factor, kept as a product."""
 
     order: int
     alpha: float
-    f_position: Callable
-
-    def weight(self, radii) -> np.ndarray:
-        return (1.0 + sum(np.square(r) for r in radii)) ** (self.alpha / 2.0)
+    power: float
 
     def position_value(self, radii) -> np.ndarray:
-        return self.weight(radii) * self.f_position(radii)
+        """W at the radii |y_i|, one array per variable."""
+        u = 1.0 + sum(np.square(r) for r in radii)
+        return u ** (self.alpha / 2.0) * u ** (-self.power / 2.0)
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,7 @@ class TruncatedHierarchy:
 
     def position_form(self, order: int) -> Callable:
         if order in self.weighted_orders:
-            wc = self.weighted_orders[order]
-            return wc.position_value
+            return self.weighted_orders[order].position_value
         fn = self.position_forms.get(order)
         if fn is None:
             raise UnsupportedModeError(f"no position-space form available for order {order}")
@@ -256,7 +252,7 @@ def powerlaw_state(beta: float, dim: int, *, max_order: int = MAX_ORDER) -> Trun
 
 def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
                    max_order: int | None = None) -> TruncatedHierarchy:
-    """State with polynomially weighted orders W_l = (1 + sum y_i^2)^(alpha_l/2) F_l.
+    """State with polynomially weighted orders W_l = (1 + s)^(alpha_l/2) (1 + s)^(-p_l/2).
 
     Evaluation goes through the scaling engine's weighted path; weighted
     orders intentionally carry no momentum factors.
@@ -265,13 +261,8 @@ def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
     for wc in correlators:
         if wc.alpha < 0:
             raise ModelValidationError(f"weight exponent alpha_{wc.order} = {wc.alpha} must be >= 0")
-        radii = (np.linspace(0.0, 40.0, 401),) * (wc.order - 1)
-        try:
-            probe = np.asarray(wc.f_position(radii))
-        except Exception as exc:  # pragma: no cover - defensive
-            raise ModelValidationError(f"order-{wc.order} factor not evaluable: {exc}") from exc
-        if not np.all(np.isfinite(probe)):
-            raise ModelValidationError(f"order-{wc.order} integrable factor is not finite on the grid")
+        if not wc.power > 0:
+            raise ModelValidationError(f"factor power p_{wc.order} = {wc.power} must be > 0")
         weighted[wc.order] = wc
     max_order = max_order or max(weighted, default=1)
     tags = {o: DecayTag("weighted", param=wc.alpha) for o, wc in weighted.items()}

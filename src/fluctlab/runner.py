@@ -38,6 +38,7 @@ from .report import REPORT_SCHEMA_ID, RunReport
 from .scaling import (
     MAX_POSITION_ORDER,
     check_order,
+    check_position,
     exponent_sweep,
     find_critical_alpha,
     l2_alpha_window,
@@ -121,18 +122,14 @@ def _check_scaling_sweep(params, cfg, model, model_class):
         cfg.resolved_alpha(model.dim)
     if cfg.alpha_mode == "bisect":
         check_order(model, cfg, 2)
-    if weighted and model.dim != 1:
-        raise ConfigError("weighted orders are computed for n = 1 only")
     for order in params["orders"]:
-        if order not in weighted:
+        if order in weighted:
+            check_position(model.dim, order)
+        else:
             check_order(model, cfg, order)
-        elif order > MAX_POSITION_ORDER:
-            raise ConfigError(f"weighted order {order}: weighted orders run on the position path, "
-                              f"which runs orders 2..{MAX_POSITION_ORDER}")
     if "oracle_check_r_max" in params:
-        if model.dim != 1:
-            raise ConfigError("the position-space oracle is implemented for n = 1 only")
         for order in _oracle_orders(params["orders"]):
+            check_position(model.dim, order)
             model.order_factors(order)
             model.position_form(order)
 
@@ -142,7 +139,8 @@ def _run_scaling_sweep(params, cfg, model, window):
     alpha = None
 
     if cfg.alpha_mode == "bisect":
-        lo, hi = params.get("bisect_bracket", [model.dim / 2.0 + 1e-3, 0.75 * model.dim])
+        window_alpha = l2_alpha_window(model.dim)
+        lo, hi = params.get("bisect_bracket", [window_alpha.lo_open + 1e-3, window_alpha.hi_closed])
         alpha_star = find_critical_alpha(model, window, cfg, lo, hi)
         out["alpha_bisection"] = {"alpha_star": alpha_star, "bracket": [lo, hi]}
         alpha = alpha_star

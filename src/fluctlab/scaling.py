@@ -407,8 +407,13 @@ def _u_rule() -> tuple[np.ndarray, np.ndarray]:
     return u, wt
 
 
-def _check_position_order(order: int) -> None:
-    """Raise OrderRangeError for an order the position path does not run."""
+def check_position(dim: int, order: int) -> None:
+    """Raise for what the position path (the oracle and the weighted orders)
+    does not run: UnsupportedModeError at n != 1, OrderRangeError for an
+    order outside 2..MAX_POSITION_ORDER.  Computes nothing, so parsing runs it."""
+    if dim != 1:
+        raise UnsupportedModeError(
+            f"the position path (oracle and weighted orders) runs n = 1 only, not n = {dim}")
     if not 2 <= order <= MAX_POSITION_ORDER:
         raise OrderRangeError(f"the position path runs orders 2..{MAX_POSITION_ORDER}, not {order}")
 
@@ -453,7 +458,7 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
     support, so one fixed u rule on [-GRID_EXTENT, GRID_EXTENT] serves every
     z and no quadrature node depends on z.
     """
-    _check_position_order(order)
+    check_position(1, order)
     key = (profile.cache_key, order, z_rule.key)
     if key in _OVERLAP_CACHE:
         return _OVERLAP_CACHE[key]
@@ -501,9 +506,7 @@ def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     runs over the half-line z rule against the folded overlap of
     ``window_overlap_1d``.
     """
-    if state.dim != 1:
-        raise UnsupportedModeError("position-space path implemented for n = 1 only")
-    _check_position_order(order)
+    check_position(state.dim, order)
     if z_rule is None:
         z_rule = oracle_z_rule()
     _check_points(len(z_rule) ** (order - 1), "position-space array")
@@ -809,7 +812,7 @@ def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     """Correlator of an order with a polynomial weight, renormalized by R^-gamma.
 
     Every weight exponent takes one path: the position-space quadrature on
-    ``weighted_z_rule``, so weighted orders are computed for n = 1 only.
+    ``weighted_z_rule``, within the reach of ``check_position``.
     """
     if order not in state.weighted_orders:
         raise UnsupportedModeError(f"order {order} carries no weighted correlator")

@@ -227,12 +227,17 @@ class WindowProfile:
 
 def save_cache_array(path: Path, array: np.ndarray) -> None:
     """Write ``array`` as a bare .npy file at path, beside it first and then
-    renamed over it, so no reader sees a partial file.  A file that cannot
-    be written raises FluctlabError naming the path."""
+    renamed over it, so no reader sees a partial file.  The file gets the
+    mode of a plain open, 0o666 less the umask, not mkstemp's 0o600, so a
+    shared cache directory is readable to all its users.  A file that
+    cannot be written raises FluctlabError naming the path."""
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
                 np.save(fh, array)
             os.replace(tmp, path)
         except BaseException:

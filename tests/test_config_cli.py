@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -40,7 +42,7 @@ class TestParsing:
         assert cfg.numeric_block["alpha_mode"] == "canonical"
         assert cfg.numeric_block["r_grid"] == {"start": 8.0, "stop": 512.0, "count": 8}
         assert cfg.window_block["kind"] == "mollified-step"
-        sc = cfg.scaling_config()
+        sc = cfg.steps[0][2]
         assert sc.resolved_alpha(1) == 0.5
         assert len(sc.r_values) == 8 and sc.r_values[0] == 8.0 and sc.r_values[-1] == 512.0
 
@@ -274,6 +276,15 @@ SWEEP = [{"kind": "scaling-sweep", "orders": [2]}]
 SSB = {"class": "goldstone-ssb", "dim": 3}
 PRODUCT_N2 = {"class": "product-ansatz", "dim": 2, "orders": {"3": [{}, {"width": 1.3}]}}
 QMODE3 = [{"kind": "qmode", "order": 3}]
+BESSEL = {"form": "bessel-power", "power": 1.0}
+
+
+def weighted_case(factor=BESSEL, dim=1):
+    """An order-2 weighted sweep whose factor block and dimension are given."""
+    return {"model": {"class": "weighted", "dim": dim, "orders": [{"order": 2, "alpha": 0.5, "factor": factor}]},
+            "numeric": {"alpha_mode": "gamma"}, "analyses": SWEEP}
+
+
 PAIRS = {"class": "pair-family", "dim": 1, "labels": ["A", "B"], "pairs": {
     "AA": {"form": "gaussian"}, "BB": {"form": "gaussian"},
     "AB": {"form": "gaussian", "amplitude": 0.1}, "BA": {"form": "gaussian", "amplitude": 0.1}}}
@@ -332,6 +343,14 @@ CONTRACT_CASES = {
         {"order": 4, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
         "numeric": {"alpha_mode": "gamma"},
         "analyses": [{"kind": "scaling-sweep", "orders": [4]}]}, 2),
+    # the joint power is the one weighted factor form, with power its one number
+    "weighted gaussian form": (weighted_case({"form": "gaussian"}), 2),
+    "weighted factor amplitude": (weighted_case(dict(BESSEL, amplitude=0.7)), 2),
+    "weighted factor without power": (weighted_case({"form": "bessel-power"}), 2),
+    # the position path runs n = 1 only: the weighted orders and the oracle
+    "weighted order 2 at n = 2": (weighted_case(dim=2), 2),
+    "oracle at n = 2": ({"model": dict(GAUSS, dim=2), "analyses": [
+        {"kind": "scaling-sweep", "orders": [2], "oracle_check_r_max": 8}]}, 2),
     # radii whose window volume, and widths whose square, overflow a float
     "bogoliubov radius 1e300": ({"model": SSB, "analyses": [
         {"kind": "ssb-bound", "bogoliubov_radii": [8.0, 1e300]}]}, 2),
@@ -360,7 +379,10 @@ CONTRACT_CASES = {
         {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
 }
 # name: what the error message of a case must say
-CONTRACT_MESSAGES = {"weighted order 4": "orders 2..3"}
+CONTRACT_MESSAGES = {"weighted order 4": "orders 2..3", "weighted gaussian form": "factor.form",
+                     "weighted factor amplitude": "amplitude", "weighted factor without power":
+                     "factor.power is required", "weighted order 2 at n = 2": "n = 1 only",
+                     "oracle at n = 2": "n = 1 only"}
 
 
 #: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3
@@ -394,6 +416,24 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
     assert len(uncached) == len(KERNEL_CONFIGS)
     assert cold == uncached and warm == uncached
     scaling.clear_caches()
+
+
+def test_cache_files_take_the_umask_mode(tmp_path, monkeypatch):
+    # a fresh cache holds tables and kernels that every user may read, as a
+    # plain open would make them under umask 022
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FLUCTLAB_CACHE", str(cache))
+    scaling.clear_caches()
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["run", str(ROOT / "configs" / "criterion_01_normal_scaling.json"),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+        scaling.clear_caches()
+    files = sorted(cache.iterdir())
+    assert [p.name.split("_")[0] for p in files] == ["chain", "window"]
+    assert {stat.filemode(p.stat().st_mode) for p in files} == {"-rw-r--r--"}
 
 
 class TestValidateRunContract:

@@ -133,38 +133,30 @@ class TestPowerlaw:
 
 
 class TestWeighted:
-    @staticmethod
-    def _factor(power):
-        def f_pos(radii):
-            acc = 0.0
-            for r in radii:
-                acc = acc + np.asarray(r) ** 2
-            return (1.0 + acc) ** (-power / 2.0)
-
-        return f_pos
-
     def test_zero_weight_reduces_to_plain_factor(self):
-        f_pos = self._factor(2.0)
-        wc = WeightedCorrelator(2, 0.0, f_pos)
-        yv = (np.array([0.0, 1.0, 2.0]),)
-        assert np.allclose(wc.position_value(yv), f_pos(yv))
+        wc = WeightedCorrelator(2, 0.0, 2.0)
+        y = np.array([0.0, 1.0, 2.0])
+        assert np.array_equal(wc.position_value((y,)), (1.0 + y ** 2) ** -1.0)
 
     def test_assembled_position_form(self):
-        # W(y) = (1 + y^2)^(1/2) exp(-y^2) by definition
-        def f_pos(radii):
-            return np.exp(-np.asarray(radii[0]) ** 2)
-
-        wc = WeightedCorrelator(2, 1.0, f_pos)
-        y = np.array([0.0, 0.7, 1.3])
-        got = wc.position_value((y,))
-        assert np.allclose(got, (1 + y ** 2) ** 0.5 * np.exp(-y ** 2))
+        # W(y) = (1 + |y|^2)^(alpha/2) (1 + |y|^2)^(-p/2) by definition, s = |y_1|^2 + |y_2|^2
+        wc = WeightedCorrelator(3, 1.0, 2.5)
+        y1, y2 = np.array([0.0, 0.7, 1.3]), np.array([0.4, 0.0, 2.1])
+        u = 1.0 + y1 ** 2 + y2 ** 2
+        assert np.array_equal(wc.position_value((y1, y2)), u ** 0.5 * u ** -1.25)
+        assert np.allclose(wc.position_value((y1, y2)), u ** -0.75, rtol=1e-15, atol=0.0)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ModelValidationError):
-            weighted_state([WeightedCorrelator(2, -1.0, self._factor(2.0))], 1)
+            weighted_state([WeightedCorrelator(2, -1.0, 2.0)], 1)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, float("nan")])
+    def test_nonpositive_power_rejected(self, power):
+        with pytest.raises(ModelValidationError, match="must be > 0"):
+            weighted_state([WeightedCorrelator(2, 0.5, power)], 1)
 
     def test_momentum_evaluator_absent_for_weighted_orders(self):
-        state = weighted_state([WeightedCorrelator(2, 0.5, self._factor(1.0))], 1)
+        state = weighted_state([WeightedCorrelator(2, 0.5, 1.0)], 1)
         with pytest.raises(UnsupportedModeError):
             state.evaluate(2, (np.array([0.1]),))
 
@@ -174,7 +166,7 @@ class TestWeighted:
         # position-space double-quadrature oracle at moderate radii
         from fluctlab.scaling import ScalingConfig, fit_loglog, position_space_correlator
 
-        state = weighted_state([WeightedCorrelator(2, 0.5, self._factor(1.0))], 1)
+        state = weighted_state([WeightedCorrelator(2, 0.5, 1.0)], 1)
         cfg = ScalingConfig()
         radii = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
         vals = [position_space_correlator(state, profile1, cfg, 2, r, alpha=0.0) for r in radii]

@@ -52,16 +52,6 @@ from fluctlab.quadrature import gauss_legendre_panels, half_panel_rule, legendre
 from fluctlab.window import make_profile, unit_sphere_area
 
 
-def bessel_factor(power):
-    def f_pos(radii):
-        acc = 0.0
-        for r in radii:
-            acc = acc + np.asarray(r) ** 2
-        return (1.0 + acc) ** (-power / 2.0)
-
-    return f_pos
-
-
 def _mirrored(rule):
     """Nodes and weights of the rule on [-p_max, p_max] whose positive half is the half-line rule."""
     return (np.concatenate([-rule.nodes[::-1], rule.nodes]),
@@ -234,9 +224,8 @@ _Z_RULES = {
 }
 
 
-def _weighted_state(form):
-    factor = {"form": "bessel-power", "power": 2.0} if form == "bessel-power" else \
-        {"form": "gaussian", "amplitude": 0.7, "width": 1.1}
+def _weighted_state():
+    factor = {"form": "bessel-power", "power": 2.0}
     return parse_config(json.dumps({
         "model": {"class": "weighted", "dim": 1, "orders": [
             {"order": 2, "alpha": 0.5, "factor": factor},
@@ -308,9 +297,9 @@ class TestPositionFold:
 
     @pytest.mark.parametrize("rule_name", sorted(_Z_RULES))
     @pytest.mark.parametrize("order", [2, 3])
-    @pytest.mark.parametrize("model", ["product-ansatz", "gaussian", "bessel-power"])
+    @pytest.mark.parametrize("model", ["product-ansatz", "bessel-power"])
     def test_folded_equals_full_grid_sum(self, profile1, product_state1, rule_name, order, model):
-        state = product_state1 if model == "product-ansatz" else _weighted_state(model)
+        state = product_state1 if model == "product-ansatz" else _weighted_state()
         z_rule = _Z_RULES[rule_name]()
         cfg = ScalingConfig()
         for radius in (2.0, 64.0, 2048.0):
@@ -360,12 +349,9 @@ class TestPositionFold:
                                                      {"amplitude": 0.8, "width": 1.3}]}},
         {"class": "powerlaw", "beta": 0.75},
         {"class": "weighted", "orders": [
-            {"order": 2, "alpha": 0.5, "factor": {"form": "gaussian", "amplitude": 0.7, "width": 1.1}},
-            {"order": 3, "alpha": 1.25, "factor": {"form": "gaussian"}}]},
-        {"class": "weighted", "orders": [
             {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
             {"order": 3, "alpha": 1.25, "factor": {"form": "bessel-power", "power": 2.0}}]},
-    ], ids=["product-ansatz", "powerlaw", "weighted-gaussian", "weighted-bessel-power"])
+    ], ids=["product-ansatz", "powerlaw", "weighted-bessel-power"])
     def test_position_forms_are_even_in_each_variable(self, model):
         # the fold rests on W(..., -y_i, ...) == W(..., y_i, ...): every form
         # reads the radii |y_i|, and there it equals W written in the signed
@@ -396,12 +382,7 @@ def _signed_form(model, order, ys):
     squares = 0.0
     for y in ys:
         squares = squares + y ** 2
-    factor = {"amplitude": 1.0, "width": 1.0, **spec["factor"]}
-    if factor["form"] == "bessel-power":
-        f = (1.0 + squares) ** (-factor["power"] / 2.0)
-    else:
-        f = factor["amplitude"] * np.exp(-squares / (2.0 * factor["width"] ** 2))
-    return (1.0 + squares) ** (spec["alpha"] / 2.0) * f
+    return (1.0 + squares) ** (spec["alpha"] / 2.0) * (1.0 + squares) ** (-spec["factor"]["power"] / 2.0)
 
 
 class TestLegendreRuleCache:
@@ -758,12 +739,12 @@ class TestWeightedRegime:
 
     @pytest.mark.parametrize("order, alpha, panels", [(2, 2.0, 96), (3, 4.0, 48)])
     def test_even_alpha_matches_refined_position_rule(self, profile1, order, alpha, panels):
-        # even weight exponents take the same position path as any other
-        factor = {"form": "gaussian", "amplitude": 0.7, "width": 1.1}
+        # even weight exponents take the same position path as any other; the
+        # joint decays beta = p - alpha are those of criterion 09a (0.5, 0.75)
         state = parse_config(json.dumps({
             "model": {"class": "weighted", "dim": 1, "orders": [
-                {"order": 2, "alpha": 2.0, "factor": factor},
-                {"order": 3, "alpha": alpha, "factor": factor}]},
+                {"order": 2, "alpha": 2.0, "factor": {"form": "bessel-power", "power": 2.5}},
+                {"order": 3, "alpha": alpha, "factor": {"form": "bessel-power", "power": alpha + 0.75}}]},
             "numeric": {"alpha_mode": "gamma"}})).model
         gamma, _ = weighted_gamma(1, 2.0)
         cfg = ScalingConfig()
@@ -780,7 +761,7 @@ class TestWeightedRegime:
             weighted_correlator(gaussian_state1, profile1, cfg, 2, 0.75, 8.0)
 
     def test_noninteger_alpha_uses_position_path_only_in_1d(self, profile2):
-        state = weighted_state([WeightedCorrelator(2, 0.5, bessel_factor(2.0))], 2)
+        state = weighted_state([WeightedCorrelator(2, 0.5, 2.0)], 2)
         cfg = ScalingConfig()
         with pytest.raises(UnsupportedModeError):
             weighted_correlator(state, profile2, cfg, 2, 1.25, 8.0)

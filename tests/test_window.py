@@ -114,7 +114,7 @@ class TestFourier:
         for prof in (profile1, profile2, profile3):
             s, w = gauss_legendre_panels(0.0, window.GRID_EXTENT, 64, 16)
             l2 = unit_sphere_area(prof.dim) * np.sum(w * prof.value(s) ** 2 * s ** (prof.dim - 1))
-            assert l2 == pytest.approx(prof.pair_overlap_integral(), rel=1e-6)
+            assert l2 == pytest.approx(prof.pair_overlap_integral(), rel=1e-13)
 
     def test_pair_overlap_read_once_per_profile(self, monkeypatch):
         # the q-mode report and the commutator criterion each ask for it; the
