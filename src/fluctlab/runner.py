@@ -128,7 +128,10 @@ def _check_scaling_sweep(params, cfg, model, model_class):
         else:
             check_order(model, cfg, order)
     if "oracle_check_r_max" in params:
-        for order in _oracle_orders(params["orders"]):
+        orders = _oracle_orders(params["orders"])
+        if not orders:
+            raise ConfigError(f"oracle_check_r_max needs an order in 2..{MAX_POSITION_ORDER} to check")
+        for order in orders:
             check_position(model.dim, order)
             model.order_factors(order)
             model.position_form(order)

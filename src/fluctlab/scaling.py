@@ -44,8 +44,7 @@ from .window import (
     SUPPORT_PANEL_NODES,
     SUPPORT_RADIUS,
     WindowProfile,
-    load_cache_array,
-    save_cache_array,
+    load_or_build_array,
     support_rule,
     support_rule_size,
     unit_sphere_area,
@@ -194,20 +193,12 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
 
     K depends on n and the rule alone, since there is one window.  A profile
     with a ``cache_dir`` (``window.load_or_build``) keeps K there as
-    ``_kernel_file_name`` names it: a file that reads back whole as an (N, N)
-    float64 array is used, else K is built and written.
+    ``_rule_file_name`` names it (``window.load_or_build_array``).
     """
     key = ("kernel", profile.cache_key, n, rule.key)
     if key not in _CHAIN_CACHE:
-        if profile.cache_dir is None:
-            kernel = _radial_kernel(n, rule)
-        else:
-            path = profile.cache_dir / _kernel_file_name(n, rule)
-            try:
-                kernel = load_cache_array(path, (len(rule), len(rule)))
-            except (OSError, ValueError):  # a miss, InvalidArgumentError included
-                kernel = _radial_kernel(n, rule)
-                save_cache_array(path, kernel)
+        kernel = load_or_build_array(profile.cache_dir, _rule_file_name(f"chain_n{n}_p", rule),
+                                     (len(rule),) * 2, lambda: _radial_kernel(n, rule))
         kernel.flags.writeable = False
         _CHAIN_CACHE[key] = kernel
     return _CHAIN_CACHE[key]
@@ -221,10 +212,11 @@ def _radial_kernel(n: int, rule: Rule1D) -> np.ndarray:
     return b @ b.T
 
 
-def _kernel_file_name(n: int, rule: Rule1D) -> str:
-    """The window-cache file of a kernel: n, the rule's whole key and the
-    format version, which covers the window and the support rule."""
-    return f"chain_n{n}_p{'_'.join(map(str, rule.key))}_v{CACHE_FORMAT_VERSION}.npy"
+def _rule_file_name(stem: str, rule: Rule1D) -> str:
+    """The window-cache file of an array on a rule: the stem, the rule's whole
+    key and the format version, which covers the window, the support rule and
+    the overlap's u rule."""
+    return f"{stem}{'_'.join(map(str, rule.key))}_v{CACHE_FORMAT_VERSION}.npy"
 
 
 def _angle_panels(p_max: float) -> int:
@@ -456,20 +448,29 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
     summed over the sign of z_2 it is S too and G = wt(z_1) wt(z_2)
     (S * c) @ S.T.  The factor f(|u|) confines the integrand to the window's
     support, so one fixed u rule on [-GRID_EXTENT, GRID_EXTENT] serves every
-    z and no quadrature node depends on z.
+    z and no quadrature node depends on z.  G depends on the order and the
+    z rule alone, so a profile with a ``cache_dir`` keeps it there
+    (``window.load_or_build_array``).
     """
     check_position(1, order)
     key = (profile.cache_key, order, z_rule.key)
     if key in _OVERLAP_CACHE:
         return _OVERLAP_CACHE[key]
+    g = load_or_build_array(profile.cache_dir, _rule_file_name(f"overlap_n1_o{order}_z", z_rule),
+                            (len(z_rule),) * (order - 1), lambda: _folded_overlap(profile, order, z_rule))
+    g.flags.writeable = False
+    _keep_overlap(key, g)
+    return g
+
+
+def _folded_overlap(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
+    """G of ``window_overlap_1d``, built."""
     rows = _folded_rows(profile, z_rule)
     u, wt = _u_rule()
     sc = rows * (profile.value(u) * wt)
     # the z weights multiply one axis at a time: outer(wt, wt) * g rounds differently
     g = sc.sum(axis=1) if order == 2 else sc @ rows.T * z_rule.weights[:, None]
     g *= z_rule.weights
-    g.flags.writeable = False
-    _keep_overlap(key, g)
     return g
 
 

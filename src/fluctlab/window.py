@@ -54,11 +54,12 @@ from .errors import FluctlabError, InvalidArgumentError
 from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 #: the format version in the name of every file of the window cache: the
-#: profile tables of ``load_or_build`` and the chain kernels of
-#: ``scaling.window_product``.  Any change to the window's shape
-#: (``_profile_evaluator``), to ``make_profile``'s table, to ``support_rule``
-#: or to the kernel formula must bump it, so that no file of the old content
-#: is read
+#: profile tables of ``load_or_build``, the chain kernels of
+#: ``scaling.window_product`` and the folded overlaps of
+#: ``scaling.window_overlap_1d``.  Any change to the window's shape
+#: (``_profile_evaluator``), to ``make_profile``'s table, to ``support_rule``,
+#: to the kernel or the overlap formula or to the overlap's u rule
+#: (``scaling._u_rule``) must bump it, so that no file of the old content is read
 CACHE_FORMAT_VERSION = 10
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
@@ -260,6 +261,21 @@ def load_cache_array(path: Path, shape: tuple) -> np.ndarray:
         raise InvalidArgumentError(
             f"window cache file {path.name} holds {array.shape} {array.dtype}, not {shape} float64")
     return array
+
+
+def load_or_build_array(cache_dir: Path | None, name: str, shape: tuple, build) -> np.ndarray:
+    """The array of ``shape`` kept as ``name`` in the window cache cache_dir:
+    read back whole (``load_cache_array``), or else made by ``build()`` and
+    written (``save_cache_array``); with no cache_dir, built and not written."""
+    if cache_dir is None:
+        return build()
+    path = cache_dir / name
+    try:
+        return load_cache_array(path, shape)
+    except (OSError, ValueError):  # a miss, InvalidArgumentError included
+        array = build()
+        save_cache_array(path, array)
+        return array
 
 
 def _cache_file_name(dim: int, k_max: float, k_resolution: int) -> str:

@@ -351,6 +351,9 @@ CONTRACT_CASES = {
     "weighted order 2 at n = 2": (weighted_case(dim=2), 2),
     "oracle at n = 2": ({"model": dict(GAUSS, dim=2), "analyses": [
         {"kind": "scaling-sweep", "orders": [2], "oracle_check_r_max": 8}]}, 2),
+    # an oracle with no order of the position path would check nothing
+    "oracle with no order in 2..3": ({"model": {"class": "product-ansatz", "dim": 1, "orders": {
+        "4": [{}, {}, {}]}}, "analyses": [{"kind": "scaling-sweep", "orders": [4], "oracle_check_r_max": 8}]}, 2),
     # radii whose window volume, and widths whose square, overflow a float
     "bogoliubov radius 1e300": ({"model": SSB, "analyses": [
         {"kind": "ssb-bound", "bogoliubov_radii": [8.0, 1e300]}]}, 2),
@@ -382,23 +385,29 @@ CONTRACT_CASES = {
 CONTRACT_MESSAGES = {"weighted order 4": "orders 2..3", "weighted gaussian form": "factor.form",
                      "weighted factor amplitude": "amplitude", "weighted factor without power":
                      "factor.power is required", "weighted order 2 at n = 2": "n = 1 only",
-                     "oracle at n = 2": "n = 1 only"}
+                     "oracle at n = 2": "n = 1 only",
+                     "oracle with no order in 2..3": "oracle_check_r_max needs an order in 2..3"}
 
 
-#: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3
-KERNEL_CONFIGS = ("criterion_01_normal_scaling", "criterion_04_oracle", "criterion_12a_high_order_n2",
-                  "criterion_12b_high_order_n3")
+#: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3 and
+#: the folded overlaps of the oracle (04) and of the weighted orders (09a)
+CACHE_CONFIGS = ("criterion_01_normal_scaling", "criterion_04_oracle", "criterion_09a_weighted_boundary",
+                 "criterion_12a_high_order_n2", "criterion_12b_high_order_n3")
 
 
 def _no_kernel_build(frequency):
     raise AssertionError("a chain kernel was built where the window cache holds it")
 
 
+def _no_overlap_build(profile, z_rule):
+    raise AssertionError("a folded overlap was built where the window cache holds it")
+
+
 def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch):
-    # the kernels a cold run writes into the window cache are the ones the
-    # warm run reads instead of building them, to the report byte
+    # the kernels and overlaps a cold run writes into the window cache are the
+    # ones the warm run reads instead of building them, to the report byte
     def run_all(name):
-        for stem in KERNEL_CONFIGS:
+        for stem in CACHE_CONFIGS:
             scaling.clear_caches()
             assert cli.main(["run", str(ROOT / "configs" / f"{stem}.json"), "--out-dir", str(tmp_path / name)]) == 0
         return {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.json")
@@ -411,28 +420,35 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
     cold = run_all("cold")
     assert sorted(p.name for p in cache.glob("chain_*.npy")) == [
         f"chain_n{n}_p120.0_48_10_0_v{CACHE_FORMAT_VERSION}.npy" for n in (1, 2, 3)]
+    # orders 2 and 3 on oracle_z_rule(), then order 2 on weighted_z_rule(2)
+    # and order 3 on weighted_z_rule(3)
+    assert sorted(p.name for p in cache.glob("overlap_*.npy")) == [
+        f"overlap_n1_o{name}_v{CACHE_FORMAT_VERSION}.npy"
+        for name in ("2_z5.0_24_10_14", "2_z5.0_24_10_6", "3_z5.0_14_8_14", "3_z5.0_24_10_6")]
     monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
+    monkeypatch.setattr(scaling, "_folded_rows", _no_overlap_build)
     warm = run_all("warm")
-    assert len(uncached) == len(KERNEL_CONFIGS)
+    assert len(uncached) == len(CACHE_CONFIGS)
     assert cold == uncached and warm == uncached
     scaling.clear_caches()
 
 
 def test_cache_files_take_the_umask_mode(tmp_path, monkeypatch):
-    # a fresh cache holds tables and kernels that every user may read, as a
-    # plain open would make them under umask 022
+    # a fresh cache holds tables, kernels and overlaps that every user may
+    # read, as a plain open would make them under umask 022
     cache = tmp_path / "cache"
     monkeypatch.setenv("FLUCTLAB_CACHE", str(cache))
-    scaling.clear_caches()
     old = os.umask(0o022)
     try:
-        assert cli.main(["run", str(ROOT / "configs" / "criterion_01_normal_scaling.json"),
-                         "--out-dir", str(tmp_path / "out")]) == 0
+        for stem in ("criterion_01_normal_scaling", "criterion_04_oracle"):
+            scaling.clear_caches()
+            assert cli.main(["run", str(ROOT / "configs" / f"{stem}.json"),
+                             "--out-dir", str(tmp_path / "out")]) == 0
     finally:
         os.umask(old)
         scaling.clear_caches()
     files = sorted(cache.iterdir())
-    assert [p.name.split("_")[0] for p in files] == ["chain", "window"]
+    assert [p.name.split("_")[0] for p in files] == ["chain", "overlap", "overlap", "window"]
     assert {stat.filemode(p.stat().st_mode) for p in files} == {"-rw-r--r--"}
 
 

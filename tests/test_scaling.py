@@ -430,7 +430,8 @@ def _no_kernel_build(frequency):
 
 
 class TestKernelCache:
-    """The chain kernel kept in the window cache equals the kernel built in memory."""
+    """The chain kernel and the folded overlap kept in the window cache equal
+    the arrays built in memory."""
 
     @pytest.mark.parametrize("rule_name", sorted(KERNEL_RULES))
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -464,24 +465,52 @@ class TestKernelCache:
         scaling.clear_caches()
 
     def test_damaged_kernel_file_is_rebuilt(self, profile1, tmp_path):
-        rule = QuadSpec(16.0, 8, 10).build()
-        profile = replace(profile1, cache_dir=tmp_path)
-        scaling.clear_caches()
-        fresh = window_product(profile, 1, rule)
-        [path] = tmp_path.iterdir()
-        table = path.read_bytes()
-        damage = {
-            "truncated": lambda: path.write_bytes(table[:-8]),
-            "shape": lambda: np.save(path, fresh[:-1]),
-            "dtype": lambda: np.save(path, fresh.astype(np.float32)),
+        # both kinds of array kept on a rule, the chain kernel and the order-3
+        # folded overlap, are rebuilt bit-equal and rewritten from a truncated
+        # file, one of the wrong shape and one of the wrong dtype
+        builds = {
+            "kernel": lambda profile: window_product(profile, 1, QuadSpec(16.0, 8, 10).build()),
+            "overlap": lambda profile: window_overlap_1d(profile, 3, half_panel_rule(5.0, 4, 6)),
         }
-        for name, write in damage.items():
-            write()
+        for kind, build in builds.items():
+            cache = tmp_path / kind
+            cache.mkdir()
+            profile = replace(profile1, cache_dir=cache)
             scaling.clear_caches()
-            again = window_product(profile, 1, rule)
-            assert np.array_equal(again, fresh), name
-            assert path.read_bytes() == table, name
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+            fresh = build(profile)
+            [path] = cache.iterdir()
+            table = path.read_bytes()
+            damage = {
+                "truncated": lambda: path.write_bytes(table[:-8]),
+                "shape": lambda: np.save(path, fresh[:-1]),
+                "dtype": lambda: np.save(path, fresh.astype(np.float32)),
+            }
+            for name, write in damage.items():
+                write()
+                scaling.clear_caches()
+                again = build(profile)
+                assert np.array_equal(again, fresh), (kind, name)
+                assert path.read_bytes() == table, (kind, name)
+            assert [p.name for p in cache.iterdir()] == [path.name], kind
+        scaling.clear_caches()
+
+    def test_overlap_file_names_every_rule_field(self, profile1, tmp_path):
+        # z rules one field of Rule1D.key apart write one overlap file each,
+        # and each file reads back as its own rule's overlap built in memory
+        base = (5.0, 4, 6, 1)
+        rules = [half_panel_rule(*base)] + [
+            half_panel_rule(*base[:i], base[i] + 1, *base[i + 1:]) for i in range(len(base))]
+        assert len({rule.key for rule in rules}) == len(rules)
+        profile = replace(profile1, cache_dir=tmp_path)
+        for rule in rules:
+            scaling.clear_caches()
+            window_overlap_1d(profile, 3, rule)
+        assert len(list(tmp_path.glob("overlap_n1_o3_*.npy"))) == len(rules)
+        for rule in rules:
+            scaling.clear_caches()
+            warm = window_overlap_1d(profile, 3, rule)
+            scaling.clear_caches()
+            assert np.array_equal(warm, window_overlap_1d(profile1, 3, rule)), rule.key
         scaling.clear_caches()
 
 
