@@ -278,15 +278,21 @@ def smoothstep_edge(t, order: int) -> np.ndarray:
     every term is >= 0, so the edge is >= 0 and keeps its relative precision
     near t = 1, where the monomial form of S cancels to rounding noise of
     either sign (-7e-4 at order 16).  Near t = 0 the sum rounds a few ulps
-    above 1, so it is capped there.
+    above 1, so it is capped there.  At t = 0 and t = 1 the sum is exactly
+    1 and 0, which are written without it; t outside [0, 1] and NaN go
+    through it.
     """
     m = 2 * order + 1
     t = np.asarray(t, dtype=float)
-    u = 1.0 - t
-    out = np.zeros_like(t)
+    out = np.array(t == 0.0, dtype=float)
+    inner = (t != 0.0) & (t != 1.0)
+    ti = t[inner]
+    u = 1.0 - ti
+    acc = np.zeros_like(ti)
     for j in range(order + 1):
-        out += comb(m, j) * t ** j * u ** (m - j)
-    return np.minimum(out, 1.0, out=out)
+        acc += comb(m, j) * ti ** j * u ** (m - j)
+    out[inner] = np.minimum(acc, 1.0, out=acc)
+    return out
 
 
 def smooth_cutoff(t) -> np.ndarray:

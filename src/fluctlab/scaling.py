@@ -263,8 +263,9 @@ def clear_caches() -> None:
 
 
 def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: float,
-                 first=None) -> complex:
-    """The window chain of radial factors on a half-line rule.
+                 offset: tuple[float, float] | None = None) -> complex:
+    """The window chain of radial factors on a half-line rule, kept in the
+    chain cache per (profile, n, rule, factors, radius, offset).
 
     integral over (R^n)^(l-1) of fhat(|q_1|) phi_1(|q_1|/R) fhat(|q_2 - q_1|)
     phi_2(|q_2|/R) ... phi_{l-1}(|q_{l-1}|/R) fhat(|q_{l-1}|), with each
@@ -275,15 +276,21 @@ def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: 
     |S^0| = 2 folds the line onto the half-line and the kernel is built
     with Omega_1 = cos.  Order 2 (one factor) needs no kernel.
 
-    ``first`` replaces v_1 by the spherical mean of a first factor that is
-    not radial (``_offset_vector``): the rest is radial in q_1.
+    An ``offset`` pair (a, b) replaces v_1 by the spherical mean of a first
+    factor that is not radial (``_offset_vector``): the rest is radial in q_1.
+    The key holds the factors themselves, so they must be hashable; being
+    kept alive, none can match a later factor that reuses its id.
     """
-    fhat, measure = _radial_nodes(profile, n, rule)
-    u = rule.nodes / radius
-    v = fhat * factors[0](u) if first is None else first
-    for phi in factors[1:]:
-        v = _times_real(v * measure, window_product(profile, n, rule)) * phi(u)
-    return unit_sphere_area(n) * complex(np.sum(v * measure * fhat))
+    key = ("chain", profile.cache_key, n, rule.key, tuple(factors), float(radius), offset)
+    if key not in _CHAIN_CACHE:
+        fhat, measure = _radial_nodes(profile, n, rule)
+        u = rule.nodes / radius
+        v = (fhat * factors[0](u) if offset is None
+             else _offset_vector(profile, n, rule, factors[0], radius, *offset))
+        for phi in factors[1:]:
+            v = _times_real(v * measure, window_product(profile, n, rule)) * phi(u)
+        _CHAIN_CACHE[key] = unit_sphere_area(n) * complex(np.sum(v * measure * fhat))
+    return _CHAIN_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +381,7 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
     fns = state.order_factors(order)
     if not fns:
         return 0j
-    first = None if pair is None else _offset_vector(profile, n, rule, fns[0], radius, *pair)
-    return _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, fns, radius, first)
+    return _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, fns, radius, pair)
 
 
 # ---------------------------------------------------------------------------

@@ -157,11 +157,22 @@ def autocorrelation_growth(model: GoldstoneModel, profile: WindowProfile,
     return build_report(r, vals, 2, 0.0, None, cfg, label=f"autocorrelation-{which}")
 
 
+@dataclass(frozen=True)
+class _EnergyWeight:
+    """2 omega(k) rho_q(k), the weight of ``double_commutator``: equal for
+    equal data, so the chain cache shares its values across calls."""
+
+    dispersion: Dispersion
+    rho_q: RadialWeight
+
+    def __call__(self, kappa) -> np.ndarray:
+        return 2.0 * self.dispersion(kappa) * self.rho_q(kappa)
+
+
 def double_commutator(model: GoldstoneModel, profile: WindowProfile, radius: float) -> float:
     """Energy-weighted sum rule 2 int omega rho_q |fhat_R|^2: the double
     commutator of the windowed generator with the dynamics."""
-    weight = lambda k: 2.0 * model.dispersion(k) * model.rho_q(k)
-    val = _spectral_integral(model, profile, radius, weight)
+    val = _spectral_integral(model, profile, radius, _EnergyWeight(model.dispersion, model.rho_q))
     return radius ** model.dim * float(val.real)
 
 

@@ -55,11 +55,14 @@ from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 #: the format version in the name of every file of the window cache: the
 #: profile tables of ``load_or_build``, the chain kernels of
-#: ``scaling.window_product`` and the folded overlaps of
-#: ``scaling.window_overlap_1d``.  Any change to the window's shape
+#: ``scaling.window_product``, the folded overlaps of
+#: ``scaling.window_overlap_1d`` and the integral of fhat^2 of
+#: ``WindowProfile.pair_overlap_integral``.  Any change to the window's shape
 #: (``_profile_evaluator``), to ``make_profile``'s table, to ``support_rule``,
-#: to the kernel or the overlap formula or to the overlap's u rule
-#: (``scaling._u_rule``) must bump it, so that no file of the old content is read
+#: to the kernel or the overlap formula, to the overlap's u rule
+#: (``scaling._u_rule``) or to the fhat^2 rule (512 x 12 Gauss-Legendre panels
+#: on [0, k_max] read by ``lagrange_uniform``) must bump it, so that no file
+#: of the old content is read
 CACHE_FORMAT_VERSION = 10
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
@@ -147,8 +150,8 @@ class WindowProfile:
     fhat_samples: np.ndarray = field(repr=False)
     k_max: float
     #: the window cache directory the table was read from or written to
-    #: (``load_or_build``), where ``scaling.window_product`` keeps its
-    #: kernels; None for a profile of ``make_profile``
+    #: (``load_or_build``), where the arrays of ``load_or_build_array`` are
+    #: kept; None for a profile of ``make_profile``
     cache_dir: Path | None = field(default=None, compare=False, repr=False)
 
     # -- identity ----------------------------------------------------------
@@ -186,14 +189,20 @@ class WindowProfile:
 
     def pair_overlap_integral(self) -> float:
         """integral over R^n of fhat(k) fhat(-k) = integral |fhat|^2 (real even fhat),
-        read from the transform table once per profile."""
+        computed from the transform table, or read from the window cache,
+        once per profile."""
         return self._pair_overlap
 
     @cached_property
     def _pair_overlap(self) -> float:
+        """Kept in the profile's ``cache_dir`` as a (1,) array beside its table."""
+        name = _cache_file_name(self.dim, self.k_max, len(self.k_grid), "pair_overlap")
+        return float(load_or_build_array(self.cache_dir, name, (1,), self._build_pair_overlap)[0])
+
+    def _build_pair_overlap(self) -> np.ndarray:
         s, w = gauss_legendre_panels(0.0, self.k_max, 512, 12)
         vals = lagrange_uniform(self.k_grid, self.fhat_samples, s) ** 2
-        return unit_sphere_area(self.dim) * float(np.sum(w * vals * s ** (self.dim - 1)))
+        return np.array([unit_sphere_area(self.dim) * float(np.sum(w * vals * s ** (self.dim - 1)))])
 
     # -- serialization -----------------------------------------------------
 
@@ -278,9 +287,10 @@ def load_or_build_array(cache_dir: Path | None, name: str, shape: tuple, build) 
         return array
 
 
-def _cache_file_name(dim: int, k_max: float, k_resolution: int) -> str:
-    """The cache file of a profile: its scalars and the format version name it."""
-    return f"window_n{dim}_k{float(k_max)!r}_m{k_resolution}_v{CACHE_FORMAT_VERSION}.npy"
+def _cache_file_name(dim: int, k_max: float, k_resolution: int, stem: str = "window") -> str:
+    """The cache file of a profile's table, or of another array of the
+    profile alone: its scalars and the format version name it."""
+    return f"{stem}_n{dim}_k{float(k_max)!r}_m{k_resolution}_v{CACHE_FORMAT_VERSION}.npy"
 
 
 _CACHE_NAME = re.compile(r"window_n(\d+)_k([^_]+)_m(\d+)_v(\d+)\.npy")

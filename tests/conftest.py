@@ -1,8 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fluctlab import scaling
+from fluctlab.config import parse_config
 from fluctlab.models import GaussianProfile, gaussian_state, product_ansatz_state
 from fluctlab.window import make_profile
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +42,36 @@ def product_state1():
 @pytest.fixture(scope="session")
 def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("window-cache")
+
+
+class RecordingCache(dict):
+    """A chain cache that records the key of every chain value it stores."""
+
+    def __init__(self):
+        super().__init__()
+        self.chains = []
+
+    def __setitem__(self, key, value):
+        if key[0] == "chain":
+            self.chains.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.fixture
+def chain_cache(monkeypatch):
+    """An empty chain cache in place of ``scaling._CHAIN_CACHE``, which
+    ``scaling.clear_caches`` empties too."""
+    cache = RecordingCache()
+    monkeypatch.setattr(scaling, "_CHAIN_CACHE", cache)
+    return cache
+
+
+@pytest.fixture(scope="session")
+def criterion_step():
+    """The model and the one analysis (kind, params, cfg) of a criterion config
+    of configs/, by its file stem."""
+    def load(stem):
+        config = parse_config((CONFIG_DIR / f"{stem}.json").read_text())
+        [step] = config.steps
+        return config.model, step
+    return load

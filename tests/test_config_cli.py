@@ -19,7 +19,7 @@ from fluctlab.config import RunConfig, config_schema, parse_config
 from fluctlab.errors import ConfigError, ModelValidationError
 from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
-from fluctlab.window import CACHE_FORMAT_VERSION
+from fluctlab.window import CACHE_FORMAT_VERSION, WindowProfile
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED_IN = sorted((ROOT / "configs").glob("*.json")) + [
@@ -391,8 +391,9 @@ CONTRACT_MESSAGES = {"weighted order 4": "orders 2..3", "weighted gaussian form"
 
 #: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3 and
 #: the folded overlaps of the oracle (04) and of the weighted orders (09a)
-CACHE_CONFIGS = ("criterion_01_normal_scaling", "criterion_04_oracle", "criterion_09a_weighted_boundary",
-                 "criterion_12a_high_order_n2", "criterion_12b_high_order_n3")
+CACHE_CONFIGS = ("criterion_01_normal_scaling", "criterion_02_limit_two_point", "criterion_04_oracle",
+                 "criterion_09a_weighted_boundary", "criterion_12a_high_order_n2",
+                 "criterion_12b_high_order_n3")
 
 
 def _no_kernel_build(frequency):
@@ -403,9 +404,14 @@ def _no_overlap_build(profile, z_rule):
     raise AssertionError("a folded overlap was built where the window cache holds it")
 
 
+def _no_pair_overlap_build(profile):
+    raise AssertionError("the integral of fhat^2 was built where the window cache holds it")
+
+
 def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch):
-    # the kernels and overlaps a cold run writes into the window cache are the
-    # ones the warm run reads instead of building them, to the report byte
+    # the kernels, overlaps and integral of fhat^2 a cold run writes into the
+    # window cache are the ones the warm run reads instead of building them,
+    # to the report byte
     def run_all(name):
         for stem in CACHE_CONFIGS:
             scaling.clear_caches()
@@ -425,8 +431,11 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
     assert sorted(p.name for p in cache.glob("overlap_*.npy")) == [
         f"overlap_n1_o{name}_v{CACHE_FORMAT_VERSION}.npy"
         for name in ("2_z5.0_24_10_14", "2_z5.0_24_10_6", "3_z5.0_14_8_14", "3_z5.0_24_10_6")]
+    assert [p.name for p in cache.glob("pair_overlap_*.npy")] == [
+        f"pair_overlap_n1_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"]
     monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
     monkeypatch.setattr(scaling, "_folded_rows", _no_overlap_build)
+    monkeypatch.setattr(WindowProfile, "_build_pair_overlap", _no_pair_overlap_build)
     warm = run_all("warm")
     assert len(uncached) == len(CACHE_CONFIGS)
     assert cold == uncached and warm == uncached

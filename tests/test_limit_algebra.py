@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluctlab import limit_algebra, scaling
 from fluctlab.errors import (
     InvalidArgumentError,
     InvalidLimitStateError,
@@ -289,6 +290,38 @@ class TestBuildLimitState:
         state = build_limit_state(fam, profile1, ScalingConfig())
         assert state.symplectic_part[0, 1] != 0
         state.validate()
+
+    def test_fresh_densities_never_share_a_chain(self, profile1, monkeypatch):
+        # the family makes a new density object per call, and a freed one's
+        # id is free for the next; the chain cache keeps every density it is
+        # keyed on, so in two builds without clearing it each C[i, j] sweep
+        # equals the sweep of that density alone
+        params = {(0, 0): (1.0, 0.5), (1, 1): (1.0, 1.0),
+                  (0, 1): (0.5 + 0.4j, 0.8), (1, 0): (0.5 - 0.4j, 0.8)}
+
+        def pair_density(i, j):
+            amp, a = params[i, j]
+            return lambda k: amp * np.exp(-a * np.asarray(k) ** 2)
+
+        sweeps = []
+
+        def recording(*args, **kwargs):
+            rep = exponent_sweep(*args, **kwargs)
+            sweeps.append(rep)
+            return rep
+
+        monkeypatch.setattr(limit_algebra, "exponent_sweep", recording)
+        fam = ObservableFamily(labels=("A", "B"), pair_density=pair_density, dim=1)
+        cfg = ScalingConfig()
+        scaling.clear_caches()
+        for _ in range(2):
+            build_limit_state(fam, profile1, cfg)
+        assert [rep.label for rep in sweeps] == ["C[0,0]", "C[0,1]", "C[1,0]", "C[1,1]"] * 2
+        for rep in sweeps:
+            i, j = int(rep.label[2]), int(rep.label[4])
+            scaling.clear_caches()
+            alone = exponent_sweep(gaussian_state(pair_density(i, j), 1, validate=False), profile1, cfg, 2)
+            assert np.array(rep.values).tobytes() == np.array(alone.values).tobytes(), rep.label
 
     def test_inconsistent_family_rejected(self, profile1):
         densities = {

@@ -215,7 +215,7 @@ class TestGoldstoneSpectrum:
 class TestSmoothstepEdge:
     """The Bernstein-form edge of ``smooth_cutoff`` and of the ssb energy smoothing."""
 
-    @pytest.mark.parametrize("order", [2, 3, 4, 6, 16])
+    @pytest.mark.parametrize("order", range(1, 17))
     def test_smoothstep_edge_keeps_relative_precision(self, order):
         # against exact rational arithmetic on S(t) = sum_m c_m t^(order+1+m):
         # near t = 1 the edge is far below 1 and must not round to noise
@@ -229,3 +229,13 @@ class TestSmoothstepEdge:
         edge = smoothstep_edge(t, order)
         assert np.all((edge >= 0.0) & (edge <= 1.0))
         assert np.all(np.abs(edge - reference) <= 1e-14 * reference + 1e-300)
+        # the plateaus t = 0 and 1 skip the Bernstein sum; with the edge's
+        # ends, the interior, t outside [0, 1] and NaN, which go through it,
+        # the edge is the full capped sum to the bit
+        m = 2 * order + 1
+        t = np.array([0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, *np.linspace(0.0, 1.0, 203)[1:-1],
+                      -0.5, 1.5, np.nan])
+        full = sum(math.comb(m, j) * t ** j * (1.0 - t) ** (m - j) for j in range(order + 1))
+        assert smoothstep_edge(t, order).tobytes() == np.minimum(full, 1.0).tobytes()
+        for v in t:
+            assert smoothstep_edge(v, order).tobytes() == smoothstep_edge(np.array([v]), order).tobytes()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab import scaling, window
+from fluctlab import runner, scaling, window
 from fluctlab.config import parse_config
 
 from fluctlab.errors import (
@@ -78,6 +78,19 @@ class TestSpectralPath:
                 spectral = qmode_correlator(product_state1, profile1, cfg, order, None, radius, alpha=0.5)
                 oracle = position_space_correlator(product_state1, profile1, cfg, order, radius, 0.5)
                 assert abs(spectral - oracle) <= 1e-6 * abs(oracle)
+
+    def test_oracle_rows_read_the_chain_cache(self, profile1, chain_cache, criterion_step):
+        # criterion 04: every spectral value of the oracle table is one of the
+        # sweeps before it, read back, and equals it computed from an empty cache
+        model, (kind, params, cfg) = criterion_step("criterion_04_oracle")
+        rows = runner.ANALYSES[kind].handler(params, cfg, model, profile1)["oracle_check"]["rows"]
+        assert [(row["order"], row["radius"]) for row in rows] == [
+            (order, radius) for order in (2, 3) for radius in (2.0, 4.0, 8.0)]
+        assert len(chain_cache.chains) == 2 * len(cfg.r_values)
+        for row in rows:
+            scaling.clear_caches()
+            value = qmode_correlator(model, profile1, cfg, row["order"], None, row["radius"])
+            assert (value.real, value.imag) == (row["spectral"]["re"], row["spectral"]["im"]), row
 
     def test_qmode_zero_offsets_match_radial_chain(self, gaussian_state1, profile1):
         # zero offsets replace fhat phi_1 by its mean over S^0, the two points +-1
@@ -465,12 +478,14 @@ class TestKernelCache:
         scaling.clear_caches()
 
     def test_damaged_kernel_file_is_rebuilt(self, profile1, tmp_path):
-        # both kinds of array kept on a rule, the chain kernel and the order-3
-        # folded overlap, are rebuilt bit-equal and rewritten from a truncated
-        # file, one of the wrong shape and one of the wrong dtype
+        # every kind of array kept beside the table, the chain kernel, the
+        # order-3 folded overlap and the integral of fhat^2 (read by a new
+        # profile each time), is rebuilt bit-equal and rewritten from a
+        # truncated file, one of the wrong shape and one of the wrong dtype
         builds = {
             "kernel": lambda profile: window_product(profile, 1, QuadSpec(16.0, 8, 10).build()),
             "overlap": lambda profile: window_overlap_1d(profile, 3, half_panel_rule(5.0, 4, 6)),
+            "pair_overlap": lambda profile: np.array([replace(profile).pair_overlap_integral()]),
         }
         for kind, build in builds.items():
             cache = tmp_path / kind
@@ -747,6 +762,20 @@ class TestCriticalAlpha:
         cfg = ScalingConfig()
         with pytest.raises(InvalidArgumentError):
             find_critical_alpha(state, profile1, cfg, 0.7, 0.75)
+
+    def test_alpha_star_sweep_reads_the_chain_cache(self, profile1, chain_cache, criterion_step):
+        # criterion 08: the sweep at alpha* differs from the bracket's low-end
+        # sweep by the prefactor alone, so it computes no chain, and equals
+        # the same sweep from an empty cache to the bit
+        model, (_, params, cfg) = criterion_step("criterion_08_l2_bisection")
+        alpha_star = find_critical_alpha(model, profile1, cfg, *params["bisect_bracket"])
+        assert len(chain_cache.chains) == len(cfg.r_values)
+        read = exponent_sweep(model, profile1, cfg, 2, alpha=alpha_star)
+        assert len(chain_cache.chains) == len(cfg.r_values)
+        scaling.clear_caches()
+        fresh = exponent_sweep(model, profile1, cfg, 2, alpha=alpha_star)
+        assert np.array(read.values).tobytes() == np.array(fresh.values).tobytes()
+        assert read == fresh
 
 
 class TestWeightedRegime:

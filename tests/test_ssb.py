@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from fluctlab import scaling
 from fluctlab.errors import (
     InvalidArgumentError,
     InvalidTestConfigurationError,
     ModelValidationError,
 )
+from fluctlab.runner import ANALYSES
 from fluctlab.scaling import ScalingConfig
 from fluctlab.ssb import (
     Dispersion,
@@ -89,6 +91,20 @@ class TestBogoliubov:
         for radius in (4.0, 8.0, 32.0, 128.0, 512.0):
             check = bogoliubov_check(model3, profile3, radius)
             assert check.holds
+
+    def test_table_rows_read_the_chain_cache(self, profile3, chain_cache, criterion_step):
+        # criterion 10: the table's A-autocorrelation and double-commutator
+        # integrals are those of the growth sweeps at the same 7 radii, so of
+        # its 21 integrals only the 7 of the cross density are computed; each
+        # row equals the check from an empty cache to the bit
+        model, (kind, params, cfg) = criterion_step("criterion_10_ssb")
+        table = ANALYSES[kind].handler(params, cfg, model, profile3)["bogoliubov"]
+        assert [row["radius"] for row in table] == list(cfg.r_values)
+        assert len(chain_cache.chains) == 3 * 7 + 7
+        for row in table:
+            scaling.clear_caches()
+            check = bogoliubov_check(model, profile3, row["radius"])
+            assert (check.lhs, check.rhs) == (row["lhs"], row["rhs"]), row
 
     def test_order_parameter_limit(self, model3, profile3):
         lhs_values = [abs(commutator_expectation(model3, profile3, r)) ** 2
