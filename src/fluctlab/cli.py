@@ -7,7 +7,9 @@ error, 3 numerical-accuracy failure (a failed certificate, or a float
 overflow in the numerics), 4 model-validation failure.
 
 The window cache directory is taken from $FLUCTLAB_CACHE when set: it
-holds the window profile tables and the radial chain kernels built on them.
+holds the window profile tables and the arrays built on them, the radial
+chain kernels, the folded position-space overlaps and the integral of
+fhat^2.
 """
 
 from __future__ import annotations

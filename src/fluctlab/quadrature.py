@@ -64,14 +64,15 @@ class Rule1D:
         return len(self.nodes)
 
 
+@lru_cache(maxsize=None)
 def half_panel_rule(
     p_max: float,
     panels: int,
     nodes_per_panel: int,
     graded_levels: int = 0,
 ) -> Rule1D:
-    """Composite GL rule on [0, p_max] with uniform panels; both arrays are
-    read-only.
+    """Composite GL rule on [0, p_max] with uniform panels, built once per
+    argument tuple; both arrays are read-only.
 
     With graded_levels > 0 the innermost panel is subdivided geometrically
     toward 0 (edges at p_max/panels * GRADED_EDGE_RATIO**-j), which keeps

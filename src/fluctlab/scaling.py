@@ -23,7 +23,7 @@ the first two observables become its first vector (``_offset_vector``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from math import ceil, pi
 
@@ -59,22 +59,9 @@ MIN_RADII = 6
 MAX_POSITION_ORDER = 3
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    p_max: float
-    panels: int
-    nodes: int
-    graded_levels: int = 0
-
-    @cache
-    def build(self) -> Rule1D:
-        """The half-line rule on which the chain runs; built once per spec,
-        its nodes and weights are read-only."""
-        return half_panel_rule(self.p_max, self.panels, self.nodes, self.graded_levels)
-
-
-#: the quadrature geometry of every dimension n unless ``numeric.quad`` names n
-DEFAULT_SPEC = QuadSpec(120.0, 48, 10)
+#: the (p_max, panels, nodes, graded_levels) of the half-line rule of every
+#: dimension n unless ``numeric.quad`` names n
+DEFAULT_QUAD = (120.0, 48, 10, 0)
 
 
 ALPHA_MODES = ("canonical", "explicit", "gamma", "bisect")
@@ -107,14 +94,12 @@ class ScalingConfig:
             return float(self.alpha)
         raise InvalidArgumentError(f"unknown alpha_mode {self.alpha_mode!r}")
 
-    def quad_for(self, dim: int, singular: bool = False) -> QuadSpec:
-        """The rule geometry of dimension n, graded toward 0 for a singular density."""
-        spec = self.quad_overrides.get(dim, DEFAULT_SPEC)
-        if not isinstance(spec, QuadSpec):
-            spec = QuadSpec(*spec)
-        if singular and spec.graded_levels == 0:
-            spec = replace(spec, graded_levels=16)
-        return spec
+    def quad_for(self, dim: int, singular: bool = False) -> Rule1D:
+        """The half-line rule of dimension n, graded toward 0 for a singular density."""
+        p_max, panels, nodes, graded_levels = self.quad_overrides.get(dim, DEFAULT_QUAD)
+        if singular and graded_levels == 0:
+            graded_levels = 16
+        return half_panel_rule(p_max, panels, nodes, graded_levels)
 
     def validate_r_grid(self) -> np.ndarray:
         r = np.asarray(self.r_values, dtype=float)
@@ -131,18 +116,18 @@ class ScalingConfig:
             )
         return r
 
-    def validate_tail(self, profile: WindowProfile, spec: QuadSpec) -> float:
+    def validate_tail(self, profile: WindowProfile, rule: Rule1D) -> float:
         """Quadrature-domain certificate: pair-integrand tail below eps_vanish/10.
 
         The bound is computed once per (profile, p_max) and kept in the chain
         cache, so a sweep pays for it once, not once per radius."""
-        key = ("tail", profile.cache_key, spec.p_max)
+        key = ("tail", profile.cache_key, rule.p_max)
         if key not in _CHAIN_CACHE:
-            _CHAIN_CACHE[key] = pair_tail_bound(profile, spec.p_max)
+            _CHAIN_CACHE[key] = pair_tail_bound(profile, rule.p_max)
         bound = _CHAIN_CACHE[key]
         if bound > self.eps_vanish / 10.0:
             raise NumericalAccuracyError(
-                f"window tail bound {bound:.3e} at p_max={spec.p_max} exceeds "
+                f"window tail bound {bound:.3e} at p_max={rule.p_max} exceeds "
                 f"eps_vanish/10 = {self.eps_vanish / 10.0:.3e}; increase p_max or eps_vanish",
                 bound=bound,
             )
@@ -164,6 +149,8 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 # the radial chain: window kernel, first vector of an offset, contraction
 # ---------------------------------------------------------------------------
 
+#: the one in-memory cache of a run: tail bounds, radial nodes, kernels,
+#: chain values and folded overlaps, emptied by ``clear_caches``
 _CHAIN_CACHE: dict = {}
 
 
@@ -259,7 +246,6 @@ def _offset_vector(profile: WindowProfile, n: int, rule: Rule1D, phi, radius: fl
 
 def clear_caches() -> None:
     _CHAIN_CACHE.clear()
-    _OVERLAP_CACHE.clear()
 
 
 def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: float,
@@ -303,8 +289,8 @@ def _prefactor(order: int, n: int, radius: float, alpha: float) -> float:
 
 
 def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
-                qmode: bool = False) -> QuadSpec:
-    """The rule geometry of an order, the largest array of its chain checked
+                qmode: bool = False) -> Rule1D:
+    """The half-line rule of an order, the largest array of its chain checked
     against MAX_ARRAY_POINTS.
 
     The largest array of the chain of N radii is the vector at l = 2 and,
@@ -316,14 +302,14 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
     n = state.dim
-    spec = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"))
-    size = len(spec.build())
-    widths = [1] + ([size, support_rule_size(2.0 * spec.p_max)] if order > 2 else [])
+    rule = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"))
+    size = len(rule)
+    widths = [1] + ([size, support_rule_size(2.0 * rule.p_max)] if order > 2 else [])
     if qmode:
-        widths.append(2 if n == 1 else SUPPORT_PANEL_NODES * _angle_panels(spec.p_max))
+        widths.append(2 if n == 1 else SUPPORT_PANEL_NODES * _angle_panels(rule.p_max))
     _check_points(size * max(widths), f"the order-{order} radial chain array",
                   f"; set a smaller numeric.quad rule for dimension {n}")
-    return spec
+    return rule
 
 
 def _check_points(points: int, what: str, hint: str = "") -> None:
@@ -348,9 +334,9 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
-    spec = check_order(state, cfg, order, qmode=offsets is not None)
-    cfg.validate_tail(profile, spec)
-    return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, spec.build())
+    rule = check_order(state, cfg, order, qmode=offsets is not None)
+    cfg.validate_tail(profile, rule)
+    return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule)
 
 
 def _times_real(v: np.ndarray, real: np.ndarray):
@@ -389,17 +375,11 @@ def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) ->
 # weighted orders); one-dimensional states only
 # ---------------------------------------------------------------------------
 
-_OVERLAP_CACHE: dict = {}
-
-
 @cache
 def _u_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The overlap's 32-panel rule on [-GRID_EXTENT, GRID_EXTENT], built once
-    as the mirror of its positive half, so node N-1-i is -node i to the bit;
-    nodes and weights are read-only."""
-    pos, wpos = gauss_legendre_panels(0.0, GRID_EXTENT, 16, 12)
-    u = np.concatenate([-pos[::-1], pos])
-    wt = np.concatenate([wpos[::-1], wpos])
+    """The overlap's 32-panel rule on [-GRID_EXTENT, GRID_EXTENT], built once;
+    node N-1-i is -node i to the bit, and nodes and weights are read-only."""
+    u, wt = gauss_legendre_panels(-GRID_EXTENT, GRID_EXTENT, 32, 12)
     u.flags.writeable = False
     wt.flags.writeable = False
     return u, wt
@@ -418,19 +398,13 @@ def check_position(dim: int, order: int) -> None:
 
 def _folded_rows(profile: WindowProfile, z_rule: Rule1D) -> np.ndarray:
     """S[k, i] = f(|u_i + z_k|) + f(|u_i - z_k|) at the nodes z_k of a
-    half-line z rule, cached per (profile, rule) and shared by both orders.
+    half-line z rule.
 
     Only the rows of z_k are evaluated: the u rule is mirrored to the bit,
     so the row of -z_k is row k reversed, bit for bit.
     """
-    key = ("rows", profile.cache_key, z_rule.key)
-    rows = _OVERLAP_CACHE.get(key)
-    if rows is None:
-        a = profile.value(_u_rule()[0] + z_rule.nodes[:, None])
-        rows = a + a[:, ::-1]
-        rows.flags.writeable = False
-        _keep_overlap(key, rows)
-    return rows
+    a = profile.value(_u_rule()[0] + z_rule.nodes[:, None])
+    return a + a[:, ::-1]
 
 
 def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
@@ -442,8 +416,9 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
     difference variables y is exactly R * g_l(y / R).  Every position form
     reads the radii |y_i|, so the position path needs g only through
     G(z) = wt(z_1)...wt(z_{l-1}) times the sum of g over the 2^(l-1) sign
-    flips of z, at the rule's nodes: an (N,) * (l-1) array, cached per
-    (profile, order, rule) within MAX_ARRAY_POINTS (``_keep_overlap``).
+    flips of z, at the rule's nodes: an (N,) * (l-1) array, checked against
+    MAX_ARRAY_POINTS before it is built and kept in the chain cache per
+    (profile, order, rule).
 
     With u = w + T_2 the integrand is f(|u + z_1|) f(|u|), times
     f(|u - z_2|) at l = 3, which separates z_1 from z_2:
@@ -459,14 +434,14 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
     (``window.load_or_build_array``).
     """
     check_position(1, order)
-    key = (profile.cache_key, order, z_rule.key)
-    if key in _OVERLAP_CACHE:
-        return _OVERLAP_CACHE[key]
-    g = load_or_build_array(profile.cache_dir, _rule_file_name(f"overlap_n1_o{order}_z", z_rule),
-                            (len(z_rule),) * (order - 1), lambda: _folded_overlap(profile, order, z_rule))
-    g.flags.writeable = False
-    _keep_overlap(key, g)
-    return g
+    key = ("overlap", profile.cache_key, order, z_rule.key)
+    if key not in _CHAIN_CACHE:
+        _check_points(len(z_rule) ** (order - 1), "position-space array")
+        g = load_or_build_array(profile.cache_dir, _rule_file_name(f"overlap_n1_o{order}_z", z_rule),
+                                (len(z_rule),) * (order - 1), lambda: _folded_overlap(profile, order, z_rule))
+        g.flags.writeable = False
+        _CHAIN_CACHE[key] = g
+    return _CHAIN_CACHE[key]
 
 
 def _folded_overlap(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
@@ -480,24 +455,10 @@ def _folded_overlap(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.nd
     return g
 
 
-def _keep_overlap(key, g: np.ndarray) -> None:
-    """Cache an overlap or its rows, evicting the oldest entries so the cache
-    never holds more than MAX_ARRAY_POINTS points; an array larger than that
-    is not kept."""
-    held = sum(a.size for a in _OVERLAP_CACHE.values())
-    for old in list(_OVERLAP_CACHE):
-        if held + g.size <= MAX_ARRAY_POINTS:
-            break
-        held -= _OVERLAP_CACHE.pop(old).size
-    if held + g.size <= MAX_ARRAY_POINTS:
-        _OVERLAP_CACHE[key] = g
-
-
-@cache
 def oracle_z_rule() -> Rule1D:
     """Scaled-difference-variable rule shared by all radii of one oracle run;
-    built once, read-only.  Its 6 graded levels resolve correlator structure
-    at scale 1/R at the small radii the oracle comparisons use."""
+    read-only.  Its 6 graded levels resolve correlator structure at scale
+    1/R at the small radii the oracle comparisons use."""
     return half_panel_rule(2.0 * GRID_EXTENT, 24, 10, 6)
 
 
@@ -516,7 +477,6 @@ def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     check_position(state.dim, order)
     if z_rule is None:
         z_rule = oracle_z_rule()
-    _check_points(len(z_rule) ** (order - 1), "position-space array")
     g = window_overlap_1d(profile, order, z_rule)
     y = radius * z_rule.nodes
     radii = (y,) if order == 2 else (y[:, None], y)
@@ -827,10 +787,9 @@ def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
                                      z_rule=weighted_z_rule(order))
 
 
-@cache
 def weighted_z_rule(order: int) -> Rule1D:
-    """Difference-variable rule of the weighted position path, built once per
-    order; read-only.
+    """Difference-variable rule of the weighted position path, one per order;
+    read-only.
 
     Grading down to ~1e-4 of the box resolves correlator structure at scale
     1/R through R ~ 2000; order 3 uses a leaner per-axis rule.

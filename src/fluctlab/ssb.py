@@ -21,7 +21,8 @@ from .errors import (
     ModelValidationError,
 )
 from .models import RadialWeight, smooth_cutoff, smoothstep_edge
-from .scaling import QuadSpec, ScalingConfig, ScalingReport, build_report, radial_chain
+from .quadrature import half_panel_rule
+from .scaling import ScalingConfig, ScalingReport, build_report, radial_chain
 from .window import SUPPORT_RADIUS, WindowProfile, unit_sphere_area
 
 
@@ -128,7 +129,7 @@ def _spectral_integral(model: GoldstoneModel, profile: WindowProfile, radius: fl
                        weight) -> complex:
     """Omega_{n-1} * integral fhat(u)^2 weight(u/R) u^(n-1) du: the order-2 radial
     chain on a half-line rule graded toward u = 0."""
-    rule = QuadSpec(min(profile.k_max, 160.0), 64, 10, 18).build()
+    rule = half_panel_rule(min(profile.k_max, 160.0), 64, 10, 18)
     return radial_chain(profile, model.dim, rule, (weight,), radius)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from fluctlab import scaling
 from fluctlab.models import GaussianProfile, product_ansatz_state
-from fluctlab.scaling import QuadSpec
+from fluctlab.quadrature import half_panel_rule
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -39,7 +39,7 @@ def test_every_traced_name_resolves(spans):
 
 def test_window_product_returns_an_array(profile1):
     # the tracer reads .size and .nbytes of what window_product returns
-    kernel = scaling.window_product(profile1, 1, QuadSpec(10.0, 2, 4).build())
+    kernel = scaling.window_product(profile1, 1, half_panel_rule(10.0, 2, 4))
     assert isinstance(kernel, np.ndarray)
     assert kernel.size and kernel.nbytes
 

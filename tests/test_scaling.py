@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 
@@ -28,7 +28,6 @@ from fluctlab.models import (
     weighted_state,
 )
 from fluctlab.scaling import (
-    QuadSpec,
     Rule1D,
     ScalingConfig,
     check_order,
@@ -172,11 +171,11 @@ class TestSpectralPath:
         scaling.clear_caches()
         cfg = ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 512.0, 7)))
         exponent_sweep(product_state1, profile1, cfg, 3)
-        assert calls == [scaling.DEFAULT_SPEC.p_max]
-        assert cfg.validate_tail(profile1, scaling.DEFAULT_SPEC) == pair_tail_bound(
-            profile1, scaling.DEFAULT_SPEC.p_max)
+        rule = half_panel_rule(*scaling.DEFAULT_QUAD)
+        assert calls == [rule.p_max]
+        assert cfg.validate_tail(profile1, rule) == pair_tail_bound(profile1, rule.p_max)
         scaling.clear_caches()
-        cfg.validate_tail(profile1, scaling.DEFAULT_SPEC)
+        cfg.validate_tail(profile1, rule)
         assert len(calls) == 2
 
     def test_unnormalized_growth_exponent(self, gaussian_state1, profile1):
@@ -246,6 +245,10 @@ def _weighted_state():
         "numeric": {"alpha_mode": "gamma"}})).model
 
 
+def _no_rows(profile, z_rule):
+    raise AssertionError("the folded rows were evaluated for an overlap over the budget")
+
+
 class TestPositionOverlap:
     """The separated, folded overlap equals the w-integral it replaces."""
 
@@ -267,30 +270,42 @@ class TestPositionOverlap:
             same_rule = _folded_direct(profile1, z_rule, idx, panels=32)
             assert np.max(np.abs(got - same_rule)) <= 1e-14
 
-    def test_cache_held_within_the_budget(self, profile1, monkeypatch):
-        # three order-3 overlaps of 12**2 points, each with its 12 x 384
-        # folded rows, under a budget of two: the oldest entries are evicted
-        # and recompute to the same arrays
-        rules = [half_panel_rule(5.0 + i, 4, 3) for i in range(3)]
-        half = len(rules[0])
-        size = half ** 2 + half * len(scaling._u_rule()[0])
-        monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", 2 * size)
+    def test_over_budget_rule_raises_before_the_build(self, profile1, tmp_path, monkeypatch):
+        # an order-3 overlap of 12**2 points under a budget of one point less
+        # raises before any row is evaluated, and neither memory nor the window
+        # cache keeps anything; the order-2 overlap of 12 points builds, and
+        # so does the order-3 one once the budget holds it
+        rule = half_panel_rule(5.0, 4, 3)
+        monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", len(rule) ** 2 - 1)
+        rows = scaling._folded_rows
+        monkeypatch.setattr(scaling, "_folded_rows", _no_rows)
         scaling.clear_caches()
-        first = window_overlap_1d(profile1, 3, rules[0])
-        assert first.shape == (half, half)
-        for rule in rules[1:]:
-            window_overlap_1d(profile1, 3, rule)
-            assert sum(g.size for g in scaling._OVERLAP_CACHE.values()) <= 2 * size
-        assert len(scaling._OVERLAP_CACHE) == 4
-        assert all(key[-1] != rules[0].key for key in scaling._OVERLAP_CACHE)
-        again = window_overlap_1d(profile1, 3, rules[0])
-        assert again is not first and np.array_equal(again, first)
-        # arrays larger than the whole budget are returned but not kept
-        monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", half ** 2 - 1)
+        profile = replace(profile1, cache_dir=tmp_path)
+        with pytest.raises(NumericalAccuracyError, match="position-space array"):
+            window_overlap_1d(profile, 3, rule)
+        assert not scaling._CHAIN_CACHE and not list(tmp_path.iterdir())
+        monkeypatch.setattr(scaling, "_folded_rows", rows)
+        assert window_overlap_1d(profile, 2, rule).shape == (len(rule),)
+        monkeypatch.setattr(scaling, "MAX_ARRAY_POINTS", len(rule) ** 2)
+        assert window_overlap_1d(profile, 3, rule).shape == (len(rule),) * 2
+        assert len(list(tmp_path.iterdir())) == 2
         scaling.clear_caches()
-        assert np.array_equal(window_overlap_1d(profile1, 3, rules[0]), first)
-        assert not scaling._OVERLAP_CACHE
+
+    def test_clear_caches_empties_every_module_dict(self, criterion_step, profile1):
+        # the oracle and the weighted path keep their overlaps in the one chain
+        # cache beside the kernels and chain values; clearing it leaves no
+        # dict that scaling itself holds non-empty
         scaling.clear_caches()
+        for stem in ("criterion_04_oracle", "criterion_09a_weighted_boundary"):
+            model, (kind, params, cfg) = criterion_step(stem)
+            runner.ANALYSES[kind].handler(params, cfg, model, profile1)
+        kinds = Counter(key[0] for key in scaling._CHAIN_CACHE)
+        assert kinds["overlap"] == 4 and kinds["kernel"] and kinds["chain"]
+        scaling.clear_caches()
+        held = [name for name, value in vars(scaling).items()
+                if isinstance(value, dict) and value and not name.startswith("__")
+                and value is not getattr(window, name, None)]
+        assert held == []
 
     def test_orders_beyond_three_raise(self, profile1, product_state1):
         # the position path runs orders 2 and 3; the oracle and the weighted
@@ -302,7 +317,7 @@ class TestPositionOverlap:
                 window_overlap_1d(profile1, order, oracle_z_rule())
             with pytest.raises(OrderRangeError, match="2..3"):
                 position_space_correlator(product_state1, profile1, cfg, order, 8.0, 0.5)
-        assert not scaling._OVERLAP_CACHE
+        assert not scaling._CHAIN_CACHE
 
 
 class TestPositionFold:
@@ -348,8 +363,8 @@ class TestPositionFold:
         assert scaling._u_rule()[0] is u
         assert not u.flags.writeable and not wt.flags.writeable
 
-    @pytest.mark.parametrize("make", [*_Z_RULES.values(), scaling.DEFAULT_SPEC.build,
-                                      QuadSpec(120.0, 48, 10, 16).build],
+    @pytest.mark.parametrize("make", [*_Z_RULES.values(), lambda: half_panel_rule(*scaling.DEFAULT_QUAD),
+                                      lambda: half_panel_rule(120.0, 48, 10, 16)],
                              ids=[*_Z_RULES, "default", "graded"])
     def test_rules_lie_on_the_half_line(self, make):
         rule = make()
@@ -409,11 +424,28 @@ class TestLegendreRuleCache:
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
         legendre_rule.cache_clear()
-        QuadSpec.build.cache_clear()
+        half_panel_rule.cache_clear()
         cfg = ScalingConfig()
         for order in (2, 3):
             exponent_sweep(product_state1, profile1, cfg, order)
         assert calls and max(calls.values()) == 1
+
+    def test_quad_for_returns_the_cached_rule(self):
+        # the default rule, its 16-level graded form for a singular density and
+        # a numeric.quad override read from JSON, p_max an integer there, are
+        # each the very object half_panel_rule returns for the same geometry
+        default = ScalingConfig()
+        graded = half_panel_rule(120.0, 48, 10, 16)
+        assert default.quad_for(1) is half_panel_rule(*scaling.DEFAULT_QUAD)
+        assert default.quad_for(2, singular=True) is graded
+        assert check_order(powerlaw_state(0.75, 1), default, 2) is graded
+        [(_, _, cfg)] = parse_config(json.dumps({
+            "model": {"class": "gaussian", "dim": 1, "two_point": {"form": "gaussian"}},
+            "numeric": {"quad": {"1": [60, 24, 8, 0]}},
+            "analyses": [{"kind": "scaling-sweep", "orders": [2]}]})).steps
+        assert cfg.quad_for(1) is half_panel_rule(60.0, 24, 8, 0)
+        assert cfg.quad_for(1).key == (60.0, 24, 8, 0)
+        assert cfg.quad_for(2) is default.quad_for(2)
 
     def test_cached_nodes_read_only(self):
         x, w = legendre_rule(12)
@@ -425,7 +457,7 @@ class TestLegendreRuleCache:
 
 #: the rules of the chain kernels on disk: the default one (480 nodes) and
 #: its graded form (640 nodes), which singular densities run on
-KERNEL_RULES = {"default": scaling.DEFAULT_SPEC, "graded": replace(scaling.DEFAULT_SPEC, graded_levels=16)}
+KERNEL_RULES = {"default": scaling.DEFAULT_QUAD, "graded": scaling.DEFAULT_QUAD[:3] + (16,)}
 
 
 def _refined_kernel(n, rule):
@@ -451,14 +483,14 @@ class TestKernelCache:
     def test_disk_kernel_equals_fresh_build(self, profile1, profile2, profile3, dim, rule_name,
                                             tmp_path, monkeypatch):
         profile = (profile1, profile2, profile3)[dim - 1]
-        rule = KERNEL_RULES[rule_name].build()
+        rule = half_panel_rule(*KERNEL_RULES[rule_name])
         scaling.clear_caches()
         fresh = window_product(profile, dim, rule)
         assert not list(tmp_path.iterdir())
         scaling.clear_caches()
         cold = window_product(replace(profile, cache_dir=tmp_path), dim, rule)
         [path] = tmp_path.iterdir()
-        key = "_".join(map(str, astuple(KERNEL_RULES[rule_name])))
+        key = "_".join(map(str, KERNEL_RULES[rule_name]))
         assert path.name == f"chain_n{dim}_p{key}_v{window.CACHE_FORMAT_VERSION}.npy"
         assert path.stat().st_size == 128 + 8 * len(rule) ** 2
         scaling.clear_caches()
@@ -469,7 +501,7 @@ class TestKernelCache:
         scaling.clear_caches()
 
     def test_kernels_are_read_only(self, profile2, tmp_path):
-        rule = scaling.DEFAULT_SPEC.build()
+        rule = half_panel_rule(*scaling.DEFAULT_QUAD)
         for profile in (profile2, replace(profile2, cache_dir=tmp_path), replace(profile2, cache_dir=tmp_path)):
             scaling.clear_caches()  # built, built and written, read
             kernel = window_product(profile, 2, rule)
@@ -483,7 +515,7 @@ class TestKernelCache:
         # profile each time), is rebuilt bit-equal and rewritten from a
         # truncated file, one of the wrong shape and one of the wrong dtype
         builds = {
-            "kernel": lambda profile: window_product(profile, 1, QuadSpec(16.0, 8, 10).build()),
+            "kernel": lambda profile: window_product(profile, 1, half_panel_rule(16.0, 8, 10)),
             "overlap": lambda profile: window_overlap_1d(profile, 3, half_panel_rule(5.0, 4, 6)),
             "pair_overlap": lambda profile: np.array([replace(profile).pair_overlap_integral()]),
         }
@@ -547,7 +579,7 @@ class TestSupportRule:
     def test_kernel_at_small_p_max_equals_refined_rule(self, dim):
         # at frequency 32 the cycles alone would give the edge 3 panels and
         # the kernel 6e-11 of max|K| off
-        rule = QuadSpec(16.0, 8, 10).build()
+        rule = half_panel_rule(16.0, 8, 10)
         kernel = scaling._radial_kernel(dim, rule)
         refined = _refined_kernel(dim, rule)
         assert np.max(np.abs(kernel - refined)) <= 1e-14 * np.max(np.abs(refined))
@@ -622,7 +654,7 @@ class TestChainContraction:
         state = TruncatedHierarchy(dim=dim, max_order=order, factors={order: factors}, tags={})
         profile = profile1 if dim == 1 else profile2
         chain = qmode_correlator(state, profile, _SMALL_RULES, order, None, radius, alpha)
-        rule = _SMALL_RULES.quad_for(dim).build()
+        rule = _SMALL_RULES.quad_for(dim)
         reference, scale = _radial_tensor_sum(state, profile, order, radius, alpha, rule)
         assert abs(chain - reference) <= 1e-12 * scale
         # offsets a e and b e on the first two observables, the net shift
@@ -912,7 +944,7 @@ class TestRadialChain:
         # kernel read off the support rule instead of fhat agrees to 1e-10
         state = _product_state(1, range(2, 9))
         cfg = ScalingConfig()
-        rule = _symmetric_rule(*astuple(scaling.DEFAULT_SPEC))
+        rule = _symmetric_rule(*scaling.DEFAULT_QUAD)
         for order in range(2, 9):
             for radius in (2.0, 8.0, 64.0, 512.0):
                 cartesian = _cartesian_chain(state, profile1, order, np.zeros((order, 1)), radius, 0.5, rule)
@@ -931,11 +963,11 @@ class TestRadialChain:
         # and phi_1 small beyond it (a larger b at R = 64 reads 1e-9 off)
         state = _product_state(1, range(2, 9))
         cfg = ScalingConfig()
-        rule = _symmetric_rule(*astuple(scaling.DEFAULT_SPEC))
+        rule = _symmetric_rule(*scaling.DEFAULT_QUAD)
         for a, b in ((0.7, 0.4), (-0.2, -0.3)):
             for order in range(2, 9):
                 for radius in (2.0, 8.0, 16.0):
-                    assert radius * abs(a + b) <= scaling.DEFAULT_SPEC.p_max / 4
+                    assert radius * abs(a + b) <= scaling.DEFAULT_QUAD[0] / 4
                     offsets = _qmode_offsets(order, 1, a, b)
                     cartesian = _cartesian_chain(state, profile1, order, offsets, radius, 0.5, rule)
                     chain = qmode_correlator(state, profile1, cfg, order, offsets, radius)
@@ -978,7 +1010,7 @@ class TestRadialChain:
 
     def test_kernel_equals_two_point_sum_at_n1(self, profile1):
         # S^0 is the two points +-1: K[p, r] = fhat(|p - r|) + fhat(p + r)
-        rule = scaling.DEFAULT_SPEC.build()
+        rule = half_panel_rule(*scaling.DEFAULT_QUAD)
         kernel = window_product(profile1, 1, rule)
         p, r = rule.nodes[:, None], rule.nodes[None, :]
         direct = profile1.fourier_radial(np.abs(p - r)) + profile1.fourier_radial(p + r)
@@ -988,7 +1020,7 @@ class TestRadialChain:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_kernel_equals_angular_quadrature(self, profile2, profile3, dim):
         profile = profile2 if dim == 2 else profile3
-        rule = scaling.DEFAULT_SPEC.build()
+        rule = half_panel_rule(*scaling.DEFAULT_QUAD)
         kernel = window_product(profile, dim, rule)
         assert kernel.shape == (len(rule), len(rule))
         theta, wt = gauss_legendre_panels(0.0, np.pi, 64, 16)
@@ -1006,7 +1038,7 @@ class TestRadialChain:
         # to rounding: the kernel takes the square root of f there, so f must
         # be exact zeros (the evaluator clips it), not noise of either sign
         profile = (profile1, profile2, profile3)[dim - 1]
-        rule = QuadSpec(120.0, 8, 10).build()
+        rule = half_panel_rule(120.0, 8, 10)
         f = window.support_rule(2.0 * rule.p_max)[2]
         assert np.all(f[-4:] == 0.0) and np.all(f[:-4] > 0.0)
         kernel = window_product(profile, dim, rule)
@@ -1052,7 +1084,7 @@ class TestRadialChain:
     def test_order2_is_the_ssb_spectral_integral(self, profile3):
         # one primitive: the ssb integrals are the order-2 radial chain
         g = GaussianProfile(1.0, 1.0, 3)
-        rule = QuadSpec(160.0, 64, 10, 18).build()
+        rule = half_panel_rule(160.0, 64, 10, 18)
         for radius in (8.0, 512.0):
             chain = radial_chain(profile3, 3, rule, (g.momentum,), radius)
             u = rule.nodes
@@ -1072,4 +1104,5 @@ class TestRadialChain:
         # every order and every n, offsets or not, runs on the one default rule
         for dim in (1, 2, 3):
             for qmode in (False, True):
-                assert check_order(_product_state(dim, [2, 3]), ScalingConfig(), 3, qmode) == scaling.DEFAULT_SPEC
+                assert check_order(_product_state(dim, [2, 3]), ScalingConfig(), 3, qmode) is half_panel_rule(
+                    *scaling.DEFAULT_QUAD)
