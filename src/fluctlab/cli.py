@@ -8,8 +8,7 @@ overflow in the numerics), 4 model-validation failure.
 
 The window cache directory is taken from $FLUCTLAB_CACHE when set: it
 holds the window profile tables and the arrays built on them, the radial
-chain kernels, the folded position-space overlaps and the integral of
-fhat^2.
+chain kernels and the folded position-space overlaps.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ class ScalingConfig:
         """Quadrature-domain certificate: pair-integrand tail below eps_vanish/10.
 
         The bound is computed once per (profile, p_max) and kept in the chain
-        cache, so a sweep pays for it once, not once per radius."""
+        cache, so the sweeps and one-radius calls of a run pay for it once."""
         key = ("tail", profile.cache_key, rule.p_max)
         if key not in _CHAIN_CACHE:
             _CHAIN_CACHE[key] = pair_tail_bound(profile, rule.p_max)
@@ -330,13 +330,25 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     they become the first vector of the radial chain (``_offset_vector``),
     and zero ones give the None value to rounding.
     """
-    n = state.dim
-    alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
+    alpha = cfg.resolved_alpha(state.dim) if alpha is None else float(alpha)
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
+    return _spectral_path(state, profile, cfg, order, alpha, offsets)(radius)
+
+
+def _spectral_path(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
+                   order: int, alpha: float, offsets=None):
+    """``qmode_correlator`` as a function of R: the rule (``check_order``), the
+    tail certificate, the offset pair and the factors resolved once, then the
+    window chain of the module formula on the rule (``radial_chain``)."""
+    n = state.dim
     rule = check_order(state, cfg, order, qmode=offsets is not None)
     cfg.validate_tail(profile, rule)
-    return _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule)
+    pair = None if offsets is None else _offset_pair(offsets, order, n)
+    fns = state.order_factors(order)
+    if not fns:
+        return lambda radius: 0j
+    return lambda radius: _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, fns, radius, pair)
 
 
 def _times_real(v: np.ndarray, real: np.ndarray):
@@ -356,18 +368,6 @@ def _offset_pair(offsets, order: int, n: int) -> tuple[float, float]:
     if np.any(offs):
         raise InvalidArgumentError("only offsets[0, 0] and offsets[1, 0] may be nonzero")
     return float(a), float(b)
-
-
-def _spectral_value(state, profile, cfg, order, offsets, radius, alpha, rule) -> complex:
-    """The quadrature of the module formula: with S_l = phi_1(|q_1|) ...
-    phi_{l-1}(|q_{l-1}|) the window chain is a product of matrices on the
-    radii of the rule (``radial_chain``), offsets its first vector."""
-    n = state.dim
-    pair = None if offsets is None else _offset_pair(offsets, order, n)
-    fns = state.order_factors(order)
-    if not fns:
-        return 0j
-    return _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, fns, radius, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +474,24 @@ def position_space_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     runs over the half-line z rule against the folded overlap of
     ``window_overlap_1d``.
     """
+    return _position_path(state, profile, order, alpha,
+                          oracle_z_rule() if z_rule is None else z_rule)(radius)
+
+
+def _position_path(state: TruncatedHierarchy, profile: WindowProfile, order: int,
+                   alpha: float, z_rule: Rule1D):
+    """``position_space_correlator`` as a function of R: the reach
+    (``check_position``), the form and the overlap resolved once."""
     check_position(state.dim, order)
-    if z_rule is None:
-        z_rule = oracle_z_rule()
+    form = state.position_form(order)
     g = window_overlap_1d(profile, order, z_rule)
-    y = radius * z_rule.nodes
-    radii = (y,) if order == 2 else (y[:, None], y)
-    integral = complex(np.sum(g * state.position_form(order)(radii)))
-    return radius ** (order * (1.0 - alpha)) * integral
+
+    def value(radius):
+        y = radius * z_rule.nodes
+        radii = (y,) if order == 2 else (y[:, None], y)
+        return radius ** (order * (1.0 - alpha)) * complex(np.sum(g * form(radii)))
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +634,22 @@ def classify(exponent, r_values, values, eps_vanish: float, band: float) -> tupl
 def exponent_sweep(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
                    order: int, alpha: float | None = None, offsets=None,
                    label: str = "correlator") -> ScalingReport:
-    """Evaluate the correlator over the R grid and fit the scaling exponent."""
-    r = cfg.validate_r_grid()
-    n = state.dim
-    alpha = cfg.resolved_alpha(n) if alpha is None else float(alpha)
-    vals = [
-        _sweep_value(state, profile, cfg, order, offsets, float(radius), alpha)
-        for radius in r
-    ]
-    return build_report(r, vals, order, alpha, offsets, cfg, label)
-
-
-def _sweep_value(state, profile, cfg, order, offsets, radius, alpha) -> complex:
+    """Resolve the correlator once, as a function of R, then evaluate it over
+    the R grid and fit the scaling exponent: a weighted order on the position
+    path (``weighted_correlator``), every other on the spectral chain."""
+    alpha = cfg.resolved_alpha(state.dim) if alpha is None else float(alpha)
     if order in state.weighted_orders:
-        return weighted_correlator(state, profile, cfg, order, alpha, radius)
-    return qmode_correlator(state, profile, cfg, order, offsets, radius, alpha)
+        value = _position_path(state, profile, order, alpha, weighted_z_rule(order))
+    else:
+        value = _spectral_path(state, profile, cfg, order, alpha, offsets)
+    return sweep_report(cfg, value, order, alpha, offsets, label)
+
+
+def sweep_report(cfg: ScalingConfig, value, order: int, alpha: float, offsets=None,
+                 label: str = "correlator") -> ScalingReport:
+    """A function of R mapped over the validated R grid, fitted and classified."""
+    r = cfg.validate_r_grid()
+    return build_report(r, [value(float(radius)) for radius in r], order, alpha, offsets, cfg, label)
 
 
 def build_report(r, vals, order, alpha, offsets, cfg: ScalingConfig, label: str) -> ScalingReport:
@@ -783,8 +794,7 @@ def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     """
     if order not in state.weighted_orders:
         raise UnsupportedModeError(f"order {order} carries no weighted correlator")
-    return position_space_correlator(state, profile, cfg, order, radius, gamma,
-                                     z_rule=weighted_z_rule(order))
+    return _position_path(state, profile, order, gamma, weighted_z_rule(order))(radius)
 
 
 def weighted_z_rule(order: int) -> Rule1D:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .models import RadialWeight, smooth_cutoff, smoothstep_edge
 from .quadrature import half_panel_rule
-from .scaling import ScalingConfig, ScalingReport, build_report, radial_chain
+from .scaling import ScalingConfig, ScalingReport, radial_chain, sweep_report
 from .window import SUPPORT_RADIUS, WindowProfile, unit_sphere_area
 
 
@@ -153,9 +153,8 @@ def autocorrelation(model: GoldstoneModel, profile: WindowProfile, radius: float
 
 def autocorrelation_growth(model: GoldstoneModel, profile: WindowProfile,
                            cfg: ScalingConfig, which: str = "A") -> ScalingReport:
-    r = cfg.validate_r_grid()
-    vals = [autocorrelation(model, profile, float(R), which) for R in r]
-    return build_report(r, vals, 2, 0.0, None, cfg, label=f"autocorrelation-{which}")
+    return sweep_report(cfg, lambda R: autocorrelation(model, profile, R, which), 2, 0.0,
+                        label=f"autocorrelation-{which}")
 
 
 @dataclass(frozen=True)
@@ -179,9 +178,8 @@ def double_commutator(model: GoldstoneModel, profile: WindowProfile, radius: flo
 
 def double_commutator_scaling(model: GoldstoneModel, profile: WindowProfile,
                               cfg: ScalingConfig) -> ScalingReport:
-    r = cfg.validate_r_grid()
-    vals = [double_commutator(model, profile, float(R)) for R in r]
-    return build_report(r, vals, 2, 0.0, None, cfg, label="double-commutator")
+    return sweep_report(cfg, lambda R: double_commutator(model, profile, R), 2, 0.0,
+                        label="double-commutator")
 
 
 def commutator_expectation(model: GoldstoneModel, profile: WindowProfile,
@@ -300,9 +298,8 @@ def mean_projector_residual(vec: SpectralVectorModel, profile: WindowProfile,
 
 def mean_projector_convergence(vec: SpectralVectorModel, profile: WindowProfile,
                                cfg: ScalingConfig) -> ScalingReport:
-    r = cfg.validate_r_grid()
-    vals = [mean_projector_residual(vec, profile, float(R)) for R in r]
-    return build_report(r, vals, 1, 0.0, None, cfg, label="projector-residual")
+    return sweep_report(cfg, lambda R: mean_projector_residual(vec, profile, R), 1, 0.0,
+                        label="projector-residual")
 
 
 @dataclass(frozen=True)

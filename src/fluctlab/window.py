@@ -43,7 +43,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gamma as _gamma_fn
 from math import ceil, comb, factorial, pi, sqrt
 from pathlib import Path
@@ -55,14 +55,12 @@ from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 #: the format version in the name of every file of the window cache: the
 #: profile tables of ``load_or_build``, the chain kernels of
-#: ``scaling.window_product``, the folded overlaps of
-#: ``scaling.window_overlap_1d`` and the integral of fhat^2 of
-#: ``WindowProfile.pair_overlap_integral``.  Any change to the window's shape
+#: ``scaling.window_product`` and the folded overlaps of
+#: ``scaling.window_overlap_1d``.  Any change to the window's shape
 #: (``_profile_evaluator``), to ``make_profile``'s table, to ``support_rule``,
-#: to the kernel or the overlap formula, to the overlap's u rule
-#: (``scaling._u_rule``) or to the fhat^2 rule (512 x 12 Gauss-Legendre panels
-#: on [0, k_max] read by ``lagrange_uniform``) must bump it, so that no file
-#: of the old content is read
+#: to the kernel or the overlap formula or to the overlap's u rule
+#: (``scaling._u_rule``) must bump it, so that no file of the old content is
+#: read
 CACHE_FORMAT_VERSION = 10
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
@@ -188,21 +186,16 @@ class WindowProfile:
         return float(self.fhat_samples[0])
 
     def pair_overlap_integral(self) -> float:
-        """integral over R^n of fhat(k) fhat(-k) = integral |fhat|^2 (real even fhat),
-        computed from the transform table, or read from the window cache,
-        once per profile."""
-        return self._pair_overlap
+        """integral over R^n of fhat(k) fhat(-k) = integral |fhat|^2 (real even fhat).
 
-    @cached_property
-    def _pair_overlap(self) -> float:
-        """Kept in the profile's ``cache_dir`` as a (1,) array beside its table."""
-        name = _cache_file_name(self.dim, self.k_max, len(self.k_grid), "pair_overlap")
-        return float(load_or_build_array(self.cache_dir, name, (1,), self._build_pair_overlap)[0])
-
-    def _build_pair_overlap(self) -> np.ndarray:
-        s, w = gauss_legendre_panels(0.0, self.k_max, 512, 12)
-        vals = lagrange_uniform(self.k_grid, self.fhat_samples, s) ** 2
-        return np.array([unit_sphere_area(self.dim) * float(np.sum(w * vals * s ** (self.dim - 1)))])
+        By Plancherel it is the integral of f(|x|)^2, which the plateau
+        gives in closed form: |S^(n-1)| (a^n/n + sum w f(s)^2 s^(n-1)), the
+        sum over the panels of ``transform_rule`` on the edge [a, b] with the
+        exact profile values."""
+        a, b = EDGE
+        s, w = transform_rule(self.k_max, a, b)
+        edge = float(np.sum(w * _profile_evaluator()(s) ** 2 * s ** (self.dim - 1)))
+        return unit_sphere_area(self.dim) * (a ** self.dim / self.dim + edge)
 
     # -- serialization -----------------------------------------------------
 
@@ -287,10 +280,9 @@ def load_or_build_array(cache_dir: Path | None, name: str, shape: tuple, build) 
         return array
 
 
-def _cache_file_name(dim: int, k_max: float, k_resolution: int, stem: str = "window") -> str:
-    """The cache file of a profile's table, or of another array of the
-    profile alone: its scalars and the format version name it."""
-    return f"{stem}_n{dim}_k{float(k_max)!r}_m{k_resolution}_v{CACHE_FORMAT_VERSION}.npy"
+def _cache_file_name(dim: int, k_max: float, k_resolution: int) -> str:
+    """The cache file of a profile's table: its scalars and the format version name it."""
+    return f"window_n{dim}_k{float(k_max)!r}_m{k_resolution}_v{CACHE_FORMAT_VERSION}.npy"
 
 
 _CACHE_NAME = re.compile(r"window_n(\d+)_k([^_]+)_m(\d+)_v(\d+)\.npy")

@@ -7,12 +7,14 @@ spans.py is loaded from its file and never modified.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fluctlab import scaling
+from fluctlab.config import parse_config
 from fluctlab.models import GaussianProfile, product_ansatz_state
 from fluctlab.quadrature import half_panel_rule
 
@@ -89,3 +91,31 @@ def test_traced_order3_oracle_evaluates_half_the_rows(spans, product_state1, pro
     assert layers["window.value_points"] == 300 * 384 + 384
     assert layers["scaling.window_overlap_1d_calls"] == 2
     assert layers["scaling.window_overlap_1d_hits"] == 1
+
+
+def test_traced_sweep_resolves_once(spans, product_state1, profile1):
+    # a sweep maps its resolved correlator over the grid without the
+    # one-radius calls: their spans count only calls such as oracle rows,
+    # and scaling.exponent_sweep carries the sweep's time
+    cfg = scaling.ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 512.0, 6)))
+    weighted = parse_config(json.dumps({
+        "model": {"class": "weighted", "dim": 1, "orders": [
+            {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
+        "numeric": {"alpha_mode": "gamma"}})).model
+    tracer = spans.Tracer()
+    scaling.clear_caches()
+    with tracer.active():
+        scaling.exponent_sweep(product_state1, profile1, cfg, 3)
+        scaling.exponent_sweep(weighted, profile1, cfg, 2, alpha=0.75)
+    layers = tracer.layer_metrics()
+    assert layers["scaling.exponent_sweep_calls"] == 2
+    assert layers["scaling.build_report_calls"] == 2
+    for name in ("qmode_correlator", "weighted_correlator", "position_space_correlator"):
+        assert layers[f"scaling.{name}_calls"] == 0, name
+    # one kernel read per chain value, built at the first radius
+    assert layers["scaling.window_product_calls"] == 6
+    assert layers["scaling.window_product_hits"] == 5
+    # the weighted sweep fetches its overlap once
+    assert layers["scaling.window_overlap_1d_calls"] == 1
+    assert layers["scaling.exponent_sweep_s"] >= layers["scaling.window_product_s"] > 0.0
+    scaling.clear_caches()

@@ -19,7 +19,7 @@ from fluctlab.config import RunConfig, config_schema, parse_config
 from fluctlab.errors import ConfigError, ModelValidationError
 from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
-from fluctlab.window import CACHE_FORMAT_VERSION, WindowProfile
+from fluctlab.window import CACHE_FORMAT_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED_IN = sorted((ROOT / "configs").glob("*.json")) + [
@@ -404,14 +404,10 @@ def _no_overlap_build(profile, z_rule):
     raise AssertionError("a folded overlap was built where the window cache holds it")
 
 
-def _no_pair_overlap_build(profile):
-    raise AssertionError("the integral of fhat^2 was built where the window cache holds it")
-
-
 def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch):
-    # the kernels, overlaps and integral of fhat^2 a cold run writes into the
-    # window cache are the ones the warm run reads instead of building them,
-    # to the report byte
+    # the kernels and overlaps a cold run writes into the window cache are
+    # the ones the warm run reads instead of building them, to the report
+    # byte; the integral of fhat^2 is a closed form and keeps no file
     def run_all(name):
         for stem in CACHE_CONFIGS:
             scaling.clear_caches()
@@ -431,11 +427,11 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
     assert sorted(p.name for p in cache.glob("overlap_*.npy")) == [
         f"overlap_n1_o{name}_v{CACHE_FORMAT_VERSION}.npy"
         for name in ("2_z5.0_24_10_14", "2_z5.0_24_10_6", "3_z5.0_14_8_14", "3_z5.0_24_10_6")]
-    assert [p.name for p in cache.glob("pair_overlap_*.npy")] == [
-        f"pair_overlap_n1_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"]
+    # beside the three tables nothing else, no pair_overlap_* file
+    assert sorted(p.name.split("_")[0] for p in cache.iterdir()) == (
+        ["chain"] * 3 + ["overlap"] * 4 + ["window"] * 3)
     monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
     monkeypatch.setattr(scaling, "_folded_rows", _no_overlap_build)
-    monkeypatch.setattr(WindowProfile, "_build_pair_overlap", _no_pair_overlap_build)
     warm = run_all("warm")
     assert len(uncached) == len(CACHE_CONFIGS)
     assert cold == uncached and warm == uncached
@@ -678,3 +674,25 @@ def test_parse_raises_only_mapped_errors(text):
         assert isinstance(parse_config(text), RunConfig)
     except (ConfigError, ModelValidationError):
         pass
+
+
+@pytest.mark.parametrize("case, payload, codes", [
+    # an over-budget rule is rejected when the config is parsed
+    ("budget", {"model": PRODUCT_N2, "analyses": [{"kind": "scaling-sweep", "orders": [3]}],
+                "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, (2, 2)),
+    ("budget qmode", {"model": PRODUCT_N2, "analyses": QMODE3, "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, (2, 2)),
+    # the tail certificate is computed when the sweep resolves its rule
+    ("tail", {"model": GAUSS, "analyses": SWEEP, "numeric": {"quad": {"1": [6.0, 4, 8, 0]}}}, (0, 3)),
+    ("tail qmode", {"model": GAUSS, "analyses": [{"kind": "qmode", "net_offsets": [[0.7, 0.4]]}],
+                    "numeric": {"quad": {"1": [6.0, 4, 8, 0]}}}, (0, 3)),
+])
+def test_wrong_resolution_exit_codes(tmp_path, cache_dir, monkeypatch, capsys, case, payload, codes):
+    # the sweep resolves its rule and certificate once, and a wrong one still
+    # maps to its exit code from validate and from run
+    path = tmp_path / "case.json"
+    path.write_text(cfg_text(dict(payload, output={"directory": str(tmp_path / "out")})))
+    monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+    assert (cli.main(["validate", str(path)]), cli.main(["run", str(path)])) == codes, case
+    err = capsys.readouterr().err
+    assert ("exceeds the budget" if codes[1] == 2 else "window tail bound") in err, case
+    assert not (tmp_path / "out").exists(), case

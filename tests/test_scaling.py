@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab import runner, scaling, window
+from fluctlab import runner, scaling, ssb, window
 from fluctlab.config import parse_config
 
 from fluctlab.errors import (
@@ -510,14 +510,12 @@ class TestKernelCache:
         scaling.clear_caches()
 
     def test_damaged_kernel_file_is_rebuilt(self, profile1, tmp_path):
-        # every kind of array kept beside the table, the chain kernel, the
-        # order-3 folded overlap and the integral of fhat^2 (read by a new
-        # profile each time), is rebuilt bit-equal and rewritten from a
+        # every kind of array kept beside the table, the chain kernel and the
+        # order-3 folded overlap, is rebuilt bit-equal and rewritten from a
         # truncated file, one of the wrong shape and one of the wrong dtype
         builds = {
             "kernel": lambda profile: window_product(profile, 1, half_panel_rule(16.0, 8, 10)),
             "overlap": lambda profile: window_overlap_1d(profile, 3, half_panel_rule(5.0, 4, 6)),
-            "pair_overlap": lambda profile: np.array([replace(profile).pair_overlap_integral()]),
         }
         for kind, build in builds.items():
             cache = tmp_path / kind
@@ -670,13 +668,13 @@ class TestChainContraction:
 
     def test_rule_built_once_per_spec(self, gaussian_state1, profile1, monkeypatch):
         rules = []
-        spectral_value = scaling._spectral_value
+        chain = scaling.radial_chain
 
-        def recording(*args):
-            rules.append(args[-1])
-            return spectral_value(*args)
+        def recording(profile, n, rule, *args):
+            rules.append(rule)
+            return chain(profile, n, rule, *args)
 
-        monkeypatch.setattr(scaling, "_spectral_value", recording)
+        monkeypatch.setattr(scaling, "radial_chain", recording)
         cfg = ScalingConfig()
         qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 8.0)
         qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 64.0)
@@ -1106,3 +1104,94 @@ class TestRadialChain:
             for qmode in (False, True):
                 assert check_order(_product_state(dim, [2, 3]), ScalingConfig(), 3, qmode) is half_panel_rule(
                     *scaling.DEFAULT_QUAD)
+
+
+#: small rules at every n and a six-radius grid: the sweeps below compare
+#: values bit for bit, so only their cost matters
+_SWEEP_RULES = ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 512.0, 6)), eps_vanish=1.0,
+                             quad_overrides={n: (14.0, 3, 4, 0) for n in (1, 2, 3)})
+
+
+def _sweep_cases(profiles):
+    """(name, sweep, one-radius call) pairs: each sweep's values against the
+    public call at each of its radii."""
+    g = GaussianProfile(1.0, 1.0, 1)
+    one = product_ansatz_state({2: [g], 3: [g, GaussianProfile(0.8, 1.3, 1)], 4: [g, g, g]}, 1)
+    cfg = ScalingConfig()
+    cases = [(f"n1 order {o}", lambda o=o: exponent_sweep(one, profiles[1], cfg, o),
+              lambda r, o=o: qmode_correlator(one, profiles[1], cfg, o, None, r)) for o in (2, 3, 4)]
+    for dim in (2, 3):
+        state = _product_state(dim, [2, 3, 4])
+        cases += [(f"n{dim} order {o}", lambda s=state, d=dim, o=o: exponent_sweep(s, profiles[d], _SWEEP_RULES, o),
+                   lambda r, s=state, d=dim, o=o: qmode_correlator(s, profiles[d], _SWEEP_RULES, o, None, r))
+                  for o in (2, 3, 4)]
+    for name, dim, order, (a, b) in (("symmetric", 1, 2, (0.5, -0.5)), ("net", 2, 3, (0.7, 0.4))):
+        state, offsets = _product_state(dim, [order]), _qmode_offsets(order, dim, a, b)
+        cases.append((f"qmode {name}",
+                      lambda s=state, d=dim, o=order, q=offsets: exponent_sweep(s, profiles[d], _SWEEP_RULES, o, offsets=q),
+                      lambda r, s=state, d=dim, o=order, q=offsets: qmode_correlator(s, profiles[d], _SWEEP_RULES, o, q, r)))
+    power = powerlaw_state(0.75, 1)
+    cases.append(("powerlaw", lambda: exponent_sweep(power, profiles[1], cfg, 2, alpha=0.6),
+                  lambda r: qmode_correlator(power, profiles[1], cfg, 2, None, r, 0.6)))
+    weighted = _weighted_state()
+    gamma, _ = weighted_gamma(1, 0.5)
+    cases += [(f"weighted order {o}", lambda o=o: exponent_sweep(weighted, profiles[1], cfg, o, alpha=gamma),
+               lambda r, o=o: weighted_correlator(weighted, profiles[1], cfg, o, gamma, r)) for o in (2, 3)]
+    model = ssb.default_goldstone_model(3)
+    cases.append(("ssb autocorrelation", lambda: ssb.autocorrelation_growth(model, profiles[3], cfg, "A"),
+                  lambda r: ssb.autocorrelation(model, profiles[3], r, "A")))
+    return cases
+
+
+class TestSweepResolution:
+    """A sweep resolves its rule, certificate and factors once, then maps the R grid."""
+
+    def test_sweep_equals_one_radius_calls(self, profile1, profile2, profile3):
+        # with the caches emptied in between, every radius is computed afresh
+        # by the one-radius call, to the bit
+        for name, sweep, call in _sweep_cases({1: profile1, 2: profile2, 3: profile3}):
+            scaling.clear_caches()
+            rep = sweep()
+            scaling.clear_caches()
+            assert list(rep.values) == [complex(call(r)) for r in rep.r_values], name
+        scaling.clear_caches()
+
+    def test_rule_and_certificate_resolved_once_per_sweep(self, product_state1, profile1, monkeypatch):
+        calls = Counter()
+        check, validate = scaling.check_order, ScalingConfig.validate_tail
+
+        def counting_check(*args, **kwargs):
+            calls["check_order"] += 1
+            return check(*args, **kwargs)
+
+        def counting_validate(*args):
+            calls["validate_tail"] += 1
+            return validate(*args)
+
+        monkeypatch.setattr(scaling, "check_order", counting_check)
+        monkeypatch.setattr(ScalingConfig, "validate_tail", counting_validate)
+        cfg = ScalingConfig()
+        for offsets in (None, _qmode_offsets(3, 1, 0.5, -0.5)):
+            calls.clear()
+            rep = exponent_sweep(product_state1, profile1, cfg, 3, offsets=offsets)
+            assert len(rep.values) == 8
+            assert calls == {"check_order": 1, "validate_tail": 1}
+        # a one-radius call resolves for its one radius
+        calls.clear()
+        for radius in (8.0, 16.0):
+            qmode_correlator(product_state1, profile1, cfg, 3, None, radius)
+        assert calls == {"check_order": 2, "validate_tail": 2}
+
+    def test_wrong_resolution_raises_before_any_chain_value(self, profile1, profile2, monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("a chain value was computed before the resolution failed")
+
+        monkeypatch.setattr(scaling, "radial_chain", no_chain)
+        tail = ScalingConfig(quad_overrides={1: (6.0, 4, 8, 0)})
+        with pytest.raises(NumericalAccuracyError, match="window tail bound"):
+            exponent_sweep(_product_state(1, [2]), profile1, tail, 2)
+        budget = ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)})
+        with pytest.raises(NumericalAccuracyError, match="radial chain array"):
+            exponent_sweep(_product_state(2, [3]), profile2, budget, 3)
+        with pytest.raises(InvalidArgumentError, match="offsets must have shape"):
+            exponent_sweep(_product_state(1, [2]), profile1, ScalingConfig(), 2, offsets=np.zeros((3, 1)))

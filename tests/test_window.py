@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,22 +111,24 @@ class TestFourier:
         assert profile3.fourier_radial(kappa) == pytest.approx(direct3, rel=1e-7)
 
     def test_plancherel(self, profile1, profile2, profile3):
-        # integral of f(|x|)^2 over R^n against integral of fhat^2
+        # integral of fhat^2 over the transform table, and of f(|x|)^2 on a
+        # plain position rule, against the closed form of pair_overlap_integral
         for prof in (profile1, profile2, profile3):
+            k, wk = gauss_legendre_panels(0.0, prof.k_max, 512, 12)
+            table = unit_sphere_area(prof.dim) * np.sum(wk * prof.fourier_radial(k) ** 2 * k ** (prof.dim - 1))
             s, w = gauss_legendre_panels(0.0, window.GRID_EXTENT, 64, 16)
             l2 = unit_sphere_area(prof.dim) * np.sum(w * prof.value(s) ** 2 * s ** (prof.dim - 1))
+            assert table == pytest.approx(prof.pair_overlap_integral(), rel=1e-14)
             assert l2 == pytest.approx(prof.pair_overlap_integral(), rel=1e-13)
 
-    def test_pair_overlap_read_once_per_profile(self, monkeypatch):
-        # the q-mode report and the commutator criterion each ask for it; the
-        # second call returns the first value without reading the table
+    def test_pair_overlap_reads_no_table(self, profile2):
+        # the closed form reads the position profile alone: a zeroed table
+        # gives the same bits, and a table cut at k_max 40, whose fhat^2
+        # integral misses 2e-6 of the whole, gives the default profile's value
         prof = make_profile(2, k_max=40.0, k_resolution=1000)
-        first = prof.pair_overlap_integral()
-        reads = []
-        interpolate = window.lagrange_uniform
-        monkeypatch.setattr(window, "lagrange_uniform", lambda *args: reads.append(1) or interpolate(*args))
-        assert prof.pair_overlap_integral() == first
-        assert reads == []
+        blank = replace(prof, fhat_samples=np.zeros_like(prof.fhat_samples))
+        assert blank.pair_overlap_integral() == prof.pair_overlap_integral()
+        assert prof.pair_overlap_integral() == pytest.approx(profile2.pair_overlap_integral(), rel=1e-15)
 
     def test_rapid_decrease_envelope(self, profile1):
         # |fhat| (1+k)^m bounded on the cached range for all m <= 8, with a
