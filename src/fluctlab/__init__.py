@@ -74,7 +74,6 @@ from .ssb import (
     autocorrelation_growth,
     bogoliubov_check,
     canonical_pair_exponents,
-    default_goldstone_model,
     double_commutator_scaling,
     gap_conservation_check,
     mean_projector_convergence,

@@ -175,8 +175,9 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     frequency p + r <= 2 p_max.  Omega_n is cos, J_0 and sin(x)/x for
     n = 1, 2, 3 (``window.PLANE_WAVE_MEAN``); at n = 1 the sphere S^0 is the
     two points +-1, so K[p, r] = fhat(|p - r|) + fhat(p + r).  The weights
-    are >= 0, as every window profile is, so B is scaled in place by their
-    square root and K = B B^T.
+    are >= 0, as every window profile is, so B is scaled by their square
+    root and K = B B^T, summed over column blocks of the support rule
+    (``_radial_kernel``).
 
     K depends on n and the rule alone, since there is one window.  A profile
     with a ``cache_dir`` (``window.load_or_build``) keeps K there as
@@ -191,12 +192,26 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     return _CHAIN_CACHE[key]
 
 
+#: support nodes per column block of ``_radial_kernel``
+KERNEL_BLOCK = 64
+
+
 def _radial_kernel(n: int, rule: Rule1D) -> np.ndarray:
-    """K = B B^T of ``window_product``, built."""
+    """K = B B^T of ``window_product``, built as the sum over blocks of
+    KERNEL_BLOCK support nodes of B_j B_j^T.  Each N x KERNEL_BLOCK block is
+    evaluated, scaled and multiplied into one N x N product, then dropped, so
+    the build holds K, that product and one block: never the N x M basis.
+    Every term is exactly symmetric, and so is K."""
     s, w, f = support_rule(2.0 * rule.p_max)
-    b = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s))
-    b *= np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
-    return b @ b.T
+    scale = np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
+    size = len(rule)
+    kernel, product = np.zeros((size, size)), np.empty((size, size))
+    for j in range(0, len(s), KERNEL_BLOCK):
+        block = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s[j:j + KERNEL_BLOCK]))
+        block *= scale[j:j + KERNEL_BLOCK]
+        kernel += np.matmul(block, block.T, out=product)
+        del block  # so the next block's arguments never meet it
+    return kernel
 
 
 def _rule_file_name(stem: str, rule: Rule1D) -> str:
@@ -290,13 +305,14 @@ def _prefactor(order: int, n: int, radius: float, alpha: float) -> float:
 
 def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
                 qmode: bool = False) -> Rule1D:
-    """The half-line rule of an order, the largest array of its chain checked
-    against MAX_ARRAY_POINTS.
+    """The half-line rule of an order, the largest array or build of its
+    chain checked against MAX_ARRAY_POINTS.
 
-    The largest array of the chain of N radii is the vector at l = 2 and,
-    from l = 3, the N x N kernel or the N x M array over the window support
-    that builds it (M nodes for the frequency 2 p_max, ``support_rule_size``);
-    a ``qmode`` first vector is an N x angles array.  Computes no
+    The chain of N radii holds a vector at l = 2 and, from l = 3, the N x N
+    kernel, whose build evaluates N x M plane-wave means over the window
+    support (M nodes for the frequency 2 p_max, ``support_rule_size``) one
+    column block at a time: the budget bounds that work as if it were one
+    array.  A ``qmode`` first vector is an N x angles array.  Computes no
     quadrature, so parsing runs it.
     """
     if order < 2 or order > state.max_order:

@@ -46,20 +46,6 @@ class Dispersion:
         return np.zeros_like(kappa)
 
 
-def default_goldstone_model(dim: int = 3) -> "GoldstoneModel":
-    """Calibrated symmetry-breaking model: gapless linear branch, singular
-    rho_a ~ |k|^-2, conserved-density rho_q ~ |k|, constant imaginary cross
-    density (nonzero order parameter)."""
-    return GoldstoneModel(
-        dim=dim,
-        dispersion=Dispersion("linear", 1.0),
-        rho_a=RadialWeight(1.0, -2.0),
-        rho_q=RadialWeight(0.5, 1.0),
-        rho_qa_amplitude=0.25j,
-        rho_qa_exponent=0.0,
-    )
-
-
 @dataclass(frozen=True)
 class GoldstoneModel:
     """Radial spectral data of the symmetry-breaking regime.

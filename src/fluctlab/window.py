@@ -61,7 +61,7 @@ from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 #: to the kernel or the overlap formula or to the overlap's u rule
 #: (``scaling._u_rule``) must bump it, so that no file of the old content is
 #: read
-CACHE_FORMAT_VERSION = 10
+CACHE_FORMAT_VERSION = 11
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are
@@ -442,11 +442,15 @@ SUPPORT_EDGE_PANELS = 20
 
 
 def _support_panels(frequency: float):
-    """(lo, hi, panels) of each piece of ``support_rule``: one panel per
-    cycle of exp(i frequency s), and at least SUPPORT_EDGE_PANELS on the edge."""
+    """(lo, hi, panels) of each piece of ``support_rule``: one panel per two
+    cycles of exp(i frequency s) on the plateau [0, a], where f s^(n-1) is a
+    polynomial, and one per cycle on the edge, with at least
+    SUPPORT_EDGE_PANELS there.  At the default frequency 240 that is
+    24 + 20 panels, 704 nodes."""
     a, b = EDGE
-    cycles = [ceil(frequency * (hi - lo) / (2.0 * pi)) for lo, hi in ((0.0, a), (a, b))]
-    return [(0.0, a, cycles[0]), (a, b, max(cycles[1], SUPPORT_EDGE_PANELS))]
+    plateau = ceil(frequency * a / (4.0 * pi))
+    edge = ceil(frequency * (b - a) / (2.0 * pi))
+    return [(0.0, a, plateau), (a, b, max(edge, SUPPORT_EDGE_PANELS))]
 
 
 def support_rule_size(frequency: float) -> int:
@@ -460,8 +464,9 @@ def support_rule(frequency: float):
     """Gauss-Legendre nodes, weights and exact profile values over the support [0, b].
 
     The rule is split at the edge a (``EDGE``), so f is smooth on each
-    piece, each panel spans at most one cycle of exp(i frequency s), and
-    the edge has at least SUPPORT_EDGE_PANELS panels.  The values come from
+    piece; a panel spans at most two cycles of exp(i frequency s) on the
+    plateau and one on the edge, which has at least SUPPORT_EDGE_PANELS
+    panels (``_support_panels``).  The values come from
     the exact evaluator that the transform and ``value`` read.  Built once
     per frequency; the arrays are read-only.
     """

@@ -5,7 +5,8 @@ import pytest
 
 from fluctlab import scaling
 from fluctlab.config import parse_config
-from fluctlab.models import GaussianProfile, gaussian_state, product_ansatz_state
+from fluctlab.models import GaussianProfile, RadialWeight, gaussian_state, product_ansatz_state
+from fluctlab.ssb import Dispersion, GoldstoneModel
 from fluctlab.window import make_profile
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -37,6 +38,15 @@ def product_state1():
     return product_ansatz_state(
         {2: [g], 3: [g, GaussianProfile(0.8, 1.3, 1)], 4: [g, g, g]}, 1
     )
+
+
+@pytest.fixture(scope="session")
+def model3():
+    """The calibrated symmetry-breaking model at n = 3: gapless linear
+    branch, singular rho_a ~ |k|^-2, conserved-density rho_q ~ |k| and a
+    constant imaginary cross density (nonzero order parameter)."""
+    return GoldstoneModel(dim=3, dispersion=Dispersion("linear", 1.0), rho_a=RadialWeight(1.0, -2.0),
+                          rho_q=RadialWeight(0.5, 1.0), rho_qa_amplitude=0.25j, rho_qa_exponent=0.0)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import reduce
 from itertools import product
+from math import ceil, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,14 +466,32 @@ class TestLegendreRuleCache:
 KERNEL_RULES = {"default": scaling.DEFAULT_QUAD, "graded": scaling.DEFAULT_QUAD[:3] + (16,)}
 
 
-def _refined_kernel(n, rule):
-    """K = B diag(f s^(n-1) w) B^T on a support rule of 40 panels on [0, a]
-    and 200 on the edge, far finer than ``window.support_rule``'s."""
+def _whole_basis_kernel(n, rule, plateau_panels, edge_panels):
+    """K = B diag(f s^(n-1) w) B^T as one product of the whole N x M basis B,
+    on a support rule of 16-node panels, plateau_panels on [0, a] and
+    edge_panels on the edge [a, b]."""
     a, b = window.EDGE
-    s, w = map(np.concatenate, zip(gauss_legendre_panels(0.0, a, 40, 16), gauss_legendre_panels(a, b, 200, 16)))
+    s, w = map(np.concatenate, zip(gauss_legendre_panels(0.0, a, plateau_panels, 16),
+                                   gauss_legendre_panels(a, b, edge_panels, 16)))
     f = window._profile_evaluator()(s)
-    omega = window.PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s))
-    return (2.0 * np.pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * (omega * (f * s ** (n - 1) * w)) @ omega.T
+    basis = window.PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s))
+    basis *= np.sqrt((2.0 * np.pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
+    return basis @ basis.T
+
+
+def _refined_kernel(n, rule):
+    """The kernel on 40 panels on [0, a] and 200 on the edge, far finer than ``window.support_rule``'s."""
+    return _whole_basis_kernel(n, rule, 40, 200)
+
+
+def _one_cycle_kernel(n, rule):
+    """The kernel on one panel per cycle of the frequency 2 p_max on the
+    plateau as on the edge: the build before column blocks and two-cycle
+    plateau panels."""
+    a, b = window.EDGE
+    frequency = 2.0 * rule.p_max
+    return _whole_basis_kernel(n, rule, ceil(frequency * a / (2.0 * pi)),
+                               max(ceil(frequency * (b - a) / (2.0 * pi)), window.SUPPORT_EDGE_PANELS))
 
 
 def _no_kernel_build(frequency):
@@ -498,6 +522,23 @@ class TestKernelCache:
         warm = window_product(replace(profile, cache_dir=tmp_path), dim, rule)
         assert warm.shape == (len(rule), len(rule))
         assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
+        scaling.clear_caches()
+
+    def test_kernel_file_of_the_old_format_is_never_read(self, profile1, tmp_path):
+        # a kernel under the name of format 10, the one-product build on
+        # one-cycle panels, stays as it is beside the format-11 file built
+        rule = half_panel_rule(16.0, 8, 10)
+        stale = tmp_path / "chain_n1_p16.0_8_10_0_v10.npy"
+        old = _one_cycle_kernel(1, rule)
+        np.save(stale, old)
+        scaling.clear_caches()
+        fresh = window_product(profile1, 1, rule)
+        assert not np.array_equal(fresh, old)
+        scaling.clear_caches()
+        cold = window_product(replace(profile1, cache_dir=tmp_path), 1, rule)
+        assert np.array_equal(cold, fresh)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "chain_n1_p16.0_8_10_0_v11.npy"]
+        assert np.array_equal(np.load(stale), old)
         scaling.clear_caches()
 
     def test_kernels_are_read_only(self, profile2, tmp_path):
@@ -581,6 +622,67 @@ class TestSupportRule:
         kernel = scaling._radial_kernel(dim, rule)
         refined = _refined_kernel(dim, rule)
         assert np.max(np.abs(kernel - refined)) <= 1e-14 * np.max(np.abs(refined))
+
+
+#: the rules of the blocked-kernel pin, with its tolerance relative to
+#: max|K|: the two on disk, and one small and one large p_max, whose edges
+#: take their panels from SUPPORT_EDGE_PANELS (frequency 32) and from the
+#: cycles (frequency 480).  Both support rules integrate the plateau exactly
+#: with exact nodes; with float64 nodes the phase r s is off by up to
+#: r ulp(s), and at p_max 240 each rule misses the exact n = 1 plateau
+#: integral by up to 3e-15 of a, the two in either direction
+_PIN_RULES = {"default": (scaling.DEFAULT_QUAD, 3e-15), "graded": (KERNEL_RULES["graded"], 3e-15),
+              "p16": ((16.0, 8, 10, 0), 3e-15), "p240": ((240.0, 16, 10, 0), 6e-15)}
+
+#: prints the digest of each kernel of KERNEL_RULES at n = 1, 2, 3, one a line
+_KERNEL_DIGESTS = (
+    "import hashlib; from fluctlab import scaling; from fluctlab.quadrature import half_panel_rule; "
+    f"rules = {sorted(KERNEL_RULES.values())!r}; "
+    "print('\\n'.join(hashlib.sha256(scaling._radial_kernel(n, half_panel_rule(*key)).tobytes()).hexdigest() "
+    "for key in rules for n in (1, 2, 3)))")
+
+
+class TestBlockedKernel:
+    """The chain kernel summed over column blocks on two-cycle plateau panels:
+    the one-product build to rounding, in bounded memory, at any thread count."""
+
+    @pytest.mark.parametrize("rule_name", sorted(_PIN_RULES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_kernel_equals_one_cycle_build(self, dim, rule_name):
+        key, tolerance = _PIN_RULES[rule_name]
+        rule = half_panel_rule(*key)
+        kernel = scaling._radial_kernel(dim, rule)
+        reference = _one_cycle_kernel(dim, rule)
+        assert np.array_equal(kernel, kernel.T)
+        assert np.max(np.abs(kernel - reference)) <= tolerance * np.max(np.abs(reference))
+
+    def test_support_rule_of_the_default_rule(self):
+        # two cycles per plateau panel: 24 + 20 panels of 16 nodes, not 48 + 20
+        assert window.support_rule_size(2.0 * scaling.DEFAULT_QUAD[0]) == 704
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_build_holds_no_whole_basis(self, dim):
+        # K, one N x N product and one block at a time: the N x M basis
+        # (M = 704, 1.47 N^2 doubles) evaluated from its N x M arguments
+        # would take 2.9 N^2 before K exists
+        rule = half_panel_rule(*scaling.DEFAULT_QUAD)
+        scaling._radial_kernel(dim, rule)  # the support rule is built once per frequency
+        tracemalloc.start()
+        try:
+            scaling._radial_kernel(dim, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(rule) ** 2 * 8
+
+    def test_kernel_bytes_do_not_depend_on_blas_threads(self):
+        src = str(Path(scaling.__file__).parent.parent)
+        digests = [subprocess.run([sys.executable, "-c", _KERNEL_DIGESTS], capture_output=True, text=True,
+                                  check=True, env={**os.environ, "PYTHONPATH": src,
+                                                   "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert len(digests[0].split()) == 6
+        assert digests[0] == digests[1]
 
 
 def _sphere_mean(profile, phi, radii, radius, a, b, n):
@@ -1112,7 +1214,7 @@ _SWEEP_RULES = ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 
                              quad_overrides={n: (14.0, 3, 4, 0) for n in (1, 2, 3)})
 
 
-def _sweep_cases(profiles):
+def _sweep_cases(profiles, model3):
     """(name, sweep, one-radius call) pairs: each sweep's values against the
     public call at each of its radii."""
     g = GaussianProfile(1.0, 1.0, 1)
@@ -1137,19 +1239,18 @@ def _sweep_cases(profiles):
     gamma, _ = weighted_gamma(1, 0.5)
     cases += [(f"weighted order {o}", lambda o=o: exponent_sweep(weighted, profiles[1], cfg, o, alpha=gamma),
                lambda r, o=o: weighted_correlator(weighted, profiles[1], cfg, o, gamma, r)) for o in (2, 3)]
-    model = ssb.default_goldstone_model(3)
-    cases.append(("ssb autocorrelation", lambda: ssb.autocorrelation_growth(model, profiles[3], cfg, "A"),
-                  lambda r: ssb.autocorrelation(model, profiles[3], r, "A")))
+    cases.append(("ssb autocorrelation", lambda: ssb.autocorrelation_growth(model3, profiles[3], cfg, "A"),
+                  lambda r: ssb.autocorrelation(model3, profiles[3], r, "A")))
     return cases
 
 
 class TestSweepResolution:
     """A sweep resolves its rule, certificate and factors once, then maps the R grid."""
 
-    def test_sweep_equals_one_radius_calls(self, profile1, profile2, profile3):
+    def test_sweep_equals_one_radius_calls(self, profile1, profile2, profile3, model3):
         # with the caches emptied in between, every radius is computed afresh
         # by the one-radius call, to the bit
-        for name, sweep, call in _sweep_cases({1: profile1, 2: profile2, 3: profile3}):
+        for name, sweep, call in _sweep_cases({1: profile1, 2: profile2, 3: profile3}, model3):
             scaling.clear_caches()
             rep = sweep()
             scaling.clear_caches()

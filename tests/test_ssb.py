@@ -23,19 +23,12 @@ from fluctlab.ssb import (
     bogoliubov_check,
     canonical_pair_exponents,
     commutator_expectation,
-    default_goldstone_model,
     double_commutator,
     double_commutator_scaling,
     gap_conservation_check,
     mean_projector_convergence,
     mean_projector_residual,
-    default_goldstone_model as _dgm,
 )
-
-
-@pytest.fixture(scope="module")
-def model3():
-    return default_goldstone_model(3)
 
 
 @pytest.fixture(scope="module")
@@ -48,14 +41,14 @@ class TestGrowthExponents:
         rep = autocorrelation_growth(model3, profile3, cfg, "A")
         assert rep.exponent == pytest.approx(3 + 2, abs=0.1)
 
-    def test_regular_density_normal_growth(self, profile3, cfg):
-        model = replace(default_goldstone_model(3), rho_a=RadialWeight(1.0, 0.0),
+    def test_regular_density_normal_growth(self, model3, profile3, cfg):
+        model = replace(model3, rho_a=RadialWeight(1.0, 0.0),
                         rho_qa_amplitude=0.0j)
         rep = autocorrelation_growth(model, profile3, cfg, "A")
         assert rep.exponent == pytest.approx(3.0, abs=0.1)
 
-    def test_zero_weight_trivial(self, profile3, cfg):
-        model = replace(default_goldstone_model(3), rho_a=RadialWeight(0.0, -2.0),
+    def test_zero_weight_trivial(self, model3, profile3, cfg):
+        model = replace(model3, rho_a=RadialWeight(0.0, -2.0),
                         rho_qa_amplitude=0.0j)
         assert autocorrelation(model, profile3, 32.0, "A") == 0
 
@@ -69,8 +62,8 @@ class TestGrowthExponents:
         rep = double_commutator_scaling(model3, profile3, cfg)
         assert rep.exponent == pytest.approx(3 - 2, abs=0.1)
 
-    def test_double_commutator_zero_dispersion(self, profile3):
-        model = replace(default_goldstone_model(3), dispersion=Dispersion("zero", 1.0))
+    def test_double_commutator_zero_dispersion(self, model3, profile3):
+        model = replace(model3, dispersion=Dispersion("zero", 1.0))
         assert double_commutator(model, profile3, 64.0) == 0
 
     def test_quadratic_dispersion_regular_density(self, profile3, cfg):
@@ -112,9 +105,9 @@ class TestBogoliubov:
         assert lhs_values[-1] > 0.1
         assert abs(lhs_values[-1] - lhs_values[-2]) < 1e-3 * lhs_values[-1]
 
-    def test_conserved_model_commutator_vanishes(self, profile3):
+    def test_conserved_model_commutator_vanishes(self, model3, profile3):
         # cross density vanishing at k = 0: conserved direction
-        model = replace(default_goldstone_model(3), rho_qa_amplitude=0.03j,
+        model = replace(model3, rho_qa_amplitude=0.03j,
                         rho_qa_exponent=1.0)
         vals = [abs(commutator_expectation(model, profile3, r)) for r in (8.0, 64.0, 512.0)]
         # cross density ~ |k| at zero momentum decays like 1/R
@@ -141,25 +134,24 @@ class TestBogoliubov:
             with pytest.raises(ModelValidationError, match="Cauchy-Schwarz"):
                 GoldstoneModel(**huge, rho_qa_amplitude=1e201j)
 
-    def test_cross_density_at_zero(self):
+    def test_cross_density_at_zero(self, model3):
         # rho_qa is the RadialWeight of its amplitude and exponent: at k = 0 the
         # amplitude for exponent 0, 0 above, and divergent below
-        model = default_goldstone_model(3)
-        assert model.rho_qa(np.array([0.0]))[0] == 0.25j
-        conserved = replace(model, rho_qa_amplitude=0.03j, rho_qa_exponent=1.0)
+        assert model3.rho_qa(np.array([0.0]))[0] == 0.25j
+        conserved = replace(model3, rho_qa_amplitude=0.03j, rho_qa_exponent=1.0)
         assert conserved.rho_qa(np.array([0.0]))[0] == 0
-        singular = replace(model, rho_qa_amplitude=0.01j, rho_qa_exponent=-0.25)
+        singular = replace(model3, rho_qa_amplitude=0.01j, rho_qa_exponent=-0.25)
         assert np.isinf(singular.rho_qa(np.array([0.0]))[0])
         k = np.array([0.3, 1.0])
         assert singular.rho_qa(k).tolist() == RadialWeight(0.01j, -0.25)(k).tolist()
 
-    def test_negative_density_rejected(self):
+    def test_negative_density_rejected(self, model3):
         class NegatedWeight(RadialWeight):
             def __call__(self, kappa):
                 return -super().__call__(kappa)
 
         with pytest.raises(ModelValidationError, match="Cauchy-Schwarz"):
-            replace(default_goldstone_model(3), rho_qa_amplitude=0j,
+            replace(model3, rho_qa_amplitude=0j,
                     rho_q=NegatedWeight(0.5, 1.0))
 
     def test_nonintegrable_weight_rejected(self):
@@ -221,8 +213,8 @@ class TestMeanProjector:
 
 
 class TestGapCheck:
-    def test_gapped_model_conserves(self, profile3):
-        gapped = replace(default_goldstone_model(3), gap=1.0)
+    def test_gapped_model_conserves(self, model3, profile3):
+        gapped = replace(model3, gap=1.0)
         smoothing = EnergySmoothing(0.4, "plateau")
         res = gap_conservation_check(gapped, smoothing, profile3, 256.0)
         assert res.magnitude < 1e-8
@@ -237,15 +229,15 @@ class TestGapCheck:
         raw = abs(commutator_expectation(model3, profile3, 512.0))
         assert mags[0] == pytest.approx(raw, rel=1e-3)
 
-    def test_zero_cross_density_trivial(self, profile3):
-        model = replace(default_goldstone_model(3), rho_qa_amplitude=0.0j)
+    def test_zero_cross_density_trivial(self, model3, profile3):
+        model = replace(model3, rho_qa_amplitude=0.0j)
         for gap in (0.0, 1.0):
             res = gap_conservation_check(replace(model, gap=gap),
                                          EnergySmoothing(0.4, "plateau"), profile3, 128.0)
             assert res.magnitude == 0.0
 
-    def test_overlapping_support_rejected(self, profile3):
-        gapped = replace(default_goldstone_model(3), gap=0.3)
+    def test_overlapping_support_rejected(self, model3, profile3):
+        gapped = replace(model3, gap=0.3)
         with pytest.raises(InvalidTestConfigurationError):
             gap_conservation_check(gapped, EnergySmoothing(0.4, "plateau"), profile3, 64.0)
 
