@@ -28,7 +28,6 @@ from .limit_algebra import (
     ccr_product_check,
     commutator_criterion,
     weyl_expectation,
-    wick_moment,
 )
 from .models import (
     DecayTag,

@@ -26,7 +26,7 @@ from .errors import (
     OrderRangeError,
 )
 from .models import ObservablePair, gaussian_state
-from .partitions import MAX_PAIRING_ORDER, pairing_sum
+from .partitions import pairing_sum
 from .scaling import ScalingConfig, exponent_sweep
 from .window import WindowProfile
 
@@ -110,18 +110,6 @@ def _label_indices(state: LimitState, sequence: Sequence[str | int]) -> tuple[in
 def _covariance_pairs(state: LimitState) -> dict[tuple[int, int], complex]:
     c = state.covariance.tolist()
     return {(a, b): complex(v) for a, row in enumerate(c) for b, v in enumerate(row)}
-
-
-def wick_moment(state: LimitState, sequence: Sequence[str | int]) -> complex:
-    """Limit moment of an ordered product: sum over pairings of C products.
-
-    Each pair {a < b} of slot positions contributes C[label_a, label_b] in
-    that order; odd-length sequences vanish identically.
-    """
-    if len(sequence) > MAX_PAIRING_ORDER:
-        raise OrderRangeError(f"sequences longer than {MAX_PAIRING_ORDER} are not supported")
-    idx = _label_indices(state, sequence)
-    return pairing_sum(idx, _covariance_pairs(state), {})
 
 
 @dataclass(frozen=True)

@@ -55,27 +55,29 @@ class DecayTag:
 @dataclass(frozen=True)
 class WeightedCorrelator:
     """Order-l joint power W = (1 + s)^(alpha/2) * (1 + s)^(-power/2), s = sum |y_i|^2:
-    the polynomial weight times the integrable factor, kept as a product."""
+    the polynomial weight times the integrable factor, which the scaling
+    engine runs as (1 + s)^(-decay/2) (``scaling.heat_table``)."""
 
     order: int
     alpha: float
     power: float
 
-    def position_value(self, radii) -> np.ndarray:
-        """W at the radii |y_i|, one array per variable."""
-        u = 1.0 + sum(np.square(r) for r in radii)
-        return u ** (self.alpha / 2.0) * u ** (-self.power / 2.0)
+    @property
+    def decay(self) -> float:
+        """beta = power - alpha, the joint decay W = (1 + s)^(-beta/2)."""
+        return self.power - self.alpha
 
 
 @dataclass(frozen=True)
 class TruncatedHierarchy:
     """Momentum-space truncated correlator hierarchy of a model state.
 
-    ``position_forms`` and the weighted orders give W_l in position space.
-    Like the factors, every position form takes the radii |y_i|, one array
-    per difference variable, so at n = 1 it is even in each variable.  The
-    position-space path (``scaling.position_space_correlator``) relies on
-    that to run on a half-line z rule.
+    ``position_forms`` give W_l in position space.  Like the factors, every
+    position form takes the radii |y_i|, one array per difference variable,
+    so at n = 1 it is even in each variable.  The position-space path
+    (``scaling.position_space_correlator``) relies on that to run on a
+    half-line z rule.  A weighted order carries neither a factor nor a
+    position form: it is plain data (``WeightedCorrelator``).
     """
 
     dim: int
@@ -116,8 +118,6 @@ class TruncatedHierarchy:
         return self.tags.get(order, DecayTag("l1"))
 
     def position_form(self, order: int) -> Callable:
-        if order in self.weighted_orders:
-            return self.weighted_orders[order].position_value
         fn = self.position_forms.get(order)
         if fn is None:
             raise UnsupportedModeError(f"no position-space form available for order {order}")
@@ -254,8 +254,9 @@ def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
                    max_order: int | None = None) -> TruncatedHierarchy:
     """State with polynomially weighted orders W_l = (1 + s)^(alpha_l/2) (1 + s)^(-p_l/2).
 
-    Evaluation goes through the scaling engine's weighted path; weighted
-    orders intentionally carry no momentum factors.
+    Evaluation goes through the scaling engine's weighted path
+    (``scaling.weighted_correlator``), which runs a decaying weight,
+    p_l > alpha_l; weighted orders intentionally carry no momentum factors.
     """
     weighted = {}
     for wc in correlators:

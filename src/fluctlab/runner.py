@@ -39,6 +39,7 @@ from .scaling import (
     MAX_POSITION_ORDER,
     check_order,
     check_position,
+    check_weighted,
     exponent_sweep,
     find_critical_alpha,
     l2_alpha_window,
@@ -124,7 +125,7 @@ def _check_scaling_sweep(params, cfg, model, model_class):
         check_order(model, cfg, 2)
     for order in params["orders"]:
         if order in weighted:
-            check_position(model.dim, order)
+            check_weighted(model, cfg, order)
         else:
             check_order(model, cfg, order)
     if "oracle_check_r_max" in params:

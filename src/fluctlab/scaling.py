@@ -19,13 +19,16 @@ S_l is a product of one factor per difference variable, each a function of
 |q_i| (``fluctlab.models``), so every order runs on one radial chain, one
 vector of radii per variable, at every n; momentum offsets a e and b e on
 the first two observables become its first vector (``_offset_vector``).
+A weighted order, whose position form is a joint power of the difference
+variables, runs on the same chain as a superposition of Gaussians: one
+heat-kernel table per order (``heat_table``) and one weighted sum per radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import ceil, pi
+from math import ceil, exp, lgamma, log, pi
 
 import numpy as np
 
@@ -54,8 +57,9 @@ from .window import (
 MAX_ARRAY_POINTS = 60_000_000
 #: fewer radii than this cannot separate a power law from its transient
 MIN_RADII = 6
-#: the highest order of the position path, whose overlap separates into
-#: products of one array of window rows up to order 3 (``window_overlap_1d``)
+#: the highest order of the position path (the oracle), whose overlap
+#: separates into products of one array of window rows up to order 3
+#: (``window_overlap_1d``)
 MAX_POSITION_ORDER = 3
 
 
@@ -150,7 +154,8 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 #: the one in-memory cache of a run: tail bounds, radial nodes, kernels,
-#: chain values and folded overlaps, emptied by ``clear_caches``
+#: chain values, heat-kernel tables and folded overlaps, emptied by
+#: ``clear_caches``
 _CHAIN_CACHE: dict = {}
 
 
@@ -196,28 +201,48 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
 KERNEL_BLOCK = 64
 
 
-def _radial_kernel(n: int, rule: Rule1D) -> np.ndarray:
-    """K = B B^T of ``window_product``, built as the sum over blocks of
-    KERNEL_BLOCK support nodes of B_j B_j^T.  Each N x KERNEL_BLOCK block is
-    evaluated, scaled and multiplied into one N x N product, then dropped, so
-    the build holds K, that product and one block: never the N x M basis.
-    Every term is exactly symmetric, and so is K."""
+def _basis_blocks(n: int, rule: Rule1D):
+    """The column blocks B_j of the basis B of ``window_product``, KERNEL_BLOCK
+    support nodes each, one at a time: each N x KERNEL_BLOCK block is
+    evaluated and scaled when the caller asks for it.  A caller that drops
+    its block before the next one holds one block, never the N x M basis."""
     s, w, f = support_rule(2.0 * rule.p_max)
     scale = np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
-    size = len(rule)
-    kernel, product = np.zeros((size, size)), np.empty((size, size))
     for j in range(0, len(s), KERNEL_BLOCK):
         block = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s[j:j + KERNEL_BLOCK]))
         block *= scale[j:j + KERNEL_BLOCK]
-        kernel += np.matmul(block, block.T, out=product)
+        yield block
         del block  # so the next block's arguments never meet it
+
+
+def _radial_kernel(n: int, rule: Rule1D) -> np.ndarray:
+    """K = B B^T of ``window_product``, built as the sum over the column
+    blocks of ``_basis_blocks`` of B_j B_j^T, each multiplied into one N x N
+    product, so the build holds K, that product and one block.  Every term
+    is exactly symmetric, and so is K."""
+    size = len(rule)
+    kernel, product = np.zeros((size, size)), np.empty((size, size))
+    for block in _basis_blocks(n, rule):
+        kernel += np.matmul(block, block.T, out=product)
+        del block
     return kernel
+
+
+def _kernel_times(n: int, rule: Rule1D, u: np.ndarray) -> np.ndarray:
+    """K u for the kernel K = B B^T of ``window_product`` and an (N, T) array
+    u, without K: the sum over the column blocks of ``_basis_blocks`` of
+    B_j (B_j^T u), so it holds two (N, T) arrays and one block."""
+    out = np.zeros_like(u)
+    for block in _basis_blocks(n, rule):
+        out += block @ (block.T @ u)
+        del block
+    return out
 
 
 def _rule_file_name(stem: str, rule: Rule1D) -> str:
     """The window-cache file of an array on a rule: the stem, the rule's whole
-    key and the format version, which covers the window, the support rule and
-    the overlap's u rule."""
+    key and the format version, which covers the window, the support rule,
+    the ln tau rule of the heat-kernel tables and the overlap's u rule."""
     return f"{stem}{'_'.join(map(str, rule.key))}_v{CACHE_FORMAT_VERSION}.npy"
 
 
@@ -323,9 +348,15 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     widths = [1] + ([size, support_rule_size(2.0 * rule.p_max)] if order > 2 else [])
     if qmode:
         widths.append(2 if n == 1 else SUPPORT_PANEL_NODES * _angle_panels(rule.p_max))
-    _check_points(size * max(widths), f"the order-{order} radial chain array",
-                  f"; set a smaller numeric.quad rule for dimension {n}")
+    _check_chain(rule, n, order, widths)
     return rule
+
+
+def _check_chain(rule: Rule1D, n: int, order: int, widths) -> None:
+    """Raise when the order's radial chain on the rule would hold an array
+    of N times the largest of ``widths`` over MAX_ARRAY_POINTS points."""
+    _check_points(len(rule) * max(widths), f"the order-{order} radial chain array",
+                  f"; set a smaller numeric.quad rule for dimension {n}")
 
 
 def _check_points(points: int, what: str, hint: str = "") -> None:
@@ -387,8 +418,8 @@ def _offset_pair(offsets, order: int, n: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# position-space path (oracle for the spectral route; the one path of the
-# weighted orders); one-dimensional states only
+# position-space path: the oracle of the spectral route, one-dimensional
+# states and orders 2 and 3 only
 # ---------------------------------------------------------------------------
 
 @cache
@@ -402,12 +433,11 @@ def _u_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_position(dim: int, order: int) -> None:
-    """Raise for what the position path (the oracle and the weighted orders)
-    does not run: UnsupportedModeError at n != 1, OrderRangeError for an
-    order outside 2..MAX_POSITION_ORDER.  Computes nothing, so parsing runs it."""
+    """Raise for what the position path (the oracle) does not run:
+    UnsupportedModeError at n != 1, OrderRangeError for an order outside
+    2..MAX_POSITION_ORDER.  Computes nothing, so parsing runs it."""
     if dim != 1:
-        raise UnsupportedModeError(
-            f"the position path (oracle and weighted orders) runs n = 1 only, not n = {dim}")
+        raise UnsupportedModeError(f"the position path (oracle) runs n = 1 only, not n = {dim}")
     if not 2 <= order <= MAX_POSITION_ORDER:
         raise OrderRangeError(f"the position path runs orders 2..{MAX_POSITION_ORDER}, not {order}")
 
@@ -651,11 +681,12 @@ def exponent_sweep(state: TruncatedHierarchy, profile: WindowProfile, cfg: Scali
                    order: int, alpha: float | None = None, offsets=None,
                    label: str = "correlator") -> ScalingReport:
     """Resolve the correlator once, as a function of R, then evaluate it over
-    the R grid and fit the scaling exponent: a weighted order on the position
-    path (``weighted_correlator``), every other on the spectral chain."""
+    the R grid and fit the scaling exponent: a weighted order from its
+    heat-kernel table (``weighted_correlator``), every other on the spectral
+    chain (``qmode_correlator``)."""
     alpha = cfg.resolved_alpha(state.dim) if alpha is None else float(alpha)
     if order in state.weighted_orders:
-        value = _position_path(state, profile, order, alpha, weighted_z_rule(order))
+        value = _heat_path(state, profile, cfg, order, alpha)
     else:
         value = _spectral_path(state, profile, cfg, order, alpha, offsets)
     return sweep_report(cfg, value, order, alpha, offsets, label)
@@ -800,24 +831,169 @@ class WeightedBound:
         return order * self.gamma - self.dim
 
 
-def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
-                        cfg: ScalingConfig, order: int, gamma: float,
-                        radius: float) -> complex:
-    """Correlator of an order with a polynomial weight, renormalized by R^-gamma.
+def check_weighted(state: TruncatedHierarchy, cfg: ScalingConfig, order: int) -> Rule1D:
+    """The half-line rule of a weighted order's heat-kernel table, the graded
+    rule of the dimension, its weight checked to decay and its build checked
+    against MAX_ARRAY_POINTS.
 
-    Every weight exponent takes one path: the position-space quadrature on
-    ``weighted_z_rule``, within the reach of ``check_position``.
+    W_l = (1 + s)^(-beta/2) is a superposition of Gaussians only for
+    beta = p - alpha_l > 0.  The build holds (N, TAU_BLOCK) arrays and from
+    l = 3 applies the kernel one block of the N x M basis at a time
+    (``_heat_table``); the budget bounds that work as if it were one array,
+    as ``check_order`` does.  Computes no quadrature, so parsing runs it.
     """
     if order not in state.weighted_orders:
         raise UnsupportedModeError(f"order {order} carries no weighted correlator")
-    return _position_path(state, profile, order, gamma, weighted_z_rule(order))(radius)
+    beta = state.weighted_orders[order].decay
+    if not beta > 0:
+        raise InvalidArgumentError(
+            f"weighted order {order} has power <= alpha: (1 + s)^(-beta/2) with beta = {beta} "
+            "does not decay and is no superposition of Gaussians")
+    rule = cfg.quad_for(state.dim, singular=True)
+    _check_chain(rule, state.dim, order,
+                 [TAU_BLOCK] + ([support_rule_size(2.0 * rule.p_max)] if order > 2 else []))
+    return rule
 
 
-def weighted_z_rule(order: int) -> Rule1D:
-    """Difference-variable rule of the weighted position path, one per order;
-    read-only.
+#: (lo, hi, panels, nodes) of the Gauss-Legendre rule in ln tau of every
+#: heat-kernel table.  Half-width panels move the 09a and 09b values by
+#: 4.4e-16 relative, and half-width panels on [-20, 30] by 3.9e-11, the
+#: closure's share; the graded chain rule resolves the Gaussian factors
+#: down to about tau = e^-20
+TAU_RULE = (-18.0, 22.0, 40, 10)
+#: tau nodes per block of ``_heat_table``
+TAU_BLOCK = 64
+#: the largest share of the Gamma(beta/2) weight of ``_heat_path`` that the
+#: top of the tau rule may cut off
+TAU_CUTOFF = 1e-15
 
-    Grading down to ~1e-4 of the box resolves correlator structure at scale
-    1/R through R ~ 2000; order 3 uses a leaner per-axis rule.
+
+@cache
+def _tau_rule(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """ln tau and its weights of a Gauss-Legendre rule in ln tau, built once; read-only."""
+    log_tau, weights = gauss_legendre_panels(lo, hi, panels, nodes)
+    log_tau.flags.writeable = False
+    weights.flags.writeable = False
+    return log_tau, weights
+
+
+def heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.ndarray:
+    """G_l(tau) at the nodes of TAU_RULE: read-only, kept in memory per
+    (profile, n, order, rule) and on disk in the profile's window cache.
+
+    G_l(tau) = integral over (R^n)^(l-1) of exp(-tau sum |z_i|^2) g_l(z) dz,
+    with g_l the overlap of l windows at R = 1, is the radial chain
+    (``radial_chain``) at R = 1 with l - 1 Gaussian factors
+    (pi/tau)^(n/2) exp(-|q|^2/(4 tau)), the plain transform of
+    exp(-tau |y|^2), times C_l of the module formula.  It depends on n, l,
+    the window and the rules alone, not on alpha, beta or R.  A profile with
+    a ``cache_dir`` keeps it there as ``_rule_file_name`` names it
+    (``window.load_or_build_array``).
     """
-    return half_panel_rule(2.0 * GRID_EXTENT, *((24, 10, 14) if order == 2 else (14, 8, 14)))
+    key = ("heat", profile.cache_key, n, order, rule.key)
+    if key not in _CHAIN_CACHE:
+        table = load_or_build_array(profile.cache_dir, _rule_file_name(f"heat_n{n}_o{order}_p", rule),
+                                    (TAU_RULE[2] * TAU_RULE[3],), lambda: _heat_table(profile, n, order, rule))
+        table.flags.writeable = False
+        _CHAIN_CACHE[key] = table
+    return _CHAIN_CACHE[key]
+
+
+def _heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.ndarray:
+    """G_l of ``heat_table``, TAU_BLOCK values of tau at a time.  A block
+    runs the chain on (N, TAU_BLOCK) arrays, v = fhat phi and then
+    v <- K (v w r^(n-1)) phi l - 2 times, with K applied without being
+    formed (``_kernel_times``), so the build never holds an N x N array."""
+    tau = np.exp(_tau_rule(*TAU_RULE)[0])
+    fhat, measure = _radial_nodes(profile, n, rule)
+    r2 = rule.nodes ** 2
+    const = (2.0 * pi) ** (n * (2 - order) / 2.0) * unit_sphere_area(n)
+    table = np.empty(len(tau))
+    for j in range(0, len(tau), TAU_BLOCK):
+        t = tau[j:j + TAU_BLOCK]
+        gauss = (pi / t) ** (n / 2.0) * np.exp(np.multiply.outer(r2, -0.25 / t))
+        v = fhat[:, None] * gauss
+        for _ in range(order - 2):
+            v = _kernel_times(n, rule, v * measure[:, None]) * gauss
+        table[j:j + TAU_BLOCK] = const * ((fhat * measure) @ v)
+    return table
+
+
+def _upper_gamma_bound(a: float, x: float) -> float:
+    """A bound on Q(a, x) = Gamma(a, x) / Gamma(a), the share of the
+    Gamma(a) density beyond x > max(a - 1, 0): x^(a-1) e^(-x) / Gamma(a),
+    over 1 - (a - 1)/x when a > 1."""
+    return exp((a - 1.0) * log(x) - x - lgamma(a)) / (1.0 - max(a - 1.0, 0.0) / x)
+
+
+def _lower_gamma_ratio(a: float, x: float) -> float:
+    """P(a, x) = gamma(a, x) / Gamma(a), the regularized lower incomplete
+    gamma function, for 0 < x <= 1: x^a e^(-x) / Gamma(a) times the sum over
+    k of x^k / (a (a+1) ... (a+k)), whose terms fall faster than 1/k!."""
+    term = total = 1.0 / a
+    k = 0
+    while term > 1e-17 * total:
+        k += 1
+        term *= x / (a + k)
+        total += term
+    return exp(a * log(x) - x - lgamma(a)) * total
+
+
+def _heat_path(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
+               order: int, alpha: float):
+    """``weighted_correlator`` as a function of R: the rule and the weight
+    (``check_weighted``), the tail certificate and the heat-kernel table
+    resolved once.
+
+    With W_l = (1 + s)^(-beta/2) = Gamma(a)^(-1) integral of t^(a-1) e^(-t) e^(-t s) dt,
+    a = beta/2, and sigma = t, tau = sigma R^2,
+
+        value(R) = R^(l(n-alpha)) Gamma(a)^(-1) integral_0^inf sigma^(a-1) e^(-sigma) G_l(sigma R^2) dsigma:
+
+    the weighted sum over the nodes of TAU_RULE, in ln tau, and below its
+    lowest edge tau_0 the closure G_l(0) P(a, tau_0/R^2), with
+    G_l(0) = ((2 pi)^(n/2) fhat(0))^l (``_lower_gamma_ratio``).  The
+    weights are taken in logarithms, so no power of tau or R overflows.
+
+    G_l is positive and falls with tau, so the part of the integral beyond
+    the rule's top tau_1 is at most the share Q(a, tau_1/R^2) of the
+    Gamma(a) weight there.  A radius at which that share may exceed
+    TAU_CUTOFF (``_upper_gamma_bound``), about R = 10^4 at a <= 1 and less
+    for a larger a, or one below e^(lo/2), where tau_0/R^2 passes 1 and the
+    closure would carry the bulk of the integral, raises
+    NumericalAccuracyError.
+    """
+    n = state.dim
+    rule = check_weighted(state, cfg, order)
+    cfg.validate_tail(profile, rule)
+    table = heat_table(profile, n, order, rule)
+    a = state.weighted_orders[order].decay / 2.0
+    log_tau, weights = _tau_rule(*TAU_RULE)
+    tau = np.exp(log_tau)
+    summand = weights * table
+    at_zero = profile.volume_integral() ** order
+    lo, hi = TAU_RULE[:2]
+
+    def value(radius):
+        log_r2 = 2.0 * log(radius)
+        top = exp(hi - log_r2)
+        if log_r2 < lo or top <= max(a - 1.0, 0.0) or _upper_gamma_bound(a, top) > TAU_CUTOFF:
+            raise NumericalAccuracyError(
+                f"radius {radius} lies beyond the heat-kernel tau rule [e^{lo:g}, e^{hi:g}] "
+                f"at beta = {2.0 * a}")
+        body = summand @ np.exp(a * (log_tau - log_r2) - tau / radius ** 2 - lgamma(a))
+        closure = at_zero * _lower_gamma_ratio(a, exp(lo - log_r2))
+        return complex(radius ** (order * (n - alpha)) * (body + closure))
+
+    return value
+
+
+def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
+                        cfg: ScalingConfig, order: int, gamma: float,
+                        radius: float) -> complex:
+    """Correlator of an order with a polynomial weight, renormalized by R^-gamma:
+    the one-radius call of the heat-kernel path (``_heat_path``), at
+    n = 1, 2, 3 and every order of the chain."""
+    if radius <= 0:
+        raise InvalidArgumentError("radius must be positive")
+    return _heat_path(state, profile, cfg, order, gamma)(radius)

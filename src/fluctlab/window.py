@@ -55,10 +55,12 @@ from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 
 #: the format version in the name of every file of the window cache: the
 #: profile tables of ``load_or_build``, the chain kernels of
-#: ``scaling.window_product`` and the folded overlaps of
+#: ``scaling.window_product``, the heat-kernel tables of
+#: ``scaling.heat_table`` and the folded overlaps of
 #: ``scaling.window_overlap_1d``.  Any change to the window's shape
 #: (``_profile_evaluator``), to ``make_profile``'s table, to ``support_rule``,
-#: to the kernel or the overlap formula or to the overlap's u rule
+#: to the kernel, the heat-kernel table or the overlap formula, to the ln tau
+#: rule of the tables (``scaling.TAU_RULE``) or to the overlap's u rule
 #: (``scaling._u_rule``) must bump it, so that no file of the old content is
 #: read
 CACHE_FORMAT_VERSION = 11

@@ -12,6 +12,18 @@ from fluctlab.window import make_profile
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def weighted_form(wc):
+    """W = (1 + s)^(alpha/2) (1 + s)^(-power/2), s = sum |y_i|^2, of a
+    ``models.WeightedCorrelator`` at the radii |y_i|, one array per
+    variable: the position form that the position-space references of the
+    heat-kernel path read."""
+    def form(radii):
+        u = 1.0 + sum(np.square(r) for r in radii)
+        return u ** (wc.alpha / 2.0) * u ** (-wc.power / 2.0)
+
+    return form
+
+
 @pytest.fixture(scope="session")
 def profile1():
     return make_profile(1)

@@ -170,6 +170,24 @@ class TestAcceptance:
         _announce("09", "weighted regime: gamma = (n+alpha_2)/2 renders the "
                         "2-point finite; order 3 marginal at the bound, vanishing below it")
 
+    def test_09c_weighted_n3(self, reports):
+        # n = 3, orders 2-4 from heat-kernel tables: each exponent is
+        # l (n - gamma) - min(beta, (l - 1) n), and p = n at order 2 makes it 0
+        entry = reports["criterion_09c_weighted_n3"]
+        res = entry["report"].results[0]
+        n = 3
+        weights = {o["order"]: o for o in entry["config"].model_block["orders"]}
+        assert res["gamma"] == pytest.approx((n + weights[2]["alpha"]) / 2.0)
+        assert weights[2]["factor"]["power"] == n
+        for order, spec in weights.items():
+            beta = spec["factor"]["power"] - spec["alpha"]
+            assert abs(beta - (order - 1) * n) >= 1.0, order  # away from the log R boundary
+            target = order * (n - res["gamma"]) - min(beta, (order - 1) * n)
+            assert _sweep(entry["report"], order)["exponent"] == pytest.approx(target, abs=0.1), order
+        assert _sweep(entry["report"], 2)["verdict"] == "finite-nonzero"
+        _announce("09c", "weighted regime at n = 3: orders 2-4 scale as "
+                         "R^(l (n - gamma) - min(beta, (l-1) n)), order 2 finite at p = n")
+
     def test_10_ssb_scaling(self, reports):
         entry = reports["criterion_10_ssb"]
         res = entry["report"].results[0]

@@ -115,7 +115,7 @@ def test_traced_sweep_resolves_once(spans, product_state1, profile1):
     # one kernel read per chain value, built at the first radius
     assert layers["scaling.window_product_calls"] == 6
     assert layers["scaling.window_product_hits"] == 5
-    # the weighted sweep fetches its overlap once
-    assert layers["scaling.window_overlap_1d_calls"] == 1
+    # the weighted sweep reads its heat-kernel table, no folded overlap
+    assert layers["scaling.window_overlap_1d_calls"] == 0
     assert layers["scaling.exponent_sweep_s"] >= layers["scaling.window_product_s"] > 0.0
     scaling.clear_caches()

@@ -337,18 +337,32 @@ CONTRACT_CASES = {
                                       "analyses": [{"kind": "ssb-bound"}]}, 4),
     "cross density exponent -1e300": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 0.25, "exponent": -1e300}),
                                        "analyses": [{"kind": "ssb-bound"}]}, 4),
-    # weighted orders run on the position path, which runs orders 2 and 3
+    # weighted orders run from heat-kernel tables on the chain, at every order of it
     "weighted order 4": ({"model": {"class": "weighted", "dim": 1, "orders": [
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
         {"order": 4, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
         "numeric": {"alpha_mode": "gamma"},
-        "analyses": [{"kind": "scaling-sweep", "orders": [4]}]}, 2),
+        "analyses": [{"kind": "scaling-sweep", "orders": [4]}]}, 0),
+    # a weight that does not decay, p <= alpha, is no superposition of Gaussians
+    "weighted power at alpha": (weighted_case(dict(BESSEL, power=0.5)), 2),
+    "weighted order 3 power below alpha": ({"model": {"class": "weighted", "dim": 1, "orders": [
+        {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
+        {"order": 3, "alpha": 2.0, "factor": {"form": "bessel-power", "power": 1.5}}]},
+        "numeric": {"alpha_mode": "gamma"},
+        "analyses": [{"kind": "scaling-sweep", "orders": [2, 3]}]}, 2),
+    # the order-3 table applies the kernel of an N x M basis, 32 x 10**7 points here
+    "weighted order 3, huge p_max": ({"model": {"class": "weighted", "dim": 2, "orders": [
+        {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}},
+        {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
+        "numeric": {"alpha_mode": "gamma", "quad": {"2": [1e6, 8, 4, 0]}},
+        "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 2),
     # the joint power is the one weighted factor form, with power its one number
     "weighted gaussian form": (weighted_case({"form": "gaussian"}), 2),
     "weighted factor amplitude": (weighted_case(dict(BESSEL, amplitude=0.7)), 2),
     "weighted factor without power": (weighted_case({"form": "bessel-power"}), 2),
-    # the position path runs n = 1 only: the weighted orders and the oracle
-    "weighted order 2 at n = 2": (weighted_case(dim=2), 2),
+    # the heat-kernel tables run at n = 1, 2, 3; the position path, the
+    # oracle, runs n = 1 only
+    "weighted order 2 at n = 2": (weighted_case(dim=2), 0),
     "oracle at n = 2": ({"model": dict(GAUSS, dim=2), "analyses": [
         {"kind": "scaling-sweep", "orders": [2], "oracle_check_r_max": 8}]}, 2),
     # an oracle with no order of the position path would check nothing
@@ -382,15 +396,18 @@ CONTRACT_CASES = {
         {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
 }
 # name: what the error message of a case must say
-CONTRACT_MESSAGES = {"weighted order 4": "orders 2..3", "weighted gaussian form": "factor.form",
+CONTRACT_MESSAGES = {"weighted gaussian form": "factor.form",
                      "weighted factor amplitude": "amplitude", "weighted factor without power":
-                     "factor.power is required", "weighted order 2 at n = 2": "n = 1 only",
+                     "factor.power is required", "weighted power at alpha": "does not decay",
+                     "weighted order 3 power below alpha": "does not decay",
+                     "weighted order 3, huge p_max": "radial chain array",
                      "oracle at n = 2": "n = 1 only",
                      "oracle with no order in 2..3": "oracle_check_r_max needs an order in 2..3"}
 
 
-#: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3 and
-#: the folded overlaps of the oracle (04) and of the weighted orders (09a)
+#: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3, the
+#: folded overlaps of the oracle (04) and the heat-kernel tables of the
+#: weighted orders (09a)
 CACHE_CONFIGS = ("criterion_01_normal_scaling", "criterion_02_limit_two_point", "criterion_04_oracle",
                  "criterion_09a_weighted_boundary", "criterion_12a_high_order_n2",
                  "criterion_12b_high_order_n3")
@@ -404,10 +421,15 @@ def _no_overlap_build(profile, z_rule):
     raise AssertionError("a folded overlap was built where the window cache holds it")
 
 
+def _no_heat_build(*args):
+    raise AssertionError("a heat-kernel table was built where the window cache holds it")
+
+
 def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch):
-    # the kernels and overlaps a cold run writes into the window cache are
-    # the ones the warm run reads instead of building them, to the report
-    # byte; the integral of fhat^2 is a closed form and keeps no file
+    # the kernels, overlaps and heat-kernel tables a cold run writes into
+    # the window cache are the ones the warm run reads instead of building
+    # them, to the report byte; the integral of fhat^2 is a closed form and
+    # keeps no file
     def run_all(name):
         for stem in CACHE_CONFIGS:
             scaling.clear_caches()
@@ -422,16 +444,18 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
     cold = run_all("cold")
     assert sorted(p.name for p in cache.glob("chain_*.npy")) == [
         f"chain_n{n}_p120.0_48_10_0_v{CACHE_FORMAT_VERSION}.npy" for n in (1, 2, 3)]
-    # orders 2 and 3 on oracle_z_rule(), then order 2 on weighted_z_rule(2)
-    # and order 3 on weighted_z_rule(3)
+    # the oracle's orders 2 and 3 on oracle_z_rule()
     assert sorted(p.name for p in cache.glob("overlap_*.npy")) == [
-        f"overlap_n1_o{name}_v{CACHE_FORMAT_VERSION}.npy"
-        for name in ("2_z5.0_24_10_14", "2_z5.0_24_10_6", "3_z5.0_14_8_14", "3_z5.0_24_10_6")]
+        f"overlap_n1_o{order}_z5.0_24_10_6_v{CACHE_FORMAT_VERSION}.npy" for order in (2, 3)]
+    # the weighted orders 2 and 3 on the graded rule of n = 1
+    assert sorted(p.name for p in cache.glob("heat_*.npy")) == [
+        f"heat_n1_o{order}_p120.0_48_10_16_v{CACHE_FORMAT_VERSION}.npy" for order in (2, 3)]
     # beside the three tables nothing else, no pair_overlap_* file
     assert sorted(p.name.split("_")[0] for p in cache.iterdir()) == (
-        ["chain"] * 3 + ["overlap"] * 4 + ["window"] * 3)
+        ["chain"] * 3 + ["heat"] * 2 + ["overlap"] * 2 + ["window"] * 3)
     monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
     monkeypatch.setattr(scaling, "_folded_rows", _no_overlap_build)
+    monkeypatch.setattr(scaling, "_heat_table", _no_heat_build)
     warm = run_all("warm")
     assert len(uncached) == len(CACHE_CONFIGS)
     assert cold == uncached and warm == uncached
@@ -488,8 +512,11 @@ class TestValidateRunContract:
         assert result["net_offset_sweeps"][0]["verdict"] == "vanishing"
 
     def test_even_weight_exponent_vanishes(self, tmp_path, cache_dir, monkeypatch):
+        # the order-2 weight alpha_2 = 2 sets gamma = 3/2; both weights decay
+        # (p > alpha), so order 3 scales as R^(3 (1 - gamma) - 1)
         config = json.loads((ROOT / "configs" / "criterion_09a_weighted_boundary.json").read_text())
-        config["model"]["orders"][0]["alpha"] = 2.0
+        config["model"]["orders"][0] = {"order": 2, "alpha": 2.0,
+                                        "factor": {"form": "bessel-power", "power": 2.5}}
         config["model"]["orders"][1] = {"order": 3, "alpha": 2.0,
                                         "factor": {"form": "bessel-power", "power": 3.0}}
         config["output"] = {"directory": str(tmp_path / "out"), "basename": "even"}
@@ -515,6 +542,21 @@ class TestValidateRunContract:
         assert cli.main(["validate", str(path)]) == 0
         assert cli.main(["run", str(path)]) == 3
         assert "numerical-accuracy error" in capsys.readouterr().err
+
+    def test_radii_beyond_the_tau_rule_exit_3(self, tmp_path, cache_dir, monkeypatch, capsys):
+        # the heat-kernel tau rule covers R up to about 10^4: a grid to 10^5
+        # parses, and its run stops with a numerical-accuracy error instead
+        # of cutting the tau integral short
+        path = tmp_path / "far.json"
+        config = weighted_case()
+        config["numeric"]["r_grid"] = {"start": 1e3, "stop": 1e5, "count": 8}
+        path.write_text(cfg_text(dict(config, output={"directory": str(tmp_path / "out")})))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical-accuracy error" in err and "heat-kernel tau rule" in err
+        assert not (tmp_path / "out").exists()
 
     def test_oracle_skips_orders_beyond_the_position_path(self, tmp_path, cache_dir, monkeypatch):
         # orders 2..4 are swept; the oracle checks orders 2 and 3, the ones the position path runs

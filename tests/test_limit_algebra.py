@@ -20,11 +20,20 @@ from fluctlab.limit_algebra import (
     ccr_product_check,
     commutator_criterion,
     weyl_expectation,
-    wick_moment,
 )
 from fluctlab.models import ObservablePair, gaussian_state
-from fluctlab.partitions import enumerate_pairings
+from fluctlab.partitions import MAX_PAIRING_ORDER, enumerate_pairings, pairing_sum
 from fluctlab.scaling import ScalingConfig, exponent_sweep
+
+
+def wick_moment(state, sequence):
+    """Limit moment of an ordered product: the sum over pairings of the slot
+    positions of C[label_a, label_b], a < b, by the first-slot recursion
+    that ``ccr_product_check`` runs; odd-length sequences vanish."""
+    if len(sequence) > MAX_PAIRING_ORDER:
+        raise OrderRangeError(f"sequences longer than {MAX_PAIRING_ORDER} are not supported")
+    idx = limit_algebra._label_indices(state, sequence)
+    return pairing_sum(idx, limit_algebra._covariance_pairs(state), {})
 
 
 def valid_state(scale=0.3):

@@ -19,6 +19,8 @@ from fluctlab.models import (
     weighted_state,
 )
 
+from conftest import weighted_form
+
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -136,15 +138,17 @@ class TestWeighted:
     def test_zero_weight_reduces_to_plain_factor(self):
         wc = WeightedCorrelator(2, 0.0, 2.0)
         y = np.array([0.0, 1.0, 2.0])
-        assert np.array_equal(wc.position_value((y,)), (1.0 + y ** 2) ** -1.0)
+        assert wc.decay == 2.0
+        assert np.array_equal(weighted_form(wc)((y,)), (1.0 + y ** 2) ** -1.0)
 
     def test_assembled_position_form(self):
-        # W(y) = (1 + |y|^2)^(alpha/2) (1 + |y|^2)^(-p/2) by definition, s = |y_1|^2 + |y_2|^2
+        # W(y) = (1 + |y|^2)^(alpha/2) (1 + |y|^2)^(-p/2) by definition, s = |y_1|^2 + |y_2|^2,
+        # which the heat-kernel path runs as (1 + s)^(-decay/2)
         wc = WeightedCorrelator(3, 1.0, 2.5)
         y1, y2 = np.array([0.0, 0.7, 1.3]), np.array([0.4, 0.0, 2.1])
         u = 1.0 + y1 ** 2 + y2 ** 2
-        assert np.array_equal(wc.position_value((y1, y2)), u ** 0.5 * u ** -1.25)
-        assert np.allclose(wc.position_value((y1, y2)), u ** -0.75, rtol=1e-15, atol=0.0)
+        assert np.array_equal(weighted_form(wc)((y1, y2)), u ** 0.5 * u ** -1.25)
+        assert np.allclose(weighted_form(wc)((y1, y2)), u ** (-wc.decay / 2.0), rtol=1e-15, atol=0.0)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ModelValidationError):
@@ -163,13 +167,13 @@ class TestWeighted:
     def test_growth_exponent_matches_weight(self, profile1):
         # saturating construction: alpha_2 = n - beta, so the unnormalized
         # autocorrelation grows like R^(n + alpha_2); measured through the
-        # position-space double-quadrature oracle at moderate radii
-        from fluctlab.scaling import ScalingConfig, fit_loglog, position_space_correlator
+        # heat-kernel path at moderate radii
+        from fluctlab.scaling import ScalingConfig, fit_loglog, weighted_correlator
 
         state = weighted_state([WeightedCorrelator(2, 0.5, 1.0)], 1)
         cfg = ScalingConfig()
         radii = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
-        vals = [position_space_correlator(state, profile1, cfg, 2, r, alpha=0.0) for r in radii]
+        vals = [weighted_correlator(state, profile1, cfg, 2, 0.0, r) for r in radii]
         exponent, _, _, _ = fit_loglog(radii, vals)
         assert exponent == pytest.approx(1.0 + 0.5, abs=0.1)
 

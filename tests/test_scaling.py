@@ -37,6 +37,7 @@ from fluctlab.scaling import (
     Rule1D,
     ScalingConfig,
     check_order,
+    check_weighted,
     exponent_sweep,
     find_critical_alpha,
     fit_loglog,
@@ -49,12 +50,13 @@ from fluctlab.scaling import (
     radial_chain,
     weighted_correlator,
     weighted_gamma,
-    weighted_z_rule,
     window_overlap_1d,
     window_product,
 )
 from fluctlab.quadrature import gauss_legendre_panels, half_panel_rule, legendre_rule
 from fluctlab.window import make_profile, unit_sphere_area
+
+from conftest import weighted_form
 
 
 def _mirrored(rule):
@@ -235,10 +237,17 @@ def _full_grid_correlator(state, profile, order, radius, alpha, z_rule):
     return radius ** (order * (1.0 - alpha)) * complex(np.sum(wt * g * wvals))
 
 
+def _weighted_z_rule(order):
+    """The difference-variable rule of the weighted orders' position path,
+    graded down to ~1e-4 of the box, which the heat-kernel tables are
+    checked against; a leaner per-axis rule at order 3."""
+    return half_panel_rule(2.0 * window.GRID_EXTENT, *((24, 10, 14) if order == 2 else (14, 8, 14)))
+
+
 _Z_RULES = {
     "oracle": oracle_z_rule,
-    "weighted-order-2": lambda: weighted_z_rule(2),
-    "weighted-order-3": lambda: weighted_z_rule(3),
+    "weighted-order-2": lambda: _weighted_z_rule(2),
+    "weighted-order-3": lambda: _weighted_z_rule(3),
 }
 
 
@@ -249,6 +258,21 @@ def _weighted_state():
             {"order": 2, "alpha": 0.5, "factor": factor},
             {"order": 3, "alpha": 1.25, "factor": factor}]},
         "numeric": {"alpha_mode": "gamma"}})).model
+
+
+def _position_state(state):
+    """A weighted state's orders as position forms (``conftest.weighted_form``),
+    which the position path reads."""
+    return TruncatedHierarchy(dim=state.dim, max_order=state.max_order, factors={}, tags=state.tags,
+                              position_forms={o: weighted_form(wc) for o, wc in state.weighted_orders.items()})
+
+
+def _weighted_position_value(state, profile, order, radius, gamma):
+    """The position-space value of a weighted order on its z rule: the
+    folded overlap summed against W, the path the weighted orders ran on
+    before their heat-kernel tables, up to its u-rule error."""
+    return position_space_correlator(_position_state(state), profile, ScalingConfig(), order, radius,
+                                     gamma, z_rule=_weighted_z_rule(order))
 
 
 def _no_rows(profile, z_rule):
@@ -298,15 +322,16 @@ class TestPositionOverlap:
         scaling.clear_caches()
 
     def test_clear_caches_empties_every_module_dict(self, criterion_step, profile1):
-        # the oracle and the weighted path keep their overlaps in the one chain
-        # cache beside the kernels and chain values; clearing it leaves no
-        # dict that scaling itself holds non-empty
+        # the oracle keeps its overlaps and the weighted orders their
+        # heat-kernel tables in the one chain cache beside the kernels and
+        # chain values; clearing it leaves no dict that scaling itself holds
+        # non-empty
         scaling.clear_caches()
         for stem in ("criterion_04_oracle", "criterion_09a_weighted_boundary"):
             model, (kind, params, cfg) = criterion_step(stem)
             runner.ANALYSES[kind].handler(params, cfg, model, profile1)
         kinds = Counter(key[0] for key in scaling._CHAIN_CACHE)
-        assert kinds["overlap"] == 4 and kinds["kernel"] and kinds["chain"]
+        assert kinds["overlap"] == 2 and kinds["heat"] == 2 and kinds["kernel"] and kinds["chain"]
         scaling.clear_caches()
         held = [name for name, value in vars(scaling).items()
                 if isinstance(value, dict) and value and not name.startswith("__")
@@ -314,8 +339,7 @@ class TestPositionOverlap:
         assert held == []
 
     def test_orders_beyond_three_raise(self, profile1, product_state1):
-        # the position path runs orders 2 and 3; the oracle and the weighted
-        # orders never reach order 4
+        # the position path, the oracle, runs orders 2 and 3
         cfg = ScalingConfig()
         scaling.clear_caches()
         for order in (1, 4, 5):
@@ -333,7 +357,7 @@ class TestPositionFold:
     @pytest.mark.parametrize("order", [2, 3])
     @pytest.mark.parametrize("model", ["product-ansatz", "bessel-power"])
     def test_folded_equals_full_grid_sum(self, profile1, product_state1, rule_name, order, model):
-        state = product_state1 if model == "product-ansatz" else _weighted_state()
+        state = product_state1 if model == "product-ansatz" else _position_state(_weighted_state())
         z_rule = _Z_RULES[rule_name]()
         cfg = ScalingConfig()
         for radius in (2.0, 64.0, 2048.0):
@@ -391,7 +415,9 @@ class TestPositionFold:
         # reads the radii |y_i|, and there it equals W written in the signed
         # variables, at y and with any one sign flipped, bit for bit
         state = parse_config(json.dumps({"model": {**model, "dim": 1}})).model
-        orders = sorted(set(state.position_forms) | set(state.weighted_orders))
+        if state.weighted_orders:
+            state = _position_state(state)
+        orders = sorted(state.position_forms)
         assert orders
         rng = np.random.default_rng(7)
         for order in orders:
@@ -634,12 +660,17 @@ class TestSupportRule:
 _PIN_RULES = {"default": (scaling.DEFAULT_QUAD, 3e-15), "graded": (KERNEL_RULES["graded"], 3e-15),
               "p16": ((16.0, 8, 10, 0), 3e-15), "p240": ((240.0, 16, 10, 0), 6e-15)}
 
-#: prints the digest of each kernel of KERNEL_RULES at n = 1, 2, 3, one a line
+#: prints the digest of each kernel of KERNEL_RULES at n = 1, 2, 3 and of
+#: the order-3 heat-kernel table on the graded rule at n = 1, 2, 3, one a
+#: line; the tables read the window profiles kept in the directory argv[1]
 _KERNEL_DIGESTS = (
-    "import hashlib; from fluctlab import scaling; from fluctlab.quadrature import half_panel_rule; "
-    f"rules = {sorted(KERNEL_RULES.values())!r}; "
-    "print('\\n'.join(hashlib.sha256(scaling._radial_kernel(n, half_panel_rule(*key)).tobytes()).hexdigest() "
-    "for key in rules for n in (1, 2, 3)))")
+    "import hashlib, sys; from fluctlab import scaling; from fluctlab.quadrature import half_panel_rule; "
+    "from fluctlab.window import load_or_build; "
+    f"rules = {sorted(KERNEL_RULES.values())!r}; graded = half_panel_rule(*{KERNEL_RULES['graded']!r}); "
+    "digest = lambda array: hashlib.sha256(array.tobytes()).hexdigest(); "
+    "print('\\n'.join([digest(scaling._radial_kernel(n, half_panel_rule(*key))) for key in rules for n in (1, 2, 3)] "
+    "+ [digest(scaling._heat_table(load_or_build(n, sys.argv[1]), n, 3, graded)) "
+    "for n in (1, 2, 3)]))")
 
 
 class TestBlockedKernel:
@@ -675,13 +706,17 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert peak <= 2.5 * len(rule) ** 2 * 8
 
-    def test_kernel_bytes_do_not_depend_on_blas_threads(self):
+    def test_kernel_bytes_do_not_depend_on_blas_threads(self, profile1, profile2, profile3, tmp_path):
+        # both processes read one window table per n, written here: the n = 2
+        # table itself is built differently at other thread counts
+        for profile in (profile1, profile2, profile3):
+            profile.to_cache_file(tmp_path)
         src = str(Path(scaling.__file__).parent.parent)
-        digests = [subprocess.run([sys.executable, "-c", _KERNEL_DIGESTS], capture_output=True, text=True,
-                                  check=True, env={**os.environ, "PYTHONPATH": src,
-                                                   "OPENBLAS_NUM_THREADS": threads}).stdout
+        digests = [subprocess.run([sys.executable, "-c", _KERNEL_DIGESTS, str(tmp_path)], capture_output=True,
+                                  text=True, check=True, env={**os.environ, "PYTHONPATH": src,
+                                                              "OPENBLAS_NUM_THREADS": threads}).stdout
                    for threads in ("1", "2")]
-        assert len(digests[0].split()) == 6
+        assert len(digests[0].split()) == 9
         assert digests[0] == digests[1]
 
 
@@ -929,8 +964,8 @@ class TestWeightedRegime:
 
     @pytest.mark.parametrize("order, alpha, panels", [(2, 2.0, 96), (3, 4.0, 48)])
     def test_even_alpha_matches_refined_position_rule(self, profile1, order, alpha, panels):
-        # even weight exponents take the same position path as any other; the
-        # joint decays beta = p - alpha are those of criterion 09a (0.5, 0.75)
+        # even weight exponents take the same heat-kernel path as any other;
+        # the joint decays beta = p - alpha are those of criterion 09a (0.5, 0.75)
         state = parse_config(json.dumps({
             "model": {"class": "weighted", "dim": 1, "orders": [
                 {"order": 2, "alpha": 2.0, "factor": {"form": "bessel-power", "power": 2.5}},
@@ -941,7 +976,7 @@ class TestWeightedRegime:
         refined = half_panel_rule(2.0 * window.GRID_EXTENT, panels, 12, 20)
         radius = 2048.0
         value = weighted_correlator(state, profile1, cfg, order, gamma, radius)
-        reference = position_space_correlator(state, profile1, cfg, order, radius, gamma,
+        reference = position_space_correlator(_position_state(state), profile1, cfg, order, radius, gamma,
                                               z_rule=refined)
         assert abs(value - reference) <= 1e-6 * abs(reference)
 
@@ -950,11 +985,202 @@ class TestWeightedRegime:
         with pytest.raises(UnsupportedModeError):
             weighted_correlator(gaussian_state1, profile1, cfg, 2, 0.75, 8.0)
 
-    def test_noninteger_alpha_uses_position_path_only_in_1d(self, profile2):
+    def test_noninteger_alpha_runs_at_n2(self, profile2):
+        # the heat-kernel path runs every n: at n = 2 the order-2 value of a
+        # non-integer weight exponent is the direct quadrature of
+        # W(|x - y|) f(|x|/R) f(|y|/R) to 1e-12
         state = weighted_state([WeightedCorrelator(2, 0.5, 2.0)], 2)
         cfg = ScalingConfig()
-        with pytest.raises(UnsupportedModeError):
-            weighted_correlator(state, profile2, cfg, 2, 1.25, 8.0)
+        for radius in (2.0, 4.0):
+            value = weighted_correlator(state, profile2, cfg, 2, 1.25, radius)
+            reference = radius ** (2 * (2 - 1.25)) * _radial_position_pair(
+                profile2, 2, weighted_form(state.weighted_orders[2]), radius)
+            assert abs(value - reference) <= 1e-12 * abs(reference), radius
+
+    def test_non_decaying_weight_raises(self, profile1):
+        # p <= alpha leaves (1 + s)^(-beta/2) with beta <= 0: no Gaussian superposition
+        state = weighted_state([WeightedCorrelator(2, 1.0, 1.0)], 1)
+        with pytest.raises(InvalidArgumentError, match="does not decay"):
+            check_weighted(state, ScalingConfig(), 2)
+        with pytest.raises(InvalidArgumentError, match="does not decay"):
+            weighted_correlator(state, profile1, ScalingConfig(), 2, 1.0, 8.0)
+
+    def test_radii_beyond_the_tau_rule_raise(self, profile1):
+        # from R = e^-9, where tau_0/R^2 reaches 1, to where the Gamma(beta/2)
+        # weight beyond the rule's top e^22 may pass TAU_CUTOFF: about 10^4
+        # at beta = 1.5, and less for a larger beta, whose weight lies at larger tau
+        decays = weighted_state([WeightedCorrelator(2, 0.5, 2.0), WeightedCorrelator(3, 0.5, 40.5)], 1)
+        for radius in (2e-4, 8.0, 1e4):
+            weighted_correlator(decays, profile1, ScalingConfig(), 2, 0.75, radius)
+        for order, radius in ((2, 1e-4), (2, 1.2e4), (3, 8e3)):
+            with pytest.raises(NumericalAccuracyError, match="tau rule"):
+                weighted_correlator(decays, profile1, ScalingConfig(), order, 0.75, radius)
+        weighted_correlator(decays, profile1, ScalingConfig(), 3, 0.75, 2048.0)
+        grid = ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(1e3, 1e5, 6)))
+        with pytest.raises(NumericalAccuracyError, match="tau rule"):
+            exponent_sweep(decays, profile1, grid, 2, alpha=0.75)
+        scaling.clear_caches()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_order2_at_p_equal_n_is_finite_nonzero(self, profile2, profile3, dim):
+        # p = n makes the order-2 exponent 2 (n - gamma) - beta zero for every alpha_2 < n
+        state = weighted_state([WeightedCorrelator(2, 0.5, float(dim))], dim)
+        gamma, _ = weighted_gamma(dim, 0.5)
+        rep = exponent_sweep(state, profile2 if dim == 2 else profile3, ScalingConfig(), 2, alpha=gamma)
+        assert rep.exponent == pytest.approx(0.0, abs=0.1)
+        assert rep.verdict == "finite-nonzero"
+
+
+def _radial_position_pair(profile, dim, form, radius):
+    """The integral of f(|x|) f(|y|) W(R |x - y|) over R^2 x R^2 in polar
+    coordinates: radii on 16-node panels split at the window edge a, the
+    angle between x and y on 16 panels of [0, pi], doubled."""
+    assert dim == 2
+    a, b = window.EDGE
+    r, w = map(np.concatenate, zip(gauss_legendre_panels(0.0, a, 8, 16), gauss_legendre_panels(a, b, 8, 16)))
+    phi, wp = gauss_legendre_panels(0.0, pi, 16, 16)
+    d = window._profile_evaluator()(r) * r * w
+    total = 0.0
+    for ri, di in zip(r, d):
+        dist = np.sqrt(np.maximum(ri ** 2 + r[:, None] ** 2 - 2.0 * ri * r[:, None] * np.cos(phi), 0.0))
+        total += di * (d @ (form((radius * dist,)) @ wp))
+    return 4.0 * pi * total
+
+
+#: the graded rule of the weighted orders at every n (``check_weighted``)
+_GRADED = half_panel_rule(*KERNEL_RULES["graded"])
+
+
+def _edge_split_line():
+    """An n = 1 position rule split at the window edges +-a and +-b,
+    20 + 40 + 20 panels of 16 nodes: its nodes and f times its weights."""
+    a, b = window.EDGE
+    x, w = map(np.concatenate, zip(gauss_legendre_panels(-b, -a, 20, 16), gauss_legendre_panels(-a, a, 40, 16),
+                                   gauss_legendre_panels(a, b, 20, 16)))
+    return x, w * window._profile_evaluator()(np.abs(x))
+
+
+def _weighted_sweeps(criterion_step, profile1, stem):
+    """gamma and the sweeps of a weighted criterion config, from an empty chain cache."""
+    model, (kind, params, cfg) = criterion_step(stem)
+    scaling.clear_caches()
+    out = runner.ANALYSES[kind].handler(params, cfg, model, profile1)
+    return model, out["gamma"], out["sweeps"]
+
+
+_WEIGHTED_STEMS = ["criterion_09a_weighted_boundary", "criterion_09b_weighted_vanishing"]
+
+
+class TestHeatTable:
+    """The heat-kernel table G_l of the weighted orders against the paths it
+    replaces and against position-space quadratures."""
+
+    @pytest.mark.parametrize("rule_name, tolerance", [("graded", 2e-12), ("fine", 1e-13)])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_table_equals_edge_split_position_chain(self, profile1, order, rule_name, tolerance):
+        # G_l(tau) = sum d E d E ... d with d = f w and E[x, y] = exp(-tau (x - y)^2),
+        # at every 8th tau node in [0.01, 100]; the position rule moves by
+        # 2e-16 when its panels are doubled.  The graded rule of the weighted
+        # orders is 1.8e-12 off at tau = 0.28, where the Gaussian factor is
+        # about one panel wide; a finer chain rule is within 2.3e-14
+        rule = _GRADED if rule_name == "graded" else half_panel_rule(160.0, 64, 12, 16)
+        log_tau, _ = scaling._tau_rule(*scaling.TAU_RULE)
+        table = scaling.heat_table(profile1, 1, order, rule)
+        x, d = _edge_split_line()
+        picks = np.flatnonzero((log_tau >= np.log(0.01)) & (log_tau <= np.log(100.0)))
+        assert len(picks) > 80
+        for k in picks[::8]:
+            e = np.exp(-np.exp(log_tau[k]) * np.subtract.outer(x, x) ** 2)
+            v = d
+            for _ in range(order - 1):
+                v = (v @ e) * d
+            assert abs(table[k] - v.sum()) <= tolerance * v.sum(), np.exp(log_tau[k])
+        scaling.clear_caches()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_small_tau_end_meets_the_closed_form(self, profile1, profile2, profile3, dim):
+        # G_l(tau) -> ((2 pi)^(n/2) fhat(0))^l as tau -> 0, 3^l at n = 1
+        profile = (profile1, profile2, profile3)[dim - 1]
+        if dim == 1:
+            assert profile.volume_integral() == pytest.approx(3.0, rel=1e-14)
+        for order in (2, 3):
+            table = scaling.heat_table(profile, dim, order, _GRADED)
+            assert abs(table[0] / profile.volume_integral() ** order - 1.0) <= 1e-7
+        scaling.clear_caches()
+
+    @pytest.mark.parametrize("stem", _WEIGHTED_STEMS)
+    def test_tau_rule_refinement(self, criterion_step, profile1, stem, monkeypatch):
+        # half-width ln tau panels on [-20, 30] move no value by more than 1e-10
+        _, _, sweeps = _weighted_sweeps(criterion_step, profile1, stem)
+        monkeypatch.setattr(scaling, "TAU_RULE", (-20.0, 30.0, 100, 10))
+        _, _, refined = _weighted_sweeps(criterion_step, profile1, stem)
+        scaling.clear_caches()
+        for sweep, fine in zip(sweeps, refined):
+            for v, w in zip(sweep["values"], fine["values"]):
+                assert abs(complex(v["re"], v["im"]) / complex(w["re"], w["im"]) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("stem", _WEIGHTED_STEMS)
+    def test_sweeps_equal_the_position_path(self, criterion_step, profile1, stem):
+        # within the position path's own u-rule error: 2.7e-10 (09a order 2),
+        # 9.9e-9 (09a order 3) and 5.4e-9 (09b order 3)
+        model, gamma, sweeps = _weighted_sweeps(criterion_step, profile1, stem)
+        for sweep in sweeps:
+            for radius, v in zip(sweep["r_values"], sweep["values"]):
+                reference = _weighted_position_value(model, profile1, sweep["order"], radius, gamma)
+                assert abs(complex(v["re"], v["im"]) - reference) <= 1e-8 * abs(reference), radius
+        scaling.clear_caches()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matrix_free_table_equals_kernel_chain(self, profile1, profile2, profile3, dim):
+        # the chain of every tau at once through the kernel of window_product
+        profile = (profile1, profile2, profile3)[dim - 1]
+        rule = half_panel_rule(24.0, 8, 10, 4)
+        tau = np.exp(scaling._tau_rule(*scaling.TAU_RULE)[0])
+        kernel = window_product(profile, dim, rule)
+        fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (dim - 1)
+        gauss = (pi / tau) ** (dim / 2.0) * np.exp(-np.multiply.outer(rule.nodes ** 2, 0.25 / tau))
+        for order in (2, 3, 4):
+            v = fhat[:, None] * gauss
+            for _ in range(order - 2):
+                v = (kernel @ (v * measure[:, None])) * gauss
+            reference = (2.0 * pi) ** (dim * (2 - order) / 2.0) * unit_sphere_area(dim) * ((fhat * measure) @ v)
+            table = scaling._heat_table(profile, dim, order, rule)
+            assert np.max(np.abs(table - reference) / np.abs(reference)) <= 1e-14, order
+        scaling.clear_caches()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_build_holds_no_n_by_n_array(self, profile1, profile3, dim):
+        # (N, TAU_BLOCK) arrays and one basis block at a time, never N x N
+        profile = profile1 if dim == 1 else profile3
+        scaling._heat_table(profile, dim, 3, _GRADED)  # the support rule is built once
+        tracemalloc.start()
+        try:
+            scaling._heat_table(profile, dim, 3, _GRADED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(_GRADED) ** 2 * 8
+        scaling.clear_caches()
+
+    def test_disk_table_equals_fresh_build(self, profile1, tmp_path, monkeypatch):
+        # written on a cold read, read back on a warm one without a build
+        scaling.clear_caches()
+        fresh = scaling.heat_table(profile1, 1, 3, _GRADED)
+        scaling.clear_caches()
+        cold = scaling.heat_table(replace(profile1, cache_dir=tmp_path), 1, 3, _GRADED)
+        [path] = tmp_path.iterdir()
+        assert path.name == f"heat_n1_o3_p120.0_48_10_16_v{window.CACHE_FORMAT_VERSION}.npy"
+        scaling.clear_caches()
+        monkeypatch.setattr(scaling, "_heat_table", _no_heat_build)
+        warm = scaling.heat_table(replace(profile1, cache_dir=tmp_path), 1, 3, _GRADED)
+        assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
+        with pytest.raises(ValueError):
+            warm[0] = 0.0
+        scaling.clear_caches()
+
+
+def _no_heat_build(*args):
+    raise AssertionError("a heat-kernel table was built where the window cache holds it")
 
 
 class TestHigherDimension:
