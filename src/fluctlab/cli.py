@@ -7,8 +7,10 @@ error, 3 numerical-accuracy failure (a failed certificate, or a float
 overflow in the numerics), 4 model-validation failure.
 
 The window cache directory is taken from $FLUCTLAB_CACHE when set: it
-holds the window profile tables and the arrays built on them, the radial
-chain kernels and the folded position-space overlaps.
+holds the window profile tables and the arrays built on them: the radial
+chain kernels (``chain_*.npy``), the heat-kernel tables of the weighted
+orders (``heat_*.npy``) and the folded position-space overlaps
+(``overlap_*.npy``).
 """
 
 from __future__ import annotations

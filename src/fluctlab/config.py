@@ -46,7 +46,7 @@ from .models import (
 )
 from .report import FORMATS
 from .runner import ANALYSES
-from .scaling import ALPHA_MODES, ScalingConfig
+from .scaling import ScalingConfig
 from .ssb import Dispersion, GoldstoneModel, SpectralVectorModel
 from .window import load_or_build
 
@@ -112,6 +112,13 @@ def _goldstone_ssb(b):
                           gap=b["gap"])
 
 
+def _spectral_vector(b):
+    if not b["samples"]:  # an invariant-only vector leaves the projector nothing to converge
+        raise ConfigError("model.samples must hold at least one sample")
+    return SpectralVectorModel(tuple((e, p, complex(a)) for e, p, a in b["samples"]),
+                               complex(b["invariant_amplitude"]))
+
+
 def _pair_family(b):
     labels = tuple(b["labels"])
     densities = {}
@@ -155,8 +162,7 @@ MODELS = {
         _goldstone_ssb),
     "spectral-vector": ModelClass(
         {"samples": (Arr(Arr((Num(), Num(), Num()))), REQUIRED), "invariant_amplitude": (Num(), 1.0)},
-        lambda b: SpectralVectorModel(tuple((e, p, complex(a)) for e, p, a in b["samples"]),
-                                      complex(b["invariant_amplitude"]))),
+        _spectral_vector),
     "pair-family": ModelClass(
         {"labels": (Arr(Str()), REQUIRED), "pairs": (MapOf(Str(), DENSITY), REQUIRED)}, _pair_family),
 }
@@ -173,13 +179,11 @@ NUMERIC = Obj({
     "r_grid": (Obj({"start": (Num(positive=True), 8.0), "stop": (Num(positive=True), 512.0),
                     "count": (Int(0, 4096), 8)}), {}),
     "eps_vanish": (Num(positive=True), 1e-8),
-    "exponent_band": (Num(), 0.1),
-    "alpha_mode": (Str(ALPHA_MODES), "canonical"),
+    # the renormalization exponent; null: the model's marginal one
     "alpha": (Num(nullable=True), None),
     # per dimension n: p_max, panels, nodes per panel, graded levels
     "quad": (MapOf(Int(1, 3),
                    Arr((Num(positive=True), Int(1, 4096), Int(2, 64), Int(0, 64)))), {}),
-    "min_decades": (Num(), 1.75),
 })
 OUTPUT = Obj({"directory": (Str(), "fluctlab-out"), "basename": (Str(), "report"),
               "formats": (Arr(Str(FORMATS)), ["json"])})
@@ -191,10 +195,8 @@ def _scaling_config(nb: dict) -> ScalingConfig:
     # which ScalingConfig.validate_r_grid rejects
     with np.errstate(over="ignore"):
         r = tuple(float(x) for x in np.geomspace(grid["start"], grid["stop"], grid["count"]).round(10))
-    return ScalingConfig(r_values=r, alpha_mode=nb["alpha_mode"], alpha=nb["alpha"],
-                         eps_vanish=nb["eps_vanish"], exponent_band=nb["exponent_band"],
-                         quad_overrides={k: tuple(v) for k, v in nb["quad"].items()},
-                         min_decades=nb["min_decades"])
+    return ScalingConfig(r_values=r, alpha=nb["alpha"], eps_vanish=nb["eps_vanish"],
+                         quad_overrides={k: tuple(v) for k, v in nb["quad"].items()})
 
 
 # ---------------------------------------------------------------------------

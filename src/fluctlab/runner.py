@@ -45,7 +45,6 @@ from .scaling import (
     l2_alpha_window,
     position_space_correlator,
     qmode_correlator,
-    weighted_gamma,
 )
 from .ssb import (
     EnergySmoothing,
@@ -109,22 +108,17 @@ def _oracle_orders(orders):
 
 
 def _check_scaling_sweep(params, cfg, model, model_class):
-    weighted = getattr(model, "weighted_orders", {})
-    if model_class == "weighted" and cfg.alpha_mode != "gamma":
-        raise ConfigError("weighted models require alpha_mode 'gamma'")
-    if cfg.alpha_mode == "gamma" and 2 not in weighted:
-        raise ConfigError("alpha_mode 'gamma' needs a weighted model with an order-2 weight")
+    bisect = "bisect_bracket" in params
+    if not bisect:
+        cfg.alpha_for(model)  # a weighted model without an order-2 weight needs alpha
+    elif cfg.alpha is not None:
+        raise ConfigError("bisect_bracket searches the exponent: it cannot go with numeric.alpha")
     window = l2_alpha_window(model.dim)
-    if model_class == "powerlaw" and cfg.alpha_mode == "explicit" and (
-            cfg.alpha is None or not window.contains(cfg.alpha)):
+    if model_class == "powerlaw" and cfg.alpha is not None and not window.contains(cfg.alpha):
         raise ConfigError(f"alpha={cfg.alpha} outside the square-integrable window "
                           f"({window.lo_open}, {window.hi_closed}] for this model")
-    if cfg.alpha_mode in ("canonical", "explicit"):
-        cfg.resolved_alpha(model.dim)
-    if cfg.alpha_mode == "bisect":
-        check_order(model, cfg, 2)
-    for order in params["orders"]:
-        if order in weighted:
+    for order in params["orders"] + ([2] if bisect else []):
+        if order in model.weighted_orders:
             check_weighted(model, cfg, order)
         else:
             check_order(model, cfg, order)
@@ -140,22 +134,16 @@ def _check_scaling_sweep(params, cfg, model, model_class):
 
 def _run_scaling_sweep(params, cfg, model, window):
     out = {"sweeps": []}
-    alpha = None
-
-    if cfg.alpha_mode == "bisect":
-        window_alpha = l2_alpha_window(model.dim)
-        lo, hi = params.get("bisect_bracket", [window_alpha.lo_open + 1e-3, window_alpha.hi_closed])
-        alpha_star = find_critical_alpha(model, window, cfg, lo, hi)
-        out["alpha_bisection"] = {"alpha_star": alpha_star, "bracket": [lo, hi]}
-        alpha = alpha_star
-
-    if cfg.alpha_mode == "gamma":
-        gamma, bound = weighted_gamma(model.dim, model.weighted_orders[2].alpha)
-        if cfg.alpha is not None:
-            gamma = cfg.alpha
-        alpha = gamma
-        out["gamma"] = gamma
-        out["order_bounds"] = {str(o): bound.max_alpha(o) for o in params["orders"]}
+    if "bisect_bracket" in params:
+        lo, hi = params["bisect_bracket"]
+        alpha = find_critical_alpha(model, window, cfg, lo, hi)
+        out["alpha_bisection"] = {"alpha_star": alpha, "bracket": [lo, hi]}
+    else:
+        alpha = cfg.alpha_for(model)
+    if model.weighted_orders:
+        # the weight exponent alpha_l at which each order's sweep is marginal
+        out["gamma"] = alpha
+        out["order_bounds"] = {str(o): o * alpha - model.dim for o in params["orders"]}
 
     for order in params["orders"]:
         rep = exponent_sweep(model, window, cfg, order, alpha=alpha,
@@ -170,13 +158,12 @@ def _run_scaling_sweep(params, cfg, model, window):
 
 def _oracle_check(model, window, cfg, orders, r_max, alpha):
     radii = [r for r in cfg.r_values if r <= r_max] or [r_max]
-    a = cfg.resolved_alpha(model.dim) if alpha is None else alpha
     rows = []
     worst = 0.0
     for order in _oracle_orders(orders):
         for radius in radii:
-            spectral = qmode_correlator(model, window, cfg, order, None, radius, a)
-            oracle = position_space_correlator(model, window, cfg, order, radius, a)
+            spectral = qmode_correlator(model, window, cfg, order, None, radius, alpha)
+            oracle = position_space_correlator(model, window, cfg, order, radius, alpha)
             rel = abs(spectral - oracle) / max(abs(oracle), 1e-300)
             worst = max(worst, rel)
             rows.append({"order": order, "radius": radius,
@@ -188,7 +175,6 @@ def _oracle_check(model, window, cfg, orders, r_max, alpha):
 
 def _check_qmode(params, cfg, model, model_class):
     check_order(model, cfg, params["order"], qmode=True)
-    cfg.resolved_alpha(model.dim)
 
 
 def _run_qmode(params, cfg, model, window):
@@ -257,7 +243,6 @@ def _check_limit_state(params, cfg, model, model_class):
     unknown = sorted(set(params.get("weyl_labels", ())) - set(model.labels))
     if unknown:
         raise ConfigError(f"weyl_labels {unknown} are not labels of the model {list(model.labels)}")
-    cfg.resolved_alpha(model.dim)
     for pair_spec in params["commutator_pairs"]:
         density_from(pair_spec["f"])
         density_from(pair_spec["g"])

@@ -68,35 +68,37 @@ MAX_POSITION_ORDER = 3
 DEFAULT_QUAD = (120.0, 48, 10, 0)
 
 
-ALPHA_MODES = ("canonical", "explicit", "gamma", "bisect")
+#: a fitted exponent within this of 0 reads as a plateau, beyond it as growth or decay
+EXPONENT_BAND = 0.1
+#: the fewest decades of R a sweep's grid may span
+MIN_DECADES = 1.75
 
 
 @dataclass(frozen=True)
 class ScalingConfig:
     """Numerical policy for scaling computations.
 
-    ``alpha_mode`` selects how the renormalization exponent is chosen:
-    "canonical" (n/2), "explicit" (the ``alpha`` field), "gamma" (weighted
-    regime, ``alpha`` holds gamma), or "bisect" (search the exponent that
-    renders the 2-point sweep finite-nonzero).
+    ``alpha`` is the renormalization exponent of every analysis that
+    renormalizes; unset, each state's marginal exponent (``alpha_for``).
     """
 
     r_values: tuple = tuple(float(r) for r in np.geomspace(8.0, 512.0, 8).round(10))
-    alpha_mode: str = "canonical"
     alpha: float | None = None
     eps_vanish: float = 1e-8
-    exponent_band: float = 0.1
     quad_overrides: dict = field(default_factory=dict)
-    min_decades: float = 1.75
 
-    def resolved_alpha(self, dim: int) -> float:
-        if self.alpha_mode == "canonical":
-            return dim / 2.0
-        if self.alpha_mode in ("explicit", "gamma", "bisect"):
-            if self.alpha is None:
-                raise InvalidArgumentError(f"alpha_mode={self.alpha_mode!r} requires the alpha field")
+    def alpha_for(self, state: TruncatedHierarchy) -> float:
+        """``alpha`` when set, else the state's marginal exponent: gamma of a
+        weighted state's order-2 weight (``weighted_gamma``), n/2 of any other."""
+        if self.alpha is not None:
             return float(self.alpha)
-        raise InvalidArgumentError(f"unknown alpha_mode {self.alpha_mode!r}")
+        weights = state.weighted_orders
+        if not weights:
+            return state.dim / 2.0
+        if 2 not in weights:
+            raise InvalidArgumentError("a weighted model without an order-2 weight has no "
+                                       "marginal exponent; set numeric.alpha")
+        return weighted_gamma(state.dim, weights[2].alpha)
 
     def quad_for(self, dim: int, singular: bool = False) -> Rule1D:
         """The half-line rule of dimension n, graded toward 0 for a singular density."""
@@ -114,9 +116,9 @@ class ScalingConfig:
         if np.any(np.diff(r) <= 0):
             raise InvalidArgumentError("R grid must be strictly increasing")
         decades = np.log10(r[-1] / r[0])
-        if decades < self.min_decades:
+        if decades < MIN_DECADES:
             raise InvalidArgumentError(
-                f"R grid spans {decades:.2f} decades; at least {self.min_decades} required"
+                f"R grid spans {decades:.2f} decades; at least {MIN_DECADES} required"
             )
         return r
 
@@ -377,7 +379,7 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     they become the first vector of the radial chain (``_offset_vector``),
     and zero ones give the None value to rounding.
     """
-    alpha = cfg.resolved_alpha(state.dim) if alpha is None else float(alpha)
+    alpha = cfg.alpha_for(state) if alpha is None else float(alpha)
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
     return _spectral_path(state, profile, cfg, order, alpha, offsets)(radius)
@@ -656,23 +658,23 @@ def richardson_limit(r_values, values) -> complex:
     return complex((v[-1] - factor * v[-2]) / (1.0 - factor))
 
 
-def limit_estimate(r_values, values, exponent, band: float) -> complex:
+def limit_estimate(r_values, values, exponent) -> complex:
     """Consistent limit estimator: Richardson on decaying trends, Aitken else."""
-    if exponent is not None and exponent < -band:
+    if exponent is not None and exponent < -EXPONENT_BAND:
         return richardson_limit(r_values, values)
     return aitken_limit(values)
 
 
-def classify(exponent, r_values, values, eps_vanish: float, band: float) -> tuple[str, complex]:
+def classify(exponent, r_values, values, eps_vanish: float) -> tuple[str, complex]:
     """Verdict per the finite-scale decision rules; returns (verdict, limit_est)."""
-    est = limit_estimate(r_values, values, exponent, band)
+    est = limit_estimate(r_values, values, exponent)
     if exponent is None:
         return "vanishing", est
-    if exponent < -band and abs(est) < eps_vanish:
+    if exponent < -EXPONENT_BAND and abs(est) < eps_vanish:
         return "vanishing", est
-    if abs(exponent) <= band and abs(est) >= 10.0 * eps_vanish:
+    if abs(exponent) <= EXPONENT_BAND and abs(est) >= 10.0 * eps_vanish:
         return "finite-nonzero", est
-    if exponent > band:
+    if exponent > EXPONENT_BAND:
         return "diverging", est
     return "undetermined", est
 
@@ -684,7 +686,7 @@ def exponent_sweep(state: TruncatedHierarchy, profile: WindowProfile, cfg: Scali
     the R grid and fit the scaling exponent: a weighted order from its
     heat-kernel table (``weighted_correlator``), every other on the spectral
     chain (``qmode_correlator``)."""
-    alpha = cfg.resolved_alpha(state.dim) if alpha is None else float(alpha)
+    alpha = cfg.alpha_for(state) if alpha is None else float(alpha)
     if order in state.weighted_orders:
         value = _heat_path(state, profile, cfg, order, alpha)
     else:
@@ -701,7 +703,7 @@ def sweep_report(cfg: ScalingConfig, value, order: int, alpha: float, offsets=No
 
 def build_report(r, vals, order, alpha, offsets, cfg: ScalingConfig, label: str) -> ScalingReport:
     exponent, rms, used, dropped = fit_loglog(r, vals)
-    verdict, est = classify(exponent, r, vals, cfg.eps_vanish, cfg.exponent_band)
+    verdict, est = classify(exponent, r, vals, cfg.eps_vanish)
     return ScalingReport(
         order=order,
         alpha=float(alpha),
@@ -807,28 +809,17 @@ def find_critical_alpha(state: TruncatedHierarchy, profile: WindowProfile,
 # weighted (poor-clustering) regime
 # ---------------------------------------------------------------------------
 
-def weighted_gamma(dim: int, alpha2: float) -> tuple[float, "WeightedBound"]:
+def weighted_gamma(dim: int, alpha2: float) -> float:
     """Renormalization exponent fixed by the 2-point weight: gamma = (n + alpha_2)/2.
 
-    Also returns the per-order admissibility bound alpha_l <= l gamma - n
-    = ((l-2) n + l alpha_2)/2, the exponent at which the order-l scaling
-    prefactor is marginal.  The sufficient vanishing condition
-    alpha_l <= (l-1) alpha_2 (with alpha_2 < n) implies it.
+    Under it the order-l scaling prefactor is marginal at the weight exponent
+    alpha_l = l gamma - n = ((l-2) n + l alpha_2)/2, the bound that the
+    sufficient vanishing condition alpha_l <= (l-1) alpha_2 (with
+    alpha_2 < n) keeps to.
     """
     if alpha2 < 0:
         raise InvalidArgumentError("alpha_2 must be >= 0")
-    gamma = (dim + alpha2) / 2.0
-    return gamma, WeightedBound(dim=dim, gamma=gamma, alpha2=float(alpha2))
-
-
-@dataclass(frozen=True)
-class WeightedBound:
-    dim: int
-    gamma: float
-    alpha2: float
-
-    def max_alpha(self, order: int) -> float:
-        return order * self.gamma - self.dim
+    return (dim + alpha2) / 2.0
 
 
 def check_weighted(state: TruncatedHierarchy, cfg: ScalingConfig, order: int) -> Rule1D:

@@ -100,8 +100,7 @@ def test_traced_sweep_resolves_once(spans, product_state1, profile1):
     cfg = scaling.ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 512.0, 6)))
     weighted = parse_config(json.dumps({
         "model": {"class": "weighted", "dim": 1, "orders": [
-            {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
-        "numeric": {"alpha_mode": "gamma"}})).model
+            {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]}})).model
     tracer = spans.Tracer()
     scaling.clear_caches()
     with tracer.active():

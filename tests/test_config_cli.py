@@ -39,11 +39,11 @@ def cfg_text(payload) -> str:
 class TestParsing:
     def test_minimal_defaults(self):
         cfg = parse_config(cfg_text(MINIMAL))
-        assert cfg.numeric_block["alpha_mode"] == "canonical"
+        assert cfg.numeric_block["alpha"] is None
         assert cfg.numeric_block["r_grid"] == {"start": 8.0, "stop": 512.0, "count": 8}
         assert cfg.window_block["kind"] == "mollified-step"
         sc = cfg.steps[0][2]
-        assert sc.resolved_alpha(1) == 0.5
+        assert sc.alpha_for(cfg.model) == 0.5
         assert len(sc.r_values) == 8 and sc.r_values[0] == 8.0 and sc.r_values[-1] == 512.0
 
     def test_duplicate_key_rejected(self):
@@ -67,7 +67,7 @@ class TestParsing:
     def test_alpha_outside_l2_window_rejected(self):
         bad = {
             "model": {"class": "powerlaw", "dim": 1, "beta": 0.75},
-            "numeric": {"alpha_mode": "explicit", "alpha": 0.9},
+            "numeric": {"alpha": 0.9},
             "analyses": [{"kind": "scaling-sweep", "orders": [2]}],
         }
         with pytest.raises(ConfigError, match="square-integrable window"):
@@ -76,23 +76,10 @@ class TestParsing:
     def test_alpha_inside_l2_window_accepted(self):
         good = {
             "model": {"class": "powerlaw", "dim": 1, "beta": 0.75},
-            "numeric": {"alpha_mode": "explicit", "alpha": 0.7},
+            "numeric": {"alpha": 0.7},
             "analyses": [{"kind": "scaling-sweep", "orders": [2]}],
         }
         parse_config(cfg_text(good))
-
-    def test_weighted_needs_gamma_mode(self):
-        bad = {
-            "model": {
-                "class": "weighted",
-                "dim": 1,
-                "orders": [{"order": 2, "alpha": 0.5,
-                            "factor": {"form": "bessel-power", "power": 1.0}}],
-            },
-            "analyses": [{"kind": "scaling-sweep", "orders": [2]}],
-        }
-        with pytest.raises(ConfigError, match="gamma"):
-            parse_config(cfg_text(bad))
 
     def test_incompatible_model_analysis(self):
         bad = dict(MINIMAL)
@@ -128,7 +115,7 @@ class TestParsing:
     def test_schema_outline(self):
         schema = config_schema()
         assert "scaling-sweep" in schema["analyses"][0]["kind"]
-        assert "bisect" in schema["numeric"]["alpha_mode"]
+        assert schema["numeric"]["alpha"] == "finite number or null"
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +184,31 @@ class TestRunAndEmit:
         cfg, rep = report
         rep2 = run(cfg, cache_dir=cache_dir)
         assert canonical_json(rep.payload()) == canonical_json(rep2.payload())
+
+    def test_set_alpha_renormalizes_every_sweep(self, report, cache_dir):
+        # a set numeric.alpha is the exponent of every sweep and q-mode: the
+        # fitted exponents move by -l (alpha - n/2) from those at n/2
+        cfg, rep = report
+        payload = json.loads(canonical_json(cfg.resolved()))
+        payload["numeric"]["alpha"] = 0.9
+        at_alpha = run(parse_config(cfg_text(payload)), cache_dir=cache_dir)
+        for canonical, sweep in zip(rep.results[0]["sweeps"] + rep.results[1]["symmetric"],
+                                    at_alpha.results[0]["sweeps"] + at_alpha.results[1]["symmetric"]):
+            assert canonical["alpha"] == 0.5 and sweep["alpha"] == 0.9
+            if sweep["exponent"] is not None:
+                shift = -sweep["order"] * 0.4
+                assert sweep["exponent"] == pytest.approx(canonical["exponent"] + shift, abs=1e-9)
+        assert at_alpha.results[0]["sweeps"][0]["verdict"] == "vanishing"
+
+    def test_set_alpha_is_the_weighted_gamma(self, cache_dir):
+        # unset, a weighted model runs at gamma = (n + alpha_2)/2; set, at alpha,
+        # with the marginal weight exponents l alpha - n
+        config = weighted_case()
+        assert run(parse_config(cfg_text(config)), cache_dir=cache_dir).results[0]["gamma"] == 0.75
+        config["numeric"] = {"alpha": 0.625}
+        result = run(parse_config(cfg_text(config)), cache_dir=cache_dir).results[0]
+        assert result["gamma"] == 0.625 and result["sweeps"][0]["alpha"] == 0.625
+        assert result["order_bounds"] == {"2": 0.25}
 
     def test_timings_sidecar(self, report, tmp_path):
         _, rep = report
@@ -282,7 +294,7 @@ BESSEL = {"form": "bessel-power", "power": 1.0}
 def weighted_case(factor=BESSEL, dim=1):
     """An order-2 weighted sweep whose factor block and dimension are given."""
     return {"model": {"class": "weighted", "dim": dim, "orders": [{"order": 2, "alpha": 0.5, "factor": factor}]},
-            "numeric": {"alpha_mode": "gamma"}, "analyses": SWEEP}
+            "analyses": SWEEP}
 
 
 PAIRS = {"class": "pair-family", "dim": 1, "labels": ["A", "B"], "pairs": {
@@ -296,12 +308,14 @@ CONTRACT_CASES = {
     "gamma mode without order 2": ({
         "model": {"class": "weighted", "dim": 1, "orders": [
             {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
-        "numeric": {"alpha_mode": "gamma"},
         "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 2),
     "gamma mode on a gaussian model": ({"model": GAUSS, "numeric": {"alpha_mode": "gamma"},
                                         "analyses": SWEEP}, 2),
     "spectral-vector without samples": ({"model": {"class": "spectral-vector"},
                                          "analyses": [{"kind": "projector"}]}, 2),
+    # an invariant-only vector has no momentum for the projector's envelope
+    "spectral-vector with empty samples": ({"model": {"class": "spectral-vector", "samples": []},
+                                            "analyses": [{"kind": "projector"}]}, 2),
     "scalar q_values": ({"model": GAUSS, "analyses": [{"kind": "qmode", "q_values": 0.5}]}, 2),
     "string eps_vanish in an analysis": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"eps_vanish": "1e-3"}}]}, 2),
@@ -311,7 +325,21 @@ CONTRACT_CASES = {
     "misspelled analysis numeric key": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"eps_vanihs": 1e-3}}]}, 2),
     "dim 4": ({"model": dict(GAUSS, dim=4), "analyses": SWEEP}, 2),
+    # the exponent is numeric.alpha or the model's marginal one: no mode picks it,
+    # and the verdict band and the grid's decades are constants
     "alpha_mode canon": ({"model": GAUSS, "numeric": {"alpha_mode": "canon"}, "analyses": SWEEP}, 2),
+    "exponent_band": ({"model": GAUSS, "numeric": {"exponent_band": 0.1}, "analyses": SWEEP}, 2),
+    "min_decades": ({"model": GAUSS, "numeric": {"min_decades": 1.0}, "analyses": SWEEP}, 2),
+    # a bracket searches the exponent, so a set one contradicts it
+    "alpha with bisect_bracket": ({"model": {"class": "powerlaw", "dim": 1, "beta": 0.75},
+                                   "numeric": {"alpha": 0.6},
+                                   "analyses": [{"kind": "scaling-sweep", "bisect_bracket": [0.505, 0.75]}]}, 2),
+    # without an order-2 weight a weighted model has no marginal exponent, and runs at a set one
+    "weighted without order 2, alpha set": ({
+        "model": {"class": "weighted", "dim": 1, "orders": [
+            {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
+        "numeric": {"alpha": 0.75},
+        "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 0),
     # the rule is keyed by n, so the n = 1 chain holds N**2 points at every order
     "order 6 at n = 1": ({"model": GAUSS, "analyses": [{"kind": "scaling-sweep", "orders": [6]}]}, 0),
     "odd pairing order": ({"model": GAUSS, "analyses": [
@@ -341,20 +369,18 @@ CONTRACT_CASES = {
     "weighted order 4": ({"model": {"class": "weighted", "dim": 1, "orders": [
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
         {"order": 4, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
-        "numeric": {"alpha_mode": "gamma"},
         "analyses": [{"kind": "scaling-sweep", "orders": [4]}]}, 0),
     # a weight that does not decay, p <= alpha, is no superposition of Gaussians
     "weighted power at alpha": (weighted_case(dict(BESSEL, power=0.5)), 2),
     "weighted order 3 power below alpha": ({"model": {"class": "weighted", "dim": 1, "orders": [
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
         {"order": 3, "alpha": 2.0, "factor": {"form": "bessel-power", "power": 1.5}}]},
-        "numeric": {"alpha_mode": "gamma"},
         "analyses": [{"kind": "scaling-sweep", "orders": [2, 3]}]}, 2),
     # the order-3 table applies the kernel of an N x M basis, 32 x 10**7 points here
     "weighted order 3, huge p_max": ({"model": {"class": "weighted", "dim": 2, "orders": [
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}},
         {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
-        "numeric": {"alpha_mode": "gamma", "quad": {"2": [1e6, 8, 4, 0]}},
+        "numeric": {"quad": {"2": [1e6, 8, 4, 0]}},
         "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 2),
     # the joint power is the one weighted factor form, with power its one number
     "weighted gaussian form": (weighted_case({"form": "gaussian"}), 2),
@@ -402,7 +428,14 @@ CONTRACT_MESSAGES = {"weighted gaussian form": "factor.form",
                      "weighted order 3 power below alpha": "does not decay",
                      "weighted order 3, huge p_max": "radial chain array",
                      "oracle at n = 2": "n = 1 only",
-                     "oracle with no order in 2..3": "oracle_check_r_max needs an order in 2..3"}
+                     "oracle with no order in 2..3": "oracle_check_r_max needs an order in 2..3",
+                     "spectral-vector with empty samples": "at least one sample",
+                     "alpha_mode canon": "unknown keys in numeric: alpha_mode",
+                     "gamma mode on a gaussian model": "unknown keys in numeric: alpha_mode",
+                     "exponent_band": "unknown keys in numeric: exponent_band",
+                     "min_decades": "unknown keys in numeric: min_decades",
+                     "alpha with bisect_bracket": "cannot go with numeric.alpha",
+                     "gamma mode without order 2": "set numeric.alpha"}
 
 
 #: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3, the
@@ -549,7 +582,7 @@ class TestValidateRunContract:
         # of cutting the tau integral short
         path = tmp_path / "far.json"
         config = weighted_case()
-        config["numeric"]["r_grid"] = {"start": 1e3, "stop": 1e5, "count": 8}
+        config["numeric"] = {"r_grid": {"start": 1e3, "stop": 1e5, "count": 8}}
         path.write_text(cfg_text(dict(config, output={"directory": str(tmp_path / "out")})))
         monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
         assert cli.main(["validate", str(path)]) == 0

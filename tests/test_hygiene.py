@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import fluctlab
+from fluctlab.config import NUMERIC
+from fluctlab.scaling import ScalingConfig
 
 MODULES = sorted(p for p in Path(fluctlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -70,6 +73,12 @@ def test_scan_finds_an_unread_private_name():
     sources = {"a.py": "_CACHE: dict = {}\n_LIMIT = 3\ndef _grid():\n    return _CACHE\n",
                "b.py": "from .a import _LIMIT\nclass _Unused:\n    pass\nprint(_LIMIT)\n"}
     assert unread_private_names(sources) == ["a.py:_grid", "b.py:_Unused"]
+
+
+def test_settable_values_are_pinned():
+    # the numeric block and the ScalingConfig it resolves to; a new knob changes this test
+    assert set(NUMERIC.fields) == {"r_grid", "eps_vanish", "alpha", "quad"}
+    assert [f.name for f in fields(ScalingConfig)] == ["r_values", "alpha", "eps_vanish", "quad_overrides"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -284,7 +284,7 @@ class TestBuildLimitState:
         # without the R^(-n/2) renormalization the pair sweep grows as R^1
         fam = ObservableFamily(labels=("A",), dim=1,
                                pair_density=lambda i, j: (lambda k: np.exp(-np.asarray(k) ** 2 / 2.0)))
-        cfg = ScalingConfig(alpha_mode="explicit", alpha=0.0)
+        cfg = ScalingConfig(alpha=0.0)
         with pytest.raises(NumericalAccuracyError, match="diverges"):
             build_limit_state(fam, profile1, cfg)
 

@@ -187,7 +187,7 @@ class TestSpectralPath:
         assert len(calls) == 2
 
     def test_unnormalized_growth_exponent(self, gaussian_state1, profile1):
-        cfg = ScalingConfig(exponent_band=0.1)
+        cfg = ScalingConfig()
         rep = exponent_sweep(gaussian_state1, profile1, cfg, 2, alpha=0.0)
         assert rep.exponent == pytest.approx(1.0, abs=0.1)
         assert rep.verdict == "diverging"
@@ -256,8 +256,7 @@ def _weighted_state():
     return parse_config(json.dumps({
         "model": {"class": "weighted", "dim": 1, "orders": [
             {"order": 2, "alpha": 0.5, "factor": factor},
-            {"order": 3, "alpha": 1.25, "factor": factor}]},
-        "numeric": {"alpha_mode": "gamma"}})).model
+            {"order": 3, "alpha": 1.25, "factor": factor}]}})).model
 
 
 def _position_state(state):
@@ -904,7 +903,7 @@ class TestCriticalAlpha:
     def test_bisection_matches_growth_oracle(self, profile1):
         state = powerlaw_state(0.75, 1)
         r = tuple(float(x) for x in np.geomspace(64, 8192, 8).round(8))
-        cfg = ScalingConfig(r_values=r, alpha_mode="explicit", alpha=0.6)
+        cfg = ScalingConfig(r_values=r, alpha=0.6)
         alpha_star = find_critical_alpha(state, profile1, cfg, 0.505, 0.75)
         # independent target: half the unnormalized position-space growth
         radii = [float(x) for x in np.geomspace(64, 8192, 8)]
@@ -918,7 +917,7 @@ class TestCriticalAlpha:
     def test_closed_form_zeroes_the_exponent(self, profile1):
         state = powerlaw_state(0.75, 1)
         r = tuple(float(x) for x in np.geomspace(64, 8192, 8).round(8))
-        cfg = ScalingConfig(r_values=r, alpha_mode="explicit", alpha=0.6)
+        cfg = ScalingConfig(r_values=r, alpha=0.6)
         alpha_star = find_critical_alpha(state, profile1, cfg, 0.505, 0.75)
         rep = exponent_sweep(state, profile1, cfg, 2, alpha=alpha_star)
         assert abs(rep.exponent) <= 1e-12
@@ -947,20 +946,19 @@ class TestCriticalAlpha:
 
 class TestWeightedRegime:
     def test_gamma_and_bounds(self):
-        gamma, bound = weighted_gamma(1, 0.0)
-        assert gamma == 0.5  # recovers the canonical exponent
-        gamma, bound = weighted_gamma(3, 1.0)
+        assert weighted_gamma(1, 0.0) == 0.5  # recovers the canonical exponent
+        gamma = weighted_gamma(3, 1.0)
         assert gamma == 2.0
-        # bound is l gamma - n, the marginal order-l weight exponent
-        assert bound.max_alpha(3) == pytest.approx(3 * gamma - 3)
-        assert bound.max_alpha(2) == pytest.approx(1.0)  # = alpha_2 itself
+        # the marginal order-l weight exponent l gamma - n is ((l-2) n + l alpha_2)/2
+        assert 3 * gamma - 3 == pytest.approx((3 + 3 * 1.0) / 2)
+        assert 2 * gamma - 3 == pytest.approx(1.0)  # = alpha_2 itself
 
     def test_sufficient_vanishing_condition(self):
         # the sufficient condition alpha_l <= (l-1) alpha_2 (alpha_2 < n)
         # implies the general bound
-        _, bound = weighted_gamma(1, 0.5)
+        gamma = weighted_gamma(1, 0.5)
         for order in (3, 4, 5):
-            assert (order - 1) * 0.5 < bound.max_alpha(order)
+            assert (order - 1) * 0.5 < order * gamma - 1
 
     @pytest.mark.parametrize("order, alpha, panels", [(2, 2.0, 96), (3, 4.0, 48)])
     def test_even_alpha_matches_refined_position_rule(self, profile1, order, alpha, panels):
@@ -969,9 +967,8 @@ class TestWeightedRegime:
         state = parse_config(json.dumps({
             "model": {"class": "weighted", "dim": 1, "orders": [
                 {"order": 2, "alpha": 2.0, "factor": {"form": "bessel-power", "power": 2.5}},
-                {"order": 3, "alpha": alpha, "factor": {"form": "bessel-power", "power": alpha + 0.75}}]},
-            "numeric": {"alpha_mode": "gamma"}})).model
-        gamma, _ = weighted_gamma(1, 2.0)
+                {"order": 3, "alpha": alpha, "factor": {"form": "bessel-power", "power": alpha + 0.75}}]}})).model
+        gamma = weighted_gamma(1, 2.0)
         cfg = ScalingConfig()
         refined = half_panel_rule(2.0 * window.GRID_EXTENT, panels, 12, 20)
         radius = 2048.0
@@ -1025,7 +1022,7 @@ class TestWeightedRegime:
     def test_order2_at_p_equal_n_is_finite_nonzero(self, profile2, profile3, dim):
         # p = n makes the order-2 exponent 2 (n - gamma) - beta zero for every alpha_2 < n
         state = weighted_state([WeightedCorrelator(2, 0.5, float(dim))], dim)
-        gamma, _ = weighted_gamma(dim, 0.5)
+        gamma = weighted_gamma(dim, 0.5)
         rep = exponent_sweep(state, profile2 if dim == 2 else profile3, ScalingConfig(), 2, alpha=gamma)
         assert rep.exponent == pytest.approx(0.0, abs=0.1)
         assert rep.verdict == "finite-nonzero"
@@ -1462,7 +1459,7 @@ def _sweep_cases(profiles, model3):
     cases.append(("powerlaw", lambda: exponent_sweep(power, profiles[1], cfg, 2, alpha=0.6),
                   lambda r: qmode_correlator(power, profiles[1], cfg, 2, None, r, 0.6)))
     weighted = _weighted_state()
-    gamma, _ = weighted_gamma(1, 0.5)
+    gamma = weighted_gamma(1, 0.5)
     cases += [(f"weighted order {o}", lambda o=o: exponent_sweep(weighted, profiles[1], cfg, o, alpha=gamma),
                lambda r, o=o: weighted_correlator(weighted, profiles[1], cfg, o, gamma, r)) for o in (2, 3)]
     cases.append(("ssb autocorrelation", lambda: ssb.autocorrelation_growth(model3, profiles[3], cfg, "A"),
