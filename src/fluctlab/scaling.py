@@ -188,7 +188,8 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
 
     K depends on n and the rule alone, since there is one window.  A profile
     with a ``cache_dir`` (``window.load_or_build``) keeps K there as
-    ``_rule_file_name`` names it (``window.load_or_build_array``).
+    ``_rule_file_name`` names it (``window.load_or_build_array``).  The
+    chain reads it once per step of each block of radii (``radial_chain``).
     """
     key = ("kernel", profile.cache_key, n, rule.key)
     if key not in _CHAIN_CACHE:
@@ -290,10 +291,19 @@ def clear_caches() -> None:
     _CHAIN_CACHE.clear()
 
 
-def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: float,
-                 offset: tuple[float, float] | None = None) -> complex:
-    """The window chain of radial factors on a half-line rule, kept in the
-    chain cache per (profile, n, rule, factors, radius, offset).
+#: radii per block of ``radial_chain``.  Each chain step multiplies the
+#: kernel by the stacked [Re; Im] rows of one block, a 2 CHAIN_BLOCK x N
+#: product whatever the grid's length: BLAS rounds a row of a product
+#: differently for different row counts, but within one shape a row's bits
+#: depend neither on its position nor on the other rows
+CHAIN_BLOCK = 8
+
+
+def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radii,
+                 offset: tuple[float, float] | None = None) -> np.ndarray:
+    """The window chain of radial factors on a half-line rule at each radius
+    of ``radii``, as a complex array; each value is kept in the chain cache
+    per (profile, n, rule, factors, radius, offset).
 
     integral over (R^n)^(l-1) of fhat(|q_1|) phi_1(|q_1|/R) fhat(|q_2 - q_1|)
     phi_2(|q_2|/R) ... phi_{l-1}(|q_{l-1}|/R) fhat(|q_{l-1}|), with each
@@ -304,21 +314,43 @@ def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radius: 
     |S^0| = 2 folds the line onto the half-line and the kernel is built
     with Omega_1 = cos.  Order 2 (one factor) needs no kernel.
 
+    The radii the cache lacks run CHAIN_BLOCK at a time (``_chain_block``):
+    l - 2 products of the kernel with one block of rows, the last block
+    padded with zero rows, so a radius has the same value to the bit alone,
+    in any grid and at any position in it.  Beyond K the chain holds one
+    block of rows, whatever the grid's length.
+
     An ``offset`` pair (a, b) replaces v_1 by the spherical mean of a first
     factor that is not radial (``_offset_vector``): the rest is radial in q_1.
     The key holds the factors themselves, so they must be hashable; being
     kept alive, none can match a later factor that reuses its id.
     """
-    key = ("chain", profile.cache_key, n, rule.key, tuple(factors), float(radius), offset)
-    if key not in _CHAIN_CACHE:
-        fhat, measure = _radial_nodes(profile, n, rule)
-        u = rule.nodes / radius
-        v = (fhat * factors[0](u) if offset is None
-             else _offset_vector(profile, n, rule, factors[0], radius, *offset))
-        for phi in factors[1:]:
-            v = _times_real(v * measure, window_product(profile, n, rule)) * phi(u)
-        _CHAIN_CACHE[key] = unit_sphere_area(n) * complex(np.sum(v * measure * fhat))
-    return _CHAIN_CACHE[key]
+    base = ("chain", profile.cache_key, n, rule.key, tuple(factors))
+    radii = [float(radius) for radius in radii]
+    missing = list(dict.fromkeys(r for r in radii if base + (r, offset) not in _CHAIN_CACHE))
+    for j in range(0, len(missing), CHAIN_BLOCK):
+        block = missing[j:j + CHAIN_BLOCK]
+        for radius, value in zip(block, _chain_block(profile, n, rule, factors, block, offset)):
+            _CHAIN_CACHE[base + (radius, offset)] = value
+    return np.array([_CHAIN_CACHE[base + (r, offset)] for r in radii], dtype=complex)
+
+
+def _chain_block(profile: WindowProfile, n: int, rule: Rule1D, factors, radii, offset):
+    """The chain values of ``radial_chain`` at up to CHAIN_BLOCK radii: the
+    vectors of all radii as the rows of one array, each kernel product one
+    (2 CHAIN_BLOCK, N) @ (N, N) product of [Re; Im] with zero rows to fill."""
+    fhat, measure = _radial_nodes(profile, n, rule)
+    m = len(radii)
+    u = rule.nodes / np.array(radii)[:, None]
+    v = (fhat * factors[0](u) if offset is None
+         else np.array([_offset_vector(profile, n, rule, factors[0], radius, *offset) for radius in radii]))
+    rows = np.zeros((2 * CHAIN_BLOCK, len(rule)))
+    for phi in factors[1:]:
+        w = v * measure
+        rows[:m], rows[CHAIN_BLOCK:CHAIN_BLOCK + m] = w.real, w.imag
+        out = rows @ window_product(profile, n, rule)
+        v = (out[:m] + 1j * out[CHAIN_BLOCK:CHAIN_BLOCK + m]) * phi(u)
+    return [unit_sphere_area(n) * complex(total) for total in np.sum(v * measure * fhat, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +371,11 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     kernel, whose build evaluates N x M plane-wave means over the window
     support (M nodes for the frequency 2 p_max, ``support_rule_size``) one
     column block at a time: the budget bounds that work as if it were one
-    array.  A ``qmode`` first vector is an N x angles array.  Computes no
+    array.  A ``qmode`` first vector is an N x angles array.  A grid of
+    radii runs CHAIN_BLOCK radii at a time (``radial_chain``), so beyond
+    the kernel the chain holds one block of 2 CHAIN_BLOCK x N rows at any
+    grid length, up to the 4,096 radii of a config's ``r_grid``; only the
+    values and their cache keys grow with the grid.  Computes no
     quadrature, so parsing runs it.
     """
     if order < 2 or order > state.max_order:
@@ -377,33 +413,32 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     observable slot, or None for all-zero.  Only a = offsets[0, 0] and
     b = offsets[1, 0] may be nonzero, which the ``qmode`` analysis sets:
     they become the first vector of the radial chain (``_offset_vector``),
-    and zero ones give the None value to rounding.
+    and zero ones give the None value to rounding.  One radius is a grid
+    of one (``_spectral_path``), so the value equals the sweep's at that
+    radius to the bit.
     """
     alpha = cfg.alpha_for(state) if alpha is None else float(alpha)
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
-    return _spectral_path(state, profile, cfg, order, alpha, offsets)(radius)
+    return _spectral_path(state, profile, cfg, order, alpha, offsets)((radius,))[0]
 
 
 def _spectral_path(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
                    order: int, alpha: float, offsets=None):
-    """``qmode_correlator`` as a function of R: the rule (``check_order``), the
-    tail certificate, the offset pair and the factors resolved once, then the
-    window chain of the module formula on the rule (``radial_chain``)."""
+    """``qmode_correlator`` as a function of a grid of radii, to the list of
+    its values: the rule (``check_order``), the tail certificate, the offset
+    pair and the factors resolved once, then the window chain of the module
+    formula on the rule at every radius of the grid in one call
+    (``radial_chain``)."""
     n = state.dim
     rule = check_order(state, cfg, order, qmode=offsets is not None)
     cfg.validate_tail(profile, rule)
     pair = None if offsets is None else _offset_pair(offsets, order, n)
     fns = state.order_factors(order)
     if not fns:
-        return lambda radius: 0j
-    return lambda radius: _prefactor(order, n, radius, alpha) * radial_chain(profile, n, rule, fns, radius, pair)
-
-
-def _times_real(v: np.ndarray, real: np.ndarray):
-    """v @ real for complex v, as one real product of the stacked [Re; Im]."""
-    out = np.stack([v.real, v.imag]) @ real
-    return out[0] + 1j * out[1]
+        return lambda radii: [0j] * len(radii)
+    return lambda radii: [_prefactor(order, n, radius, alpha) * complex(chain) for radius, chain
+                          in zip(radii, radial_chain(profile, n, rule, fns, radii, pair))]
 
 
 def _offset_pair(offsets, order: int, n: int) -> tuple[float, float]:
@@ -682,10 +717,10 @@ def classify(exponent, r_values, values, eps_vanish: float) -> tuple[str, comple
 def exponent_sweep(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
                    order: int, alpha: float | None = None, offsets=None,
                    label: str = "correlator") -> ScalingReport:
-    """Resolve the correlator once, as a function of R, then evaluate it over
-    the R grid and fit the scaling exponent: a weighted order from its
-    heat-kernel table (``weighted_correlator``), every other on the spectral
-    chain (``qmode_correlator``)."""
+    """Resolve the correlator once, as a function of the R grid, then
+    evaluate it on the grid and fit the scaling exponent: a weighted order
+    from its heat-kernel table (``weighted_correlator``), every other on the
+    spectral chain (``qmode_correlator``)."""
     alpha = cfg.alpha_for(state) if alpha is None else float(alpha)
     if order in state.weighted_orders:
         value = _heat_path(state, profile, cfg, order, alpha)
@@ -694,11 +729,12 @@ def exponent_sweep(state: TruncatedHierarchy, profile: WindowProfile, cfg: Scali
     return sweep_report(cfg, value, order, alpha, offsets, label)
 
 
-def sweep_report(cfg: ScalingConfig, value, order: int, alpha: float, offsets=None,
+def sweep_report(cfg: ScalingConfig, values, order: int, alpha: float, offsets=None,
                  label: str = "correlator") -> ScalingReport:
-    """A function of R mapped over the validated R grid, fitted and classified."""
+    """A function of a grid of radii, to the sequence of its values, called
+    once on the validated R grid; the values fitted and classified."""
     r = cfg.validate_r_grid()
-    return build_report(r, [value(float(radius)) for radius in r], order, alpha, offsets, cfg, label)
+    return build_report(r, values(tuple(float(radius) for radius in r)), order, alpha, offsets, cfg, label)
 
 
 def build_report(r, vals, order, alpha, offsets, cfg: ScalingConfig, label: str) -> ScalingReport:
@@ -932,9 +968,10 @@ def _lower_gamma_ratio(a: float, x: float) -> float:
 
 def _heat_path(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
                order: int, alpha: float):
-    """``weighted_correlator`` as a function of R: the rule and the weight
-    (``check_weighted``), the tail certificate and the heat-kernel table
-    resolved once.
+    """``weighted_correlator`` as a function of a grid of radii, to the list
+    of its values: the rule and the weight (``check_weighted``), the tail
+    certificate and the heat-kernel table resolved once, then one weighted
+    sum per radius.
 
     With W_l = (1 + s)^(-beta/2) = Gamma(a)^(-1) integral of t^(a-1) e^(-t) e^(-t s) dt,
     a = beta/2, and sigma = t, tau = sigma R^2,
@@ -976,7 +1013,7 @@ def _heat_path(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingCo
         closure = at_zero * _lower_gamma_ratio(a, exp(lo - log_r2))
         return complex(radius ** (order * (n - alpha)) * (body + closure))
 
-    return value
+    return lambda radii: [value(radius) for radius in radii]
 
 
 def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
@@ -987,4 +1024,4 @@ def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     n = 1, 2, 3 and every order of the chain."""
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
-    return _heat_path(state, profile, cfg, order, gamma)(radius)
+    return _heat_path(state, profile, cfg, order, gamma)((radius,))[0]

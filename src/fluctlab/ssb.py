@@ -111,12 +111,29 @@ class GoldstoneModel:
 # spectral integrals (scaled variable u = R kappa)
 # ---------------------------------------------------------------------------
 
-def _spectral_integral(model: GoldstoneModel, profile: WindowProfile, radius: float,
-                       weight) -> complex:
-    """Omega_{n-1} * integral fhat(u)^2 weight(u/R) u^(n-1) du: the order-2 radial
-    chain on a half-line rule graded toward u = 0."""
+def _spectral_integrals(model: GoldstoneModel, profile: WindowProfile, radii, weight) -> np.ndarray:
+    """Omega_{n-1} * integral fhat(u)^2 weight(u/R) u^(n-1) du at each radius R
+    of ``radii``: the order-2 radial chain on a half-line rule graded toward
+    u = 0, the whole grid in one call."""
     rule = half_panel_rule(min(profile.k_max, 160.0), 64, 10, 18)
-    return radial_chain(profile, model.dim, rule, (weight,), radius)
+    return radial_chain(profile, model.dim, rule, (weight,), radii)
+
+
+def _windowed(model: GoldstoneModel, profile: WindowProfile, radii, weight) -> list:
+    """R^n times the real part of ``_spectral_integrals`` at each radius R of ``radii``."""
+    return [radius ** model.dim * float(val.real)
+            for radius, val in zip(radii, _spectral_integrals(model, profile, radii, weight))]
+
+
+def _autocorrelations(model: GoldstoneModel, profile: WindowProfile, radii, which: str) -> list:
+    """``autocorrelation`` at each radius of ``radii``."""
+    if which == "A":
+        weight = model.rho_a
+    elif which == "Q":
+        weight = model.rho_q
+    else:
+        raise InvalidArgumentError("which must be 'A' or 'Q'")
+    return _windowed(model, profile, radii, weight)
 
 
 def autocorrelation(model: GoldstoneModel, profile: WindowProfile, radius: float,
@@ -127,19 +144,12 @@ def autocorrelation(model: GoldstoneModel, profile: WindowProfile, radius: float
     is n - sigma for a density ~ |k|^sigma at small k (so n + 2 for the
     default symmetry-breaking observable, n for a regular density).
     """
-    if which == "A":
-        weight = model.rho_a
-    elif which == "Q":
-        weight = model.rho_q
-    else:
-        raise InvalidArgumentError("which must be 'A' or 'Q'")
-    val = _spectral_integral(model, profile, radius, weight)
-    return radius ** model.dim * float(val.real)
+    return _autocorrelations(model, profile, (radius,), which)[0]
 
 
 def autocorrelation_growth(model: GoldstoneModel, profile: WindowProfile,
                            cfg: ScalingConfig, which: str = "A") -> ScalingReport:
-    return sweep_report(cfg, lambda R: autocorrelation(model, profile, R, which), 2, 0.0,
+    return sweep_report(cfg, lambda radii: _autocorrelations(model, profile, radii, which), 2, 0.0,
                         label=f"autocorrelation-{which}")
 
 
@@ -158,13 +168,13 @@ class _EnergyWeight:
 def double_commutator(model: GoldstoneModel, profile: WindowProfile, radius: float) -> float:
     """Energy-weighted sum rule 2 int omega rho_q |fhat_R|^2: the double
     commutator of the windowed generator with the dynamics."""
-    val = _spectral_integral(model, profile, radius, _EnergyWeight(model.dispersion, model.rho_q))
-    return radius ** model.dim * float(val.real)
+    return _windowed(model, profile, (radius,), _EnergyWeight(model.dispersion, model.rho_q))[0]
 
 
 def double_commutator_scaling(model: GoldstoneModel, profile: WindowProfile,
                               cfg: ScalingConfig) -> ScalingReport:
-    return sweep_report(cfg, lambda R: double_commutator(model, profile, R), 2, 0.0,
+    weight = _EnergyWeight(model.dispersion, model.rho_q)
+    return sweep_report(cfg, lambda radii: _windowed(model, profile, radii, weight), 2, 0.0,
                         label="double-commutator")
 
 
@@ -180,7 +190,7 @@ def commutator_expectation(model: GoldstoneModel, profile: WindowProfile,
         weight = model.rho_qa
     else:
         weight = lambda k: smoothing(model.energy(k)) * model.rho_qa(k)
-    val = _spectral_integral(model, profile, radius, weight)
+    val = _spectral_integrals(model, profile, (radius,), weight)[0]
     return 2j * val.imag / c_f
 
 
@@ -284,7 +294,7 @@ def mean_projector_residual(vec: SpectralVectorModel, profile: WindowProfile,
 
 def mean_projector_convergence(vec: SpectralVectorModel, profile: WindowProfile,
                                cfg: ScalingConfig) -> ScalingReport:
-    return sweep_report(cfg, lambda R: mean_projector_residual(vec, profile, R), 1, 0.0,
+    return sweep_report(cfg, lambda radii: [mean_projector_residual(vec, profile, R) for R in radii], 1, 0.0,
                         label="projector-residual")
 
 

@@ -63,7 +63,7 @@ from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 #: rule of the tables (``scaling.TAU_RULE``) or to the overlap's u rule
 #: (``scaling._u_rule``) must bump it, so that no file of the old content is
 #: read
-CACHE_FORMAT_VERSION = 11
+CACHE_FORMAT_VERSION = 12
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are
@@ -346,9 +346,12 @@ PHASE_BLOCK = 128
 #: of the default mollified step, so its (blocks, 2 S) and (2 S, B) phase
 #: matrices stay near 1 MB on the longer rules of n = 2
 EDGE_CHUNK = 544
+#: block-phase rows per product of the n = 2 table (``make_profile``)
+LINE_ROW_BLOCK = 8
 
 
-def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid) -> np.ndarray:
+def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid,
+                           row_block: int | None = None) -> np.ndarray:
     """The radial transform sum_s c_s Omega_n(k s) at n = 1 or 3
     (``_radial_coefficients``) on the uniform grid k_j = j dk from 0
     (``k_grid``, at least two points).
@@ -367,15 +370,22 @@ def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid) -> np.n
     sum it is 1.1e-15 to 1.7e-15 of fhat(0) off at n = 1, where the direct
     sum is 1.8e-15 to 3.6e-15 off, and 4.2e-16 to 6.5e-16 off at n = 3,
     where the direct sum is 2.8e-16 to 3.4e-16 off.
+
+    A ``row_block`` runs each product as products of that many rows of
+    block phases, the blocks rounded up to a multiple of it, so every
+    product has one shape, whose rounding does not depend on the BLAS
+    thread count (``make_profile`` at n = 2).
     """
     c = _radial_coefficients(dim, s_nodes, s_weights, f_vals)
     size = len(k_grid)
     dk = k_grid[-1] / (size - 1)
     blocks = -(-size // PHASE_BLOCK)
+    rows = row_block or blocks
+    blocks = -(-blocks // rows) * rows
     table = np.zeros((blocks, PHASE_BLOCK))
     parts = -(-len(s_nodes) // EDGE_CHUNK)
     for s, cs in zip(np.array_split(s_nodes, parts), np.array_split(c, parts)):
-        table += _phase_product(dim, s, cs if dim == 1 else cs / s, dk, blocks)
+        table += _phase_product(dim, s, cs if dim == 1 else cs / s, dk, blocks, rows)
     table = table.ravel()[:size]
     if dim == 3:
         table[1:] /= k_grid[1:]
@@ -383,9 +393,10 @@ def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid) -> np.n
     return table
 
 
-def _phase_product(dim, s_nodes, weights, dk, blocks):
+def _phase_product(dim, s_nodes, weights, dk, blocks, rows):
     """One chunk of ``uniform_edge_transform``: the (blocks, B) product of the
-    weighted block phases by the offset phases."""
+    weighted block phases by the offset phases, ``rows`` block phases (a
+    divisor of ``blocks``) at a time."""
     nodes = len(s_nodes)
     starts = np.empty((blocks, 2, nodes))
     phase = np.multiply.outer(PHASE_BLOCK * dk * np.arange(blocks), s_nodes, out=starts[:, 1])
@@ -402,7 +413,8 @@ def _phase_product(dim, s_nodes, weights, dk, blocks):
     else:
         np.sin(phase, out=offsets[0])
         np.cos(phase, out=phase)
-    return starts.reshape(blocks, 2 * nodes) @ offsets.reshape(2 * nodes, PHASE_BLOCK)
+    starts, offsets = starts.reshape(blocks, 2 * nodes), offsets.reshape(2 * nodes, PHASE_BLOCK)
+    return np.concatenate([starts[j:j + rows] @ offsets for j in range(0, blocks, rows)])
 
 
 #: Taylor coefficients in x^2 of j_1(x)/x = (sin x - x cos x)/x^3,
@@ -588,7 +600,9 @@ def make_profile(dim: int, *, k_max: float = 640.0, k_resolution: int = 10240) -
     transform of its line projection P (projection-slice theorem), so the
     table is that same product over the panels of ``transform_rule`` on
     [0, a] and on [a, b], with P from ``line_projection``: within 2.2e-15 of
-    fhat(0) of the ball's closed form plus the edge sum of J_0.  The profile
+    fhat(0) of the ball's closed form plus the edge sum of J_0.  It runs in
+    products of LINE_ROW_BLOCK rows of block phases, whose bits do not
+    depend on the BLAS thread count; the whole product's do.  The profile
     keeps no position samples: ``value`` reads the same exact evaluator.
     Between cache nodes the transform is read by the 10-point Lagrange
     interpolant ``lagrange_uniform``: at 2,000 random momenta it misses the
@@ -600,7 +614,8 @@ def make_profile(dim: int, *, k_max: float = 640.0, k_resolution: int = 10240) -
     a, b = EDGE
     if dim == 2:
         x, w = map(np.concatenate, zip(transform_rule(k_max, 0.0, a), transform_rule(k_max, a, b)))
-        fhat = uniform_edge_transform(1, x, w, line_projection(x, k_max), k_grid) / sqrt(2.0 * pi)
+        fhat = uniform_edge_transform(1, x, w, line_projection(x, k_max), k_grid,
+                                      LINE_ROW_BLOCK) / sqrt(2.0 * pi)
     else:
         fhat = a ** dim * ball_fhat(dim, a * k_grid)
         s_nodes, s_weights = transform_rule(k_max, a, b)

@@ -111,9 +111,10 @@ def test_traced_sweep_resolves_once(spans, product_state1, profile1):
     assert layers["scaling.build_report_calls"] == 2
     for name in ("qmode_correlator", "weighted_correlator", "position_space_correlator"):
         assert layers[f"scaling.{name}_calls"] == 0, name
-    # one kernel read per chain value, built at the first radius
-    assert layers["scaling.window_product_calls"] == 6
-    assert layers["scaling.window_product_hits"] == 5
+    # one kernel read per chain step per block of radii: the six radii of
+    # order 3 are one block of one step, which builds the kernel
+    assert layers["scaling.window_product_calls"] == 1
+    assert layers["scaling.window_product_hits"] == 0
     # the weighted sweep reads its heat-kernel table, no folded overlap
     assert layers["scaling.window_overlap_1d_calls"] == 0
     assert layers["scaling.exponent_sweep_s"] >= layers["scaling.window_product_s"] > 0.0

@@ -495,6 +495,34 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
     scaling.clear_caches()
 
 
+#: runs every checked-in config, argv[2:], into the directory argv[1] through
+#: the command line, with the window cache $FLUCTLAB_CACHE
+_RUN_ALL = ("import sys; from fluctlab import cli, scaling\n"
+            "for path in sys.argv[2:]:\n"
+            "    scaling.clear_caches()\n"
+            "    assert cli.main(['run', path, '--out-dir', sys.argv[1]]) == 0, path\n")
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    # the 17 criterion configs and the n = 2 benchmark config at one and at
+    # two BLAS threads, each with a cold window cache and then with the cache
+    # the other thread count wrote: every report has the same bytes
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run_all(name, threads, cache):
+        subprocess.run([sys.executable, "-c", _RUN_ALL, str(tmp_path / name)] + [str(p) for p in CHECKED_IN],
+                       check=True, capture_output=True,
+                       env={**env, "OPENBLAS_NUM_THREADS": threads, "FLUCTLAB_CACHE": str(tmp_path / cache)})
+        return {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.json")
+                if not p.name.endswith("-timings.json")}
+
+    reports = [run_all("cold1", "1", "cache1"), run_all("cold2", "2", "cache2"),
+               run_all("warm1", "1", "cache2"), run_all("warm2", "2", "cache1")]
+    assert len(reports[0]) == len(CHECKED_IN) == 18
+    for other in reports[1:]:
+        assert other == reports[0]
+
+
 def test_cache_files_take_the_umask_mode(tmp_path, monkeypatch):
     # a fresh cache holds tables, kernels and overlaps that every user may
     # read, as a plain open would make them under umask 022

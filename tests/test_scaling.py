@@ -551,7 +551,7 @@ class TestKernelCache:
 
     def test_kernel_file_of_the_old_format_is_never_read(self, profile1, tmp_path):
         # a kernel under the name of format 10, the one-product build on
-        # one-cycle panels, stays as it is beside the format-11 file built
+        # one-cycle panels, stays as it is beside the current-format file built
         rule = half_panel_rule(16.0, 8, 10)
         stale = tmp_path / "chain_n1_p16.0_8_10_0_v10.npy"
         old = _one_cycle_kernel(1, rule)
@@ -562,7 +562,8 @@ class TestKernelCache:
         scaling.clear_caches()
         cold = window_product(replace(profile1, cache_dir=tmp_path), 1, rule)
         assert np.array_equal(cold, fresh)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "chain_n1_p16.0_8_10_0_v11.npy"]
+        current = f"chain_n1_p16.0_8_10_0_v{window.CACHE_FORMAT_VERSION}.npy"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, current]
         assert np.array_equal(np.load(stale), old)
         scaling.clear_caches()
 
@@ -659,17 +660,18 @@ class TestSupportRule:
 _PIN_RULES = {"default": (scaling.DEFAULT_QUAD, 3e-15), "graded": (KERNEL_RULES["graded"], 3e-15),
               "p16": ((16.0, 8, 10, 0), 3e-15), "p240": ((240.0, 16, 10, 0), 6e-15)}
 
-#: prints the digest of each kernel of KERNEL_RULES at n = 1, 2, 3 and of
-#: the order-3 heat-kernel table on the graded rule at n = 1, 2, 3, one a
-#: line; the tables read the window profiles kept in the directory argv[1]
+#: prints the digest of each kernel of KERNEL_RULES at n = 1, 2, 3, of the
+#: window table at n = 1, 2, 3 and of the order-3 heat-kernel table on the
+#: graded rule at n = 1, 2, 3, one a line; every table is built in the process
 _KERNEL_DIGESTS = (
-    "import hashlib, sys; from fluctlab import scaling; from fluctlab.quadrature import half_panel_rule; "
-    "from fluctlab.window import load_or_build; "
+    "import hashlib; from fluctlab import scaling; from fluctlab.quadrature import half_panel_rule; "
+    "from fluctlab.window import make_profile; "
     f"rules = {sorted(KERNEL_RULES.values())!r}; graded = half_panel_rule(*{KERNEL_RULES['graded']!r}); "
     "digest = lambda array: hashlib.sha256(array.tobytes()).hexdigest(); "
+    "profiles = {n: make_profile(n) for n in (1, 2, 3)}; "
     "print('\\n'.join([digest(scaling._radial_kernel(n, half_panel_rule(*key))) for key in rules for n in (1, 2, 3)] "
-    "+ [digest(scaling._heat_table(load_or_build(n, sys.argv[1]), n, 3, graded)) "
-    "for n in (1, 2, 3)]))")
+    "+ [digest(profiles[n].fhat_samples) for n in (1, 2, 3)] "
+    "+ [digest(scaling._heat_table(profiles[n], n, 3, graded)) for n in (1, 2, 3)]))")
 
 
 class TestBlockedKernel:
@@ -705,17 +707,15 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert peak <= 2.5 * len(rule) ** 2 * 8
 
-    def test_kernel_bytes_do_not_depend_on_blas_threads(self, profile1, profile2, profile3, tmp_path):
-        # both processes read one window table per n, written here: the n = 2
-        # table itself is built differently at other thread counts
-        for profile in (profile1, profile2, profile3):
-            profile.to_cache_file(tmp_path)
+    def test_kernel_bytes_do_not_depend_on_blas_threads(self):
+        # each process builds its own window tables: the n = 2 table, too, is
+        # a product of fixed row blocks (window.LINE_ROW_BLOCK)
         src = str(Path(scaling.__file__).parent.parent)
-        digests = [subprocess.run([sys.executable, "-c", _KERNEL_DIGESTS, str(tmp_path)], capture_output=True,
+        digests = [subprocess.run([sys.executable, "-c", _KERNEL_DIGESTS], capture_output=True,
                                   text=True, check=True, env={**os.environ, "PYTHONPATH": src,
                                                               "OPENBLAS_NUM_THREADS": threads}).stdout
                    for threads in ("1", "2")]
-        assert len(digests[0].split()) == 9
+        assert len(digests[0].split()) == 12
         assert digests[0] == digests[1]
 
 
@@ -780,7 +780,7 @@ class TestChainContraction:
         order = data.draw(st.integers(2, 5 if dim == 1 else 3), label="order")
         profiles = data.draw(st.lists(_gauss, min_size=order - 1, max_size=order - 1), label="profiles")
         # a unit phase per factor makes every vector of the chain complex, so
-        # the [Re; Im] product of ``_times_real`` carries both halves
+        # the stacked [Re; Im] rows of ``radial_chain`` carry both halves
         phases = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=order - 1, max_size=order - 1),
                            label="phases")
         profiles = [GaussianProfile(g.amplitude, g.width, dim) for g in profiles]
@@ -1408,8 +1408,8 @@ class TestRadialChain:
         # one primitive: the ssb integrals are the order-2 radial chain
         g = GaussianProfile(1.0, 1.0, 3)
         rule = half_panel_rule(160.0, 64, 10, 18)
-        for radius in (8.0, 512.0):
-            chain = radial_chain(profile3, 3, rule, (g.momentum,), radius)
+        radii = (8.0, 512.0)
+        for radius, chain in zip(radii, radial_chain(profile3, 3, rule, (g.momentum,), radii)):
             u = rule.nodes
             direct = unit_sphere_area(3) * np.sum(
                 rule.weights * profile3.fourier_radial(u) ** 2 * u ** 2 * g.momentum(u / radius))
@@ -1519,3 +1519,116 @@ class TestSweepResolution:
             exponent_sweep(_product_state(2, [3]), profile2, budget, 3)
         with pytest.raises(InvalidArgumentError, match="offsets must have shape"):
             exponent_sweep(_product_state(1, [2]), profile1, ScalingConfig(), 2, offsets=np.zeros((3, 1)))
+
+
+def _per_radius_chain(profile, n, rule, factors, radius, offset=None):
+    """``radial_chain`` at one radius as it ran before the blocks of radii,
+    each step one (2, N) product of the stacked [Re; Im] of the vector with
+    the kernel, and the same chain on absolute values, the scale of its
+    rounding."""
+    fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (n - 1)
+    kernel = window_product(profile, n, rule)
+    absolute = np.abs(kernel)
+    u = rule.nodes / radius
+    v = (fhat * factors[0](u) if offset is None
+         else scaling._offset_vector(profile, n, rule, factors[0], radius, *offset))
+    scale = np.abs(v)
+    for phi in factors[1:]:
+        w = v * measure
+        out = np.stack([w.real, w.imag]) @ kernel
+        v = (out[0] + 1j * out[1]) * phi(u)
+        scale = ((scale * measure) @ absolute) * np.abs(phi(u))
+    area = unit_sphere_area(n)
+    return area * complex(np.sum(v * measure * fhat)), area * np.sum(scale * measure * np.abs(fhat))
+
+
+def _phased_factors(dim, count):
+    """Gaussian factors times unit phases, so that both rows of [Re; Im] carry values."""
+    pair = GaussianProfile(1.0, 1.0, dim), GaussianProfile(0.8, 1.3, dim)
+    return tuple(lambda r, g=pair[i % 2], t=0.3 + 0.7 * i: g.momentum(r) * np.exp(1j * t)
+                 for i in range(count))
+
+
+def _forget_chain_values():
+    """Drop every chain value from the chain cache, keeping kernels and nodes."""
+    for key in [key for key in scaling._CHAIN_CACHE if key[0] == "chain"]:
+        del scaling._CHAIN_CACHE[key]
+
+
+class TestBlockedChain:
+    """The chain runs a grid of radii CHAIN_BLOCK at a time: the per-radius
+    chain to rounding, each radius's bits independent of its grid, and one
+    block of rows in memory beyond the kernel."""
+
+    #: eleven radii: one full block and one padded with zero rows
+    RADII = tuple(float(r) for r in np.geomspace(8.0, 512.0, 11))
+    #: a net offset R (a + b) within a quarter of the default rule at R = 512
+    OFFSET = (0.02, 0.01)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_equal_the_per_radius_chain(self, profile1, profile2, profile3, dim):
+        # measured at most 3.0e-15 of the value; an offset's first vector
+        # changes sign and its real part cancels to 8.3e-15 of the value at
+        # n = 1, so it is held to the chain of absolute values, measured
+        # within 6.1e-16 of it.  The first vector of an offset is an
+        # N x angles array per radius: at n = 2, 3 it runs on a rule of half
+        # the default p_max, a quarter of the points, at three radii
+        profile = {1: profile1, 2: profile2, 3: profile3}[dim]
+        rule = half_panel_rule(*scaling.DEFAULT_QUAD)
+        offsets = ((self.OFFSET, rule, self.RADII) if dim == 1
+                   else (self.OFFSET, half_panel_rule(60.0, 24, 10), self.RADII[::5]))
+        cases = [(None, rule, self.RADII), offsets]
+        scaling.clear_caches()
+        for order in range(3, 9):
+            factors = _phased_factors(dim, order - 1)
+            for offset, on, radii in cases:
+                blocked = radial_chain(profile, dim, on, factors, radii, offset)
+                for radius, value in zip(radii, blocked):
+                    reference, scale = _per_radius_chain(profile, dim, on, factors, radius, offset)
+                    bound = 4e-15 * (abs(reference) if offset is None else scale)
+                    assert abs(value - reference) <= bound, (order, offset, radius)
+        scaling.clear_caches()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_value_does_not_depend_on_the_grid(self, profile1, profile2, profile3, dim):
+        # alone, in a 7-radius grid and at every position of a 20-radius
+        # grid (three blocks), with the chain values forgotten in between
+        profile = {1: profile1, 2: profile2, 3: profile3}[dim]
+        rule = half_panel_rule(*scaling.DEFAULT_QUAD)
+        factors = _phased_factors(dim, 4)
+        radius = 37.5
+        others = tuple(float(r) for r in np.geomspace(8.0, 512.0, 19))
+        scaling.clear_caches()
+        alone = radial_chain(profile, dim, rule, factors, (radius,))[0]
+        grids = [others[:3] + (radius,) + others[3:6]]
+        grids += [others[:position] + (radius,) + others[position:] for position in range(20)]
+        for grid in grids:
+            _forget_chain_values()
+            values = radial_chain(profile, dim, rule, factors, grid)
+            assert values[grid.index(radius)] == alone, grid.index(radius)
+        scaling.clear_caches()
+
+    def test_grid_memory_is_one_block_beyond_the_kernel(self, profile1):
+        # 4,096 radii, the most a config's r_grid holds, on an order-4 chain:
+        # beyond what the call keeps (one value and one key per radius) it
+        # holds less than the kernel plus one block of rows, as 8 radii do;
+        # a (4096, N) array of vectors alone would be 31 MB
+        rule = half_panel_rule(*scaling.DEFAULT_QUAD)
+        factors = (GaussianProfile(1.0, 1.0, 1).momentum,) * 3
+        scaling.clear_caches()
+        kernel = window_product(profile1, 1, rule)
+        rows = 2 * scaling.CHAIN_BLOCK * len(rule) * 8
+        transient = {}
+        for count in (8, 4096):
+            _forget_chain_values()
+            tracemalloc.start()
+            try:
+                values = radial_chain(profile1, 1, rule, factors, tuple(np.geomspace(8.0, 512.0, count)))
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(values) == count
+            transient[count] = peak - kept
+            assert transient[count] <= kernel.nbytes + rows, count
+        assert transient[4096] <= 2 * transient[8]
+        scaling.clear_caches()
