@@ -166,7 +166,10 @@ def density_from(spec: dict):
     gaussian = spec["form"] == "gaussian"
 
     def density(r):
-        r2 = np.asarray(r, dtype=float) ** 2
-        return amp * np.exp(-width2 * r2 / 2.0) if gaussian else amp / (1.0 + width2 * r2)
+        with np.errstate(over="ignore"):  # at r^2 = inf, exp(-inf) = 0 and amp / inf = 0 are exact
+            r2 = np.asarray(r, dtype=float) ** 2
+            if not width2:  # the constant, also where width^2 r^2 would be 0 * inf
+                return amp * np.ones_like(r2)
+            return amp * np.exp(-width2 * r2 / 2.0) if gaussian else amp / (1.0 + width2 * r2)
 
     return density

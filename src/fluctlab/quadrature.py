@@ -38,6 +38,15 @@ def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int):
     return gauss_legendre_edges(np.linspace(a, b, panels + 1), nodes)
 
 
+@lru_cache(maxsize=None)
+def panel_rule(a: float, b: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_legendre_panels``, built once per argument tuple; both arrays are read-only."""
+    pts, wts = gauss_legendre_panels(a, b, panels, nodes)
+    pts.flags.writeable = False
+    wts.flags.writeable = False
+    return pts, wts
+
+
 def gauss_legendre_edges(edges, nodes: int):
     """Composite Gauss-Legendre rule with `nodes` nodes on each panel between
     consecutive ``edges`` along the last axis: edges (..., panels + 1) give

@@ -39,7 +39,6 @@ from .scaling import (
     MAX_POSITION_ORDER,
     check_order,
     check_position,
-    check_weighted,
     exponent_sweep,
     find_critical_alpha,
     l2_alpha_window,
@@ -118,10 +117,7 @@ def _check_scaling_sweep(params, cfg, model, model_class):
         raise ConfigError(f"alpha={cfg.alpha} outside the square-integrable window "
                           f"({window.lo_open}, {window.hi_closed}] for this model")
     for order in params["orders"] + ([2] if bisect else []):
-        if order in model.weighted_orders:
-            check_weighted(model, cfg, order)
-        else:
-            check_order(model, cfg, order)
+        check_order(model, cfg, order)
     if "oracle_check_r_max" in params:
         orders = _oracle_orders(params["orders"])
         if not orders:

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .models import TruncatedHierarchy
-from .quadrature import Rule1D, gauss_legendre_panels, half_panel_rule
+from .quadrature import Rule1D, gauss_legendre_panels, half_panel_rule, panel_rule
 from .window import (
     CACHE_FORMAT_VERSION,
     GRID_EXTENT,
@@ -127,10 +127,7 @@ class ScalingConfig:
 
         The bound is computed once per (profile, p_max) and kept in the chain
         cache, so the sweeps and one-radius calls of a run pay for it once."""
-        key = ("tail", profile.cache_key, rule.p_max)
-        if key not in _CHAIN_CACHE:
-            _CHAIN_CACHE[key] = pair_tail_bound(profile, rule.p_max)
-        bound = _CHAIN_CACHE[key]
+        bound = _memo(("tail", profile.cache_key, rule.p_max), lambda: pair_tail_bound(profile, rule.p_max))
         if bound > self.eps_vanish / 10.0:
             raise NumericalAccuracyError(
                 f"window tail bound {bound:.3e} at p_max={rule.p_max} exceeds "
@@ -161,18 +158,36 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 _CHAIN_CACHE: dict = {}
 
 
+def _memo(key: tuple, build):
+    """The chain-cache value of ``key``, made by ``build()`` on a miss."""
+    if key not in _CHAIN_CACHE:
+        _CHAIN_CACHE[key] = build()
+    return _CHAIN_CACHE[key]
+
+
+def _kept_array(kind: str, profile: WindowProfile, stem: str, rule: Rule1D, shape: tuple, build) -> np.ndarray:
+    """The read-only array ``build()`` makes on a rule, kept in memory and in
+    the profile's window cache (``window.load_or_build_array``) as the file
+    of the stem, the rule's key and the format version."""
+    def load():
+        name = f"{stem}{'_'.join(map(str, rule.key))}_v{CACHE_FORMAT_VERSION}.npy"
+        array = load_or_build_array(profile.cache_dir, name, shape, build)
+        array.flags.writeable = False
+        return array
+
+    return _memo((kind, profile.cache_key, stem, rule.key), load)
+
+
 def _radial_nodes(profile: WindowProfile, n: int, rule: Rule1D):
     """fhat(r) and the radial measure w r^(n-1) at the nodes of a half-line rule (cached)."""
-    key = ("radial", profile.cache_key, n, rule.key)
-    if key not in _CHAIN_CACHE:
-        r = rule.nodes
-        _CHAIN_CACHE[key] = profile.fourier_radial(r), rule.weights * r ** (n - 1)
-    return _CHAIN_CACHE[key]
+    return _memo(("radial", profile.cache_key, n, rule.key),
+                 lambda: (profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (n - 1)))
 
 
 def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     """Radial kernel of the one chain, offsets or not: read-only, kept in
-    memory per (profile, n, rule) and on disk in the profile's window cache.
+    memory per (profile, n, rule) and on disk in the profile's window cache
+    (``_kept_array``).
 
     K[p, r] = integral over S^(n-1) of fhat(|p - r omega|) d omega on the
     radii of a half-line rule, an (N, N) matrix for every n.  The spherical
@@ -186,18 +201,11 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     root and K = B B^T, summed over column blocks of the support rule
     (``_radial_kernel``).
 
-    K depends on n and the rule alone, since there is one window.  A profile
-    with a ``cache_dir`` (``window.load_or_build``) keeps K there as
-    ``_rule_file_name`` names it (``window.load_or_build_array``).  The
+    K depends on n and the rule alone, since there is one window.  The
     chain reads it once per step of each block of radii (``radial_chain``).
     """
-    key = ("kernel", profile.cache_key, n, rule.key)
-    if key not in _CHAIN_CACHE:
-        kernel = load_or_build_array(profile.cache_dir, _rule_file_name(f"chain_n{n}_p", rule),
-                                     (len(rule),) * 2, lambda: _radial_kernel(n, rule))
-        kernel.flags.writeable = False
-        _CHAIN_CACHE[key] = kernel
-    return _CHAIN_CACHE[key]
+    return _kept_array("kernel", profile, f"chain_n{n}_p", rule, (len(rule),) * 2,
+                       lambda: _radial_kernel(n, rule))
 
 
 #: support nodes per column block of ``_radial_kernel``
@@ -240,13 +248,6 @@ def _kernel_times(n: int, rule: Rule1D, u: np.ndarray) -> np.ndarray:
         out += block @ (block.T @ u)
         del block
     return out
-
-
-def _rule_file_name(stem: str, rule: Rule1D) -> str:
-    """The window-cache file of an array on a rule: the stem, the rule's whole
-    key and the format version, which covers the window, the support rule,
-    the ln tau rule of the heat-kernel tables and the overlap's u rule."""
-    return f"{stem}{'_'.join(map(str, rule.key))}_v{CACHE_FORMAT_VERSION}.npy"
 
 
 def _angle_panels(p_max: float) -> int:
@@ -365,7 +366,8 @@ def _prefactor(order: int, n: int, radius: float, alpha: float) -> float:
 def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
                 qmode: bool = False) -> Rule1D:
     """The half-line rule of an order, the largest array or build of its
-    chain checked against MAX_ARRAY_POINTS.
+    chain checked against MAX_ARRAY_POINTS: the one gate of every order, at
+    parse and at run (``_correlator``).
 
     The chain of N radii holds a vector at l = 2 and, from l = 3, the N x N
     kernel, whose build evaluates N x M plane-wave means over the window
@@ -375,26 +377,37 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     radii runs CHAIN_BLOCK radii at a time (``radial_chain``), so beyond
     the kernel the chain holds one block of 2 CHAIN_BLOCK x N rows at any
     grid length, up to the 4,096 radii of a config's ``r_grid``; only the
-    values and their cache keys grow with the grid.  Computes no
-    quadrature, so parsing runs it.
+    values and their cache keys grow with the grid.
+
+    A weighted order takes no ``qmode`` offsets and runs on the graded rule:
+    W_l = (1 + s)^(-beta/2) is a superposition of Gaussians only for
+    beta = p - alpha_l > 0, and its table holds (N, TAU_BLOCK) arrays and
+    never the N x N kernel (``_heat_table``).  Computes no quadrature, so
+    parsing runs it.
     """
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
     n = state.dim
-    rule = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"))
-    size = len(rule)
-    widths = [1] + ([size, support_rule_size(2.0 * rule.p_max)] if order > 2 else [])
+    weight = state.weighted_orders.get(order)
+    if weight is None:
+        rule = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"))
+        widths = [1] + ([len(rule)] if order > 2 else [])
+    elif qmode:
+        raise UnsupportedModeError(f"weighted order {order} takes no q-mode offsets")
+    elif not weight.decay > 0:
+        raise InvalidArgumentError(
+            f"weighted order {order} has power <= alpha: (1 + s)^(-beta/2) with beta = {weight.decay} "
+            "does not decay and is no superposition of Gaussians")
+    else:
+        rule = cfg.quad_for(n, singular=True)
+        widths = [TAU_BLOCK]
+    if order > 2:
+        widths.append(support_rule_size(2.0 * rule.p_max))
     if qmode:
         widths.append(2 if n == 1 else SUPPORT_PANEL_NODES * _angle_panels(rule.p_max))
-    _check_chain(rule, n, order, widths)
-    return rule
-
-
-def _check_chain(rule: Rule1D, n: int, order: int, widths) -> None:
-    """Raise when the order's radial chain on the rule would hold an array
-    of N times the largest of ``widths`` over MAX_ARRAY_POINTS points."""
     _check_points(len(rule) * max(widths), f"the order-{order} radial chain array",
                   f"; set a smaller numeric.quad rule for dimension {n}")
+    return rule
 
 
 def _check_points(points: int, what: str, hint: str = "") -> None:
@@ -413,26 +426,35 @@ def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,
     observable slot, or None for all-zero.  Only a = offsets[0, 0] and
     b = offsets[1, 0] may be nonzero, which the ``qmode`` analysis sets:
     they become the first vector of the radial chain (``_offset_vector``),
-    and zero ones give the None value to rounding.  One radius is a grid
-    of one (``_spectral_path``), so the value equals the sweep's at that
-    radius to the bit.
+    and zero ones give the None value to rounding.  A weighted order takes
+    no offsets and reads its heat-kernel table.
     """
+    return _at_radius(state, profile, cfg, order, alpha, radius, offsets)
+
+
+def _at_radius(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
+               order: int, alpha: float | None, radius: float, offsets=None) -> complex:
+    """The correlator at one radius, a grid of one (``_correlator``), so it
+    equals the sweep's value at that radius to the bit."""
     alpha = cfg.alpha_for(state) if alpha is None else float(alpha)
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
-    return _spectral_path(state, profile, cfg, order, alpha, offsets)((radius,))[0]
+    return _correlator(state, profile, cfg, order, alpha, offsets)((radius,))[0]
 
 
-def _spectral_path(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
-                   order: int, alpha: float, offsets=None):
-    """``qmode_correlator`` as a function of a grid of radii, to the list of
-    its values: the rule (``check_order``), the tail certificate, the offset
-    pair and the factors resolved once, then the window chain of the module
-    formula on the rule at every radius of the grid in one call
-    (``radial_chain``)."""
+def _correlator(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
+                order: int, alpha: float, offsets=None):
+    """The correlator of an order as a function of a grid of radii, to the
+    list of its values: the rule (``check_order``) and the tail certificate
+    resolved once, then a weighted order's heat-kernel sum (``_heat_sum``)
+    or, for any other, the offset pair and the factors resolved once and
+    the window chain of the module formula on the rule at every radius of
+    the grid in one call (``radial_chain``)."""
     n = state.dim
     rule = check_order(state, cfg, order, qmode=offsets is not None)
     cfg.validate_tail(profile, rule)
+    if order in state.weighted_orders:
+        return _heat_sum(state, profile, order, alpha, rule)
     pair = None if offsets is None else _offset_pair(offsets, order, n)
     fns = state.order_factors(order)
     if not fns:
@@ -459,14 +481,9 @@ def _offset_pair(offsets, order: int, n: int) -> tuple[float, float]:
 # states and orders 2 and 3 only
 # ---------------------------------------------------------------------------
 
-@cache
-def _u_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The overlap's 32-panel rule on [-GRID_EXTENT, GRID_EXTENT], built once;
-    node N-1-i is -node i to the bit, and nodes and weights are read-only."""
-    u, wt = gauss_legendre_panels(-GRID_EXTENT, GRID_EXTENT, 32, 12)
-    u.flags.writeable = False
-    wt.flags.writeable = False
-    return u, wt
+#: (lo, hi, panels, nodes) of the overlap's Gauss-Legendre u rule
+#: (``quadrature.panel_rule``), whose node N-1-i is -node i to the bit
+U_RULE = (-GRID_EXTENT, GRID_EXTENT, 32, 12)
 
 
 def check_position(dim: int, order: int) -> None:
@@ -486,7 +503,7 @@ def _folded_rows(profile: WindowProfile, z_rule: Rule1D) -> np.ndarray:
     Only the rows of z_k are evaluated: the u rule is mirrored to the bit,
     so the row of -z_k is row k reversed, bit for bit.
     """
-    a = profile.value(_u_rule()[0] + z_rule.nodes[:, None])
+    a = profile.value(panel_rule(*U_RULE)[0] + z_rule.nodes[:, None])
     return a + a[:, ::-1]
 
 
@@ -514,23 +531,18 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
     support, so one fixed u rule on [-GRID_EXTENT, GRID_EXTENT] serves every
     z and no quadrature node depends on z.  G depends on the order and the
     z rule alone, so a profile with a ``cache_dir`` keeps it there
-    (``window.load_or_build_array``).
+    (``_kept_array``).
     """
     check_position(1, order)
-    key = ("overlap", profile.cache_key, order, z_rule.key)
-    if key not in _CHAIN_CACHE:
-        _check_points(len(z_rule) ** (order - 1), "position-space array")
-        g = load_or_build_array(profile.cache_dir, _rule_file_name(f"overlap_n1_o{order}_z", z_rule),
-                                (len(z_rule),) * (order - 1), lambda: _folded_overlap(profile, order, z_rule))
-        g.flags.writeable = False
-        _CHAIN_CACHE[key] = g
-    return _CHAIN_CACHE[key]
+    _check_points(len(z_rule) ** (order - 1), "position-space array")
+    return _kept_array("overlap", profile, f"overlap_n1_o{order}_z", z_rule, (len(z_rule),) * (order - 1),
+                       lambda: _folded_overlap(profile, order, z_rule))
 
 
 def _folded_overlap(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
     """G of ``window_overlap_1d``, built."""
     rows = _folded_rows(profile, z_rule)
-    u, wt = _u_rule()
+    u, wt = panel_rule(*U_RULE)
     sc = rows * (profile.value(u) * wt)
     # the z weights multiply one axis at a time: outer(wt, wt) * g rounds differently
     g = sc.sum(axis=1) if order == 2 else sc @ rows.T * z_rule.weights[:, None]
@@ -717,16 +729,12 @@ def classify(exponent, r_values, values, eps_vanish: float) -> tuple[str, comple
 def exponent_sweep(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
                    order: int, alpha: float | None = None, offsets=None,
                    label: str = "correlator") -> ScalingReport:
-    """Resolve the correlator once, as a function of the R grid, then
-    evaluate it on the grid and fit the scaling exponent: a weighted order
-    from its heat-kernel table (``weighted_correlator``), every other on the
-    spectral chain (``qmode_correlator``)."""
+    """Resolve the correlator once, as a function of the R grid
+    (``_correlator``), then evaluate it on the grid and fit the scaling
+    exponent."""
     alpha = cfg.alpha_for(state) if alpha is None else float(alpha)
-    if order in state.weighted_orders:
-        value = _heat_path(state, profile, cfg, order, alpha)
-    else:
-        value = _spectral_path(state, profile, cfg, order, alpha, offsets)
-    return sweep_report(cfg, value, order, alpha, offsets, label)
+    values = _correlator(state, profile, cfg, order, alpha, offsets)
+    return sweep_report(cfg, values, order, alpha, offsets, label)
 
 
 def sweep_report(cfg: ScalingConfig, values, order: int, alpha: float, offsets=None,
@@ -738,6 +746,10 @@ def sweep_report(cfg: ScalingConfig, values, order: int, alpha: float, offsets=N
 
 
 def build_report(r, vals, order, alpha, offsets, cfg: ScalingConfig, label: str) -> ScalingReport:
+    """The fit and verdict of a sweep's values, which must be finite: the fit would mask the rest."""
+    bad = np.flatnonzero(~np.isfinite(np.asarray(vals, dtype=complex)))
+    if bad.size:
+        raise NumericalAccuracyError(f"the {label} sweep is not finite at R = {float(r[bad[0]])}")
     exponent, rms, used, dropped = fit_loglog(r, vals)
     verdict, est = classify(exponent, r, vals, cfg.eps_vanish)
     return ScalingReport(
@@ -858,30 +870,6 @@ def weighted_gamma(dim: int, alpha2: float) -> float:
     return (dim + alpha2) / 2.0
 
 
-def check_weighted(state: TruncatedHierarchy, cfg: ScalingConfig, order: int) -> Rule1D:
-    """The half-line rule of a weighted order's heat-kernel table, the graded
-    rule of the dimension, its weight checked to decay and its build checked
-    against MAX_ARRAY_POINTS.
-
-    W_l = (1 + s)^(-beta/2) is a superposition of Gaussians only for
-    beta = p - alpha_l > 0.  The build holds (N, TAU_BLOCK) arrays and from
-    l = 3 applies the kernel one block of the N x M basis at a time
-    (``_heat_table``); the budget bounds that work as if it were one array,
-    as ``check_order`` does.  Computes no quadrature, so parsing runs it.
-    """
-    if order not in state.weighted_orders:
-        raise UnsupportedModeError(f"order {order} carries no weighted correlator")
-    beta = state.weighted_orders[order].decay
-    if not beta > 0:
-        raise InvalidArgumentError(
-            f"weighted order {order} has power <= alpha: (1 + s)^(-beta/2) with beta = {beta} "
-            "does not decay and is no superposition of Gaussians")
-    rule = cfg.quad_for(state.dim, singular=True)
-    _check_chain(rule, state.dim, order,
-                 [TAU_BLOCK] + ([support_rule_size(2.0 * rule.p_max)] if order > 2 else []))
-    return rule
-
-
 #: (lo, hi, panels, nodes) of the Gauss-Legendre rule in ln tau of every
 #: heat-kernel table.  Half-width panels move the 09a and 09b values by
 #: 4.4e-16 relative, and half-width panels on [-20, 30] by 3.9e-11, the
@@ -890,40 +878,25 @@ def check_weighted(state: TruncatedHierarchy, cfg: ScalingConfig, order: int) ->
 TAU_RULE = (-18.0, 22.0, 40, 10)
 #: tau nodes per block of ``_heat_table``
 TAU_BLOCK = 64
-#: the largest share of the Gamma(beta/2) weight of ``_heat_path`` that the
+#: the largest share of the Gamma(beta/2) weight of ``_heat_sum`` that the
 #: top of the tau rule may cut off
 TAU_CUTOFF = 1e-15
 
 
-@cache
-def _tau_rule(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """ln tau and its weights of a Gauss-Legendre rule in ln tau, built once; read-only."""
-    log_tau, weights = gauss_legendre_panels(lo, hi, panels, nodes)
-    log_tau.flags.writeable = False
-    weights.flags.writeable = False
-    return log_tau, weights
-
-
 def heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.ndarray:
     """G_l(tau) at the nodes of TAU_RULE: read-only, kept in memory per
-    (profile, n, order, rule) and on disk in the profile's window cache.
+    (profile, n, order, rule) and on disk in the profile's window cache
+    (``_kept_array``).
 
     G_l(tau) = integral over (R^n)^(l-1) of exp(-tau sum |z_i|^2) g_l(z) dz,
     with g_l the overlap of l windows at R = 1, is the radial chain
     (``radial_chain``) at R = 1 with l - 1 Gaussian factors
     (pi/tau)^(n/2) exp(-|q|^2/(4 tau)), the plain transform of
     exp(-tau |y|^2), times C_l of the module formula.  It depends on n, l,
-    the window and the rules alone, not on alpha, beta or R.  A profile with
-    a ``cache_dir`` keeps it there as ``_rule_file_name`` names it
-    (``window.load_or_build_array``).
+    the window and the rules alone, not on alpha, beta or R.
     """
-    key = ("heat", profile.cache_key, n, order, rule.key)
-    if key not in _CHAIN_CACHE:
-        table = load_or_build_array(profile.cache_dir, _rule_file_name(f"heat_n{n}_o{order}_p", rule),
-                                    (TAU_RULE[2] * TAU_RULE[3],), lambda: _heat_table(profile, n, order, rule))
-        table.flags.writeable = False
-        _CHAIN_CACHE[key] = table
-    return _CHAIN_CACHE[key]
+    return _kept_array("heat", profile, f"heat_n{n}_o{order}_p", rule, (TAU_RULE[2] * TAU_RULE[3],),
+                       lambda: _heat_table(profile, n, order, rule))
 
 
 def _heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.ndarray:
@@ -931,7 +904,7 @@ def _heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.
     runs the chain on (N, TAU_BLOCK) arrays, v = fhat phi and then
     v <- K (v w r^(n-1)) phi l - 2 times, with K applied without being
     formed (``_kernel_times``), so the build never holds an N x N array."""
-    tau = np.exp(_tau_rule(*TAU_RULE)[0])
+    tau = np.exp(panel_rule(*TAU_RULE)[0])
     fhat, measure = _radial_nodes(profile, n, rule)
     r2 = rule.nodes ** 2
     const = (2.0 * pi) ** (n * (2 - order) / 2.0) * unit_sphere_area(n)
@@ -966,12 +939,12 @@ def _lower_gamma_ratio(a: float, x: float) -> float:
     return exp(a * log(x) - x - lgamma(a)) * total
 
 
-def _heat_path(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingConfig,
-               order: int, alpha: float):
-    """``weighted_correlator`` as a function of a grid of radii, to the list
-    of its values: the rule and the weight (``check_weighted``), the tail
-    certificate and the heat-kernel table resolved once, then one weighted
-    sum per radius.
+def _heat_sum(state: TruncatedHierarchy, profile: WindowProfile, order: int, alpha: float,
+              rule: Rule1D):
+    """A weighted order's correlator as a function of a grid of radii, to
+    the list of its values (``_correlator``): the heat-kernel table on the
+    order's rule and the decay resolved once, then one weighted sum per
+    radius.
 
     With W_l = (1 + s)^(-beta/2) = Gamma(a)^(-1) integral of t^(a-1) e^(-t) e^(-t s) dt,
     a = beta/2, and sigma = t, tau = sigma R^2,
@@ -992,11 +965,9 @@ def _heat_path(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingCo
     NumericalAccuracyError.
     """
     n = state.dim
-    rule = check_weighted(state, cfg, order)
-    cfg.validate_tail(profile, rule)
     table = heat_table(profile, n, order, rule)
     a = state.weighted_orders[order].decay / 2.0
-    log_tau, weights = _tau_rule(*TAU_RULE)
+    log_tau, weights = panel_rule(*TAU_RULE)
     tau = np.exp(log_tau)
     summand = weights * table
     at_zero = profile.volume_integral() ** order
@@ -1020,8 +991,8 @@ def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,
                         cfg: ScalingConfig, order: int, gamma: float,
                         radius: float) -> complex:
     """Correlator of an order with a polynomial weight, renormalized by R^-gamma:
-    the one-radius call of the heat-kernel path (``_heat_path``), at
+    the one-radius call of the heat-kernel sum (``_heat_sum``), at
     n = 1, 2, 3 and every order of the chain."""
-    if radius <= 0:
-        raise InvalidArgumentError("radius must be positive")
-    return _heat_path(state, profile, cfg, order, gamma)((radius,))[0]
+    if order not in state.weighted_orders:
+        raise UnsupportedModeError(f"order {order} carries no weighted correlator")
+    return _at_radius(state, profile, cfg, order, gamma, radius)

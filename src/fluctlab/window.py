@@ -61,7 +61,7 @@ from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 #: (``_profile_evaluator``), to ``make_profile``'s table, to ``support_rule``,
 #: to the kernel, the heat-kernel table or the overlap formula, to the ln tau
 #: rule of the tables (``scaling.TAU_RULE``) or to the overlap's u rule
-#: (``scaling._u_rule``) must bump it, so that no file of the old content is
+#: (``scaling.U_RULE``) must bump it, so that no file of the old content is
 #: read
 CACHE_FORMAT_VERSION = 12
 

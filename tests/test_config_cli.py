@@ -619,6 +619,39 @@ class TestValidateRunContract:
         assert "numerical-accuracy error" in err and "heat-kernel tau rule" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("width, expected", [(0.0, 1.0), (1.0, 0.0)])
+    def test_density_at_a_huge_q_leaks_no_warning(self, tmp_path, cache_dir, monkeypatch, width, expected):
+        # q^2 overflows at q = 1e200: a zero-width density is its amplitude
+        # there, so that sweep equals the q = 0 one to the bit, and a
+        # gaussian of width 1 is exactly 0
+        path = tmp_path / "far.json"
+        path.write_text(cfg_text({"model": {"class": "gaussian", "dim": 1,
+                                            "two_point": {"form": "gaussian", "width": width}},
+                                  "analyses": [{"kind": "qmode", "order": 2, "q_values": [0.0, 1e200]}],
+                                  "output": {"directory": str(tmp_path / "out")}}))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path)]) == 0
+        at_zero, far = json.loads((tmp_path / "out" / "report.json").read_text())["results"][0]["symmetric"]
+        assert far["two_point_at_q"] == {"re": expected, "im": 0.0}
+        if width == 0.0:
+            assert far["values"] == at_zero["values"] and far["verdict"] == "finite-nonzero"
+        else:
+            assert far["abs_values"] == [0.0] * 8 and far["verdict"] == "vanishing"
+
+    def test_non_finite_sweep_exits_3(self, tmp_path, cache_dir, monkeypatch, capsys):
+        # an amplitude near the float limit overflows the order-2 values to
+        # inf, which the fit would mask and read as vanishing
+        path = tmp_path / "inf.json"
+        path.write_text(cfg_text(dict(MINIMAL, model={"class": "gaussian", "dim": 1, "two_point": {
+            "form": "gaussian", "amplitude": 1e308}}, output={"directory": str(tmp_path / "out")})))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path)]) == 3
+        assert "order-2 sweep is not finite at R = 8.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_skips_orders_beyond_the_position_path(self, tmp_path, cache_dir, monkeypatch):
         # orders 2..4 are swept; the oracle checks orders 2 and 3, the ones the position path runs
         g = {"amplitude": 1.0, "width": 1.0}

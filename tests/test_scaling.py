@@ -37,7 +37,6 @@ from fluctlab.scaling import (
     Rule1D,
     ScalingConfig,
     check_order,
-    check_weighted,
     exponent_sweep,
     find_critical_alpha,
     fit_loglog,
@@ -53,7 +52,7 @@ from fluctlab.scaling import (
     window_overlap_1d,
     window_product,
 )
-from fluctlab.quadrature import gauss_legendre_panels, half_panel_rule, legendre_rule
+from fluctlab.quadrature import gauss_legendre_panels, half_panel_rule, legendre_rule, panel_rule
 from fluctlab.window import make_profile, unit_sphere_area
 
 from conftest import weighted_form
@@ -369,7 +368,7 @@ class TestPositionFold:
         # the u rule is mirrored to the bit, so on the mirrored z rule the row
         # of -z is the row of z reversed, and so are the order-3 rows f(|u - z|)
         z_rule = _Z_RULES[rule_name]()
-        u, _ = scaling._u_rule()
+        u, _ = panel_rule(*scaling.U_RULE)
         z, _ = _mirrored(z_rule)
         a = profile1.value(u + z[:, None])
         assert np.array_equal(a[::-1], a[:, ::-1])
@@ -379,7 +378,7 @@ class TestPositionFold:
 
     def test_u_rule_is_the_box_rule(self):
         # built as the mirror of its positive half, it equals the 32-panel rule bit for bit
-        u, wt = scaling._u_rule()
+        u, wt = panel_rule(*scaling.U_RULE)
         box, box_wt = gauss_legendre_panels(-window.GRID_EXTENT, window.GRID_EXTENT, 32, 12)
         assert np.array_equal(u, box) and np.array_equal(wt, box_wt)
 
@@ -388,8 +387,8 @@ class TestPositionFold:
             rule = make()
             assert make() is rule
             assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
-        u, wt = scaling._u_rule()
-        assert scaling._u_rule()[0] is u
+        u, wt = panel_rule(*scaling.U_RULE)
+        assert panel_rule(*scaling.U_RULE)[0] is u
         assert not u.flags.writeable and not wt.flags.writeable
 
     @pytest.mark.parametrize("make", [*_Z_RULES.values(), lambda: half_panel_rule(*scaling.DEFAULT_QUAD),
@@ -852,6 +851,15 @@ class TestSweepMachinery:
         exponent, _, used, _ = fit_loglog(r, np.zeros(8))
         assert exponent is None and used == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_value_raises(self, bad):
+        # the fit would mask it and read a sweep of such values as vanishing
+        r = 8.0 * 2.0 ** np.arange(8)
+        vals = (2.0 / r).astype(complex)
+        vals[2] = bad
+        with pytest.raises(NumericalAccuracyError, match="not finite at R = 32.0"):
+            scaling.build_report(r, vals, 2, 0.5, None, ScalingConfig(), "order-2")
+
     def test_r_grid_validation(self, gaussian_state1, profile1):
         with pytest.raises(InvalidArgumentError):
             ScalingConfig(r_values=(8.0, 16.0, 32.0)).validate_r_grid()
@@ -998,7 +1006,7 @@ class TestWeightedRegime:
         # p <= alpha leaves (1 + s)^(-beta/2) with beta <= 0: no Gaussian superposition
         state = weighted_state([WeightedCorrelator(2, 1.0, 1.0)], 1)
         with pytest.raises(InvalidArgumentError, match="does not decay"):
-            check_weighted(state, ScalingConfig(), 2)
+            check_order(state, ScalingConfig(), 2)
         with pytest.raises(InvalidArgumentError, match="does not decay"):
             weighted_correlator(state, profile1, ScalingConfig(), 2, 1.0, 8.0)
 
@@ -1044,7 +1052,7 @@ def _radial_position_pair(profile, dim, form, radius):
     return 4.0 * pi * total
 
 
-#: the graded rule of the weighted orders at every n (``check_weighted``)
+#: the graded rule of the weighted orders at every n (``check_order``)
 _GRADED = half_panel_rule(*KERNEL_RULES["graded"])
 
 
@@ -1081,7 +1089,7 @@ class TestHeatTable:
         # orders is 1.8e-12 off at tau = 0.28, where the Gaussian factor is
         # about one panel wide; a finer chain rule is within 2.3e-14
         rule = _GRADED if rule_name == "graded" else half_panel_rule(160.0, 64, 12, 16)
-        log_tau, _ = scaling._tau_rule(*scaling.TAU_RULE)
+        log_tau, _ = panel_rule(*scaling.TAU_RULE)
         table = scaling.heat_table(profile1, 1, order, rule)
         x, d = _edge_split_line()
         picks = np.flatnonzero((log_tau >= np.log(0.01)) & (log_tau <= np.log(100.0)))
@@ -1132,7 +1140,7 @@ class TestHeatTable:
         # the chain of every tau at once through the kernel of window_product
         profile = (profile1, profile2, profile3)[dim - 1]
         rule = half_panel_rule(24.0, 8, 10, 4)
-        tau = np.exp(scaling._tau_rule(*scaling.TAU_RULE)[0])
+        tau = np.exp(panel_rule(*scaling.TAU_RULE)[0])
         kernel = window_product(profile, dim, rule)
         fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (dim - 1)
         gauss = (pi / tau) ** (dim / 2.0) * np.exp(-np.multiply.outer(rule.nodes ** 2, 0.25 / tau))
@@ -1519,6 +1527,54 @@ class TestSweepResolution:
             exponent_sweep(_product_state(2, [3]), profile2, budget, 3)
         with pytest.raises(InvalidArgumentError, match="offsets must have shape"):
             exponent_sweep(_product_state(1, [2]), profile1, ScalingConfig(), 2, offsets=np.zeros((3, 1)))
+
+
+
+class TestOneGate:
+    """check_order is the one parse-time gate of every order, and the rule it
+    returns is the rule the run reads."""
+
+    @pytest.mark.parametrize("case", ["weighted", "chain"])
+    def test_run_reads_the_rule_of_the_gate(self, gaussian_state1, profile1, monkeypatch, case):
+        # graded for a weighted order, the default rule of the dimension otherwise
+        state, reader = ((_weighted_state(), "heat_table") if case == "weighted"
+                         else (gaussian_state1, "radial_chain"))
+        cfg = ScalingConfig()
+        rule = check_order(state, cfg, 2)
+        assert rule is half_panel_rule(*(KERNEL_RULES["graded"] if case == "weighted" else scaling.DEFAULT_QUAD))
+        read, original = [], getattr(scaling, reader)
+
+        def recording(profile, n, *args):
+            read.append(next(arg for arg in args if isinstance(arg, Rule1D)))
+            return original(profile, n, *args)
+
+        monkeypatch.setattr(scaling, reader, recording)
+        scaling.clear_caches()
+        exponent_sweep(state, profile1, cfg, 2, alpha=0.75)
+        qmode_correlator(state, profile1, cfg, 2, None, 8.0, 0.75)
+        assert read and all(r is rule for r in read)
+        scaling.clear_caches()
+
+    def test_weighted_order_takes_no_offsets(self, profile1):
+        state = _weighted_state()
+        offsets = _qmode_offsets(2, 1, 0.5, -0.5)
+        with pytest.raises(UnsupportedModeError, match="q-mode"):
+            check_order(state, ScalingConfig(), 2, qmode=True)
+        with pytest.raises(UnsupportedModeError, match="q-mode"):
+            qmode_correlator(state, profile1, ScalingConfig(), 2, offsets, 8.0, 0.75)
+        with pytest.raises(UnsupportedModeError, match="q-mode"):
+            exponent_sweep(state, profile1, ScalingConfig(), 2, alpha=0.75, offsets=offsets)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_qmode_correlator_of_a_weighted_order_is_the_weighted_one(self, profile1, order):
+        # each from a fresh heat-kernel table
+        state, cfg, gamma = _weighted_state(), ScalingConfig(), weighted_gamma(1, 0.5)
+        scaling.clear_caches()
+        values = [weighted_correlator(state, profile1, cfg, order, gamma, radius) for radius in (16.0, 256.0)]
+        scaling.clear_caches()
+        assert [qmode_correlator(state, profile1, cfg, order, None, radius, gamma) for radius in (16.0, 256.0)] == values
+        scaling.clear_caches()
+
 
 
 def _per_radius_chain(profile, n, rule, factors, radius, offset=None):
