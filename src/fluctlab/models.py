@@ -131,8 +131,9 @@ class TruncatedHierarchy:
 def check_autocorrelation(two_point: Callable, rtol: float = 1e-9) -> None:
     """A two-point density of |k| must be finite, real and >= 0 on a sample
     grid of radii: for a function of |k|, real is the same as hermitian,
-    S(-k) = conj S(k)."""
-    vals = np.asarray(two_point(np.geomspace(1e-3, 20.0, 257)), dtype=complex)
+    S(-k) = conj S(k).  An overflow on the grid reads as not finite, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(two_point(np.geomspace(1e-3, 20.0, 257)), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise ModelValidationError("two-point density not finite on the sample grid")
     scale = float(np.max(np.abs(vals))) or 1.0
@@ -208,7 +209,9 @@ def powerlaw_two_point(beta: float, dim: int) -> Callable:
     as a function of the radius |k|.
 
     Behaves like |k|^(beta - n) near k = 0 when beta < n (singular,
-    discontinuous at the origin) and is finite there for beta > n.
+    discontinuous at the origin) and is finite there for beta > n; where
+    K_nu overflows (r < 4.5e-3 at beta = 150, n = 1) it is the series
+    at_zero sum_k (-r^2/4)^k / (k! (nu-1)...(nu-k)), nu = (beta - n)/2.
     """
     from scipy.special import kv
 
@@ -221,7 +224,15 @@ def powerlaw_two_point(beta: float, dim: int) -> Callable:
     def two_point(r):
         r = np.asarray(r, dtype=float)
         safe = np.where(r > 0, r, 1.0)
-        return np.where(r > 0, const * safe ** ((beta - dim) / 2.0) * kv(nu, safe), at_zero)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.where(r > 0, const * safe ** ((beta - dim) / 2.0) * kv(nu, safe), at_zero)
+        lost, k = ~np.isfinite(out) & (beta > dim), 0
+        out[lost] = term = np.full(np.count_nonzero(lost), at_zero)
+        while k + 1 < -nu and np.any(np.abs(term) > 1e-17 * at_zero):
+            k += 1
+            term *= -0.25 * r[lost] ** 2 / (k * (-nu - k))
+            out[lost] += term
+        return out
 
     return two_point
 
@@ -254,9 +265,10 @@ def weighted_state(correlators: Sequence[WeightedCorrelator], dim: int, *,
                    max_order: int | None = None) -> TruncatedHierarchy:
     """State with polynomially weighted orders W_l = (1 + s)^(alpha_l/2) (1 + s)^(-p_l/2).
 
-    Evaluation goes through the scaling engine's weighted path
-    (``scaling.weighted_correlator``), which runs a decaying weight,
-    p_l > alpha_l; weighted orders intentionally carry no momentum factors.
+    Evaluation goes through the scaling engine's heat-kernel tables, each
+    the radial chain of the order at R = sqrt(tau) (``scaling.heat_table``),
+    which run a decaying weight, p_l > alpha_l; weighted orders
+    intentionally carry no momentum factors.
     """
     weighted = {}
     for wc in correlators:
@@ -336,11 +348,12 @@ def goldstone_state(dim: int, singular_weight: float, infrared_exponent: float =
         raise ModelValidationError(
             f"infrared exponent s = {s} >= n = {dim}: spectral density not integrable"
         )
-
+    density = RadialWeight(singular_weight, -s, uv_cutoff)
+    check_autocorrelation(density)
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        factors={2: (RadialWeight(singular_weight, -s, uv_cutoff),)},
+        factors={2: (density,)},
         tags={2: DecayTag("goldstone", param=s)},
     )
 

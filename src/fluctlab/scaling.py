@@ -212,42 +212,21 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
 KERNEL_BLOCK = 64
 
 
-def _basis_blocks(n: int, rule: Rule1D):
-    """The column blocks B_j of the basis B of ``window_product``, KERNEL_BLOCK
-    support nodes each, one at a time: each N x KERNEL_BLOCK block is
-    evaluated and scaled when the caller asks for it.  A caller that drops
-    its block before the next one holds one block, never the N x M basis."""
+def _radial_kernel(n: int, rule: Rule1D) -> np.ndarray:
+    """K = B B^T of ``window_product``, built as the sum over column blocks
+    B_j of KERNEL_BLOCK support nodes of B_j B_j^T, each multiplied into one
+    N x N product, so the build holds K, that product and one N x
+    KERNEL_BLOCK block, never the N x M basis.  Every term is exactly
+    symmetric, and so is K."""
     s, w, f = support_rule(2.0 * rule.p_max)
     scale = np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
+    kernel, product = np.zeros((len(rule),) * 2), np.empty((len(rule),) * 2)
     for j in range(0, len(s), KERNEL_BLOCK):
         block = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s[j:j + KERNEL_BLOCK]))
         block *= scale[j:j + KERNEL_BLOCK]
-        yield block
-        del block  # so the next block's arguments never meet it
-
-
-def _radial_kernel(n: int, rule: Rule1D) -> np.ndarray:
-    """K = B B^T of ``window_product``, built as the sum over the column
-    blocks of ``_basis_blocks`` of B_j B_j^T, each multiplied into one N x N
-    product, so the build holds K, that product and one block.  Every term
-    is exactly symmetric, and so is K."""
-    size = len(rule)
-    kernel, product = np.zeros((size, size)), np.empty((size, size))
-    for block in _basis_blocks(n, rule):
         kernel += np.matmul(block, block.T, out=product)
-        del block
+        del block  # so the next block's arguments never meet it
     return kernel
-
-
-def _kernel_times(n: int, rule: Rule1D, u: np.ndarray) -> np.ndarray:
-    """K u for the kernel K = B B^T of ``window_product`` and an (N, T) array
-    u, without K: the sum over the column blocks of ``_basis_blocks`` of
-    B_j (B_j^T u), so it holds two (N, T) arrays and one block."""
-    out = np.zeros_like(u)
-    for block in _basis_blocks(n, rule):
-        out += block @ (block.T @ u)
-        del block
-    return out
 
 
 def _angle_panels(p_max: float) -> int:
@@ -379,30 +358,23 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     grid length, up to the 4,096 radii of a config's ``r_grid``; only the
     values and their cache keys grow with the grid.
 
-    A weighted order takes no ``qmode`` offsets and runs on the graded rule:
-    W_l = (1 + s)^(-beta/2) is a superposition of Gaussians only for
-    beta = p - alpha_l > 0, and its table holds (N, TAU_BLOCK) arrays and
-    never the N x N kernel (``_heat_table``).  Computes no quadrature, so
-    parsing runs it.
+    A weighted order runs the same chain (``heat_table``) on the graded
+    rule and takes no ``qmode`` offsets: W_l = (1 + s)^(-beta/2) is a
+    superposition of Gaussians only for beta = p - alpha_l > 0.  Computes
+    no quadrature, so parsing runs it.
     """
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
     n = state.dim
     weight = state.weighted_orders.get(order)
-    if weight is None:
-        rule = cfg.quad_for(n, singular=state.tag(2).kind in ("l2", "goldstone"))
-        widths = [1] + ([len(rule)] if order > 2 else [])
-    elif qmode:
+    if weight is not None and qmode:
         raise UnsupportedModeError(f"weighted order {order} takes no q-mode offsets")
-    elif not weight.decay > 0:
+    if weight is not None and not weight.decay > 0:
         raise InvalidArgumentError(
             f"weighted order {order} has power <= alpha: (1 + s)^(-beta/2) with beta = {weight.decay} "
             "does not decay and is no superposition of Gaussians")
-    else:
-        rule = cfg.quad_for(n, singular=True)
-        widths = [TAU_BLOCK]
-    if order > 2:
-        widths.append(support_rule_size(2.0 * rule.p_max))
+    rule = cfg.quad_for(n, singular=weight is not None or state.tag(2).kind in ("l2", "goldstone"))
+    widths = [1] + ([len(rule), support_rule_size(2.0 * rule.p_max)] if order > 2 else [])
     if qmode:
         widths.append(2 if n == 1 else SUPPORT_PANEL_NODES * _angle_panels(rule.p_max))
     _check_points(len(rule) * max(widths), f"the order-{order} radial chain array",
@@ -876,8 +848,6 @@ def weighted_gamma(dim: int, alpha2: float) -> float:
 #: closure's share; the graded chain rule resolves the Gaussian factors
 #: down to about tau = e^-20
 TAU_RULE = (-18.0, 22.0, 40, 10)
-#: tau nodes per block of ``_heat_table``
-TAU_BLOCK = 64
 #: the largest share of the Gamma(beta/2) weight of ``_heat_sum`` that the
 #: top of the tau rule may cut off
 TAU_CUTOFF = 1e-15
@@ -889,34 +859,26 @@ def heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.n
     (``_kept_array``).
 
     G_l(tau) = integral over (R^n)^(l-1) of exp(-tau sum |z_i|^2) g_l(z) dz,
-    with g_l the overlap of l windows at R = 1, is the radial chain
-    (``radial_chain``) at R = 1 with l - 1 Gaussian factors
-    (pi/tau)^(n/2) exp(-|q|^2/(4 tau)), the plain transform of
-    exp(-tau |y|^2), times C_l of the module formula.  It depends on n, l,
-    the window and the rules alone, not on alpha, beta or R.
+    with g_l the overlap of l windows at R = 1, is C_l times the chain with
+    l - 1 factors (pi/tau)^(n/2) exp(-|q|^2/(4 tau)), the plain transform of
+    exp(-tau |y|^2): ``radial_chain`` at R = sqrt(tau) with the factor
+    exp(-u^2/4) of u = |q|/R (``_gaussian``).  It depends on n, l, the
+    window and the rules alone, not on alpha, beta or R.
     """
     return _kept_array("heat", profile, f"heat_n{n}_o{order}_p", rule, (TAU_RULE[2] * TAU_RULE[3],),
                        lambda: _heat_table(profile, n, order, rule))
 
 
+def _gaussian(u):
+    """The Gaussian factor of ``heat_table``."""
+    return np.exp(-0.25 * u * u)
+
+
 def _heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.ndarray:
-    """G_l of ``heat_table``, TAU_BLOCK values of tau at a time.  A block
-    runs the chain on (N, TAU_BLOCK) arrays, v = fhat phi and then
-    v <- K (v w r^(n-1)) phi l - 2 times, with K applied without being
-    formed (``_kernel_times``), so the build never holds an N x N array."""
+    """G_l of ``heat_table``, its constants (pi/tau)^(n/2) and C_l taken out of the chain."""
     tau = np.exp(panel_rule(*TAU_RULE)[0])
-    fhat, measure = _radial_nodes(profile, n, rule)
-    r2 = rule.nodes ** 2
-    const = (2.0 * pi) ** (n * (2 - order) / 2.0) * unit_sphere_area(n)
-    table = np.empty(len(tau))
-    for j in range(0, len(tau), TAU_BLOCK):
-        t = tau[j:j + TAU_BLOCK]
-        gauss = (pi / t) ** (n / 2.0) * np.exp(np.multiply.outer(r2, -0.25 / t))
-        v = fhat[:, None] * gauss
-        for _ in range(order - 2):
-            v = _kernel_times(n, rule, v * measure[:, None]) * gauss
-        table[j:j + TAU_BLOCK] = const * ((fhat * measure) @ v)
-    return table
+    chain = radial_chain(profile, n, rule, (_gaussian,) * (order - 1), np.sqrt(tau)).real
+    return (2.0 * pi) ** (n * (2 - order) / 2.0) * (pi / tau) ** (n * (order - 1) / 2.0) * chain
 
 
 def _upper_gamma_bound(a: float, x: float) -> float:

@@ -56,14 +56,14 @@ from .quadrature import gauss_legendre_edges, gauss_legendre_panels
 #: the format version in the name of every file of the window cache: the
 #: profile tables of ``load_or_build``, the chain kernels of
 #: ``scaling.window_product``, the heat-kernel tables of
-#: ``scaling.heat_table`` and the folded overlaps of
-#: ``scaling.window_overlap_1d``.  Any change to the window's shape
+#: ``scaling.heat_table`` (radial chains since 13) and the folded overlaps
+#: of ``scaling.window_overlap_1d``.  Any change to the window's shape
 #: (``_profile_evaluator``), to ``make_profile``'s table, to ``support_rule``,
 #: to the kernel, the heat-kernel table or the overlap formula, to the ln tau
 #: rule of the tables (``scaling.TAU_RULE``) or to the overlap's u rule
 #: (``scaling.U_RULE``) must bump it, so that no file of the old content is
 #: read
-CACHE_FORMAT_VERSION = 12
+CACHE_FORMAT_VERSION = 13
 
 # geometry of the mollified step: indicator of the ball of radius STEP_EDGE
 # convolved with a bump of half-width BUMP_HALFWIDTH, so the plateaus are

@@ -188,6 +188,24 @@ class TestAcceptance:
         _announce("09c", "weighted regime at n = 3: orders 2-4 scale as "
                          "R^(l (n - gamma) - min(beta, (l-1) n)), order 2 finite at p = n")
 
+    def test_09d_weighted_n2(self, reports):
+        # n = 2, orders 2-6 from heat-kernel tables on the J_0 chain kernel:
+        # alpha_l = 0 sets gamma = n/2, and p = 1.5 < n keeps beta below
+        # (l - 1) n, so each order diverges as R^(l (n - gamma) - beta)
+        entry = reports["criterion_09d_weighted_n2"]
+        res = entry["report"].results[0]
+        n = 2
+        weights = {o["order"]: o for o in entry["config"].model_block["orders"]}
+        assert sorted(weights) == [2, 3, 4, 5, 6]
+        assert res["gamma"] == pytest.approx(n / 2.0)
+        for order, spec in weights.items():
+            beta = spec["factor"]["power"] - spec["alpha"]
+            assert beta < n <= (order - 1) * n, order
+            sweep = _sweep(entry["report"], order)
+            assert sweep["verdict"] == "diverging", order
+            assert sweep["exponent"] == pytest.approx(order * (n - res["gamma"]) - beta, abs=0.1), order
+        _announce("09d", "weighted regime at n = 2: orders 2-6 diverge as R^(l (n - gamma) - beta)")
+
     def test_10_ssb_scaling(self, reports):
         entry = reports["criterion_10_ssb"]
         res = entry["report"].results[0]

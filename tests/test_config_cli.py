@@ -363,6 +363,11 @@ CONTRACT_CASES = {
     # inf times the cutoff's 0 beyond 2 k_cut is NaN
     "cross density exponent 1e300": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 0.25, "exponent": 1e300}),
                                       "analyses": [{"kind": "ssb-bound"}]}, 4),
+    # c |k|^300 overflows below the cutoff, and inf times its 0 is NaN
+    "goldstone-spectrum s = -300": ({"model": {"class": "goldstone-spectrum", "dim": 1, "c": 1.0, "s": -300.0},
+                                     "analyses": [{"kind": "qmode", "q_values": [0]}]}, 4),
+    "goldstone-spectrum c < 0": ({"model": {"class": "goldstone-spectrum", "dim": 1, "c": -1.0, "s": 0.5},
+                                  "analyses": [{"kind": "qmode", "q_values": [0]}]}, 4),
     "cross density exponent -1e300": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 0.25, "exponent": -1e300}),
                                        "analyses": [{"kind": "ssb-bound"}]}, 4),
     # weighted orders run from heat-kernel tables on the chain, at every order of it
@@ -376,11 +381,18 @@ CONTRACT_CASES = {
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
         {"order": 3, "alpha": 2.0, "factor": {"form": "bessel-power", "power": 1.5}}]},
         "analyses": [{"kind": "scaling-sweep", "orders": [2, 3]}]}, 2),
-    # the order-3 table applies the kernel of an N x M basis, 32 x 10**7 points here
+    # the order-3 table runs on the chain kernel, whose build evaluates an N x M basis,
+    # 32 x 10**7 points here
     "weighted order 3, huge p_max": ({"model": {"class": "weighted", "dim": 2, "orders": [
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}},
         {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
         "numeric": {"quad": {"2": [1e6, 8, 4, 0]}},
+        "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 2),
+    # a weighted order 3 runs on the N x N chain kernel: N = (1,000 + 16) x 10 here
+    "weighted order 3, 10,160-node rule": ({"model": {"class": "weighted", "dim": 1, "orders": [
+        {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
+        {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
+        "numeric": {"quad": {"1": [120.0, 1000, 10, 16]}},
         "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 2),
     # the joint power is the one weighted factor form, with power its one number
     "weighted gaussian form": (weighted_case({"form": "gaussian"}), 2),
@@ -427,6 +439,9 @@ CONTRACT_MESSAGES = {"weighted gaussian form": "factor.form",
                      "factor.power is required", "weighted power at alpha": "does not decay",
                      "weighted order 3 power below alpha": "does not decay",
                      "weighted order 3, huge p_max": "radial chain array",
+                     "weighted order 3, 10,160-node rule": "103225600 points exceeds",
+                     "goldstone-spectrum s = -300": "not finite on the sample grid",
+                     "goldstone-spectrum c < 0": "violates positivity",
                      "oracle at n = 2": "n = 1 only",
                      "oracle with no order in 2..3": "oracle_check_r_max needs an order in 2..3",
                      "spectral-vector with empty samples": "at least one sample",
@@ -440,7 +455,7 @@ CONTRACT_MESSAGES = {"weighted gaussian form": "factor.form",
 
 #: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3, the
 #: folded overlaps of the oracle (04) and the heat-kernel tables of the
-#: weighted orders (09a)
+#: weighted orders (09a), whose order 3 builds the kernel of the graded rule
 CACHE_CONFIGS = ("criterion_01_normal_scaling", "criterion_02_limit_two_point", "criterion_04_oracle",
                  "criterion_09a_weighted_boundary", "criterion_12a_high_order_n2",
                  "criterion_12b_high_order_n3")
@@ -475,8 +490,10 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
     cache = tmp_path / "cache"
     monkeypatch.setenv("FLUCTLAB_CACHE", str(cache))
     cold = run_all("cold")
-    assert sorted(p.name for p in cache.glob("chain_*.npy")) == [
-        f"chain_n{n}_p120.0_48_10_0_v{CACHE_FORMAT_VERSION}.npy" for n in (1, 2, 3)]
+    # the default rule of n = 1, 2, 3 and the graded rule of the weighted order 3 at n = 1
+    assert sorted(p.name for p in cache.glob("chain_*.npy")) == sorted(
+        [f"chain_n{n}_p120.0_48_10_0_v{CACHE_FORMAT_VERSION}.npy" for n in (1, 2, 3)]
+        + [f"chain_n1_p120.0_48_10_16_v{CACHE_FORMAT_VERSION}.npy"])
     # the oracle's orders 2 and 3 on oracle_z_rule()
     assert sorted(p.name for p in cache.glob("overlap_*.npy")) == [
         f"overlap_n1_o{order}_z5.0_24_10_6_v{CACHE_FORMAT_VERSION}.npy" for order in (2, 3)]
@@ -485,7 +502,7 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
         f"heat_n1_o{order}_p120.0_48_10_16_v{CACHE_FORMAT_VERSION}.npy" for order in (2, 3)]
     # beside the three tables nothing else, no pair_overlap_* file
     assert sorted(p.name.split("_")[0] for p in cache.iterdir()) == (
-        ["chain"] * 3 + ["heat"] * 2 + ["overlap"] * 2 + ["window"] * 3)
+        ["chain"] * 4 + ["heat"] * 2 + ["overlap"] * 2 + ["window"] * 3)
     monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
     monkeypatch.setattr(scaling, "_folded_rows", _no_overlap_build)
     monkeypatch.setattr(scaling, "_heat_table", _no_heat_build)
@@ -504,7 +521,7 @@ _RUN_ALL = ("import sys; from fluctlab import cli, scaling\n"
 
 
 def test_reports_do_not_depend_on_blas_threads(tmp_path):
-    # the 17 criterion configs and the n = 2 benchmark config at one and at
+    # the 18 criterion configs and the n = 2 benchmark config at one and at
     # two BLAS threads, each with a cold window cache and then with the cache
     # the other thread count wrote: every report has the same bytes
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -518,7 +535,7 @@ def test_reports_do_not_depend_on_blas_threads(tmp_path):
 
     reports = [run_all("cold1", "1", "cache1"), run_all("cold2", "2", "cache2"),
                run_all("warm1", "1", "cache2"), run_all("warm2", "2", "cache1")]
-    assert len(reports[0]) == len(CHECKED_IN) == 18
+    assert len(reports[0]) == len(CHECKED_IN) == 19
     for other in reports[1:]:
         assert other == reports[0]
 
@@ -651,6 +668,20 @@ class TestValidateRunContract:
         assert cli.main(["run", str(path)]) == 3
         assert "order-2 sweep is not finite at R = 8.0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_steep_powerlaw_density_is_finite(self, tmp_path, cache_dir, monkeypatch):
+        # at beta = 150, K_nu(r) overflows below r = 4.5e-3 while r^nu does
+        # not: the density's series takes over there, with no warning
+        path = tmp_path / "steep.json"
+        path.write_text(cfg_text({"model": {"class": "powerlaw", "dim": 1, "beta": 150.0}, "analyses": SWEEP,
+                                  "output": {"directory": str(tmp_path / "out")}}))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", str(path)]) == 0
+            assert cli.main(["run", str(path)]) == 0
+        [sweep] = json.loads((tmp_path / "out" / "report.json").read_text())["results"][0]["sweeps"]
+        assert all(0.59 < v < 0.6 for v in sweep["abs_values"]) and sweep["verdict"] == "finite-nonzero"
 
     def test_oracle_skips_orders_beyond_the_position_path(self, tmp_path, cache_dir, monkeypatch):
         # orders 2..4 are swept; the oracle checks orders 2 and 3, the ones the position path runs

@@ -154,19 +154,21 @@ def test_window_build_loads_no_scipy(dim):
 
 def test_warm_run_loads_no_scipy(tmp_path):
     # J_0 is read only where the n = 2 chain kernel is built: the cold run
-    # of an order-3 config imports scipy, the warm one reads the kernel
-    # from the window cache and does not
+    # of an order-3 config, or of the weighted orders 2-6 of 09d, whose
+    # heat-kernel tables run on that chain, imports scipy; the warm one
+    # reads the kernel or the tables from the window cache and does not
     config = tmp_path / "n2.json"
     config.write_text(json.dumps({
         "model": {"class": "product-ansatz", "dim": 2, "orders": {"3": [{}, {"width": 1.3}]}},
-        "analyses": [{"kind": "scaling-sweep", "orders": [3]}],
-        "output": {"directory": str(tmp_path / "out")}}))
-    probe = ("import sys; from fluctlab import cli; "
-             f"assert cli.main(['run', {str(config)!r}]) == 0; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(Path(fluctlab.__file__).parent.parent),
-           "FLUCTLAB_CACHE": str(tmp_path / "cache")}
-    cold, warm = (subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                                 env=env).stdout.splitlines()[-1] for _ in range(2))
-    assert "'scipy.special'" in cold
-    assert warm == "[]"
+        "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}))
+    weighted = Path(__file__).resolve().parent.parent / "configs" / "criterion_09d_weighted_n2.json"
+    for path in (config, weighted):
+        probe = ("import sys; from fluctlab import cli; "
+                 f"assert cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(fluctlab.__file__).parent.parent),
+               "FLUCTLAB_CACHE": str(tmp_path / path.stem)}
+        cold, warm = (subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                                     env=env).stdout.splitlines()[-1] for _ in range(2))
+        assert "'scipy.special'" in cold, path.stem
+        assert warm == "[]", path.stem

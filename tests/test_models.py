@@ -122,6 +122,23 @@ class TestPowerlaw:
         slope = np.polyfit(np.log(ks), np.log(tp(ks)), 1)[0]
         assert slope == pytest.approx(0.75 - 1.0, abs=0.05)
 
+    @pytest.mark.parametrize("beta", [90.0, 150.0, 250.0])
+    def test_series_meets_the_closed_form_where_bessel_k_overflows(self, beta):
+        # K_nu overflows below a radius r0 (4.7e-6, 4.5e-3 and 0.33); the
+        # series below r0 meets the closed form above it to the closed form's
+        # own 1.5e-13, where the leading two terms alone miss by 2.4e-8 at beta = 250
+        from scipy.special import kv
+
+        lo, hi = 1e-9, 1.0
+        for _ in range(200):
+            mid = np.sqrt(lo * hi)
+            lo, hi = (mid, hi) if np.isinf(kv((1.0 - beta) / 2.0, mid)) else (lo, mid)
+        tp = powerlaw_two_point(beta, 1)
+        below, above = tp(np.array([lo, hi]))
+        assert np.isinf(kv((1.0 - beta) / 2.0, lo)) and abs(below / above - 1.0) <= 1e-12
+        values = tp(np.geomspace(1e-9, 1.0, 200))
+        assert values.min() > 0.0 and np.all(np.diff(values) <= 0.0)
+
     def test_classification(self):
         assert powerlaw_state(0.75, 1).tag(2).kind == "l2"
         assert not powerlaw_state(0.75, 1).tag(2).boundary

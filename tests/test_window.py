@@ -240,7 +240,7 @@ class TestPlateauAndEdge:
         args = dict(k_max=40.0, k_resolution=1024)
         fresh = load_or_build(2, cache_dir=tmp_path, **args)
         (path,) = tmp_path.glob("*.npy")
-        assert path.name.endswith(f"_v{CACHE_FORMAT_VERSION}.npy") and CACHE_FORMAT_VERSION == 12
+        assert path.name.endswith(f"_v{CACHE_FORMAT_VERSION}.npy") and CACHE_FORMAT_VERSION == 13
         table = path.read_bytes()
         damage = {
             "truncated": lambda: path.write_bytes(table[:-8]),
