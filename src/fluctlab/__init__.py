@@ -39,7 +39,6 @@ from .models import (
     gaussian_state,
     goldstone_state,
     powerlaw_state,
-    powerlaw_two_point,
     product_ansatz_state,
     weighted_state,
 )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import gamma as _gamma_fn
 from math import comb, pi
 from typing import Callable, Mapping, Sequence
 
@@ -76,8 +75,9 @@ class TruncatedHierarchy:
     position form takes the radii |y_i|, one array per difference variable,
     so at n = 1 it is even in each variable.  The position-space path
     (``scaling.position_space_correlator``) relies on that to run on a
-    half-line z rule.  A weighted order carries neither a factor nor a
-    position form: it is plain data (``WeightedCorrelator``).
+    half-line z rule.  A weighted order carries no factor: it is plain data
+    (``WeightedCorrelator``), and only the powerlaw's order 2 has a position
+    form too.
     """
 
     dim: int
@@ -204,41 +204,13 @@ def product_ansatz_state(profiles: Mapping[int, Sequence], dim: int, *,
                               tags=tags, position_forms=position_forms)
 
 
-def powerlaw_two_point(beta: float, dim: int) -> Callable:
-    """Plain transform of (1 + |y|^2)^(-beta/2) on R^n (Bessel-K closed form),
-    as a function of the radius |k|.
-
-    Behaves like |k|^(beta - n) near k = 0 when beta < n (singular,
-    discontinuous at the origin) and is finite there for beta > n; where
-    K_nu overflows (r < 4.5e-3 at beta = 150, n = 1) it is the series
-    at_zero sum_k (-r^2/4)^k / (k! (nu-1)...(nu-k)), nu = (beta - n)/2.
-    """
-    from scipy.special import kv
-
-    nu = (dim - beta) / 2.0
-    const = (2.0 * pi) ** (dim / 2.0) * 2.0 ** (1.0 - beta / 2.0) / _gamma_fn(beta / 2.0)
-    at_zero = np.inf
-    if beta > dim:
-        at_zero = pi ** (dim / 2.0) * _gamma_fn((beta - dim) / 2.0) / _gamma_fn(beta / 2.0)
-
-    def two_point(r):
-        r = np.asarray(r, dtype=float)
-        safe = np.where(r > 0, r, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.where(r > 0, const * safe ** ((beta - dim) / 2.0) * kv(nu, safe), at_zero)
-        lost, k = ~np.isfinite(out) & (beta > dim), 0
-        out[lost] = term = np.full(np.count_nonzero(lost), at_zero)
-        while k + 1 < -nu and np.any(np.abs(term) > 1e-17 * at_zero):
-            k += 1
-            term *= -0.25 * r[lost] ** 2 / (k * (-nu - k))
-            out[lost] += term
-        return out
-
-    return two_point
-
-
 def powerlaw_state(beta: float, dim: int, *, max_order: int = MAX_ORDER) -> TruncatedHierarchy:
-    """Two-point state with position decay |y|^(-beta): L2-class for n/2 < beta <= n."""
+    """Two-point state W_2 = (1 + |y|^2)^(-beta/2): L2-class for n/2 < beta <= n.
+
+    Its order 2 is the order-2 joint power with alpha_2 = 0, which the
+    scaling engine runs on its heat-kernel table (``scaling.heat_table``);
+    the position form stays for the oracle.
+    """
     if beta <= dim / 2.0:
         raise ModelValidationError(
             f"beta = {beta} <= n/2: not square-integrable clustering; "
@@ -255,9 +227,10 @@ def powerlaw_state(beta: float, dim: int, *, max_order: int = MAX_ORDER) -> Trun
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
-        factors={2: (powerlaw_two_point(beta, dim),)},
+        factors={},
         tags={2: tag},
         position_forms={2: position},
+        weighted_orders={2: WeightedCorrelator(2, 0.0, beta)},
     )
 
 

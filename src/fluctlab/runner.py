@@ -124,7 +124,6 @@ def _check_scaling_sweep(params, cfg, model, model_class):
             raise ConfigError(f"oracle_check_r_max needs an order in 2..{MAX_POSITION_ORDER} to check")
         for order in orders:
             check_position(model.dim, order)
-            model.order_factors(order)
             model.position_form(order)
 
 
@@ -136,7 +135,7 @@ def _run_scaling_sweep(params, cfg, model, window):
         out["alpha_bisection"] = {"alpha_star": alpha, "bracket": [lo, hi]}
     else:
         alpha = cfg.alpha_for(model)
-    if model.weighted_orders:
+    if any(tag.kind == "weighted" for tag in model.tags.values()):
         # the weight exponent alpha_l at which each order's sweep is marginal
         out["gamma"] = alpha
         out["order_bounds"] = {str(o): o * alpha - model.dim for o in params["orders"]}
@@ -354,14 +353,16 @@ def _run_gap_check(params, cfg, model, window):
     return out
 
 
-_SPECTRAL_MODELS = ("gaussian", "product-ansatz", "powerlaw", "goldstone-spectrum")
+#: the models whose orders all run on factors; the powerlaw's order 2 and the
+#: weighted orders run on heat-kernel tables, which take no q-mode offsets
+_SPECTRAL_MODELS = ("gaussian", "product-ansatz", "goldstone-spectrum")
 _ORDER = Int(2, MAX_ORDER)
 
 ANALYSES = {
     "scaling-sweep": Analysis(
         {"orders": (Arr(_ORDER), [2]), "oracle_check_r_max": (Num(positive=True), OPTIONAL),
          "bisect_bracket": (Arr((Num(), Num())), OPTIONAL)},
-        _SPECTRAL_MODELS + ("weighted",), _run_scaling_sweep, _check_scaling_sweep),
+        _SPECTRAL_MODELS + ("powerlaw", "weighted"), _run_scaling_sweep, _check_scaling_sweep),
     "qmode": Analysis(
         {"order": (_ORDER, 2), "q_values": (Arr(Num()), [0.0]),
          "net_offsets": (Arr(Arr((Num(), Num()))), [])},

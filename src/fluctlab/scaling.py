@@ -358,10 +358,16 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     grid length, up to the 4,096 radii of a config's ``r_grid``; only the
     values and their cache keys grow with the grid.
 
-    A weighted order runs the same chain (``heat_table``) on the graded
-    rule and takes no ``qmode`` offsets: W_l = (1 + s)^(-beta/2) is a
-    superposition of Gaussians only for beta = p - alpha_l > 0.  Computes
-    no quadrature, so parsing runs it.
+    A weighted order, the powerlaw's order 2 among them, runs the same
+    chain (``heat_table``) on the graded rule and takes no ``qmode``
+    offsets: W_l = (1 + s)^(-beta/2) is a superposition of Gaussians only
+    for beta = p - alpha_l > 0.  The weight's peak is about 1/sqrt(beta/2)
+    wide in ln tau, so at a large beta it slips between the nodes of
+    TAU_RULE: at each radius of the grid that the rule holds, its sum of the
+    weight with the closure's share, 1 in the integral, must lie within
+    eps_vanish/10 of 1 (the sum's miss tracks the value's error); a radius
+    beyond the rule stops the run (``_heat_sum``).  Computes no quadrature,
+    so parsing runs it.
     """
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
@@ -373,7 +379,16 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
         raise InvalidArgumentError(
             f"weighted order {order} has power <= alpha: (1 + s)^(-beta/2) with beta = {weight.decay} "
             "does not decay and is no superposition of Gaussians")
-    rule = cfg.quad_for(n, singular=weight is not None or state.tag(2).kind in ("l2", "goldstone"))
+    if weight is not None:
+        for radius in cfg.validate_r_grid():
+            parts = _gamma_density(weight.decay / 2.0, radius)
+            miss = 0.0 if parts is None else abs(panel_rule(*TAU_RULE)[1] @ parts[0] + parts[1] - 1.0)
+            if miss > cfg.eps_vanish / 10.0:
+                raise NumericalAccuracyError(
+                    f"the heat-kernel tau rule TAU_RULE = {TAU_RULE} sums the Gamma(beta/2) weight at beta = "
+                    f"{weight.decay} to {miss:.3e} off 1 at R = {radius:g}, beyond eps_vanish/10 = "
+                    f"{cfg.eps_vanish / 10.0:.3e}", bound=miss)
+    rule = cfg.quad_for(n, singular=weight is not None or state.tag(2).kind == "goldstone")
     widths = [1] + ([len(rule), support_rule_size(2.0 * rule.p_max)] if order > 2 else [])
     if qmode:
         widths.append(2 if n == 1 else SUPPORT_PANEL_NODES * _angle_panels(rule.p_max))
@@ -929,24 +944,31 @@ def _heat_sum(state: TruncatedHierarchy, profile: WindowProfile, order: int, alp
     n = state.dim
     table = heat_table(profile, n, order, rule)
     a = state.weighted_orders[order].decay / 2.0
-    log_tau, weights = panel_rule(*TAU_RULE)
-    tau = np.exp(log_tau)
-    summand = weights * table
+    summand = panel_rule(*TAU_RULE)[1] * table
     at_zero = profile.volume_integral() ** order
-    lo, hi = TAU_RULE[:2]
 
     def value(radius):
-        log_r2 = 2.0 * log(radius)
-        top = exp(hi - log_r2)
-        if log_r2 < lo or top <= max(a - 1.0, 0.0) or _upper_gamma_bound(a, top) > TAU_CUTOFF:
+        parts = _gamma_density(a, radius)
+        if parts is None:
             raise NumericalAccuracyError(
-                f"radius {radius} lies beyond the heat-kernel tau rule [e^{lo:g}, e^{hi:g}] "
+                f"radius {radius} lies beyond the heat-kernel tau rule [e^{TAU_RULE[0]:g}, e^{TAU_RULE[1]:g}] "
                 f"at beta = {2.0 * a}")
-        body = summand @ np.exp(a * (log_tau - log_r2) - tau / radius ** 2 - lgamma(a))
-        closure = at_zero * _lower_gamma_ratio(a, exp(lo - log_r2))
-        return complex(radius ** (order * (n - alpha)) * (body + closure))
+        return complex(radius ** (order * (n - alpha)) * (summand @ parts[0] + at_zero * parts[1]))
 
     return lambda radii: [value(radius) for radius in radii]
+
+
+def _gamma_density(a: float, radius: float):
+    """The Gamma(a) density of sigma = tau/R^2 in ln tau at the nodes of
+    TAU_RULE and its share P(a, tau_0/R^2) below the rule, which the closure
+    carries; None where the rule does not hold the weight (``_heat_sum``)."""
+    log_tau = panel_rule(*TAU_RULE)[0]
+    log_r2 = 2.0 * log(radius)
+    top = exp(TAU_RULE[1] - log_r2)
+    if log_r2 < TAU_RULE[0] or top <= max(a - 1.0, 0.0) or _upper_gamma_bound(a, top) > TAU_CUTOFF:
+        return None
+    return (np.exp(a * (log_tau - log_r2) - np.exp(log_tau) / radius ** 2 - lgamma(a)),
+            _lower_gamma_ratio(a, exp(TAU_RULE[0] - log_r2)))
 
 
 def weighted_correlator(state: TruncatedHierarchy, profile: WindowProfile,

@@ -321,7 +321,14 @@ CONTRACT_CASES = {
         {"kind": "qmode", "numeric": {"eps_vanish": "1e-3"}}]}, 2),
     "string nan eps_vanish": ({"model": GAUSS, "numeric": {"eps_vanish": "nan"}, "analyses": SWEEP}, 2),
     "NaN literal": ('{"model": {"class": "powerlaw", "beta": NaN}}', 2),
-    "overflowing powerlaw beta": ({"model": {"class": "powerlaw", "beta": 400.0}}, 2),
+    # the tau rule of the heat-kernel sum cannot resolve the Gamma(beta/2) weight
+    # of a steep joint power: on the default grid its certificate fails from beta = 32
+    "overflowing powerlaw beta": ({"model": {"class": "powerlaw", "beta": 400.0}, "analyses": SWEEP}, 2),
+    "weighted order 2, p - alpha = 150": (weighted_case(dict(BESSEL, power=150.5)), 2),
+    "powerlaw beta = 30": ({"model": {"class": "powerlaw", "dim": 1, "beta": 30.0}, "analyses": SWEEP}, 0),
+    # the powerlaw's order 2 runs on its heat-kernel table, which takes no offsets
+    "powerlaw q-mode": ({"model": {"class": "powerlaw", "dim": 1, "beta": 0.75},
+                         "analyses": [{"kind": "qmode"}]}, 2),
     "misspelled analysis numeric key": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"eps_vanihs": 1e-3}}]}, 2),
     "dim 4": ({"model": dict(GAUSS, dim=4), "analyses": SWEEP}, 2),
@@ -403,6 +410,8 @@ CONTRACT_CASES = {
     "weighted order 2 at n = 2": (weighted_case(dim=2), 0),
     "oracle at n = 2": ({"model": dict(GAUSS, dim=2), "analyses": [
         {"kind": "scaling-sweep", "orders": [2], "oracle_check_r_max": 8}]}, 2),
+    "oracle on a weighted model": (dict(weighted_case(), analyses=[
+        {"kind": "scaling-sweep", "orders": [2], "oracle_check_r_max": 8}]), 2),
     # an oracle with no order of the position path would check nothing
     "oracle with no order in 2..3": ({"model": {"class": "product-ansatz", "dim": 1, "orders": {
         "4": [{}, {}, {}]}}, "analyses": [{"kind": "scaling-sweep", "orders": [4], "oracle_check_r_max": 8}]}, 2),
@@ -443,6 +452,9 @@ CONTRACT_MESSAGES = {"weighted gaussian form": "factor.form",
                      "goldstone-spectrum s = -300": "not finite on the sample grid",
                      "goldstone-spectrum c < 0": "violates positivity",
                      "oracle at n = 2": "n = 1 only",
+                     "oracle on a weighted model": "no position-space form available for order 2",
+                     "overflowing powerlaw beta": "TAU_RULE", "weighted order 2, p - alpha = 150": "TAU_RULE",
+                     "powerlaw q-mode": "incompatible with model class 'powerlaw'",
                      "oracle with no order in 2..3": "oracle_check_r_max needs an order in 2..3",
                      "spectral-vector with empty samples": "at least one sample",
                      "alpha_mode canon": "unknown keys in numeric: alpha_mode",
@@ -669,19 +681,33 @@ class TestValidateRunContract:
         assert "order-2 sweep is not finite at R = 8.0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_steep_powerlaw_density_is_finite(self, tmp_path, cache_dir, monkeypatch):
-        # at beta = 150, K_nu(r) overflows below r = 4.5e-3 while r^nu does
-        # not: the density's series takes over there, with no warning
+    def test_steep_powerlaw_density_is_finite(self, tmp_path, cache_dir, monkeypatch, capsys):
+        # at beta = 150 the Gamma(75) weight of the heat-kernel sum is about
+        # 0.12 wide in ln tau, too narrow for the tau rule: its certificate
+        # stops both commands, with no warning, where the value would be 1.5e-4 off
         path = tmp_path / "steep.json"
         path.write_text(cfg_text({"model": {"class": "powerlaw", "dim": 1, "beta": 150.0}, "analyses": SWEEP,
                                   "output": {"directory": str(tmp_path / "out")}}))
         monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main(["validate", str(path)]) == 0
-            assert cli.main(["run", str(path)]) == 0
-        [sweep] = json.loads((tmp_path / "out" / "report.json").read_text())["results"][0]["sweeps"]
-        assert all(0.59 < v < 0.6 for v in sweep["abs_values"]) and sweep["verdict"] == "finite-nonzero"
+            assert cli.main(["validate", str(path)]) == 2
+            assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.count("TAU_RULE") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_powerlaw_oracle_meets_the_heat_path(self, tmp_path, cache_dir, monkeypatch):
+        # the powerlaw's order 2 runs on its heat-kernel table and keeps its
+        # position form, which the oracle reads
+        path = tmp_path / "powerlaw.json"
+        path.write_text(cfg_text({"model": {"class": "powerlaw", "dim": 1, "beta": 0.75}, "analyses": [
+            {"kind": "scaling-sweep", "orders": [2], "oracle_check_r_max": 16}],
+            "output": {"directory": str(tmp_path / "out")}}))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["run", str(path)]) == 0
+        oracle = json.loads((tmp_path / "out" / "report.json").read_text())["results"][0]["oracle_check"]
+        assert [row["radius"] for row in oracle["rows"]] == [8.0, 14.4915786282]
+        assert oracle["max_rel_deviation"] <= 1e-8
 
     def test_oracle_skips_orders_beyond_the_position_path(self, tmp_path, cache_dir, monkeypatch):
         # orders 2..4 are swept; the oracle checks orders 2 and 3, the ones the position path runs

@@ -130,8 +130,8 @@ def test_settable_values_are_pinned():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.special alone is most of the package's import time; J_0 and K_nu
-    # import it where they are read, and nothing else needs scipy
+    # scipy.special alone is most of the package's import time; J_0 of the
+    # n = 2 kernel imports it where it is read, and nothing else needs scipy
     probe = "import sys, fluctlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(fluctlab.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
@@ -156,13 +156,16 @@ def test_warm_run_loads_no_scipy(tmp_path):
     # J_0 is read only where the n = 2 chain kernel is built: the cold run
     # of an order-3 config, or of the weighted orders 2-6 of 09d, whose
     # heat-kernel tables run on that chain, imports scipy; the warm one
-    # reads the kernel or the tables from the window cache and does not
+    # reads the kernel or the tables from the window cache and does not.
+    # The n = 1 powerlaw of 08 runs on its heat-kernel table, cold or warm
     config = tmp_path / "n2.json"
     config.write_text(json.dumps({
         "model": {"class": "product-ansatz", "dim": 2, "orders": {"3": [{}, {"width": 1.3}]}},
         "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}))
-    weighted = Path(__file__).resolve().parent.parent / "configs" / "criterion_09d_weighted_n2.json"
-    for path in (config, weighted):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    weighted = configs / "criterion_09d_weighted_n2.json"
+    powerlaw = configs / "criterion_08_l2_bisection.json"
+    for path in (config, weighted, powerlaw):
         probe = ("import sys; from fluctlab import cli; "
                  f"assert cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -170,5 +173,5 @@ def test_warm_run_loads_no_scipy(tmp_path):
                "FLUCTLAB_CACHE": str(tmp_path / path.stem)}
         cold, warm = (subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                                      env=env).stdout.splitlines()[-1] for _ in range(2))
-        assert "'scipy.special'" in cold, path.stem
+        assert ("'scipy.special'" in cold) == (path != powerlaw), path.stem
         assert warm == "[]", path.stem

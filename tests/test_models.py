@@ -12,12 +12,13 @@ from fluctlab.models import (
     gaussian_state,
     goldstone_state,
     powerlaw_state,
-    powerlaw_two_point,
     product_ansatz_state,
     smooth_cutoff,
     smoothstep_edge,
     weighted_state,
 )
+from fluctlab.quadrature import half_panel_rule
+from fluctlab.scaling import ScalingConfig, exponent_sweep, position_space_correlator
 
 from conftest import weighted_form
 
@@ -103,41 +104,18 @@ class TestProductAnsatz:
 
 
 class TestPowerlaw:
-    def test_bessel_formula_against_quadrature(self):
-        # beta = 2 has the closed form pi exp(-|k|)
-        tp = powerlaw_two_point(2.0, 1)
-        for k in (0.3, 1.0, 2.5):
-            assert tp(k) == pytest.approx(np.pi * np.exp(-k), rel=1e-10)
-        # beta = 1.5 checked against a long-grid quadrature
-        tp = powerlaw_two_point(1.5, 1)
-        y = np.linspace(0, 4000, 2000001)
-        f = (1 + y ** 2) ** (-0.75)
-        for k in (0.5, 1.5):
-            direct = 2 * np.trapezoid(np.cos(k * y) * f, y)
-            assert tp(k) == pytest.approx(direct, rel=1e-5)
-
-    def test_small_k_exponent(self):
-        tp = powerlaw_two_point(0.75, 1)
-        ks = np.geomspace(1e-6, 1e-4, 24)
-        slope = np.polyfit(np.log(ks), np.log(tp(ks)), 1)[0]
-        assert slope == pytest.approx(0.75 - 1.0, abs=0.05)
-
-    @pytest.mark.parametrize("beta", [90.0, 150.0, 250.0])
-    def test_series_meets_the_closed_form_where_bessel_k_overflows(self, beta):
-        # K_nu overflows below a radius r0 (4.7e-6, 4.5e-3 and 0.33); the
-        # series below r0 meets the closed form above it to the closed form's
-        # own 1.5e-13, where the leading two terms alone miss by 2.4e-8 at beta = 250
-        from scipy.special import kv
-
-        lo, hi = 1e-9, 1.0
-        for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            lo, hi = (mid, hi) if np.isinf(kv((1.0 - beta) / 2.0, mid)) else (lo, mid)
-        tp = powerlaw_two_point(beta, 1)
-        below, above = tp(np.array([lo, hi]))
-        assert np.isinf(kv((1.0 - beta) / 2.0, lo)) and abs(below / above - 1.0) <= 1e-12
-        values = tp(np.geomspace(1e-9, 1.0, 200))
-        assert values.min() > 0.0 and np.all(np.diff(values) <= 0.0)
+    @pytest.mark.parametrize("beta", [0.6, 0.75, 1.5, 30.0])
+    def test_sweep_meets_the_position_path(self, profile1, beta):
+        # the order-2 joint power runs on the heat-kernel table; on a refined
+        # z rule the position path pins it to 1e-8 at R = 8...4096, across
+        # beta < n, where the density is |k|^(beta - n) singular at 0, and beta > n
+        state = powerlaw_state(beta, 1)
+        cfg = ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 4096.0, 10)))
+        rep = exponent_sweep(state, profile1, cfg, 2)
+        z_rule = half_panel_rule(5.0, 200, 16, 12)
+        for radius, value in zip(rep.r_values, rep.values):
+            pin = position_space_correlator(state, profile1, cfg, 2, radius, rep.alpha, z_rule=z_rule)
+            assert abs(value / pin - 1.0) <= 1e-8, radius
 
     def test_classification(self):
         assert powerlaw_state(0.75, 1).tag(2).kind == "l2"

@@ -413,7 +413,7 @@ class TestPositionFold:
         # reads the radii |y_i|, and there it equals W written in the signed
         # variables, at y and with any one sign flipped, bit for bit
         state = parse_config(json.dumps({"model": {**model, "dim": 1}})).model
-        if state.weighted_orders:
+        if not state.position_forms:
             state = _position_state(state)
         orders = sorted(state.position_forms)
         assert orders
@@ -939,13 +939,13 @@ class TestCriticalAlpha:
 
     def test_alpha_star_sweep_reads_the_chain_cache(self, profile1, chain_cache, criterion_step):
         # criterion 08: the sweep at alpha* differs from the bracket's low-end
-        # sweep by the prefactor alone, so it computes no chain, and equals
-        # the same sweep from an empty cache to the bit
+        # sweep by the prefactor alone, so it adds no chain to those of the
+        # heat-kernel table, and equals the same sweep from an empty cache to the bit
         model, (_, params, cfg) = criterion_step("criterion_08_l2_bisection")
         alpha_star = find_critical_alpha(model, profile1, cfg, *params["bisect_bracket"])
-        assert len(chain_cache.chains) == len(cfg.r_values)
+        chains = len(chain_cache.chains)
         read = exponent_sweep(model, profile1, cfg, 2, alpha=alpha_star)
-        assert len(chain_cache.chains) == len(cfg.r_values)
+        assert len(chain_cache.chains) == chains
         scaling.clear_caches()
         fresh = exponent_sweep(model, profile1, cfg, 2, alpha=alpha_star)
         assert np.array(read.values).tobytes() == np.array(fresh.values).tobytes()
@@ -1013,8 +1013,9 @@ class TestWeightedRegime:
     def test_radii_beyond_the_tau_rule_raise(self, profile1):
         # from R = e^-9, where tau_0/R^2 reaches 1, to where the Gamma(beta/2)
         # weight beyond the rule's top e^22 may pass TAU_CUTOFF: about 10^4
-        # at beta = 1.5, and less for a larger beta, whose weight lies at larger tau
-        decays = weighted_state([WeightedCorrelator(2, 0.5, 2.0), WeightedCorrelator(3, 0.5, 40.5)], 1)
+        # at beta = 1.5, and less for a larger beta, whose weight lies at
+        # larger tau; beta = 30 is about the largest the rule resolves
+        decays = weighted_state([WeightedCorrelator(2, 0.5, 2.0), WeightedCorrelator(3, 0.5, 30.5)], 1)
         for radius in (2e-4, 8.0, 1e4):
             weighted_correlator(decays, profile1, ScalingConfig(), 2, 0.75, radius)
         for order, radius in ((2, 1e-4), (2, 1.2e4), (3, 8e3)):
