@@ -13,7 +13,7 @@ operators are constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable, Sequence
 
@@ -89,15 +89,6 @@ class LimitState:
                         f"{lhs:.6e} > {rhs:.6e}"
                     )
 
-    def as_dict(self) -> dict:
-        c = self.covariance
-        return {
-            "labels": list(self.labels),
-            "covariance": [[{"re": v.real, "im": v.imag} for v in row] for row in c],
-            "symmetric_part": self.symmetric_part.tolist(),
-            "symplectic_part": self.symplectic_part.tolist(),
-        }
-
 
 def _label_indices(state: LimitState, sequence: Sequence[str | int]) -> tuple[int, ...]:
     idx = tuple(int(s) if isinstance(s, (int, np.integer)) else state.index(s) for s in sequence)
@@ -114,17 +105,18 @@ def _covariance_pairs(state: LimitState) -> dict[tuple[int, int], complex]:
 
 @dataclass(frozen=True)
 class WeylCheck:
+    label: str | int
     partial_sum: complex
     closed_form: complex
     tail_bound: float
+    within_bound: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "within_bound", self.discrepancy <= self.tail_bound + 1e-14)
 
     @property
     def discrepancy(self) -> float:
         return abs(self.partial_sum - self.closed_form)
-
-    @property
-    def within_bound(self) -> bool:
-        return self.discrepancy <= self.tail_bound + 1e-14
 
 
 def weyl_expectation(state: LimitState, label: str | int, truncation: int) -> WeylCheck:
@@ -142,22 +134,21 @@ def weyl_expectation(state: LimitState, label: str | int, truncation: int) -> We
     closed = float(np.exp(-0.5 * s))
     tail = (0.5 * s) ** (truncation + 1) / factorial(truncation + 1)
     safety = float(np.exp(0.5 * s)) if truncation + 1 < 0.5 * s else 1.0
-    return WeylCheck(complex(partial), complex(closed), tail * safety)
+    return WeylCheck(label, complex(partial), complex(closed), tail * safety)
 
 
 @dataclass(frozen=True)
 class CCRCheck:
+    labels: tuple[str | int, str | int]
     series: complex
     closed_form: complex
     tail_bound: float
+    discrepancy: float = field(init=False)
+    consistent: bool = field(init=False)
 
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.series - self.closed_form)
-
-    @property
-    def consistent(self) -> bool:
-        return self.discrepancy <= self.tail_bound + 1e-12
+    def __post_init__(self):
+        object.__setattr__(self, "discrepancy", abs(self.series - self.closed_form))
+        object.__setattr__(self, "consistent", self.discrepancy <= self.tail_bound + 1e-12)
 
 
 def ccr_product_check(state: LimitState, label_a: str | int, label_b: str | int,
@@ -195,7 +186,7 @@ def ccr_product_check(state: LimitState, label_a: str | int, label_b: str | int,
         tail += term
         r += 1
         term *= 2.0 * m_eff / r
-    return CCRCheck(complex(series), complex(closed), tail)
+    return CCRCheck((label_a, label_b), complex(series), complex(closed), tail)
 
 
 @dataclass(frozen=True)

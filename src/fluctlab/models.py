@@ -47,9 +47,6 @@ class DecayTag:
     param: float | None = None
     boundary: bool = False
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "param": self.param, "boundary": self.boundary}
-
 
 @dataclass(frozen=True)
 class WeightedCorrelator:
@@ -93,8 +90,8 @@ class TruncatedHierarchy:
             raise OrderRangeError(f"order {order} outside 1..{self.max_order}")
         if order in self.weighted_orders:
             raise UnsupportedModeError(
-                f"order {order} is weighted; use the weighted correlator path"
-            )
+                f"order {order} is weighted: it has no momentum factors and is read from its "
+                "heat-kernel table, through exponent_sweep, qmode_correlator or weighted_correlator")
         return self.factors.get(order, ())
 
     def evaluate(self, order: int, radii) -> np.ndarray:

@@ -1,18 +1,20 @@
 """Run reports and their serialized forms.
 
-The JSON report is canonical (sorted keys, fixed separators, repr floats)
-and contains no wall-clock data, so identical configurations produce
-byte-identical files; timings are written to a sidecar.  CSV rows carry the
-per-scale complex values of every sweep; plot-data is (log10 R, log10 |v|)
-pairs ready for external plotting.
+The analyses return result records and plain values, which ``plain``
+renders here and nowhere else.  The JSON report is canonical (sorted keys,
+fixed separators, repr floats) and contains no wall-clock data, so
+identical configurations produce byte-identical files; timings are written
+to a sidecar.  CSV rows carry the per-scale complex values of every sweep;
+plot-data is (log10 R, log10 |v|) pairs ready for external plotting.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .errors import FluctlabError, InvalidArgumentError
@@ -23,25 +25,30 @@ CSV_COLUMNS = ("analysis", "label", "order", "r", "re", "im", "abs")
 PLOT_COLUMNS = ("analysis", "label", "log10_r", "log10_abs")
 
 
-def _jsonable(obj):
+def plain(obj):
+    """``obj`` as JSON values: a record (dataclass) as {field: value}, a complex
+    number as {"re": ..., "im": ...}, a non-finite float as its repr and numpy
+    values as Python ones.  The leaf types, most of a report, are tested first."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [plain(v) for v in obj]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            return _jsonable(obj.item())
-        except (AttributeError, ValueError):
-            pass
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
+    if hasattr(obj, "tolist"):
+        return plain(obj.tolist())
     return obj
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
+    return json.dumps(plain(payload), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -97,32 +104,37 @@ def emit(report: RunReport, directory, basename: str = "report",
             path = directory / f"{basename}.json"
             _write_text(path, canonical_json(report.payload()) + "\n")
             tpath = directory / f"{basename}-timings.json"
-            _write_text(tpath, json.dumps(_jsonable(report.timings), sort_keys=True) + "\n")
+            _write_text(tpath, json.dumps(plain(report.timings), sort_keys=True) + "\n")
             written += [path, tpath]
         elif fmt == "csv":
             path = directory / f"{basename}.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_COLUMNS)
-                for row in report.sweep_rows():
-                    writer.writerow([row[0], row[1], row[2]] + [repr(x) for x in row[3:]])
+            rows = ([name, label, order] + [repr(x) for x in values]
+                    for name, label, order, *values in report.sweep_rows())
+            _write_text(path, _csv_text(CSV_COLUMNS, rows))
             written.append(path)
         elif fmt == "plot-data":
             path = directory / f"{basename}-plot.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(PLOT_COLUMNS)
-                for name, label, _, r, re, im, mag in report.sweep_rows():
-                    if mag > 0:
-                        writer.writerow([name, label, repr(math.log10(r)), repr(math.log10(mag))])
+            rows = ([name, label, repr(math.log10(r)), repr(math.log10(mag))]
+                    for name, label, _, r, _, _, mag in report.sweep_rows() if mag > 0)
+            _write_text(path, _csv_text(PLOT_COLUMNS, rows))
             written.append(path)
         else:
             raise InvalidArgumentError(f"unknown output format {fmt!r}")
     return written
 
 
+def _csv_text(columns, rows) -> str:
+    """The header and the rows as CSV text, \r\n-terminated."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` as it is, mapping a failure to FluctlabError (exit 2)."""
     try:
-        path.write_text(text)
+        path.write_text(text, newline="")
     except OSError as exc:
         raise FluctlabError(f"cannot write {path}: {exc}") from exc

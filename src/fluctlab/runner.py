@@ -7,7 +7,7 @@ through its entry; ``run`` calls the same entry's handler.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
@@ -34,7 +34,7 @@ from .partitions import (
     pairing_count,
     wick_moment_table,
 )
-from .report import REPORT_SCHEMA_ID, RunReport
+from .report import REPORT_SCHEMA_ID, RunReport, plain
 from .scaling import (
     MAX_POSITION_ORDER,
     check_order,
@@ -65,8 +65,9 @@ if TYPE_CHECKING:
 class Analysis:
     """One analysis kind.
 
-    ``handler(params, cfg, model, window)`` returns the result; ``params``
-    are the typed keys, defaults filled, and ``cfg`` the ScalingConfig.
+    ``handler(params, cfg, model, window)`` returns the result, a dict of
+    result records and plain values that ``run`` renders (``report.plain``);
+    ``params`` are the typed keys, defaults filled, and ``cfg`` the ScalingConfig.
     ``check(params, cfg, model, model_class)``, when given, raises at parse
     time on what the handler would reject, computing nothing.
     """
@@ -86,7 +87,7 @@ def run(config: RunConfig, cache_dir=None) -> RunReport:
     timings = {}
     for idx, (kind, params, cfg) in enumerate(config.steps):
         t0 = time.perf_counter()
-        results.append({"kind": kind, **ANALYSES[kind].handler(params, cfg, config.model, window)})
+        results.append(plain({"kind": kind, **ANALYSES[kind].handler(params, cfg, config.model, window)}))
         timings[f"analysis_{idx}_{kind}"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
     return RunReport(
@@ -141,9 +142,7 @@ def _run_scaling_sweep(params, cfg, model, window):
         out["order_bounds"] = {str(o): o * alpha - model.dim for o in params["orders"]}
 
     for order in params["orders"]:
-        rep = exponent_sweep(model, window, cfg, order, alpha=alpha,
-                             label=f"order-{order}")
-        out["sweeps"].append(rep.as_dict())
+        out["sweeps"].append(exponent_sweep(model, window, cfg, order, alpha=alpha, label=f"order-{order}"))
 
     r_max = params.get("oracle_check_r_max")
     if r_max is not None:
@@ -161,9 +160,7 @@ def _oracle_check(model, window, cfg, orders, r_max, alpha):
             oracle = position_space_correlator(model, window, cfg, order, radius, alpha)
             rel = abs(spectral - oracle) / max(abs(oracle), 1e-300)
             worst = max(worst, rel)
-            rows.append({"order": order, "radius": radius,
-                         "spectral": {"re": spectral.real, "im": spectral.imag},
-                         "oracle": {"re": oracle.real, "im": oracle.imag},
+            rows.append({"order": order, "radius": radius, "spectral": spectral, "oracle": oracle,
                          "rel_deviation": rel})
     return {"rows": rows, "max_rel_deviation": worst}
 
@@ -179,22 +176,14 @@ def _run_qmode(params, cfg, model, window):
         offsets = np.zeros((order, model.dim))
         offsets[:2, 0] = q, -q
         rep = exponent_sweep(model, window, cfg, order, offsets=offsets, label=f"qmode-{q}")
-        d = rep.as_dict()
-        d["q"] = q
-        d["two_point_at_q"] = _complex_dict(model.two_point(abs(q)))
-        out["symmetric"].append(d)
+        out["symmetric"].append(asdict(rep) | {"q": q, "two_point_at_q": complex(model.two_point(abs(q)))})
     for a, b in params["net_offsets"]:
         offsets = np.zeros((order, model.dim))
         offsets[:2, 0] = a, b
-        rep = exponent_sweep(model, window, cfg, order, offsets=offsets, label=f"net-{a}+{b}")
-        out["net_offset_sweeps"].append(rep.as_dict())
+        out["net_offset_sweeps"].append(
+            exponent_sweep(model, window, cfg, order, offsets=offsets, label=f"net-{a}+{b}"))
     out["pair_overlap_integral"] = window.pair_overlap_integral()
     return out
-
-
-def _complex_dict(z) -> dict:
-    z = complex(np.asarray(z).reshape(-1)[0])
-    return {"re": z.real, "im": z.imag}
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +234,16 @@ def _check_limit_state(params, cfg, model, model_class):
 
 def _run_limit_state(params, cfg, model, window):
     state = build_limit_state(model, window, cfg)
-    out = {"state": state.as_dict(), "weyl": [], "ccr": [], "commutators": []}
+    parts = {"labels": state.labels, "covariance": state.covariance,
+             "symmetric_part": state.symmetric_part, "symplectic_part": state.symplectic_part}
+    out = {"state": parts, "weyl": [], "ccr": [], "commutators": []}
     for label in params.get("weyl_labels", list(state.labels)):
-        check = weyl_expectation(state, label, params["weyl_truncation"])
-        out["weyl"].append({
-            "label": label,
-            "partial_sum": _complex_dict(check.partial_sum),
-            "closed_form": _complex_dict(check.closed_form),
-            "tail_bound": check.tail_bound,
-            "within_bound": check.within_bound,
-        })
+        out["weyl"].append(weyl_expectation(state, label, params["weyl_truncation"]))
     if len(state.labels) >= 2:
-        check = ccr_product_check(state, state.labels[0], state.labels[1],
-                                  params["ccr_truncation"])
-        out["ccr"].append({
-            "labels": [state.labels[0], state.labels[1]],
-            "series": _complex_dict(check.series),
-            "closed_form": _complex_dict(check.closed_form),
-            "discrepancy": check.discrepancy,
-            "tail_bound": check.tail_bound,
-            "consistent": check.consistent,
-        })
+        out["ccr"].append(ccr_product_check(state, state.labels[0], state.labels[1], params["ccr_truncation"]))
     for pair_spec in params["commutator_pairs"]:
         pair = ObservablePair("A", "B", density_from(pair_spec["f"]), density_from(pair_spec["g"]))
-        res = commutator_criterion(pair, window, cfg.eps_vanish)
-        out["commutators"].append({
-            "value": _complex_dict(res.value),
-            "is_trivial": res.is_trivial,
-            "plancherel_constant": res.plancherel_constant,
-        })
+        out["commutators"].append(commutator_criterion(pair, window, cfg.eps_vanish))
     return out
 
 
@@ -289,21 +259,12 @@ def _check_ssb_bound(params, cfg, model, model_class):
 def _run_ssb_bound(params, cfg, model, window):
     rep_a = autocorrelation_growth(model, window, cfg, "A")
     rep_q = autocorrelation_growth(model, window, cfg, "Q")
-    rep_dc = double_commutator_scaling(model, window, cfg)
-    table = []
-    for radius in params["bogoliubov_radii"]:
-        check = bogoliubov_check(model, window, radius)
-        table.append({"radius": check.radius, "lhs": check.lhs, "rhs": check.rhs,
-                      "holds": check.holds})
-    q_growth = rep_q.exponent if rep_q.exponent is not None else 0.0
-    pair = canonical_pair_exponents(model.dim, q_growth)
     return {
-        "autocorrelation_A": rep_a.as_dict(),
-        "autocorrelation_Q": rep_q.as_dict(),
-        "double_commutator": rep_dc.as_dict(),
-        "bogoliubov": table,
-        "canonical_pair": {"alpha_max": pair.alpha_max, "verdict": pair.verdict,
-                           "q_growth_exponent": q_growth},
+        "autocorrelation_A": rep_a,
+        "autocorrelation_Q": rep_q,
+        "double_commutator": double_commutator_scaling(model, window, cfg),
+        "bogoliubov": [bogoliubov_check(model, window, radius) for radius in params["bogoliubov_radii"]],
+        "canonical_pair": canonical_pair_exponents(model.dim, 0.0 if rep_q.exponent is None else rep_q.exponent),
     }
 
 
@@ -320,7 +281,7 @@ def _run_projector(params, cfg, model, window):
         if abs(value) > env * norm * (1.0 + 1e-9):
             bound_ok = False
     return {
-        "residuals": rep.as_dict(),
+        "residuals": rep,
         "monotone_after_first": monotone,
         "envelope_bound_holds": bound_ok,
     }
@@ -335,22 +296,16 @@ def _check_gap(params, cfg, model, model_class):
 def _run_gap_check(params, cfg, model, window):
     radius = params["radius"]
     half = params["smoothing_half_support"]
-    out = {"radius": radius, "estimates": []}
-    for shape in params["shapes"]:
-        res = gap_conservation_check(model, EnergySmoothing(half, shape), window, radius)
-        out["estimates"].append({
-            "shape": shape,
-            "half_support": half,
-            "estimate": _complex_dict(res.estimate),
-            "magnitude": res.magnitude,
-        })
-    mags = [e["magnitude"] for e in out["estimates"]]
-    if len(mags) >= 2 and max(mags) > 0:
-        out["shape_relative_variation"] = (max(mags) - min(mags)) / max(mags)
-    else:
-        out["shape_relative_variation"] = 0.0
-    out["gap"] = model.gap
-    return out
+    checks = [gap_conservation_check(model, EnergySmoothing(half, shape), window, radius)
+              for shape in params["shapes"]]
+    mags = [res.magnitude for res in checks]
+    return {
+        "radius": radius,
+        "estimates": [{"shape": res.smoothing.shape, "half_support": half, "estimate": res.estimate,
+                       "magnitude": res.magnitude} for res in checks],
+        "shape_relative_variation": (max(mags) - min(mags)) / max(mags) if len(mags) >= 2 and max(mags) > 0 else 0.0,
+        "gap": model.gap,
+    }
 
 
 #: the models whose orders all run on factors; the powerlaw's order 2 and the

@@ -363,11 +363,11 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     offsets: W_l = (1 + s)^(-beta/2) is a superposition of Gaussians only
     for beta = p - alpha_l > 0.  The weight's peak is about 1/sqrt(beta/2)
     wide in ln tau, so at a large beta it slips between the nodes of
-    TAU_RULE: at each radius of the grid that the rule holds, its sum of the
-    weight with the closure's share, 1 in the integral, must lie within
-    eps_vanish/10 of 1 (the sum's miss tracks the value's error); a radius
-    beyond the rule stops the run (``_heat_sum``).  Computes no quadrature,
-    so parsing runs it.
+    TAU_RULE: each radius of the grid must lie within the rule's reach at
+    that beta (``_gamma_density``, which ``_heat_sum`` reads), and there the
+    sum of the weight with the closure's share, 1 in the integral, must lie
+    within eps_vanish/10 of 1 (the sum's miss tracks the value's error).
+    Computes no quadrature, so parsing runs it.
     """
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
@@ -382,7 +382,11 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     if weight is not None:
         for radius in cfg.validate_r_grid():
             parts = _gamma_density(weight.decay / 2.0, radius)
-            miss = 0.0 if parts is None else abs(panel_rule(*TAU_RULE)[1] @ parts[0] + parts[1] - 1.0)
+            if parts is None:
+                raise NumericalAccuracyError(
+                    f"radius {radius:g} lies beyond the heat-kernel tau rule TAU_RULE = {TAU_RULE} "
+                    f"at beta = {weight.decay}")
+            miss = abs(panel_rule(*TAU_RULE)[1] @ parts[0] + parts[1] - 1.0)
             if miss > cfg.eps_vanish / 10.0:
                 raise NumericalAccuracyError(
                     f"the heat-kernel tau rule TAU_RULE = {TAU_RULE} sums the Gamma(beta/2) weight at beta = "
@@ -582,7 +586,8 @@ def _position_path(state: TruncatedHierarchy, profile: WindowProfile, order: int
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Sweep result: per-scale values, fitted power law and a verdict."""
+    """Sweep result: per-scale values, fitted power law and a verdict; its
+    fields are the sweep's report keys (``report.plain``)."""
 
     order: int
     alpha: float
@@ -598,28 +603,10 @@ class ScalingReport:
     limit_extrapolated: complex | None  # None for a diverging sweep, 0 for a vanishing one
     eps_vanish: float
     label: str = "correlator"
+    abs_values: tuple = field(init=False)
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "alpha": self.alpha,
-            "offsets": None if self.offsets is None else [list(map(float, o)) for o in self.offsets],
-            "r_values": [float(r) for r in self.r_values],
-            "values": [{"re": v.real, "im": v.imag} for v in self.values],
-            "abs_values": [abs(v) for v in self.values],
-            "exponent": self.exponent,
-            "fit_residual_rms": self.fit_residual_rms,
-            "points_used": self.points_used,
-            "dropped_transient": self.dropped_transient,
-            "verdict": self.verdict,
-            "limit_value": {"re": self.limit_value.real, "im": self.limit_value.imag},
-            "limit_extrapolated": None if self.limit_extrapolated is None else {
-                "re": self.limit_extrapolated.real,
-                "im": self.limit_extrapolated.imag,
-            },
-            "eps_vanish": self.eps_vanish,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "abs_values", tuple(abs(v) for v in self.values))
 
 
 def fit_loglog(r_values, values, floor_rel: float = 1e-13):

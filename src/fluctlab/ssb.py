@@ -11,7 +11,7 @@ from one-dimensional quadrature sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -199,10 +199,10 @@ class BogoliubovCheck:
     lhs: float
     rhs: float
     radius: float
+    holds: bool = field(init=False)
 
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-9) + 1e-300
+    def __post_init__(self):
+        object.__setattr__(self, "holds", self.lhs <= self.rhs * (1.0 + 1e-9) + 1e-300)
 
 
 def check_radius(dim: int, radius: float) -> None:
@@ -234,6 +234,7 @@ def bogoliubov_check(model: GoldstoneModel, profile: WindowProfile, radius: floa
 class CanonicalPairVerdict:
     alpha_max: float
     verdict: str
+    q_growth_exponent: float
 
 
 def canonical_pair_exponents(dim: int, q_growth_exponent: float) -> CanonicalPairVerdict:
@@ -248,7 +249,7 @@ def canonical_pair_exponents(dim: int, q_growth_exponent: float) -> CanonicalPai
         raise InvalidArgumentError("dimension must be >= 1")
     alpha_max = (dim - 2) / 2.0
     verdict = "classical" if q_growth_exponent > 2.0 * alpha_max else "canonical-pair-admissible"
-    return CanonicalPairVerdict(alpha_max=alpha_max, verdict=verdict)
+    return CanonicalPairVerdict(alpha_max=alpha_max, verdict=verdict, q_growth_exponent=q_growth_exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ criterion (run with -s to see them).  The determinism criterion re-runs
 every configuration and compares canonical report bytes.
 """
 
+import csv
 import json
 import time
 from math import factorial
@@ -16,7 +17,7 @@ import pytest
 
 from fluctlab.config import parse_config
 from fluctlab.limit_algebra import LimitState, weyl_expectation
-from fluctlab.report import canonical_json
+from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -47,6 +48,17 @@ def _sweep(report, order):
                 if sweep["order"] == order:
                     return sweep
     raise AssertionError(f"no sweep of order {order} in report")
+
+
+def _json_sweeps(node):
+    """The sweeps below a parsed JSON report node: dicts holding r_values and values."""
+    if isinstance(node, dict):
+        if "r_values" in node and "values" in node:
+            return [node]
+        node = node.values()
+    elif not isinstance(node, list):
+        return []
+    return [sweep for child in node for sweep in _json_sweeps(child)]
 
 
 def _announce(num, text):
@@ -277,3 +289,27 @@ class TestAcceptance:
             assert canonical_json(rep2.payload()) == entry["payload"], name
         _announce("12", f"all {len(reports)} configurations re-run to "
                         "byte-identical reports")
+
+    def test_csv_rows_equal_the_json_sweeps(self, reports, tmp_path):
+        # every CSV row's re, im and abs are the JSON report's sweep value, by
+        # repr; the cumulant, limit-state and gap-check configs have no sweep
+        unswept = set()
+        for name, entry in reports.items():
+            expected = {}
+            for idx, result in enumerate(json.loads(entry["payload"])["results"]):
+                for sweep in _json_sweeps(result):
+                    for r, v in zip(sweep["r_values"], sweep["values"]):
+                        key = (f"{idx}:{result['kind']}", sweep.get("label", "correlator"), repr(r))
+                        assert key not in expected, (name, key)
+                        expected[key] = [repr(v["re"]), repr(v["im"]), repr(abs(complex(v["re"], v["im"])))]
+            [path] = emit(entry["report"], tmp_path, name, ("csv",))
+            with path.open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == len(expected), name
+            for row in rows:
+                key = (row["analysis"], row["label"], row["r"])
+                assert [row["re"], row["im"], row["abs"]] == expected[key], (name, key)
+            if not rows:
+                unswept.add(name)
+        assert unswept == {"criterion_05_cumulants", "criterion_06_weyl_ccr", "criterion_07_commutator",
+                           "criterion_11b_gapped", "criterion_11c_gapless"}

@@ -633,19 +633,23 @@ class TestValidateRunContract:
         assert cli.main(["run", str(path)]) == 3
         assert "numerical-accuracy error" in capsys.readouterr().err
 
-    def test_radii_beyond_the_tau_rule_exit_3(self, tmp_path, cache_dir, monkeypatch, capsys):
-        # the heat-kernel tau rule covers R up to about 10^4: a grid to 10^5
-        # parses, and its run stops with a numerical-accuracy error instead
-        # of cutting the tau integral short
+    @pytest.mark.parametrize("model, grid, radius", [
+        (weighted_case()["model"], (1e3, 1e5), "13895"),
+        ({"class": "powerlaw", "dim": 1, "beta": 0.75}, (256.0, 32768.0), "16384"),
+        ({"class": "powerlaw", "dim": 1, "beta": 0.75}, (1e-5, 1.0), "1e-05")],
+        ids=["weighted-top", "powerlaw-top", "powerlaw-bottom"])
+    def test_radii_beyond_the_tau_rule_exit_2(self, tmp_path, cache_dir, monkeypatch, capsys, model, grid, radius):
+        # the heat-kernel tau rule covers R from about 1.2e-4 to 10^4: a grid
+        # radius beyond either edge is rejected by both commands, naming the
+        # rule and the radius, before any quadrature
         path = tmp_path / "far.json"
-        config = weighted_case()
-        config["numeric"] = {"r_grid": {"start": 1e3, "stop": 1e5, "count": 8}}
-        path.write_text(cfg_text(dict(config, output={"directory": str(tmp_path / "out")})))
+        path.write_text(cfg_text({"model": model, "analyses": SWEEP, "output": {"directory": str(tmp_path / "out")},
+                                  "numeric": {"r_grid": {"start": grid[0], "stop": grid[1], "count": 8}}}))
         monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
-        assert cli.main(["validate", str(path)]) == 0
-        assert cli.main(["run", str(path)]) == 3
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "numerical-accuracy error" in err and "heat-kernel tau rule" in err
+        assert err.count("TAU_RULE") == 2 and err.count(f"radius {radius} lies beyond") == 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("width, expected", [(0.0, 1.0), (1.0, 0.0)])
@@ -765,6 +769,17 @@ class TestValidateRunContract:
         assert f"cannot write window cache file {kernel}" in capsys.readouterr().err
         assert sorted(p.name for p in cache.iterdir()) == [kernel.name, f"window_n2_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"]
         scaling.clear_caches()
+
+    @pytest.mark.parametrize("name", ["report.json", "report.csv", "report-plot.csv"])
+    def test_directory_at_an_output_file_exits_2(self, tmp_path, cache_dir, monkeypatch, capsys, name):
+        # every output file has one writer, which names the path it cannot write
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        path = tmp_path / "case.json"
+        path.write_text(cfg_text(dict(MINIMAL, output={"directory": str(out), "formats": ["json", "csv", "plot-data"]})))
+        monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+        assert cli.main(["run", str(path)]) == 2
+        assert f"cannot write {out / name}" in capsys.readouterr().err
 
     def test_goldstone_spectrum_at_zero_momentum(self, tmp_path, cache_dir, monkeypatch):
         # c |k|^(-s) at q = 0 is c for s = 0, not inf

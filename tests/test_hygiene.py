@@ -123,6 +123,24 @@ def test_scan_finds_an_unread_public_name():
     assert unread_public_names(sources, exported, named) == ["scaling.py:check_weighted"]
 
 
+def complex_dict_displays(source: str) -> list[int]:
+    """Lines of the dict displays with both "re" and "im" keys: a complex
+    number rendered by hand."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Dict)
+            and {"re", "im"} <= {k.value for k in node.keys if isinstance(k, ast.Constant)}]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("report.py", "config.py")], ids=lambda p: p.name)
+def test_complex_values_are_rendered_by_report_alone(path):
+    # report.plain writes the {re, im} form; config's rho_qa block is an input
+    assert complex_dict_displays(path.read_text()) == []
+
+
+def test_scan_finds_a_complex_dict():
+    source = 'z = 1j\nrow = {"re": z.real, "im": z.imag}\nlabel = {"re": 1}\nspec = {**row, "im": 0.0}\n'
+    assert complex_dict_displays(source) == [2]
+
+
 def test_settable_values_are_pinned():
     # the numeric block and the ScalingConfig it resolves to; a new knob changes this test
     assert set(NUMERIC.fields) == {"r_grid", "eps_vanish", "alpha", "quad"}

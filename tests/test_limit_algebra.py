@@ -209,7 +209,7 @@ class TestCCR:
     def test_non_quasi_free_detected(self):
         # corrupt series vs closed form: inconsistent covariance scale makes
         # the discrepancy exceed the tail bound
-        check = CCRCheck(series=1.0 + 0j, closed_form=0.2 + 0j, tail_bound=1e-6)
+        check = CCRCheck(labels=("A", "B"), series=1.0 + 0j, closed_form=0.2 + 0j, tail_bound=1e-6)
         assert not check.consistent
 
 

@@ -128,6 +128,14 @@ class TestPowerlaw:
         with pytest.raises(ModelValidationError):
             powerlaw_state(0.5, 1)
 
+    def test_two_point_names_the_heat_kernel_paths(self):
+        # the order-2 joint power is a weighted order: no momentum factors
+        message = ("order 2 is weighted: it has no momentum factors and is read from its heat-kernel table, "
+                   "through exponent_sweep, qmode_correlator or weighted_correlator")
+        with pytest.raises(UnsupportedModeError) as info:
+            powerlaw_state(0.75, 1).two_point(0.5)
+        assert str(info.value) == message
+
 
 class TestWeighted:
     def test_zero_weight_reduces_to_plain_factor(self):

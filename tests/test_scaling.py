@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 from itertools import product
 from math import ceil, pi
@@ -53,6 +53,7 @@ from fluctlab.scaling import (
     window_product,
 )
 from fluctlab.quadrature import gauss_legendre_panels, half_panel_rule, legendre_rule, panel_rule
+from fluctlab.report import plain
 from fluctlab.window import make_profile, unit_sphere_area
 
 from conftest import weighted_form
@@ -96,7 +97,7 @@ class TestSpectralPath:
         for row in rows:
             scaling.clear_caches()
             value = qmode_correlator(model, profile1, cfg, row["order"], None, row["radius"])
-            assert (value.real, value.imag) == (row["spectral"]["re"], row["spectral"]["im"]), row
+            assert (value.real, value.imag) == (row["spectral"].real, row["spectral"].imag), row
 
     def test_qmode_zero_offsets_match_radial_chain(self, gaussian_state1, profile1):
         # zero offsets replace fhat phi_1 by its mean over S^0, the two points +-1
@@ -871,10 +872,12 @@ class TestSweepMachinery:
     def test_report_serialization(self, gaussian_state1, profile1):
         cfg = ScalingConfig()
         rep = exponent_sweep(gaussian_state1, profile1, cfg, 2)
-        d = rep.as_dict()
+        d = plain(rep)
+        assert list(d) == [f.name for f in fields(rep)]
         assert d["verdict"] == "finite-nonzero"
         assert len(d["values"]) == len(cfg.r_values)
-        assert d["limit_value"]["re"] == pytest.approx(rep.limit_value.real)
+        assert d["abs_values"] == [abs(v) for v in rep.values]
+        assert d["limit_value"] == {"re": rep.limit_value.real, "im": rep.limit_value.imag}
 
 
 class TestExponentWindows:
@@ -1122,8 +1125,8 @@ class TestHeatTable:
         _, _, refined = _weighted_sweeps(criterion_step, profile1, stem)
         scaling.clear_caches()
         for sweep, fine in zip(sweeps, refined):
-            for v, w in zip(sweep["values"], fine["values"]):
-                assert abs(complex(v["re"], v["im"]) / complex(w["re"], w["im"]) - 1.0) <= 1e-10
+            for v, w in zip(sweep.values, fine.values):
+                assert abs(v / w - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("stem", _WEIGHTED_STEMS)
     def test_sweeps_equal_the_position_path(self, criterion_step, profile1, stem):
@@ -1131,9 +1134,9 @@ class TestHeatTable:
         # 9.9e-9 (09a order 3) and 5.4e-9 (09b order 3)
         model, gamma, sweeps = _weighted_sweeps(criterion_step, profile1, stem)
         for sweep in sweeps:
-            for radius, v in zip(sweep["r_values"], sweep["values"]):
-                reference = _weighted_position_value(model, profile1, sweep["order"], radius, gamma)
-                assert abs(complex(v["re"], v["im"]) - reference) <= 1e-8 * abs(reference), radius
+            for radius, v in zip(sweep.r_values, sweep.values):
+                reference = _weighted_position_value(model, profile1, sweep.order, radius, gamma)
+                assert abs(v - reference) <= 1e-8 * abs(reference), radius
         scaling.clear_caches()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])

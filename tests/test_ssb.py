@@ -92,12 +92,11 @@ class TestBogoliubov:
         # row equals the check from an empty cache to the bit
         model, (kind, params, cfg) = criterion_step("criterion_10_ssb")
         table = ANALYSES[kind].handler(params, cfg, model, profile3)["bogoliubov"]
-        assert [row["radius"] for row in table] == list(cfg.r_values)
+        assert [row.radius for row in table] == list(cfg.r_values)
         assert len(chain_cache.chains) == 3 * 7 + 7
         for row in table:
             scaling.clear_caches()
-            check = bogoliubov_check(model, profile3, row["radius"])
-            assert (check.lhs, check.rhs) == (row["lhs"], row["rhs"]), row
+            assert bogoliubov_check(model, profile3, row.radius) == row, row
 
     def test_order_parameter_limit(self, model3, profile3):
         lhs_values = [abs(commutator_expectation(model3, profile3, r)) ** 2
