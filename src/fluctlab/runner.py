@@ -7,7 +7,7 @@ through its entry; ``run`` calls the same entry's handler.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
@@ -176,7 +176,7 @@ def _run_qmode(params, cfg, model, window):
         offsets = np.zeros((order, model.dim))
         offsets[:2, 0] = q, -q
         rep = exponent_sweep(model, window, cfg, order, offsets=offsets, label=f"qmode-{q}")
-        out["symmetric"].append(asdict(rep) | {"q": q, "two_point_at_q": complex(model.two_point(abs(q)))})
+        out["symmetric"].append(plain(rep) | {"q": q, "two_point_at_q": complex(model.two_point(abs(q)))})
     for a, b in params["net_offsets"]:
         offsets = np.zeros((order, model.dim))
         offsets[:2, 0] = a, b

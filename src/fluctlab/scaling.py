@@ -153,7 +153,7 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 #: the one in-memory cache of a run: tail bounds, radial nodes, kernels,
-#: chain values, heat-kernel tables and folded overlaps, emptied by
+#: chain values, heat-kernel tables, folded rows and overlaps, emptied by
 #: ``clear_caches``
 _CHAIN_CACHE: dict = {}
 
@@ -198,8 +198,8 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     n = 1, 2, 3 (``window.PLANE_WAVE_MEAN``); at n = 1 the sphere S^0 is the
     two points +-1, so K[p, r] = fhat(|p - r|) + fhat(p + r).  The weights
     are >= 0, as every window profile is, so B is scaled by their square
-    root and K = B B^T, summed over column blocks of the support rule
-    (``_radial_kernel``).
+    root and K = B B^T, summed over column blocks of the support rule and
+    added into K in row slabs (``_radial_kernel``).
 
     K depends on n and the rule alone, since there is one window.  The
     chain reads it once per step of each block of radii (``radial_chain``).
@@ -208,23 +208,27 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
                        lambda: _radial_kernel(n, rule))
 
 
-#: support nodes per column block of ``_radial_kernel``
+#: support nodes per column block of ``_radial_kernel``, and kernel rows
+#: per slab each block's product is added in
 KERNEL_BLOCK = 64
 
 
 def _radial_kernel(n: int, rule: Rule1D) -> np.ndarray:
     """K = B B^T of ``window_product``, built as the sum over column blocks
-    B_j of KERNEL_BLOCK support nodes of B_j B_j^T, each multiplied into one
-    N x N product, so the build holds K, that product and one N x
-    KERNEL_BLOCK block, never the N x M basis.  Every term is exactly
-    symmetric, and so is K."""
+    B_j of KERNEL_BLOCK support nodes of B_j B_j^T, each added into K one
+    slab of KERNEL_BLOCK rows at a time, K[i:i+64] += B_j[i:i+64] B_j^T, so
+    the build holds K, one N x KERNEL_BLOCK block and one KERNEL_BLOCK x N
+    slab, never the N x M basis nor a second N x N array.  An element of a
+    slab is the same dot product of KERNEL_BLOCK terms as in the whole
+    B_j B_j^T, to the bit, and K is exactly symmetric."""
     s, w, f = support_rule(2.0 * rule.p_max)
     scale = np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
-    kernel, product = np.zeros((len(rule),) * 2), np.empty((len(rule),) * 2)
+    kernel = np.zeros((len(rule),) * 2)
     for j in range(0, len(s), KERNEL_BLOCK):
         block = PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s[j:j + KERNEL_BLOCK]))
         block *= scale[j:j + KERNEL_BLOCK]
-        kernel += np.matmul(block, block.T, out=product)
+        for i in range(0, len(rule), KERNEL_BLOCK):
+            kernel[i:i + KERNEL_BLOCK] += block[i:i + KERNEL_BLOCK] @ block.T
         del block  # so the next block's arguments never meet it
     return kernel
 
@@ -352,11 +356,13 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     kernel, whose build evaluates N x M plane-wave means over the window
     support (M nodes for the frequency 2 p_max, ``support_rule_size``) one
     column block at a time: the budget bounds that work as if it were one
-    array.  A ``qmode`` first vector is an N x angles array.  A grid of
-    radii runs CHAIN_BLOCK radii at a time (``radial_chain``), so beyond
-    the kernel the chain holds one block of 2 CHAIN_BLOCK x N rows at any
-    grid length, up to the 4,096 radii of a config's ``r_grid``; only the
-    values and their cache keys grow with the grid.
+    array, while the build holds K, one N x KERNEL_BLOCK block and one
+    KERNEL_BLOCK x N slab of its product (``_radial_kernel``).  A ``qmode``
+    first vector is an N x angles array.  A grid of radii runs CHAIN_BLOCK
+    radii at a time (``radial_chain``), so beyond the kernel the chain
+    holds one block of 2 CHAIN_BLOCK x N rows at any grid length, up to the
+    4,096 radii of a config's ``r_grid``; only the values and their cache
+    keys grow with the grid.
 
     A weighted order, the powerlaw's order 2 among them, runs the same
     chain (``heat_table``) on the graded rule and takes no ``qmode``
@@ -487,15 +493,24 @@ def check_position(dim: int, order: int) -> None:
         raise OrderRangeError(f"the position path runs orders 2..{MAX_POSITION_ORDER}, not {order}")
 
 
+#: z rows of ``_folded_rows`` evaluated at a time
+FOLD_ROW_BLOCK = 16
+
+
 def _folded_rows(profile: WindowProfile, z_rule: Rule1D) -> np.ndarray:
     """S[k, i] = f(|u_i + z_k|) + f(|u_i - z_k|) at the nodes z_k of a
     half-line z rule.
 
     Only the rows of z_k are evaluated: the u rule is mirrored to the bit,
-    so the row of -z_k is row k reversed, bit for bit.
+    so the row of -z_k is row k reversed, bit for bit.  The window is
+    evaluated FOLD_ROW_BLOCK rows at a time, point by point as in one call.
     """
-    a = profile.value(panel_rule(*U_RULE)[0] + z_rule.nodes[:, None])
-    return a + a[:, ::-1]
+    u = panel_rule(*U_RULE)[0]
+    rows = np.empty((len(z_rule), len(u)))
+    for k in range(0, len(z_rule), FOLD_ROW_BLOCK):
+        a = profile.value(u + z_rule.nodes[k:k + FOLD_ROW_BLOCK, None])
+        np.add(a, a[:, ::-1], out=rows[k:k + FOLD_ROW_BLOCK])
+    return rows
 
 
 def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
@@ -531,8 +546,9 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
 
 
 def _folded_overlap(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
-    """G of ``window_overlap_1d``, built."""
-    rows = _folded_rows(profile, z_rule)
+    """G of ``window_overlap_1d``, built from the folded rows of the z rule,
+    which orders 2 and 3 share through the chain cache."""
+    rows = _memo(("folded", profile.cache_key, z_rule.key), lambda: _folded_rows(profile, z_rule))
     u, wt = panel_rule(*U_RULE)
     sc = rows * (profile.value(u) * wt)
     # the z weights multiply one axis at a time: outer(wt, wt) * g rounds differently

@@ -89,7 +89,8 @@ def unit_sphere_area(n: int) -> float:
 _STENCIL = np.arange(10)
 _BARYCENTRIC = np.array([(-1) ** j * comb(9, j) for j in _STENCIL], dtype=float)
 #: points interpolated at once, which bounds the (points, 10) temporaries
-_INTERP_BLOCK = 8192
+#: near 160 kB each; a point's value does not depend on the block
+_INTERP_BLOCK = 2048
 
 
 def lagrange_uniform(grid, table, x) -> np.ndarray:
@@ -343,22 +344,24 @@ def _radial_coefficients(dim, s_nodes, s_weights, f_vals):
 #: offsets r per block of ``uniform_edge_transform``: momentum index j = q B + r
 PHASE_BLOCK = 128
 #: most nodes ``uniform_edge_transform`` multiplies at once: the edge rule
-#: of the default mollified step, so its (blocks, 2 S) and (2 S, B) phase
-#: matrices stay near 1 MB on the longer rules of n = 2
+#: of the default mollified step, so its (2 S, B) offset phase matrix stays
+#: near 1 MB on the longer rules of n = 2
 EDGE_CHUNK = 544
-#: block-phase rows per product of the n = 2 table (``make_profile``)
-LINE_ROW_BLOCK = 8
+#: block-phase rows per product of ``uniform_edge_transform``, formed this
+#: many at a time: every product has one shape, whose rounding does not
+#: depend on the BLAS thread count, and the (rows, 2 S) block phases stay
+#: small at every n
+PHASE_ROW_BLOCK = 8
 
 
-def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid,
-                           row_block: int | None = None) -> np.ndarray:
+def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid) -> np.ndarray:
     """The radial transform sum_s c_s Omega_n(k s) at n = 1 or 3
     (``_radial_coefficients``) on the uniform grid k_j = j dk from 0
     (``k_grid``, at least two points).
 
     With j = q B + r (B = PHASE_BLOCK) the plane wave splits into a block and
     an offset phase, exp(i k_j s) = exp(i q B dk s) exp(i r dk s), so the
-    table is one product of a (blocks, 2 S) matrix [cos, sin](q B dk s) by a
+    table is the product of a (blocks, 2 S) matrix [cos, sin](q B dk s) by a
     (2 S, B) matrix of offset cosines and sines, summed over chunks of at
     most EDGE_CHUNK nodes: its real part is sum_s c_s cos(k s) (n = 1), and
     the imaginary part of sum_s (c_s / s) exp(i k s), divided by k, is
@@ -371,21 +374,19 @@ def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid,
     sum is 1.8e-15 to 3.6e-15 off, and 4.2e-16 to 6.5e-16 off at n = 3,
     where the direct sum is 2.8e-16 to 3.4e-16 off.
 
-    A ``row_block`` runs each product as products of that many rows of
-    block phases, the blocks rounded up to a multiple of it, so every
-    product has one shape, whose rounding does not depend on the BLAS
-    thread count (``make_profile`` at n = 2).
+    The product runs as products of PHASE_ROW_BLOCK rows of block phases,
+    the blocks rounded up to a multiple of it, each formed as it is
+    multiplied (``_phase_product``): every product has one shape, so the
+    table's bits do not depend on the BLAS thread count at any n.
     """
     c = _radial_coefficients(dim, s_nodes, s_weights, f_vals)
     size = len(k_grid)
     dk = k_grid[-1] / (size - 1)
     blocks = -(-size // PHASE_BLOCK)
-    rows = row_block or blocks
-    blocks = -(-blocks // rows) * rows
-    table = np.zeros((blocks, PHASE_BLOCK))
+    table = np.zeros((-(-blocks // PHASE_ROW_BLOCK) * PHASE_ROW_BLOCK, PHASE_BLOCK))
     parts = -(-len(s_nodes) // EDGE_CHUNK)
     for s, cs in zip(np.array_split(s_nodes, parts), np.array_split(c, parts)):
-        table += _phase_product(dim, s, cs if dim == 1 else cs / s, dk, blocks, rows)
+        _phase_product(table, dim, s, cs if dim == 1 else cs / s, dk)
     table = table.ravel()[:size]
     if dim == 3:
         table[1:] /= k_grid[1:]
@@ -393,16 +394,11 @@ def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid,
     return table
 
 
-def _phase_product(dim, s_nodes, weights, dk, blocks, rows):
-    """One chunk of ``uniform_edge_transform``: the (blocks, B) product of the
-    weighted block phases by the offset phases, ``rows`` block phases (a
-    divisor of ``blocks``) at a time."""
+def _phase_product(table, dim, s_nodes, weights, dk) -> None:
+    """Add one chunk of ``uniform_edge_transform`` into the (blocks, B)
+    ``table``: the weighted block phases times the offset phases,
+    PHASE_ROW_BLOCK block phases formed and multiplied at a time."""
     nodes = len(s_nodes)
-    starts = np.empty((blocks, 2, nodes))
-    phase = np.multiply.outer(PHASE_BLOCK * dk * np.arange(blocks), s_nodes, out=starts[:, 1])
-    np.cos(phase, out=starts[:, 0])
-    np.sin(phase, out=phase)
-    starts *= weights
     # Re (cos Q + i sin Q)(cos r + i sin r) = cos Q cos r - sin Q sin r and
     # Im = cos Q sin r + sin Q cos r
     offsets = np.empty((2, nodes, PHASE_BLOCK))
@@ -413,8 +409,15 @@ def _phase_product(dim, s_nodes, weights, dk, blocks, rows):
     else:
         np.sin(phase, out=offsets[0])
         np.cos(phase, out=phase)
-    starts, offsets = starts.reshape(blocks, 2 * nodes), offsets.reshape(2 * nodes, PHASE_BLOCK)
-    return np.concatenate([starts[j:j + rows] @ offsets for j in range(0, blocks, rows)])
+    offsets = offsets.reshape(2 * nodes, PHASE_BLOCK)
+    starts = np.empty((PHASE_ROW_BLOCK, 2, nodes))
+    for j in range(0, len(table), PHASE_ROW_BLOCK):
+        phase = np.multiply.outer(PHASE_BLOCK * dk * np.arange(j, j + PHASE_ROW_BLOCK), s_nodes,
+                                  out=starts[:, 1])
+        np.cos(phase, out=starts[:, 0])
+        np.sin(phase, out=phase)
+        starts *= weights
+        table[j:j + PHASE_ROW_BLOCK] += starts.reshape(PHASE_ROW_BLOCK, 2 * nodes) @ offsets
 
 
 #: Taylor coefficients in x^2 of j_1(x)/x = (sin x - x cos x)/x^3,
@@ -600,10 +603,11 @@ def make_profile(dim: int, *, k_max: float = 640.0, k_resolution: int = 10240) -
     transform of its line projection P (projection-slice theorem), so the
     table is that same product over the panels of ``transform_rule`` on
     [0, a] and on [a, b], with P from ``line_projection``: within 2.2e-15 of
-    fhat(0) of the ball's closed form plus the edge sum of J_0.  It runs in
-    products of LINE_ROW_BLOCK rows of block phases, whose bits do not
-    depend on the BLAS thread count; the whole product's do.  The profile
-    keeps no position samples: ``value`` reads the same exact evaluator.
+    fhat(0) of the ball's closed form plus the edge sum of J_0.  At every n
+    the product runs in products of PHASE_ROW_BLOCK rows of block phases,
+    whose bits do not depend on the BLAS thread count; a whole product's
+    do.  The profile keeps no position samples: ``value`` reads the same
+    exact evaluator.
     Between cache nodes the transform is read by the 10-point Lagrange
     interpolant ``lagrange_uniform``: at 2,000 random momenta it misses the
     direct quadrature by at most 2.2e-15 of fhat(0) at n = 1, 2, 3.
@@ -614,8 +618,7 @@ def make_profile(dim: int, *, k_max: float = 640.0, k_resolution: int = 10240) -
     a, b = EDGE
     if dim == 2:
         x, w = map(np.concatenate, zip(transform_rule(k_max, 0.0, a), transform_rule(k_max, a, b)))
-        fhat = uniform_edge_transform(1, x, w, line_projection(x, k_max), k_grid,
-                                      LINE_ROW_BLOCK) / sqrt(2.0 * pi)
+        fhat = uniform_edge_transform(1, x, w, line_projection(x, k_max), k_grid) / sqrt(2.0 * pi)
     else:
         fhat = a ** dim * ball_fhat(dim, a * k_grid)
         s_nodes, s_weights = transform_rule(k_max, a, b)

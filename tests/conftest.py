@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,21 @@ def weighted_form(wc):
         return u ** (wc.alpha / 2.0) * u ** (-wc.power / 2.0)
 
     return form
+
+
+def traced_peak(fn) -> int:
+    """The traced peak of a call of ``fn`` in bytes, less what the call
+    leaves held: ``fn`` is called once to warm the lazy caches (rules,
+    evaluators, support rules), then once under tracemalloc, its result
+    dropped."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
 
 
 @pytest.fixture(scope="session")

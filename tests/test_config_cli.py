@@ -5,7 +5,6 @@ import stat
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +19,8 @@ from fluctlab.errors import ConfigError, ModelValidationError
 from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
 from fluctlab.window import CACHE_FORMAT_VERSION
+
+from conftest import traced_peak
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED_IN = sorted((ROOT / "configs").glob("*.json")) + [
@@ -797,17 +798,12 @@ class TestValidateRunContract:
         cfg = parse_config(cfg_text({"model": GAUSS, "analyses": [
             {"kind": "cumulant-roundtrip", "pairing_orders": [16]}]}))
         cfg.build_window(cache_dir=cache_dir)
-        tracemalloc.start()
-        try:
-            t0 = time.perf_counter()
-            rep = run(cfg, cache_dir=cache_dir)
-            elapsed = time.perf_counter() - t0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        t0 = time.perf_counter()
+        rep = run(cfg, cache_dir=cache_dir)
+        elapsed = time.perf_counter() - t0
         assert rep.results[0]["pairing_counts"] == {"16": {"pairings": 2027025, "expected": 2027025}}
         assert elapsed < 1.0
-        assert peak < 100e6
+        assert traced_peak(lambda: run(cfg, cache_dir=cache_dir)) < 100e6
 
     def test_analysis_override_merges_over_the_top_level_block(self):
         cfg = parse_config(cfg_text({

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from functools import reduce
@@ -56,7 +55,7 @@ from fluctlab.quadrature import gauss_legendre_panels, half_panel_rule, legendre
 from fluctlab.report import plain
 from fluctlab.window import make_profile, unit_sphere_area
 
-from conftest import weighted_form
+from conftest import traced_peak, weighted_form
 
 
 def _mirrored(rule):
@@ -320,6 +319,40 @@ class TestPositionOverlap:
         assert len(list(tmp_path.iterdir())) == 2
         scaling.clear_caches()
 
+    def test_cold_run_folds_the_rows_once(self, criterion_step, profile1, chain_cache, monkeypatch):
+        # criterion_04 with no window cache: orders 2 and 3 share one build
+        # of the folded rows, 300 x 384 points, and each reads the 384 of
+        # f(|u|); building the rows per order reads 231,168 points
+        points, folds = [], []
+        value, rows = window.WindowProfile.value, scaling._folded_rows
+
+        def counted_value(profile, s):
+            out = value(profile, s)
+            points.append(out.size)
+            return out
+
+        def counted_rows(profile, z_rule):
+            folds.append(z_rule.key)
+            return rows(profile, z_rule)
+
+        monkeypatch.setattr(window.WindowProfile, "value", counted_value)
+        monkeypatch.setattr(scaling, "_folded_rows", counted_rows)
+        model, (kind, params, cfg) = criterion_step("criterion_04_oracle")
+        runner.ANALYSES[kind].handler(params, cfg, model, profile1)
+        size, width = len(oracle_z_rule()), len(panel_rule(*scaling.U_RULE)[0])
+        assert folds == [oracle_z_rule().key]
+        assert sum(points) == size * width + 2 * width == 115_968
+        assert len(points) == ceil(size / scaling.FOLD_ROW_BLOCK) + 2
+
+    def test_order_3_build_peak_memory(self, profile1, chain_cache):
+        # the rows are evaluated FOLD_ROW_BLOCK at a time: 3.20 MiB with G;
+        # one call on the whole 300 x 384 grid takes 5.15 MiB
+        def build():
+            scaling._folded_overlap(profile1, 3, oracle_z_rule())
+            scaling.clear_caches()
+
+        assert traced_peak(build) <= 3.5 * 2 ** 20
+
     def test_clear_caches_empties_every_module_dict(self, criterion_step, profile1):
         # the oracle keeps its overlaps and the weighted orders their
         # heat-kernel tables in the one chain cache beside the kernels and
@@ -367,7 +400,9 @@ class TestPositionFold:
     @pytest.mark.parametrize("rule_name", sorted(_Z_RULES))
     def test_row_identities_are_bitwise(self, profile1, rule_name):
         # the u rule is mirrored to the bit, so on the mirrored z rule the row
-        # of -z is the row of z reversed, and so are the order-3 rows f(|u - z|)
+        # of -z is the row of z reversed, and so are the order-3 rows f(|u - z|);
+        # the folded rows, evaluated FOLD_ROW_BLOCK z rows at a time, equal
+        # those of one call on the whole grid, bit for bit
         z_rule = _Z_RULES[rule_name]()
         u, _ = panel_rule(*scaling.U_RULE)
         z, _ = _mirrored(z_rule)
@@ -517,6 +552,19 @@ def _one_cycle_kernel(n, rule):
     frequency = 2.0 * rule.p_max
     return _whole_basis_kernel(n, rule, ceil(frequency * a / (2.0 * pi)),
                                max(ceil(frequency * (b - a) / (2.0 * pi)), window.SUPPORT_EDGE_PANELS))
+
+
+def _whole_block_kernel(n, rule):
+    """The kernel summed as K += B_j B_j^T over the whole N x KERNEL_BLOCK
+    column blocks of ``window.support_rule``: the build before row slabs."""
+    s, w, f = window.support_rule(2.0 * rule.p_max)
+    scale = np.sqrt((2.0 * pi) ** (-n / 2.0) * unit_sphere_area(n) ** 2 * f * s ** (n - 1) * w)
+    kernel = np.zeros((len(rule),) * 2)
+    for j in range(0, len(s), scaling.KERNEL_BLOCK):
+        block = window.PLANE_WAVE_MEAN[n](np.multiply.outer(rule.nodes, s[j:j + scaling.KERNEL_BLOCK]))
+        block *= scale[j:j + scaling.KERNEL_BLOCK]
+        kernel += block @ block.T
+    return kernel
 
 
 def _no_kernel_build(frequency):
@@ -694,22 +742,22 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_build_holds_no_whole_basis(self, dim):
-        # K, one N x N product and one block at a time: the N x M basis
-        # (M = 704, 1.47 N^2 doubles) evaluated from its N x M arguments
-        # would take 2.9 N^2 before K exists
+        # K, one N x 64 block and one 64 x N slab of its product at a time:
+        # 1.27 N^2 doubles; a second N x N product buffer takes 2.27 N^2, and
+        # the N x M basis (M = 704, 1.47 N^2) evaluated from its N x M
+        # arguments would take 2.9 N^2 before K exists
         rule = half_panel_rule(*scaling.DEFAULT_QUAD)
-        scaling._radial_kernel(dim, rule)  # the support rule is built once per frequency
-        tracemalloc.start()
-        try:
-            scaling._radial_kernel(dim, rule)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * len(rule) ** 2 * 8
+        assert traced_peak(lambda: scaling._radial_kernel(dim, rule)) <= 1.6 * len(rule) ** 2 * 8
+
+    @pytest.mark.parametrize("rule_name", sorted(KERNEL_RULES))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_slabs_equal_whole_block_products(self, dim, rule_name):
+        rule = half_panel_rule(*KERNEL_RULES[rule_name])
+        assert np.array_equal(scaling._radial_kernel(dim, rule), _whole_block_kernel(dim, rule))
 
     def test_kernel_bytes_do_not_depend_on_blas_threads(self):
-        # each process builds its own window tables: the n = 2 table, too, is
-        # a product of fixed row blocks (window.LINE_ROW_BLOCK)
+        # each process builds its own window tables: at n = 1, 2, 3 the table
+        # is a product of fixed row blocks (window.PHASE_ROW_BLOCK)
         src = str(Path(scaling.__file__).parent.parent)
         digests = [subprocess.run([sys.executable, "-c", _KERNEL_DIGESTS], capture_output=True,
                                   text=True, check=True, env={**os.environ, "PYTHONPATH": src,
@@ -1670,15 +1718,13 @@ class TestBlockedChain:
         rows = 2 * scaling.CHAIN_BLOCK * len(rule) * 8
         transient = {}
         for count in (8, 4096):
-            _forget_chain_values()
-            tracemalloc.start()
-            try:
-                values = radial_chain(profile1, 1, rule, factors, tuple(np.geomspace(8.0, 512.0, count)))
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert len(values) == count
-            transient[count] = peak - kept
+            radii = tuple(np.geomspace(8.0, 512.0, count))
+
+            def chain():
+                _forget_chain_values()
+                assert len(radial_chain(profile1, 1, rule, factors, radii)) == count
+
+            transient[count] = traced_peak(chain)
             assert transient[count] <= kernel.nbytes + rows, count
         assert transient[4096] <= 2 * transient[8]
         scaling.clear_caches()

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +16,8 @@ from fluctlab.window import (
     make_profile,
     unit_sphere_area,
 )
+
+from conftest import traced_peak
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 #: marks tests whose reference is summed in np.longdouble
@@ -329,8 +330,61 @@ def edge_rule(k_max):
     return s, w, window._profile_evaluator()(s)
 
 
+def whole_product_transform(dim, s_nodes, s_weights, f_vals, k_grid):
+    """``window.uniform_edge_transform`` at n = 1 or 3 as one (blocks, 2 S)
+    @ (2 S, B) product of all block phases per chunk of nodes: the build
+    before row blocks."""
+    block = window.PHASE_BLOCK
+    c = window._radial_coefficients(dim, s_nodes, s_weights, f_vals)
+    size = len(k_grid)
+    dk = k_grid[-1] / (size - 1)
+    blocks = -(-size // block)
+    table = np.zeros((blocks, block))
+    parts = -(-len(s_nodes) // window.EDGE_CHUNK)
+    for s, cs in zip(np.array_split(s_nodes, parts), np.array_split(c, parts)):
+        nodes = len(s)
+        starts = np.empty((blocks, 2, nodes))
+        phase = np.multiply.outer(block * dk * np.arange(blocks), s, out=starts[:, 1])
+        np.cos(phase, out=starts[:, 0])
+        np.sin(phase, out=phase)
+        starts *= cs if dim == 1 else cs / s
+        offsets = np.empty((2, nodes, block))
+        phase = np.multiply.outer(s, dk * np.arange(block), out=offsets[1])
+        if dim == 1:
+            np.cos(phase, out=offsets[0])
+            np.negative(np.sin(phase, out=phase), out=phase)
+        else:
+            np.sin(phase, out=offsets[0])
+            np.cos(phase, out=phase)
+        table += starts.reshape(blocks, 2 * nodes) @ offsets.reshape(2 * nodes, block)
+    table = table.ravel()[:size]
+    if dim == 3:
+        table[1:] /= k_grid[1:]
+    table[0] = np.sum(c)
+    return table
+
+
 class TestUniformEdgeTransform:
     """The block-and-offset matrix product of make_profile against the direct sum it replaced."""
+
+    @pytest.mark.parametrize("grid", sorted(UNIFORM_GRIDS))
+    @pytest.mark.parametrize("dim", [1, 3])
+    @KIND
+    def test_row_blocks_equal_one_whole_product(self, kind, dim, grid):
+        # PHASE_ROW_BLOCK rows of block phases per product, bit for bit the
+        # one product of all of them that n = 1 and 3 ran before
+        k_max, size = UNIFORM_GRIDS[grid]
+        s, w, f = edge_rule(k_max)
+        k_grid = np.linspace(0.0, k_max, size)
+        assert np.array_equal(window.uniform_edge_transform(dim, s, w, f, k_grid),
+                              whole_product_transform(dim, s, w, f, k_grid))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @KIND
+    def test_peak_memory(self, kind, dim):
+        # the block phases are formed PHASE_ROW_BLOCK rows at a time: 1.48
+        # MiB; all 80 rows at once take 2.14 MiB
+        assert traced_peak(lambda: make_profile(dim)) <= 1.8 * 2 ** 20
 
     @pytest.mark.parametrize("grid", sorted(UNIFORM_GRIDS))
     @pytest.mark.parametrize("dim", [1, 3])
@@ -420,15 +474,10 @@ class TestLineProjection:
     @KIND
     def test_peak_memory(self, kind):
         # the phase matrices of the GEMM are summed over chunks of EDGE_CHUNK
-        # nodes and the projection kernels over blocks of rows
-        make_profile(2, k_max=40.0, k_resolution=1000)  # lru-cached evaluator
-        tracemalloc.start()
-        try:
-            make_profile(2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2 ** 20
+        # nodes, the projection kernels over blocks of rows and the
+        # interpolant over blocks of points: 1.56 MiB; 8,192 points at once
+        # take 3.16 MiB
+        assert traced_peak(lambda: make_profile(2)) <= 2 * 2 ** 20
 
 
 class TestInterpolant:
@@ -489,6 +538,18 @@ class TestInterpolant:
         x = np.linspace(-h, h, 400)[1:]
         reference = np.array([mass(v) for v in x]) / mass(h)
         assert np.max(np.abs(cdf(x) - reference)) <= 1e-14
+
+    def test_blocks_of_points_equal_one_block(self, profile1, monkeypatch):
+        # a point's value does not depend on the _INTERP_BLOCK points it is
+        # read with: the transform and the bump CDF of the window's edge, on
+        # more than one block of the former 8,192 points
+        rng = np.random.default_rng(7)
+        kappa = rng.uniform(0.0, profile1.k_max, 20000)
+        s = rng.uniform(*window.EDGE, 20000)
+        blocked = profile1.fourier_radial(kappa), profile1.value(s)
+        monkeypatch.setattr(window, "_INTERP_BLOCK", 8192)
+        assert np.array_equal(profile1.fourier_radial(kappa), blocked[0])
+        assert np.array_equal(profile1.value(s), blocked[1])
 
     def test_array_equals_one_point_calls(self, profile1):
         # the projector evaluates all of its sample momenta in one call
