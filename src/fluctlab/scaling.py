@@ -143,9 +143,9 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
     side for the momenta beyond the table (one squared sample, not a bound
     on that tail), also when p_max >= k_max leaves no sum."""
     ks = profile.k_grid
-    f2 = profile.fhat_samples ** 2
-    mask = ks > p_max
-    return 2.0 * np.trapezoid(f2[mask], ks[mask]) + 2.0 * f2[-1]
+    above = np.searchsorted(ks, p_max, side="right")  # the samples with k > p_max
+    f2 = profile.fhat_samples[above:] ** 2
+    return 2.0 * np.trapezoid(f2, ks[above:]) + 2.0 * np.square(profile.fhat_samples[-1])
 
 
 # ---------------------------------------------------------------------------

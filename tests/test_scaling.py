@@ -167,6 +167,16 @@ class TestSpectralPath:
         assert bounds[0] >= bounds[1] >= bounds[2] > 0.0
         assert bounds[1] == bounds[2] == 2.0 * profile1.fhat_samples[-1] ** 2
 
+    def test_pair_tail_bound_equals_the_masked_sum(self, profile1):
+        # the slice above p_max holds the samples k > p_max picks out, in the
+        # same order: the same bits at 0, on a node, between nodes, at k_max
+        # and beyond it, where the sum is empty
+        ks, f2 = profile1.k_grid, profile1.fhat_samples ** 2
+        for p_max in (0.0, ks[3000], ks[3000] + 0.4 * ks[1], ks[-1], 700.0):
+            mask = ks > p_max
+            masked = 2.0 * np.trapezoid(f2[mask], ks[mask]) + 2.0 * f2[-1]
+            assert float(pair_tail_bound(profile1, p_max)).hex() == float(masked).hex(), p_max
+
     def test_tail_certificate_computed_once_per_sweep(self, product_state1, profile1, monkeypatch):
         calls = []
 

@@ -249,12 +249,27 @@ class TestPlateauAndEdge:
             "float32": lambda: np.save(path, fresh.fhat_samples.astype(np.float32)),
             "empty": lambda: path.write_bytes(b""),
             "zip": lambda: path.write_bytes(b"PK\x03\x04"),
+            # files np.load reads as the table, which save_cache_array never writes
+            "trailing bytes": lambda: path.write_bytes(table + bytes(8)),
+            "big-endian": lambda: np.save(path, fresh.fhat_samples.astype(">f8")),
+            "version 2.0": lambda: write_npy(path, fresh.fhat_samples, version=(2, 0)),
         }
         for name, write in damage.items():
             write()
             again = load_or_build(2, cache_dir=tmp_path, **args)
             assert np.array_equal(again.fhat_samples, fresh.fhat_samples), name
             assert path.read_bytes() == table, name
+        # a 2-D table in Fortran order holds the right values in another
+        # memory order, which a warm product could round differently from a
+        # cold one: it is rebuilt C-ordered
+        kernel = np.arange(12.0).reshape(3, 4)
+        kernel_path = tmp_path / "chain.npy"
+        window.load_or_build_array(tmp_path, kernel_path.name, (3, 4), kernel.copy)
+        kernel_table = kernel_path.read_bytes()
+        np.save(kernel_path, np.asfortranarray(kernel))
+        again = window.load_or_build_array(tmp_path, kernel_path.name, (3, 4), kernel.copy)
+        assert again.flags.c_contiguous and np.array_equal(again, kernel)
+        assert kernel_path.read_bytes() == kernel_table
 
     def test_smoothstep_order_names_no_mollified_step_file(self, tmp_path):
         # no smoothness term names the file any more: a table of the same
@@ -268,6 +283,12 @@ class TestPlateauAndEdge:
         assert {p.name for p in tmp_path.glob("*.npy")} == {
             f"window_n1_k40.0_m1024_v{CACHE_FORMAT_VERSION}.npy", stale.name}
         assert not np.any(np.load(stale))
+
+
+def write_npy(path, array, **kwargs):
+    """Write ``array`` as a .npy file at path through ``np.lib.format.write_array``."""
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, array, **kwargs)
 
 
 def ball_transform(dim, x):
