@@ -43,6 +43,7 @@ from .quadrature import Rule1D, gauss_legendre_panels, half_panel_rule, panel_ru
 from .window import (
     CACHE_FORMAT_VERSION,
     GRID_EXTENT,
+    K_GRID,
     PLANE_WAVE_MEAN,
     SUPPORT_PANEL_NODES,
     SUPPORT_RADIUS,
@@ -127,7 +128,7 @@ class ScalingConfig:
 
         The bound is computed once per (profile, p_max) and kept in the chain
         cache, so the sweeps and one-radius calls of a run pay for it once."""
-        bound = _memo(("tail", profile.cache_key, rule.p_max), lambda: pair_tail_bound(profile, rule.p_max))
+        bound = _memo(("tail", profile.dim, rule.p_max), lambda: pair_tail_bound(profile, rule.p_max))
         if bound > self.eps_vanish / 10.0:
             raise NumericalAccuracyError(
                 f"window tail bound {bound:.3e} at p_max={rule.p_max} exceeds "
@@ -139,10 +140,10 @@ class ScalingConfig:
 
 def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
     """integral of fhat(k)^2 over |k| > p_max along one axis: the trapezoid
-    sum of the cached table over p_max < |k| <= k_max, plus fhat(k_max)^2 per
+    sum of the cached table over p_max < |k| <= K_MAX, plus fhat(K_MAX)^2 per
     side for the momenta beyond the table (one squared sample, not a bound
-    on that tail), also when p_max >= k_max leaves no sum."""
-    ks = profile.k_grid
+    on that tail), also when p_max >= K_MAX leaves no sum."""
+    ks = K_GRID
     above = np.searchsorted(ks, p_max, side="right")  # the samples with k > p_max
     f2 = profile.fhat_samples[above:] ** 2
     return 2.0 * np.trapezoid(f2, ks[above:]) + 2.0 * np.square(profile.fhat_samples[-1])
@@ -175,19 +176,19 @@ def _kept_array(kind: str, profile: WindowProfile, stem: str, rule: Rule1D, shap
         array.flags.writeable = False
         return array
 
-    return _memo((kind, profile.cache_key, stem, rule.key), load)
+    return _memo((kind, profile.dim, stem, rule.key), load)
 
 
-def _radial_nodes(profile: WindowProfile, n: int, rule: Rule1D):
+def _radial_nodes(profile: WindowProfile, rule: Rule1D):
     """fhat(r) and the radial measure w r^(n-1) at the nodes of a half-line rule (cached)."""
-    return _memo(("radial", profile.cache_key, n, rule.key),
-                 lambda: (profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (n - 1)))
+    return _memo(("radial", profile.dim, rule.key),
+                 lambda: (profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (profile.dim - 1)))
 
 
-def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
-    """Radial kernel of the one chain, offsets or not: read-only, kept in
-    memory per (profile, n, rule) and on disk in the profile's window cache
-    (``_kept_array``).
+def window_product(profile: WindowProfile, rule: Rule1D) -> np.ndarray:
+    """Radial kernel of the one chain, offsets or not, at n = profile.dim:
+    read-only, kept in memory per (n, rule) and on disk in the profile's
+    window cache (``_kept_array``).
 
     K[p, r] = integral over S^(n-1) of fhat(|p - r omega|) d omega on the
     radii of a half-line rule, an (N, N) matrix for every n.  The spherical
@@ -204,8 +205,8 @@ def window_product(profile: WindowProfile, n: int, rule: Rule1D) -> np.ndarray:
     K depends on n and the rule alone, since there is one window.  The
     chain reads it once per step of each block of radii (``radial_chain``).
     """
-    return _kept_array("kernel", profile, f"chain_n{n}_p", rule, (len(rule),) * 2,
-                       lambda: _radial_kernel(n, rule))
+    return _kept_array("kernel", profile, f"chain_n{profile.dim}_p", rule, (len(rule),) * 2,
+                       lambda: _radial_kernel(profile.dim, rule))
 
 
 #: support nodes per column block of ``_radial_kernel``, and kernel rows
@@ -252,8 +253,8 @@ def _angle_rule(n: int, panels: int):
     return np.cos(theta), sin, w * sin ** (n - 2) * unit_sphere_area(n - 1) / unit_sphere_area(n)
 
 
-def _offset_vector(profile: WindowProfile, n: int, rule: Rule1D, phi, radius: float,
-                  a: float, b: float) -> np.ndarray:
+def _offset_vector(profile: WindowProfile, rule: Rule1D, phi, radius: float,
+                   a: float, b: float) -> np.ndarray:
     """The first vector of the chain of offsets a e and b e on the first two
     observables, at the radii of the rule.
 
@@ -262,12 +263,12 @@ def _offset_vector(profile: WindowProfile, n: int, rule: Rule1D, phi, radius: fl
     the first variable keeps E(p) = fhat(|p - c e|) phi(|p/R - b e|), which
     enters as its mean over the sphere.  With c = 0, fhat leaves the mean.
     """
-    cos, sin, wt = _angle_rule(n, _angle_panels(rule.p_max))
+    cos, sin, wt = _angle_rule(profile.dim, _angle_panels(rule.p_max))
     r = rule.nodes[:, None]
     e = phi(np.hypot(r * cos / radius - b, r * sin / radius))
     c = radius * (a + b)
     if c == 0:
-        return _radial_nodes(profile, n, rule)[0] * (e @ wt)
+        return _radial_nodes(profile, rule)[0] * (e @ wt)
     return (e * profile.fourier_radial(np.hypot(r * cos - c, r * sin))) @ wt
 
 
@@ -283,11 +284,11 @@ def clear_caches() -> None:
 CHAIN_BLOCK = 8
 
 
-def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radii,
+def radial_chain(profile: WindowProfile, rule: Rule1D, factors, radii,
                  offset: tuple[float, float] | None = None) -> np.ndarray:
-    """The window chain of radial factors on a half-line rule at each radius
-    of ``radii``, as a complex array; each value is kept in the chain cache
-    per (profile, n, rule, factors, radius, offset).
+    """The window chain of radial factors in n = profile.dim dimensions on a
+    half-line rule at each radius of ``radii``, as a complex array; each
+    value is kept in the chain cache per (n, rule, factors, radius, offset).
 
     integral over (R^n)^(l-1) of fhat(|q_1|) phi_1(|q_1|/R) fhat(|q_2 - q_1|)
     phi_2(|q_2|/R) ... phi_{l-1}(|q_{l-1}|/R) fhat(|q_{l-1}|), with each
@@ -309,32 +310,32 @@ def radial_chain(profile: WindowProfile, n: int, rule: Rule1D, factors, radii,
     The key holds the factors themselves, so they must be hashable; being
     kept alive, none can match a later factor that reuses its id.
     """
-    base = ("chain", profile.cache_key, n, rule.key, tuple(factors))
+    base = ("chain", profile.dim, rule.key, tuple(factors))
     radii = [float(radius) for radius in radii]
     missing = list(dict.fromkeys(r for r in radii if base + (r, offset) not in _CHAIN_CACHE))
     for j in range(0, len(missing), CHAIN_BLOCK):
         block = missing[j:j + CHAIN_BLOCK]
-        for radius, value in zip(block, _chain_block(profile, n, rule, factors, block, offset)):
+        for radius, value in zip(block, _chain_block(profile, rule, factors, block, offset)):
             _CHAIN_CACHE[base + (radius, offset)] = value
     return np.array([_CHAIN_CACHE[base + (r, offset)] for r in radii], dtype=complex)
 
 
-def _chain_block(profile: WindowProfile, n: int, rule: Rule1D, factors, radii, offset):
+def _chain_block(profile: WindowProfile, rule: Rule1D, factors, radii, offset):
     """The chain values of ``radial_chain`` at up to CHAIN_BLOCK radii: the
     vectors of all radii as the rows of one array, each kernel product one
     (2 CHAIN_BLOCK, N) @ (N, N) product of [Re; Im] with zero rows to fill."""
-    fhat, measure = _radial_nodes(profile, n, rule)
+    fhat, measure = _radial_nodes(profile, rule)
     m = len(radii)
     u = rule.nodes / np.array(radii)[:, None]
     v = (fhat * factors[0](u) if offset is None
-         else np.array([_offset_vector(profile, n, rule, factors[0], radius, *offset) for radius in radii]))
+         else np.array([_offset_vector(profile, rule, factors[0], radius, *offset) for radius in radii]))
     rows = np.zeros((2 * CHAIN_BLOCK, len(rule)))
     for phi in factors[1:]:
         w = v * measure
         rows[:m], rows[CHAIN_BLOCK:CHAIN_BLOCK + m] = w.real, w.imag
-        out = rows @ window_product(profile, n, rule)
+        out = rows @ window_product(profile, rule)
         v = (out[:m] + 1j * out[CHAIN_BLOCK:CHAIN_BLOCK + m]) * phi(u)
-    return [unit_sphere_area(n) * complex(total) for total in np.sum(v * measure * fhat, axis=1)]
+    return [unit_sphere_area(profile.dim) * complex(total) for total in np.sum(v * measure * fhat, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,8 @@ def _correlator(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingC
     resolved once, then a weighted order's heat-kernel sum (``_heat_sum``)
     or, for any other, the offset pair and the factors resolved once and
     the window chain of the module formula on the rule at every radius of
-    the grid in one call (``radial_chain``)."""
+    the grid in one call (``radial_chain``), on a profile of the state's dimension."""
+    check_profile_dim(state, profile)
     n = state.dim
     rule = check_order(state, cfg, order, qmode=offsets is not None)
     cfg.validate_tail(profile, rule)
@@ -457,7 +459,15 @@ def _correlator(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingC
     if not fns:
         return lambda radii: [0j] * len(radii)
     return lambda radii: [_prefactor(order, n, radius, alpha) * complex(chain) for radius, chain
-                          in zip(radii, radial_chain(profile, n, rule, fns, radii, pair))]
+                          in zip(radii, radial_chain(profile, rule, fns, radii, pair))]
+
+
+def check_profile_dim(state, profile: WindowProfile) -> None:
+    """Raise InvalidArgumentError unless the profile has the ``dim`` of the
+    state or model: the chain reads n from the profile."""
+    if profile.dim != state.dim:
+        raise InvalidArgumentError(f"the state or model is of dimension {state.dim}, "
+                                   f"the window profile of dimension {profile.dim}")
 
 
 def _offset_pair(offsets, order: int, n: int) -> tuple[float, float]:
@@ -548,7 +558,7 @@ def window_overlap_1d(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.
 def _folded_overlap(profile: WindowProfile, order: int, z_rule: Rule1D) -> np.ndarray:
     """G of ``window_overlap_1d``, built from the folded rows of the z rule,
     which orders 2 and 3 share through the chain cache."""
-    rows = _memo(("folded", profile.cache_key, z_rule.key), lambda: _folded_rows(profile, z_rule))
+    rows = _memo(("folded", profile.dim, z_rule.key), lambda: _folded_rows(profile, z_rule))
     u, wt = panel_rule(*U_RULE)
     sc = rows * (profile.value(u) * wt)
     # the z weights multiply one axis at a time: outer(wt, wt) * g rounds differently
@@ -871,9 +881,9 @@ TAU_RULE = (-18.0, 22.0, 40, 10)
 TAU_CUTOFF = 1e-15
 
 
-def heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.ndarray:
-    """G_l(tau) at the nodes of TAU_RULE: read-only, kept in memory per
-    (profile, n, order, rule) and on disk in the profile's window cache
+def heat_table(profile: WindowProfile, order: int, rule: Rule1D) -> np.ndarray:
+    """G_l(tau) at the nodes of TAU_RULE, n = profile.dim: read-only, kept in
+    memory per (n, order, rule) and on disk in the profile's window cache
     (``_kept_array``).
 
     G_l(tau) = integral over (R^n)^(l-1) of exp(-tau sum |z_i|^2) g_l(z) dz,
@@ -883,8 +893,8 @@ def heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.n
     exp(-u^2/4) of u = |q|/R (``_gaussian``).  It depends on n, l, the
     window and the rules alone, not on alpha, beta or R.
     """
-    return _kept_array("heat", profile, f"heat_n{n}_o{order}_p", rule, (TAU_RULE[2] * TAU_RULE[3],),
-                       lambda: _heat_table(profile, n, order, rule))
+    return _kept_array("heat", profile, f"heat_n{profile.dim}_o{order}_p", rule, (TAU_RULE[2] * TAU_RULE[3],),
+                       lambda: _heat_table(profile, order, rule))
 
 
 def _gaussian(u):
@@ -892,10 +902,11 @@ def _gaussian(u):
     return np.exp(-0.25 * u * u)
 
 
-def _heat_table(profile: WindowProfile, n: int, order: int, rule: Rule1D) -> np.ndarray:
+def _heat_table(profile: WindowProfile, order: int, rule: Rule1D) -> np.ndarray:
     """G_l of ``heat_table``, its constants (pi/tau)^(n/2) and C_l taken out of the chain."""
+    n = profile.dim
     tau = np.exp(panel_rule(*TAU_RULE)[0])
-    chain = radial_chain(profile, n, rule, (_gaussian,) * (order - 1), np.sqrt(tau)).real
+    chain = radial_chain(profile, rule, (_gaussian,) * (order - 1), np.sqrt(tau)).real
     return (2.0 * pi) ** (n * (2 - order) / 2.0) * (pi / tau) ** (n * (order - 1) / 2.0) * chain
 
 
@@ -945,7 +956,7 @@ def _heat_sum(state: TruncatedHierarchy, profile: WindowProfile, order: int, alp
     NumericalAccuracyError.
     """
     n = state.dim
-    table = heat_table(profile, n, order, rule)
+    table = heat_table(profile, order, rule)
     a = state.weighted_orders[order].decay / 2.0
     summand = panel_rule(*TAU_RULE)[1] * table
     at_zero = profile.volume_integral() ** order

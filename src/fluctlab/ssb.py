@@ -22,7 +22,7 @@ from .errors import (
 )
 from .models import RadialWeight, smooth_cutoff, smoothstep_edge
 from .quadrature import half_panel_rule
-from .scaling import ScalingConfig, ScalingReport, radial_chain, sweep_report
+from .scaling import ScalingConfig, ScalingReport, check_profile_dim, radial_chain, sweep_report
 from .window import SUPPORT_RADIUS, WindowProfile, unit_sphere_area
 
 
@@ -111,12 +111,18 @@ class GoldstoneModel:
 # spectral integrals (scaled variable u = R kappa)
 # ---------------------------------------------------------------------------
 
+#: the half-line rule of every spectral integral, graded toward u = 0.  It
+#: is fixed here: ``numeric.quad`` does not set it, and no tail certificate
+#: covers its cut at 160 (ROADMAP item 3)
+SPECTRAL_RULE = half_panel_rule(160.0, 64, 10, 18)
+
+
 def _spectral_integrals(model: GoldstoneModel, profile: WindowProfile, radii, weight) -> np.ndarray:
     """Omega_{n-1} * integral fhat(u)^2 weight(u/R) u^(n-1) du at each radius R
-    of ``radii``: the order-2 radial chain on a half-line rule graded toward
-    u = 0, the whole grid in one call."""
-    rule = half_panel_rule(min(profile.k_max, 160.0), 64, 10, 18)
-    return radial_chain(profile, model.dim, rule, (weight,), radii)
+    of ``radii``: the order-2 radial chain on SPECTRAL_RULE, the whole grid
+    in one call, on a profile of the model's dimension."""
+    check_profile_dim(model, profile)
+    return radial_chain(profile, SPECTRAL_RULE, (weight,), radii)
 
 
 def _windowed(model: GoldstoneModel, profile: WindowProfile, radii, weight) -> list:

@@ -22,10 +22,13 @@ projection-slice theorem turns the transform into one of a line: fhat_2(k)
 is (2 pi)^(-1/2) times the n = 1 transform of the projection
 P(x) = int f(sqrt(x^2 + t^2)) dt (``line_projection``), which is the same
 matrix product over a rule on [0, b], so no Bessel function is evaluated.
-Every piece of these rules has at least MIN_TRANSFORM_PANELS panels.
-Between the cached momenta the transform is read by the 10-point Lagrange
-interpolant ``lagrange_uniform``, which is exact at the nodes and elsewhere
-misses the direct quadrature by at most 1e-14 of fhat(0).
+The table is fhat on one fixed momentum grid, ``K_GRID``, so a profile is
+its dimension alone.  Between the cached momenta it is read by the 10-point
+Lagrange interpolant ``lagrange_uniform``, exact at the nodes.  At the nodes
+of the graded chain rule it misses the direct quadrature by at most 1.3e-15
+of fhat(0) beyond k = 0.3, but below by up to 6.5e-14, 3.2e-14 and 1.5e-14
+at n = 1, 2, 3 (worst near k = 0.02), where the stencil is one-sided: a
+known defect (ROADMAP, "``fourier_radial`` near k = 0").
 
 Convention summary (pinned once, here):
 
@@ -75,9 +78,16 @@ BUMP_HALFWIDTH = 0.25
 #: (a, b): only the edge between the two plateaus needs a formula and a quadrature
 EDGE = (STEP_EDGE - BUMP_HALFWIDTH, STEP_EDGE + BUMP_HALFWIDTH)
 SUPPORT_RADIUS = 2.0
-#: radial extent of the transform rule and of the position-space rules:
-#: the support plus a margin of 0.5
+#: radial extent of the position-space rules: the support plus a margin of 0.5
 GRID_EXTENT = 2.5
+
+#: the read-only momentum grid of every transform table: fhat_R(k) = R^n fhat(R k),
+#: so one table per dimension serves every R.  K_SAMPLES = 10 x PHASE_ROW_BLOCK
+#: x PHASE_BLOCK fills whole blocks of ``uniform_edge_transform``
+K_MAX = 640.0
+K_SAMPLES = 10240
+K_GRID = np.linspace(0.0, K_MAX, K_SAMPLES)
+K_GRID.flags.writeable = False
 
 
 def unit_sphere_area(n: int) -> float:
@@ -148,19 +158,12 @@ class WindowProfile:
     """
 
     dim: int
-    k_grid: np.ndarray = field(repr=False)
+    #: fhat at the momenta of K_GRID
     fhat_samples: np.ndarray = field(repr=False)
-    k_max: float
     #: the window cache directory the table was read from or written to
     #: (``load_or_build``), where the arrays of ``load_or_build_array`` are
     #: kept; None for a profile of ``make_profile``
     cache_dir: Path | None = field(default=None, compare=False, repr=False)
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def cache_key(self) -> tuple:
-        return (self.dim, float(self.k_max), len(self.k_grid))
 
     # -- position space ----------------------------------------------------
 
@@ -180,11 +183,11 @@ class WindowProfile:
     def fourier_radial(self, kappa) -> np.ndarray:
         """fhat at radial momentum |k| = kappa (real; even by construction).
 
-        Beyond the cached range it is extrapolated as 0.
+        Beyond K_MAX it is extrapolated as 0.
         """
         kappa = np.abs(np.asarray(kappa, dtype=float))
-        out = lagrange_uniform(self.k_grid, self.fhat_samples, np.minimum(kappa, self.k_max))
-        return np.where(kappa > self.k_max, 0.0, out)
+        out = lagrange_uniform(K_GRID, self.fhat_samples, np.minimum(kappa, K_MAX))
+        return np.where(kappa > K_MAX, 0.0, out)
 
     def fhat_zero(self) -> float:
         return float(self.fhat_samples[0])
@@ -197,39 +200,28 @@ class WindowProfile:
         sum over the panels of ``transform_rule`` on the edge [a, b] with the
         exact profile values."""
         a, b = EDGE
-        s, w = transform_rule(self.k_max, a, b)
+        s, w = transform_rule(a, b)
         edge = float(np.sum(w * _profile_evaluator()(s) ** 2 * s ** (self.dim - 1)))
         return unit_sphere_area(self.dim) * (a ** self.dim / self.dim + edge)
 
     # -- serialization -----------------------------------------------------
 
-    def to_cache_file(self, cache_dir: str | Path) -> Path:
-        """Write the transform samples as a bare .npy table into cache_dir,
-        under the name ``_cache_file_name`` gives the profile's scalars
-        (``save_cache_array``)."""
-        path = Path(cache_dir) / _cache_file_name(self.dim, self.k_max, len(self.k_grid))
-        save_cache_array(path, self.fhat_samples)
-        return path
-
     @staticmethod
     def from_cache_file(path: str | Path) -> "WindowProfile":
-        """Read a profile that ``to_cache_file`` wrote: the scalars from the
-        file name, the transform samples from the file, and its directory as
-        the profile's ``cache_dir``.  A name of another format version, or a
-        table of another length or type than the name states, raises
-        InvalidArgumentError; a file that is no .npy table raises ValueError."""
+        """Read a profile that ``load_or_build`` wrote: the dimension from the
+        name ``window_n<dim>_v<format>.npy``, the table from the file and its
+        directory as the ``cache_dir``.  Another name or format version, or a
+        table of another length or type, raises InvalidArgumentError; a file
+        that is no .npy table raises ValueError."""
         path = Path(path)
         match = _CACHE_NAME.fullmatch(path.name)
         if match is None:
             raise InvalidArgumentError(f"{path.name!r} is not a window cache file name")
-        dim, k_max, size, version = match.groups()
-        check_dim(int(dim))
-        if int(version) != CACHE_FORMAT_VERSION:
+        dim, version = map(int, match.groups())
+        check_dim(dim)
+        if version != CACHE_FORMAT_VERSION:
             raise InvalidArgumentError(f"window cache format {version} not supported")
-        fhat_samples = load_cache_array(path, (int(size),))
-        k_max = float(k_max)
-        return WindowProfile(int(dim), np.linspace(0.0, k_max, int(size)), fhat_samples, k_max,
-                             path.parent)
+        return WindowProfile(dim, load_cache_array(path, (K_SAMPLES,)), path.parent)
 
 
 def save_cache_array(path: Path, array: np.ndarray) -> None:
@@ -307,12 +299,7 @@ def load_or_build_array(cache_dir: Path | None, name: str, shape: tuple, build) 
         return array
 
 
-def _cache_file_name(dim: int, k_max: float, k_resolution: int) -> str:
-    """The cache file of a profile's table: its scalars and the format version name it."""
-    return f"window_n{dim}_k{float(k_max)!r}_m{k_resolution}_v{CACHE_FORMAT_VERSION}.npy"
-
-
-_CACHE_NAME = re.compile(r"window_n(\d+)_k([^_]+)_m(\d+)_v(\d+)\.npy")
+_CACHE_NAME = re.compile(r"window_n(\d+)_v(\d+)\.npy")
 
 
 @lru_cache(maxsize=None)
@@ -368,7 +355,7 @@ def _radial_coefficients(dim, s_nodes, s_weights, f_vals):
 #: offsets r per block of ``uniform_edge_transform``: momentum index j = q B + r
 PHASE_BLOCK = 128
 #: most nodes ``uniform_edge_transform`` multiplies at once: the edge rule
-#: of the default mollified step, so its (2 S, B) offset phase matrix stays
+#: of the mollified step, so its (2 S, B) offset phase matrix stays
 #: near 1 MB on the longer rules of n = 2
 EDGE_CHUNK = 544
 #: block-phase rows per product of ``uniform_edge_transform``, formed this
@@ -378,10 +365,9 @@ EDGE_CHUNK = 544
 PHASE_ROW_BLOCK = 8
 
 
-def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid) -> np.ndarray:
+def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals) -> np.ndarray:
     """The radial transform sum_s c_s Omega_n(k s) at n = 1 or 3
-    (``_radial_coefficients``) on the uniform grid k_j = j dk from 0
-    (``k_grid``, at least two points).
+    (``_radial_coefficients``) on the uniform grid k_j = j dk of K_GRID.
 
     With j = q B + r (B = PHASE_BLOCK) the plane wave splits into a block and
     an offset phase, exp(i k_j s) = exp(i q B dk s) exp(i r dk s), so the
@@ -392,28 +378,26 @@ def uniform_edge_transform(dim: int, s_nodes, s_weights, f_vals, k_grid) -> np.n
     sum_s c_s sin(k s)/(k s) (n = 3).  At k = 0 the table is sum_s c_s at
     both n.  About (blocks + B) 2 S sines and cosines replace the K S of the
     direct sum.  n = 2 reaches it through the line projection
-    (``make_profile``).  On the default rule of ``make_profile`` the table
+    (``make_profile``).  On the rule of ``make_profile`` the table
     is within 4.1e-15 of fhat(0) of the direct sum.  Against a long-double
     sum it is 1.1e-15 to 1.7e-15 of fhat(0) off at n = 1, where the direct
     sum is 1.8e-15 to 3.6e-15 off, and 4.2e-16 to 6.5e-16 off at n = 3,
     where the direct sum is 2.8e-16 to 3.4e-16 off.
 
     The product runs as products of PHASE_ROW_BLOCK rows of block phases,
-    the blocks rounded up to a multiple of it, each formed as it is
-    multiplied (``_phase_product``): every product has one shape, so the
-    table's bits do not depend on the BLAS thread count at any n.
+    each formed as it is multiplied (``_phase_product``): every product has
+    one shape, so the table's bits do not depend on the BLAS thread count at
+    any n.
     """
     c = _radial_coefficients(dim, s_nodes, s_weights, f_vals)
-    size = len(k_grid)
-    dk = k_grid[-1] / (size - 1)
-    blocks = -(-size // PHASE_BLOCK)
-    table = np.zeros((-(-blocks // PHASE_ROW_BLOCK) * PHASE_ROW_BLOCK, PHASE_BLOCK))
+    dk = K_MAX / (K_SAMPLES - 1)
+    table = np.zeros((K_SAMPLES // PHASE_BLOCK, PHASE_BLOCK))
     parts = -(-len(s_nodes) // EDGE_CHUNK)
     for s, cs in zip(np.array_split(s_nodes, parts), np.array_split(c, parts)):
         _phase_product(table, dim, s, cs if dim == 1 else cs / s, dk)
-    table = table.ravel()[:size]
+    table = table.ravel()
     if dim == 3:
-        table[1:] /= k_grid[1:]
+        table[1:] /= K_GRID[1:]
     table[0] = np.sum(c)
     return table
 
@@ -520,33 +504,23 @@ def support_rule(frequency: float):
     return out
 
 
-def transform_rule(k_max: float, lo: float, hi: float):
-    """Composite Gauss-Legendre nodes and weights over [lo, hi] at the panel
-    width ``make_profile`` integrates the edge with: that of a rule over all
-    of [0, GRID_EXTENT] with >= ~6 nodes per cycle of exp(i k_max s), and at
-    least MIN_TRANSFORM_PANELS panels."""
-    return gauss_legendre_panels(lo, hi, _transform_panels(k_max, lo, hi), 16)
+#: 16-node Gauss-Legendre panels per unit length of ``transform_rule``:
+#: one per 1.5 cycles of exp(i K_MAX s), 85 on [0, a] and 34 on the edge
+TRANSFORM_PANEL_DENSITY = 68
 
 
-#: fewest panels of any piece of a transform rule: at k_max 40 the cycle
-#: count alone gives the edge 10 panels, which leave the n = 3 fhat(0)
-#: 1.7e-14 low and the line projection P 1e-11 off; on 32 fhat(0) is within
-#: 2e-16 at n = 1, 2, 3.  The default k_max gives the edge 34 panels and
-#: [0, a] 85, so its tables do not depend on it
-MIN_TRANSFORM_PANELS = 32
-
-
-def _transform_panels(k_max, lo, hi):
-    """The panel count of ``transform_rule`` over [lo, hi]."""
-    cycles = k_max * GRID_EXTENT / (2.0 * pi)
-    return max(ceil(max(48, int(cycles / 1.5) + 1) * (hi - lo) / GRID_EXTENT), MIN_TRANSFORM_PANELS)
+def transform_rule(lo: float, hi: float):
+    """Composite Gauss-Legendre nodes and weights over [lo, hi], at the panel
+    width ``make_profile`` integrates the edge with: TRANSFORM_PANEL_DENSITY
+    panels of 16 nodes per unit length, rounded up."""
+    return gauss_legendre_panels(lo, hi, ceil(TRANSFORM_PANEL_DENSITY * (hi - lo)), 16)
 
 
 #: kernel entries ``line_projection`` holds at once
 _PROJECTION_BLOCK = 16384
 
 
-def line_projection(x, k_max: float) -> np.ndarray:
+def line_projection(x) -> np.ndarray:
     """P(x) = integral of f(sqrt(x^2 + t^2)) over t in R, for 0 <= x <= b:
     the window profile integrated along a line at distance x from the centre.
 
@@ -555,7 +529,7 @@ def line_projection(x, k_max: float) -> np.ndarray:
         P(x) = 2 sqrt(b^2 - x^2) - 2 int_{max(a, x)}^b (1 - f(r)) r / sqrt(r^2 - x^2) dr,
 
     the chord of the ball of radius b less the deficit of the edge.  The
-    deficit is read on the panels of ``transform_rule(k_max, a, b)``, with
+    deficit is read on the panels of ``transform_rule(a, b)``, with
     the exact f.  The panels that start at least one panel width h above x
     hold no singularity, and their 16-node Gauss-Legendre sum reads the
     same f values for every x.  Up to
@@ -567,8 +541,8 @@ def line_projection(x, k_max: float) -> np.ndarray:
     a, b = EDGE
     exact = _profile_evaluator()
     x = np.asarray(x, dtype=float)
-    panels = _transform_panels(k_max, a, b)
-    s, w = gauss_legendre_panels(a, b, panels, 16)
+    panels = ceil(TRANSFORM_PANEL_DENSITY * (b - a))
+    s, w = transform_rule(a, b)
     r_edges = np.linspace(a, b, panels + 1)
     h = (b - a) / panels
     lo = np.maximum(a, x)
@@ -613,14 +587,14 @@ def check_dim(dim: int) -> None:
         raise InvalidArgumentError(f"dimension {dim} not supported (use 1, 2 or 3)")
 
 
-def make_profile(dim: int, *, k_max: float = 640.0, k_resolution: int = 10240) -> WindowProfile:
-    """Build a WindowProfile with a cached transform on [0, k_max].
+def make_profile(dim: int) -> WindowProfile:
+    """Build the WindowProfile of dimension dim, its transform on K_GRID.
 
     The profile is exactly 1 on the ball of radius a and exactly 0 beyond b,
     (a, b) = EDGE.  At n = 1 and 3 its transform is the ball's closed
     form a^n ball_fhat(a k) plus the edge [a, b], which composite
     Gauss-Legendre integrates from the exact radial profile, dense enough
-    for the largest cached momentum; the edge sum over the uniform momentum
+    for K_MAX (``transform_rule``); the edge sum over the uniform momentum
     grid is one matrix product of block and offset phases
     (``uniform_edge_transform``), within 4.1e-15 of fhat(0) of the direct
     sum.  At n = 2 a radial f has fhat_2(k) = (2 pi)^(-1/2) times the n = 1
@@ -633,47 +607,45 @@ def make_profile(dim: int, *, k_max: float = 640.0, k_resolution: int = 10240) -
     do.  The profile keeps no position samples: ``value`` reads the same
     exact evaluator.
     Between cache nodes the transform is read by the 10-point Lagrange
-    interpolant ``lagrange_uniform``: at 2,000 random momenta it misses the
-    direct quadrature by at most 2.2e-15 of fhat(0) at n = 1, 2, 3.
+    interpolant ``lagrange_uniform``: beyond k = 0.3 it misses the direct
+    quadrature by at most 1.3e-15 of fhat(0) at n = 1, 2, 3, and below it
+    by up to 6.5e-14, the known defect the module docstring names.
     """
     check_dim(dim)
-    k_grid = np.linspace(0.0, k_max, k_resolution)
-
     a, b = EDGE
     if dim == 2:
-        x, w = map(np.concatenate, zip(transform_rule(k_max, 0.0, a), transform_rule(k_max, a, b)))
-        fhat = uniform_edge_transform(1, x, w, line_projection(x, k_max), k_grid) / sqrt(2.0 * pi)
+        x, w = map(np.concatenate, zip(transform_rule(0.0, a), transform_rule(a, b)))
+        fhat = uniform_edge_transform(1, x, w, line_projection(x)) / sqrt(2.0 * pi)
     else:
-        fhat = a ** dim * ball_fhat(dim, a * k_grid)
-        s_nodes, s_weights = transform_rule(k_max, a, b)
-        fhat += uniform_edge_transform(dim, s_nodes, s_weights, _profile_evaluator()(s_nodes), k_grid)
+        fhat = a ** dim * ball_fhat(dim, a * K_GRID)
+        s_nodes, s_weights = transform_rule(a, b)
+        fhat += uniform_edge_transform(dim, s_nodes, s_weights, _profile_evaluator()(s_nodes))
+    return WindowProfile(dim, fhat)
 
-    return WindowProfile(dim, k_grid, fhat, k_max)
 
+def load_or_build(dim: int, cache_dir: str | Path | None = None) -> WindowProfile:
+    """Fetch the profile of dimension dim from the cache directory, building
+    and caching it on a miss.
 
-def load_or_build(dim: int, cache_dir: str | Path | None = None,
-                  *, k_max: float = 640.0, k_resolution: int = 10240) -> WindowProfile:
-    """Fetch a profile from the cache directory, building and caching on miss.
-
-    The file name carries every argument that changes the profile, so
-    profiles built with different arguments never share a file; a file
-    that cannot be read back whole is rebuilt.  A cache directory that
+    The table is the file ``window_n<dim>_v<format>.npy``; one that
+    ``WindowProfile.from_cache_file`` cannot read back whole is rebuilt
+    and rewritten (``save_cache_array``).  A cache directory that
     cannot be made, or a file that cannot be written, raises FluctlabError.
     The profile's ``cache_dir`` is the directory, read or written.
     """
     if cache_dir is None:
-        return make_profile(dim, k_max=k_max, k_resolution=k_resolution)
+        return make_profile(dim)
     cache_dir = Path(cache_dir)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise FluctlabError(f"cannot create window cache directory {cache_dir}: {exc}") from exc
-    path = cache_dir / _cache_file_name(dim, k_max, k_resolution)
+    path = cache_dir / f"window_n{dim}_v{CACHE_FORMAT_VERSION}.npy"
     if path.exists():
         try:
             return WindowProfile.from_cache_file(path)
         except (OSError, ValueError):  # a miss, InvalidArgumentError included
             pass
-    prof = replace(make_profile(dim, k_max=k_max, k_resolution=k_resolution), cache_dir=cache_dir)
-    prof.to_cache_file(cache_dir)
+    prof = replace(make_profile(dim), cache_dir=cache_dir)
+    save_cache_array(path, prof.fhat_samples)
     return prof

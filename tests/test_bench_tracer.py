@@ -41,7 +41,7 @@ def test_every_traced_name_resolves(spans):
 
 def test_window_product_returns_an_array(profile1):
     # the tracer reads .size and .nbytes of what window_product returns
-    kernel = scaling.window_product(profile1, 1, half_panel_rule(10.0, 2, 4))
+    kernel = scaling.window_product(profile1, half_panel_rule(10.0, 2, 4))
     assert isinstance(kernel, np.ndarray)
     assert kernel.size and kernel.nbytes
 

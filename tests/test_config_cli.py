@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fluctlab import cli, runner, scaling, window
 from fluctlab.config import RunConfig, config_schema, parse_config
-from fluctlab.errors import ConfigError, ModelValidationError
+from fluctlab.errors import ConfigError, InvalidArgumentError, ModelValidationError
 from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
 from fluctlab.window import CACHE_FORMAT_VERSION
@@ -558,7 +558,7 @@ def _no_cache_write(path, array):
     raise AssertionError(f"{path.name} was written where the window cache holds it")
 
 
-def _no_window_build(dim, **kwargs):
+def _no_window_build(dim):
     raise AssertionError("a window table was built where the window cache holds it")
 
 
@@ -599,6 +599,43 @@ def test_cache_loader_reads_every_file_a_cold_run_writes(tmp_path, monkeypatch):
     finally:
         scaling.clear_caches()
     assert sorted(cache.iterdir()) == files
+
+
+def test_table_of_the_old_name_is_neither_read_nor_touched(tmp_path, monkeypatch):
+    # a cache written while the table's name still held its transform grid,
+    # window_n<dim>_k<k_max>_m<k_resolution>_v<format>.npy: the kernels and
+    # overlaps keep their names and are read, the file of the old name is
+    # neither read nor changed, and the run writes only window_n<dim>_v<format>.npy
+    config = ROOT / "configs" / "criterion_04_oracle.json"
+
+    def run(name):
+        scaling.clear_caches()
+        assert cli.main(["run", str(config), "--out-dir", str(tmp_path / name)]) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.json")
+                if not p.name.endswith("-timings.json")}
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FLUCTLAB_CACHE", str(cache))
+    cold = run("cold")
+    table = cache / f"window_n1_v{CACHE_FORMAT_VERSION}.npy"
+    table.unlink()
+    kept = sorted(p.name for p in cache.iterdir())
+    old = cache / f"window_n1_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"
+    garbage = bytes(range(256)) * 320
+    old.write_bytes(garbage)
+    written, save = [], window.save_cache_array
+    monkeypatch.setattr(window, "save_cache_array", lambda path, array: (written.append(path.name), save(path, array)))
+    monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
+    monkeypatch.setattr(scaling, "_folded_rows", _no_overlap_build)
+    try:
+        assert run("migrated") == cold
+    finally:
+        scaling.clear_caches()
+    assert written == [table.name]
+    assert old.read_bytes() == garbage
+    assert sorted(p.name for p in cache.iterdir()) == sorted(kept + [old.name, table.name])
+    with pytest.raises(InvalidArgumentError, match="cache file name"):
+        window.WindowProfile.from_cache_file(old)
 
 
 #: runs every checked-in config, argv[2:], into the directory argv[1] through
@@ -844,7 +881,7 @@ class TestValidateRunContract:
         scaling.clear_caches()
         assert cli.main(["run", str(path)]) == 2
         assert f"cannot write window cache file {kernel}" in capsys.readouterr().err
-        assert sorted(p.name for p in cache.iterdir()) == [kernel.name, f"window_n2_k640.0_m10240_v{CACHE_FORMAT_VERSION}.npy"]
+        assert sorted(p.name for p in cache.iterdir()) == [kernel.name, f"window_n2_v{CACHE_FORMAT_VERSION}.npy"]
         scaling.clear_caches()
 
     @pytest.mark.parametrize("name", ["report.json", "report.csv", "report-plot.csv"])

@@ -1,6 +1,7 @@
 """Source hygiene checks that a linter would make, written as an AST scan."""
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import pytest
 import fluctlab
 from fluctlab.config import NUMERIC
 from fluctlab.scaling import ScalingConfig
+from fluctlab.window import WindowProfile, load_or_build, make_profile
 
 MODULES = sorted(p for p in Path(fluctlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -196,6 +198,37 @@ def test_settable_values_are_pinned():
     # the numeric block and the ScalingConfig it resolves to; a new knob changes this test
     assert set(NUMERIC.fields) == {"r_grid", "eps_vanish", "alpha", "quad"}
     assert [f.name for f in fields(ScalingConfig)] == ["r_values", "alpha", "eps_vanish", "quad_overrides"]
+    # a window profile is its dimension: the transform grid is window.K_GRID
+    assert list(inspect.signature(make_profile).parameters) == ["dim"]
+    assert list(inspect.signature(load_or_build).parameters) == ["dim", "cache_dir"]
+    assert [f.name for f in fields(WindowProfile)] == ["dim", "fhat_samples", "cache_dir"]
+
+
+def dimension_beside_profile(source: str) -> list[str]:
+    """Functions of ``source`` that take a ``profile`` parameter together
+    with an ``n`` or ``dim`` one, as "name:line": the profile carries its
+    dimension, and a second one could disagree with it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "profile" in names and names & {"n", "dim"}:
+                found.append(f"{getattr(node, 'name', '<lambda>')}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dimension_beside_a_profile(path):
+    assert dimension_beside_profile(path.read_text()) == []
+
+
+def test_scan_finds_a_dimension_beside_a_profile():
+    source = ("def chain(profile, n, rule):\n    pass\n"
+              "def table(profile, rule, *, dim=1):\n    pass\n"
+              "def kernel(dim, rule):\n    pass\n"
+              "class Sweep:\n    def run(self, profile, state):\n        f = lambda profile, n: n\n")
+    assert dimension_beside_profile(source) == ["chain:1", "table:3", "<lambda>:9"]
 
 
 def test_cli_import_loads_no_scipy():
@@ -213,7 +246,7 @@ def test_window_build_loads_no_scipy(dim):
     # no window build reads a Bessel function: n = 1 and 3 sum cosines and
     # sines, n = 2 goes through the line projection and the cosine product
     probe = ("import sys; from fluctlab.window import make_profile; "
-             f"make_profile({dim}, k_max=40.0, k_resolution=1000); "
+             f"make_profile({dim}); "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(fluctlab.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,

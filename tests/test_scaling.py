@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluctlab import runner, scaling, ssb, window
+from fluctlab import limit_algebra, runner, scaling, ssb, window
 from fluctlab.config import parse_config
 
 from fluctlab.errors import (
@@ -53,7 +53,7 @@ from fluctlab.scaling import (
 )
 from fluctlab.quadrature import gauss_legendre_panels, half_panel_rule, legendre_rule, panel_rule
 from fluctlab.report import plain
-from fluctlab.window import make_profile, unit_sphere_area
+from fluctlab.window import unit_sphere_area
 
 from conftest import traced_peak, weighted_form
 
@@ -161,17 +161,17 @@ class TestSpectralPath:
         assert pair_tail_bound(profile1, 30.0) > pair_tail_bound(profile1, 60.0) > pair_tail_bound(profile1, 120.0)
 
     def test_pair_tail_bound_counts_the_term_beyond_the_table_per_side(self, profile1):
-        # fhat(k_max)^2 enters once per side whether or not p_max leaves a
-        # trapezoid sum, so the bound does not grow as p_max crosses k_max
+        # fhat(K_MAX)^2 enters once per side whether or not p_max leaves a
+        # trapezoid sum, so the bound does not grow as p_max crosses K_MAX
         bounds = [pair_tail_bound(profile1, p_max) for p_max in (639.99, 640.0, 700.0)]
         assert bounds[0] >= bounds[1] >= bounds[2] > 0.0
         assert bounds[1] == bounds[2] == 2.0 * profile1.fhat_samples[-1] ** 2
 
     def test_pair_tail_bound_equals_the_masked_sum(self, profile1):
         # the slice above p_max holds the samples k > p_max picks out, in the
-        # same order: the same bits at 0, on a node, between nodes, at k_max
+        # same order: the same bits at 0, on a node, between nodes, at K_MAX
         # and beyond it, where the sum is empty
-        ks, f2 = profile1.k_grid, profile1.fhat_samples ** 2
+        ks, f2 = window.K_GRID, profile1.fhat_samples ** 2
         for p_max in (0.0, ks[3000], ks[3000] + 0.4 * ks[1], ks[-1], 700.0):
             mask = ks > p_max
             masked = 2.0 * np.trapezoid(f2[mask], ks[mask]) + 2.0 * f2[-1]
@@ -592,17 +592,17 @@ class TestKernelCache:
         profile = (profile1, profile2, profile3)[dim - 1]
         rule = half_panel_rule(*KERNEL_RULES[rule_name])
         scaling.clear_caches()
-        fresh = window_product(profile, dim, rule)
+        fresh = window_product(profile, rule)
         assert not list(tmp_path.iterdir())
         scaling.clear_caches()
-        cold = window_product(replace(profile, cache_dir=tmp_path), dim, rule)
+        cold = window_product(replace(profile, cache_dir=tmp_path), rule)
         [path] = tmp_path.iterdir()
         key = "_".join(map(str, KERNEL_RULES[rule_name]))
         assert path.name == f"chain_n{dim}_p{key}_v{window.CACHE_FORMAT_VERSION}.npy"
         assert path.stat().st_size == 128 + 8 * len(rule) ** 2
         scaling.clear_caches()
         monkeypatch.setattr(scaling, "support_rule", _no_kernel_build)
-        warm = window_product(replace(profile, cache_dir=tmp_path), dim, rule)
+        warm = window_product(replace(profile, cache_dir=tmp_path), rule)
         assert warm.shape == (len(rule), len(rule))
         assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
         scaling.clear_caches()
@@ -615,10 +615,10 @@ class TestKernelCache:
         old = _one_cycle_kernel(1, rule)
         np.save(stale, old)
         scaling.clear_caches()
-        fresh = window_product(profile1, 1, rule)
+        fresh = window_product(profile1, rule)
         assert not np.array_equal(fresh, old)
         scaling.clear_caches()
-        cold = window_product(replace(profile1, cache_dir=tmp_path), 1, rule)
+        cold = window_product(replace(profile1, cache_dir=tmp_path), rule)
         assert np.array_equal(cold, fresh)
         current = f"chain_n1_p16.0_8_10_0_v{window.CACHE_FORMAT_VERSION}.npy"
         assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, current]
@@ -629,7 +629,7 @@ class TestKernelCache:
         rule = half_panel_rule(*scaling.DEFAULT_QUAD)
         for profile in (profile2, replace(profile2, cache_dir=tmp_path), replace(profile2, cache_dir=tmp_path)):
             scaling.clear_caches()  # built, built and written, read
-            kernel = window_product(profile, 2, rule)
+            kernel = window_product(profile, rule)
             with pytest.raises(ValueError):
                 kernel[0, 0] = 0.0
         scaling.clear_caches()
@@ -639,7 +639,7 @@ class TestKernelCache:
         # order-3 folded overlap, is rebuilt bit-equal and rewritten from a
         # truncated file, one of the wrong shape and one of the wrong dtype
         builds = {
-            "kernel": lambda profile: window_product(profile, 1, half_panel_rule(16.0, 8, 10)),
+            "kernel": lambda profile: window_product(profile, half_panel_rule(16.0, 8, 10)),
             "overlap": lambda profile: window_overlap_1d(profile, 3, half_panel_rule(5.0, 4, 6)),
         }
         for kind, build in builds.items():
@@ -729,7 +729,7 @@ _KERNEL_DIGESTS = (
     "profiles = {n: make_profile(n) for n in (1, 2, 3)}; "
     "print('\\n'.join([digest(scaling._radial_kernel(n, half_panel_rule(*key))) for key in rules for n in (1, 2, 3)] "
     "+ [digest(profiles[n].fhat_samples) for n in (1, 2, 3)] "
-    "+ [digest(scaling._heat_table(profiles[n], n, 3, graded)) for n in (1, 2, 3)]))")
+    "+ [digest(scaling._heat_table(profiles[n], 3, graded)) for n in (1, 2, 3)]))")
 
 
 class TestBlockedKernel:
@@ -801,7 +801,7 @@ def _radial_tensor_sum(state, profile, order, radius, alpha, rule, a=0.0, b=0.0)
     """
     n, dim = state.dim, order - 1
     fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (n - 1)
-    kernel = window_product(profile, n, rule)
+    kernel = window_product(profile, rule)
 
     def axis(values, k):
         shape = [1] * dim
@@ -864,9 +864,9 @@ class TestChainContraction:
         rules = []
         chain = scaling.radial_chain
 
-        def recording(profile, n, rule, *args):
+        def recording(profile, rule, *args):
             rules.append(rule)
-            return chain(profile, n, rule, *args)
+            return chain(profile, rule, *args)
 
         monkeypatch.setattr(scaling, "radial_chain", recording)
         cfg = ScalingConfig()
@@ -878,15 +878,6 @@ class TestChainContraction:
         with pytest.raises(ValueError):
             rules[0].weights[0] = 0.0
 
-    def test_kernel_not_shared_across_transform_grids(self, product_state1, profile1):
-        # same k_max as profile1; only the transform grid differs
-        coarse = make_profile(1, k_resolution=2048)
-        cfg = ScalingConfig()
-        scaling.clear_caches()
-        fresh = qmode_correlator(product_state1, coarse, cfg, 3, None, 64.0)
-        scaling.clear_caches()
-        qmode_correlator(product_state1, profile1, cfg, 3, None, 64.0)
-        assert qmode_correlator(product_state1, coarse, cfg, 3, None, 64.0) == fresh
 
 
 class TestSweepMachinery:
@@ -1152,7 +1143,7 @@ class TestHeatTable:
         # about one panel wide; a finer chain rule is within 2.3e-14
         rule = _GRADED if rule_name == "graded" else half_panel_rule(160.0, 64, 12, 16)
         log_tau, _ = panel_rule(*scaling.TAU_RULE)
-        table = scaling.heat_table(profile1, 1, order, rule)
+        table = scaling.heat_table(profile1, order, rule)
         x, d = _edge_split_line()
         picks = np.flatnonzero((log_tau >= np.log(0.01)) & (log_tau <= np.log(100.0)))
         assert len(picks) > 80
@@ -1171,7 +1162,7 @@ class TestHeatTable:
         if dim == 1:
             assert profile.volume_integral() == pytest.approx(3.0, rel=1e-14)
         for order in (2, 3):
-            table = scaling.heat_table(profile, dim, order, _GRADED)
+            table = scaling.heat_table(profile, order, _GRADED)
             assert abs(table[0] / profile.volume_integral() ** order - 1.0) <= 1e-7
         scaling.clear_caches()
 
@@ -1205,7 +1196,7 @@ class TestHeatTable:
         profile = (profile1, profile2, profile3)[dim - 1]
         rule = half_panel_rule(24.0, 8, 10, 4)
         tau = np.exp(panel_rule(*scaling.TAU_RULE)[0])
-        kernel = window_product(profile, dim, rule)
+        kernel = window_product(profile, rule)
         fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (dim - 1)
         u = np.divide.outer(rule.nodes, np.sqrt(tau))
         gauss = (pi / tau) ** (dim / 2.0) * np.exp(-0.25 * u * u)
@@ -1214,22 +1205,22 @@ class TestHeatTable:
             for _ in range(order - 2):
                 v = (kernel @ (v * measure[:, None])) * gauss
             reference = (2.0 * pi) ** (dim * (2 - order) / 2.0) * unit_sphere_area(dim) * ((fhat * measure) @ v)
-            table = scaling._heat_table(profile, dim, order, rule)
+            table = scaling._heat_table(profile, order, rule)
             assert np.max(np.abs(table - reference) / np.abs(reference)) <= 1e-14, order
         scaling.clear_caches()
 
     def test_disk_table_equals_fresh_build(self, profile1, tmp_path, monkeypatch):
         # written on a cold read, read back on a warm one without a build
         scaling.clear_caches()
-        fresh = scaling.heat_table(profile1, 1, 3, _GRADED)
+        fresh = scaling.heat_table(profile1, 3, _GRADED)
         scaling.clear_caches()
-        cold = scaling.heat_table(replace(profile1, cache_dir=tmp_path), 1, 3, _GRADED)
+        cold = scaling.heat_table(replace(profile1, cache_dir=tmp_path), 3, _GRADED)
         # the table and the kernel of the chain it runs on
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             f"{stem}_p120.0_48_10_16_v{window.CACHE_FORMAT_VERSION}.npy" for stem in ("chain_n1", "heat_n1_o3")]
         scaling.clear_caches()
         monkeypatch.setattr(scaling, "_heat_table", _no_heat_build)
-        warm = scaling.heat_table(replace(profile1, cache_dir=tmp_path), 1, 3, _GRADED)
+        warm = scaling.heat_table(replace(profile1, cache_dir=tmp_path), 3, _GRADED)
         assert np.array_equal(cold, fresh) and np.array_equal(warm, fresh)
         with pytest.raises(ValueError):
             warm[0] = 0.0
@@ -1257,6 +1248,34 @@ class TestHigherDimension:
         assert rep.exponent == pytest.approx(-1.0, abs=0.1)
 
 
+class TestProfileDimension:
+    """The chain reads n from the window profile, so a state or model meets
+    only a profile of its own dimension: a mismatch raises where it would
+    have returned the numbers of another dimension."""
+
+    @pytest.mark.parametrize("entry", ["exponent_sweep", "qmode_correlator", "weighted_correlator",
+                                       "autocorrelation_growth", "build_limit_state"])
+    def test_mismatch_raises(self, entry, profile1, profile2, model3, chain_cache):
+        gauss2 = gaussian_state(lambda r: np.exp(-np.asarray(r) ** 2 / 2.0), 2)
+        family = limit_algebra.ObservableFamily(
+            labels=("A",), dim=2, pair_density=lambda i, j: (lambda k: np.exp(-np.asarray(k) ** 2 / 2.0)))
+        cfg, gamma = ScalingConfig(), weighted_gamma(1, 0.5)
+        calls = {
+            # a 2-D Gaussian on the 1-D profile reported limit 7.3153, on the 2-D one 6.5606
+            "exponent_sweep": (2, 1, lambda: exponent_sweep(gauss2, profile1, cfg, 2)),
+            "qmode_correlator": (2, 1, lambda: qmode_correlator(gauss2, profile1, cfg, 2, None, 8.0)),
+            "weighted_correlator": (1, 2, lambda: weighted_correlator(_weighted_state(), profile2, cfg, 2,
+                                                                      gamma, 8.0)),
+            "autocorrelation_growth": (3, 1, lambda: ssb.autocorrelation_growth(model3, profile1, cfg)),
+            "build_limit_state": (2, 1, lambda: limit_algebra.build_limit_state(family, profile1, cfg)),
+        }
+        state_dim, profile_dim, call = calls[entry]
+        with pytest.raises(InvalidArgumentError, match=f"dimension {state_dim}, the window profile of "
+                                                       f"dimension {profile_dim}$"):
+            call()
+        assert not chain_cache
+
+
 def _product_state(dim, orders):
     """Product-ansatz orders whose factors alternate between two Gaussians."""
     pair = GaussianProfile(1.0, 1.0, dim), GaussianProfile(0.8, 1.3, dim)
@@ -1265,7 +1284,7 @@ def _product_state(dim, orders):
 
 def _relative_pair_tail(profile, dim, p_max):
     """integral of fhat(|q|)^2 over |q| > p_max in R^n, relative to the whole."""
-    r, w = gauss_legendre_panels(p_max, profile.k_max, 4000, 8)
+    r, w = gauss_legendre_panels(p_max, window.K_MAX, 4000, 8)
     tail = unit_sphere_area(dim) * np.sum(w * profile.fourier_radial(r) ** 2 * r ** (dim - 1))
     return tail / profile.pair_overlap_integral()
 
@@ -1294,7 +1313,7 @@ def _cartesian_chain(state, profile, order, offsets, radius, alpha, rule):
     n = state.dim
     comps = [c.ravel() for c in np.meshgrid(*[rule.nodes] * n, indexing="ij")]
     wt = reduce(np.multiply.outer, [rule.weights] * n).ravel()
-    key = (profile.cache_key, n, rule.key)
+    key = (n, rule.key)
     if order > 2 and key not in _CARTESIAN_KERNELS:
         _CARTESIAN_KERNELS[key] = profile.fourier_radial(
             _norm(tuple(c[:, None] - c[None, :] for c in comps)))
@@ -1394,7 +1413,7 @@ class TestRadialChain:
     def test_kernel_equals_two_point_sum_at_n1(self, profile1):
         # S^0 is the two points +-1: K[p, r] = fhat(|p - r|) + fhat(p + r)
         rule = half_panel_rule(*scaling.DEFAULT_QUAD)
-        kernel = window_product(profile1, 1, rule)
+        kernel = window_product(profile1, rule)
         p, r = rule.nodes[:, None], rule.nodes[None, :]
         direct = profile1.fourier_radial(np.abs(p - r)) + profile1.fourier_radial(p + r)
         assert kernel.shape == direct.shape == (len(rule), len(rule))
@@ -1404,7 +1423,7 @@ class TestRadialChain:
     def test_kernel_equals_angular_quadrature(self, profile2, profile3, dim):
         profile = profile2 if dim == 2 else profile3
         rule = half_panel_rule(*scaling.DEFAULT_QUAD)
-        kernel = window_product(profile, dim, rule)
+        kernel = window_product(profile, rule)
         assert kernel.shape == (len(rule), len(rule))
         theta, wt = gauss_legendre_panels(0.0, np.pi, 64, 16)
         # dimension 2: 2 int_0^pi d theta; dimension 3: 2 pi int_0^pi sin(theta) d theta
@@ -1424,7 +1443,7 @@ class TestRadialChain:
         rule = half_panel_rule(120.0, 8, 10)
         f = window.support_rule(2.0 * rule.p_max)[2]
         assert np.all(f[-4:] == 0.0) and np.all(f[:-4] > 0.0)
-        kernel = window_product(profile, dim, rule)
+        kernel = window_product(profile, rule)
         assert np.all(np.isfinite(kernel))
         p, r = rule.nodes[:, None], rule.nodes[None, :]
         if dim == 1:
@@ -1469,7 +1488,7 @@ class TestRadialChain:
         g = GaussianProfile(1.0, 1.0, 3)
         rule = half_panel_rule(160.0, 64, 10, 18)
         radii = (8.0, 512.0)
-        for radius, chain in zip(radii, radial_chain(profile3, 3, rule, (g.momentum,), radii)):
+        for radius, chain in zip(radii, radial_chain(profile3, rule, (g.momentum,), radii)):
             u = rule.nodes
             direct = unit_sphere_area(3) * np.sum(
                 rule.weights * profile3.fourier_radial(u) ** 2 * u ** 2 * g.momentum(u / radius))
@@ -1596,9 +1615,9 @@ class TestOneGate:
         assert rule is half_panel_rule(*(KERNEL_RULES["graded"] if case == "weighted" else scaling.DEFAULT_QUAD))
         read, original = [], getattr(scaling, reader)
 
-        def recording(profile, n, *args):
+        def recording(profile, *args):
             read.append(next(arg for arg in args if isinstance(arg, Rule1D)))
-            return original(profile, n, *args)
+            return original(profile, *args)
 
         monkeypatch.setattr(scaling, reader, recording)
         scaling.clear_caches()
@@ -1629,17 +1648,18 @@ class TestOneGate:
 
 
 
-def _per_radius_chain(profile, n, rule, factors, radius, offset=None):
+def _per_radius_chain(profile, rule, factors, radius, offset=None):
     """``radial_chain`` at one radius as it ran before the blocks of radii,
     each step one (2, N) product of the stacked [Re; Im] of the vector with
     the kernel, and the same chain on absolute values, the scale of its
     rounding."""
+    n = profile.dim
     fhat, measure = profile.fourier_radial(rule.nodes), rule.weights * rule.nodes ** (n - 1)
-    kernel = window_product(profile, n, rule)
+    kernel = window_product(profile, rule)
     absolute = np.abs(kernel)
     u = rule.nodes / radius
     v = (fhat * factors[0](u) if offset is None
-         else scaling._offset_vector(profile, n, rule, factors[0], radius, *offset))
+         else scaling._offset_vector(profile, rule, factors[0], radius, *offset))
     scale = np.abs(v)
     for phi in factors[1:]:
         w = v * measure
@@ -1690,9 +1710,9 @@ class TestBlockedChain:
         for order in range(3, 9):
             factors = _phased_factors(dim, order - 1)
             for offset, on, radii in cases:
-                blocked = radial_chain(profile, dim, on, factors, radii, offset)
+                blocked = radial_chain(profile, on, factors, radii, offset)
                 for radius, value in zip(radii, blocked):
-                    reference, scale = _per_radius_chain(profile, dim, on, factors, radius, offset)
+                    reference, scale = _per_radius_chain(profile, on, factors, radius, offset)
                     bound = 4e-15 * (abs(reference) if offset is None else scale)
                     assert abs(value - reference) <= bound, (order, offset, radius)
         scaling.clear_caches()
@@ -1707,12 +1727,12 @@ class TestBlockedChain:
         radius = 37.5
         others = tuple(float(r) for r in np.geomspace(8.0, 512.0, 19))
         scaling.clear_caches()
-        alone = radial_chain(profile, dim, rule, factors, (radius,))[0]
+        alone = radial_chain(profile, rule, factors, (radius,))[0]
         grids = [others[:3] + (radius,) + others[3:6]]
         grids += [others[:position] + (radius,) + others[position:] for position in range(20)]
         for grid in grids:
             _forget_chain_values()
-            values = radial_chain(profile, dim, rule, factors, grid)
+            values = radial_chain(profile, rule, factors, grid)
             assert values[grid.index(radius)] == alone, grid.index(radius)
         scaling.clear_caches()
 
@@ -1724,7 +1744,7 @@ class TestBlockedChain:
         rule = half_panel_rule(*scaling.DEFAULT_QUAD)
         factors = (GaussianProfile(1.0, 1.0, 1).momentum,) * 3
         scaling.clear_caches()
-        kernel = window_product(profile1, 1, rule)
+        kernel = window_product(profile1, rule)
         rows = 2 * scaling.CHAIN_BLOCK * len(rule) * 8
         transient = {}
         for count in (8, 4096):
@@ -1732,7 +1752,7 @@ class TestBlockedChain:
 
             def chain():
                 _forget_chain_values()
-                assert len(radial_chain(profile1, 1, rule, factors, radii)) == count
+                assert len(radial_chain(profile1, rule, factors, radii)) == count
 
             transient[count] = traced_peak(chain)
             assert transient[count] <= kernel.nbytes + rows, count
