@@ -121,6 +121,8 @@ def _spectral_vector(b):
 
 def _pair_family(b):
     labels = tuple(b["labels"])
+    if len(set(labels)) < len(labels) or any(len(label) != 1 for label in labels):  # a key is two labels
+        raise ConfigError(f"model.labels must be distinct single characters, got {list(labels)}")
     densities = {}
     for key, spec in b["pairs"].items():
         if len(key) != 2 or key[0] not in labels or key[1] not in labels:

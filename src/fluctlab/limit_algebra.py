@@ -19,16 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidLimitStateError,
-    NumericalAccuracyError,
-    OrderRangeError,
-)
-from .models import ObservablePair, gaussian_state
+from .errors import InvalidArgumentError, InvalidLimitStateError, OrderRangeError
+from .models import ObservablePair
 from .partitions import pairing_sum
-from .scaling import ScalingConfig, exponent_sweep
-from .window import WindowProfile
+from .window import WindowProfile, check_profile_dim
 
 PSD_FLOOR_REL = 1e-10
 
@@ -128,7 +122,7 @@ def weyl_expectation(state: LimitState, label: str | int, truncation: int) -> We
     """
     if truncation > 8:
         raise OrderRangeError("series truncation capped at N = 8")
-    i = label if isinstance(label, (int, np.integer)) else state.index(label)
+    (i,) = _label_indices(state, (label,))
     s = float(state.symmetric_part[i, i])
     partial = sum((-0.5 * s) ** m / factorial(m) for m in range(truncation + 1))
     closed = float(np.exp(-0.5 * s))
@@ -196,6 +190,16 @@ class CommutatorResult:
     plancherel_constant: float
 
 
+def _value_at_zero(density: Callable, pair: str) -> complex:
+    """S(0) of a pair density, read at a numpy zero so 1/|k| gives inf; not finite, it has no limit."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = complex(density(np.float64(0.0)))
+    if not np.isfinite(value):
+        raise InvalidArgumentError(f"pair density {pair} is not finite at k = 0 ({value}): "
+                                   "it has no two-point limit")
+    return value
+
+
 def commutator_criterion(pair: ObservablePair, profile: WindowProfile,
                          eps_vanish: float = 1e-8) -> CommutatorResult:
     """Limit commutator of two fluctuation averages.
@@ -204,12 +208,9 @@ def commutator_criterion(pair: ObservablePair, profile: WindowProfile,
     it vanishes exactly when the two mixed densities agree at zero transfer
     momentum (the abelian direction of the limit algebra).
     """
-    if not pair.l1_class:
-        raise InvalidArgumentError(
-            "commutator criterion needs integrable-class mixed densities"
-        )
+    a, b = pair.label_a, pair.label_b
     k0 = profile.pair_overlap_integral()
-    value = complex(pair.f_hat(0.0) - pair.g_hat(0.0)) * k0
+    value = (_value_at_zero(pair.f_hat, a + b) - _value_at_zero(pair.g_hat, b + a)) * k0
     return CommutatorResult(value=value, is_trivial=abs(value) < eps_vanish,
                             plancherel_constant=k0)
 
@@ -234,20 +235,15 @@ class ObservableFamily:
                     raise InvalidArgumentError(f"pair density {a}{b} missing")
 
 
-def build_limit_state(family: ObservableFamily, profile: WindowProfile,
-                      cfg: ScalingConfig) -> LimitState:
-    """Assemble C_ij from scaling-sweep limits of every pair correlator."""
-    m = len(family.labels)
-    c = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            density = family.pair_density(i, j)
-            pair_state = gaussian_state(density, family.dim, validate=False)
-            rep = exponent_sweep(pair_state, profile, cfg, 2, label=f"C[{i},{j}]")
-            if rep.limit_extrapolated is None:
-                raise NumericalAccuracyError(f"pair correlator C[{i},{j}] diverges "
-                                             f"(exponent {rep.exponent:.3f}); it has no limit")
-            c[i, j] = rep.limit_extrapolated
+def build_limit_state(family: ObservableFamily, profile: WindowProfile) -> LimitState:
+    """C_ij = S_ij(0) times the window's pair overlap: the two-point limit of
+    every pair at the normal exponent n/2 in closed form (``fluctlab.window``)."""
+    check_profile_dim(family, profile)
+    overlap = profile.pair_overlap_integral()
+    c = np.zeros((len(family.labels),) * 2, dtype=complex)
+    for i, a in enumerate(family.labels):
+        for j, b in enumerate(family.labels):
+            c[i, j] = _value_at_zero(family.pair_density(i, j), a + b) * overlap
     state = LimitState(labels=tuple(family.labels), covariance=c)
     state.validate()
     return state

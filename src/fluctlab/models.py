@@ -144,14 +144,12 @@ def check_autocorrelation(two_point: Callable, rtol: float = 1e-9) -> None:
 # state constructors
 # ---------------------------------------------------------------------------
 
-def gaussian_state(two_point: Callable, dim: int, *, max_order: int = MAX_ORDER,
-                   validate: bool = True) -> TruncatedHierarchy:
+def gaussian_state(two_point: Callable, dim: int, *, max_order: int = MAX_ORDER) -> TruncatedHierarchy:
     """Quasi-free input state: all truncated correlators beyond order 2 vanish.
 
     ``two_point`` maps radii |k| to the density.
     """
-    if validate:
-        check_autocorrelation(two_point)
+    check_autocorrelation(two_point)
     return TruncatedHierarchy(
         dim=dim,
         max_order=max_order,
@@ -333,12 +331,11 @@ class ObservablePair:
     """Two observables with both mixed two-point densities.
 
     ``f_hat`` is the plain spectral density of <A(x) B>, ``g_hat`` the one
-    of <B A(x)>, each a function of the radius |k|; both must be of integrable (L1) clustering class when fed
-    to the commutator criterion.
+    of <B A(x)>, each a function of the radius |k|; the commutator criterion
+    needs both finite at k = 0.
     """
 
     label_a: str
     label_b: str
     f_hat: Callable
     g_hat: Callable
-    l1_class: bool = True

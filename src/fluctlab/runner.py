@@ -224,6 +224,8 @@ def _run_cumulant_roundtrip(params, cfg, model, window):
 
 
 def _check_limit_state(params, cfg, model, model_class):
+    if cfg.alpha not in (None, model.dim / 2.0):  # the covariance is the two-point limit at n/2
+        raise ConfigError(f"limit-state needs numeric.alpha unset or n/2 = {model.dim / 2.0}, got {cfg.alpha}")
     unknown = sorted(set(params.get("weyl_labels", ())) - set(model.labels))
     if unknown:
         raise ConfigError(f"weyl_labels {unknown} are not labels of the model {list(model.labels)}")
@@ -233,7 +235,7 @@ def _check_limit_state(params, cfg, model, model_class):
 
 
 def _run_limit_state(params, cfg, model, window):
-    state = build_limit_state(model, window, cfg)
+    state = build_limit_state(model, window)
     parts = {"labels": state.labels, "covariance": state.covariance,
              "symmetric_part": state.symmetric_part, "symplectic_part": state.symplectic_part}
     out = {"state": parts, "weyl": [], "ccr": [], "commutators": []}

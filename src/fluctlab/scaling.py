@@ -48,6 +48,7 @@ from .window import (
     SUPPORT_PANEL_NODES,
     SUPPORT_RADIUS,
     WindowProfile,
+    check_profile_dim,
     load_or_build_array,
     support_rule,
     support_rule_size,
@@ -460,14 +461,6 @@ def _correlator(state: TruncatedHierarchy, profile: WindowProfile, cfg: ScalingC
         return lambda radii: [0j] * len(radii)
     return lambda radii: [_prefactor(order, n, radius, alpha) * complex(chain) for radius, chain
                           in zip(radii, radial_chain(profile, rule, fns, radii, pair))]
-
-
-def check_profile_dim(state, profile: WindowProfile) -> None:
-    """Raise InvalidArgumentError unless the profile has the ``dim`` of the
-    state or model: the chain reads n from the profile."""
-    if profile.dim != state.dim:
-        raise InvalidArgumentError(f"the state or model is of dimension {state.dim}, "
-                                   f"the window profile of dimension {profile.dim}")
 
 
 def _offset_pair(offsets, order: int, n: int) -> tuple[float, float]:

@@ -22,8 +22,8 @@ from .errors import (
 )
 from .models import RadialWeight, smooth_cutoff, smoothstep_edge
 from .quadrature import half_panel_rule
-from .scaling import ScalingConfig, ScalingReport, check_profile_dim, radial_chain, sweep_report
-from .window import SUPPORT_RADIUS, WindowProfile, unit_sphere_area
+from .scaling import ScalingConfig, ScalingReport, radial_chain, sweep_report
+from .window import SUPPORT_RADIUS, WindowProfile, check_profile_dim, unit_sphere_area
 
 
 @dataclass(frozen=True)

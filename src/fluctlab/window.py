@@ -158,8 +158,8 @@ class WindowProfile:
     """
 
     dim: int
-    #: fhat at the momenta of K_GRID
-    fhat_samples: np.ndarray = field(repr=False)
+    #: fhat at the momenta of K_GRID, fixed by ``dim``, so not compared
+    fhat_samples: np.ndarray = field(compare=False, repr=False)
     #: the window cache directory the table was read from or written to
     #: (``load_or_build``), where the arrays of ``load_or_build_array`` are
     #: kept; None for a profile of ``make_profile``
@@ -222,6 +222,14 @@ class WindowProfile:
         if version != CACHE_FORMAT_VERSION:
             raise InvalidArgumentError(f"window cache format {version} not supported")
         return WindowProfile(dim, load_cache_array(path, (K_SAMPLES,)), path.parent)
+
+
+def check_profile_dim(state, profile: WindowProfile) -> None:
+    """Raise InvalidArgumentError unless the profile has the ``dim`` of the
+    state, model or family: every integral on it reads n from the profile."""
+    if profile.dim != state.dim:
+        raise InvalidArgumentError(f"the state or model is of dimension {state.dim}, "
+                                   f"the window profile of dimension {profile.dim}")
 
 
 def save_cache_array(path: Path, array: np.ndarray) -> None:

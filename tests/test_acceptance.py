@@ -127,7 +127,7 @@ class TestAcceptance:
         _announce("05", "moment/cumulant round trip at 1e-12; pairing counts "
                         "(2n)!/(2^n n!) for n<=6; Gaussian cumulants vanish")
 
-    def test_06_weyl_ccr(self, reports):
+    def test_06_weyl_ccr(self, reports, profile1):
         # series vs closed form within the analytic tail bound
         for s in (0.1, 1.0, 4.0):
             state = LimitState(labels=("A",), covariance=np.array([[s]], dtype=complex))
@@ -139,6 +139,12 @@ class TestAcceptance:
         assert all(c["consistent"] for c in res["ccr"])
         sigma = np.asarray(res["state"]["symplectic_part"])
         assert abs(sigma[0][1]) > 0  # genuinely noncommuting pair
+        # the covariance is the closed form S_ij(0) times the pair overlap, to the bit
+        family, overlap = entry["config"].model, profile1.pair_overlap_integral()
+        for i, row in enumerate(res["state"]["covariance"]):
+            for j, value in enumerate(row):
+                closed = complex(family.pair_density(i, j)(0.0)) * overlap
+                assert np.array([value["re"], value["im"]]).tobytes() == np.array([closed.real, closed.imag]).tobytes()
         _announce("06", "exponential series match the Weyl closed form within "
                         "tail bounds; assembled limit state passes invariants")
 

@@ -394,6 +394,17 @@ CONTRACT_CASES = {
         "class": "pair-family", "labels": ["A", "B"],
         "pairs": {"AA": {"form": "gaussian"}, "BB": {"form": "gaussian"}, "AB": {"form": "gaussian"}}},
         "analyses": [{"kind": "limit-state"}]}, 2),
+    # a pairs key is two labels side by side, so each label is one
+    # character and no two are alike
+    "repeated pair-family label": ({"model": dict(PAIRS, labels=["A", "A"]),
+                                    "analyses": [{"kind": "limit-state"}]}, 2),
+    "multi-character pair-family label": ({"model": dict(PAIRS, labels=["AB", "B"]),
+                                           "analyses": [{"kind": "limit-state"}]}, 2),
+    # the limit state is the two-point limit at the normal exponent n/2
+    "limit-state at alpha 0.2": ({"model": PAIRS, "numeric": {"alpha": 0.2},
+                                  "analyses": [{"kind": "limit-state"}]}, 2),
+    "limit-state at alpha 0.9": ({"model": PAIRS, "numeric": {"alpha": 0.9},
+                                  "analyses": [{"kind": "limit-state"}]}, 2),
     "cross density beyond Cauchy-Schwarz": ({"model": dict(SSB, rho_qa={"re": 0.0, "im": 5.0}),
                                              "analyses": [{"kind": "gap-check"}]}, 4),
     # the cross density overflows to inf below |k| = 1 (or above it), and
@@ -492,7 +503,11 @@ CONTRACT_MESSAGES = {"weighted gaussian form": "factor.form",
                      "exponent_band": "unknown keys in numeric: exponent_band",
                      "min_decades": "unknown keys in numeric: min_decades",
                      "alpha with bisect_bracket": "cannot go with numeric.alpha",
-                     "gamma mode without order 2": "set numeric.alpha"}
+                     "gamma mode without order 2": "set numeric.alpha",
+                     "repeated pair-family label": "distinct single characters",
+                     "multi-character pair-family label": "distinct single characters",
+                     "limit-state at alpha 0.2": "unset or n/2 = 0.5, got 0.2",
+                     "limit-state at alpha 0.9": "unset or n/2 = 0.5, got 0.9"}
 
 
 #: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3, the

@@ -15,6 +15,7 @@ import pytest
 
 import fluctlab
 from fluctlab.config import NUMERIC
+from fluctlab.models import ObservablePair, gaussian_state
 from fluctlab.scaling import ScalingConfig
 from fluctlab.window import WindowProfile, load_or_build, make_profile
 
@@ -202,6 +203,9 @@ def test_settable_values_are_pinned():
     assert list(inspect.signature(make_profile).parameters) == ["dim"]
     assert list(inspect.signature(load_or_build).parameters) == ["dim", "cache_dir"]
     assert [f.name for f in fields(WindowProfile)] == ["dim", "fhat_samples", "cache_dir"]
+    # the limit state reads S(0) in closed form: no integrability flag, no unchecked state
+    assert [f.name for f in fields(ObservablePair)] == ["label_a", "label_b", "f_hat", "g_hat"]
+    assert list(inspect.signature(gaussian_state).parameters) == ["two_point", "dim", "max_order"]
 
 
 def dimension_beside_profile(source: str) -> list[str]:

@@ -1,4 +1,6 @@
+import ast
 from math import factorial, fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluctlab import limit_algebra, scaling
-from fluctlab.errors import (
-    InvalidArgumentError,
-    InvalidLimitStateError,
-    NumericalAccuracyError,
-    OrderRangeError,
-)
+from fluctlab.config import parse_config
+from fluctlab.errors import ConfigError, InvalidArgumentError, InvalidLimitStateError, OrderRangeError
 from fluctlab.limit_algebra import (
     CCRCheck,
     LimitState,
@@ -21,9 +19,13 @@ from fluctlab.limit_algebra import (
     commutator_criterion,
     weyl_expectation,
 )
-from fluctlab.models import ObservablePair, gaussian_state
+from fluctlab.models import DecayTag, ObservablePair, TruncatedHierarchy, gaussian_state
 from fluctlab.partitions import MAX_PAIRING_ORDER, enumerate_pairings, pairing_sum
+from fluctlab.runner import run
 from fluctlab.scaling import ScalingConfig, exponent_sweep
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+LIMIT_CONFIGS = ["criterion_06_weyl_ccr", "criterion_07_commutator"]
 
 
 def wick_moment(state, sequence):
@@ -162,6 +164,16 @@ class TestWeyl:
         with pytest.raises(OrderRangeError):
             weyl_expectation(valid_state(), "A", 9)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_the_labels(self, index):
+        # an int label indexes the labels; it never counts from the end
+        with pytest.raises(InvalidArgumentError, match=f"index {index} out of range"):
+            weyl_expectation(valid_state(), index, 4)
+
+    def test_int_index_reads_its_label(self):
+        state = valid_state()
+        assert weyl_expectation(state, 1, 4).partial_sum == weyl_expectation(state, "B", 4).partial_sum
+
 
 class TestCCR:
     def test_zero_symplectic_part(self):
@@ -258,14 +270,19 @@ class TestCommutatorCriterion:
         g = lambda k: 0.3 * np.exp(-np.asarray(k) ** 2)
         pair = ObservablePair("A", "B", f, g)
         res = commutator_criterion(pair, profile1)
-        diff_state = gaussian_state(lambda k: f(k) - g(k), 1, validate=False)
+        diff_state = gaussian_state(lambda k: f(k) - g(k), 1)
         rep = exponent_sweep(diff_state, profile1, ScalingConfig(), 2)
         assert abs(rep.limit_value - res.value) <= 0.01 * abs(res.value)
 
     def test_non_l1_pair_rejected(self, profile1):
-        pair = ObservablePair("A", "B", lambda k: k, lambda k: k, l1_class=False)
-        with pytest.raises(InvalidArgumentError):
-            commutator_criterion(pair, profile1)
+        # a density not finite at k = 0 has no two-point limit; 1/|k| is
+        # read at a numpy zero, where it is inf and raises no ZeroDivisionError
+        g = lambda k: np.exp(-np.asarray(k) ** 2)
+        singular = lambda k: 1.0 / np.abs(k)
+        with pytest.raises(InvalidArgumentError, match="pair density AB is not finite"):
+            commutator_criterion(ObservablePair("A", "B", singular, g), profile1)
+        with pytest.raises(InvalidArgumentError, match="pair density BA is not finite"):
+            commutator_criterion(ObservablePair("A", "B", g, lambda k: np.sin(k) / k), profile1)
 
 
 class TestBuildLimitState:
@@ -275,18 +292,23 @@ class TestBuildLimitState:
             pair_density=lambda i, j: (lambda k: np.exp(-np.asarray(k) ** 2 / 2.0)),
             dim=1,
         )
-        state = build_limit_state(fam, profile1, ScalingConfig())
-        target = 1.0 * profile1.pair_overlap_integral()
-        assert state.covariance[0, 0].real == pytest.approx(target, rel=1e-3)
+        state = build_limit_state(fam, profile1)
+        assert state.covariance[0, 0] == profile1.pair_overlap_integral()
         assert state.symplectic_part[0, 0] == 0
 
     def test_diverging_pair_sweep_has_no_limit(self, profile1):
-        # without the R^(-n/2) renormalization the pair sweep grows as R^1
-        fam = ObservableFamily(labels=("A",), dim=1,
-                               pair_density=lambda i, j: (lambda k: np.exp(-np.asarray(k) ** 2 / 2.0)))
-        cfg = ScalingConfig(alpha=0.0)
-        with pytest.raises(NumericalAccuracyError, match="diverges"):
-            build_limit_state(fam, profile1, cfg)
+        # a density not finite at k = 0 has no two-point limit: its sweep diverges
+        fam = ObservableFamily(labels=("A", "B"), dim=1, pair_density=lambda i, j: (
+            (lambda k: 1.0 / np.abs(k)) if (i, j) == (1, 0) else (lambda k: np.exp(-np.asarray(k) ** 2))))
+        with pytest.raises(InvalidArgumentError, match="pair density BA is not finite at k = 0"):
+            build_limit_state(fam, profile1)
+        # and the limit is the one at the normal exponent n/2: a config at
+        # another alpha is rejected where it is parsed, so run never sees it
+        text = (CONFIG_DIR / "criterion_06_weyl_ccr.json").read_text()
+        assert parse_config(text.replace('"numeric": {', '"numeric": {"alpha": 0.5, '))
+        for alpha in (0.2, 0.9):
+            with pytest.raises(ConfigError, match=f"unset or n/2 = 0.5, got {alpha}"):
+                parse_config(text.replace('"numeric": {', f'"numeric": {{"alpha": {alpha}, '))
 
     def test_two_observables_with_symplectic_part(self, profile1):
         densities = {
@@ -296,41 +318,9 @@ class TestBuildLimitState:
             (1, 0): lambda k: (0.5 - 0.4j) * np.exp(-0.8 * np.asarray(k) ** 2),
         }
         fam = ObservableFamily(labels=("A", "B"), pair_density=lambda i, j: densities[(i, j)], dim=1)
-        state = build_limit_state(fam, profile1, ScalingConfig())
+        state = build_limit_state(fam, profile1)
         assert state.symplectic_part[0, 1] != 0
         state.validate()
-
-    def test_fresh_densities_never_share_a_chain(self, profile1, monkeypatch):
-        # the family makes a new density object per call, and a freed one's
-        # id is free for the next; the chain cache keeps every density it is
-        # keyed on, so in two builds without clearing it each C[i, j] sweep
-        # equals the sweep of that density alone
-        params = {(0, 0): (1.0, 0.5), (1, 1): (1.0, 1.0),
-                  (0, 1): (0.5 + 0.4j, 0.8), (1, 0): (0.5 - 0.4j, 0.8)}
-
-        def pair_density(i, j):
-            amp, a = params[i, j]
-            return lambda k: amp * np.exp(-a * np.asarray(k) ** 2)
-
-        sweeps = []
-
-        def recording(*args, **kwargs):
-            rep = exponent_sweep(*args, **kwargs)
-            sweeps.append(rep)
-            return rep
-
-        monkeypatch.setattr(limit_algebra, "exponent_sweep", recording)
-        fam = ObservableFamily(labels=("A", "B"), pair_density=pair_density, dim=1)
-        cfg = ScalingConfig()
-        scaling.clear_caches()
-        for _ in range(2):
-            build_limit_state(fam, profile1, cfg)
-        assert [rep.label for rep in sweeps] == ["C[0,0]", "C[0,1]", "C[1,0]", "C[1,1]"] * 2
-        for rep in sweeps:
-            i, j = int(rep.label[2]), int(rep.label[4])
-            scaling.clear_caches()
-            alone = exponent_sweep(gaussian_state(pair_density(i, j), 1, validate=False), profile1, cfg, 2)
-            assert np.array(rep.values).tobytes() == np.array(alone.values).tobytes(), rep.label
 
     def test_inconsistent_family_rejected(self, profile1):
         densities = {
@@ -341,9 +331,40 @@ class TestBuildLimitState:
         }
         fam = ObservableFamily(labels=("A", "B"), pair_density=lambda i, j: densities[(i, j)], dim=1)
         with pytest.raises(InvalidLimitStateError):
-            build_limit_state(fam, profile1, ScalingConfig())
+            build_limit_state(fam, profile1)
 
     def test_empty_family(self, profile1):
         fam = ObservableFamily(labels=(), pair_density=lambda i, j: None, dim=1)
-        state = build_limit_state(fam, profile1, ScalingConfig())
+        state = build_limit_state(fam, profile1)
         assert state.covariance.shape == (0, 0)
+
+    @pytest.mark.parametrize("name", LIMIT_CONFIGS)
+    def test_sweep_limit_meets_closed_form(self, name, profile1):
+        # the sweep as reference: the extrapolated limit of each pair's 2-point
+        # sweep at n/2 misses S(0) times the overlap by 2.4e-9 to 3.6e-9 relative
+        family = parse_config((CONFIG_DIR / f"{name}.json").read_text()).model
+        overlap = profile1.pair_overlap_integral()
+        for i in range(2):
+            for j in range(2):
+                density = family.pair_density(i, j)
+                # a complex cross density is no autocorrelation, so the state is built bare
+                state = TruncatedHierarchy(dim=1, max_order=2, factors={2: (density,)}, tags={2: DecayTag("l1")})
+                limit = exponent_sweep(state, profile1, ScalingConfig(), 2).limit_extrapolated
+                closed = complex(density(0.0)) * overlap
+                assert abs(limit - closed) <= 1e-8 * abs(closed), (i, j)
+
+    @pytest.mark.parametrize("name", LIMIT_CONFIGS)
+    def test_runs_no_chain(self, name, monkeypatch, cache_dir):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the limit state ran a radial chain")
+
+        monkeypatch.setattr(scaling, "radial_chain", no_chain)
+        report = run(parse_config((CONFIG_DIR / f"{name}.json").read_text()), cache_dir=cache_dir)
+        assert report.results[0]["weyl"]
+
+
+def test_imports_nothing_from_scaling():
+    tree = ast.parse(Path(limit_algebra.__file__).read_text())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    assert modules and not [m for m in modules if m and m.split(".")[-1] == "scaling"]

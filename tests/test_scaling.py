@@ -1267,7 +1267,7 @@ class TestProfileDimension:
             "weighted_correlator": (1, 2, lambda: weighted_correlator(_weighted_state(), profile2, cfg, 2,
                                                                       gamma, 8.0)),
             "autocorrelation_growth": (3, 1, lambda: ssb.autocorrelation_growth(model3, profile1, cfg)),
-            "build_limit_state": (2, 1, lambda: limit_algebra.build_limit_state(family, profile1, cfg)),
+            "build_limit_state": (2, 1, lambda: limit_algebra.build_limit_state(family, profile1)),
         }
         state_dim, profile_dim, call = calls[entry]
         with pytest.raises(InvalidArgumentError, match=f"dimension {state_dim}, the window profile of "

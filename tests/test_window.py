@@ -204,6 +204,12 @@ class TestSerialization:
         assert np.array_equal(two.fhat_samples, fresh.fhat_samples)
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_profiles_compare_by_dimension(self, profile1, profile2, tmp_path):
+        # the table is fixed by the dimension, so equality and hash follow it
+        assert load_or_build(1, tmp_path) == make_profile(1) == profile1
+        assert profile1 != profile2
+        assert {profile1: "n = 1", profile2: "n = 2"}[make_profile(1)] == "n = 1"
+
 
 class TestPlateauAndEdge:
     """The closed-form plateau plus the edge quadrature equals the full radial rule."""
