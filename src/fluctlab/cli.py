@@ -39,9 +39,11 @@ EXIT_MODEL = 4
 
 def _load(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration {path} is not UTF-8: {exc}") from exc
     return parse_config(text)
 
 

@@ -65,7 +65,8 @@ class RunConfig:
     numeric_block: dict
     output_block: dict
     model: Any = field(repr=False)
-    steps: tuple = field(repr=False)  # (kind, typed params, ScalingConfig) per analysis
+    scaling: ScalingConfig = field(repr=False)  # the numeric block, resolved
+    steps: tuple = field(repr=False)  # (kind, typed params) per analysis
 
     def resolved(self) -> dict:
         """Canonical echo of the configuration with all defaults filled."""
@@ -183,9 +184,6 @@ NUMERIC = Obj({
     "eps_vanish": (Num(positive=True), 1e-8),
     # the renormalization exponent; null: the model's marginal one
     "alpha": (Num(nullable=True), None),
-    # per dimension n: p_max, panels, nodes per panel, graded levels
-    "quad": (MapOf(Int(1, 3),
-                   Arr((Num(positive=True), Int(1, 4096), Int(2, 64), Int(0, 64)))), {}),
 })
 OUTPUT = Obj({"directory": (Str(), "fluctlab-out"), "basename": (Str(), "report"),
               "formats": (Arr(Str(FORMATS)), ["json"])})
@@ -197,8 +195,7 @@ def _scaling_config(nb: dict) -> ScalingConfig:
     # which ScalingConfig.validate_r_grid rejects
     with np.errstate(over="ignore"):
         r = tuple(float(x) for x in np.geomspace(grid["start"], grid["stop"], grid["count"]).round(10))
-    return ScalingConfig(r_values=r, alpha=nb["alpha"], eps_vanish=nb["eps_vanish"],
-                         quad_overrides={k: tuple(v) for k, v in nb["quad"].items()})
+    return ScalingConfig(r_values=r, alpha=nb["alpha"], eps_vanish=nb["eps_vanish"])
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +239,10 @@ def parse_config(text: str) -> RunConfig:
 def _parse(text: str) -> RunConfig:
     try:
         raw = json.loads(text, object_pairs_hook=_no_duplicates, parse_constant=_no_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond Python's digit limit
         raise ConfigError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("malformed JSON: nested too deeply") from exc
     _object(raw, "configuration")
     check_keys(raw, _TOP_KEYS, "configuration")
     if raw.get("schema", SCHEMA_ID) != SCHEMA_ID:
@@ -264,9 +263,8 @@ def _parse(text: str) -> RunConfig:
     if window_block["dim"] != dim:
         raise ConfigError("window dimension must match the model dimension")
 
-    numeric_raw = _object(raw.get("numeric", {}), "numeric")
-    numeric_block = NUMERIC(numeric_raw, "numeric")
-    top = _scaling_config(numeric_block)
+    numeric_block = NUMERIC(_object(raw.get("numeric", {}), "numeric"), "numeric")
+    cfg = _scaling_config(numeric_block)
 
     analyses_raw = raw.get("analyses", [])
     if not isinstance(analyses_raw, list):
@@ -280,17 +278,12 @@ def _parse(text: str) -> RunConfig:
             raise ConfigError(f"{where}: unknown kind {kind!r} (expected one of {tuple(ANALYSES)})")
         if entry.models and cls not in entry.models:
             raise ConfigError(f"analysis {kind!r} incompatible with model class {cls!r}")
-        own = {k: v for k, v in spec.items() if k != "kind" and (k != "numeric" or not entry.numeric)}
-        params = Obj(entry.keys)(own, where)
-        override = _object(spec.get("numeric", {}), f"{where}.numeric")
-        cfg = top
-        if override:  # merged over the top-level block as given, then resolved once
-            cfg = _scaling_config(NUMERIC({**numeric_raw, **override}, f"{where}.numeric"))
+        params = Obj(entry.keys)({k: v for k, v in spec.items() if k != "kind"}, where)
         if entry.numeric:
             cfg.validate_r_grid()
         if entry.check:
             entry.check(params, cfg, model, cls)
-        steps.append((kind, params, cfg))
+        steps.append((kind, params))
         echoes.append({**{k: d for k, (_, d) in entry.keys.items()
                           if d is not REQUIRED and d is not OPTIONAL}, **spec})
 
@@ -301,6 +294,7 @@ def _parse(text: str) -> RunConfig:
         numeric_block=numeric_block,
         output_block=OUTPUT(raw.get("output", {}), "output"),
         model=model,
+        scaling=cfg,
         steps=tuple(steps),
     )
 

@@ -39,6 +39,7 @@ from .scaling import (
     MAX_POSITION_ORDER,
     check_order,
     check_position,
+    clear_chain_values,
     exponent_sweep,
     find_critical_alpha,
     l2_alpha_window,
@@ -67,7 +68,8 @@ class Analysis:
 
     ``handler(params, cfg, model, window)`` returns the result, a dict of
     result records and plain values that ``run`` renders (``report.plain``);
-    ``params`` are the typed keys, defaults filled, and ``cfg`` the ScalingConfig.
+    ``params`` are the typed keys, defaults filled, and ``cfg`` the run's
+    one ScalingConfig (``RunConfig.scaling``).
     ``check(params, cfg, model, model_class)``, when given, raises at parse
     time on what the handler would reject, computing nothing.
     """
@@ -76,19 +78,27 @@ class Analysis:
     models: tuple  # compatible model classes; empty for model-independent kinds
     handler: Callable
     check: Callable | None = None
-    numeric: bool = True  # reads a ScalingConfig, R grid checked, "numeric" override allowed
+    numeric: bool = True  # reads the R grid, which parsing checks
 
 
 def run(config: RunConfig, cache_dir=None) -> RunReport:
-    """Execute every configured analysis; deterministic for a fixed config."""
+    """Execute every configured analysis; deterministic for a fixed config.
+
+    The chain values the run computes are keyed on the factors its parse
+    made, so no later run reads them: they are dropped when it returns or
+    raises (``scaling.clear_chain_values``)."""
     t_start = time.perf_counter()
     window = config.build_window(cache_dir=cache_dir)
     results = []
     timings = {}
-    for idx, (kind, params, cfg) in enumerate(config.steps):
-        t0 = time.perf_counter()
-        results.append(plain({"kind": kind, **ANALYSES[kind].handler(params, cfg, config.model, window)}))
-        timings[f"analysis_{idx}_{kind}"] = time.perf_counter() - t0
+    try:
+        for idx, (kind, params) in enumerate(config.steps):
+            t0 = time.perf_counter()
+            result = ANALYSES[kind].handler(params, config.scaling, config.model, window)
+            results.append(plain({"kind": kind, **result}))
+            timings[f"analysis_{idx}_{kind}"] = time.perf_counter() - t0
+    finally:
+        clear_chain_values()
     timings["total"] = time.perf_counter() - t_start
     return RunReport(
         schema=REPORT_SCHEMA_ID,

@@ -51,11 +51,11 @@ from .window import (
     check_profile_dim,
     load_or_build_array,
     support_rule,
-    support_rule_size,
     unit_sphere_area,
 )
 
-#: the most points one array of the chain or of the position path may hold
+#: the most points the position path's overlap may hold on a caller's z rule
+#: (``window_overlap_1d``); the chain's arrays are fixed by its one rule
 MAX_ARRAY_POINTS = 60_000_000
 #: fewer radii than this cannot separate a power law from its transient
 MIN_RADII = 6
@@ -65,8 +65,8 @@ MIN_RADII = 6
 MAX_POSITION_ORDER = 3
 
 
-#: the (p_max, panels, nodes, graded_levels) of the half-line rule of every
-#: dimension n unless ``numeric.quad`` names n
+#: the (p_max, panels, nodes, graded_levels) of the chain's half-line rule at
+#: every dimension n (``chain_rule``)
 DEFAULT_QUAD = (120.0, 48, 10, 0)
 
 
@@ -87,7 +87,6 @@ class ScalingConfig:
     r_values: tuple = tuple(float(r) for r in np.geomspace(8.0, 512.0, 8).round(10))
     alpha: float | None = None
     eps_vanish: float = 1e-8
-    quad_overrides: dict = field(default_factory=dict)
 
     def alpha_for(self, state: TruncatedHierarchy) -> float:
         """``alpha`` when set, else the state's marginal exponent: gamma of a
@@ -101,13 +100,6 @@ class ScalingConfig:
             raise InvalidArgumentError("a weighted model without an order-2 weight has no "
                                        "marginal exponent; set numeric.alpha")
         return weighted_gamma(state.dim, weights[2].alpha)
-
-    def quad_for(self, dim: int, singular: bool = False) -> Rule1D:
-        """The half-line rule of dimension n, graded toward 0 for a singular density."""
-        p_max, panels, nodes, graded_levels = self.quad_overrides.get(dim, DEFAULT_QUAD)
-        if singular and graded_levels == 0:
-            graded_levels = 16
-        return half_panel_rule(p_max, panels, nodes, graded_levels)
 
     def validate_r_grid(self) -> np.ndarray:
         r = np.asarray(self.r_values, dtype=float)
@@ -133,10 +125,19 @@ class ScalingConfig:
         if bound > self.eps_vanish / 10.0:
             raise NumericalAccuracyError(
                 f"window tail bound {bound:.3e} at p_max={rule.p_max} exceeds "
-                f"eps_vanish/10 = {self.eps_vanish / 10.0:.3e}; increase p_max or eps_vanish",
+                f"eps_vanish/10 = {self.eps_vanish / 10.0:.3e}; raise eps_vanish",
                 bound=bound,
             )
         return bound
+
+
+def chain_rule(singular: bool = False) -> Rule1D:
+    """The chain's half-line rule, DEFAULT_QUAD at every n, graded 16 levels
+    toward 0 for a singular density; the cached ``half_panel_rule`` object.
+    Being fixed, it fixes the chain's largest array too: the graded rule's
+    q-mode first vector, 640 radii x 1,920 angles at n >= 2."""
+    p_max, panels, nodes, graded_levels = DEFAULT_QUAD
+    return half_panel_rule(p_max, panels, nodes, 16 if singular else graded_levels)
 
 
 def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
@@ -154,10 +155,14 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 # the radial chain: window kernel, first vector of an offset, contraction
 # ---------------------------------------------------------------------------
 
-#: the one in-memory cache of a run: tail bounds, radial nodes, kernels,
-#: chain values, heat-kernel tables, folded rows and overlaps, emptied by
-#: ``clear_caches``
+#: the in-memory cache of what is keyed by n and a rule, and so bounded:
+#: tail bounds, radial nodes, kernels, heat-kernel tables, folded rows and
+#: overlaps, emptied by ``clear_caches``
 _CHAIN_CACHE: dict = {}
+#: the chain values of ``radial_chain``, keyed on factor callables that
+#: every parse makes afresh: they live for one run (``runner.run`` empties
+#: them through ``clear_chain_values``), and ``clear_caches`` empties them too
+_CHAIN_VALUES: dict = {}
 
 
 def _memo(key: tuple, build):
@@ -273,8 +278,13 @@ def _offset_vector(profile: WindowProfile, rule: Rule1D, phi, radius: float,
     return (e * profile.fourier_radial(np.hypot(r * cos - c, r * sin))) @ wt
 
 
+def clear_chain_values() -> None:
+    _CHAIN_VALUES.clear()
+
+
 def clear_caches() -> None:
     _CHAIN_CACHE.clear()
+    _CHAIN_VALUES.clear()
 
 
 #: radii per block of ``radial_chain``.  Each chain step multiplies the
@@ -289,7 +299,7 @@ def radial_chain(profile: WindowProfile, rule: Rule1D, factors, radii,
                  offset: tuple[float, float] | None = None) -> np.ndarray:
     """The window chain of radial factors in n = profile.dim dimensions on a
     half-line rule at each radius of ``radii``, as a complex array; each
-    value is kept in the chain cache per (n, rule, factors, radius, offset).
+    value is kept in ``_CHAIN_VALUES`` per (n, rule, factors, radius, offset).
 
     integral over (R^n)^(l-1) of fhat(|q_1|) phi_1(|q_1|/R) fhat(|q_2 - q_1|)
     phi_2(|q_2|/R) ... phi_{l-1}(|q_{l-1}|/R) fhat(|q_{l-1}|), with each
@@ -311,14 +321,14 @@ def radial_chain(profile: WindowProfile, rule: Rule1D, factors, radii,
     The key holds the factors themselves, so they must be hashable; being
     kept alive, none can match a later factor that reuses its id.
     """
-    base = ("chain", profile.dim, rule.key, tuple(factors))
+    base = (profile.dim, rule.key, tuple(factors))
     radii = [float(radius) for radius in radii]
-    missing = list(dict.fromkeys(r for r in radii if base + (r, offset) not in _CHAIN_CACHE))
+    missing = list(dict.fromkeys(r for r in radii if base + (r, offset) not in _CHAIN_VALUES))
     for j in range(0, len(missing), CHAIN_BLOCK):
         block = missing[j:j + CHAIN_BLOCK]
         for radius, value in zip(block, _chain_block(profile, rule, factors, block, offset)):
-            _CHAIN_CACHE[base + (radius, offset)] = value
-    return np.array([_CHAIN_CACHE[base + (r, offset)] for r in radii], dtype=complex)
+            _CHAIN_VALUES[base + (radius, offset)] = value
+    return np.array([_CHAIN_VALUES[base + (r, offset)] for r in radii], dtype=complex)
 
 
 def _chain_block(profile: WindowProfile, rule: Rule1D, factors, radii, offset):
@@ -350,21 +360,10 @@ def _prefactor(order: int, n: int, radius: float, alpha: float) -> float:
 
 def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
                 qmode: bool = False) -> Rule1D:
-    """The half-line rule of an order, the largest array or build of its
-    chain checked against MAX_ARRAY_POINTS: the one gate of every order, at
-    parse and at run (``_correlator``).
-
-    The chain of N radii holds a vector at l = 2 and, from l = 3, the N x N
-    kernel, whose build evaluates N x M plane-wave means over the window
-    support (M nodes for the frequency 2 p_max, ``support_rule_size``) one
-    column block at a time: the budget bounds that work as if it were one
-    array, while the build holds K, one N x KERNEL_BLOCK block and one
-    KERNEL_BLOCK x N slab of its product (``_radial_kernel``).  A ``qmode``
-    first vector is an N x angles array.  A grid of radii runs CHAIN_BLOCK
-    radii at a time (``radial_chain``), so beyond the kernel the chain
-    holds one block of 2 CHAIN_BLOCK x N rows at any grid length, up to the
-    4,096 radii of a config's ``r_grid``; only the values and their cache
-    keys grow with the grid.
+    """The half-line rule of an order (``chain_rule``), graded for a weighted
+    order and a goldstone density: the one gate of every order, at parse and
+    at run (``_correlator``).  It checks the order's range, and a weighted
+    order's weight.
 
     A weighted order, the powerlaw's order 2 among them, runs the same
     chain (``heat_table``) on the graded rule and takes no ``qmode``
@@ -379,7 +378,6 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
     """
     if order < 2 or order > state.max_order:
         raise OrderRangeError(f"order {order} outside 2..{state.max_order}")
-    n = state.dim
     weight = state.weighted_orders.get(order)
     if weight is not None and qmode:
         raise UnsupportedModeError(f"weighted order {order} takes no q-mode offsets")
@@ -400,20 +398,13 @@ def check_order(state: TruncatedHierarchy, cfg: ScalingConfig, order: int,
                     f"the heat-kernel tau rule TAU_RULE = {TAU_RULE} sums the Gamma(beta/2) weight at beta = "
                     f"{weight.decay} to {miss:.3e} off 1 at R = {radius:g}, beyond eps_vanish/10 = "
                     f"{cfg.eps_vanish / 10.0:.3e}", bound=miss)
-    rule = cfg.quad_for(n, singular=weight is not None or state.tag(2).kind == "goldstone")
-    widths = [1] + ([len(rule), support_rule_size(2.0 * rule.p_max)] if order > 2 else [])
-    if qmode:
-        widths.append(2 if n == 1 else SUPPORT_PANEL_NODES * _angle_panels(rule.p_max))
-    _check_points(len(rule) * max(widths), f"the order-{order} radial chain array",
-                  f"; set a smaller numeric.quad rule for dimension {n}")
-    return rule
+    return chain_rule(singular=weight is not None or state.tag(2).kind == "goldstone")
 
 
-def _check_points(points: int, what: str, hint: str = "") -> None:
+def _check_points(points: int, what: str) -> None:
     """Raise when one array would hold more than MAX_ARRAY_POINTS points."""
     if points > MAX_ARRAY_POINTS:
-        raise NumericalAccuracyError(
-            f"{what} of {points} points exceeds the budget of {MAX_ARRAY_POINTS}{hint}")
+        raise NumericalAccuracyError(f"{what} of {points} points exceeds the budget of {MAX_ARRAY_POINTS}")
 
 
 def qmode_correlator(state: TruncatedHierarchy, profile: WindowProfile,

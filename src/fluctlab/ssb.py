@@ -112,8 +112,8 @@ class GoldstoneModel:
 # ---------------------------------------------------------------------------
 
 #: the half-line rule of every spectral integral, graded toward u = 0.  It
-#: is fixed here: ``numeric.quad`` does not set it, and no tail certificate
-#: covers its cut at 160 (ROADMAP item 3)
+#: is a constant, as the chain's rule is (``scaling.chain_rule``), and no
+#: tail certificate covers its cut at 160 (ROADMAP item 3)
 SPECTRAL_RULE = half_panel_rule(160.0, 64, 10, 18)
 
 

@@ -486,12 +486,6 @@ def _support_panels(frequency: float):
     return [(0.0, a, plateau), (a, b, max(edge, SUPPORT_EDGE_PANELS))]
 
 
-def support_rule_size(frequency: float) -> int:
-    """The nodes ``support_rule`` holds at this frequency, computed without
-    building the rule."""
-    return SUPPORT_PANEL_NODES * sum(panels for *_, panels in _support_panels(frequency))
-
-
 @lru_cache(maxsize=None)
 def support_rule(frequency: float):
     """Gauss-Legendre nodes, weights and exact profile values over the support [0, b].

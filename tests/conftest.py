@@ -83,33 +83,34 @@ def cache_dir(tmp_path_factory):
 
 
 class RecordingCache(dict):
-    """A chain cache that records the key of every chain value it stores."""
+    """A cache of chain values that records the key of every value it stores."""
 
     def __init__(self):
         super().__init__()
         self.chains = []
 
     def __setitem__(self, key, value):
-        if key[0] == "chain":
-            self.chains.append(key)
+        self.chains.append(key)
         super().__setitem__(key, value)
 
 
 @pytest.fixture
 def chain_cache(monkeypatch):
-    """An empty chain cache in place of ``scaling._CHAIN_CACHE``, which
-    ``scaling.clear_caches`` empties too."""
+    """Empty caches in place of ``scaling._CHAIN_CACHE`` and, recording,
+    ``scaling._CHAIN_VALUES``, which ``scaling.clear_caches`` empties too;
+    the value is the second."""
     cache = RecordingCache()
-    monkeypatch.setattr(scaling, "_CHAIN_CACHE", cache)
+    monkeypatch.setattr(scaling, "_CHAIN_CACHE", {})
+    monkeypatch.setattr(scaling, "_CHAIN_VALUES", cache)
     return cache
 
 
 @pytest.fixture(scope="session")
 def criterion_step():
     """The model and the one analysis (kind, params, cfg) of a criterion config
-    of configs/, by its file stem."""
+    of configs/, by its file stem, cfg the run's ScalingConfig."""
     def load(stem):
         config = parse_config((CONFIG_DIR / f"{stem}.json").read_text())
-        [step] = config.steps
-        return config.model, step
+        [(kind, params)] = config.steps
+        return config.model, (kind, params, config.scaling)
     return load

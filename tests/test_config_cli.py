@@ -7,6 +7,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from fluctlab import cli, runner, scaling, window
 from fluctlab.config import RunConfig, config_schema, parse_config
-from fluctlab.errors import ConfigError, InvalidArgumentError, ModelValidationError
+from fluctlab.errors import ConfigError, InvalidArgumentError, ModelValidationError, NumericalAccuracyError
 from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
 from fluctlab.window import CACHE_FORMAT_VERSION
@@ -44,7 +45,7 @@ class TestParsing:
         assert cfg.numeric_block["alpha"] is None
         assert cfg.numeric_block["r_grid"] == {"start": 8.0, "stop": 512.0, "count": 8}
         assert cfg.window_block["kind"] == "mollified-step"
-        sc = cfg.steps[0][2]
+        sc = cfg.scaling
         assert sc.alpha_for(cfg.model) == 0.5
         assert len(sc.r_values) == 8 and sc.r_values[0] == 8.0 and sc.r_values[-1] == 512.0
 
@@ -293,8 +294,8 @@ class TestCLI:
         path = tmp_path / "tight.json"
         path.write_text(cfg_text({
             "model": {"class": "gaussian", "dim": 1, "two_point": {"form": "gaussian"}},
-            "numeric": {"r_grid": {"start": 8, "stop": 512, "count": 7},
-                        "quad": {"1": [6.0, 4, 8, 0]}},
+            # the n = 1 tail certificate is 8.86e-10, above eps_vanish/10 = 1e-10
+            "numeric": {"r_grid": {"start": 8, "stop": 512, "count": 7}, "eps_vanish": 1e-9},
             "analyses": [{"kind": "scaling-sweep", "orders": [2]}],
         }))
         proc = self.run_cli(["run", str(path)], cache_dir)
@@ -347,6 +348,7 @@ CONTRACT_CASES = {
     "spectral-vector with empty samples": ({"model": {"class": "spectral-vector", "samples": []},
                                             "analyses": [{"kind": "projector"}]}, 2),
     "scalar q_values": ({"model": GAUSS, "analyses": [{"kind": "qmode", "q_values": 0.5}]}, 2),
+    # an analysis takes no numeric block: the run has one, whatever it holds
     "string eps_vanish in an analysis": ({"model": GAUSS, "analyses": [
         {"kind": "qmode", "numeric": {"eps_vanish": "1e-3"}}]}, 2),
     "string nan eps_vanish": ({"model": GAUSS, "numeric": {"eps_vanish": "nan"}, "analyses": SWEEP}, 2),
@@ -377,7 +379,7 @@ CONTRACT_CASES = {
             {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
         "numeric": {"alpha": 0.75},
         "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 0),
-    # the rule is keyed by n, so the n = 1 chain holds N**2 points at every order
+    # the chain runs every order on its one rule
     "order 6 at n = 1": ({"model": GAUSS, "analyses": [{"kind": "scaling-sweep", "orders": [6]}]}, 0),
     "odd pairing order": ({"model": GAUSS, "analyses": [
         {"kind": "cumulant-roundtrip", "pairing_orders": [3]}]}, 2),
@@ -429,19 +431,6 @@ CONTRACT_CASES = {
         {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
         {"order": 3, "alpha": 2.0, "factor": {"form": "bessel-power", "power": 1.5}}]},
         "analyses": [{"kind": "scaling-sweep", "orders": [2, 3]}]}, 2),
-    # the order-3 table runs on the chain kernel, whose build evaluates an N x M basis,
-    # 32 x 10**7 points here
-    "weighted order 3, huge p_max": ({"model": {"class": "weighted", "dim": 2, "orders": [
-        {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}},
-        {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
-        "numeric": {"quad": {"2": [1e6, 8, 4, 0]}},
-        "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 2),
-    # a weighted order 3 runs on the N x N chain kernel: N = (1,000 + 16) x 10 here
-    "weighted order 3, 10,160-node rule": ({"model": {"class": "weighted", "dim": 1, "orders": [
-        {"order": 2, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 1.0}},
-        {"order": 3, "alpha": 0.5, "factor": {"form": "bessel-power", "power": 2.0}}]},
-        "numeric": {"quad": {"1": [120.0, 1000, 10, 16]}},
-        "analyses": [{"kind": "scaling-sweep", "orders": [3]}]}, 2),
     # the joint power is the one weighted factor form, with power its one number
     "weighted gaussian form": (weighted_case({"form": "gaussian"}), 2),
     "weighted factor amplitude": (weighted_case(dict(BESSEL, amplitude=0.7)), 2),
@@ -466,30 +455,25 @@ CONTRACT_CASES = {
         {"f": {"form": "lorentzian", "width": 1e300}, "g": {"form": "gaussian"}}]}]}, 2),
     "profile width 1e300": ({"model": {"class": "product-ansatz", "dim": 1, "orders": {
         "2": [{"width": 1e300}]}}, "analyses": SWEEP}, 2),
-    # numeric.quad is keyed by the dimension n = 1..3
+    # the chain's quadrature rule is a constant: numeric.quad is no key
     "quad key 4": ({"model": GAUSS, "numeric": {"quad": {"4": [16.0, 8, 4, 0]}}, "analyses": SWEEP}, 2),
     # q-mode offsets run on the radial chain at every n and order
     "n = 2 q-mode order 3": ({"model": PRODUCT_N2, "analyses": QMODE3}, 0),
-    "n = 2 q-mode order 3, small rule": ({"model": PRODUCT_N2, "analyses": QMODE3, "numeric": {
-        "eps_vanish": 1.0, "quad": {"2": [8.0, 2, 4, 0]}}}, 0),
-    # the angle rule of the offsets' first vector grows with p_max: 32 x 1.6 10**7 points here
-    "n = 2 q-mode, huge p_max": ({"model": PRODUCT_N2, "analyses": [{"kind": "qmode"}],
-                                 "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, 2),
-    # the radial kernel's support array grows with p_max: 32 x 10**7 points here
-    "n = 2 order 3, huge p_max": ({"model": PRODUCT_N2, "analyses": [
-        {"kind": "scaling-sweep", "orders": [3]}], "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, 2),
     "n = 3 q-mode order 3": ({"model": dict(PRODUCT_N2, dim=3), "analyses": QMODE3}, 0),
-    # a valid override that used to replace the whole resolved r_grid and crash
+    # a valid block, which would shadow the run's one numeric block
     "analysis r_grid override": ({"model": GAUSS, "analyses": [
-        {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 0),
+        {"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}]}, 2),
 }
 # name: what the error message of a case must say
 CONTRACT_MESSAGES = {"weighted gaussian form": "factor.form",
                      "weighted factor amplitude": "amplitude", "weighted factor without power":
                      "factor.power is required", "weighted power at alpha": "does not decay",
                      "weighted order 3 power below alpha": "does not decay",
-                     "weighted order 3, huge p_max": "radial chain array",
-                     "weighted order 3, 10,160-node rule": "103225600 points exceeds",
+                     "quad key 4": "unknown keys in numeric: quad",
+                     "analysis r_grid override": "unknown keys in analyses[0]: numeric",
+                     "string eps_vanish in an analysis": "unknown keys in analyses[0]: numeric",
+                     "misspelled analysis numeric key": "unknown keys in analyses[0]: numeric",
+                     "too few radii in an analysis": "unknown keys in analyses[0]: numeric",
                      "goldstone-spectrum s = -300": "not finite on the sample grid",
                      "goldstone-spectrum c < 0": "violates positivity",
                      "oracle at n = 2": "n = 1 only",
@@ -933,22 +917,64 @@ class TestValidateRunContract:
         assert elapsed < 1.0
         assert traced_peak(lambda: run(cfg, cache_dir=cache_dir)) < 100e6
 
-    def test_analysis_override_merges_over_the_top_level_block(self):
-        cfg = parse_config(cfg_text({
-            "model": GAUSS,
-            "numeric": {"eps_vanish": 1e-4, "r_grid": {"start": 4, "stop": 1024, "count": 9}},
-            "analyses": [{"kind": "qmode", "numeric": {"r_grid": {"count": 7}}}, {"kind": "qmode"}],
-        }))
-        (_, _, own), (_, _, top) = cfg.steps
-        assert own.eps_vanish == top.eps_vanish == 1e-4
-        assert len(own.r_values) == 7 and own.r_values[0] == 8.0 and own.r_values[-1] == 512.0
-        assert len(top.r_values) == 9 and top.r_values[0] == 4.0
-
     def test_schema_lists_every_kind_and_class(self):
         schema = config_schema()
         assert len(schema["analyses"][0]["kind"]) == 7
         assert len(schema["model"]["class"]) == 8
         json.dumps(schema)
+
+
+UNDECODABLE = {
+    "not UTF-8": b"\xff\xfe\x00{",
+    "nested too deeply": b"[" * 100_000,
+    # beyond Python's limit of 4,300 digits for an integer string
+    "integer of 5,001 digits": b'{"model": {"class": "powerlaw", "beta": ' + b"7" * 5001 + b"}}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_file_is_a_configuration_error(tmp_path, cache_dir, monkeypatch, capsys, case):
+    # a file json cannot decode exits 2 from validate and from run, not in a traceback
+    path = tmp_path / "case.json"
+    path.write_bytes(UNDECODABLE[case])
+    monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
+    assert (cli.main(["validate", str(path)]), cli.main(["run", str(path)])) == (2, 2)
+    assert capsys.readouterr().err.count("configuration error") == 2
+
+
+def _scaling_cache_entries() -> int:
+    """The entries of every dict the scaling module holds."""
+    return sum(len(value) for name, value in vars(scaling).items()
+               if isinstance(value, dict) and not name.startswith("__"))
+
+
+def test_chain_values_live_for_one_run(cache_dir):
+    # every parse makes fresh factor closures, on which the chain values are
+    # keyed: kept past their run, they would grow the caches with every run
+    texts = [(ROOT / "configs" / f"{stem}.json").read_text()
+             for stem in ("criterion_02_limit_two_point", "criterion_03_qmode")]
+    sizes = []
+    for _ in range(21):
+        for text in texts:
+            run(parse_config(text), cache_dir=cache_dir)
+        sizes.append(_scaling_cache_entries())
+    assert sizes == sizes[:1] * 21
+    assert not scaling._CHAIN_VALUES
+
+
+def test_a_failing_run_drops_its_chain_values(cache_dir, monkeypatch):
+    config = parse_config((ROOT / "configs" / "criterion_03_qmode.json").read_text())
+    kind = config.steps[0][0]
+    entry = runner.ANALYSES[kind]
+
+    def failing(*args):
+        entry.handler(*args)
+        raise NumericalAccuracyError("after the sweeps")
+
+    monkeypatch.setitem(runner.ANALYSES, kind, replace(entry, handler=failing))
+    with pytest.raises(NumericalAccuracyError, match="after the sweeps"):
+        run(config, cache_dir=cache_dir)
+    assert not scaling._CHAIN_VALUES
 
 
 def test_r_grid_beyond_float_range_leaks_no_warning(tmp_path, cache_dir, monkeypatch):
@@ -1009,14 +1035,16 @@ def test_parse_raises_only_mapped_errors(text):
 
 
 @pytest.mark.parametrize("case, payload, codes", [
-    # an over-budget rule is rejected when the config is parsed
-    ("budget", {"model": PRODUCT_N2, "analyses": [{"kind": "scaling-sweep", "orders": [3]}],
-                "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, (2, 2)),
-    ("budget qmode", {"model": PRODUCT_N2, "analyses": QMODE3, "numeric": {"quad": {"2": [1e6, 8, 4, 0]}}}, (2, 2)),
-    # the tail certificate is computed when the sweep resolves its rule
-    ("tail", {"model": GAUSS, "analyses": SWEEP, "numeric": {"quad": {"1": [6.0, 4, 8, 0]}}}, (0, 3)),
+    # a weighted order's tau rule is checked when the config is parsed: its
+    # reach at each radius of the grid, and its sum of the Gamma(beta/2) weight
+    ("tau reach", {"model": {"class": "powerlaw", "dim": 1, "beta": 0.75}, "analyses": SWEEP,
+                   "numeric": {"r_grid": {"start": 64, "stop": 32768, "count": 8}}}, (2, 2)),
+    ("tau sum", {"model": {"class": "powerlaw", "dim": 1, "beta": 150.0}, "analyses": SWEEP}, (2, 2)),
+    # the tail certificate is computed when the sweep resolves its rule: at
+    # n = 1 it is 8.86e-10, above eps_vanish/10 = 1e-10
+    ("tail", {"model": GAUSS, "analyses": SWEEP, "numeric": {"eps_vanish": 1e-9}}, (0, 3)),
     ("tail qmode", {"model": GAUSS, "analyses": [{"kind": "qmode", "net_offsets": [[0.7, 0.4]]}],
-                    "numeric": {"quad": {"1": [6.0, 4, 8, 0]}}}, (0, 3)),
+                    "numeric": {"eps_vanish": 1e-9}}, (0, 3)),
 ])
 def test_wrong_resolution_exit_codes(tmp_path, cache_dir, monkeypatch, capsys, case, payload, codes):
     # the sweep resolves its rule and certificate once, and a wrong one still
@@ -1026,5 +1054,6 @@ def test_wrong_resolution_exit_codes(tmp_path, cache_dir, monkeypatch, capsys, c
     monkeypatch.setenv("FLUCTLAB_CACHE", str(cache_dir))
     assert (cli.main(["validate", str(path)]), cli.main(["run", str(path)])) == codes, case
     err = capsys.readouterr().err
-    assert ("exceeds the budget" if codes[1] == 2 else "window tail bound") in err, case
+    assert ("TAU_RULE" if codes[1] == 2 else "window tail bound") in err, case
+    assert codes[1] == 2 or "raise eps_vanish" in err, case
     assert not (tmp_path / "out").exists(), case

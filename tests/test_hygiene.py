@@ -16,7 +16,8 @@ import pytest
 import fluctlab
 from fluctlab.config import NUMERIC
 from fluctlab.models import ObservablePair, gaussian_state
-from fluctlab.scaling import ScalingConfig
+from fluctlab.runner import ANALYSES
+from fluctlab.scaling import ScalingConfig, chain_rule
 from fluctlab.window import WindowProfile, load_or_build, make_profile
 
 MODULES = sorted(p for p in Path(fluctlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -197,8 +198,10 @@ def test_scan_finds_a_file_call():
 
 def test_settable_values_are_pinned():
     # the numeric block and the ScalingConfig it resolves to; a new knob changes this test
-    assert set(NUMERIC.fields) == {"r_grid", "eps_vanish", "alpha", "quad"}
-    assert [f.name for f in fields(ScalingConfig)] == ["r_values", "alpha", "eps_vanish", "quad_overrides"]
+    assert set(NUMERIC.fields) == {"r_grid", "eps_vanish", "alpha"}
+    assert [f.name for f in fields(ScalingConfig)] == ["r_values", "alpha", "eps_vanish"]
+    # the chain's quadrature rule is a constant, graded for a singular density alone
+    assert list(inspect.signature(chain_rule).parameters) == ["singular"]
     # a window profile is its dimension: the transform grid is window.K_GRID
     assert list(inspect.signature(make_profile).parameters) == ["dim"]
     assert list(inspect.signature(load_or_build).parameters) == ["dim", "cache_dir"]
@@ -206,6 +209,12 @@ def test_settable_values_are_pinned():
     # the limit state reads S(0) in closed form: no integrability flag, no unchecked state
     assert [f.name for f in fields(ObservablePair)] == ["label_a", "label_b", "f_hat", "g_hat"]
     assert list(inspect.signature(gaussian_state).parameters) == ["two_point", "dim", "max_order"]
+
+
+def test_no_analysis_takes_a_numeric_block():
+    # a run has one numeric block: an analysis that declared its own would
+    # shadow it, and a key of it would read two ways
+    assert [kind for kind, entry in ANALYSES.items() if "numeric" in entry.keys] == []
 
 
 def dimension_beside_profile(source: str) -> list[str]:

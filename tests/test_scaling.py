@@ -118,24 +118,17 @@ class TestSpectralPath:
             b = qmode_correlator(state, profile, cfg, 2, np.zeros((2, dim)), radius)
             assert abs(a - b) <= 1e-14 * abs(b), radius
 
-    def test_quadrature_convergence_estimate(self, gaussian_state1, profile1):
+    def test_quadrature_convergence_estimate(self, gaussian_state1, profile1, monkeypatch):
         # doubling the panels moves the value by less than the doubling before
-        values = [qmode_correlator(gaussian_state1, profile1,
-                                   ScalingConfig(quad_overrides={1: (120.0, panels, 10, 0)}), 2, None, 16.0)
-                  for panels in (24, 48, 96)]
+        values = []
+        for panels in (24, 48, 96):
+            monkeypatch.setattr(scaling, "DEFAULT_QUAD", (120.0, panels, 10, 0))
+            values.append(qmode_correlator(gaussian_state1, profile1, ScalingConfig(), 2, None, 16.0))
         assert abs(values[2] - values[1]) <= abs(values[1] - values[0]) + 1e-14
 
-    def test_order_guards(self, gaussian_state1, profile1, profile2):
-        cfg = ScalingConfig()
+    def test_order_guards(self, gaussian_state1, profile1):
         with pytest.raises(OrderRangeError):
-            qmode_correlator(gaussian_state1, profile1, cfg, 9, None, 8.0)
-        # offsets build the first vector from an N x angles array, whose angle
-        # rule grows with p_max: 32 radii x 16 * 10**6 angles here
-        state2 = gaussian_state(lambda r: np.exp(-np.asarray(r) ** 2), 2)
-        huge = ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)})
-        check_order(state2, huge, 2)
-        with pytest.raises(NumericalAccuracyError, match="numeric.quad"):
-            qmode_correlator(state2, profile2, huge, 2, np.zeros((2, 2)), 8.0)
+            qmode_correlator(gaussian_state1, profile1, ScalingConfig(), 9, None, 8.0)
 
     @pytest.mark.parametrize("slot", [(0, 1), (1, 1), (2, 0), (3, 1)])
     def test_offsets_outside_the_first_axis_pair_raise(self, profile2, slot):
@@ -151,7 +144,8 @@ class TestSpectralPath:
             qmode_correlator(state, profile2, ScalingConfig(), 4, np.zeros((3, 2)), 8.0)
 
     def test_tail_certificate(self, gaussian_state1, profile1):
-        cfg = ScalingConfig(quad_overrides={1: (6.0, 4, 8, 0)})
+        # the n = 1 certificate of the chain's rule is 8.86e-10
+        cfg = ScalingConfig(eps_vanish=1e-9)
         with pytest.raises(NumericalAccuracyError) as err:
             qmode_correlator(gaussian_state1, profile1, cfg, 2, None, 8.0)
         assert err.value.bound is not None
@@ -373,7 +367,7 @@ class TestPositionOverlap:
             model, (kind, params, cfg) = criterion_step(stem)
             runner.ANALYSES[kind].handler(params, cfg, model, profile1)
         kinds = Counter(key[0] for key in scaling._CHAIN_CACHE)
-        assert kinds["overlap"] == 2 and kinds["heat"] == 2 and kinds["kernel"] and kinds["chain"]
+        assert kinds["overlap"] == 2 and kinds["heat"] == 2 and kinds["kernel"] and scaling._CHAIN_VALUES
         scaling.clear_caches()
         held = [name for name, value in vars(scaling).items()
                 if isinstance(value, dict) and value and not name.startswith("__")
@@ -506,22 +500,19 @@ class TestLegendreRuleCache:
             exponent_sweep(product_state1, profile1, cfg, order)
         assert calls and max(calls.values()) == 1
 
-    def test_quad_for_returns_the_cached_rule(self):
-        # the default rule, its 16-level graded form for a singular density and
-        # a numeric.quad override read from JSON, p_max an integer there, are
-        # each the very object half_panel_rule returns for the same geometry
-        default = ScalingConfig()
+    def test_chain_rule_returns_the_cached_rule(self):
+        # the chain's rule and its 16-level graded form for a singular density
+        # are each the very object half_panel_rule returns for the same
+        # geometry, whose key names the cache files of the kernels and tables
         graded = half_panel_rule(120.0, 48, 10, 16)
-        assert default.quad_for(1) is half_panel_rule(*scaling.DEFAULT_QUAD)
-        assert default.quad_for(2, singular=True) is graded
-        assert check_order(powerlaw_state(0.75, 1), default, 2) is graded
-        [(_, _, cfg)] = parse_config(json.dumps({
-            "model": {"class": "gaussian", "dim": 1, "two_point": {"form": "gaussian"}},
-            "numeric": {"quad": {"1": [60, 24, 8, 0]}},
-            "analyses": [{"kind": "scaling-sweep", "orders": [2]}]})).steps
-        assert cfg.quad_for(1) is half_panel_rule(60.0, 24, 8, 0)
-        assert cfg.quad_for(1).key == (60.0, 24, 8, 0)
-        assert cfg.quad_for(2) is default.quad_for(2)
+        assert scaling.chain_rule() is half_panel_rule(*scaling.DEFAULT_QUAD)
+        assert scaling.chain_rule().key == (120.0, 48, 10, 0)
+        assert scaling.chain_rule(singular=True) is graded
+        assert check_order(powerlaw_state(0.75, 1), ScalingConfig(), 2) is graded
+        # every order and every n, offsets or not, runs on the one rule
+        for dim in (1, 2, 3):
+            for qmode in (False, True):
+                assert check_order(_product_state(dim, [2, 3]), ScalingConfig(), 3, qmode) is scaling.chain_rule()
 
     def test_cached_nodes_read_only(self):
         x, w = legendre_rule(12)
@@ -695,7 +686,6 @@ class TestSupportRule:
         s, w = gauss_legendre_panels(a, b, 200, 16)
         reference = a ** dim / dim + np.sum(w * window._profile_evaluator()(s) * s ** (dim - 1))
         s, w, f = window.support_rule(frequency)
-        assert len(s) == window.support_rule_size(frequency)
         assert abs(np.sum(w * f * s ** (dim - 1)) - reference) <= np.spacing(reference)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -748,7 +738,7 @@ class TestBlockedKernel:
 
     def test_support_rule_of_the_default_rule(self):
         # two cycles per plateau panel: 24 + 20 panels of 16 nodes, not 48 + 20
-        assert window.support_rule_size(2.0 * scaling.DEFAULT_QUAD[0]) == 704
+        assert len(window.support_rule(2.0 * scaling.DEFAULT_QUAD[0])[0]) == 704
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_build_holds_no_whole_basis(self, dim):
@@ -820,11 +810,19 @@ def _radial_tensor_sum(state, profile, order, radius, alpha, rule, a=0.0, b=0.0)
     pref = (2.0 * np.pi) ** (n * (2 - order) / 2.0) * radius ** (order * (n - alpha) - (order - 1) * n)
     scale = pref * unit_sphere_area(n)
     return scale * np.sum(terms), abs(scale) * np.sum(np.abs(terms))
-# small rules keep the reference tensor at <= 12**4 radii; eps_vanish = 1
 
-# small rules keep the reference tensor at <= 24**4 points; eps_vanish = 1
-# lets their short p_max pass the tail certificate
-_SMALL_RULES = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (12.0, 3, 4, 0), 2: (14.0, 3, 4, 0)})
+
+# small rules, by dimension, keep the reference tensor at <= 12**4 radii
+_SMALL_RULES = {1: half_panel_rule(12.0, 3, 4), 2: half_panel_rule(14.0, 3, 4)}
+
+
+def _small_rule_correlator(state, profile, order, radius, alpha, offset=None):
+    """The correlator of ``_correlator`` on the small rule of the dimension:
+    the prefactor times the chain, with no tail certificate."""
+    chain = radial_chain(profile, _SMALL_RULES[profile.dim], state.order_factors(order), (radius,), offset)
+    return scaling._prefactor(order, profile.dim, radius, alpha) * complex(chain[0])
+
+
 _gauss = st.builds(GaussianProfile, st.floats(0.2, 2.0), st.floats(0.4, 1.6))
 
 
@@ -845,8 +843,8 @@ class TestChainContraction:
         factors = tuple(lambda r, g=g, t=t: g.momentum(r) * np.exp(1j * t) for g, t in zip(profiles, phases))
         state = TruncatedHierarchy(dim=dim, max_order=order, factors={order: factors}, tags={})
         profile = profile1 if dim == 1 else profile2
-        chain = qmode_correlator(state, profile, _SMALL_RULES, order, None, radius, alpha)
-        rule = _SMALL_RULES.quad_for(dim)
+        chain = _small_rule_correlator(state, profile, order, radius, alpha)
+        rule = _SMALL_RULES[dim]
         reference, scale = _radial_tensor_sum(state, profile, order, radius, alpha, rule)
         assert abs(chain - reference) <= 1e-12 * scale
         # offsets a e and b e on the first two observables, the net shift
@@ -856,7 +854,7 @@ class TestChainContraction:
         a = net * rule.p_max / (4.0 * radius) - b
         offsets = np.zeros((order, dim))
         offsets[0, 0], offsets[1, 0] = a, b
-        chain = qmode_correlator(state, profile, _SMALL_RULES, order, offsets, radius, alpha)
+        chain = _small_rule_correlator(state, profile, order, radius, alpha, (a, b))
         reference, scale = _radial_tensor_sum(state, profile, order, radius, alpha, rule, a, b)
         assert abs(chain - reference) <= 1e-12 * scale
 
@@ -1273,7 +1271,12 @@ class TestProfileDimension:
         with pytest.raises(InvalidArgumentError, match=f"dimension {state_dim}, the window profile of "
                                                        f"dimension {profile_dim}$"):
             call()
-        assert not chain_cache
+        assert not chain_cache and not scaling._CHAIN_CACHE
+
+
+def _unit(u):
+    """The unit factor, phi = 1 at every radius."""
+    return np.ones_like(u)
 
 
 def _product_state(dim, orders):
@@ -1376,14 +1379,15 @@ class TestRadialChain:
                     assert abs(chain - cartesian) <= 1e-9 * abs(cartesian), (a, b, order, radius)
 
     @pytest.mark.parametrize("dim,order", [(2, 3), (3, 2)])
-    def test_equals_cartesian_within_the_tail(self, profile2, profile3, dim, order):
+    def test_equals_cartesian_within_the_tail(self, profile2, profile3, dim, order, monkeypatch):
         # both rules end at p_max = 10: the Cartesian one on the cube, the
         # radial one on the ball, so they differ by the window's pair tail
         # beyond p_max - c in each of the l - 1 truncated variables
         profile = profile2 if dim == 2 else profile3
         state = _product_state(dim, [2, 3])
         rule = _symmetric_rule(10.0, 4, 6)
-        fine = ScalingConfig(eps_vanish=1.0, quad_overrides={dim: (10.0, 16, 12, 0)})
+        monkeypatch.setattr(scaling, "DEFAULT_QUAD", (10.0, 16, 12, 0))
+        fine = ScalingConfig(eps_vanish=1.0)
         for a, b, radii in ((0.0, 0.0, (2.0, 8.0, 64.0, 512.0)), (0.5, -0.5, (2.0, 8.0, 64.0, 512.0)),
                             (0.7, 0.4, (2.0,)), (-0.2, -0.3, (2.0,))):
             tol = (order - 1) * _relative_pair_tail(profile, dim, 10.0 - radii[-1] * abs(a + b))
@@ -1434,7 +1438,7 @@ class TestRadialChain:
             assert abs(kernel[i, j] - direct) <= 1e-10 * np.max(np.abs(kernel))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_smoothstep_kernel_is_finite(self, profile1, profile2, profile3, dim):
+    def test_smoothstep_kernel_is_finite(self, profile1, profile2, profile3, dim, monkeypatch):
         # at the frequency 2 p_max = 240 the support rule's last 4 nodes lie
         # within 0.0031 of the edge's end, where 1 minus the bump CDF is zero
         # to rounding: the kernel takes the square root of f there, so f must
@@ -1450,7 +1454,8 @@ class TestRadialChain:
             direct = profile.fourier_radial(np.abs(p - r)) + profile.fourier_radial(p + r)
             assert np.max(np.abs(kernel - direct)) <= 1e-10 * np.max(np.abs(kernel))
             state = _product_state(1, [3, 4])
-            cfg = ScalingConfig(eps_vanish=1.0, quad_overrides={1: (120.0, 8, 10, 0)})
+            monkeypatch.setattr(scaling, "DEFAULT_QUAD", (120.0, 8, 10, 0))
+            cfg = ScalingConfig(eps_vanish=1.0)
             symmetric = _symmetric_rule(120.0, 8, 10)
             for order in (3, 4):
                 for radius in (2.0, 64.0):
@@ -1483,6 +1488,26 @@ class TestRadialChain:
                 state, profile, ScalingConfig(), order, None, radius)
             assert abs(value - s_zero * power) <= 1e-6 * abs(s_zero * power), order
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_unit_factor_chain_is_the_position_integral(self, profile1, profile2, profile3, dim):
+        # at phi = 1 the chain is the l-fold convolution of fhat at 0,
+        # (2 pi)^(n (l-2)/2) int f(|x|)^l d^n x at every R, with int f^l the
+        # ball of radius a in closed form plus the edge on Gauss-Legendre.
+        # The miss is the tail the rule truncates: on DEFAULT_QUAD it is
+        # 3.1e-10 (n = 1, l = 2) to 1.5e-8 (n = 3, l = 8), and on the rule
+        # to p_max 240 here at most 1.9e-11 (n = 3, l = 8)
+        profile = {1: profile1, 2: profile2, 3: profile3}[dim]
+        rule = half_panel_rule(240.0, 96, 10)
+        exact = window._profile_evaluator()
+        a, b = window.EDGE
+        s, w = gauss_legendre_panels(a, b, 64, 16)
+        for order in range(2, 9):
+            power = unit_sphere_area(dim) * (a ** dim / dim + np.sum(w * exact(s) ** order * s ** (dim - 1)))
+            expected = (2.0 * pi) ** (dim * (order - 2) / 2.0) * power
+            chain = radial_chain(profile, rule, (_unit,) * (order - 1), (8.0, 512.0))
+            assert np.all(np.abs(chain - expected) <= 1e-10 * expected), order
+        scaling.clear_caches()
+
     def test_order2_is_the_ssb_spectral_integral(self, profile3):
         # one primitive: the ssb integrals are the order-2 radial chain
         g = GaussianProfile(1.0, 1.0, 3)
@@ -1494,26 +1519,20 @@ class TestRadialChain:
                 rule.weights * profile3.fourier_radial(u) ** 2 * u ** 2 * g.momentum(u / radius))
             assert abs(chain - direct) <= 1e-14 * abs(direct)
 
-    def test_budget_counts_the_support_array(self):
-        # the radial kernel is built from an N x M array over the window
-        # support, M growing with p_max although N does not
-        state = _product_state(2, [3])
-        check_order(state, ScalingConfig(quad_overrides={2: (1e3, 8, 4, 0)}), 3)
-        with pytest.raises(NumericalAccuracyError, match="radial chain array"):
-            check_order(state, ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)}), 3)
-        # order 2 builds no kernel
-        check_order(state, ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)}), 2)
-        # every order and every n, offsets or not, runs on the one default rule
-        for dim in (1, 2, 3):
-            for qmode in (False, True):
-                assert check_order(_product_state(dim, [2, 3]), ScalingConfig(), 3, qmode) is half_panel_rule(
-                    *scaling.DEFAULT_QUAD)
+
+#: a six-radius grid, with eps_vanish = 1 for the small rule of
+#: ``_on_small_rule``: the sweeps below compare values bit for bit, so only
+#: their cost matters
+_SWEEP_GRID = ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 512.0, 6)), eps_vanish=1.0)
 
 
-#: small rules at every n and a six-radius grid: the sweeps below compare
-#: values bit for bit, so only their cost matters
-_SWEEP_RULES = ScalingConfig(r_values=tuple(float(r) for r in np.geomspace(8.0, 512.0, 6)), eps_vanish=1.0,
-                             quad_overrides={n: (14.0, 3, 4, 0) for n in (1, 2, 3)})
+def _on_small_rule(fn):
+    """``fn`` run on a 12-node chain rule in place of DEFAULT_QUAD."""
+    def call(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scaling, "DEFAULT_QUAD", (14.0, 3, 4, 0))
+            return fn(*args)
+    return call
 
 
 def _sweep_cases(profiles, model3):
@@ -1526,14 +1545,18 @@ def _sweep_cases(profiles, model3):
               lambda r, o=o: qmode_correlator(one, profiles[1], cfg, o, None, r)) for o in (2, 3, 4)]
     for dim in (2, 3):
         state = _product_state(dim, [2, 3, 4])
-        cases += [(f"n{dim} order {o}", lambda s=state, d=dim, o=o: exponent_sweep(s, profiles[d], _SWEEP_RULES, o),
-                   lambda r, s=state, d=dim, o=o: qmode_correlator(s, profiles[d], _SWEEP_RULES, o, None, r))
+        cases += [(f"n{dim} order {o}",
+                   _on_small_rule(lambda s=state, d=dim, o=o: exponent_sweep(s, profiles[d], _SWEEP_GRID, o)),
+                   _on_small_rule(lambda r, s=state, d=dim, o=o: qmode_correlator(s, profiles[d], _SWEEP_GRID, o,
+                                                                                  None, r)))
                   for o in (2, 3, 4)]
     for name, dim, order, (a, b) in (("symmetric", 1, 2, (0.5, -0.5)), ("net", 2, 3, (0.7, 0.4))):
         state, offsets = _product_state(dim, [order]), _qmode_offsets(order, dim, a, b)
         cases.append((f"qmode {name}",
-                      lambda s=state, d=dim, o=order, q=offsets: exponent_sweep(s, profiles[d], _SWEEP_RULES, o, offsets=q),
-                      lambda r, s=state, d=dim, o=order, q=offsets: qmode_correlator(s, profiles[d], _SWEEP_RULES, o, q, r)))
+                      _on_small_rule(lambda s=state, d=dim, o=order, q=offsets:
+                                     exponent_sweep(s, profiles[d], _SWEEP_GRID, o, offsets=q)),
+                      _on_small_rule(lambda r, s=state, d=dim, o=order, q=offsets:
+                                     qmode_correlator(s, profiles[d], _SWEEP_GRID, o, q, r))))
     power = powerlaw_state(0.75, 1)
     cases.append(("powerlaw", lambda: exponent_sweep(power, profiles[1], cfg, 2, alpha=0.6),
                   lambda r: qmode_correlator(power, profiles[1], cfg, 2, None, r, 0.6)))
@@ -1585,17 +1608,14 @@ class TestSweepResolution:
             qmode_correlator(product_state1, profile1, cfg, 3, None, radius)
         assert calls == {"check_order": 2, "validate_tail": 2}
 
-    def test_wrong_resolution_raises_before_any_chain_value(self, profile1, profile2, monkeypatch):
+    def test_wrong_resolution_raises_before_any_chain_value(self, profile1, monkeypatch):
         def no_chain(*args):
             raise AssertionError("a chain value was computed before the resolution failed")
 
         monkeypatch.setattr(scaling, "radial_chain", no_chain)
-        tail = ScalingConfig(quad_overrides={1: (6.0, 4, 8, 0)})
+        tail = ScalingConfig(eps_vanish=1e-9)
         with pytest.raises(NumericalAccuracyError, match="window tail bound"):
             exponent_sweep(_product_state(1, [2]), profile1, tail, 2)
-        budget = ScalingConfig(quad_overrides={2: (1e6, 8, 4, 0)})
-        with pytest.raises(NumericalAccuracyError, match="radial chain array"):
-            exponent_sweep(_product_state(2, [3]), profile2, budget, 3)
         with pytest.raises(InvalidArgumentError, match="offsets must have shape"):
             exponent_sweep(_product_state(1, [2]), profile1, ScalingConfig(), 2, offsets=np.zeros((3, 1)))
 
@@ -1677,12 +1697,6 @@ def _phased_factors(dim, count):
                  for i in range(count))
 
 
-def _forget_chain_values():
-    """Drop every chain value from the chain cache, keeping kernels and nodes."""
-    for key in [key for key in scaling._CHAIN_CACHE if key[0] == "chain"]:
-        del scaling._CHAIN_CACHE[key]
-
-
 class TestBlockedChain:
     """The chain runs a grid of radii CHAIN_BLOCK at a time: the per-radius
     chain to rounding, each radius's bits independent of its grid, and one
@@ -1731,7 +1745,7 @@ class TestBlockedChain:
         grids = [others[:3] + (radius,) + others[3:6]]
         grids += [others[:position] + (radius,) + others[position:] for position in range(20)]
         for grid in grids:
-            _forget_chain_values()
+            scaling.clear_chain_values()
             values = radial_chain(profile, rule, factors, grid)
             assert values[grid.index(radius)] == alone, grid.index(radius)
         scaling.clear_caches()
@@ -1751,7 +1765,7 @@ class TestBlockedChain:
             radii = tuple(np.geomspace(8.0, 512.0, count))
 
             def chain():
-                _forget_chain_values()
+                scaling.clear_chain_values()
                 assert len(radial_chain(profile1, rule, factors, radii)) == count
 
             transient[count] = traced_peak(chain)
