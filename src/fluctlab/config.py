@@ -47,7 +47,7 @@ from .models import (
 from .report import FORMATS
 from .runner import ANALYSES
 from .scaling import ScalingConfig
-from .ssb import Dispersion, GoldstoneModel, SpectralVectorModel
+from .ssb import DISPERSION_KINDS, Dispersion, GoldstoneModel, SpectralVectorModel
 from .window import load_or_build
 
 SCHEMA_ID = "fluctlab-config/1"
@@ -96,6 +96,11 @@ class ModelClass:
 
 
 def _product_ansatz(b):
+    for order, plist in b["orders"].items():
+        for i, p in enumerate(plist):
+            if not p["width"] ** 2:  # formed here, so a width whose square overflows fails at once
+                raise ConfigError(f"model.orders.{order}[{i}].width {p['width']!r} has a square of 0: "
+                                  "the profile would divide by it")
     profiles = {order: [GaussianProfile(p["amplitude"], p["width"], b["dim"]) for p in plist]
                 for order, plist in b["orders"].items()}
     return product_ansatz_state(profiles, b["dim"])
@@ -158,7 +163,7 @@ MODELS = {
         {"c": (Num(), REQUIRED), "s": (Num(), 2.0), "uv_cutoff": (Num(positive=True), 4.0)},
         lambda b: goldstone_state(b["dim"], b["c"], b["s"], b["uv_cutoff"])),
     "goldstone-ssb": ModelClass(
-        {"dispersion": (Obj({"kind": (Str(), "linear"), "speed": (Num(), 1.0)}), {}),
+        {"dispersion": (Obj({"kind": (Str(DISPERSION_KINDS), "linear"), "speed": (Num(), 1.0)}), {}),
          "rho_a": _radial_weight(1.0, -2.0), "rho_q": _radial_weight(0.5, 1.0),
          "rho_qa": (Obj({"re": (Num(), 0.0), "im": (Num(), 0.25), "exponent": (Num(), 0.0)}), {}),
          "gap": (Num(), 0.0)},

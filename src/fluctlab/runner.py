@@ -39,14 +39,13 @@ from .scaling import (
     MAX_POSITION_ORDER,
     check_order,
     check_position,
-    clear_chain_values,
     exponent_sweep,
     find_critical_alpha,
     l2_alpha_window,
     position_space_correlator,
-    qmode_correlator,
 )
 from .ssb import (
+    SMOOTHING_SHAPES,
     EnergySmoothing,
     autocorrelation_growth,
     bogoliubov_check,
@@ -82,23 +81,16 @@ class Analysis:
 
 
 def run(config: RunConfig, cache_dir=None) -> RunReport:
-    """Execute every configured analysis; deterministic for a fixed config.
-
-    The chain values the run computes are keyed on the factors its parse
-    made, so no later run reads them: they are dropped when it returns or
-    raises (``scaling.clear_chain_values``)."""
+    """Execute every configured analysis; deterministic for a fixed config."""
     t_start = time.perf_counter()
     window = config.build_window(cache_dir=cache_dir)
     results = []
     timings = {}
-    try:
-        for idx, (kind, params) in enumerate(config.steps):
-            t0 = time.perf_counter()
-            result = ANALYSES[kind].handler(params, config.scaling, config.model, window)
-            results.append(plain({"kind": kind, **result}))
-            timings[f"analysis_{idx}_{kind}"] = time.perf_counter() - t0
-    finally:
-        clear_chain_values()
+    for idx, (kind, params) in enumerate(config.steps):
+        t0 = time.perf_counter()
+        result = ANALYSES[kind].handler(params, config.scaling, config.model, window)
+        results.append(plain({"kind": kind, **result}))
+        timings[f"analysis_{idx}_{kind}"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
     return RunReport(
         schema=REPORT_SCHEMA_ID,
@@ -111,11 +103,6 @@ def run(config: RunConfig, cache_dir=None) -> RunReport:
 # ---------------------------------------------------------------------------
 # scaling sweeps and q-modes
 # ---------------------------------------------------------------------------
-
-def _oracle_orders(orders):
-    # higher orders are swept without an oracle
-    return [order for order in orders if order <= MAX_POSITION_ORDER]
-
 
 def _check_scaling_sweep(params, cfg, model, model_class):
     bisect = "bisect_bracket" in params
@@ -130,9 +117,13 @@ def _check_scaling_sweep(params, cfg, model, model_class):
     for order in params["orders"] + ([2] if bisect else []):
         check_order(model, cfg, order)
     if "oracle_check_r_max" in params:
-        orders = _oracle_orders(params["orders"])
+        # higher orders are swept without an oracle
+        orders = [order for order in params["orders"] if order <= MAX_POSITION_ORDER]
         if not orders:
             raise ConfigError(f"oracle_check_r_max needs an order in 2..{MAX_POSITION_ORDER} to check")
+        if params["oracle_check_r_max"] < cfg.r_values[0]:
+            raise ConfigError(f"oracle_check_r_max = {params['oracle_check_r_max']:g} lies below the first "
+                              f"R grid radius {cfg.r_values[0]:g}: the oracle checks the sweep's own radii")
         for order in orders:
             check_position(model.dim, order)
             model.position_form(order)
@@ -156,22 +147,24 @@ def _run_scaling_sweep(params, cfg, model, window):
 
     r_max = params.get("oracle_check_r_max")
     if r_max is not None:
-        out["oracle_check"] = _oracle_check(model, window, cfg, params["orders"], r_max, alpha)
+        out["oracle_check"] = _oracle_check(model, window, cfg, out["sweeps"], r_max, alpha)
     return out
 
 
-def _oracle_check(model, window, cfg, orders, r_max, alpha):
-    radii = [r for r in cfg.r_values if r <= r_max] or [r_max]
+def _oracle_check(model, window, cfg, sweeps, r_max, alpha):
+    """The sweeps of the oracle's orders against the position path at each
+    grid radius up to ``r_max``: the spectral column is the sweep's value
+    there, so the check runs no chain."""
+    checked = [(rep.order, radius, spectral) for rep in sweeps if rep.order <= MAX_POSITION_ORDER
+               for radius, spectral in zip(rep.r_values, rep.values) if radius <= r_max]
     rows = []
     worst = 0.0
-    for order in _oracle_orders(orders):
-        for radius in radii:
-            spectral = qmode_correlator(model, window, cfg, order, None, radius, alpha)
-            oracle = position_space_correlator(model, window, cfg, order, radius, alpha)
-            rel = abs(spectral - oracle) / max(abs(oracle), 1e-300)
-            worst = max(worst, rel)
-            rows.append({"order": order, "radius": radius, "spectral": spectral, "oracle": oracle,
-                         "rel_deviation": rel})
+    for order, radius, spectral in checked:
+        oracle = position_space_correlator(model, window, cfg, order, radius, alpha)
+        rel = abs(spectral - oracle) / max(abs(oracle), 1e-300)
+        worst = max(worst, rel)
+        rows.append({"order": order, "radius": radius, "spectral": spectral, "oracle": oracle,
+                     "rel_deviation": rel})
     return {"rows": rows, "max_rel_deviation": worst}
 
 
@@ -275,7 +268,7 @@ def _run_ssb_bound(params, cfg, model, window):
         "autocorrelation_A": rep_a,
         "autocorrelation_Q": rep_q,
         "double_commutator": double_commutator_scaling(model, window, cfg),
-        "bogoliubov": [bogoliubov_check(model, window, radius) for radius in params["bogoliubov_radii"]],
+        "bogoliubov": bogoliubov_check(model, window, params["bogoliubov_radii"]),
         "canonical_pair": canonical_pair_exponents(model.dim, 0.0 if rep_q.exponent is None else rep_q.exponent),
     }
 
@@ -348,7 +341,8 @@ ANALYSES = {
         ("goldstone-ssb",), _run_ssb_bound, _check_ssb_bound),
     "projector": Analysis({}, ("spectral-vector",), _run_projector),
     "gap-check": Analysis(
-        {"smoothing_half_support": (Num(), 0.4), "shapes": (Arr(Str()), ["plateau", "wide-plateau"]),
+        {"smoothing_half_support": (Num(positive=True), 0.4),
+         "shapes": (Arr(Str(SMOOTHING_SHAPES)), list(SMOOTHING_SHAPES)),
          "radius": (Num(positive=True), 512.0)},
         ("goldstone-ssb",), _run_gap_check, _check_gap, numeric=False),
 }

@@ -157,12 +157,8 @@ def pair_tail_bound(profile: WindowProfile, p_max: float) -> float:
 
 #: the in-memory cache of what is keyed by n and a rule, and so bounded:
 #: tail bounds, radial nodes, kernels, heat-kernel tables, folded rows and
-#: overlaps, emptied by ``clear_caches``
+#: overlaps, emptied by ``clear_caches``; no chain value is kept
 _CHAIN_CACHE: dict = {}
-#: the chain values of ``radial_chain``, keyed on factor callables that
-#: every parse makes afresh: they live for one run (``runner.run`` empties
-#: them through ``clear_chain_values``), and ``clear_caches`` empties them too
-_CHAIN_VALUES: dict = {}
 
 
 def _memo(key: tuple, build):
@@ -278,13 +274,8 @@ def _offset_vector(profile: WindowProfile, rule: Rule1D, phi, radius: float,
     return (e * profile.fourier_radial(np.hypot(r * cos - c, r * sin))) @ wt
 
 
-def clear_chain_values() -> None:
-    _CHAIN_VALUES.clear()
-
-
 def clear_caches() -> None:
     _CHAIN_CACHE.clear()
-    _CHAIN_VALUES.clear()
 
 
 #: radii per block of ``radial_chain``.  Each chain step multiplies the
@@ -298,8 +289,7 @@ CHAIN_BLOCK = 8
 def radial_chain(profile: WindowProfile, rule: Rule1D, factors, radii,
                  offset: tuple[float, float] | None = None) -> np.ndarray:
     """The window chain of radial factors in n = profile.dim dimensions on a
-    half-line rule at each radius of ``radii``, as a complex array; each
-    value is kept in ``_CHAIN_VALUES`` per (n, rule, factors, radius, offset).
+    half-line rule at each radius of ``radii``, as a complex array.
 
     integral over (R^n)^(l-1) of fhat(|q_1|) phi_1(|q_1|/R) fhat(|q_2 - q_1|)
     phi_2(|q_2|/R) ... phi_{l-1}(|q_{l-1}|/R) fhat(|q_{l-1}|), with each
@@ -310,25 +300,21 @@ def radial_chain(profile: WindowProfile, rule: Rule1D, factors, radii,
     |S^0| = 2 folds the line onto the half-line and the kernel is built
     with Omega_1 = cos.  Order 2 (one factor) needs no kernel.
 
-    The radii the cache lacks run CHAIN_BLOCK at a time (``_chain_block``):
-    l - 2 products of the kernel with one block of rows, the last block
-    padded with zero rows, so a radius has the same value to the bit alone,
-    in any grid and at any position in it.  Beyond K the chain holds one
-    block of rows, whatever the grid's length.
+    The radii run CHAIN_BLOCK at a time (``_chain_block``): l - 2 products
+    of the kernel with one block of rows, the last block padded with zero
+    rows, so a radius has the same value to the bit alone, in any grid and
+    at any position in it.  Beyond K the chain holds one block of rows,
+    whatever the grid's length, and it keeps no value: a caller that needs
+    one twice reads it from the grid it holds.
 
     An ``offset`` pair (a, b) replaces v_1 by the spherical mean of a first
     factor that is not radial (``_offset_vector``): the rest is radial in q_1.
-    The key holds the factors themselves, so they must be hashable; being
-    kept alive, none can match a later factor that reuses its id.
     """
-    base = (profile.dim, rule.key, tuple(factors))
     radii = [float(radius) for radius in radii]
-    missing = list(dict.fromkeys(r for r in radii if base + (r, offset) not in _CHAIN_VALUES))
-    for j in range(0, len(missing), CHAIN_BLOCK):
-        block = missing[j:j + CHAIN_BLOCK]
-        for radius, value in zip(block, _chain_block(profile, rule, factors, block, offset)):
-            _CHAIN_VALUES[base + (radius, offset)] = value
-    return np.array([_CHAIN_VALUES[base + (r, offset)] for r in radii], dtype=complex)
+    values = []
+    for j in range(0, len(radii), CHAIN_BLOCK):
+        values += _chain_block(profile, rule, factors, radii[j:j + CHAIN_BLOCK], offset)
+    return np.array(values, dtype=complex)
 
 
 def _chain_block(profile: WindowProfile, rule: Rule1D, factors, radii, offset):

@@ -26,6 +26,10 @@ from .scaling import ScalingConfig, ScalingReport, radial_chain, sweep_report
 from .window import SUPPORT_RADIUS, WindowProfile, check_profile_dim, unit_sphere_area
 
 
+#: the kinds of ``Dispersion``
+DISPERSION_KINDS = ("linear", "quadratic", "zero")
+
+
 @dataclass(frozen=True)
 class Dispersion:
     """Excitation energy omega(k): linear (c|k|) or quadratic (c k^2)."""
@@ -34,7 +38,7 @@ class Dispersion:
     speed: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "quadratic", "zero"):
+        if self.kind not in DISPERSION_KINDS:
             raise InvalidArgumentError(f"unknown dispersion kind {self.kind!r}")
 
     def __call__(self, kappa) -> np.ndarray:
@@ -159,28 +163,20 @@ def autocorrelation_growth(model: GoldstoneModel, profile: WindowProfile,
                         label=f"autocorrelation-{which}")
 
 
-@dataclass(frozen=True)
-class _EnergyWeight:
-    """2 omega(k) rho_q(k), the weight of ``double_commutator``: equal for
-    equal data, so the chain cache shares its values across calls."""
-
-    dispersion: Dispersion
-    rho_q: RadialWeight
-
-    def __call__(self, kappa) -> np.ndarray:
-        return 2.0 * self.dispersion(kappa) * self.rho_q(kappa)
+def _energy_weight(model: GoldstoneModel):
+    """2 omega(k) rho_q(k), the weight of ``double_commutator``."""
+    return lambda kappa: 2.0 * model.dispersion(kappa) * model.rho_q(kappa)
 
 
 def double_commutator(model: GoldstoneModel, profile: WindowProfile, radius: float) -> float:
     """Energy-weighted sum rule 2 int omega rho_q |fhat_R|^2: the double
     commutator of the windowed generator with the dynamics."""
-    return _windowed(model, profile, (radius,), _EnergyWeight(model.dispersion, model.rho_q))[0]
+    return _windowed(model, profile, (radius,), _energy_weight(model))[0]
 
 
 def double_commutator_scaling(model: GoldstoneModel, profile: WindowProfile,
                               cfg: ScalingConfig) -> ScalingReport:
-    weight = _EnergyWeight(model.dispersion, model.rho_q)
-    return sweep_report(cfg, lambda radii: _windowed(model, profile, radii, weight), 2, 0.0,
+    return sweep_report(cfg, lambda radii: _windowed(model, profile, radii, _energy_weight(model)), 2, 0.0,
                         label="double-commutator")
 
 
@@ -221,19 +217,25 @@ def check_radius(dim: int, radius: float) -> None:
                                    "squared overflows") from None
 
 
-def bogoliubov_check(model: GoldstoneModel, profile: WindowProfile, radius: float) -> BogoliubovCheck:
-    """|<[Q_R, V^-1 A_R]>|^2 against <(V^-1 A_R)^2> <[Q_R,[Q_R,H]]>.
+def bogoliubov_check(model: GoldstoneModel, profile: WindowProfile, radii) -> list:
+    """|<[Q_R, V^-1 A_R]>|^2 against <(V^-1 A_R)^2> <[Q_R,[Q_R,H]]> at each
+    radius of ``radii``, one BogoliubovCheck per radius: the cross-density,
+    A-autocorrelation and double-commutator integrals each one grid call.
 
     The inequality is structural whenever 4 |rho_qa|^2 <= 2 omega rho_q rho_a
     pointwise; with the default calibration both that condition and the
     plain Cauchy-Schwarz validation hold.
     """
-    lhs = abs(commutator_expectation(model, profile, radius)) ** 2
     c_f = profile.volume_integral()
-    v_r = radius ** model.dim * c_f
-    var_a = autocorrelation(model, profile, radius, "A") / v_r ** 2
-    dc = double_commutator(model, profile, radius)
-    return BogoliubovCheck(lhs=float(lhs), rhs=float(var_a * dc), radius=float(radius))
+    cross = _spectral_integrals(model, profile, radii, model.rho_qa)
+    autos = _autocorrelations(model, profile, radii, "A")
+    dcs = _windowed(model, profile, radii, _energy_weight(model))
+    checks = []
+    for radius, val, auto, dc in zip(radii, cross, autos, dcs):
+        lhs = abs(2j * val.imag / c_f) ** 2  # |commutator_expectation|^2
+        var_a = auto / (radius ** model.dim * c_f) ** 2
+        checks.append(BogoliubovCheck(lhs=float(lhs), rhs=float(var_a * dc), radius=float(radius)))
+    return checks
 
 
 @dataclass(frozen=True)
@@ -305,6 +307,10 @@ def mean_projector_convergence(vec: SpectralVectorModel, profile: WindowProfile,
                         label="projector-residual")
 
 
+#: the shapes of ``EnergySmoothing``
+SMOOTHING_SHAPES = ("plateau", "wide-plateau")
+
+
 @dataclass(frozen=True)
 class EnergySmoothing:
     """Time-smearing transform ghat: 1 at E = 0, supported in (-a, a).
@@ -318,7 +324,7 @@ class EnergySmoothing:
     shape: str = "plateau"
 
     def __post_init__(self):
-        if self.shape not in ("plateau", "wide-plateau"):
+        if self.shape not in SMOOTHING_SHAPES:
             raise InvalidArgumentError(f"unknown smoothing shape {self.shape!r}")
         if not self.half_support > 0:
             raise InvalidArgumentError(f"smoothing half support {self.half_support} must be > 0")

@@ -82,27 +82,20 @@ def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("window-cache")
 
 
-class RecordingCache(dict):
-    """A cache of chain values that records the key of every value it stores."""
-
-    def __init__(self):
-        super().__init__()
-        self.chains = []
-
-    def __setitem__(self, key, value):
-        self.chains.append(key)
-        super().__setitem__(key, value)
-
-
 @pytest.fixture
-def chain_cache(monkeypatch):
-    """Empty caches in place of ``scaling._CHAIN_CACHE`` and, recording,
-    ``scaling._CHAIN_VALUES``, which ``scaling.clear_caches`` empties too;
-    the value is the second."""
-    cache = RecordingCache()
+def chain_blocks(monkeypatch):
+    """An empty ``scaling._CHAIN_CACHE``, and a spy on ``scaling._chain_block``:
+    the value is the list of the radii of every chain block computed."""
+    blocks = []
+    block = scaling._chain_block
+
+    def spy(profile, rule, factors, radii, offset):
+        blocks.append(list(radii))
+        return block(profile, rule, factors, radii, offset)
+
     monkeypatch.setattr(scaling, "_CHAIN_CACHE", {})
-    monkeypatch.setattr(scaling, "_CHAIN_VALUES", cache)
-    return cache
+    monkeypatch.setattr(scaling, "_chain_block", spy)
+    return blocks
 
 
 @pytest.fixture(scope="session")

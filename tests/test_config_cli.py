@@ -7,7 +7,6 @@ import sys
 import time
 import warnings
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from fluctlab import cli, runner, scaling, window
 from fluctlab.config import RunConfig, config_schema, parse_config
-from fluctlab.errors import ConfigError, InvalidArgumentError, ModelValidationError, NumericalAccuracyError
+from fluctlab.errors import ConfigError, InvalidArgumentError, ModelValidationError
 from fluctlab.report import canonical_json, emit
 from fluctlab.runner import run
 from fluctlab.window import CACHE_FORMAT_VERSION
@@ -119,6 +118,13 @@ class TestParsing:
         schema = config_schema()
         assert "scaling-sweep" in schema["analyses"][0]["kind"]
         assert schema["numeric"]["alpha"] == "finite number or null"
+        # a key with a fixed set of values lists the ones that build, as window.kind does
+        ssb_model = schema["model"]["classes"]["goldstone-ssb"]["keys"]
+        gap = schema["analyses"][0]["kinds"]["gap-check"]["keys"]
+        assert ssb_model["dispersion"]["kind"] == ["linear", "quadratic", "zero"]
+        assert gap["shapes"] == [["plateau", "wide-plateau"]]
+        assert gap["smoothing_half_support"] == "finite number > 0"
+        assert schema["window"]["kind"] == ["mollified-step"]
 
 
 @pytest.fixture(scope="module")
@@ -383,7 +389,13 @@ CONTRACT_CASES = {
     "order 6 at n = 1": ({"model": GAUSS, "analyses": [{"kind": "scaling-sweep", "orders": [6]}]}, 0),
     "odd pairing order": ({"model": GAUSS, "analyses": [
         {"kind": "cumulant-roundtrip", "pairing_orders": [3]}]}, 2),
+    # the schema lists the values that build: a shape, a dispersion kind or
+    # a half support outside them is rejected at its path
     "gap shape triangle": ({"model": SSB, "analyses": [{"kind": "gap-check", "shapes": ["triangle"]}]}, 2),
+    "dispersion kind cubic": ({"model": dict(SSB, dispersion={"kind": "cubic"}),
+                               "analyses": [{"kind": "gap-check"}]}, 2),
+    "smoothing half support 0": ({"model": SSB, "analyses": [
+        {"kind": "gap-check", "smoothing_half_support": 0.0}]}, 2),
     "r_grid beyond the float range": ({"model": GAUSS, "numeric": {"r_grid": {"stop": 1e300}},
                                        "analyses": SWEEP}, 2),
     "r_grid count 0": ({"model": GAUSS, "numeric": {"r_grid": {"count": 0}}, "analyses": SWEEP}, 2),
@@ -445,6 +457,15 @@ CONTRACT_CASES = {
     # an oracle with no order of the position path would check nothing
     "oracle with no order in 2..3": ({"model": {"class": "product-ansatz", "dim": 1, "orders": {
         "4": [{}, {}, {}]}}, "analyses": [{"kind": "scaling-sweep", "orders": [4], "oracle_check_r_max": 8}]}, 2),
+    # the oracle reads the sweep at its own radii, so it needs one up to r_max
+    "oracle radius below the R grid": ({"model": GAUSS, "analyses": [
+        {"kind": "scaling-sweep", "orders": [2], "oracle_check_r_max": 4}]}, 2),
+    # a profile width whose square is 0 would divide by it in the position form
+    "profile width 0": ({"model": {"class": "product-ansatz", "dim": 1, "orders": {
+        "2": [{"width": 0.0}]}}, "analyses": [{"kind": "scaling-sweep", "orders": [2], "oracle_check_r_max": 8}]}, 2),
+    "profile width 1e-200": ({"model": {"class": "product-ansatz", "dim": 1, "orders": {
+        "2": [{}], "3": [{}, {"width": 1e-200}]}}, "analyses": [
+        {"kind": "scaling-sweep", "orders": [2, 3], "oracle_check_r_max": 8}]}, 2),
     # radii whose window volume, and widths whose square, overflow a float
     "bogoliubov radius 1e300": ({"model": SSB, "analyses": [
         {"kind": "ssb-bound", "bogoliubov_radii": [8.0, 1e300]}]}, 2),
@@ -491,7 +512,13 @@ CONTRACT_MESSAGES = {"weighted gaussian form": "factor.form",
                      "repeated pair-family label": "distinct single characters",
                      "multi-character pair-family label": "distinct single characters",
                      "limit-state at alpha 0.2": "unset or n/2 = 0.5, got 0.2",
-                     "limit-state at alpha 0.9": "unset or n/2 = 0.5, got 0.9"}
+                     "limit-state at alpha 0.9": "unset or n/2 = 0.5, got 0.9",
+                     "gap shape triangle": "analyses[0].shapes[0] must be one of ['plateau', 'wide-plateau']",
+                     "dispersion kind cubic": "model.dispersion.kind must be one of ['linear', 'quadratic', 'zero']",
+                     "smoothing half support 0": "analyses[0].smoothing_half_support must be a finite number > 0",
+                     "oracle radius below the R grid": "below the first R grid radius 8",
+                     "profile width 0": "model.orders.2[0].width 0.0 has a square of 0",
+                     "profile width 1e-200": "model.orders.3[1].width 1e-200 has a square of 0"}
 
 
 #: checked-in configs whose runs build the chain kernel at n = 1, 2 and 3, the
@@ -949,8 +976,8 @@ def _scaling_cache_entries() -> int:
 
 
 def test_chain_values_live_for_one_run(cache_dir):
-    # every parse makes fresh factor closures, on which the chain values are
-    # keyed: kept past their run, they would grow the caches with every run
+    # every parse makes fresh factor closures, and the chain keeps no value
+    # keyed on them: the caches hold as many entries after every round
     texts = [(ROOT / "configs" / f"{stem}.json").read_text()
              for stem in ("criterion_02_limit_two_point", "criterion_03_qmode")]
     sizes = []
@@ -959,22 +986,6 @@ def test_chain_values_live_for_one_run(cache_dir):
             run(parse_config(text), cache_dir=cache_dir)
         sizes.append(_scaling_cache_entries())
     assert sizes == sizes[:1] * 21
-    assert not scaling._CHAIN_VALUES
-
-
-def test_a_failing_run_drops_its_chain_values(cache_dir, monkeypatch):
-    config = parse_config((ROOT / "configs" / "criterion_03_qmode.json").read_text())
-    kind = config.steps[0][0]
-    entry = runner.ANALYSES[kind]
-
-    def failing(*args):
-        entry.handler(*args)
-        raise NumericalAccuracyError("after the sweeps")
-
-    monkeypatch.setitem(runner.ANALYSES, kind, replace(entry, handler=failing))
-    with pytest.raises(NumericalAccuracyError, match="after the sweeps"):
-        run(config, cache_dir=cache_dir)
-    assert not scaling._CHAIN_VALUES
 
 
 def test_r_grid_beyond_float_range_leaks_no_warning(tmp_path, cache_dir, monkeypatch):

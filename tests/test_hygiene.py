@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fluctlab
+from fluctlab import scaling, window
 from fluctlab.config import NUMERIC
 from fluctlab.models import ObservablePair, gaussian_state
 from fluctlab.runner import ANALYSES
@@ -209,6 +210,14 @@ def test_settable_values_are_pinned():
     # the limit state reads S(0) in closed form: no integrability flag, no unchecked state
     assert [f.name for f in fields(ObservablePair)] == ["label_a", "label_b", "f_hat", "g_hat"]
     assert list(inspect.signature(gaussian_state).parameters) == ["two_point", "dim", "max_order"]
+
+
+def test_scaling_keeps_one_dict_cache():
+    # the chain keeps no value: the one dict scaling defines is the bounded
+    # cache of kernels and tables, so a second value cache changes this test
+    held = [name for name, value in vars(scaling).items()
+            if isinstance(value, dict) and not name.startswith("__") and value is not getattr(window, name, None)]
+    assert held == ["_CHAIN_CACHE"]
 
 
 def test_no_analysis_takes_a_numeric_block():

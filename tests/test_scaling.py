@@ -85,18 +85,23 @@ class TestSpectralPath:
                 oracle = position_space_correlator(product_state1, profile1, cfg, order, radius, 0.5)
                 assert abs(spectral - oracle) <= 1e-6 * abs(oracle)
 
-    def test_oracle_rows_read_the_chain_cache(self, profile1, chain_cache, criterion_step):
-        # criterion 04: every spectral value of the oracle table is one of the
-        # sweeps before it, read back, and equals it computed from an empty cache
+    def test_oracle_rows_read_the_chain_cache(self, profile1, chain_blocks, criterion_step):
+        # criterion 04: every spectral value of the oracle table is the value
+        # of the sweep before it at that radius, to the bit, and equals the
+        # one-radius call; the chain blocks are those of the two sweeps alone
         model, (kind, params, cfg) = criterion_step("criterion_04_oracle")
-        rows = runner.ANALYSES[kind].handler(params, cfg, model, profile1)["oracle_check"]["rows"]
+        result = runner.ANALYSES[kind].handler(params, cfg, model, profile1)
+        rows = result["oracle_check"]["rows"]
         assert [(row["order"], row["radius"]) for row in rows] == [
             (order, radius) for order in (2, 3) for radius in (2.0, 4.0, 8.0)]
-        assert len(chain_cache.chains) == 2 * len(cfg.r_values)
+        grid, block = list(cfg.r_values), scaling.CHAIN_BLOCK
+        assert chain_blocks == [grid[:block], grid[block:]] * 2
         for row in rows:
-            scaling.clear_caches()
+            rep = result["sweeps"][row["order"] - 2]
+            swept = rep.values[rep.r_values.index(row["radius"])]
             value = qmode_correlator(model, profile1, cfg, row["order"], None, row["radius"])
-            assert (value.real, value.imag) == (row["spectral"].real, row["spectral"].imag), row
+            assert (value.real, value.imag) == (swept.real, swept.imag) == (
+                row["spectral"].real, row["spectral"].imag), row
 
     def test_qmode_zero_offsets_match_radial_chain(self, gaussian_state1, profile1):
         # zero offsets replace fhat phi_1 by its mean over S^0, the two points +-1
@@ -323,7 +328,7 @@ class TestPositionOverlap:
         assert len(list(tmp_path.iterdir())) == 2
         scaling.clear_caches()
 
-    def test_cold_run_folds_the_rows_once(self, criterion_step, profile1, chain_cache, monkeypatch):
+    def test_cold_run_folds_the_rows_once(self, criterion_step, profile1, chain_blocks, monkeypatch):
         # criterion_04 with no window cache: orders 2 and 3 share one build
         # of the folded rows, 300 x 384 points, and each reads the 384 of
         # f(|u|); building the rows per order reads 231,168 points
@@ -348,7 +353,7 @@ class TestPositionOverlap:
         assert sum(points) == size * width + 2 * width == 115_968
         assert len(points) == ceil(size / scaling.FOLD_ROW_BLOCK) + 2
 
-    def test_order_3_build_peak_memory(self, profile1, chain_cache):
+    def test_order_3_build_peak_memory(self, profile1, chain_blocks):
         # the rows are evaluated FOLD_ROW_BLOCK at a time: 3.20 MiB with G;
         # one call on the whole 300 x 384 grid takes 5.15 MiB
         def build():
@@ -359,15 +364,14 @@ class TestPositionOverlap:
 
     def test_clear_caches_empties_every_module_dict(self, criterion_step, profile1):
         # the oracle keeps its overlaps and the weighted orders their
-        # heat-kernel tables in the one chain cache beside the kernels and
-        # chain values; clearing it leaves no dict that scaling itself holds
-        # non-empty
+        # heat-kernel tables in the one chain cache beside the kernels;
+        # clearing it leaves no dict that scaling itself holds non-empty
         scaling.clear_caches()
         for stem in ("criterion_04_oracle", "criterion_09a_weighted_boundary"):
             model, (kind, params, cfg) = criterion_step(stem)
             runner.ANALYSES[kind].handler(params, cfg, model, profile1)
         kinds = Counter(key[0] for key in scaling._CHAIN_CACHE)
-        assert kinds["overlap"] == 2 and kinds["heat"] == 2 and kinds["kernel"] and scaling._CHAIN_VALUES
+        assert kinds["overlap"] == 2 and kinds["heat"] == 2 and kinds["kernel"]
         scaling.clear_caches()
         held = [name for name, value in vars(scaling).items()
                 if isinstance(value, dict) and value and not name.startswith("__")
@@ -987,15 +991,17 @@ class TestCriticalAlpha:
         with pytest.raises(InvalidArgumentError):
             find_critical_alpha(state, profile1, cfg, 0.7, 0.75)
 
-    def test_alpha_star_sweep_reads_the_chain_cache(self, profile1, chain_cache, criterion_step):
+    def test_alpha_star_sweep_reads_the_chain_cache(self, profile1, chain_blocks, criterion_step):
         # criterion 08: the sweep at alpha* differs from the bracket's low-end
-        # sweep by the prefactor alone, so it adds no chain to those of the
-        # heat-kernel table, and equals the same sweep from an empty cache to the bit
+        # sweep by the prefactor alone, and both read the one heat-kernel
+        # table, so it computes no chain block beyond the table's 400 radii,
+        # and equals the same sweep from an empty cache to the bit
         model, (_, params, cfg) = criterion_step("criterion_08_l2_bisection")
         alpha_star = find_critical_alpha(model, profile1, cfg, *params["bisect_bracket"])
-        chains = len(chain_cache.chains)
+        assert sum(map(len, chain_blocks)) == scaling.TAU_RULE[2] * scaling.TAU_RULE[3]
+        blocks = len(chain_blocks)
         read = exponent_sweep(model, profile1, cfg, 2, alpha=alpha_star)
-        assert len(chain_cache.chains) == chains
+        assert len(chain_blocks) == blocks
         scaling.clear_caches()
         fresh = exponent_sweep(model, profile1, cfg, 2, alpha=alpha_star)
         assert np.array(read.values).tobytes() == np.array(fresh.values).tobytes()
@@ -1253,7 +1259,7 @@ class TestProfileDimension:
 
     @pytest.mark.parametrize("entry", ["exponent_sweep", "qmode_correlator", "weighted_correlator",
                                        "autocorrelation_growth", "build_limit_state"])
-    def test_mismatch_raises(self, entry, profile1, profile2, model3, chain_cache):
+    def test_mismatch_raises(self, entry, profile1, profile2, model3, chain_blocks):
         gauss2 = gaussian_state(lambda r: np.exp(-np.asarray(r) ** 2 / 2.0), 2)
         family = limit_algebra.ObservableFamily(
             labels=("A",), dim=2, pair_density=lambda i, j: (lambda k: np.exp(-np.asarray(k) ** 2 / 2.0)))
@@ -1271,7 +1277,7 @@ class TestProfileDimension:
         with pytest.raises(InvalidArgumentError, match=f"dimension {state_dim}, the window profile of "
                                                        f"dimension {profile_dim}$"):
             call()
-        assert not chain_cache and not scaling._CHAIN_CACHE
+        assert not chain_blocks and not scaling._CHAIN_CACHE
 
 
 def _unit(u):
@@ -1734,7 +1740,7 @@ class TestBlockedChain:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_value_does_not_depend_on_the_grid(self, profile1, profile2, profile3, dim):
         # alone, in a 7-radius grid and at every position of a 20-radius
-        # grid (three blocks), with the chain values forgotten in between
+        # grid (three blocks)
         profile = {1: profile1, 2: profile2, 3: profile3}[dim]
         rule = half_panel_rule(*scaling.DEFAULT_QUAD)
         factors = _phased_factors(dim, 4)
@@ -1745,16 +1751,14 @@ class TestBlockedChain:
         grids = [others[:3] + (radius,) + others[3:6]]
         grids += [others[:position] + (radius,) + others[position:] for position in range(20)]
         for grid in grids:
-            scaling.clear_chain_values()
             values = radial_chain(profile, rule, factors, grid)
             assert values[grid.index(radius)] == alone, grid.index(radius)
         scaling.clear_caches()
 
     def test_grid_memory_is_one_block_beyond_the_kernel(self, profile1):
         # 4,096 radii, the most a config's r_grid holds, on an order-4 chain:
-        # beyond what the call keeps (one value and one key per radius) it
-        # holds less than the kernel plus one block of rows, as 8 radii do;
-        # a (4096, N) array of vectors alone would be 31 MB
+        # beyond its values it holds less than the kernel plus one block of
+        # rows, as 8 radii do; a (4096, N) array of vectors alone would be 31 MB
         rule = half_panel_rule(*scaling.DEFAULT_QUAD)
         factors = (GaussianProfile(1.0, 1.0, 1).momentum,) * 3
         scaling.clear_caches()
@@ -1765,7 +1769,6 @@ class TestBlockedChain:
             radii = tuple(np.geomspace(8.0, 512.0, count))
 
             def chain():
-                scaling.clear_chain_values()
                 assert len(radial_chain(profile1, rule, factors, radii)) == count
 
             transient[count] = traced_peak(chain)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from fluctlab import scaling
 from fluctlab.errors import (
     InvalidArgumentError,
     InvalidTestConfigurationError,
@@ -81,22 +80,22 @@ class TestGrowthExponents:
 
 class TestBogoliubov:
     def test_holds_at_every_scale(self, model3, profile3):
-        for radius in (4.0, 8.0, 32.0, 128.0, 512.0):
-            check = bogoliubov_check(model3, profile3, radius)
-            assert check.holds
+        radii = (4.0, 8.0, 32.0, 128.0, 512.0)
+        checks = bogoliubov_check(model3, profile3, radii)
+        assert [check.radius for check in checks] == list(radii)
+        assert all(check.holds for check in checks)
 
-    def test_table_rows_read_the_chain_cache(self, profile3, chain_cache, criterion_step):
-        # criterion 10: the table's A-autocorrelation and double-commutator
-        # integrals are those of the growth sweeps at the same 7 radii, so of
-        # its 21 integrals only the 7 of the cross density are computed; each
-        # row equals the check from an empty cache to the bit
+    def test_table_rows_read_the_chain_cache(self, profile3, chain_blocks, criterion_step):
+        # criterion 10: the three growth sweeps and the table's three
+        # integrals (cross density, A autocorrelation, double commutator)
+        # each run the 7 radii as one chain block, and the table computes
+        # nothing else; each row equals the one-radius check to the bit
         model, (kind, params, cfg) = criterion_step("criterion_10_ssb")
         table = ANALYSES[kind].handler(params, cfg, model, profile3)["bogoliubov"]
         assert [row.radius for row in table] == list(cfg.r_values)
-        assert len(chain_cache.chains) == 3 * 7 + 7
+        assert chain_blocks == [list(cfg.r_values)] * 6
         for row in table:
-            scaling.clear_caches()
-            assert bogoliubov_check(model, profile3, row.radius) == row, row
+            assert bogoliubov_check(model, profile3, (row.radius,)) == [row], row
 
     def test_order_parameter_limit(self, model3, profile3):
         lhs_values = [abs(commutator_expectation(model3, profile3, r)) ** 2
